@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from repro.nand.address import AddressCodec, FlashAddress
 from repro.nand.errors import AllocationError, ConfigurationError, OutOfSpaceError
 from repro.nand.flash import FlashArray
@@ -85,22 +87,28 @@ class StripeMap:
         return blocks
 
     def ppn_at(self, stripe: int, index: int) -> int:
-        """PPN of the ``index``-th page of a stripe in VPPN (allocation) order."""
+        """PPN of the ``index``-th page of a stripe in VPPN (allocation) order.
+
+        Block is the most significant VPPN field and a stripe is one block
+        offset across every parallel unit, so stripe ``s`` *is* the VPPN range
+        ``[s * pages_per_stripe, (s + 1) * pages_per_stripe)``.
+        """
         self._check(stripe)
         if not 0 <= index < self.pages_per_stripe:
             raise AllocationError(
                 f"stripe index {index} out of range [0, {self.pages_per_stripe})"
             )
-        g = self.geometry
-        channel = index % g.channels
-        rest = index // g.channels
-        chip = rest % g.chips_per_channel
-        rest //= g.chips_per_channel
-        plane = rest % g.planes_per_chip
-        page = rest // g.planes_per_chip
-        return self.codec.encode_ppn(
-            FlashAddress(channel=channel, chip=chip, plane=plane, block=stripe, page=page)
-        )
+        return self.codec.vppn_to_ppn(stripe * self.pages_per_stripe + index)
+
+    def ppn_run(self, stripe: int, start: int, count: int) -> np.ndarray:
+        """Columnar :meth:`ppn_at`: the PPNs of pages ``start .. start + count - 1``."""
+        self._check(stripe)
+        if not 0 <= start <= start + count <= self.pages_per_stripe:
+            raise AllocationError(
+                f"stripe run [{start}, {start + count}) out of range [0, {self.pages_per_stripe})"
+            )
+        first = stripe * self.pages_per_stripe + start
+        return self.codec.vppn_to_ppn_many(np.arange(first, first + count, dtype=np.int64))
 
     def stripe_of_block(self, block: int) -> int:
         """Stripe id containing a flat block index."""
@@ -442,6 +450,10 @@ class GroupState:
     lenders: set[int] = field(default_factory=set)
     writes: int = 0
     gc_hint: bool = False
+    #: Unwritten pages left in ``stripes`` — the per-group share of the
+    #: allocator's ``_free_pages_total``, maintained at the same places and
+    #: derived again on restore (it is not part of ``state_dict``).
+    free_pages: int = 0
 
 
 class GroupAllocator:
@@ -596,10 +608,13 @@ class GroupAllocator:
             raise AllocationError(f"stripe {stripe} is full")
         self._stripe_cursor[stripe] = cursor + 1
         self._free_pages_total -= 1
+        self._groups[self._stripe_owner[stripe]].free_pages -= 1
         return self.stripe_map.ppn_at(stripe, cursor)
 
     def _assign_stripe(self, group: int, stripe: int) -> None:
-        self._groups[group].stripes.append(stripe)
+        state = self._groups[group]
+        state.stripes.append(stripe)
+        state.free_pages += self.stripe_map.pages_per_stripe
         self._stripe_owner[stripe] = group
         self._stripe_cursor[stripe] = 0
         self._free_pages_total += self.stripe_map.pages_per_stripe
@@ -612,19 +627,19 @@ class GroupAllocator:
         return None
 
     def _pick_lender(self, exclude: int) -> int | None:
-        best: tuple[int, int] | None = None  # (free_pages, group) maximizing free pages
+        """The other group with the most free pages (ties: the fewest writes, then the lowest id)."""
+        best: int | None = None
+        best_state: GroupState | None = None
         for group, state in enumerate(self._groups):
-            if group == exclude or not state.stripes:
+            if group == exclude or state.free_pages <= 0:
                 continue
-            free_pages = sum(
-                self.stripe_map.pages_per_stripe - self._stripe_cursor.get(stripe, 0)
-                for stripe in state.stripes
-            )
-            if free_pages <= 0:
-                continue
-            if best is None or free_pages > best[0] or (free_pages == best[0] and state.writes < self._groups[best[1]].writes):
-                best = (free_pages, group)
-        return None if best is None else best[1]
+            if (
+                best_state is None
+                or state.free_pages > best_state.free_pages
+                or (state.free_pages == best_state.free_pages and state.writes < best_state.writes)
+            ):
+                best, best_state = group, state
+        return best
 
     def allocate_run(self, groups: list[int], limit: int, min_free_pages: int) -> list[int]:
         """Allocate up to ``limit`` data pages in one call (the batched write kernel).
@@ -663,6 +678,7 @@ class GroupAllocator:
                 if cursor < pages_per_stripe:
                     stripe_cursor[stripe] = cursor + 1
                     self._free_pages_total -= 1
+                    state.free_pages -= 1
                     ppn = ppn_at(stripe, cursor)
                     break
             if ppn is None:
@@ -675,6 +691,7 @@ class GroupAllocator:
                     self._assign_stripe(groups[j], stripe)
                     stripe_cursor[stripe] = 1
                     self._free_pages_total -= 1
+                    state.free_pages -= 1
                     ppn = ppn_at(stripe, 0)
                 else:
                     break
@@ -724,13 +741,10 @@ class GroupAllocator:
     def groups_resident_in_stripes(self, stripes: list[int]) -> set[int]:
         """Groups owning valid data pages inside the given stripes."""
         residents: set[int] = set()
-        flash = self.flash
+        pages_per_stripe = self.stripe_map.pages_per_stripe
         for stripe in stripes:
-            for block in self.stripe_map.blocks_of(stripe):
-                for ppn in flash.valid_ppns_in_block(block):
-                    lpn = flash.page_lpn_raw(ppn)
-                    if lpn >= 0 and not flash.page_is_translation(ppn):
-                        residents.add(self.group_of_lpn(lpn))
+            lpns = self.flash.live_lpns(self.stripe_map.ppn_run(stripe, 0, pages_per_stripe))
+            residents.update(np.unique(lpns[lpns >= 0] // self.lpns_per_group).tolist())
         return residents
 
     def begin_fresh_stripes(self, group: int, count: int) -> list[int]:
@@ -778,16 +792,24 @@ class GroupAllocator:
             return self._take_from_stripe(stripe), group
         raise OutOfSpaceError("no free page anywhere for GC write-back")
 
-    def assign_gc_destination(self, group: int, stripes: list[int], pages_written: int) -> None:
-        """Record the fresh stripes a group's GC write-back filled."""
+    def assign_gc_destination(self, group: int, stripes: list[int], pages_written: int) -> np.ndarray:
+        """Record the fresh stripes a group's GC write-back fills front to back.
+
+        Returns the PPNs of the ``pages_written`` destination pages in fill
+        (VPPN) order.
+        """
         for stripe in stripes:
             self._assign_stripe(group, stripe)
+        runs = [np.empty(0, dtype=np.int64)]
         remaining = pages_written
         for stripe in stripes:
             used = min(remaining, self.stripe_map.pages_per_stripe)
             self._stripe_cursor[stripe] = used
             self._free_pages_total -= used
+            self._groups[group].free_pages -= used
+            runs.append(self.stripe_map.ppn_run(stripe, 0, used))
             remaining -= used
+        return np.concatenate(runs)
 
     def release_stripe(self, stripe: int) -> None:
         """Return a fully-erased stripe to the free list."""
@@ -799,6 +821,7 @@ class GroupAllocator:
             self._free_pages_total += cursor
             if stripe in self._groups[owner].stripes:
                 self._groups[owner].stripes.remove(stripe)
+                self._groups[owner].free_pages -= self.stripe_map.pages_per_stripe - cursor
         else:
             self._free_pages_total += self.stripe_map.pages_per_stripe
         self._free_stripes.append(stripe)
@@ -859,6 +882,12 @@ class GroupAllocator:
             group_state.gc_hint = bool(saved["gc_hint"])
         self._stripe_owner = {stripe: owner for stripe, owner in state["stripe_owner"]}
         self._stripe_cursor = {stripe: cursor for stripe, cursor in state["stripe_cursor"]}
+        pages_per_stripe = self.stripe_map.pages_per_stripe
+        for group_state in self._groups:
+            group_state.free_pages = sum(
+                pages_per_stripe - self._stripe_cursor.get(stripe, 0)
+                for stripe in group_state.stripes
+            )
         self._free_pages_total = int(state["free_pages_total"])
         self._layout_epoch = int(state["layout_epoch"])
         self._gc_candidate_cache.clear()

@@ -27,10 +27,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
+import numpy as np
+
 from repro.core.allocation import StripingAllocator
 from repro.core.mapping import MappingDirectory, TranslationPageStore
 from repro.nand.errors import ConfigurationError
-from repro.nand.flash import PAGE_FREE, FlashArray
+from repro.nand.flash import PAGE_FREE, PAGE_VALID, FlashArray
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.trace import NULL_TRACER
@@ -424,16 +426,25 @@ class FTLBase(ABC):
         """Assert that every mapped LPN resolves to its newest valid flash copy.
 
         Used heavily by the test-suite; raises ``AssertionError`` on violation.
+        One columnar pass finds the offenders; the first one (in LPN order) is
+        then diagnosed page by page, so the message names what is wrong with it.
         """
-        for lpn in self.directory.mapped_lpns():
-            ppn = self.directory.require(lpn)
-            info = self.flash.page(ppn)
-            assert info.state.value == "valid", f"lpn {lpn} maps to non-valid ppn {ppn}"
-            assert info.lpn == lpn, f"lpn {lpn} maps to ppn {ppn} holding lpn {info.lpn}"
-            newest = self.flash.latest_version_of(lpn)
-            assert newest is not None and newest[0] == ppn, (
-                f"lpn {lpn} maps to ppn {ppn} but newest copy is {newest}"
-            )
+        flash = self.flash
+        num_lpns = self.geometry.num_logical_pages
+        ppns = self.directory.lookup_many(np.arange(num_lpns, dtype=np.int64))
+        lpns = np.flatnonzero(ppns != -1)
+        ppns = ppns[lpns]
+        sound = (flash.live_lpns(ppns) == lpns) & (flash.newest_copies(num_lpns)[lpns] == ppns)
+        if sound.all():
+            return
+        first = int(np.argmin(sound))
+        lpn, ppn = int(lpns[first]), int(ppns[first])
+        assert flash.page_state_code(ppn) == PAGE_VALID, f"lpn {lpn} maps to non-valid ppn {ppn}"
+        held = flash.page_lpn_raw(ppn)
+        assert held == lpn, f"lpn {lpn} maps to ppn {ppn} holding lpn {None if held < 0 else held}"
+        raise AssertionError(
+            f"lpn {lpn} maps to ppn {ppn} but newest copy is {flash.latest_version_of(lpn)}"
+        )
 
     def memory_report(self) -> dict[str, int]:
         """Approximate DRAM bytes used by mapping metadata (per design)."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+import numpy as np
+
 __all__ = ["Bitmap"]
 
 
@@ -57,9 +59,31 @@ class Bitmap:
 
     def clear_all(self) -> None:
         """Clear every bit."""
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
+        self._bits[:] = bytes(len(self._bits))
         self._popcount = 0
+
+    def assign(self, flags: "np.ndarray") -> None:
+        """Replace the whole bitmap from a boolean column (bit ``i`` = ``flags[i]``).
+
+        ``bitorder="little"`` is the layout :meth:`test` reads: bit ``i`` lives
+        in byte ``i >> 3`` under mask ``1 << (i & 7)``.
+        """
+        if flags.shape != (self._size,):
+            raise ValueError(f"expected {self._size} flags, got shape {flags.shape}")
+        self._bits[:] = np.packbits(flags, bitorder="little").tobytes()
+        self._popcount = int(np.count_nonzero(flags))
+
+    def clear_many(self, indices: "np.ndarray") -> None:
+        """Clear the bits at every index of a column (duplicates allowed)."""
+        if len(indices) == 0:
+            return
+        if indices.min() < 0 or indices.max() >= self._size:
+            raise IndexError(f"bit indices out of range [0, {self._size})")
+        flags = np.unpackbits(
+            np.frombuffer(self._bits, dtype=np.uint8), count=self._size, bitorder="little"
+        )
+        flags[indices] = 0
+        self.assign(flags)
 
     def count(self) -> int:
         """Number of set bits (the 'length' of the model per Section III-E1)."""

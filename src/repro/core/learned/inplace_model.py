@@ -167,40 +167,58 @@ class InPlaceLinearModel:
 
     def train(
         self,
-        lpns: Sequence[int],
-        vppns: Sequence[int],
+        lpns: "Sequence[int] | np.ndarray",
+        vppns: "Sequence[int] | np.ndarray",
         *,
         verifier: Callable[[int], int | None] | None = None,
     ) -> TrainingResult:
-        """Fit the parameter array over sorted ``(LPN, VPPN)`` pairs and rebuild the bitmap.
+        """Fit the parameter array over sorted ``(LPN, VPPN)`` columns and rebuild the bitmap.
 
         ``verifier`` maps an LPN to its authoritative VPPN; when provided, bits
         are set only where the fitted model matches the verifier, which is how
         the paper's step 4 ("evaluate the model") works.  When omitted, the
         supplied ``vppns`` are treated as authoritative.
+
+        The fit is :func:`fit_fixed_pieces`; the evaluation is columnar: every
+        point finds its piece by ``searchsorted`` over the piece offsets and is
+        predicted with :meth:`ModelPiece.predict`'s arithmetic (``np.rint``
+        rounds half to even, like ``round``).
         """
-        if len(lpns) != len(vppns):
+        lpns = np.asarray(lpns, dtype=np.int64)
+        vppns = np.asarray(vppns, dtype=np.int64)
+        if lpns.shape != vppns.shape or lpns.ndim != 1:
             raise ValueError("lpns and vppns must have the same length")
         self.pieces = []
         self.bitmap.clear_all()
-        if not lpns:
+        if lpns.size == 0:
             return TrainingResult(0, 0, 0)
-        offsets = [self.offset_of(lpn) for lpn in lpns]
-        fitted = fit_fixed_pieces(offsets, list(vppns), max_pieces=self.max_pieces)
+        offsets = lpns - self.start_lpn
+        outside = (offsets < 0) | (offsets >= self.span)
+        if outside.any():
+            self.offset_of(int(lpns[np.argmax(outside)]))
+        fitted = fit_fixed_pieces(offsets.tolist(), vppns.tolist(), max_pieces=self.max_pieces)
         self.pieces = [_to_model_piece(piece) for piece in fitted]
-        accurate = 0
-        for lpn, vppn in zip(lpns, vppns):
-            truth = verifier(lpn) if verifier is not None else vppn
-            if truth is None:
-                continue
-            offset = self.offset_of(lpn)
-            piece = self._piece_for(offset)
-            if piece is not None and piece.predict(offset) == truth:
-                self.bitmap.set(offset)
-                accurate += 1
+        piece_offsets = np.array([piece.offset for piece in self.pieces], dtype=np.int64)
+        slopes = np.array([piece.slope for piece in self.pieces])
+        intercepts = np.array([piece.intercept for piece in self.pieces])
+        # _piece_for: the last piece starting at or before the offset.
+        chosen = np.searchsorted(piece_offsets, offsets, side="right") - 1
+        predicted = np.rint(slopes[chosen] * (offsets - piece_offsets[chosen]) + intercepts[chosen])
+        if verifier is None:
+            exact = predicted == vppns
+        else:
+            # An LPN the verifier does not know answers None, which equals no prediction.
+            exact = np.array(
+                [verifier(lpn) == value for lpn, value in zip(lpns.tolist(), predicted.tolist())],
+                dtype=bool,
+            )
+        exact &= chosen >= 0
+        flags = np.zeros(self.span, dtype=bool)
+        flags[offsets[exact]] = True
+        self.bitmap.assign(flags)
         return TrainingResult(
-            trained_points=len(lpns),
-            accurate_points=accurate,
+            trained_points=int(lpns.size),
+            accurate_points=int(np.count_nonzero(exact)),
             pieces_used=len(self.pieces),
         )
 
@@ -221,10 +239,11 @@ class InPlaceLinearModel:
         if len(lpns) <= self.trained_length():
             return False
         first_offset = self.offset_of(lpns[0])
+        last_offset = self.offset_of(lpns[-1])
         self.pieces = [ModelPiece(slope=1.0, intercept=float(vppns[0]), offset=first_offset)]
-        self.bitmap.clear_all()
-        for lpn in lpns:
-            self.bitmap.set(self.offset_of(lpn))
+        flags = np.zeros(self.span, dtype=bool)
+        flags[first_offset : last_offset + 1] = True
+        self.bitmap.assign(flags)
         return True
 
 

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.core.allocation import GroupAllocator, GroupGCNeeded
 from repro.core.base import FTLBase, FTLConfig
 from repro.core.batch import GroupedReadPlanner, GroupWritePlanner
@@ -34,6 +36,7 @@ from repro.core.cmt import EvictedPage, PageGroupedCMT
 from repro.core.learned.inplace_model import (
     BIT_NOT_SET,
     InPlaceLinearModel,
+    TrainingResult,
     pack_models,
     unpack_models,
 )
@@ -399,80 +402,84 @@ class LearnedFTL(FTLBase):
 
     def _move_group(self, group: int) -> tuple[int, int, float, float]:
         """Relocate a group's valid pages (sorted by LPN) and retrain its models."""
+        allocator = self.allocator
+        flash = self.flash
+        directory = self.directory
+        buffer = self.buffer
         # Only mappings whose physical copy is still valid *and still holds this
         # LPN* are relocated: a mapping whose copy was invalidated by an
         # in-flight overwrite (and whose page may even have been erased and
         # reused already) will be rewritten by that overwrite right after this
         # GC completes.
-        def _relocatable(lpn: int) -> bool:
-            ppn = self.directory.require(lpn)
-            flash = self.flash
-            return (
-                flash.page_state_code(ppn) == PAGE_VALID
-                and flash.page_lpn_raw(ppn) == lpn
-                and not flash.page_is_translation(ppn)
-            )
-
-        valid_lpns = sorted(
-            lpn
-            for lpn in self.allocator.lpn_range_of_group(group)
-            if self.directory.is_mapped(lpn) and _relocatable(lpn)
-        )
-        buffer = self.buffer
-        read_stage = buffer.new_stage()
-        write_stage = buffer.new_stage()
-        pages_per_stripe = self.allocator.stripe_map.pages_per_stripe
-        needed_stripes = -(-len(valid_lpns) // pages_per_stripe) if valid_lpns else 0
+        lpn_range = allocator.lpn_range_of_group(group)
+        group_lpns = np.arange(lpn_range.start, lpn_range.stop, dtype=np.int64)
+        group_ppns = directory.lookup_many(group_lpns)
+        mapped = np.flatnonzero(group_ppns != -1)
+        relocated = np.zeros(len(lpn_range), dtype=bool)
+        relocated[mapped] = flash.live_lpns(group_ppns[mapped]) == group_lpns[mapped]
+        lpns = group_lpns[relocated]
+        old_ppns = group_ppns[relocated]
+        moved = int(lpns.size)
         try:
-            new_stripes = (
-                self.allocator.begin_fresh_stripes(group, needed_stripes) if needed_stripes else []
+            new_stripes = allocator.begin_fresh_stripes(
+                group, -(-moved // allocator.stripe_map.pages_per_stripe)
             )
         except OutOfSpaceError:
             # No free stripe at all (heavy cross-group borrowing): fall back to
             # scattering the write-back into whatever free pages remain.  The
             # affected models lose accuracy but the collection still progresses.
-            new_stripes = []
-        cursor = 0
-        for lpn in valid_lpns:
-            old_ppn = self.directory.require(lpn)
-            self.data_read_command(read_stage, old_ppn, _CODE_GC_READ)
-            if new_stripes:
-                stripe = new_stripes[cursor // pages_per_stripe]
-                new_ppn = self.allocator.stripe_map.ppn_at(stripe, cursor % pages_per_stripe)
-                cursor += 1
-            else:
-                new_ppn, _owner = self.allocator.emergency_allocate_page(
-                    group, avoid_stripes=self._gc_old_stripes
-                )
-            self.flash.program_data(new_ppn, lpn)
-            self.flash.invalidate(old_ppn)
-            self.directory.update(lpn, new_ppn)
-            # The relocation changed the LPN's physical location, so any bit set
-            # by an earlier training pass is stale until this entry is retrained.
-            self.models[self.directory.tvpn_of(lpn)].invalidate(lpn)
-            if lpn in self.cmt:
-                self._handle_evictions(self.cmt.insert(lpn, new_ppn, dirty=False))
-            self.program_command(write_stage, new_ppn, _CODE_GC_WRITE)
-        if new_stripes:
-            self.allocator.assign_gc_destination(group, new_stripes, len(valid_lpns))
+            new_ppns = np.array(
+                [
+                    allocator.emergency_allocate_page(group, avoid_stripes=self._gc_old_stripes)[0]
+                    for _ in range(moved)
+                ],
+                dtype=np.int64,
+            )
+        else:
+            new_ppns = allocator.assign_gc_destination(group, new_stripes, moved)
+        read_stage = buffer.new_stage()
+        write_stage = buffer.new_stage()
+        buffer.extend(read_stage, _CODE_GC_READ, flash.touch_read_many(old_ppns), old_ppns)
+        # Program before invalidate, like the batched write kernel; the new
+        # copies take the next write versions in LPN order.
+        flash.program_data_many(new_ppns, lpns)
+        flash.invalidate_many(old_ppns)
+        directory.store_many(lpns, new_ppns)
+        buffer.extend(write_stage, _CODE_GC_WRITE, new_ppns // flash._chip_stride, new_ppns)
+        mappings_per_page = self._mappings_per_page
+        for tvpn in allocator.tvpns_of_group(group):
+            first = tvpn * mappings_per_page - lpn_range.start
+            entry_offsets = np.flatnonzero(relocated[first : first + mappings_per_page])
+            if entry_offsets.size == 0:
+                continue
+            # The relocation changed these LPNs' physical location, so any bit
+            # set by an earlier training pass is stale until the entry is retrained.
+            self.models[tvpn].bitmap.clear_many(entry_offsets)
+            # Refresh the cached copies in ascending LPN order, which leaves the
+            # LRU order of the node (and of the nodes) as relocating page by page would.
+            node = self._cmt_pages.get(tvpn)
+            if node:
+                for lpn in sorted(node):
+                    if relocated[lpn - lpn_range.start]:
+                        self._handle_evictions(
+                            self.cmt.insert(lpn, self._dir_column[lpn], dirty=False)
+                        )
         # Per-GTD-entry sorting + training + bitmap evaluation, plus the
         # translation-page writes for the refreshed mappings.
         compute_us = 0.0
         translation_stage = buffer.new_stage()
         translation_writes = 0
-        for tvpn in self.allocator.tvpns_of_group(group):
-            entry_lpns = self.directory.mapped_lpns_of_tvpn(tvpn)
-            if not entry_lpns:
+        for tvpn in allocator.tvpns_of_group(group):
+            entry_lpns = directory.mapped_lpns_of_tvpn(tvpn)
+            if entry_lpns.size == 0:
                 continue
             if self.config.train_on_gc:
-                vppns = [self.codec.ppn_to_vppn(self.directory.require(lpn)) for lpn in entry_lpns]
-                self.models[tvpn].train(entry_lpns, vppns)
+                self._train_entry(tvpn, entry_lpns)
                 if self.config.charge_compute:
                     compute_us += self.timing.sort_us_per_entry + self.timing.train_us_per_entry
                 self.stats.sort_time_us += self.timing.sort_us_per_entry
                 self.stats.train_time_us += self.timing.train_us_per_entry
-                self.stats.models_trained += 1
-            if self.allocator.translation_pool.needs_gc():
+            if allocator.translation_pool.needs_gc():
                 self._collect_translation_block_into(translation_stage)
             self.translation_store.flush_into(buffer, translation_stage, tvpn, _CODE_GC_WRITE)
             translation_writes += 1
@@ -481,10 +488,15 @@ class LearnedFTL(FTLBase):
         buffer.commit_stage(translation_stage)
         translation_commands = buffer.stage_size(translation_stage)
         flash_time = (
-            len(valid_lpns) * self.timing.read_us
-            + (len(valid_lpns) + translation_commands) * self.timing.program_us
+            moved * self.timing.read_us + (moved + translation_commands) * self.timing.program_us
         )
-        return len(valid_lpns), translation_writes, compute_us, flash_time
+        return moved, translation_writes, compute_us, flash_time
+
+    def _train_entry(self, tvpn: int, entry_lpns: np.ndarray) -> TrainingResult:
+        """(Re)train one GTD entry's model over its mapped LPNs' current VPPNs."""
+        vppns = self.codec.ppn_to_vppn_many(self.directory.lookup_many(entry_lpns))
+        self.stats.models_trained += 1
+        return self.models[tvpn].train(entry_lpns, vppns)
 
     def _release_invalid_stripes(self, old_stripes: dict[int, list[int]]) -> tuple[int, float]:
         """Erase and free every pre-GC stripe that no longer holds valid pages."""
@@ -536,12 +548,9 @@ class LearnedFTL(FTLBase):
         computation GC training performs — and returns whether a model was built.
         """
         entry_lpns = self.directory.mapped_lpns_of_tvpn(tvpn)
-        if not entry_lpns:
+        if entry_lpns.size == 0:
             return False
-        vppns = [self.codec.ppn_to_vppn(self.directory.require(lpn)) for lpn in entry_lpns]
-        result = self.models[tvpn].train(entry_lpns, vppns)
-        self.stats.models_trained += 1
-        return result.trained_points > 0
+        return self._train_entry(tvpn, entry_lpns).trained_points > 0
 
     # ------------------------------------------------------------ recovery
     def rebuild_models_from_flash(self) -> int:

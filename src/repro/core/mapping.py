@@ -185,10 +185,10 @@ class MappingDirectory:
         start = tvpn * self.mappings_per_page
         return range(start, min(start + self.mappings_per_page, self._size))
 
-    def mapped_lpns_of_tvpn(self, tvpn: int) -> list[int]:
-        """Mapped LPNs inside one translation page, in increasing order."""
-        column = self._ppn
-        return [lpn for lpn in self.lpn_range_of_tvpn(tvpn) if column[lpn] != _UNMAPPED]
+    def mapped_lpns_of_tvpn(self, tvpn: int) -> np.ndarray:
+        """Mapped LPNs inside one translation page, as an increasing ``int64`` column."""
+        lpns = self.lpn_range_of_tvpn(tvpn)
+        return np.flatnonzero(self._ppn_view[lpns.start : lpns.stop] != _UNMAPPED) + lpns.start
 
 
 class _MappedLpnView:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.nand.errors import GeometryError
 from repro.nand.geometry import SSDGeometry
 
@@ -100,6 +102,19 @@ class AddressCodec:
         channel = rest // g.chips_per_channel
         return FlashAddress(channel=channel, chip=chip, plane=plane, block=block, page=page)
 
+    def checked_ppns(self, ppns: "np.ndarray") -> "np.ndarray":
+        """``ppns`` as an int64 column, validated like :meth:`decode_ppn`.
+
+        The columnar entry points below and in the flash array gather with
+        these page numbers; a negative one would silently wrap around, so the
+        first page number outside the device raises :class:`GeometryError`.
+        """
+        ppns = np.asarray(ppns, dtype=np.int64)
+        outside = (ppns < 0) | (ppns >= self._num_physical_pages)
+        if outside.any():
+            self.geometry.check_ppn(int(ppns[np.argmax(outside)]))
+        return ppns
+
     # ------------------------------------------------------------------ VPPN
     def ppn_to_vppn(self, ppn: int) -> int:
         """Translate a physical page number to its virtual page number."""
@@ -135,6 +150,38 @@ class AddressCodec:
         rest //= g.planes_per_chip
         page = rest % g.pages_per_block
         block = rest // g.pages_per_block
+        return (
+            channel * self._ppn_channel_stride
+            + chip * self._ppn_chip_stride
+            + plane * self._ppn_plane_stride
+            + block * self._ppn_block_stride
+            + page
+        )
+
+    def ppn_to_vppn_many(self, ppns: "np.ndarray") -> "np.ndarray":
+        """Columnar :meth:`ppn_to_vppn`: translate a whole PPN column at once."""
+        ppns = self.checked_ppns(ppns)
+        g = self.geometry
+        rest, page = np.divmod(ppns, g.pages_per_block)
+        rest, block = np.divmod(rest, g.blocks_per_plane)
+        rest, plane = np.divmod(rest, g.planes_per_chip)
+        channel, chip = np.divmod(rest, g.chips_per_channel)
+        return (
+            channel * self._vppn_channel_stride
+            + chip * self._vppn_chip_stride
+            + plane * self._vppn_plane_stride
+            + page * self._vppn_page_stride
+            + block * self._vppn_block_stride
+        )
+
+    def vppn_to_ppn_many(self, vppns: "np.ndarray") -> "np.ndarray":
+        """Columnar :meth:`vppn_to_ppn`: translate a whole VPPN column at once."""
+        vppns = self.checked_ppns(vppns)  # same range as PPNs
+        g = self.geometry
+        rest, channel = np.divmod(vppns, g.channels)
+        rest, chip = np.divmod(rest, g.chips_per_channel)
+        rest, plane = np.divmod(rest, g.planes_per_chip)
+        block, page = np.divmod(rest, g.pages_per_block)
         return (
             channel * self._ppn_channel_stride
             + chip * self._ppn_chip_stride

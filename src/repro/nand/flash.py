@@ -282,6 +282,19 @@ class FlashArray:
             self.geometry.check_ppn(ppn)
         return self._page_state[ppn] == PAGE_VALID
 
+    def live_lpns(self, ppns: "np.ndarray") -> "np.ndarray":
+        """LPN held by each page of a PPN column, ``-1`` unless it is live data.
+
+        One gather over the state, LPN and translation columns: the columnar
+        form of ``page_state_code(ppn) == PAGE_VALID and not
+        page_is_translation(ppn)`` followed by :meth:`page_lpn_raw`.
+        """
+        ppns = self.codec.checked_ppns(ppns)
+        live = (np.frombuffer(self._page_state, dtype=np.uint8)[ppns] == PAGE_VALID) & (
+            np.frombuffer(self._page_translation, dtype=np.uint8)[ppns] == 0
+        )
+        return np.where(live, np.frombuffer(self._page_lpn, dtype=np.int64)[ppns], _NONE)
+
     def block_valid_count(self, block: int) -> int:
         """Valid-page count of a block (raw column read)."""
         return self._block_valid[block]
@@ -329,6 +342,16 @@ class FlashArray:
             raise FlashStateError(f"read of unprogrammed page ppn={ppn}")
         self.total_reads += 1
         return ppn // self._chip_stride
+
+    def touch_read_many(self, ppns: "np.ndarray") -> "np.ndarray":
+        """Columnar :meth:`touch_read_chip`: account a read of every page of a
+        PPN column and return the owning chip of each."""
+        ppns = self.codec.checked_ppns(ppns)
+        free = np.frombuffer(self._page_state, dtype=np.uint8)[ppns] == PAGE_FREE
+        if free.any():
+            raise FlashStateError(f"read of unprogrammed page ppn={int(ppns[np.argmax(free)])}")
+        self.total_reads += int(ppns.size)
+        return ppns // self._chip_stride
 
     def program(
         self,
@@ -634,6 +657,28 @@ class FlashArray:
             if state[ppn] == PAGE_VALID and not translation[ppn]:
                 if best is None or versions[ppn] > best[1]:
                     best = (ppn, versions[ppn])
+
+    def newest_copies(self, num_lpns: int) -> "np.ndarray":
+        """Columnar :meth:`latest_version_of` for every LPN below ``num_lpns``.
+
+        Returns the PPN of each LPN's newest valid data copy (``-1`` where it
+        has none) from one scatter-max of the version column; write versions
+        are unique, so exactly one live page per LPN attains the maximum.
+        """
+        state = np.frombuffer(self._page_state, dtype=np.uint8)
+        translation = np.frombuffer(self._page_translation, dtype=np.uint8)
+        lpns = np.frombuffer(self._page_lpn, dtype=np.int64)
+        versions = np.frombuffer(self._page_version, dtype=np.int64)
+        live = np.flatnonzero(
+            (state == PAGE_VALID) & (translation == 0) & (lpns >= 0) & (lpns < num_lpns)
+        )
+        live_lpns, live_versions = lpns[live], versions[live]
+        newest_version = np.full(num_lpns, _NONE, dtype=np.int64)
+        np.maximum.at(newest_version, live_lpns, live_versions)
+        winners = live_versions == newest_version[live_lpns]
+        newest = np.full(num_lpns, _NONE, dtype=np.int64)
+        newest[live_lpns[winners]] = live[winners]
+        return newest
 
     def utilization(self) -> dict[str, int]:
         """Return page counts by state (for reporting and tests)."""

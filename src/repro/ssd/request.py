@@ -421,6 +421,29 @@ class CommandBuffer:
             stage.append(index)
             stage.append(index + OP_STRIDE)
 
+    def extend(self, stage: list, code: int, chips: "np.ndarray", ppns: "np.ndarray") -> None:
+        """Columnar :meth:`append`: one ``code`` command per ``(chip, ppn)`` pair.
+
+        Same ``ops`` slots and the same stage segments as appending the
+        commands one by one in column order.
+        """
+        count = len(ppns)
+        if count == 0:
+            return
+        slots = np.empty((count, OP_STRIDE), dtype=np.int64)
+        slots[:, 0] = code
+        slots[:, 1] = chips
+        slots[:, 2] = ppns
+        slots[:, 3] = -1
+        ops = self.ops
+        index = len(ops)
+        ops.extend(slots.ravel().tolist())
+        if len(stage) > 1 and stage[-1] == index:
+            stage[-1] = index + count * OP_STRIDE
+        else:
+            stage.append(index)
+            stage.append(index + count * OP_STRIDE)
+
     def commit_stage(self, stage: list, compute_us: float = 0.0, *, front: bool = False) -> bool:
         """Fix a floating stage's position in the execution order.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -115,6 +116,46 @@ class TestVPPNCodec:
     def test_vppn_round_trip_property(self, codec, geometry, data):
         ppn = data.draw(st.integers(0, geometry.num_physical_pages - 1))
         assert codec.vppn_to_ppn(codec.ppn_to_vppn(ppn)) == ppn
+
+
+#: Small geometries with every field count varied, including two planes per chip.
+geometries = st.builds(
+    SSDGeometry,
+    channels=st.integers(1, 4),
+    chips_per_channel=st.integers(1, 3),
+    planes_per_chip=st.integers(1, 2),
+    blocks_per_plane=st.integers(2, 5),
+    pages_per_block=st.integers(1, 8),
+)
+
+
+class TestColumnarVPPNCodec:
+    """The ``_many`` forms against the scalar codec, which stays the reference."""
+
+    @given(geometry=geometries, data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_columns_match_the_scalar_codec(self, geometry, data):
+        codec = AddressCodec(geometry)
+        last = geometry.num_physical_pages - 1
+        numbers = data.draw(st.lists(st.integers(0, last), max_size=40))
+        column = np.array(numbers, dtype=np.int64)
+        assert codec.ppn_to_vppn_many(column).tolist() == [codec.ppn_to_vppn(n) for n in numbers]
+        assert codec.vppn_to_ppn_many(column).tolist() == [codec.vppn_to_ppn(n) for n in numbers]
+
+    def test_whole_device_round_trip_with_two_planes(self, codec, geometry):
+        assert geometry.planes_per_chip == 2
+        ppns = np.arange(geometry.num_physical_pages, dtype=np.int64)
+        vppns = codec.ppn_to_vppn_many(ppns)
+        assert sorted(vppns.tolist()) == ppns.tolist()
+        assert codec.vppn_to_ppn_many(vppns).tolist() == ppns.tolist()
+
+    @pytest.mark.parametrize("bad", [-1, 10**9])
+    def test_out_of_range_page_numbers_raise(self, codec, bad):
+        column = np.array([0, bad, 1], dtype=np.int64)
+        with pytest.raises(GeometryError, match=str(bad)):
+            codec.ppn_to_vppn_many(column)
+        with pytest.raises(GeometryError, match=str(bad)):
+            codec.vppn_to_ppn_many(column)
 
 
 class TestFlatIndices:

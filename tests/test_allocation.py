@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.allocation import (
@@ -74,6 +76,43 @@ class TestStripeMap:
         for stripe in range(stripes.num_stripes):
             for block in stripes.blocks_of(stripe):
                 assert stripes.stripe_of_block(block) == stripe
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            dict(channels=2, chips_per_channel=2, planes_per_chip=1, blocks_per_plane=8, pages_per_block=16),
+            dict(channels=2, chips_per_channel=3, planes_per_chip=2, blocks_per_plane=4, pages_per_block=8),
+            dict(channels=4, chips_per_channel=2, planes_per_chip=1, blocks_per_plane=6, pages_per_block=32),
+            dict(channels=1, chips_per_channel=1, planes_per_chip=2, blocks_per_plane=3, pages_per_block=4),
+        ],
+    )
+    def test_stripe_order_is_vppn_order(self, shape):
+        """Page ``i`` of stripe ``s`` is VPPN ``s * pages_per_stripe + i``, field by field."""
+        geometry = SSDGeometry(**shape)
+        stripes = StripeMap(geometry)
+        codec = stripes.codec
+        for stripe in range(stripes.num_stripes):
+            run = stripes.ppn_run(stripe, 0, stripes.pages_per_stripe).tolist()
+            assert run == [stripes.ppn_at(stripe, i) for i in range(stripes.pages_per_stripe)]
+            for index, ppn in enumerate(run):
+                address = codec.decode_ppn(ppn)
+                assert address.block == stripe
+                assert address.channel == index % geometry.channels
+                assert codec.ppn_to_vppn(ppn) == stripe * stripes.pages_per_stripe + index
+
+    def test_ppn_run_is_a_slice_of_the_stripe(self, geometry):
+        stripes = StripeMap(geometry)
+        assert stripes.ppn_run(3, 5, 9).tolist() == [stripes.ppn_at(3, i) for i in range(5, 14)]
+        assert stripes.ppn_run(3, 7, 0).tolist() == []
+
+    def test_ppn_run_bounds(self, geometry):
+        stripes = StripeMap(geometry)
+        with pytest.raises(AllocationError):
+            stripes.ppn_run(0, 1, stripes.pages_per_stripe)
+        with pytest.raises(AllocationError):
+            stripes.ppn_run(0, -1, 2)
+        with pytest.raises(AllocationError):
+            stripes.ppn_run(stripes.num_stripes, 0, 1)
 
 
 class TestTranslationPool:
@@ -280,3 +319,102 @@ class TestGroupAllocator:
         flash.program(ppn, lpn=3)
         stripes = allocator.stripes_of_group(0)
         assert allocator.groups_resident_in_stripes(stripes) == {0}
+
+
+def _free_pages_by_recount(allocator: GroupAllocator) -> list[int]:
+    """The generator sum ``_pick_lender`` used to run per call (the reference)."""
+    pages_per_stripe = allocator.stripe_map.pages_per_stripe
+    return [
+        sum(pages_per_stripe - allocator._stripe_cursor.get(stripe, 0) for stripe in state.stripes)
+        for state in allocator._groups
+    ]
+
+
+def _pick_lender_by_recount(allocator: GroupAllocator, exclude: int) -> int | None:
+    best: tuple[int, int] | None = None
+    for group, free_pages in enumerate(_free_pages_by_recount(allocator)):
+        if group == exclude or free_pages <= 0:
+            continue
+        writes = allocator.group_state(group).writes
+        if (
+            best is None
+            or free_pages > best[0]
+            or (free_pages == best[0] and writes < allocator.group_state(best[1]).writes)
+        ):
+            best = (free_pages, group)
+    return None if best is None else best[1]
+
+
+class TestGroupFreePageCounter:
+    """``GroupState.free_pages`` against a recount, through every path that moves it."""
+
+    def _check(self, allocator):
+        assert [state.free_pages for state in allocator._groups] == _free_pages_by_recount(allocator)
+        assert sum(_free_pages_by_recount(allocator)) + (
+            allocator.free_stripe_count() * allocator.stripe_map.pages_per_stripe
+        ) == allocator.total_free_pages()
+        for group in range(allocator.num_groups):
+            assert allocator._pick_lender(exclude=group) == _pick_lender_by_recount(allocator, group)
+
+    def test_counter_follows_allocation_borrowing_gc_and_restore(self, geometry, flash):
+        allocator = GroupAllocator(geometry, flash, group_stripe_limit=1)
+        rng = random.Random(11)
+        lpn = 0
+        for step in range(400):
+            group = rng.choice((0, 0, 0, 1, 2, 3))
+            try:
+                ppn, _owner = allocator.allocate_page(group)
+            except (GroupGCNeeded, OutOfSpaceError):
+                break
+            flash.program(ppn, lpn=lpn)
+            lpn += 1
+            if step % 25 == 0:
+                self._check(allocator)
+        assert any(allocator.group_state(g).lenders for g in range(allocator.num_groups))
+        self._check(allocator)
+        # The batched kernel's allocation run inlines the same bookkeeping.
+        allocator.allocate_run([4, 4, 5, 4], limit=4, min_free_pages=0)
+        self._check(allocator)
+        # GC write-back: fresh stripes in, an emptied stripe out.
+        fresh = allocator.begin_fresh_stripes(3, 1)
+        destination = allocator.assign_gc_destination(3, fresh, pages_written=7)
+        assert destination.tolist() == [allocator.stripe_map.ppn_at(fresh[0], i) for i in range(7)]
+        self._check(allocator)
+        allocator.emergency_allocate_page(0)
+        self._check(allocator)
+        allocator.release_stripe(allocator.stripes_of_group(5)[0])
+        self._check(allocator)
+        # free_pages is not a snapshot key: a restore derives it again.
+        state = allocator.state_dict()
+        assert "free_pages" not in state["groups"][0]
+        restored = GroupAllocator(geometry, FlashArray(geometry), group_stripe_limit=1)
+        restored.load_state(state)
+        self._check(restored)
+        assert [s.free_pages for s in restored._groups] == [s.free_pages for s in allocator._groups]
+
+
+class TestResidentGroups:
+    def test_matches_a_page_by_page_scan(self, geometry, flash):
+        """The masked gather per stripe against the per-page scan it replaced."""
+        allocator = GroupAllocator(geometry, flash, group_stripe_limit=1)
+        rng = random.Random(3)
+        written = []
+        for lpn in rng.sample(range(geometry.num_logical_pages), 150):
+            try:
+                ppn, _owner = allocator.allocate_page(allocator.group_of_lpn(lpn))
+            except (GroupGCNeeded, OutOfSpaceError):
+                break
+            flash.program(ppn, lpn=lpn)
+            written.append(ppn)
+        for ppn in rng.sample(written, len(written) // 3):
+            flash.invalidate(ppn)
+        owned = [s for g in range(allocator.num_groups) for s in allocator.stripes_of_group(g)]
+        assert len(owned) > 2
+        for stripes in ([], owned[:1], owned[1:3], owned):
+            expected = set()
+            for stripe in stripes:
+                for block in allocator.stripe_map.blocks_of(stripe):
+                    for ppn in flash.valid_ppns_in_block(block):
+                        if not flash.page_is_translation(ppn):
+                            expected.add(allocator.group_of_lpn(flash.page_lpn_raw(ppn)))
+            assert allocator.groups_resident_in_stripes(stripes) == expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,3 +107,42 @@ class TestProperty:
                 reference.discard(index)
         assert bitmap.count() == len(reference)
         assert set(bitmap.iter_set()) == reference
+
+
+class TestBulkOperations:
+    """``assign`` / ``clear_many`` against the per-bit operations, popcount included."""
+
+    @given(
+        first=st.sets(st.integers(0, 69)),
+        cleared=st.lists(st.integers(0, 69), max_size=40),
+        second=st.sets(st.integers(0, 69)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_matches_per_bit(self, first, cleared, second):
+        bulk, scalar = Bitmap(70), Bitmap(70)
+        for bits in (first, second):
+            flags = np.zeros(70, dtype=bool)
+            flags[sorted(bits)] = True
+            bulk.assign(flags)
+            scalar.clear_all()
+            for index in bits:
+                scalar.set(index)
+            assert bulk._bits == scalar._bits and bulk.count() == scalar.count() == len(bits)
+            bulk.clear_many(np.array(cleared, dtype=np.int64))
+            for index in cleared:
+                scalar.clear(index)
+            assert bulk._bits == scalar._bits
+            assert bulk.count() == scalar.count() == len(bits - set(cleared))
+            assert set(bulk.iter_set()) == bits - set(cleared)
+
+    def test_assign_rejects_a_column_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            Bitmap(16).assign(np.zeros(15, dtype=bool))
+
+    @pytest.mark.parametrize("index", [-1, 16])
+    def test_clear_many_rejects_out_of_range_indices(self, index):
+        bitmap = Bitmap(16)
+        bitmap.set(3)
+        with pytest.raises(IndexError):
+            bitmap.clear_many(np.array([3, index], dtype=np.int64))
+        assert bitmap.test(3) and bitmap.count() == 1

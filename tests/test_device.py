@@ -223,6 +223,36 @@ class TestPreconditioningAndReset:
         ssd.fill_sequential(io_pages=8)
         ssd.verify()
 
+    def test_verify_names_what_is_wrong_with_the_first_bad_lpn(self, tiny_geometry):
+        """One columnar pass finds the offender; the messages are the per-page ones."""
+
+        def corrupted():
+            ssd = SSD.create("ideal", tiny_geometry)
+            ssd.fill_sequential(io_pages=8)
+            return ssd, ssd.ftl.flash, ssd.ftl.directory
+
+        ssd, flash, directory = corrupted()
+        ppn = directory.require(9)
+        flash.invalidate(ppn)
+        with pytest.raises(AssertionError, match=f"lpn 9 maps to non-valid ppn {ppn}"):
+            ssd.verify()
+
+        ssd, flash, directory = corrupted()
+        other = directory.require(30)
+        directory.update(12, other)
+        directory.update(40, other)  # a later offender: the first one is reported
+        with pytest.raises(AssertionError, match=f"lpn 12 maps to ppn {other} holding lpn 30"):
+            ssd.verify()
+
+        ssd, flash, directory = corrupted()
+        stale = directory.require(20)
+        newer = ssd.ftl.allocator.allocate_data_one()
+        flash.program_data(newer, 20)  # a newer copy the mapping does not point at
+        with pytest.raises(
+            AssertionError, match=rf"lpn 20 maps to ppn {stale} but newest copy is \({newer}, \d+\)"
+        ):
+            ssd.verify()
+
 
 class TestDegeneratePreconditioning:
     """Request sizes that cannot fit the logical space must be rejected with a

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nand.errors import FlashStateError
+from repro.nand.errors import FlashStateError, GeometryError
 from repro.nand.flash import FlashArray, PageState
 from repro.nand.geometry import SSDGeometry
 
@@ -179,6 +180,65 @@ class TestQueries:
 
     def test_iter_blocks_covers_all(self, flash, geometry):
         assert len(list(flash.iter_blocks())) == geometry.num_blocks
+
+
+class TestColumnarQueries:
+    """The array-at-a-time accessors against the per-page ones, which stay."""
+
+    def _mixed(self, flash):
+        flash.program(0, lpn=5)
+        flash.program(1, lpn=6)
+        flash.program(2, lpn=5)
+        flash.invalidate(0)
+        flash.program(8, lpn=None, is_translation=True)
+        flash.program_translation(9, tvpn=0)
+        flash.program(10, lpn=6)
+        flash.invalidate(1)
+
+    def test_touch_read_many_counts_reads_and_returns_chips(self, flash, geometry):
+        self._mixed(flash)
+        ppns = np.array([0, 2, 10, 2], dtype=np.int64)
+        chips = flash.touch_read_many(ppns)
+        assert flash.total_reads == 4
+        assert chips.tolist() == [flash.codec.chip_index(ppn) for ppn in ppns.tolist()]
+        scalar = FlashArray(geometry)
+        self._mixed(scalar)
+        assert [scalar.touch_read_chip(ppn) for ppn in ppns.tolist()] == chips.tolist()
+        assert scalar.total_reads == flash.total_reads
+
+    def test_touch_read_many_rejects_a_free_page(self, flash):
+        self._mixed(flash)
+        with pytest.raises(FlashStateError, match="ppn=3"):
+            flash.touch_read_many(np.array([0, 3, 2], dtype=np.int64))
+        assert flash.total_reads == 0
+        with pytest.raises(GeometryError):
+            flash.touch_read_many(np.array([0, -1], dtype=np.int64))
+
+    def test_live_lpns(self, flash, geometry):
+        self._mixed(flash)
+        ppns = np.arange(geometry.num_physical_pages, dtype=np.int64)
+        expected = [
+            flash.page_lpn_raw(ppn)
+            if flash.is_valid(ppn) and not flash.page_is_translation(ppn)
+            else -1
+            for ppn in ppns.tolist()
+        ]
+        assert flash.live_lpns(ppns).tolist() == expected
+        assert sorted(set(expected)) == [-1, 5, 6]
+        with pytest.raises(GeometryError):
+            flash.live_lpns(np.array([geometry.num_physical_pages], dtype=np.int64))
+
+    def test_newest_copies_match_latest_version_of(self, flash):
+        self._mixed(flash)
+        # An older copy that is still valid: the newer one must win.
+        flash.program(3, lpn=5)
+        newest = flash.newest_copies(8)
+        for lpn in range(8):
+            scalar = flash.latest_version_of(lpn)
+            assert newest[lpn] == (-1 if scalar is None else scalar[0])
+        assert newest[5] == 3 and newest[6] == 10
+        # LPNs at or beyond the bound are ignored, not an error.
+        assert flash.newest_copies(6).tolist() == [-1, -1, -1, -1, -1, 3]
 
 
 class TestLifecycleProperty:

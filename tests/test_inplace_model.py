@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -179,3 +180,78 @@ class TestPredictExactParity:
                 assert fused is BIT_NOT_SET
             else:
                 assert fused == model.predict(lpn)
+
+
+class TestColumnarTrainParity:
+    """``train`` evaluates a whole entry array-at-a-time; the per-LPN pair
+    ``_piece_for`` + ``ModelPiece.predict`` (``round``, half to even) stays the
+    reference for which bits it may set."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bitmap_matches_per_lpn_evaluation(self, data):
+        span, start = 128, 256
+        max_pieces = data.draw(st.sampled_from([1, 2, 4, 8]))
+        model = InPlaceLinearModel(start_lpn=start, span=span, max_pieces=max_pieces)
+        # Gapped LPNs; VPPNs in runs broken by jumps, often more runs than pieces
+        # (the over-budget tail is then one least-squares piece with a real slope).
+        lpns = sorted(data.draw(st.sets(st.integers(start, start + span - 1), min_size=1)))
+        steps = data.draw(
+            st.lists(
+                st.sampled_from([1, 1, 1, 1, 2, 3, 40]), min_size=len(lpns), max_size=len(lpns)
+            )
+        )
+        vppns = np.cumsum(steps).tolist()
+        result = model.train(np.array(lpns, dtype=np.int64), np.array(vppns, dtype=np.int64))
+        assert len(model.pieces) <= max_pieces
+
+        expected = set()
+        for lpn, vppn in zip(lpns, vppns):
+            piece = model._piece_for(lpn - start)
+            if piece is not None and piece.predict(lpn - start) == vppn:
+                expected.add(lpn)
+        assert {start + offset for offset in model.bitmap.iter_set()} == expected
+        assert model.trained_length() == result.accurate_points == len(expected)
+        assert result.trained_points == len(lpns)
+        assert result.pieces_used == len(model.pieces)
+        truth = dict(zip(lpns, vppns))
+        for lpn in range(start - 1, start + span + 1):
+            assert model.can_predict(lpn) == (lpn in expected)
+            assert model.predict(lpn) == (truth[lpn] if lpn in expected else None)
+
+        # Lists and columns are the same input.
+        twin = InPlaceLinearModel(start_lpn=start, span=span, max_pieces=max_pieces)
+        assert twin.train(lpns, vppns) == result
+        assert twin.pieces == model.pieces and twin.bitmap._bits == model.bitmap._bits
+
+    def test_over_budget_tail_marks_only_exact_points(self):
+        model = InPlaceLinearModel(start_lpn=0, span=64, max_pieces=2)
+        lpns = list(range(40))
+        vppns = [100 + i for i in range(10)] + [(i * 37) % 91 * 13 for i in range(30)]
+        result = model.train(lpns, vppns)
+        assert len(model.pieces) == 2
+        assert all(model.can_predict(lpn) for lpn in range(10))
+        assert 10 <= result.accurate_points < 40
+
+    def test_verifier_may_not_know_an_lpn(self, model):
+        lpns = list(range(1024, 1034))
+        vppns = [100 + i for i in range(10)]
+        result = model.train(
+            lpns, vppns, verifier=lambda lpn: None if lpn % 2 else 100 + lpn - 1024
+        )
+        assert result.accurate_points == 5
+        assert [model.can_predict(lpn) for lpn in lpns] == [True, False] * 5
+
+    def test_uncovered_lpn_rejected(self, model):
+        with pytest.raises(ValueError, match="2000"):
+            model.train([1024, 2000], [1, 2])
+
+    def test_sequential_update_sets_exactly_the_run(self, model):
+        model.train([1500], [9])
+        assert model.sequential_update(list(range(1030, 1158)), list(range(7000, 7128)))
+        assert sorted(model.bitmap.iter_set()) == list(range(6, 134))
+        assert model.trained_length() == 128
+        assert model.predict(1157) == 7127
+        with pytest.raises(ValueError):
+            model.sequential_update(list(range(1400, 1600)), list(range(200)))
+        assert model.trained_length() == 128

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro import SSDGeometry
 from repro.core.base import FTLConfig
 from repro.core.learnedftl import LearnedFTL
+from repro.replay import state_fingerprint
+from repro.snapshot import warm_device
 from repro.ssd.request import CommandPurpose, HostRequest, OpType, ReadOutcome
 from tests.conftest import make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
@@ -152,6 +157,30 @@ class TestGroupGC:
             assert event.translation_pages_written <= entries_per_group * ssd.ftl.allocator.num_groups
 
 
+    def test_steady_state_group_gc_on_a_1024_page_group_device(self):
+        """The ledger's ``overwrite_gc`` device: groups of 1 024 LPNs (two GTD
+        entries each), steady-state warm-up, then uniform overwrites — every
+        ``_move_group`` relocates about a thousand pages at a time."""
+        geometry = dataclasses.replace(
+            SSDGeometry.medium(),
+            channels=4,
+            chips_per_channel=2,
+            blocks_per_plane=32,
+            pages_per_block=128,
+            op_ratio=0.25,
+        )
+        ssd = warm_device(
+            "learnedftl", geometry, warmup="steady", io_pages=128, overwrite_factor=1.0, threads=4
+        )
+        assert ssd.ftl.allocator.lpns_per_group == 1024
+        ssd.run(random_writes(geometry, 4000, seed=21), threads=4)
+        assert ssd.stats.gc_pages_moved > 10 * 1024
+        assert ssd.stats.models_trained > 0
+        ssd.verify()
+        ssd.run(random_reads(geometry, 2000, seed=22), threads=4)
+        assert ssd.stats.read_outcomes[ReadOutcome.MODEL_HIT] > 0
+
+
 class TestRecoveryAndRewrite:
     def test_rebuild_models_from_flash(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=16)
@@ -189,3 +218,88 @@ class TestMemoryBudget:
     def test_write_path_counts_host_programs(self, ssd):
         ssd.submit(HostRequest(op=OpType.WRITE, lpn=0, npages=4))
         assert ssd.stats.flash_programs[CommandPurpose.DATA_WRITE] == 4
+
+
+class TestEmergencyWriteBack:
+    """Group GC with no free stripe left: ``begin_fresh_stripes`` raises and
+    the write-back scatters into whatever free pages other stripes still hold.
+
+    No golden workload reaches that branch (the GC reserve stripe normally
+    prevents it), so the test forces it: after cross-group borrowing has set
+    in, every free stripe is handed to the coldest groups the way
+    ``allocate_page`` claims one.  The constants were captured from the
+    per-page relocation loop the columnar ``_move_group`` replaced.
+    """
+
+    STATE_SHA = "6115e27e5f060d495d949d3d12dd65ce8e0110f0185cd1599506e82aeeaafc2a"
+    SUMMARY = {
+        "host_read_pages": 768.0,
+        "host_write_pages": 1668.0,
+        "flash_reads": 12026.0,
+        "flash_programs": 12928.0,
+        "flash_erases": 802.0,
+        "write_amplification": 7.750599520383693,
+        "cmt_hit_ratio": 0.3880208333333333,
+        "model_hit_ratio": 0.5989583333333334,
+        "single_read_fraction": 0.9869791666666667,
+        "double_read_fraction": 0.013020833333333334,
+        "triple_read_fraction": 0.0,
+        "gc_count": 19.0,
+        "gc_pages_moved": 10867.0,
+        "throughput_mb_s": 0.9299380628825699,
+        "iops": 1279.4521916584004,
+        "read_p99_us": 80.0,
+        "read_p999_us": 1838.0400000001146,
+        "write_p99_us": 78204.79999999999,
+        "write_p999_us": 79922.12000000001,
+        "utilization": 0.8706090595057387,
+        "finish_time_us": 1341198.9999999572,
+    }
+
+    def test_forced_emergency_write_back_is_pinned(self, monkeypatch):
+        geometry = SSDGeometry.small(
+            channels=2,
+            chips_per_channel=2,
+            planes_per_chip=1,
+            blocks_per_plane=16,
+            pages_per_block=16,
+            page_size=512,
+            op_ratio=0.25,
+        )
+        ssd = make_ssd("learnedftl", geometry)
+        ssd.fill_sequential(io_pages=16)
+        ssd.run(random_writes(geometry, 300, seed=2), threads=2)
+        allocator = ssd.ftl.allocator
+        assert any(allocator.group_state(g).lenders for g in range(allocator.num_groups))
+        coldest = sorted(
+            range(allocator.num_groups), key=lambda g: (allocator.group_state(g).writes, g)
+        )
+        for group in coldest:
+            if not allocator._free_stripes:
+                break
+            stripe = allocator._free_stripes.pop(0)
+            allocator._free_pages_total -= allocator.stripe_map.pages_per_stripe
+            allocator._assign_stripe(group, stripe)
+        assert allocator.free_stripe_count() == 0
+
+        emergency_pages = []
+        emergency_allocate_page = allocator.emergency_allocate_page
+
+        def counting(group, **kwargs):
+            emergency_pages.append(group)
+            return emergency_allocate_page(group, **kwargs)
+
+        monkeypatch.setattr(allocator, "emergency_allocate_page", counting)
+        ssd.run(random_writes(geometry, 600, seed=5), threads=2)
+        assert len(emergency_pages) > geometry.pages_per_block
+        assert len(set(emergency_pages)) > 1
+
+        ssd.verify()
+        # A stale bitmap bit raises ConfigurationError in _translate_read.
+        ssd.run(
+            [HostRequest(op=OpType.READ, lpn=lpn) for lpn in range(geometry.num_logical_pages)],
+            threads=1,
+        )
+        assert ssd.stats.read_outcomes[ReadOutcome.TRIPLE_READ] == 0
+        assert state_fingerprint(ssd.state_dict()) == self.STATE_SHA
+        assert ssd.stats.summary() == self.SUMMARY

@@ -70,7 +70,7 @@ class TestMappingDirectory:
         directory.update(5, 50)
         directory.update(2, 20)
         directory.update(3, 30)
-        assert directory.mapped_lpns_of_tvpn(0) == [2, 3, 5]
+        assert directory.mapped_lpns_of_tvpn(0).tolist() == [2, 3, 5]
 
 
 class TestTranslationPageStore:

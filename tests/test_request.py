@@ -3,6 +3,7 @@ transactions."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.ssd.request import (
@@ -195,6 +196,43 @@ class TestCommandBuffer:
         assert [c.purpose for c in txn.stages[0].commands] == [CommandPurpose.GC_READ] * 3
         assert [c.purpose for c in txn.stages[1].commands] == [CommandPurpose.GC_WRITE] * 3
         assert [c.ppn for c in txn.stages[1].commands] == [100, 101, 102]
+
+    def test_extend_matches_repeated_append(self):
+        """One columnar ``extend`` per stage against appending command by command."""
+        read_code = command_code(CommandKind.READ, CommandPurpose.GC_READ)
+        write_code = command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
+        chips = np.array([3, 0, 3, 1], dtype=np.int64)
+        ppns = np.array([40, 7, 41, 19], dtype=np.int64)
+        columnar = CommandBuffer().reset(self._request())
+        scalar = CommandBuffer().reset(self._request())
+        stages = []
+        for buffer in (columnar, scalar):
+            reads, writes = buffer.new_stage(), buffer.new_stage()
+            # A command already in the stage: the run must merge into its segment.
+            buffer.append(reads, read_code, 2, 5)
+            if buffer is columnar:
+                buffer.extend(reads, read_code, chips, ppns)
+                buffer.extend(writes, write_code, chips + 1, ppns + 100)
+                buffer.extend(reads, read_code, chips[:0], ppns[:0])
+            else:
+                for chip, ppn in zip(chips.tolist(), ppns.tolist()):
+                    buffer.append(reads, read_code, chip, ppn)
+                for chip, ppn in zip(chips.tolist(), ppns.tolist()):
+                    buffer.append(writes, write_code, chip + 1, ppn + 100)
+            # Another stage took the slots in between: a new segment starts.
+            buffer.append(reads, read_code, 0, 6)
+            buffer.commit_stage(reads)
+            buffer.commit_stage(writes)
+            stages.append((reads, writes))
+        assert columnar.ops == scalar.ops
+        assert all(type(slot) is int for slot in columnar.ops)
+        assert stages[0] == stages[1]
+        assert stages[0][0] == [0.0, 0, 20, 36, 40]
+        for mine, theirs in zip(*stages):
+            assert columnar.commands_of(mine) == scalar.commands_of(theirs)
+            assert columnar.stage_size(mine) == scalar.stage_size(theirs)
+        assert columnar.stage_size(stages[0][0]) == 6
+        assert columnar.to_transaction() == scalar.to_transaction()
 
     def test_reset_reuses_storage(self):
         buffer = CommandBuffer().reset(self._request())
