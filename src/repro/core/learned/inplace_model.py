@@ -294,20 +294,25 @@ def unpack_models(models: Sequence[InPlaceLinearModel], state: dict[str, Any]) -
     slopes = state["slopes"].tolist()
     intercepts = state["intercepts"].tolist()
     offsets = state["offsets"].tolist()
-    bitmaps = np.asarray(state["bitmaps"], dtype=np.uint8).tobytes()
+    bits = np.asarray(state["bitmaps"], dtype=np.uint8)
+    sizes = np.fromiter(
+        (len(model.bitmap._bits) for model in models), dtype=np.int64, count=len(models)
+    )
+    if int(sizes.sum()) != bits.size:
+        raise ValueError("snapshot bitmap buffer does not match the model fleet")
+    starts = np.cumsum(sizes) - sizes
+    # The fleet's popcounts in one pass: set bits per byte, summed per model.
+    popcounts = np.add.reduceat(np.unpackbits(bits).reshape(-1, 8).sum(axis=1), starts)
+    bitmaps = bits.tobytes()
     index = 0
-    cursor = 0
-    for model, count in zip(models, piece_counts):
+    for model, count, start, popcount in zip(
+        models, piece_counts, starts.tolist(), popcounts.tolist()
+    ):
         model.pieces = [
             ModelPiece(slope=slopes[i], intercept=intercepts[i], offset=offsets[i])
             for i in range(index, index + count)
         ]
         index += count
         bitmap = model.bitmap
-        nbytes = len(bitmap._bits)
-        chunk = bitmaps[cursor : cursor + nbytes]
-        if len(chunk) != nbytes:
-            raise ValueError("snapshot bitmap buffer does not match the model fleet")
-        bitmap._bits[:] = chunk
-        bitmap._popcount = sum(bin(byte).count("1") for byte in chunk)
-        cursor += nbytes
+        bitmap._bits[:] = bitmaps[start : start + len(bitmap._bits)]
+        bitmap._popcount = popcount

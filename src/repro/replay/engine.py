@@ -95,11 +95,14 @@ def trace_sha256(path: str | Path) -> str:
 
 
 def state_fingerprint(state: dict[str, Any]) -> str:
-    """Order-independent sha256 of a nested ``state_dict`` structure.
+    """sha256 of a nested ``state_dict`` structure.
 
     Hashes the JSON skeleton (sorted keys) plus every ndarray leaf's dtype,
     shape and raw bytes — two states fingerprint equal iff they are
-    bit-identical, which is what the crash/resume tests pin.
+    bit-identical, which is what the crash/resume tests pin.  Columns are
+    numbered in traversal order, so compare like with like: two devices'
+    ``state_dict()``, or two loaded trees (``load_snapshot`` returns dicts in
+    sorted-key order, which numbers the same columns differently).
     """
     arrays: dict[str, np.ndarray] = {}
     skeleton = _flatten(state, arrays)
@@ -109,7 +112,8 @@ def state_fingerprint(state: dict[str, Any]) -> str:
         digest.update(key.encode("utf-8"))
         digest.update(str(column.dtype).encode("utf-8"))
         digest.update(str(column.shape).encode("utf-8"))
-        digest.update(column.tobytes())
+        # hashlib reads the (contiguous) column's buffer in place.
+        digest.update(column)
     return digest.hexdigest()
 
 
@@ -357,7 +361,8 @@ class ReplaySession:
         chunks: int,
         *,
         completed: bool,
-    ) -> Path:
+    ) -> dict[str, Any]:
+        """Publish checkpoint ``seq``; returns the device state it captured."""
         state = {
             "replay_state": {
                 "seq": seq,
@@ -377,7 +382,7 @@ class ReplaySession:
         save_snapshot(temp, state)
         publish_dir(temp, final)
         self._prune_checkpoints()
-        return final
+        return state["device"]
 
     def _prune_checkpoints(self) -> None:
         """Drop all but the newest ``keep_checkpoints`` checkpoint dirs."""
@@ -503,6 +508,10 @@ class ReplaySession:
         last_ckpt_clock_us = device.now_us
         checkpoints_written = 0
         finished = True
+        # The device state the newest checkpoint serialized, for as long as
+        # the device has not moved past it: a pause fingerprints this capture
+        # instead of building a second state_dict().
+        captured: dict[str, Any] | None = None
 
         stream = RecordStream(
             plan.trace_path,
@@ -520,6 +529,7 @@ class ReplaySession:
                 time_scale=plan.time_scale,
             )
             for chunk in chunk_iter:
+                captured = None
                 device.replay(chunk, stream_free=stream_free, origin_us=origin_us)
                 requests_done += len(chunk)
                 chunks_done += 1
@@ -534,7 +544,7 @@ class ReplaySession:
                     )
                 if due:
                     seq += 1
-                    self._write_checkpoint(
+                    captured = self._write_checkpoint(
                         seq,
                         device,
                         cursor,
@@ -570,7 +580,7 @@ class ReplaySession:
         if finished:
             cursor = final_cursor
             seq += 1
-            self._write_checkpoint(
+            captured = self._write_checkpoint(
                 seq,
                 device,
                 cursor,
@@ -597,6 +607,7 @@ class ReplaySession:
             checkpoints_written=checkpoints_written,
             resumed_from=resumed_from,
             origin_us=origin_us,
+            device_state=captured,
         )
 
     def _progress(self, device: SSD, seq: int, requests: int, cursor: TraceCursor) -> None:
@@ -624,7 +635,10 @@ class ReplaySession:
         checkpoints_written: int,
         resumed_from: int | None,
         origin_us: float,
+        device_state: dict[str, Any] | None = None,
     ) -> ReplayResult:
+        """Assemble the result; ``device_state`` is ``device.state_dict()`` if
+        the caller already holds it (the checkpoint it just wrote)."""
         telemetry = None
         if device.recorder is not None:
             telemetry = device.recorder.series(device.stats)
@@ -638,7 +652,9 @@ class ReplaySession:
             resumed_from=resumed_from,
             sim_time_us=device.now_us - origin_us,
             summary=dict(device.stats.summary()),
-            state_sha=state_fingerprint(device.state_dict()),
+            state_sha=state_fingerprint(
+                device_state if device_state is not None else device.state_dict()
+            ),
             telemetry=telemetry,
             device=device,
         )

@@ -12,6 +12,9 @@ Two geometries are used throughout:
 from __future__ import annotations
 
 import random
+import struct
+import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +88,21 @@ def random_writes(geometry: SSDGeometry, count: int, *, seed: int = 1, npages: i
         HostRequest(op=OpType.WRITE, lpn=rng.randint(0, limit), npages=npages)
         for _ in range(count)
     ]
+
+
+def flip_archive_payload_byte(archive_path: Path) -> None:
+    """Invert, in place, the middle byte of the largest member's compressed data.
+
+    Unlike a flip at a fixed file offset this cannot land in a field nobody
+    reads (a timestamp, say): it always damages decompression or the CRC-32.
+    """
+    with zipfile.ZipFile(archive_path) as archive:
+        info = max(archive.infolist(), key=lambda member: member.compress_size)
+    raw = bytearray(archive_path.read_bytes())
+    # Local file header: 30 fixed bytes, then the name and the extra field.
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    archive_path.write_bytes(bytes(raw))
 
 
 @pytest.fixture

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.learned.inplace_model import BIT_NOT_SET, InPlaceLinearModel
+from repro.core.learned.inplace_model import (
+    BIT_NOT_SET,
+    InPlaceLinearModel,
+    pack_models,
+    unpack_models,
+)
 
 
 @pytest.fixture
@@ -255,3 +260,45 @@ class TestColumnarTrainParity:
         with pytest.raises(ValueError):
             model.sequential_update(list(range(1400, 1600)), list(range(200)))
         assert model.trained_length() == 128
+
+
+class TestFleetPacking:
+    """``pack_models`` / ``unpack_models``: the snapshot form of a model fleet."""
+
+    @staticmethod
+    def _fleet(span: int, count: int = 7) -> list[InPlaceLinearModel]:
+        return [InPlaceLinearModel(start_lpn=i * span, span=span, max_pieces=4) for i in range(count)]
+
+    # 13 and 100 are not multiples of 8: the last byte of every bitmap is partial.
+    @pytest.mark.parametrize("span", [13, 64, 100, 512])
+    def test_restored_popcounts_match_per_bit_counting(self, span):
+        rng = np.random.default_rng(span)
+        source = self._fleet(span)
+        for index, model in enumerate(source):
+            # Per-bit set then clear, leaving gaps; model 0 stays empty and
+            # model 1 ends up full, so both extremes are in the fleet.
+            density = (0.0, 1.0)[index] if index < 2 else rng.uniform(0.1, 0.9)
+            for offset in np.flatnonzero(rng.random(span) < density).tolist():
+                model.bitmap.set(offset)
+            if index >= 2:
+                for offset in np.flatnonzero(rng.random(span) < 0.2).tolist():
+                    model.bitmap.clear(offset)
+        trained = source[2]
+        trained.train([trained.start_lpn + i for i in range(6)], [40 + 2 * i for i in range(6)])
+        restored = self._fleet(span)
+        restored[0].bitmap.set(0)  # stale state the restore must overwrite
+        unpack_models(restored, pack_models(source))
+        for before, after in zip(source, restored):
+            set_bits = list(before.bitmap.iter_set())
+            assert after.bitmap.count() == before.bitmap.count() == len(set_bits)
+            assert list(after.bitmap.iter_set()) == set_bits
+            assert after.pieces == before.pieces
+        assert (restored[0].bitmap.count(), restored[1].bitmap.count()) == (0, span)
+
+    def test_mismatched_buffers_are_rejected(self):
+        state = pack_models(self._fleet(64))
+        with pytest.raises(ValueError, match="models"):
+            unpack_models(self._fleet(64, count=6), state)
+        for bitmaps in (state["bitmaps"][:-1], np.append(state["bitmaps"], np.uint8(0))):
+            with pytest.raises(ValueError, match="bitmap buffer"):
+                unpack_models(self._fleet(64), {**state, "bitmaps": bitmaps})

@@ -14,13 +14,16 @@ The invariants pinned here are the replay subsystem's whole contract:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from tests.conftest import flip_archive_payload_byte
 from tests.golden_workload import golden_geometry
 
 from repro.nand.errors import ConfigurationError
@@ -33,6 +36,8 @@ from repro.replay import (
     state_fingerprint,
     trace_sha256,
 )
+from repro.snapshot import load_snapshot
+from repro.snapshot.serialization import _flatten
 from repro.ssd.device import SSD
 from repro.workloads.traces import (
     RecordStream,
@@ -188,6 +193,53 @@ class TestReplayStreamFreeParams:
         b = SSD.create("dftl", geometry)
         b.replay(requests, streams=STREAMS)
         assert state_fingerprint(a.state_dict()) == state_fingerprint(b.state_dict())
+
+
+# ------------------------------------------------------------ state fingerprint
+def _fingerprint_via_tobytes(state) -> str:
+    """``state_fingerprint`` as first written: every column copied out with
+    ``tobytes()``.  Kept as the reference the copy-free form is pinned to."""
+    arrays: dict[str, np.ndarray] = {}
+    skeleton = _flatten(state, arrays)
+    digest = hashlib.sha256(json.dumps(skeleton, sort_keys=True).encode("utf-8"))
+    for key in sorted(arrays):
+        column = np.ascontiguousarray(arrays[key])
+        digest.update(key.encode("utf-8"))
+        digest.update(str(column.dtype).encode("utf-8"))
+        digest.update(str(column.shape).encode("utf-8"))
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+class TestStateFingerprint:
+    def test_digest_is_unchanged_for_every_column_layout(self):
+        grid = np.arange(30, dtype=np.int32).reshape(5, 6)
+        frozen = np.frombuffer(b"\x01\x02\x03\x04", dtype=np.uint8)  # read-only buffer
+        state = {
+            "contiguous": np.arange(17, dtype=np.int64),
+            "strided": np.arange(40, dtype=np.float64)[::3],
+            "reversed": np.arange(9, dtype=np.int16)[::-1],
+            "empty": np.zeros(0, dtype=np.int64),
+            "empty_2d": np.zeros((0, 4), dtype=np.float32),
+            "grid": grid,
+            "transposed": grid.T,
+            "fortran": np.asfortranarray(grid),
+            "scalar": np.asarray(7, dtype=np.int64),
+            "flags": np.asarray([True, False, True]),
+            "frozen": frozen,
+            "nested": [{"x": grid[1:4, ::2]}, 3, "text", None, 2.5],
+        }
+        assert state_fingerprint(state) == _fingerprint_via_tobytes(state)
+        # Pinned literally too, so the two forms cannot drift together.
+        assert state_fingerprint({"a": np.arange(4, dtype=np.int64), "b": [1, 2.5]}) == (
+            "e4d91798c37bf3e15c7718d1e3c8ccb58a2be6326dc891d78ebb6ace4fdbe1a4"
+        )
+
+    def test_digest_of_a_real_device_is_unchanged(self):
+        ssd = SSD.create("learnedftl", golden_geometry())
+        ssd.fill_sequential(io_pages=16)
+        state = ssd.state_dict()
+        assert state_fingerprint(state) == _fingerprint_via_tobytes(state)
 
 
 # ------------------------------------------------------- chunked-vs-monolithic
@@ -347,6 +399,42 @@ class TestCrashResume:
         assert resumed.finished
         assert resumed.resumed_from == 1  # fell back past the corrupt ckpt 2
         assert_identical(resumed, baseline("dftl"))
+
+    def test_flipped_byte_in_newest_checkpoint_falls_back_with_warning(
+        self, trace_file, baseline, tmp_path
+    ):
+        # One damaged byte inside a still well-formed archive: it surfaces
+        # from zlib or the CRC-32 check, not from the zip directory parser.
+        run_dir = tmp_path / "run"
+        session = ReplaySession(make_plan(trace_file, "learnedftl"), run_dir)
+        paused = session.run(stop_after_checkpoints=2)
+        assert not paused.finished
+        flip_archive_payload_byte(session.checkpoint_paths()[-1] / "arrays.npz")
+        with pytest.warns(RuntimeWarning, match="corrupt replay checkpoint ckpt-000002"):
+            resumed = ReplaySession(make_plan(trace_file, "learnedftl"), run_dir).run(resume=True)
+        assert resumed.finished
+        assert resumed.resumed_from == 1
+        assert_identical(resumed, baseline("learnedftl"))
+
+    @pytest.mark.parametrize("ftl", ["dftl", "learnedftl"])
+    def test_state_sha_is_the_checkpointed_device(self, ftl, trace_file, tmp_path):
+        # A pause fingerprints the capture its checkpoint serialized: that is
+        # the live device's state, and what the checkpoint restores to.
+        session = ReplaySession(make_plan(trace_file, ftl), tmp_path / "run")
+        paused = session.run(stop_after_checkpoints=1)
+        assert not paused.finished
+        assert paused.state_sha == state_fingerprint(paused.device.state_dict())
+        restored = SSD.create(ftl, golden_geometry())
+        restored.load_state(load_snapshot(session.checkpoint_paths()[-1])["device"])
+        assert paused.state_sha == state_fingerprint(restored.state_dict())
+        # An abort between checkpoints has moved past the capture.
+        crashed = session.run(resume=True, stop_after_requests=paused.requests + CHUNK)
+        assert not crashed.finished and crashed.checkpoints_written == 0
+        assert crashed.state_sha == state_fingerprint(crashed.device.state_dict())
+        assert crashed.state_sha != paused.state_sha
+        finished = session.run(resume=True)
+        assert finished.finished
+        assert finished.state_sha == state_fingerprint(finished.device.state_dict())
 
     def test_resume_without_checkpoints_restarts_with_warning(
         self, trace_file, baseline, tmp_path

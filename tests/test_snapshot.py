@@ -9,13 +9,17 @@ snapshot store and the experiment integration do rests on that invariant.
 
 from __future__ import annotations
 
+import io
 import json
 import random
+import shutil
+import zipfile
 
 import numpy as np
 import pytest
 
 from golden_workload import WORKLOAD_SEED, golden_geometry
+from tests.conftest import flip_archive_payload_byte
 from repro import SSD, SSDGeometry
 from repro.core.base import FTLConfig
 from repro.experiments import EXPERIMENTS
@@ -23,6 +27,7 @@ from repro.experiments import runner as runner_module
 from repro.experiments.orchestrator import describe_plan, run_orchestrated
 from repro.experiments.runner import ScaleSpec, prepare_ssd, set_snapshot_dir
 from repro.nand.errors import ConfigurationError
+from repro.replay import state_fingerprint
 from repro.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SnapshotError,
@@ -170,6 +175,167 @@ class TestSnapshotFormat:
         other = SSD.create("tpftl", golden_geometry())
         with pytest.raises(ConfigurationError):
             other.load_state(load_snapshot(path))
+
+
+def _placeholder_keys(node) -> list[str]:
+    """Every ``{"__ndarray__": key}`` placeholder key of a manifest's state."""
+    if isinstance(node, dict):
+        if set(node) == {"__ndarray__"}:
+            return [node["__ndarray__"]]
+        return [key for item in node.values() for key in _placeholder_keys(item)]
+    if isinstance(node, list):
+        return [key for item in node for key in _placeholder_keys(item)]
+    return []
+
+
+@pytest.fixture(scope="module")
+def small_image(tmp_path_factory):
+    """A filled ``SSDGeometry.small()`` learnedftl image and its loaded fingerprint.
+
+    ``state_fingerprint`` numbers columns in dict order, which a loaded tree
+    (sorted keys) and a live ``state_dict()`` do not share: loads are compared
+    with loads, devices with devices.
+    """
+    ssd = SSD.create("learnedftl", SSDGeometry.small())
+    ssd.fill_sequential(io_pages=16)
+    path = ssd.save_state(tmp_path_factory.mktemp("small-image") / "image")
+    return path, state_fingerprint(load_snapshot(path))
+
+
+class TestArchiveWriter:
+    """``arrays.npz`` is a plain ``.npz``: NumPy's writer and reader interoperate."""
+
+    def test_savez_compressed_archive_loads_to_the_same_fingerprint(self, small_image, tmp_path):
+        # np.savez_compressed wrote every image before the format's own
+        # writer did; those images (and checkpoints) must keep loading.
+        image, sha = small_image
+        old = tmp_path / "old"
+        old.mkdir()
+        shutil.copy(image / "manifest.json", old / "manifest.json")
+        with np.load(image / "arrays.npz") as columns:
+            np.savez_compressed(old / "arrays.npz", **columns)
+        assert state_fingerprint(load_snapshot(old)) == sha
+
+    def test_archive_opens_with_np_load_and_holds_exactly_the_manifest_keys(self, small_image):
+        image, _ = small_image
+        manifest = json.loads((image / "manifest.json").read_text())
+        keys = _placeholder_keys(manifest["state"])
+        assert len(keys) == len(set(keys)) > 0
+        with np.load(image / "arrays.npz") as columns:  # allow_pickle=False
+            assert sorted(columns.files) == sorted(keys)
+            for key in keys:
+                assert isinstance(columns[key], np.ndarray)
+        with zipfile.ZipFile(image / "arrays.npz") as archive:
+            assert {info.compress_type for info in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+
+    def test_non_contiguous_zero_length_and_2d_columns_roundtrip(self, tmp_path):
+        grid = np.arange(24, dtype=np.int32).reshape(4, 6)
+        state = {
+            "strided": np.arange(20, dtype=np.int64)[::3],
+            "transposed": grid.T,
+            "empty": np.zeros(0, dtype=np.float64),
+            "grid": grid,
+            "flags": np.asarray([True, False, True]),
+        }
+        loaded = load_snapshot(save_snapshot(tmp_path / "snap", state))
+        _assert_state_equal(state, loaded)
+
+    def test_object_column_is_refused_at_save_time(self, tmp_path):
+        # It used to be pickled silently and fail only at load.
+        with pytest.raises(SnapshotError, match="object"):
+            save_snapshot(tmp_path / "snap", {"bad": np.asarray([{}, None], dtype=object)})
+        assert not (tmp_path / "snap" / "arrays.npz").exists()
+
+    def test_placeholder_absent_from_the_archive_is_refused(self, tmp_path):
+        path = save_snapshot(tmp_path / "snap", {"x": np.arange(4)})
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest["state"]["y"] = {"__ndarray__": "a7"}
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="'a7'") as excinfo:
+            load_snapshot(path)
+        assert isinstance(excinfo.value.__cause__, KeyError)
+
+    def test_member_longer_than_its_header_says_is_refused(self, tmp_path):
+        # What a flip that shrinks the .npy header's shape leaves behind.
+        # NumPy reads the shorter array and never reaches the member's end,
+        # which is where zipfile checks the CRC-32.
+        path = save_snapshot(tmp_path / "snap", {"x": np.arange(8, dtype=np.int64)})
+        member = io.BytesIO()
+        np.lib.format.write_array(member, np.arange(4, dtype=np.int64))
+        payload = member.getvalue() + np.arange(4, 8, dtype=np.int64).tobytes()
+        with zipfile.ZipFile(path / "arrays.npz", "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("a0.npy", payload)
+        with np.load(path / "arrays.npz") as columns:
+            assert columns["a0"].tolist() == [0, 1, 2, 3]
+        with pytest.raises(SnapshotError, match="'a0'"):
+            load_snapshot(path)
+
+    @pytest.mark.parametrize("manifest", ["[1, 2]", "{}", '{"format": 1}'])
+    def test_manifest_of_the_wrong_shape_is_refused(self, tmp_path, manifest):
+        path = save_snapshot(tmp_path / "snap", {"x": 1})
+        (path / "manifest.json").write_text(manifest)
+        with pytest.raises(SnapshotError):
+            load_snapshot(path)
+
+
+class TestFaultSweep:
+    """Seeded damage to either file: refused by name, or loaded bit-identical.
+
+    ``arrays.npz`` is covered by zip's per-member CRC-32, so its bytes are
+    XORed with arbitrary masks.  ``manifest.json`` carries no checksum — only
+    damage that breaks its encoding, syntax or structure can be seen — so its
+    bytes are inverted, which always leaves invalid UTF-8.
+    """
+
+    FLIPS = 200
+
+    @pytest.mark.parametrize("name", ["arrays.npz", "manifest.json"])
+    def test_every_damaged_image_is_refused_or_loads_bit_identical(
+        self, small_image, tmp_path, name
+    ):
+        pristine_image, sha = small_image
+        image = shutil.copytree(pristine_image, tmp_path / "image")
+        target = image / name
+        pristine = target.read_bytes()
+        size = len(pristine)
+        rng = random.Random(20241)
+        damaged = []
+        for _ in range(self.FLIPS):
+            data = bytearray(pristine)
+            mask = rng.randrange(1, 256) if name == "arrays.npz" else 0xFF
+            data[rng.randrange(size)] ^= mask
+            damaged.append(bytes(data))
+        damaged += [pristine[:cut] for cut in (0, 1, size // 3, size // 2, size - 1)]
+        refused = 0
+        for data in damaged:
+            target.write_bytes(data)
+            try:
+                loaded = load_snapshot(image)
+            except SnapshotError as exc:
+                # Named cause: the path always, the member for a bad column.
+                assert str(image) in str(exc)
+                refused += 1
+            else:
+                # Anything but SnapshotError propagates and fails the test.
+                assert state_fingerprint(loaded) == sha
+        assert refused >= self.FLIPS // 2
+
+    def test_store_counts_a_flipped_image_as_a_miss_and_repairs_it(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        ssd = SSD.create("learnedftl", SSDGeometry.small())
+        ssd.fill_sequential(io_pages=16)
+        key = store.key_for(
+            ftl_name="learnedftl", geometry=SSDGeometry.small(), recipe={"warmup": "fill"}
+        )
+        path = store.save(key, ssd)
+        flip_archive_payload_byte(path / "arrays.npz")
+        assert store.load(key) is None
+        assert (store.hits, store.misses) == (0, 1)
+        assert not path.exists()
+        assert store.save(key, ssd) == path and store.stores == 2
+        restored = store.load(key)
+        assert store.hits == 1
+        assert state_fingerprint(restored.state_dict()) == state_fingerprint(ssd.state_dict())
 
 
 class TestSnapshotStore:
