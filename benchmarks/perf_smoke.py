@@ -226,10 +226,9 @@ def bench_obs() -> dict:
     """Time the dftl scalar randread storm with observability off vs on.
 
     Both modes run best-of-``OBS_REPEATS`` storms on their own freshly filled
-    medium device.  The disabled mode exercises exactly the unobserved hot
-    loops (the device still *carries* the recorder/tracer seams — that is what
-    the gate protects); the enabled mode pays windowed telemetry plus event
-    tracing, and its ratio is reported for tracking, not gated.
+    medium device.  Both modes run the same request step; the enabled mode
+    additionally pays windowed telemetry plus event tracing, and its ratio is
+    reported for tracking, not gated.
     """
     from repro.obs.trace import TraceRecorder
 
@@ -395,17 +394,9 @@ def run_benchmark(output: Path = DEFAULT_OUTPUT) -> dict:
         f"{replay['replay_checkpoints']} checkpoints)"
     )
     obs = bench_obs()
-    # Both sides of this ratio come from the same report on the same machine:
-    # the observability-disabled storm vs the plain dftl randread storm above.
-    obs["obs_disabled_vs_baseline_ratio"] = round(
-        obs["obs_disabled_requests_per_second"]
-        / results["dftl"]["randread_requests_per_second"],
-        3,
-    )
     print(
-        f"[perf_smoke] obs: disabled {obs['obs_disabled_requests_per_second']} req/s "
-        f"({obs['obs_disabled_vs_baseline_ratio']}x of baseline), enabled "
-        f"{obs['obs_enabled_requests_per_second']} req/s "
+        f"[perf_smoke] obs: disabled {obs['obs_disabled_requests_per_second']} req/s, "
+        f"enabled {obs['obs_enabled_requests_per_second']} req/s "
         f"({obs['obs_enabled_vs_disabled_ratio']}x of disabled)"
     )
     report = {
@@ -449,7 +440,6 @@ def test_perf_smoke(tmp_path):
     assert report["micro"]["orchestrator_dispatch_overhead_us"] > 0
     assert report["obs"]["obs_disabled_requests_per_second"] > 0
     assert report["obs"]["obs_enabled_requests_per_second"] > 0
-    assert report["obs"]["obs_disabled_vs_baseline_ratio"] > 0
     assert report["replay"]["replay_requests_per_second"] > 0
     assert report["replay"]["replay_checkpoints"] >= 2
 

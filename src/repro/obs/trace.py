@@ -3,11 +3,10 @@
 Two recorders share one tiny protocol (``enabled`` / ``now_us`` /
 :meth:`instant` / :meth:`complete`):
 
-* :class:`NullTraceRecorder` — the zero-cost default.  Every FTL and device
-  carries :data:`NULL_TRACER`; hook sites are gated on ``tracer.enabled`` so
-  the disabled cost is one attribute load on *cold* paths only (the request
-  hot loops never consult it — the device dispatches into observed loop
-  variants once per ``run`` call instead).
+* :class:`NullTraceRecorder` — the default.  Every FTL and device carries
+  :data:`NULL_TRACER`; hook sites — the FTLs' GC/eviction paths and the
+  device's one request step — are gated on ``tracer.enabled``, so the
+  disabled cost is one attribute test per site visit.
 * :class:`TraceRecorder` — collects typed events into flat columns and
   exports the Chrome trace-event JSON format (the ``traceEvents`` array
   form), loadable in Perfetto (https://ui.perfetto.dev) or
@@ -57,9 +56,8 @@ class NullTraceRecorder:
 
     ``enabled`` is ``False`` so hook sites skip their argument construction
     entirely; the methods exist (as no-ops) so call sites never need an
-    ``is None`` dance.  ``now_us`` is writable — observed device loops stamp
-    the current issue time unconditionally and the null recorder simply
-    swallows it.
+    ``is None`` dance.  ``now_us`` exists so the two recorders share one
+    attribute set; the device's request step stamps it only when ``enabled``.
     """
 
     __slots__ = ("now_us",)
@@ -93,7 +91,7 @@ class TraceRecorder:
             raise ConfigurationError(
                 f"max_events_per_name must be positive, got {max_events_per_name!r}"
             )
-        #: Simulated clock stamped by the observed device loops before each
+        #: Simulated clock stamped by the device's request step before each
         #: request is encoded, so deep hook sites without a ``now`` argument
         #: (e.g. CMT eviction flushes) still get a meaningful timestamp.
         self.now_us = 0.0

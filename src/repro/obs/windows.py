@@ -10,11 +10,14 @@ trigger time (``GCEvent.time_us``) when the series is built, so the window
 series of a run is a pure function of the same quantities the golden
 fingerprints pin.
 
+The recorder is a consumer of the device's request step, never a twin of it.
 Attribution is strictly per request, using only quantities both execution
-modes compute identically: the scalar loop walks the request's encoded
-:class:`~repro.ssd.request.CommandBuffer` while the batched kernel records
+modes compute identically: after a scalar step :meth:`record_scalar` walks
+the request's encoded :class:`~repro.ssd.request.CommandBuffer`; after a
+batched kernel call :meth:`record_fast_read` / :meth:`record_fast_write` take
+the ``(issues, latencies, trans_chips)`` columns the call produced and record
 the (data, translation, program) commands its planner shapes imply.  Because
-both modes process requests in the same order with bit-identical issue
+both modes present requests in the same order with bit-identical issue
 times, the per-window series — including the float busy-time accumulators —
 is **bit-identical between the scalar and batched kernels**, which
 ``tests/test_obs.py`` pins.
@@ -30,6 +33,7 @@ snapshot-resume run reproduces the exact series of an uninterrupted one.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -162,44 +166,54 @@ class WindowedRecorder:
 
     def record_fast_read(
         self,
-        issue_us: float,
-        latency_us: float,
+        issues: list,
+        latencies: list,
+        trans_chips: "list | None",
         data_code: int,
         trans_code: int,
-        has_translation: bool,
     ) -> None:
-        """Attribute one batched-kernel read (one data read, optional translation).
+        """Attribute one batched-kernel call of single-page reads, column-wise.
 
+        Takes the ``(issues, latencies)`` columns ``execute_read_batch``
+        returned and the planner's ``trans_chips`` column, in request order.
         A planner-served read is a hit-class outcome exactly when it needed no
-        translation read (``trans_chips[i] < 0`` in the engine's batch loop),
-        so the hit/miss split matches the outcome codes the scalar path walks.
-        The translation duration is added before the data duration — the order
-        the scalar path's buffer walk produces — keeping busy sums bitwise
-        equal.
+        translation read (``trans_chips`` is ``None`` or ``trans_chips[i] <
+        0``), so the hit/miss split matches the outcome codes the scalar path
+        walks.  The translation duration is added before the data duration —
+        the order the scalar path's buffer walk produces — keeping busy sums
+        bitwise equal.
         """
-        window = self._get(issue_us)
-        window.reads += 1
-        window.read_pages += 1
-        window.read_latencies.append(latency_us)
-        counts = window.command_counts
-        durations = self._durations
-        if has_translation:
-            window.read_misses += 1
-            counts[trans_code] += 1
-            window.busy_time_us += durations[trans_code]
-        else:
-            window.read_hits += 1
-        counts[data_code] += 1
-        window.busy_time_us += durations[data_code]
+        get = self._get
+        data_duration = self._durations[data_code]
+        trans_duration = self._durations[trans_code]
+        for issue_us, latency_us, trans_chip in zip(
+            issues, latencies, repeat(-1) if trans_chips is None else trans_chips
+        ):
+            window = get(issue_us)
+            window.reads += 1
+            window.read_pages += 1
+            window.read_latencies.append(latency_us)
+            counts = window.command_counts
+            if trans_chip >= 0:
+                window.read_misses += 1
+                counts[trans_code] += 1
+                window.busy_time_us += trans_duration
+            else:
+                window.read_hits += 1
+            counts[data_code] += 1
+            window.busy_time_us += data_duration
 
-    def record_fast_write(self, issue_us: float, latency_us: float, code: int) -> None:
-        """Attribute one batched-kernel write (a single program command)."""
-        window = self._get(issue_us)
-        window.writes += 1
-        window.write_pages += 1
-        window.write_latencies.append(latency_us)
-        window.command_counts[code] += 1
-        window.busy_time_us += self._durations[code]
+    def record_fast_write(self, issues: list, latencies: list, code: int) -> None:
+        """Attribute one batched-kernel call of single-page writes (one program each)."""
+        get = self._get
+        duration = self._durations[code]
+        for issue_us, latency_us in zip(issues, latencies):
+            window = get(issue_us)
+            window.writes += 1
+            window.write_pages += 1
+            window.write_latencies.append(latency_us)
+            window.command_counts[code] += 1
+            window.busy_time_us += duration
 
     # -------------------------------------------------------------- series
     def window_count(self) -> int:

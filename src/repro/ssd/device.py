@@ -18,6 +18,12 @@ Two host models are supported:
 * **open loop** (``replay``): requests carry arrival timestamps (trace replay);
   a request is dispatched at ``max(arrival, previous completion of its
   stream)``.
+
+Both are short loops that only choose issue times: the act itself — encode
+the request, time its flash work, record its latency, feed the observers —
+is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  The
+windowed recorder and the tracer (:mod:`repro.obs`) consume that step's
+outputs; there is no observed variant of any loop.
 """
 
 from __future__ import annotations
@@ -100,7 +106,7 @@ def create_ftl(
 #: Run classes of the batched loop's segment splitter.
 _RUN_SCALAR, _RUN_READ, _RUN_WRITE = 0, 1, 2
 
-#: Flat code of a translation-page read, for the tracer's scalar-path walk.
+#: Flat code of a translation-page read, for the request step's trace instants.
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
 
@@ -251,9 +257,8 @@ class SSD:
         self.engine = TimingEngine(self.geometry.num_chips, self.timing, self.stats)
         self.energy_model = energy_model or EnergyModel()
         self._clock_us = 0.0
-        #: Optional windowed telemetry (:meth:`enable_observability`).  ``None``
-        #: keeps every request loop on its unobserved variant — the dispatch
-        #: happens once per ``run``/``replay`` call, never per request.
+        #: Optional windowed telemetry (:meth:`enable_observability`); ``None``
+        #: costs the request step one ``is not None`` test.
         self.recorder: WindowedRecorder | None = None
         #: Structured event tracer; the shared no-op by default.
         self.tracer = NULL_TRACER
@@ -290,9 +295,9 @@ class SSD:
         into the device and its FTL's GC/eviction hook sites.  Either may be
         given alone.  Returns the active recorder (or ``None``).
 
-        Enabling observability routes ``run``/``replay`` through observed loop
-        variants — resolved once per call, so the unobserved hot loops stay
-        byte-for-byte identical when this method is never called.
+        Every host entry point (``submit``/``run``/``replay``) feeds whatever
+        is attached here from the same request step, so they observe alike;
+        nothing simulated changes.
         """
         if window_us is not None:
             recorder = WindowedRecorder(window_us)
@@ -303,23 +308,42 @@ class SSD:
             self.ftl.tracer = tracer
         return self.recorder
 
-    @property
-    def _observing(self) -> bool:
-        return self.recorder is not None or self.tracer.enabled
-
     # --------------------------------------------------------------- running
-    def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
-        """Process a single host request; returns its completion time."""
-        issue = self._clock_us if issue_time_us is None else issue_time_us
+    def _step(self, request: HostRequest, issue: float) -> float:
+        """Serve one host request issued at ``issue``; returns its finish time.
+
+        The one statement of encode → execute → record → observe: every host
+        entry point (:meth:`submit`, both loops of :meth:`run`, :meth:`replay`)
+        picks an issue time from its own clock and calls this.  Callees are
+        looked up per call because ``reset_stats`` and
+        ``enable_observability`` replace them between calls.  Observation
+        runs *after* the engine executed ``buffer`` — whose ``ops`` hold
+        exactly this request's commands until the next ``encode`` — and only
+        reads what the step computed.
+        """
         tracer = self.tracer
-        if tracer.enabled:
+        trace = tracer.enabled
+        if trace:
             tracer.now_us = issue
         buffer = self.ftl.encode(request, issue)
         finish = self.engine.execute_buffer(buffer, issue)
         is_read = request.op is OpType.READ
         self.stats.record_latency(is_read, finish - issue)
-        if self.recorder is not None:
-            self.recorder.record_scalar(is_read, request.npages, issue, finish - issue, buffer)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record_scalar(is_read, request.npages, issue, finish - issue, buffer)
+        if trace:
+            ops = buffer.ops
+            for i in range(0, len(ops), 4):
+                if ops[i] == _CODE_TRANSLATION_READ:
+                    tracer.instant(
+                        "translation_read", issue, {"chip": ops[i + 1], "ppn": ops[i + 2]}
+                    )
+        return finish
+
+    def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
+        """Process a single host request; returns its completion time."""
+        finish = self._step(request, self._clock_us if issue_time_us is None else issue_time_us)
         self._clock_us = max(self._clock_us, finish)
         self.stats.finish_time_us = self._clock_us
         return finish
@@ -346,83 +370,63 @@ class SSD:
         vectorize — so it skips the packing machinery and runs the scalar loop
         directly.
         """
-        if batch is not None:
-            if batch <= 0:
-                raise ConfigurationError("batch must be positive")
-            if batch > 1:
-                if self._observing:
-                    return self._run_batched_observed(
-                        requests, threads=threads, batch=batch, progress=progress
-                    )
-                return self._run_batched(
-                    requests, threads=threads, batch=batch, progress=progress
-                )
-        if self._observing:
-            return self._run_scalar_observed(requests, threads=threads, progress=progress)
+        if batch is not None and batch <= 0:
+            raise ConfigurationError("batch must be positive")
         if threads <= 0:
             raise ConfigurationError("threads must be positive")
         start = self._clock_us
-        # Min-heap of (free-time, slot): the next request always goes to the
-        # earliest-free thread (ties to the lowest slot, matching the previous
-        # linear scan) in O(log threads) instead of O(threads).
-        thread_free: list[tuple[float, int]] = [(start, slot) for slot in range(threads)]
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        iterator: Iterator[HostRequest] = iter(requests)
-        for request in iterator:
-            issue, slot = thread_free[0]
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is read_op, finish - issue)
-            heapreplace(thread_free, (finish, slot))
-            completed += 1
-            if progress is not None and completed % 10_000 == 0:
-                progress(completed)
-        self._clock_us = max(self._clock_us, max(free for free, _ in thread_free))
+        # Min-heap of bare free-time floats: the next request always goes to
+        # the earliest-free thread.  psync threads are indistinguishable, so
+        # the free-time multiset is the whole host state (no slot indices) and
+        # the engine's batch kernels can ``heapreplace`` it directly.
+        thread_free: list[float] = [start] * threads
+        if batch is not None and batch > 1:
+            completed = self._run_batched(requests, thread_free, batch, progress)
+        else:
+            completed = 0
+            step = self._step
+            heapreplace = heapq.heapreplace
+            for request in requests:
+                heapreplace(thread_free, step(request, thread_free[0]))
+                completed += 1
+                if progress is not None and completed % 10_000 == 0:
+                    progress(completed)
+        self._clock_us = max(self._clock_us, max(thread_free))
         self.stats.finish_time_us = self._clock_us
         return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
 
     def _run_batched(
         self,
         requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int,
+        thread_free: list[float],
         batch: int,
         progress: Callable[[int], None] | None,
-    ) -> RunResult:
-        """Array-at-a-time closed-loop execution (``run(..., batch=N)``).
+    ) -> int:
+        """The chunk → segment → planner loop of ``run(..., batch=N)``.
 
-        The thread heap holds bare free-time floats: psync threads are
-        indistinguishable, so dropping the scalar loop's slot indices changes
-        nothing observable while letting the engine's batch loop
-        ``heapreplace`` floats directly.  Progress callbacks fire at the same
-        10k-request marks as the scalar loop, emitted inside the chunk loop
-        (a planner step spanning a mark emits it immediately, not at chunk
-        end).
+        Serves the stream against :meth:`run`'s thread heap and returns the
+        number of requests completed.  A planner's ``take()`` is executed by
+        the engine's batch kernels; requests it refuses, and segments no
+        planner serves, go through :meth:`_step`.  The windowed recorder and
+        the tracer consume each kernel call's ``(issues, latencies,
+        trans_chips)`` columns right after it — before the next ``take()`` or
+        fallback — so both see requests in the order the scalar loop would
+        have shown them, plus one ``batch_plan`` instant per planner run.
+        Progress callbacks fire at the same 10k-request marks as the scalar
+        loop (a planner step spanning a mark emits it immediately, not at
+        chunk end).
         """
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        if batch <= 0:
-            raise ConfigurationError("batch must be positive")
-        start = self._clock_us
-        thread_free: list[float] = [start] * threads
         completed = 0
-        engine_execute = self.engine.execute_buffer
+        step = self._step
         execute_read_batch = self.engine.execute_read_batch
         execute_write_batch = self.engine.execute_write_batch
-        ftl = self.ftl
-        ftl_encode = ftl.encode
-        begin_read_run = ftl.begin_read_run
-        begin_write_run = ftl.begin_write_run
-        stats = self.stats
-        record_latency = stats.record_latency
-        record_latencies = stats.record_latencies
+        begin_read_run = self.ftl.begin_read_run
+        begin_write_run = self.ftl.begin_write_run
+        record_latencies = self.stats.record_latencies
+        recorder = self.recorder
+        tracer = self.tracer
+        trace = tracer.enabled
         heapreplace = heapq.heapreplace
-        read_op = OpType.READ
         for lpns, klass, request_at in _iter_request_chunks(requests, batch):
             for seg_start, seg_end, kind in _segments(klass):
                 is_read = kind == _RUN_READ
@@ -432,259 +436,69 @@ class SSD:
                     planner = begin_write_run(lpns[seg_start:seg_end])
                 else:
                     planner = None
-                if planner is None:
-                    # Multi-page requests, or a design with no fast path for
-                    # this run class (LeaFTL): the scalar loop, per request.
-                    for i in range(seg_start, seg_end):
-                        request = request_at(i)
-                        issue = thread_free[0]
-                        buffer = ftl_encode(request, issue)
-                        finish = engine_execute(buffer, issue)
-                        record_latency(request.op is read_op, finish - issue)
-                        heapreplace(thread_free, finish)
-                        completed += 1
-                        if progress is not None and completed % 10_000 == 0:
-                            progress(completed)
-                    continue
-                pos = seg_start
-                while pos < seg_end:
-                    if is_read:
-                        k, data_chips, trans_chips, trans_count, computes = planner.take()
-                        if k:
-                            latencies = execute_read_batch(
-                                data_chips,
-                                trans_chips,
-                                thread_free,
-                                data_code=planner.data_code,
-                                trans_code=planner.trans_code,
-                                trans_count=trans_count,
-                                computes=computes,
-                            )
-                    else:
-                        k, write_chips = planner.take()
-                        if k:
-                            latencies = execute_write_batch(
-                                write_chips, thread_free, code=planner.program_code
-                            )
-                    if k:
-                        record_latencies(is_read, latencies)
-                        if progress is not None:
-                            next_mark = completed - completed % 10_000 + 10_000
-                            completed += k
-                            while next_mark <= completed:
-                                progress(next_mark)
-                                next_mark += 10_000
-                        else:
-                            completed += k
-                        pos += k
-                        if pos >= seg_end:
-                            break
-                    # The planner refused the request at the cursor: run it
-                    # through the scalar path (every request in a fast run is
-                    # a single-page read or write) and resume batching after it.
-                    request = request_at(pos)
-                    issue = thread_free[0]
-                    buffer = ftl_encode(request, issue)
-                    finish = engine_execute(buffer, issue)
-                    record_latency(is_read, finish - issue)
-                    heapreplace(thread_free, finish)
-                    completed += 1
-                    if progress is not None and completed % 10_000 == 0:
-                        progress(completed)
-                    pos += 1
-                    planner.skip()
-        self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _record_scalar_observed(
-        self, request: HostRequest, issue: float, finish: float, buffer
-    ) -> None:
-        """Shared per-request hooks of the observed scalar paths.
-
-        Runs *after* the engine executed ``buffer`` (whose ``ops`` hold
-        exactly the commands of this request until the next ``encode``):
-        windowed attribution plus a translation-read trace instant per
-        translation command.
-        """
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record_scalar(
-                request.op is OpType.READ, request.npages, issue, finish - issue, buffer
-            )
-        tracer = self.tracer
-        if tracer.enabled:
-            ops = buffer.ops
-            for i in range(0, len(ops), 4):
-                if ops[i] == _CODE_TRANSLATION_READ:
-                    tracer.instant(
-                        "translation_read", issue, {"chip": ops[i + 1], "ppn": ops[i + 2]}
-                    )
-
-    def _run_scalar_observed(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int,
-        progress: Callable[[int], None] | None,
-    ) -> RunResult:
-        """The scalar closed loop of :meth:`run` with observability hooks.
-
-        A separate method so the unobserved loop keeps its branch-free body;
-        :meth:`run` dispatches here once per call when a recorder or tracer is
-        active.  Timing arithmetic, request order and statistics are identical
-        to the unobserved loop — the hooks only *read* what it computes.
-        """
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        start = self._clock_us
-        thread_free: list[tuple[float, int]] = [(start, slot) for slot in range(threads)]
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        record_observed = self._record_scalar_observed
-        tracer = self.tracer
-        trace = tracer.enabled
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        for request in iter(requests):
-            issue, slot = thread_free[0]
-            if trace:
-                tracer.now_us = issue
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is read_op, finish - issue)
-            record_observed(request, issue, finish, buffer)
-            heapreplace(thread_free, (finish, slot))
-            completed += 1
-            if progress is not None and completed % 10_000 == 0:
-                progress(completed)
-        self._clock_us = max(self._clock_us, max(free for free, _ in thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _run_batched_observed(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        *,
-        threads: int,
-        batch: int,
-        progress: Callable[[int], None] | None,
-    ) -> RunResult:
-        """:meth:`_run_batched` with observability hooks (see :meth:`_run_scalar_observed`).
-
-        Planner-served runs go through the engine's observed batch kernels,
-        which attribute each request to its issue window with the same
-        translation-then-data accounting order as the scalar buffer walk, so
-        the window series is bit-identical between the two modes.  A
-        ``batch_plan`` instant per planner run records the planning decision.
-        """
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
-        if batch <= 0:
-            raise ConfigurationError("batch must be positive")
-        start = self._clock_us
-        thread_free: list[float] = [start] * threads
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        execute_read_batch = self.engine.execute_read_batch_observed
-        execute_write_batch = self.engine.execute_write_batch_observed
-        ftl = self.ftl
-        ftl_encode = ftl.encode
-        begin_read_run = ftl.begin_read_run
-        begin_write_run = ftl.begin_write_run
-        stats = self.stats
-        record_latency = stats.record_latency
-        record_latencies = stats.record_latencies
-        record_observed = self._record_scalar_observed
-        recorder = self.recorder
-        tracer = self.tracer
-        trace = tracer.enabled
-        heapreplace = heapq.heapreplace
-        read_op = OpType.READ
-        for lpns, klass, request_at in _iter_request_chunks(requests, batch):
-            for seg_start, seg_end, kind in _segments(klass):
-                is_read = kind == _RUN_READ
-                if is_read:
-                    planner = begin_read_run(lpns[seg_start:seg_end])
-                elif kind == _RUN_WRITE:
-                    planner = begin_write_run(lpns[seg_start:seg_end])
-                else:
-                    planner = None
-                if planner is None:
-                    for i in range(seg_start, seg_end):
-                        request = request_at(i)
-                        issue = thread_free[0]
-                        if trace:
-                            tracer.now_us = issue
-                        buffer = ftl_encode(request, issue)
-                        finish = engine_execute(buffer, issue)
-                        record_latency(request.op is read_op, finish - issue)
-                        record_observed(request, issue, finish, buffer)
-                        heapreplace(thread_free, finish)
-                        completed += 1
-                        if progress is not None and completed % 10_000 == 0:
-                            progress(completed)
-                    continue
                 seg_issue = thread_free[0]
                 fallbacks = 0
                 pos = seg_start
                 while pos < seg_end:
-                    if is_read:
-                        k, data_chips, trans_chips, trans_count, computes = planner.take()
-                        if k:
-                            latencies = execute_read_batch(
-                                data_chips,
-                                trans_chips,
-                                thread_free,
-                                data_code=planner.data_code,
-                                trans_code=planner.trans_code,
-                                trans_count=trans_count,
-                                computes=computes,
-                                recorder=recorder,
-                                tracer=tracer if trace else None,
-                            )
-                    else:
-                        k, write_chips = planner.take()
-                        if k:
-                            latencies = execute_write_batch(
-                                write_chips,
-                                thread_free,
-                                code=planner.program_code,
-                                recorder=recorder,
-                            )
-                    if k:
-                        record_latencies(is_read, latencies)
-                        if progress is not None:
-                            next_mark = completed - completed % 10_000 + 10_000
-                            completed += k
-                            while next_mark <= completed:
-                                progress(next_mark)
-                                next_mark += 10_000
+                    if planner is not None:
+                        if is_read:
+                            k, data_chips, trans_chips, trans_count, computes = planner.take()
+                            if k:
+                                issues, latencies = execute_read_batch(
+                                    data_chips,
+                                    trans_chips,
+                                    thread_free,
+                                    data_code=planner.data_code,
+                                    trans_code=planner.trans_code,
+                                    trans_count=trans_count,
+                                    computes=computes,
+                                )
+                                if recorder is not None:
+                                    recorder.record_fast_read(
+                                        issues,
+                                        latencies,
+                                        trans_chips,
+                                        planner.data_code,
+                                        planner.trans_code,
+                                    )
+                                if trace and trans_chips is not None:
+                                    for issue, chip in zip(issues, trans_chips):
+                                        if chip >= 0:
+                                            tracer.instant(
+                                                "translation_read", issue, {"chip": chip}
+                                            )
                         else:
+                            k, write_chips = planner.take()
+                            if k:
+                                issues, latencies = execute_write_batch(
+                                    write_chips, thread_free, code=planner.program_code
+                                )
+                                if recorder is not None:
+                                    recorder.record_fast_write(
+                                        issues, latencies, planner.program_code
+                                    )
+                        if k:
+                            record_latencies(is_read, latencies)
+                            if progress is not None:
+                                first_mark = completed - completed % 10_000 + 10_000
+                                for mark in range(first_mark, completed + k + 1, 10_000):
+                                    progress(mark)
                             completed += k
-                        pos += k
-                        if pos >= seg_end:
-                            break
-                    # The planner refused the request at the cursor: scalar
-                    # path with the same hooks, then resume batching after it.
+                            pos += k
+                            if pos >= seg_end:
+                                break
+                    # Multi-page requests, a design with no fast path for this
+                    # run class (LeaFTL), or the planner refused the request at
+                    # the cursor: the scalar step, then resume batching after it.
+                    heapreplace(thread_free, step(request_at(pos), thread_free[0]))
                     fallbacks += 1
-                    request = request_at(pos)
-                    issue = thread_free[0]
-                    if trace:
-                        tracer.now_us = issue
-                    buffer = ftl_encode(request, issue)
-                    finish = engine_execute(buffer, issue)
-                    record_latency(is_read, finish - issue)
-                    record_observed(request, issue, finish, buffer)
-                    heapreplace(thread_free, finish)
                     completed += 1
                     if progress is not None and completed % 10_000 == 0:
                         progress(completed)
                     pos += 1
-                    planner.skip()
-                if trace:
+                    if planner is not None:
+                        planner.skip()
+                if trace and planner is not None:
                     tracer.instant(
                         "batch_plan",
                         seg_issue,
@@ -694,51 +508,7 @@ class SSD:
                             "fallbacks": fallbacks,
                         },
                     )
-        self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _replay_observed(
-        self,
-        requests: Iterable[HostRequest],
-        *,
-        streams: int,
-        stream_free: "list[float] | None" = None,
-        origin_us: "float | None" = None,
-    ) -> RunResult:
-        """:meth:`replay` with observability hooks (see :meth:`_run_scalar_observed`).
-
-        Streams issue out of global time order, so windows are attributed by
-        each request's own issue time; the recorder keeps all windows open to
-        absorb the non-monotone arrivals.
-        """
-        start = self._clock_us
-        origin = start if origin_us is None else origin_us
-        if stream_free is None:
-            stream_free = [origin] * streams
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
-        record_observed = self._record_scalar_observed
-        tracer = self.tracer
-        trace = tracer.enabled
-        streams = len(stream_free)
-        for request in requests:
-            slot = request.stream_id % streams
-            arrival = origin + (request.issue_time_us or 0.0)
-            issue = max(arrival, stream_free[slot])
-            if trace:
-                tracer.now_us = issue
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is OpType.READ, finish - issue)
-            record_observed(request, issue, finish, buffer)
-            stream_free[slot] = finish
-            completed += 1
-        self._clock_us = max(self._clock_us, max(stream_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
+        return completed
 
     def replay(
         self,
@@ -766,27 +536,17 @@ class SSD:
             raise ConfigurationError("streams must be positive")
         if stream_free is not None and not stream_free:
             raise ConfigurationError("stream_free must be non-empty when given")
-        if self._observing:
-            return self._replay_observed(
-                requests, streams=streams, stream_free=stream_free, origin_us=origin_us
-            )
         start = self._clock_us
         origin = start if origin_us is None else origin_us
         if stream_free is None:
             stream_free = [origin] * streams
-        completed = 0
-        engine_execute = self.engine.execute_buffer
-        ftl_encode = self.ftl.encode
-        record_latency = self.stats.record_latency
         streams = len(stream_free)
+        completed = 0
+        step = self._step
         for request in requests:
             slot = request.stream_id % streams
             arrival = origin + (request.issue_time_us or 0.0)
-            issue = max(arrival, stream_free[slot])
-            buffer = ftl_encode(request, issue)
-            finish = engine_execute(buffer, issue)
-            record_latency(request.op is OpType.READ, finish - issue)
-            stream_free[slot] = finish
+            stream_free[slot] = step(request, max(arrival, stream_free[slot]))
             completed += 1
         self._clock_us = max(self._clock_us, max(stream_free))
         self.stats.finish_time_us = self._clock_us

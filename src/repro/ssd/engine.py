@@ -20,6 +20,13 @@ the object-level :class:`Transaction` view with identical timing arithmetic
 and counts through :meth:`SimulationStats.record_commands`, which encodes into
 the same flat buckets; the two paths therefore cannot drift apart.
 
+The batched device loop's planner takes run through
+:meth:`TimingEngine.execute_read_batch` / :meth:`~TimingEngine.execute_write_batch`,
+specializations of the buffer loop for the one-command-per-stage shapes
+planners emit.  They return per-request ``(issues, latencies)`` columns, which
+is everything the device's observers consume afterwards — the engine has no
+observed variants and never sees a recorder or a tracer.
+
 The host side is a closed-loop ("psync") thread model: each of the N threads
 issues its next request as soon as its previous one completes, exactly like
 ``fio --ioengine=psync --numjobs=N``.  Open-loop (timestamped trace) replay is
@@ -209,18 +216,20 @@ class TimingEngine:
         trans_code: int,
         trans_count: int = 0,
         computes: list | None = None,
-    ) -> list:
-        """Execute a planner's batch of single-page reads; returns their latencies.
+    ) -> tuple[list, list]:
+        """Execute a planner's batch of single-page reads; returns their
+        ``(issues, latencies)`` columns in request order.
 
-        ``thread_free`` is the closed-loop thread heap as **bare floats** (the
-        batched device loop drops the slot indices the scalar loop carries —
-        threads are indistinguishable, so the free-time multiset is the whole
-        state).  Request ``i`` issues at ``thread_free[0]`` (the earliest-free
+        ``thread_free`` is the closed-loop thread heap as **bare floats**
+        (psync threads are indistinguishable, so the free-time multiset is the
+        whole host state).  Request ``i`` issues at ``thread_free[0]`` (the earliest-free
         thread), pays its controller compute charge (``computes[i]``, when the
         planner supplies a compute column), then one translation read on
         ``trans_chips[i]`` when that is ``>= 0``, then one data read on
         ``data_chips[i]``, and the thread is re-queued at the data read's
-        finish.
+        finish.  The issue-time column is returned for the device's observers
+        (windowed recorder, tracer), which consume it after the call — the
+        kernel itself knows nothing of them.
 
         The arithmetic is a specialization of :meth:`execute_buffer` for the
         three shapes planners emit — ``[data]``, ``[trans] -> [data]`` and
@@ -240,12 +249,15 @@ class TimingEngine:
         data_duration = self._duration_by_code[data_code]
         busy_until = self.timeline._busy_until
         busy_time = self.timeline.busy_time
+        issues: list = []
         latencies: list = []
+        append_issue = issues.append
         append_latency = latencies.append
         heapreplace = heapq.heapreplace
         if trans_chips is None and computes is None:
             for chip in data_chips:
                 issue = thread_free[0]
+                append_issue(issue)
                 busy = busy_until[chip]
                 start = busy if busy > issue else issue
                 finish = start + data_duration
@@ -257,6 +269,7 @@ class TimingEngine:
             trans_duration = self._duration_by_code[trans_code]
             for i in range(n):
                 issue = thread_free[0]
+                append_issue(issue)
                 cursor = issue if computes is None else issue + computes[i]
                 trans_chip = -1 if trans_chips is None else trans_chips[i]
                 if trans_chip >= 0:
@@ -272,71 +285,11 @@ class TimingEngine:
                 busy_time[chip] += data_duration
                 heapreplace(thread_free, finish)
                 append_latency(finish - issue)
-        return latencies
+        return issues, latencies
 
-    def execute_read_batch_observed(
-        self,
-        data_chips: list,
-        trans_chips: list | None,
-        thread_free: list,
-        *,
-        data_code: int,
-        trans_code: int,
-        trans_count: int = 0,
-        computes: list | None = None,
-        recorder=None,
-        tracer=None,
-    ) -> list:
-        """:meth:`execute_read_batch` plus per-request observability hooks.
-
-        Only the *general* loop is needed: with ``computes is None`` the
-        compute charge vanishes and with ``trans_chips is None`` every
-        ``trans_chip`` is ``-1``, so the arithmetic below is bit-identical to
-        both branches of the unobserved kernel.  Each request additionally
-        lands in the :class:`~repro.obs.windows.WindowedRecorder` (attributed
-        to its issue time) and emits a translation-read instant when a tracer
-        is active.  The batched device loop calls this variant only when
-        observability is enabled, so the unobserved hot path keeps its
-        branch-free shape.
-        """
-        n = len(data_chips)
-        counts = self._command_counts
-        counts[data_code] += n
-        if trans_count:
-            counts[trans_code] += trans_count
-        data_duration = self._duration_by_code[data_code]
-        trans_duration = self._duration_by_code[trans_code]
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        latencies: list = []
-        append_latency = latencies.append
-        heapreplace = heapq.heapreplace
-        record = None if recorder is None else recorder.record_fast_read
-        trace = tracer is not None and tracer.enabled
-        for i in range(n):
-            issue = thread_free[0]
-            cursor = issue if computes is None else issue + computes[i]
-            trans_chip = -1 if trans_chips is None else trans_chips[i]
-            if trans_chip >= 0:
-                busy = busy_until[trans_chip]
-                cursor = (busy if busy > cursor else cursor) + trans_duration
-                busy_until[trans_chip] = cursor
-                busy_time[trans_chip] += trans_duration
-                if trace:
-                    tracer.instant("translation_read", issue, {"chip": trans_chip})
-            chip = data_chips[i]
-            busy = busy_until[chip]
-            start = busy if busy > cursor else cursor
-            finish = start + data_duration
-            busy_until[chip] = finish
-            busy_time[chip] += data_duration
-            heapreplace(thread_free, finish)
-            append_latency(finish - issue)
-            if record is not None:
-                record(issue, finish - issue, data_code, trans_code, trans_chip >= 0)
-        return latencies
-
-    def execute_write_batch(self, chips: list, thread_free: list, *, code: int) -> list:
+    def execute_write_batch(
+        self, chips: list, thread_free: list, *, code: int
+    ) -> tuple[list, list]:
         """Execute a write planner's batch of single-page programs.
 
         The mirror of :meth:`execute_read_batch` for the one shape the write
@@ -344,18 +297,21 @@ class TimingEngine:
         and bit-identical to :meth:`execute_buffer` on it: request ``i``
         issues at ``thread_free[0]``, serializes its program on ``chips[i]``
         and re-queues the thread at the program's finish.  Returns the
-        per-request latencies in issue order.
+        per-request ``(issues, latencies)`` columns in issue order.
         """
         counts = self._command_counts
         counts[code] += len(chips)
         duration = self._duration_by_code[code]
         busy_until = self.timeline._busy_until
         busy_time = self.timeline.busy_time
+        issues: list = []
         latencies: list = []
+        append_issue = issues.append
         append_latency = latencies.append
         heapreplace = heapq.heapreplace
         for chip in chips:
             issue = thread_free[0]
+            append_issue(issue)
             busy = busy_until[chip]
             start = busy if busy > issue else issue
             finish = start + duration
@@ -363,33 +319,7 @@ class TimingEngine:
             busy_time[chip] += duration
             heapreplace(thread_free, finish)
             append_latency(finish - issue)
-        return latencies
-
-    def execute_write_batch_observed(
-        self, chips: list, thread_free: list, *, code: int, recorder=None
-    ) -> list:
-        """:meth:`execute_write_batch` plus per-request windowed attribution."""
-        counts = self._command_counts
-        counts[code] += len(chips)
-        duration = self._duration_by_code[code]
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        latencies: list = []
-        append_latency = latencies.append
-        heapreplace = heapq.heapreplace
-        record = None if recorder is None else recorder.record_fast_write
-        for chip in chips:
-            issue = thread_free[0]
-            busy = busy_until[chip]
-            start = busy if busy > issue else issue
-            finish = start + duration
-            busy_until[chip] = finish
-            busy_time[chip] += duration
-            heapreplace(thread_free, finish)
-            append_latency(finish - issue)
-            if record is not None:
-                record(issue, finish - issue, code)
-        return latencies
+        return issues, latencies
 
     def execute(self, transaction: Transaction, issue_time_us: float) -> TransactionResult:
         """Execute an object-level :class:`Transaction` view.

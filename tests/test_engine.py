@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
@@ -210,3 +211,103 @@ class TestBufferObjectParity:
         assert ssd.stats.flash_reads == shadow_stats.flash_reads
         assert ssd.stats.flash_programs == shadow_stats.flash_programs
         assert ssd.stats.flash_erases == shadow_stats.flash_erases
+
+
+_DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
+_TRANS = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+_PROGRAM = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
+
+
+class TestBatchKernelContract:
+    """``execute_read_batch`` / ``execute_write_batch`` are specializations of
+    ``execute_buffer``: driven with the same request columns they must leave
+    the same chip timelines, thread heap and counters behind and return the
+    issue and latency columns the request-by-request loop produces."""
+
+    NUM_CHIPS = 4
+    N = 40
+
+    def _engine(self, threads: int) -> tuple[TimingEngine, list[float]]:
+        engine = TimingEngine(self.NUM_CHIPS, TimingModel.femu_default(), SimulationStats())
+        # Chips pre-busied unevenly and threads freeing at different times, so
+        # both arms of every ``max(busy, cursor)`` are taken.
+        engine.timeline._busy_until[:] = [0.0, 55.0, 130.5, 20.25]
+        thread_free = sorted(7.5 * slot for slot in range(threads))
+        return engine, thread_free
+
+    def _columns(self, shape: str):
+        rng = random.Random(11)
+        data_chips = [rng.randrange(self.NUM_CHIPS) for _ in range(self.N)]
+        trans_chips = computes = None
+        if shape in ("trans", "compute"):
+            trans_chips = [
+                rng.randrange(self.NUM_CHIPS) if rng.random() < 0.6 else -1 for _ in range(self.N)
+            ]
+        if shape == "compute":
+            computes = [rng.choice((0.0, 0.25, 1.5)) for _ in range(self.N)]
+        return data_chips, trans_chips, computes
+
+    def _reference(self, engine, thread_free, stage_lists):
+        """Drive ``execute_buffer`` request by request over hand-built buffers."""
+        issues, latencies = [], []
+        buffer = CommandBuffer()
+        for stages in stage_lists:
+            buffer.reset(HostRequest(op=OpType.READ, lpn=0))
+            for compute, commands in stages:
+                stage = buffer.new_stage()
+                for code, chip in commands:
+                    buffer.append(stage, code, chip, 0)
+                buffer.commit_stage(stage, compute)
+            issue = thread_free[0]
+            finish = engine.execute_buffer(buffer, issue)
+            heapq.heapreplace(thread_free, finish)
+            issues.append(issue)
+            latencies.append(finish - issue)
+        return issues, latencies
+
+    @staticmethod
+    def _state(engine, thread_free):
+        return (
+            list(engine.timeline._busy_until),
+            list(engine.timeline.busy_time),
+            list(thread_free),
+            list(engine.stats.command_counts),
+        )
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("shape", ["data", "trans", "compute"])
+    def test_read_batch_equals_buffer_loop(self, shape, threads):
+        data_chips, trans_chips, computes = self._columns(shape)
+        stage_lists = []
+        for i, chip in enumerate(data_chips):
+            head = [(_TRANS, trans_chips[i])] if trans_chips and trans_chips[i] >= 0 else []
+            compute = computes[i] if computes else 0.0
+            stage_lists.append([(compute, head), (0.0, [(_DATA, chip)])])
+        reference, reference_free = self._engine(threads)
+        expected = self._reference(reference, reference_free, stage_lists)
+
+        engine, thread_free = self._engine(threads)
+        columns = engine.execute_read_batch(
+            data_chips,
+            trans_chips,
+            thread_free,
+            data_code=_DATA,
+            trans_code=_TRANS,
+            trans_count=sum(chip >= 0 for chip in trans_chips or ()),
+            computes=computes,
+        )
+        assert columns == expected
+        assert self._state(engine, thread_free) == self._state(reference, reference_free)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_write_batch_equals_buffer_loop(self, threads):
+        chips, _, _ = self._columns("data")
+        reference, reference_free = self._engine(threads)
+        expected = self._reference(
+            reference, reference_free, [[(0.0, [(_PROGRAM, chip)])] for chip in chips]
+        )
+
+        engine, thread_free = self._engine(threads)
+        columns = engine.execute_write_batch(chips, thread_free, code=_PROGRAM)
+        assert columns == expected
+        assert self._state(engine, thread_free) == self._state(reference, reference_free)

@@ -6,7 +6,9 @@ The invariants pinned here are the subsystem's whole contract:
   the end-of-run total the golden fingerprints pin, for every FTL design;
 * **non-interference** — running the golden workload with telemetry *and*
   tracing enabled reproduces the pinned fingerprints bit-for-bit, and a run
-  with observability disabled never touches the observed code paths;
+  with observability disabled never feeds an observer;
+* **one step** — ``submit``, ``run``, ``run(batch=)`` and ``replay`` simulate
+  and observe a single request stream alike;
 * **mode equivalence** — the scalar and batched kernels produce bit-identical
   window series (including the float busy-time/utilization columns);
 * **persistence** — a snapshot/restore between two run calls reproduces the
@@ -27,6 +29,7 @@ from repro import SSD
 from repro.nand.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
+from repro.replay import state_fingerprint
 from repro.ssd.request import HostRequest, OpType
 from test_kernel_equivalence import GOLDEN
 
@@ -141,17 +144,23 @@ class TestNonInterference:
 
     def test_disabled_run_never_enters_observed_paths(self, monkeypatch, tiny_geometry):
         def boom(*args, **kwargs):
-            raise AssertionError("observed code path entered with observability off")
+            raise AssertionError("an observer was fed with observability off")
 
-        monkeypatch.setattr(SSD, "_run_scalar_observed", boom)
-        monkeypatch.setattr(SSD, "_run_batched_observed", boom)
-        monkeypatch.setattr(SSD, "_replay_observed", boom)
+        for name in ("record_scalar", "record_fast_read", "record_fast_write"):
+            monkeypatch.setattr(WindowedRecorder, name, boom)
+        monkeypatch.setattr(TraceRecorder, "instant", boom)
+        monkeypatch.setattr(TraceRecorder, "complete", boom)
 
         ssd = SSD.create("dftl", tiny_geometry)
         ssd.fill_sequential(io_pages=16)
-        requests = _single_page_workload(tiny_geometry, count=100)
-        ssd.run(requests[:50], threads=2)
-        ssd.run(requests[50:], threads=2, batch=16)
+        requests = _single_page_workload(tiny_geometry, count=160)
+        for request in requests[:40]:
+            ssd.submit(request)
+        ssd.run(requests[40:80], threads=2)
+        ssd.run(requests[80:120], threads=2, batch=16)
+        ssd.replay(requests[120:], streams=2)
+        assert ssd.recorder is None
+        assert ssd.stats.host_read_requests + ssd.stats.host_write_requests > 160
 
     def test_null_tracer_is_shared_and_inert(self, tiny_geometry):
         ssd = SSD.create("dftl", tiny_geometry)
@@ -160,6 +169,84 @@ class TestNonInterference:
         assert not NullTraceRecorder.enabled
         NULL_TRACER.instant("gc", 0.0, {"victim_block": 1})
         NULL_TRACER.complete("gc", 0.0, 10.0)
+
+
+def _entry_point_workload(geometry) -> list[HostRequest]:
+    """One stream of reads and single- and multi-page writes over a full device.
+
+    Enough overwrites to force GC and enough scattered reads to churn the CMT,
+    interleaved so the batched loop sees planner runs, refusals and
+    planner-less (multi-page) segments.
+    """
+    rng = random.Random(SEED + 2)
+    limit = geometry.num_logical_pages
+    requests = []
+    for _ in range(60):
+        requests += [
+            HostRequest(op=OpType.WRITE, lpn=rng.randint(0, limit - 1), npages=1)
+            for _ in range(rng.randint(1, 6))
+        ]
+        requests += [
+            HostRequest(op=OpType.READ, lpn=rng.randint(0, limit - 1), npages=1)
+            for _ in range(rng.randint(1, 9))
+        ]
+        requests.append(HostRequest(op=OpType.WRITE, lpn=rng.randint(0, limit - 4), npages=4))
+        requests.append(HostRequest(op=OpType.READ, lpn=rng.randint(0, limit - 3), npages=3))
+    return requests
+
+
+class TestEntryPointsObserveAlike:
+    """``submit``, ``run``, ``run(batch=)`` and ``replay`` share one request step,
+    so a single stream through any of them is simulated *and observed* alike."""
+
+    #: Low enough that the designs with many translation reads hit the cap.
+    TRACE_CAP = 150
+
+    def _drive(self, ftl_name, entry_point):
+        tracer = TraceRecorder(max_events_per_name=self.TRACE_CAP)
+        ssd, recorder = _observed_device(ftl_name, tracer=tracer)
+        ssd.fill_sequential(io_pages=16)
+        requests = _entry_point_workload(ssd.geometry)
+        if entry_point == "submit":
+            for request in requests:
+                ssd.submit(request)
+        elif entry_point == "run":
+            ssd.run(requests, threads=1)
+        elif entry_point == "run_batched":
+            ssd.run(requests, threads=1, batch=7)
+        else:
+            ssd.replay(requests, streams=1)
+        return ssd, recorder.series(ssd.stats), tracer.export()
+
+    def test_one_stream_through_every_entry_point(self, ftl_name):
+        entry_points = ("submit", "run", "run_batched", "replay")
+        runs = {name: self._drive(ftl_name, name) for name in entry_points}
+        reference, reference_series, reference_trace = runs["run"]
+        assert reference.stats.gc_count > 0
+        for name, (ssd, series, trace) in runs.items():
+            assert ssd.stats.summary() == reference.stats.summary(), name
+            assert ssd.now_us == reference.now_us, name
+            assert series == reference_series, name
+            assert state_fingerprint(ssd.state_dict()) == state_fingerprint(
+                reference.state_dict()
+            ), name
+            if name != "run_batched":
+                # The batched loop's instants carry no ``ppn`` and it stamps
+                # ``now_us`` per fallback only; the scalar three are one list.
+                assert trace["traceEvents"] == reference_trace["traceEvents"], name
+            # The tracer and the windowed recorder are fed by the same step.
+            instants = sum(e["name"] == "translation_read" for e in trace["traceEvents"])
+            dropped = trace["otherData"]["dropped_events"].get("translation_read", 0)
+            assert instants + dropped == sum(series["translation_reads"]), name
+        if ftl_name in ("dftl", "tpftl"):
+            assert sum(reference_series["translation_reads"]) > self.TRACE_CAP
+        plans = [
+            event["args"]
+            for event in runs["run_batched"][2]["traceEvents"]
+            if event["name"] == "batch_plan"
+        ]
+        assert bool(plans) == (ftl_name != "leaftl")  # LeaFTL has no planner
+        assert all(0 <= plan["fallbacks"] <= plan["requests"] for plan in plans)
 
 
 class TestModeEquivalence:
