@@ -17,7 +17,11 @@ from repro.core.cmt import PageGroupedCMT
 from repro.core.learned.bitmap import Bitmap
 from repro.core.learned.inplace_model import InPlaceLinearModel
 from repro.core.learned.plr import fit_greedy_plr
-from repro.core.learned.segment import LogStructuredSegmentTable, build_segments
+from repro.core.learned.segment import (
+    LearnedSegment,
+    LogStructuredSegmentTable,
+    build_segments,
+)
 from repro.nand.address import AddressCodec
 from repro.nand.geometry import SSDGeometry
 
@@ -72,6 +76,32 @@ def test_bench_segment_build_and_lookup(benchmark, entry_mappings):
     target = lpns[10]
     segment = benchmark(lambda: table.lookup(target))
     assert segment is not None
+
+
+def test_bench_segment_flush_and_compact(benchmark):
+    """LeaFTL's per-translation-page flush step, 64 times over: eight freshly
+    trained (disjoint) segments into one table, then ``compact()``."""
+    rng = random.Random(11)
+    flushes = []
+    for _ in range(64):
+        cuts = sorted(rng.sample(range(513), 16))
+        flushes.append(
+            [
+                LearnedSegment(
+                    start_lpn=lo, slope=1.0, length=hi - lo, intercept=float(rng.randrange(100_000))
+                )
+                for lo, hi in zip(cuts[::2], cuts[1::2])
+            ]
+        )
+
+    def flush_all() -> LogStructuredSegmentTable:
+        table = LogStructuredSegmentTable()
+        for segments in flushes:
+            table.insert_many(segments)
+            table.compact()
+        return table
+
+    assert benchmark(flush_all).segment_count() == 35
 
 
 def test_bench_vppn_round_trip(benchmark):

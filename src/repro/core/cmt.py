@@ -300,10 +300,11 @@ class PageGroupedCMT:
                     break
             node = self._pages.pop(victim_tvpn)
             self._size_entries -= len(node) + PAGE_NODE_OVERHEAD_ENTRIES
-            dirty_lpns = tuple(lpn for lpn, entry in node.items() if entry[1])
-            if dirty_lpns:
-                self._dirty_count -= len(dirty_lpns)
-                evicted.append(EvictedPage(tvpn=victim_tvpn, dirty_lpns=dirty_lpns))
+            if self._dirty_count:
+                dirty_lpns = tuple(lpn for lpn, entry in node.items() if entry[1])
+                if dirty_lpns:
+                    self._dirty_count -= len(dirty_lpns)
+                    evicted.append(EvictedPage(tvpn=victim_tvpn, dirty_lpns=dirty_lpns))
         # If a single node alone exceeds the capacity, fall back to evicting its
         # least-recently-used entries (never the one just inserted).
         if self._size_entries > self.capacity_entries and len(self._pages) == 1:

@@ -10,11 +10,18 @@ Segments cannot be updated in place, so LeaFTL keeps them in a per-translation-
 page **log-structured mapping table**: new segments are inserted into level 0,
 and any older overlapping segment is pushed one level down.  Lookups scan the
 levels newest-first.
+
+Every level holds pairwise disjoint segments sorted by ``start_lpn`` (so their
+ends are sorted too), with the start LPNs mirrored in a parallel sorted list.
+That invariant is what makes the table logarithmic: the residents a segment
+overlaps are one contiguous slice found by two bisects, and the only resident
+that can cover an LPN is the one a single bisect lands on (costs per operation
+are on :class:`LogStructuredSegmentTable`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -99,41 +106,60 @@ def build_segments(
 class LogStructuredSegmentTable:
     """The per-translation-page log-structured segment store of LeaFTL.
 
-    Levels are lists of non-overlapping segments kept sorted by ``start_lpn``.
-    Inserting a segment into level 0 demotes any overlapping resident segment
-    to the next level (recursively), mirroring the LSM-tree flavoured design in
-    the paper.  Lookup returns the newest segment covering an LPN.
+    Levels are lists of non-overlapping segments kept sorted by ``start_lpn``;
+    ``_starts[i]`` is the sorted list of ``start_lpn`` of ``_levels[i]`` and
+    every mutation keeps the two in step.  Inserting a segment into level 0
+    demotes the overlapping resident segments to the next level (and so on
+    down), mirroring the LSM-tree flavoured design in the paper.  Lookup
+    returns the newest segment covering an LPN.
+
+    Costs, for ``S`` stored segments (segments span at least one LPN):
+
+    * :meth:`insert` — ``O(log S + displaced)``: two bisects per level touched
+      find the overlapped residents as one slice, one splice replaces them;
+    * :meth:`lookup` — ``O(levels * log S)``: one bisect per level;
+    * :meth:`compact` — ``O(S log S)``: one bisect and one comparison decide
+      whether a segment is shadowed, one splice records a survivor.
     """
 
     def __init__(self) -> None:
         self._levels: list[list[LearnedSegment]] = []
+        self._starts: list[list[int]] = []
 
     # ------------------------------------------------------------- mutation
     def insert(self, segment: LearnedSegment) -> None:
         """Insert one segment at the top level, demoting overlapping ones."""
-        self._insert_at(segment, 0)
+        # ``incoming`` is what enters the current level: the new segment at
+        # level 0, then the residents the level above just gave up.  Those all
+        # came out of one level, so they are sorted, mutually disjoint and
+        # cannot displace one another; a whole level's demotions can therefore
+        # be placed before the next level is looked at.
+        incoming = [segment]
+        for level, starts in zip(self._levels, self._starts):
+            displaced: list[LearnedSegment] = []
+            for entering in incoming:
+                start = entering.start_lpn
+                # Residents are disjoint, so only the last one starting at or
+                # before ``start`` can reach into the new range from the left.
+                lo = bisect_right(starts, start)
+                if lo:
+                    left = level[lo - 1]
+                    if left.start_lpn + left.length > start:
+                        lo -= 1
+                hi = bisect_left(starts, start + entering.length, lo)
+                displaced += level[lo:hi]
+                level[lo:hi] = [entering]
+                starts[lo:hi] = [start]
+            if not displaced:
+                return
+            incoming = displaced
+        self._levels.append(incoming)
+        self._starts.append([entering.start_lpn for entering in incoming])
 
     def insert_many(self, segments: Iterable[LearnedSegment]) -> None:
         """Insert several segments (e.g. one flush of the training buffer)."""
         for segment in segments:
             self.insert(segment)
-
-    def _insert_at(self, segment: LearnedSegment, level: int) -> None:
-        while len(self._levels) <= level:
-            self._levels.append([])
-        bucket = self._levels[level]
-        displaced: list[LearnedSegment] = []
-        kept: list[LearnedSegment] = []
-        for existing in bucket:
-            if existing.overlaps(segment):
-                displaced.append(existing)
-            else:
-                kept.append(existing)
-        index = bisect_right([s.start_lpn for s in kept], segment.start_lpn)
-        kept.insert(index, segment)
-        self._levels[level] = kept
-        for old in displaced:
-            self._insert_at(old, level + 1)
 
     def compact(self) -> int:
         """Drop segments that are fully shadowed by newer levels.
@@ -141,30 +167,52 @@ class LogStructuredSegmentTable:
         Returns the number of segments removed.  A segment is shadowed when
         every LPN it covers is covered by some segment in a shallower level.
         This keeps the table's memory footprint bounded in long runs.
+
+        The LPNs covered so far are carried as one *merged* interval list:
+        sorted, disjoint, touching intervals joined (LPNs are integers, so a
+        segment spanning ``[a, b)`` and ``[b, c)`` is shadowed).  Merged, a
+        range can only be shadowed by the single interval holding its first
+        LPN, which one bisect finds; a list of the earlier segments' own
+        ranges would have to be subtracted one by one for every candidate.
         """
+        # The interval list flattened to its boundaries [s0, e0, s1, e1, ...],
+        # strictly increasing.  An even number of boundaries at or below a
+        # point puts it in a gap; an odd number puts it inside the interval
+        # that ends at the next boundary.
+        bounds: list[int] = []
+        levels: list[list[LearnedSegment]] = []
         removed = 0
-        covered: list[tuple[int, int]] = []
-        new_levels: list[list[LearnedSegment]] = []
         for level in self._levels:
-            surviving = []
+            surviving: list[LearnedSegment] = []
             for segment in level:
-                if _fully_covered(segment, covered):
+                start = segment.start_lpn
+                end = start + segment.length
+                inside = bisect_right(bounds, start)
+                if inside & 1 and bounds[inside] >= end:
                     removed += 1
-                else:
-                    surviving.append(segment)
-                    covered.append((segment.start_lpn, segment.end_lpn))
-            new_levels.append(surviving)
-        self._levels = [lvl for lvl in new_levels if lvl]
+                    continue
+                surviving.append(segment)
+                # Swallow every boundary within [start, end] (touching ones
+                # included); the range's own ends stay only where they fall
+                # in a gap.
+                lo = bisect_left(bounds, start)
+                hi = bisect_right(bounds, end)
+                bounds[lo:hi] = ([] if lo & 1 else [start]) + ([] if hi & 1 else [end])
+            if surviving:
+                levels.append(surviving)
+        self._levels = levels
+        self._starts = [[segment.start_lpn for segment in level] for level in levels]
         return removed
 
     # --------------------------------------------------------------- lookup
     def lookup(self, lpn: int) -> LearnedSegment | None:
         """Return the newest segment covering the LPN, or ``None``."""
-        for level in self._levels:
-            starts = [s.start_lpn for s in level]
-            index = bisect_right(starts, lpn) - 1
-            if index >= 0 and level[index].covers(lpn):
-                return level[index]
+        for level, starts in zip(self._levels, self._starts):
+            index = bisect_right(starts, lpn)
+            if index:
+                segment = level[index - 1]
+                if lpn < segment.start_lpn + segment.length:
+                    return segment
         return None
 
     # ------------------------------------------------------------ accounting
@@ -253,25 +301,8 @@ def unpack_tables(state: dict[str, Any]) -> dict[int, LogStructuredSegmentTable]
                     for i in range(segment_cursor, segment_cursor + count)
                 ]
             )
+            table._starts.append(starts[segment_cursor : segment_cursor + count])
             segment_cursor += count
         tables[tvpn] = table
     return tables
 
-
-def _fully_covered(segment: LearnedSegment, covered: list[tuple[int, int]]) -> bool:
-    """True when every LPN of ``segment`` falls inside ``covered`` intervals."""
-    remaining = [(segment.start_lpn, segment.end_lpn)]
-    for lo, hi in covered:
-        next_remaining: list[tuple[int, int]] = []
-        for a, b in remaining:
-            if hi <= a or b <= lo:
-                next_remaining.append((a, b))
-                continue
-            if a < lo:
-                next_remaining.append((a, lo))
-            if hi < b:
-                next_remaining.append((hi, b))
-        remaining = next_remaining
-        if not remaining:
-            return True
-    return not remaining

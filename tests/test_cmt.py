@@ -222,3 +222,73 @@ class TestBatchProbes:
         restored = EntryLevelCMT(4, MAPPINGS_PER_PAGE)
         restored.load_state(cmt.state_dict())
         assert restored.dirty_entry_count == 1
+
+
+# --------------------------------------------------- the dirty counter is exact
+_LPNS = st.integers(0, 4 * MAPPINGS_PER_PAGE - 1)
+_CMT_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _LPNS, st.booleans()),
+        st.tuples(st.just("insert_many"), st.lists(_LPNS, min_size=1, max_size=6), st.booleans()),
+        st.tuples(st.just("lookup"), _LPNS),
+        st.tuples(st.just("flush_all")),
+        st.tuples(st.just("state_round_trip")),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+def _never_trusting_the_counter(cls):
+    """The same cache with the dirty counter pinned truthy and unwritable:
+    whatever a dirty eviction reports is found by looking at the entries."""
+
+    class Reference(cls):
+        _dirty_count = property(lambda self: True, lambda self, value: None)
+
+    return Reference
+
+
+def _apply(cmt, op, serial: int):
+    """Run one op; returns ``(cmt, result)`` (a round trip replaces the cache)."""
+    if op[0] == "insert":
+        return cmt, cmt.insert(op[1], serial, dirty=op[2])
+    if op[0] == "insert_many":
+        mappings = [(lpn, serial + i) for i, lpn in enumerate(op[1])]
+        if hasattr(cmt, "insert_many"):
+            return cmt, cmt.insert_many(mappings, dirty=op[2])
+        return cmt, [page for lpn, ppn in mappings for page in cmt.insert(lpn, ppn, dirty=op[2])]
+    if op[0] == "lookup":
+        return cmt, cmt.lookup(op[1])
+    if op[0] == "flush_all":
+        return cmt, cmt.flush_all()
+    restored = type(cmt)(cmt.capacity_entries, cmt.mappings_per_page)
+    restored.load_state(cmt.state_dict())
+    return restored, None
+
+
+def _entries(cmt) -> list[tuple[int, int, bool]]:
+    """Every cached ``(lpn, ppn, dirty)`` in recency order, read off the slots."""
+    nodes = [cmt._entries] if isinstance(cmt, EntryLevelCMT) else cmt._pages.values()
+    return [(lpn, ppn, dirty) for node in nodes for lpn, (ppn, dirty) in node.items()]
+
+
+class TestDirtyCounterIsExact:
+    """``PageGroupedCMT`` skips the per-node dirty scan of an eviction when the
+    counter reads zero (and the batched planners draw the same conclusion), so
+    the counter must equal a recount after any operation sequence."""
+
+    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
+    @given(ops=_CMT_OPS, capacity=st.integers(3, 24))
+    @settings(max_examples=150, deadline=None)
+    def test_counter_matches_recount_and_evictions_match_reference(self, cls, ops, capacity):
+        cmt = cls(capacity, MAPPINGS_PER_PAGE)
+        reference = _never_trusting_the_counter(cls)(capacity, MAPPINGS_PER_PAGE)
+        for serial, op in enumerate(ops):
+            cmt, result = _apply(cmt, op, 10 * serial)
+            reference, expected = _apply(reference, op, 10 * serial)
+            assert result == expected
+            entries = _entries(cmt)
+            assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
+            assert entries == _entries(reference)
+            assert cmt.memory_entries() == reference.memory_entries()

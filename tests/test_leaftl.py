@@ -6,6 +6,8 @@ import pytest
 
 from repro.core.base import FTLConfig
 from repro.core.leaftl import LeaFTL
+from repro.replay import state_fingerprint
+from repro.snapshot import load_snapshot, save_snapshot
 from repro.ssd.request import HostRequest, OpType, ReadOutcome
 from tests.conftest import make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
@@ -139,3 +141,65 @@ class TestCorrectness:
             ssd.run(FioJob.seqread(300).requests(tiny_geometry), threads=2)
             throughput[name] = ssd.stats.throughput_mb_s()
         assert throughput["leaftl"] >= throughput["dftl"] * 0.8
+
+
+class TestPinnedDeepTables:
+    """LeaFTL end to end on deep segment tables, pinned to literals captured
+    with the linear-scan segment table (the commit before it was replaced).
+
+    The fingerprint covers the packed ``tables`` columns, so it also pins that
+    images written by that implementation load unchanged.
+    """
+
+    FINGERPRINT = "bcaddc54dee6e4eac6803504fdf8dcf585133cbe0e05d7a146969675abbf99ee"
+    FINGERPRINT_AFTER_MORE_READS = "48c08fdbbcc461959da82d544e1d829fd3b57bbf82466b93c5c9752e4aa61cab"
+    SUMMARY = {
+        "cmt_hit_ratio": 0.6644117647058824,
+        "double_read_fraction": 0.41441176470588237,
+        "finish_time_us": 3427180.0,
+        "flash_erases": 610.0,
+        "flash_programs": 21335.0,
+        "flash_reads": 22326.0,
+        "gc_count": 475.0,
+        "gc_pages_moved": 12383.0,
+        "host_read_pages": 3400.0,
+        "host_write_pages": 4536.0,
+        "iops": 502.7456976289544,
+        "model_hit_ratio": 0.41,
+        "read_p999_us": 988.04000000001,
+        "read_p99_us": 920.0,
+        "single_read_fraction": 0.47823529411764704,
+        "throughput_mb_s": 2.3711809709440415,
+        "triple_read_fraction": 0.10735294117647058,
+        "utilization": 0.46540012488401544,
+        "write_amplification": 4.703483245149912,
+        "write_p999_us": 189200.0,
+        "write_p99_us": 174916.0,
+    }
+
+    def test_fingerprint_live_and_after_snapshot_round_trip(self, small_geometry, tmp_path):
+        ssd = make_ssd("leaftl", small_geometry)
+        ssd.fill_sequential(io_pages=32)
+        ssd.overwrite_random(pages=3000, io_pages=8, seed=11, threads=2)
+        assert max(table.num_levels for table in ssd.ftl._tables.values()) >= 4
+        # Block GC hands every relocated mapping to ``_after_gc_move``, which
+        # puts it back into the training buffer.
+        assert ssd.stats.gc_count > 0 and ssd.stats.gc_pages_moved > 0
+        reads = random_reads(small_geometry, 1000, seed=5)
+        reads += random_reads(small_geometry, 300, seed=6, npages=8)
+        ssd.run(reads, threads=4)
+        assert state_fingerprint(ssd.state_dict()) == self.FINGERPRINT
+        assert ssd.stats.summary() == self.SUMMARY
+
+        save_snapshot(tmp_path / "image", ssd.state_dict())
+        fresh = make_ssd("leaftl", small_geometry)
+        fresh.load_state(load_snapshot(tmp_path / "image"))
+        assert state_fingerprint(fresh.state_dict()) == self.FINGERPRINT
+
+        more = random_reads(small_geometry, 500, seed=7)
+        ssd.run(more, threads=4)
+        fresh.run(more, threads=4)
+        assert fresh.stats.read_outcomes == ssd.stats.read_outcomes
+        assert fresh.stats.summary() == ssd.stats.summary()
+        assert state_fingerprint(ssd.state_dict()) == self.FINGERPRINT_AFTER_MORE_READS
+        assert state_fingerprint(fresh.state_dict()) == self.FINGERPRINT_AFTER_MORE_READS
