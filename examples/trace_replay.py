@@ -20,10 +20,10 @@ import argparse
 from repro import SSD, SSDGeometry
 from repro.analysis import format_table, tail_latency_row
 from repro.workloads import (
+    TRACE_FORMATS,
     TRACE_PRESETS,
     characterize,
-    parse_spc,
-    parse_systor_csv,
+    iter_trace_records,
     trace_to_requests,
     warmup_writes,
 )
@@ -31,9 +31,7 @@ from repro.workloads import (
 
 def load_records(args: argparse.Namespace):
     if args.trace:
-        if args.format == "spc":
-            return parse_spc(args.trace, limit=args.ios)
-        return parse_systor_csv(args.trace, limit=args.ios)
+        return list(iter_trace_records(args.trace, args.format, limit=args.ios))
     return TRACE_PRESETS[args.preset](args.ios)
 
 
@@ -41,7 +39,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--preset", choices=sorted(TRACE_PRESETS), default="websearch1")
     parser.add_argument("--trace", default=None, help="path to a real trace file")
-    parser.add_argument("--format", choices=("spc", "systor"), default="spc")
+    parser.add_argument("--format", choices=sorted(TRACE_FORMATS), default="spc")
     parser.add_argument("--ios", type=int, default=5_000, help="number of trace records to replay")
     parser.add_argument("--medium", action="store_true", help="use the ~1 GB geometry")
     parser.add_argument(

@@ -11,8 +11,7 @@ codec, authoritative mapping directory, statistics, and the reusable
 defines the ``encode`` / ``read`` / ``write`` entry points the device calls.
 The designs never build command objects: the helpers here append
 integer-coded commands straight into the buffer, and the timing engine
-consumes the buffer directly.  ``process`` materializes the thin
-:class:`Transaction` view for tests and introspection.
+consumes the buffer directly.
 
 :class:`StripingFTLBase` adds the pieces shared by all *dynamic allocation*
 designs (DFTL, TPFTL, LeaFTL and the ideal page-mapping FTL): the striping
@@ -42,7 +41,6 @@ from repro.ssd.request import (
     CommandPurpose,
     HostRequest,
     OpType,
-    Transaction,
     command_code,
 )
 from repro.ssd.stats import GCEvent, SimulationStats
@@ -214,9 +212,8 @@ class FTLBase(ABC):
         """
         stats = self.stats
         buffer = self.buffer
-        # Inlined buffer.reset + stats.record_host_request (both run once per
+        # Inlined buffer.reset and host-request counting (both run once per
         # simulated request).
-        buffer.request = request
         buffer.ops.clear()
         buffer.outcome_codes.clear()
         buffer.stages.clear()
@@ -229,14 +226,6 @@ class FTLBase(ABC):
             stats.host_write_pages += request.npages
             self.write(request, now)
         return buffer
-
-    def process(self, request: HostRequest, now: float = 0.0) -> Transaction:
-        """Handle one host request and return its :class:`Transaction` view.
-
-        Tests and introspection tooling use this; the simulation loops use
-        :meth:`encode` and never materialize command objects.
-        """
-        return self.encode(request, now).to_transaction()
 
     @abstractmethod
     def read(self, request: HostRequest, now: float) -> None:

@@ -35,7 +35,7 @@ from repro.core.learned.segment import (
 )
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
-from repro.ssd.request import HostRequest, OpType, ReadOutcome, Stage, Transaction
+from repro.ssd.request import HostRequest, ReadOutcome
 from repro.ssd.stats import SimulationStats
 
 __all__ = ["LeaFTL"]
@@ -151,7 +151,7 @@ class LeaFTL(StripingFTLBase):
         for lpn, ppn in written:
             self._buffer[lpn] = ppn
         if len(self._buffer) >= self._buffer_capacity:
-            self._flush_buffer()
+            self.flush_buffer()
 
     def _after_gc_move(self, moved):
         # GC relocations change mappings that may be modelled by stale segments;
@@ -159,26 +159,14 @@ class LeaFTL(StripingFTLBase):
         for lpn, ppn in moved:
             self._buffer[lpn] = ppn
 
-    def flush_buffer(self) -> Transaction:
-        """Force a training/flush cycle of the mapping buffer (used by tests).
+    def flush_buffer(self) -> None:
+        """Sort, train and flush the mapping buffer into the segment tables.
 
-        Returns a :class:`Transaction` view of the flash work the flush
-        emitted so standalone callers can execute it against a timing engine
-        (during normal request processing the flush rides inside the
-        request's own command buffer and is executed with it).
+        The write path calls it when the buffer fills; calling it directly
+        forces a cycle.  The flash work (one stage of translation-page
+        write-backs, charged the sort and train time) is appended to
+        ``self.buffer``, so it executes with the request being encoded.
         """
-        command_buffer = self.buffer
-        stages_before = len(command_buffer.stages)
-        self._flush_buffer()
-        request = command_buffer.request or HostRequest(op=OpType.WRITE, lpn=0, npages=0)
-        txn = Transaction(request)
-        for record in command_buffer.stages[stages_before:]:
-            txn.stages.append(
-                Stage(commands=command_buffer.commands_of(record), compute_us=record[0])
-            )
-        return txn
-
-    def _flush_buffer(self) -> None:
         if not self._buffer:
             return
         grouped: dict[int, list[tuple[int, int]]] = {}

@@ -28,7 +28,6 @@ from repro.ssd.request import (
     CommandBuffer,
     CommandKind,
     CommandPurpose,
-    FlashCommand,
     command_code,
 )
 
@@ -219,11 +218,9 @@ class TranslationPageStore:
     itself is two flat columns indexed by translation-page number: the flash
     location of each translation page and its dirty bit.
 
-    The hot-path entry points (:meth:`read_into`, :meth:`flush_into`,
+    Its three operations (:meth:`read_into`, :meth:`flush_into`,
     :meth:`relocate_into`) append integer-coded commands straight into the
-    owning FTL's :class:`~repro.ssd.request.CommandBuffer`; the object-level
-    wrappers (:meth:`read_command`, :meth:`flush`, :meth:`relocate`) are kept
-    for tests and tools that want :class:`FlashCommand` values.
+    owning FTL's :class:`~repro.ssd.request.CommandBuffer`.
 
     Parameters
     ----------
@@ -371,28 +368,3 @@ class TranslationPageStore:
         self._tp_ppn[tvpn] = new_ppn
         buffer.append(stage, _CODE_GC_WRITE, self._chip_index(new_ppn), new_ppn)
         return new_ppn
-
-    # ------------------------------------------------- object-level wrappers
-    def read_command(self, tvpn: int) -> FlashCommand | None:
-        """Object-level :meth:`read_into`: returns the command or ``None``."""
-        buffer = CommandBuffer()
-        stage = buffer.new_stage()
-        if not self.read_into(buffer, stage, tvpn):
-            return None
-        return buffer.commands_of(stage)[0]
-
-    def flush(
-        self, tvpn: int, *, purpose: CommandPurpose = CommandPurpose.TRANSLATION_WRITE
-    ) -> list[FlashCommand]:
-        """Object-level :meth:`flush_into`: returns the command list."""
-        buffer = CommandBuffer()
-        stage = buffer.new_stage()
-        self.flush_into(buffer, stage, tvpn, command_code(CommandKind.PROGRAM, purpose))
-        return buffer.commands_of(stage)
-
-    def relocate(self, old_ppn: int) -> tuple[int, FlashCommand]:
-        """Object-level :meth:`relocate_into`: returns ``(new_ppn, command)``."""
-        buffer = CommandBuffer()
-        stage = buffer.new_stage()
-        new_ppn = self.relocate_into(buffer, stage, old_ppn)
-        return new_ppn, buffer.commands_of(stage)[0]

@@ -11,7 +11,7 @@ from repro.nand.errors import (
     ReproError,
     TraceFormatError,
 )
-from repro.nand.flash import BlockInfo, BlockView, FlashArray, PageInfo, PageState, PageView
+from repro.nand.flash import FlashArray, PageState
 from repro.nand.geometry import GEOMETRY_PRESETS, SSDGeometry
 from repro.nand.timing import TimingModel
 
@@ -23,10 +23,6 @@ __all__ = [
     "TimingModel",
     "FlashArray",
     "PageState",
-    "PageInfo",
-    "PageView",
-    "BlockInfo",
-    "BlockView",
     "ReproError",
     "GeometryError",
     "FlashStateError",

@@ -15,11 +15,10 @@ Storage is **columnar** (struct-of-arrays): page state lives in flat
 ``bytearray``/``array`` columns indexed by PPN, and per-block counters in
 columns indexed by flat block id.  At the paper's full 32 GB geometry this
 replaces 8M+ heap-allocated per-page objects with a handful of flat buffers,
-which is what makes the full-scale geometry simulable.  :class:`PageView` and
-:class:`BlockView` are lightweight windows over the columns that preserve the
-object-per-page read interface (``page(ppn).state`` etc.) for FTLs and tests;
-hot paths use the raw accessors (:meth:`FlashArray.page_state_code`,
-:meth:`FlashArray.program_data`, ...) instead.
+which is what makes the full-scale geometry simulable.  Pages and blocks are
+read through raw accessors (:meth:`FlashArray.page_state_code`,
+:meth:`FlashArray.page_lpn_raw`, :meth:`FlashArray.block_valid_count`, ...)
+and their columnar forms; no per-page object exists.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 from array import array
 from enum import Enum
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -37,10 +36,6 @@ from repro.nand.geometry import SSDGeometry
 
 __all__ = [
     "PageState",
-    "PageView",
-    "PageInfo",
-    "BlockView",
-    "BlockInfo",
     "FlashArray",
     "PAGE_FREE",
     "PAGE_VALID",
@@ -64,122 +59,6 @@ _STATE_BY_CODE = (PageState.FREE, PageState.VALID, PageState.INVALID)
 
 #: Sentinel stored in the LPN/version columns for "no value".
 _NONE = -1
-
-
-class PageView:
-    """Read-only window over one page's columns.
-
-    Preserves the attribute interface of the former per-page dataclass
-    (``state`` / ``lpn`` / ``version`` / ``is_translation`` / ``oob``) while the
-    data itself lives in the flash array's flat columns.  Views are cheap to
-    create and always reflect the *current* state of the page.
-    """
-
-    __slots__ = ("_flash", "_ppn")
-
-    def __init__(self, flash: "FlashArray", ppn: int) -> None:
-        self._flash = flash
-        self._ppn = ppn
-
-    @property
-    def ppn(self) -> int:
-        """The physical page this view points at."""
-        return self._ppn
-
-    @property
-    def state(self) -> PageState:
-        """Lifecycle state of the page."""
-        return _STATE_BY_CODE[self._flash._page_state[self._ppn]]
-
-    @property
-    def lpn(self) -> int | None:
-        """Logical page stored here (``None`` for free/translation pages)."""
-        lpn = self._flash._page_lpn[self._ppn]
-        return None if lpn == _NONE else lpn
-
-    @property
-    def version(self) -> int:
-        """Device-global monotonic write version (-1 when free)."""
-        return self._flash._page_version[self._ppn]
-
-    @property
-    def is_translation(self) -> bool:
-        """True when the page holds a translation page."""
-        return bool(self._flash._page_translation[self._ppn])
-
-    @property
-    def oob(self) -> Any:
-        """Opaque OOB payload recorded at program time (``None`` if absent).
-
-        Translation pages programmed through the fast path store only their
-        tvpn in a flat column; the historical ``{"tvpn": n}`` dict payload is
-        synthesized here so readers see the same interface either way.
-        """
-        tvpn = self._flash._page_tvpn[self._ppn]
-        if tvpn != _NONE:
-            return {"tvpn": tvpn}
-        return self._flash._page_oob.get(self._ppn)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PageView(ppn={self._ppn}, state={self.state.value}, lpn={self.lpn}, "
-            f"version={self.version}, is_translation={self.is_translation})"
-        )
-
-
-#: Backwards-compatible alias: ``flash.page(ppn)`` used to return a ``PageInfo``
-#: dataclass; it now returns the equivalent columnar view.
-PageInfo = PageView
-
-
-class BlockView:
-    """Read-only window over one erase block's counter columns."""
-
-    __slots__ = ("_flash", "_block")
-
-    def __init__(self, flash: "FlashArray", block: int) -> None:
-        self._flash = flash
-        self._block = block
-
-    @property
-    def next_page(self) -> int:
-        """Next in-order page offset to program."""
-        return self._flash._block_next[self._block]
-
-    @property
-    def valid_count(self) -> int:
-        """Number of valid pages in the block."""
-        return self._flash._block_valid[self._block]
-
-    @property
-    def invalid_count(self) -> int:
-        """Number of invalid pages in the block."""
-        return self._flash._block_invalid[self._block]
-
-    @property
-    def erase_count(self) -> int:
-        """Times this block has been erased."""
-        return self._flash._block_erase[self._block]
-
-    @property
-    def is_translation(self) -> bool:
-        """True when the block holds (or held) translation pages."""
-        return bool(self._flash._block_translation[self._block])
-
-    @property
-    def programmed(self) -> int:
-        """Number of pages programmed since the last erase."""
-        return self._flash._block_next[self._block]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockView(block={self._block}, programmed={self.programmed}, "
-            f"valid={self.valid_count}, invalid={self.invalid_count})"
-        )
-
-
-#: Backwards-compatible alias mirroring :data:`PageInfo`.
-BlockInfo = BlockView
 
 
 class FlashArray:
@@ -228,17 +107,6 @@ class FlashArray:
         self.data_invalidation_epoch = 0
 
     # ------------------------------------------------------------ inspection
-    def page(self, ppn: int) -> PageView:
-        """Return a metadata view of a physical page."""
-        if not 0 <= ppn < self._num_pages:
-            self.geometry.check_ppn(ppn)
-        return PageView(self, ppn)
-
-    def block(self, block: int) -> BlockView:
-        """Return a bookkeeping view of a flat block index."""
-        self.geometry.check_block(block)
-        return BlockView(self, block)
-
     def block_of(self, ppn: int) -> int:
         """Return the flat block index containing ``ppn``."""
         return ppn // self._pages_per_block
@@ -251,10 +119,6 @@ class FlashArray:
         return [
             ppn for ppn in range(base, base + self._pages_per_block) if state[ppn] == PAGE_VALID
         ]
-
-    def iter_blocks(self) -> Iterator[tuple[int, BlockView]]:
-        """Yield ``(block_index, BlockView)`` for every erase block."""
-        return ((block, BlockView(self, block)) for block in range(len(self._block_next)))
 
     @property
     def free_page_count(self) -> int:
@@ -308,21 +172,12 @@ class FlashArray:
         return self._block_next[block]
 
     # ------------------------------------------------------------ operations
-    def read(self, ppn: int) -> PageView:
-        """Read a programmed page and return its OOB metadata.
+    def touch_read(self, ppn: int) -> None:
+        """Account a read of a programmed page.
 
         Reading a free page is a simulation bug in every FTL modelled here, so
         it raises :class:`FlashStateError`.
         """
-        if not 0 <= ppn < self._num_pages:
-            self.geometry.check_ppn(ppn)
-        if self._page_state[ppn] == PAGE_FREE:
-            raise FlashStateError(f"read of unprogrammed page ppn={ppn}")
-        self.total_reads += 1
-        return PageView(self, ppn)
-
-    def touch_read(self, ppn: int) -> None:
-        """Account a read of a programmed page without building a view (hot path)."""
         if not 0 <= ppn < self._num_pages:
             self.geometry.check_ppn(ppn)
         if self._page_state[ppn] == PAGE_FREE:
@@ -360,12 +215,12 @@ class FlashArray:
         *,
         is_translation: bool = False,
         oob: Any = None,
-    ) -> PageView:
+    ) -> None:
         """Program a free page with the given OOB metadata.
 
-        Returns a :class:`PageView` of the programmed page.  The write version
-        is assigned from a device-global monotonic counter so tests can identify
-        the most recent copy of an LPN regardless of which FTL produced it.
+        The write version is assigned from a device-global monotonic counter
+        so tests can identify the most recent copy of an LPN regardless of
+        which FTL produced it.
         """
         self._program_raw(ppn, _NONE if lpn is None else lpn)
         if is_translation:
@@ -373,10 +228,9 @@ class FlashArray:
             self._block_translation[ppn // self._pages_per_block] = 1
         if oob is not None:
             self._page_oob[ppn] = oob
-        return PageView(self, ppn)
 
     def program_data(self, ppn: int, lpn: int) -> None:
-        """Program a free data page (hot path: no view, no OOB payload)."""
+        """Program a free data page (hot path: no OOB payload)."""
         self._program_raw(ppn, lpn)
 
     def program_translation(self, ppn: int, tvpn: int) -> None:
@@ -384,7 +238,7 @@ class FlashArray:
 
         Hot-path equivalent of ``program(ppn, None, is_translation=True,
         oob={"tvpn": tvpn})``: the tvpn goes into a flat column instead of a
-        per-page dict payload, and no view is built.
+        per-page dict payload.
         """
         self._program_raw(ppn, _NONE)
         self._page_translation[ppn] = 1

@@ -7,17 +7,8 @@ the device symbols are loaded lazily via module ``__getattr__``.
 """
 
 from repro.ssd.energy import EnergyBreakdown, EnergyModel
-from repro.ssd.engine import ChipTimeline, TimingEngine, TransactionResult
-from repro.ssd.request import (
-    CommandKind,
-    CommandPurpose,
-    FlashCommand,
-    HostRequest,
-    OpType,
-    ReadOutcome,
-    Stage,
-    Transaction,
-)
+from repro.ssd.engine import ChipTimeline, TimingEngine
+from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
 from repro.ssd.stats import GCEvent, LatencyDigest, SimulationStats
 
 __all__ = [
@@ -30,14 +21,10 @@ __all__ = [
     "EnergyBreakdown",
     "TimingEngine",
     "ChipTimeline",
-    "TransactionResult",
     "HostRequest",
     "OpType",
-    "FlashCommand",
     "CommandKind",
     "CommandPurpose",
-    "Stage",
-    "Transaction",
     "ReadOutcome",
     "GCEvent",
     "LatencyDigest",

@@ -11,14 +11,11 @@ flash work produced by the FTLs:
 * per-stage ``compute_us`` models controller CPU time and delays only the
   issuing request, never the chips.
 
-The hot path is :meth:`TimingEngine.execute_buffer`, which consumes the flat
-:class:`~repro.ssd.request.CommandBuffer` encoding directly: per command it
-reads one integer code and one chip index, looks the latency up in a
-code-indexed table and buckets the statistics with a single list increment —
-no command objects, no enum dispatch.  :meth:`TimingEngine.execute` executes
-the object-level :class:`Transaction` view with identical timing arithmetic
-and counts through :meth:`SimulationStats.record_commands`, which encodes into
-the same flat buckets; the two paths therefore cannot drift apart.
+:meth:`TimingEngine.execute_buffer` is the one statement of that arithmetic.
+It consumes the flat :class:`~repro.ssd.request.CommandBuffer` encoding
+directly: per command it reads one integer code and one chip index, looks the
+latency up in a code-indexed table and buckets the statistics with a single
+list increment — no command objects, no enum dispatch.
 
 The batched device loop's planner takes run through
 :meth:`TimingEngine.execute_read_batch` / :meth:`~TimingEngine.execute_write_batch`,
@@ -36,30 +33,14 @@ also supported: a request is issued at ``max(arrival, thread free)``.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.nand.timing import TimingModel
-from repro.ssd.request import KIND_BY_CODE, CommandBuffer, CommandKind, Transaction
+from repro.ssd.request import KIND_BY_CODE, CommandBuffer, CommandKind
 from repro.ssd.stats import SimulationStats
 
-__all__ = ["ChipTimeline", "TransactionResult", "TimingEngine"]
-
-
-@dataclass(frozen=True, slots=True)
-class TransactionResult:
-    """Timing outcome of executing one transaction."""
-
-    start_us: float
-    finish_us: float
-    flash_time_us: float
-    compute_time_us: float
-
-    @property
-    def latency_us(self) -> float:
-        """End-to-end latency of the transaction."""
-        return self.finish_us - self.start_us
+__all__ = ["ChipTimeline", "TimingEngine"]
 
 
 class ChipTimeline:
@@ -125,12 +106,10 @@ class TimingEngine:
         self.timeline = ChipTimeline(num_chips)
         self.timing = timing
         self.stats = stats
-        # Per-kind latency table, precomputed once so the per-command cost is a
-        # lookup instead of a string dispatch through the timing model.
-        self._latency = {kind: timing.latency_of(kind.value) for kind in CommandKind}
         # Per-code latency table: the latency depends only on the kind bits of
         # the flat command code, so one list index resolves it.
-        self._duration_by_code = [self._latency[kind] for kind in KIND_BY_CODE]
+        latency = {kind: timing.latency_of(kind.value) for kind in CommandKind}
+        self._duration_by_code = [latency[kind] for kind in KIND_BY_CODE]
         # The stats object is bound for the engine's lifetime (resetting stats
         # builds a fresh engine), so its flat count arrays can be cached and
         # incremented inline in the buffer loop.
@@ -149,10 +128,9 @@ class TimingEngine:
         across chips and serialize per chip.  This loop runs for every flash
         command of the simulation, so all per-command state lives in locals
         and every command costs two list indexings (code and chip), one
-        latency lookup and one statistics increment.  Unlike the object-level
-        :meth:`execute` it returns a bare float — callers on the hot path only
-        need the completion time, and per-request result objects were a
-        measurable share of the simulation loop.
+        latency lookup and one statistics increment.  It returns a bare float:
+        callers only need the completion time, and per-request result objects
+        were a measurable share of the simulation loop.
         """
         cursor = issue_time_us
         ops = buffer.ops
@@ -320,50 +298,3 @@ class TimingEngine:
             heapreplace(thread_free, finish)
             append_latency(finish - issue)
         return issues, latencies
-
-    def execute(self, transaction: Transaction, issue_time_us: float) -> TransactionResult:
-        """Execute an object-level :class:`Transaction` view.
-
-        Kept for tests and introspection (hand-built transactions, parity
-        checks against :meth:`execute_buffer`).  The timing arithmetic is
-        identical to the buffer path and the commands are counted through
-        :meth:`SimulationStats.record_commands`, i.e. into the same flat
-        integer-coded buckets the buffer loop increments.
-        """
-        cursor = issue_time_us
-        flash_time = 0.0
-        compute_time = 0.0
-        latency = self._latency
-        record_commands = self.stats.record_commands
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        for stage in transaction.stages:
-            compute_us = stage.compute_us
-            dispatch = cursor + compute_us
-            stage_finish = dispatch
-            compute_time += compute_us
-            commands = stage.commands
-            if commands:
-                record_commands(commands)
-                for command in commands:
-                    duration = latency[command.kind]
-                    chip = command.chip
-                    start = busy_until[chip]
-                    if start < dispatch:
-                        start = dispatch
-                    finish = start + duration
-                    busy_until[chip] = finish
-                    busy_time[chip] += duration
-                    if finish > stage_finish:
-                        stage_finish = finish
-                    flash_time += duration
-            cursor = stage_finish
-        if transaction.outcomes:
-            self.stats.record_outcomes(transaction.outcomes)
-        finish = max(cursor, issue_time_us)
-        return TransactionResult(
-            start_us=issue_time_us,
-            finish_us=finish,
-            flash_time_us=flash_time,
-            compute_time_us=compute_time,
-        )

@@ -7,18 +7,12 @@ different chips; stages execute strictly one after another (e.g. the
 translation-page read of a double read must finish before the data read can
 start).
 
-Two representations of that staged work exist:
-
-* :class:`CommandBuffer` — the **flat transaction encoding** used on the hot
-  path.  One buffer per FTL, reset per request: parallel arrays of command
-  code / chip / ppn / block plus per-stage segment offsets and an outcome
-  array.  FTL helpers append integer-coded commands into it and
-  :meth:`repro.ssd.engine.TimingEngine.execute_buffer` consumes it directly —
-  no per-command object is ever allocated.
-
-* :class:`Transaction` / :class:`Stage` / :class:`FlashCommand` — the thin
-  object view kept for tests and introspection, materialized on demand from a
-  buffer via :meth:`CommandBuffer.to_transaction`.
+That staged work has one representation, :class:`CommandBuffer`: one buffer
+per FTL, reset per request, holding an interleaved list of command code /
+chip / ppn / block slots, per-stage segment offsets into it and an outcome
+list.  FTL helpers append integer-coded commands into it and
+:meth:`repro.ssd.engine.TimingEngine.execute_buffer` consumes it directly —
+no per-command object is ever allocated.
 
 Command identity is a single small integer::
 
@@ -31,8 +25,8 @@ bits) and the statistics bucket with one list index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -44,9 +38,6 @@ __all__ = [
     "OP_WRITE_CODE",
     "CommandKind",
     "CommandPurpose",
-    "FlashCommand",
-    "Stage",
-    "Transaction",
     "ReadOutcome",
     "CommandBuffer",
     "OP_STRIDE",
@@ -270,83 +261,6 @@ def command_code(kind: CommandKind, purpose: CommandPurpose) -> int:
     return kind.code * NUM_PURPOSES + purpose.code
 
 
-class FlashCommand(NamedTuple):
-    """A single NAND operation bound for one chip (object view).
-
-    ``ppn`` addresses reads/programs; ``block`` addresses erases.  The flat
-    ``chip`` index is resolved by the FTL (which owns the address codec) so the
-    timing engine needs no geometry knowledge.
-
-    The hot path never allocates these: FTLs encode commands as integers in a
-    :class:`CommandBuffer` and the object form is materialized only for tests
-    and introspection (:meth:`CommandBuffer.to_transaction`).
-    """
-
-    kind: CommandKind
-    chip: int
-    ppn: int | None = None
-    block: int | None = None
-    purpose: CommandPurpose = CommandPurpose.DATA_READ
-
-    @property
-    def code(self) -> int:
-        """The flat integer command code of this command."""
-        return self.kind.code * NUM_PURPOSES + self.purpose.code
-
-
-@dataclass(slots=True)
-class Stage:
-    """One serialization point of a transaction (object view).
-
-    ``compute_us`` models controller CPU time (model prediction, sorting,
-    training) charged before the stage's flash commands are dispatched.
-    """
-
-    commands: list[FlashCommand] = field(default_factory=list)
-    compute_us: float = 0.0
-
-    def is_empty(self) -> bool:
-        """True when the stage has neither flash commands nor compute time."""
-        return not self.commands and self.compute_us <= 0.0
-
-
-@dataclass(slots=True)
-class Transaction:
-    """The full set of flash work generated by one host request (object view)."""
-
-    request: HostRequest
-    stages: list[Stage] = field(default_factory=list)
-    outcomes: list[ReadOutcome] = field(default_factory=list)
-
-    def add_stage(self, commands: Iterable[FlashCommand] = (), compute_us: float = 0.0) -> Stage:
-        """Append a stage; empty stages are still appended only if they carry compute time."""
-        commands = list(commands)
-        stage = Stage(commands=commands, compute_us=compute_us)
-        if commands or compute_us > 0.0:
-            self.stages.append(stage)
-        return stage
-
-    def extend(self, other: "Transaction") -> None:
-        """Append all stages and outcomes of another transaction (e.g. inline GC)."""
-        self.stages.extend(stage for stage in other.stages if not stage.is_empty())
-        self.outcomes.extend(other.outcomes)
-
-    def iter_commands(self) -> Iterator[FlashCommand]:
-        """Yield every flash command in stage order."""
-        for stage in self.stages:
-            yield from stage.commands
-
-    @property
-    def flash_read_count(self) -> int:
-        """Number of NAND read commands in the transaction."""
-        return sum(1 for c in self.iter_commands() if c.kind is CommandKind.READ)
-
-    @property
-    def flash_program_count(self) -> int:
-        """Number of NAND program commands in the transaction."""
-        return sum(1 for c in self.iter_commands() if c.kind is CommandKind.PROGRAM)
-
-
 #: Number of slots one command occupies in :attr:`CommandBuffer.ops`.
 OP_STRIDE = 4
 
@@ -358,7 +272,8 @@ class CommandBuffer:
     :data:`OP_STRIDE` slots per command — ``code, chip, ppn, block`` (``-1``
     stands for "not applicable") — so emitting a command is one C-level
     ``list.extend`` of a tuple.  The timing engine reads only the ``code`` and
-    ``chip`` slots; ``ppn``/``block`` exist for the object view and debugging.
+    ``chip`` slots; the tracer reads ``ppn``, and ``block`` names an erase's
+    target for debugging.
 
     A stage is a flat record list ``[compute_us, s0, e0, s1, e1, ...]`` whose
     tail holds ``start, end`` slot ranges (segments) into ``ops``.  A stage
@@ -375,10 +290,9 @@ class CommandBuffer:
     same finish time — so segment interleaving is purely an encoding concern.
     """
 
-    __slots__ = ("request", "ops", "outcome_codes", "stages")
+    __slots__ = ("ops", "outcome_codes", "stages")
 
     def __init__(self) -> None:
-        self.request: HostRequest | None = None
         #: Interleaved command slots: ``code, chip, ppn, block`` per command.
         self.ops: list[int] = []
         self.outcome_codes: list[int] = []
@@ -386,9 +300,8 @@ class CommandBuffer:
         self.stages: list[list] = []
 
     # -------------------------------------------------------------- lifecycle
-    def reset(self, request: HostRequest | None = None) -> "CommandBuffer":
-        """Empty the buffer (keeping its storage) and bind it to a new request."""
-        self.request = request
+    def reset(self) -> "CommandBuffer":
+        """Empty the buffer, keeping its storage."""
         self.ops.clear()
         self.outcome_codes.clear()
         self.stages.clear()
@@ -447,10 +360,11 @@ class CommandBuffer:
     def commit_stage(self, stage: list, compute_us: float = 0.0, *, front: bool = False) -> bool:
         """Fix a floating stage's position in the execution order.
 
-        Stages with neither commands nor compute time are dropped, matching
-        :meth:`Transaction.add_stage`.  ``front=True`` reproduces the
-        ``stages.insert(0, ...)`` of the read path, where the translation
-        stage must precede eviction flushes emitted while it was still open.
+        Stages with neither commands nor compute time are dropped (they would
+        cost nothing and only lengthen the engine's stage loop).
+        ``front=True`` reproduces the ``stages.insert(0, ...)`` of the read
+        path, where the translation stage must precede eviction flushes
+        emitted while it was still open.
         """
         if len(stage) == 1 and compute_us <= 0.0:
             return False
@@ -469,38 +383,6 @@ class CommandBuffer:
     def add_outcome(self, code: int) -> None:
         """Record the integer-coded classification of one host page read."""
         self.outcome_codes.append(code)
-
-    # ------------------------------------------------------------ object view
-    def commands_of(self, stage: list) -> list[FlashCommand]:
-        """Materialize one stage's commands as :class:`FlashCommand` objects."""
-        ops = self.ops
-        commands: list[FlashCommand] = []
-        for k in range(1, len(stage), 2):
-            for i in range(stage[k], stage[k + 1], OP_STRIDE):
-                code = ops[i]
-                ppn = ops[i + 2]
-                block = ops[i + 3]
-                commands.append(
-                    FlashCommand(
-                        KIND_BY_CODE[code],
-                        ops[i + 1],
-                        None if ppn < 0 else ppn,
-                        None if block < 0 else block,
-                        PURPOSE_BY_CODE[code],
-                    )
-                )
-        return commands
-
-    def to_transaction(self) -> Transaction:
-        """Materialize the thin :class:`Transaction` view (tests/introspection)."""
-        if self.request is None:
-            raise ValueError("buffer is not bound to a request; call reset(request) first")
-        txn = Transaction(self.request)
-        for record in self.stages:
-            txn.stages.append(Stage(commands=self.commands_of(record), compute_us=record[0]))
-        outcome_by_code = OUTCOME_BY_CODE
-        txn.outcomes = [outcome_by_code[code] for code in self.outcome_codes]
-        return txn
 
     # -------------------------------------------------------------- reporting
     @property

@@ -13,11 +13,10 @@ engine and the FTL.  Everything the paper's figures report is derived from it:
 * flash-operation energy for Figure 22.
 
 Flash commands and read outcomes are bucketed from their **integer codes**
-(see :mod:`repro.ssd.request`) into flat count arrays — the one accounting
-path shared by the buffer-executing engine hot loop and the object-level
-:meth:`SimulationStats.record_commands`.  The familiar per-purpose ``Counter``
-views (``flash_reads``/``flash_programs``/``flash_erases``/``read_outcomes``)
-are derived properties over those arrays.
+(see :mod:`repro.ssd.request`) into flat count arrays that the hot paths —
+the timing engine's loops and the batched read planners — increment inline.
+The per-purpose ``Counter`` views (``flash_reads``/``flash_programs``/
+``flash_erases``/``read_outcomes``) are derived properties over those arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.ssd.request import (
     NUM_PURPOSES,
     CommandKind,
     CommandPurpose,
-    FlashCommand,
     ReadOutcome,
 )
 
@@ -243,41 +241,6 @@ class SimulationStats:
     chip_busy_time_us: list[float] = field(default_factory=list)
 
     # ------------------------------------------------------------ recording
-    def record_host_request(self, is_read: bool, npages: int) -> None:
-        """Count one host request of ``npages`` logical pages."""
-        if is_read:
-            self.host_read_requests += 1
-            self.host_read_pages += npages
-        else:
-            self.host_write_requests += 1
-            self.host_write_pages += npages
-
-    def record_command(self, command: FlashCommand) -> None:
-        """Count a flash command by kind and purpose."""
-        self.command_counts[command.kind.code * NUM_PURPOSES + command.purpose.code] += 1
-
-    def record_commands(self, commands: Iterable[FlashCommand]) -> None:
-        """Count a batch of flash commands through the flat integer encoding.
-
-        This is the same ``command_counts`` bucket the buffer-executing engine
-        increments inline, so object-level and buffer-level execution share one
-        accounting path.
-        """
-        counts = self.command_counts
-        stride = NUM_PURPOSES
-        for command in commands:
-            counts[command.kind.code * stride + command.purpose.code] += 1
-
-    def record_outcome(self, outcome: ReadOutcome) -> None:
-        """Record the classification of one host page read."""
-        self.outcome_counts[outcome.code] += 1
-
-    def record_outcomes(self, outcomes: Iterable[ReadOutcome]) -> None:
-        """Record a batch of read classifications (one transaction) at once."""
-        counts = self.outcome_counts
-        for outcome in outcomes:
-            counts[outcome.code] += 1
-
     def record_latency(self, is_read: bool, latency_us: float) -> None:
         """Record the completion latency of one host request.
 

@@ -19,12 +19,8 @@ from repro.workloads.traces import (
     TraceCursor,
     TraceRecord,
     characterize,
-    iter_spc,
-    iter_systor_csv,
     iter_trace_records,
     open_trace,
-    parse_spc,
-    parse_systor_csv,
     synthesize_systor,
     synthesize_websearch,
     trace_format_for,
@@ -50,11 +46,7 @@ __all__ = [
     "TRACE_FORMATS",
     "trace_format_for",
     "open_trace",
-    "iter_spc",
-    "iter_systor_csv",
     "iter_trace_records",
-    "parse_spc",
-    "parse_systor_csv",
     "synthesize_websearch",
     "synthesize_systor",
     "trace_to_requests",

@@ -4,8 +4,10 @@ The paper replays three UMass WebSearch traces (SPC format) and one Systor '17
 enterprise VDI trace (CSV format).  Those files cannot be shipped here, so this
 module provides both:
 
-* **parsers** for the two on-disk formats (:func:`parse_spc`, :func:`parse_systor_csv`),
-  so the real traces can be dropped in if available; and
+* **one streaming reader** for the two on-disk formats
+  (:func:`iter_trace_records` over :class:`RecordStream`, with the per-line
+  parsers in :data:`TRACE_FORMATS`), so the real traces can be dropped in if
+  available; and
 * **synthetic generators** whose request streams match the characteristics the
   paper reports in Table II (I/O count, mean request size, read ratio) plus a
   strong hot-range locality, which is the property the tail-latency and energy
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -39,11 +42,7 @@ __all__ = [
     "TRACE_FORMATS",
     "trace_format_for",
     "open_trace",
-    "iter_spc",
-    "iter_systor_csv",
     "iter_trace_records",
-    "parse_spc",
-    "parse_systor_csv",
     "synthesize_websearch",
     "synthesize_systor",
     "trace_to_requests",
@@ -116,6 +115,11 @@ def _parse_spc_line(line: str, path: "str | Path", line_no: int) -> TraceRecord 
         raise TraceFormatError(
             f"{path}:{line_no}: malformed SPC record: {_offending(line)}"
         ) from exc
+    if not isfinite(timestamp) or lba < 0 or size < 0:
+        raise TraceFormatError(
+            f"{path}:{line_no}: SPC record out of range (timestamp must be finite, "
+            f"LBA and size non-negative): {_offending(line)}"
+        )
     return TraceRecord(
         timestamp_s=timestamp,
         offset_bytes=lba * 512,
@@ -144,6 +148,11 @@ def _parse_systor_line(line: str, path: "str | Path", line_no: int) -> TraceReco
         raise TraceFormatError(
             f"{path}:{line_no}: malformed Systor record: {_offending(line)}"
         ) from exc
+    if not isfinite(timestamp) or offset < 0 or size < 0:
+        raise TraceFormatError(
+            f"{path}:{line_no}: Systor record out of range (timestamp must be finite, "
+            f"offset and size non-negative): {_offending(line)}"
+        )
     return TraceRecord(
         timestamp_s=timestamp,
         offset_bytes=offset,
@@ -235,9 +244,10 @@ class RecordStream:
     Reads one line at a time (never materializing the trace), parses it with
     the named format's line parser and tracks an exact :class:`TraceCursor`
     after every yielded record.  ``limit`` counts records from the *start of
-    the file* (cursor included), matching ``parse_*``'s limit semantics; with
-    ``max_errors > 0`` up to that many malformed lines are counted and skipped
-    instead of aborting the stream — the first line beyond the budget raises.
+    the file* (cursor included), so a resumed stream stops where an
+    uninterrupted one would; with ``max_errors > 0`` up to that many malformed
+    lines are counted and skipped instead of aborting the stream — the first
+    line beyond the budget raises.
     """
 
     def __init__(
@@ -257,6 +267,8 @@ class RecordStream:
             ) from None
         if max_errors < 0:
             raise TraceFormatError(f"max_errors must be >= 0, got {max_errors}")
+        if limit is not None and limit < 0:
+            raise TraceFormatError(f"limit must be >= 0, got {limit}")
         self.path = Path(path)
         self.format = format
         self.limit = limit
@@ -335,8 +347,8 @@ def iter_trace_records(
 ) -> Iterator[TraceRecord]:
     """Stream the records of a trace file (gzip-transparent, bounded memory).
 
-    The streaming counterpart of :func:`parse_spc` / :func:`parse_systor_csv`:
-    yields records one at a time without ever materializing the trace.  With
+    ``format`` is a :data:`TRACE_FORMATS` key (``"spc"`` or ``"systor"``).
+    Yields records one at a time without ever materializing the trace.  With
     ``max_errors > 0`` up to that many malformed lines are skipped (counted)
     instead of aborting; use :class:`RecordStream` directly to read the skip
     count or to resume from a :class:`TraceCursor`.
@@ -346,38 +358,6 @@ def iter_trace_records(
         yield from stream
     finally:
         stream.close()
-
-
-def iter_spc(
-    path: str | Path, *, limit: int | None = None, max_errors: int = 0
-) -> Iterator[TraceRecord]:
-    """Stream an SPC-format trace (``ASU,LBA,size,opcode,timestamp``).
-
-    This is the format of the UMass WebSearch traces; the LBA unit is a
-    512-byte sector.  ``.gz`` files are decompressed transparently.
-    """
-    return iter_trace_records(path, "spc", limit=limit, max_errors=max_errors)
-
-
-def iter_systor_csv(
-    path: str | Path, *, limit: int | None = None, max_errors: int = 0
-) -> Iterator[TraceRecord]:
-    """Stream a Systor '17 style CSV trace (``timestamp,response,iotype,lun,offset,size``)."""
-    return iter_trace_records(path, "systor", limit=limit, max_errors=max_errors)
-
-
-def parse_spc(
-    path: str | Path, *, limit: int | None = None, max_errors: int = 0
-) -> list[TraceRecord]:
-    """Parse an SPC-format trace into a list (thin wrapper over :func:`iter_spc`)."""
-    return list(iter_spc(path, limit=limit, max_errors=max_errors))
-
-
-def parse_systor_csv(
-    path: str | Path, *, limit: int | None = None, max_errors: int = 0
-) -> list[TraceRecord]:
-    """Parse a Systor '17 CSV trace into a list (thin wrapper over :func:`iter_systor_csv`)."""
-    return list(iter_systor_csv(path, limit=limit, max_errors=max_errors))
 
 
 # -------------------------------------------------------------------- synthesis

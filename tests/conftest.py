@@ -14,12 +14,13 @@ from __future__ import annotations
 import random
 import struct
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from repro import SSD, SSDGeometry
-from repro.ssd.request import HostRequest, OpType
+from repro.ssd.request import KIND_BY_CODE, OP_STRIDE, CommandBuffer, HostRequest, OpType
 
 ALL_FTL_NAMES = ("dftl", "tpftl", "leaftl", "learnedftl", "ideal")
 
@@ -68,6 +69,11 @@ def ftl_name(request) -> str:
 def make_ssd(ftl_name: str, geometry: SSDGeometry, **kwargs) -> SSD:
     """Create an SSD for tests (thin wrapper kept for readability)."""
     return SSD.create(ftl_name, geometry, **kwargs)
+
+
+def command_kinds(buffer: CommandBuffer) -> Counter:
+    """The commands encoded in ``buffer`` (e.g. by ``ftl.encode``), counted by kind."""
+    return Counter(KIND_BY_CODE[code] for code in buffer.ops[::OP_STRIDE])
 
 
 def random_reads(geometry: SSDGeometry, count: int, *, seed: int = 0, npages: int = 1):

@@ -297,7 +297,7 @@ class TestGroupAllocator:
         flash.invalidate(ppn)
         old_stripe = allocator.stripes_of_group(0)[0]
         for block in allocator.stripe_map.blocks_of(old_stripe):
-            if flash.block(block).programmed:
+            if flash.block_programmed(block):
                 flash.erase(block)
         free_before = allocator.free_stripe_count()
         allocator.release_stripe(old_stripe)

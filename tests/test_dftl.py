@@ -6,8 +6,17 @@ import pytest
 
 from repro.core.base import FTLConfig
 from repro.core.dftl import DFTL
-from repro.ssd.request import CommandPurpose, HostRequest, OpType, ReadOutcome
-from tests.conftest import make_ssd, random_reads, random_writes
+from repro.nand.flash import PAGE_INVALID, PAGE_VALID
+from repro.ssd.request import (
+    OP_STRIDE,
+    PURPOSE_BY_CODE,
+    CommandKind,
+    CommandPurpose,
+    HostRequest,
+    OpType,
+    ReadOutcome,
+)
+from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 
 
 @pytest.fixture
@@ -17,19 +26,19 @@ def ssd(tiny_geometry):
 
 class TestWritePath:
     def test_write_programs_one_page_per_lpn(self, ssd):
-        txn = ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=4))
-        assert txn.flash_program_count >= 4
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=4))
+        assert command_kinds(buffer)[CommandKind.PROGRAM] >= 4
         assert ssd.ftl.directory.is_mapped(0)
         assert ssd.ftl.directory.is_mapped(3)
 
     def test_overwrite_invalidates_old_copy(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=5))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=5))
         first = ssd.ftl.directory.require(5)
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=5))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=5))
         second = ssd.ftl.directory.require(5)
         assert first != second
-        assert ssd.ftl.flash.page(first).state.value == "invalid"
-        assert ssd.ftl.flash.page(second).state.value == "valid"
+        assert ssd.ftl.flash.page_state_code(first) == PAGE_INVALID
+        assert ssd.ftl.flash.page_state_code(second) == PAGE_VALID
 
     def test_dirty_eviction_writes_translation_page(self, tiny_geometry):
         config = FTLConfig(min_cmt_entries=4, cmt_ratio=0.0001)
@@ -45,25 +54,25 @@ class TestReadPath:
     def test_read_miss_is_double_read(self, ssd):
         ssd.fill_sequential(io_pages=8)
         ssd.reset_stats()
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=200))
-        if ReadOutcome.DOUBLE_READ in txn.outcomes:
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=200))
+        if ReadOutcome.DOUBLE_READ.code in buffer.outcome_codes:
             # Translation-page read plus data read (the CMT insertion may add a
             # read-modify-write for a dirty eviction on top).
-            assert txn.flash_read_count >= 2
-            purposes = {cmd.purpose for cmd in txn.iter_commands()}
+            assert command_kinds(buffer)[CommandKind.READ] >= 2
+            purposes = {PURPOSE_BY_CODE[code] for code in buffer.ops[::OP_STRIDE]}
             assert CommandPurpose.TRANSLATION_READ in purposes
             assert CommandPurpose.DATA_READ in purposes
 
     def test_read_hit_after_recent_write(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=9))
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=9))
-        assert txn.outcomes == [ReadOutcome.CMT_HIT]
-        assert txn.flash_read_count == 1
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=9))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=9))
+        assert buffer.outcome_codes == [ReadOutcome.CMT_HIT.code]
+        assert command_kinds(buffer)[CommandKind.READ] == 1
 
     def test_unmapped_read_has_no_flash_access(self, ssd):
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=77))
-        assert txn.flash_read_count == 0
-        assert txn.outcomes == [ReadOutcome.BUFFER_HIT]
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=77))
+        assert command_kinds(buffer)[CommandKind.READ] == 0
+        assert buffer.outcome_codes == [ReadOutcome.BUFFER_HIT.code]
 
     def test_random_reads_mostly_double_after_thrash(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
@@ -106,6 +115,6 @@ class TestMemory:
         assert ftl.cmt.hit_capacity() == max(1, int(tiny_geometry.num_logical_pages * 0.03))
 
     def test_memory_report_tracks_occupancy(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=1))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=1))
         report = ssd.ftl.memory_report()
         assert report["cmt_bytes"] >= 8

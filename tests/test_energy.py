@@ -5,20 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.ssd.energy import EnergyModel
-from repro.ssd.request import CommandKind, CommandPurpose, FlashCommand
+from repro.ssd.request import CommandKind, CommandPurpose, command_code
 from repro.ssd.stats import SimulationStats
 
 
 def _stats(reads=0, programs=0, erases=0, compute_us=0.0) -> SimulationStats:
     stats = SimulationStats()
-    for _ in range(reads):
-        stats.record_command(FlashCommand(CommandKind.READ, 0, 0, purpose=CommandPurpose.DATA_READ))
-    for _ in range(programs):
-        stats.record_command(
-            FlashCommand(CommandKind.PROGRAM, 0, 0, purpose=CommandPurpose.DATA_WRITE)
-        )
-    for _ in range(erases):
-        stats.record_command(FlashCommand(CommandKind.ERASE, 0, block=0, purpose=CommandPurpose.GC_ERASE))
+    stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += reads
+    stats.command_counts[command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)] += programs
+    stats.command_counts[command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)] += erases
     stats.predict_time_us = compute_us
     return stats
 

@@ -8,31 +8,9 @@ import random
 import pytest
 
 from repro.nand.timing import TimingModel
-from repro.ssd.device import SSD
 from repro.ssd.engine import ChipTimeline, TimingEngine
-from repro.ssd.request import (
-    CommandBuffer,
-    CommandKind,
-    CommandPurpose,
-    FlashCommand,
-    HostRequest,
-    OpType,
-    ReadOutcome,
-    Stage,
-    Transaction,
-    command_code,
-)
+from repro.ssd.request import CommandBuffer, CommandKind, CommandPurpose, ReadOutcome, command_code
 from repro.ssd.stats import SimulationStats
-
-
-def _read(chip: int) -> FlashCommand:
-    return FlashCommand(kind=CommandKind.READ, chip=chip, ppn=0)
-
-
-def _txn(*stages: Stage) -> Transaction:
-    txn = Transaction(HostRequest(op=OpType.READ, lpn=0))
-    txn.stages.extend(stages)
-    return txn
 
 
 @pytest.fixture
@@ -69,71 +47,11 @@ class TestChipTimeline:
             ChipTimeline(0)
 
 
-class TestTimingEngine:
-    def test_single_read_latency(self, engine):
-        result = engine.execute(_txn(Stage(commands=[_read(0)])), issue_time_us=0.0)
-        assert result.latency_us == pytest.approx(40.0)
-
-    def test_parallel_commands_overlap(self, engine):
-        stage = Stage(commands=[_read(0), _read(1), _read(2)])
-        result = engine.execute(_txn(stage), 0.0)
-        assert result.latency_us == pytest.approx(40.0)
-
-    def test_same_chip_commands_serialize(self, engine):
-        stage = Stage(commands=[_read(0), _read(0)])
-        result = engine.execute(_txn(stage), 0.0)
-        assert result.latency_us == pytest.approx(80.0)
-
-    def test_stages_serialize(self, engine):
-        result = engine.execute(
-            _txn(Stage(commands=[_read(0)]), Stage(commands=[_read(1)])), 0.0
-        )
-        # A double read costs two serialized flash reads even on different chips.
-        assert result.latency_us == pytest.approx(80.0)
-
-    def test_compute_us_delays_stage(self, engine):
-        result = engine.execute(_txn(Stage(commands=[_read(0)], compute_us=5.0)), 0.0)
-        assert result.latency_us == pytest.approx(45.0)
-        assert result.compute_time_us == pytest.approx(5.0)
-
-    def test_program_and_erase_latencies(self, engine):
-        program = FlashCommand(kind=CommandKind.PROGRAM, chip=0, ppn=0)
-        erase = FlashCommand(kind=CommandKind.ERASE, chip=0, block=0)
-        result = engine.execute(_txn(Stage(commands=[program]), Stage(commands=[erase])), 0.0)
-        assert result.latency_us == pytest.approx(200.0 + 2000.0)
-
-    def test_issue_time_offsets_everything(self, engine):
-        result = engine.execute(_txn(Stage(commands=[_read(0)])), issue_time_us=1000.0)
-        assert result.start_us == 1000.0
-        assert result.finish_us == pytest.approx(1040.0)
-
-    def test_busy_chip_delays_new_transaction(self, engine):
-        engine.execute(_txn(Stage(commands=[_read(0)])), 0.0)
-        result = engine.execute(_txn(Stage(commands=[_read(0)])), 0.0)
-        assert result.finish_us == pytest.approx(80.0)
-
-    def test_outcomes_recorded_in_stats(self, engine):
-        txn = _txn(Stage(commands=[_read(0)]))
-        txn.outcomes.append(ReadOutcome.DOUBLE_READ)
-        engine.execute(txn, 0.0)
-        assert engine.stats.read_outcomes[ReadOutcome.DOUBLE_READ] == 1
-
-    def test_commands_recorded_in_stats(self, engine):
-        engine.execute(_txn(Stage(commands=[_read(0), _read(1)])), 0.0)
-        assert engine.stats.total_flash_reads == 2
-
-    def test_flash_time_accumulates_all_commands(self, engine):
-        stage = Stage(commands=[_read(0), _read(1)])
-        result = engine.execute(_txn(stage), 0.0)
-        assert result.flash_time_us == pytest.approx(80.0)  # 2 x 40us of chip time
-
-
 class TestExecuteBuffer:
-    """The buffer-encoded hot path must behave exactly like the object path."""
+    """Literal stage/chip timings of the engine's one timing loop."""
 
     def _buffer(self, *stages: list[tuple[CommandKind, int]], compute: float = 0.0) -> CommandBuffer:
         buffer = CommandBuffer()
-        buffer.reset(HostRequest(op=OpType.READ, lpn=0))
         for commands in stages:
             stage = buffer.new_stage()
             for kind, chip in commands:
@@ -147,6 +65,7 @@ class TestExecuteBuffer:
 
     def test_stages_serialize(self, engine):
         buffer = self._buffer([(CommandKind.READ, 0)], [(CommandKind.READ, 1)])
+        # A double read costs two serialized flash reads even on different chips.
         assert engine.execute_buffer(buffer, 0.0) == pytest.approx(80.0)
 
     def test_parallel_commands_overlap(self, engine):
@@ -161,6 +80,23 @@ class TestExecuteBuffer:
         buffer = self._buffer([(CommandKind.READ, 0)], compute=5.0)
         assert engine.execute_buffer(buffer, 0.0) == pytest.approx(45.0)
 
+    def test_program_and_erase_latencies(self, engine):
+        buffer = self._buffer([(CommandKind.PROGRAM, 0)], [(CommandKind.ERASE, 0)])
+        assert engine.execute_buffer(buffer, 0.0) == pytest.approx(200.0 + 2000.0)
+
+    def test_issue_time_offsets_everything(self, engine):
+        finish = engine.execute_buffer(self._buffer([(CommandKind.READ, 0)]), 1000.0)
+        assert finish == pytest.approx(1040.0)
+
+    def test_busy_chip_delays_next_request(self, engine):
+        engine.execute_buffer(self._buffer([(CommandKind.READ, 0)]), 0.0)
+        finish = engine.execute_buffer(self._buffer([(CommandKind.READ, 0)]), 0.0)
+        assert finish == pytest.approx(80.0)
+
+    def test_chip_busy_time_accumulates_all_commands(self, engine):
+        engine.execute_buffer(self._buffer([(CommandKind.READ, 0), (CommandKind.READ, 1)]), 0.0)
+        assert engine.timeline.busy_time == [40.0, 40.0, 0.0, 0.0]  # 2 x 40us of chip time
+
     def test_commands_counted_into_flat_buckets(self, engine):
         engine.execute_buffer(self._buffer([(CommandKind.READ, 0), (CommandKind.READ, 1)]), 0.0)
         assert engine.stats.total_flash_reads == 2
@@ -171,46 +107,6 @@ class TestExecuteBuffer:
         buffer.add_outcome(ReadOutcome.DOUBLE_READ.code)
         engine.execute_buffer(buffer, 0.0)
         assert engine.stats.read_outcomes[ReadOutcome.DOUBLE_READ] == 1
-
-
-class TestBufferObjectParity:
-    """Satellite contract: object-view execution and buffer execution count
-    (and time) identically, because both bucket commands through the same
-    flat integer encoding."""
-
-    @pytest.mark.parametrize("ftl_name", ["dftl", "learnedftl"])
-    def test_full_workload_parity(self, tiny_geometry, ftl_name):
-        ssd = SSD.create(ftl_name, tiny_geometry)
-        shadow_stats = SimulationStats()
-        shadow_engine = TimingEngine(tiny_geometry.num_chips, ssd.timing, shadow_stats)
-        rng = random.Random(99)
-        limit = tiny_geometry.num_logical_pages
-        requests = [
-            HostRequest(op=OpType.WRITE, lpn=lpn, npages=min(8, limit - lpn))
-            for lpn in range(0, limit, 8)
-        ]
-        requests += [
-            HostRequest(
-                op=OpType.READ if rng.random() < 0.6 else OpType.WRITE,
-                lpn=rng.randint(0, limit - 2),
-                npages=rng.choice((1, 2)),
-            )
-            for _ in range(300)
-        ]
-        clock = 0.0
-        for request in requests:
-            buffer = ssd.ftl.encode(request, clock)
-            txn = buffer.to_transaction()
-            finish_buffer = ssd.engine.execute_buffer(buffer, clock)
-            result_object = shadow_engine.execute(txn, clock)
-            assert result_object.finish_us == finish_buffer
-            clock = finish_buffer
-        # Same flat buckets, bit-identical counts for every (kind, purpose).
-        assert ssd.stats.command_counts == shadow_stats.command_counts
-        assert ssd.stats.outcome_counts == shadow_stats.outcome_counts
-        assert ssd.stats.flash_reads == shadow_stats.flash_reads
-        assert ssd.stats.flash_programs == shadow_stats.flash_programs
-        assert ssd.stats.flash_erases == shadow_stats.flash_erases
 
 
 _DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
@@ -252,7 +148,7 @@ class TestBatchKernelContract:
         issues, latencies = [], []
         buffer = CommandBuffer()
         for stages in stage_lists:
-            buffer.reset(HostRequest(op=OpType.READ, lpn=0))
+            buffer.reset()
             for compute, commands in stages:
                 stage = buffer.new_stage()
                 for code, chip in commands:

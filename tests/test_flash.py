@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nand.errors import FlashStateError, GeometryError
-from repro.nand.flash import FlashArray, PageState
+from repro.nand.flash import PAGE_FREE, PAGE_INVALID, PAGE_VALID, FlashArray
 from repro.nand.geometry import SSDGeometry
 
 
@@ -26,14 +28,14 @@ def flash(geometry) -> FlashArray:
 
 class TestProgram:
     def test_program_marks_valid(self, flash):
-        info = flash.program(0, lpn=10)
-        assert info.state is PageState.VALID
-        assert info.lpn == 10
-        assert flash.page(0).state is PageState.VALID
+        assert flash.program(0, lpn=10) is None
+        assert flash.page_state_code(0) == PAGE_VALID
+        assert flash.page_lpn_raw(0) == 10
 
     def test_versions_increase_monotonically(self, flash):
-        v1 = flash.program(0, lpn=1).version
-        v2 = flash.program(1, lpn=2).version
+        flash.program(0, lpn=1)
+        flash.program(1, lpn=2)
+        (_, v1), (_, v2) = flash.latest_version_of(1), flash.latest_version_of(2)
         assert v2 > v1
 
     def test_program_twice_fails(self, flash):
@@ -50,21 +52,19 @@ class TestProgram:
         flash = FlashArray(geometry, enforce_sequential_program=False)
         flash.program(0, lpn=1)
         flash.program(2, lpn=2)
-        assert flash.page(2).state is PageState.VALID
+        assert flash.page_state_code(2) == PAGE_VALID
 
     def test_program_updates_block_counters(self, flash, geometry):
         flash.program(0, lpn=1)
         flash.program(1, lpn=2)
-        block = flash.block(0)
-        assert block.programmed == 2
-        assert block.valid_count == 2
+        assert flash.block_programmed(0) == 2
+        assert flash.block_valid_count(0) == 2
 
     def test_translation_flag_recorded(self, flash):
         flash.program(0, lpn=None, is_translation=True, oob={"tvpn": 5})
-        info = flash.page(0)
-        assert info.is_translation
-        assert info.oob == {"tvpn": 5}
-        assert flash.block(0).is_translation
+        assert flash.page_is_translation(0)
+        assert flash.page_tvpn(0) == 5
+        assert flash.state_dict()["block_translation"][0] == 1
 
     def test_total_programs_counter(self, flash):
         flash.program(0, lpn=1)
@@ -75,26 +75,26 @@ class TestProgram:
 class TestReadInvalidate:
     def test_read_returns_oob(self, flash):
         flash.program(0, lpn=42, oob="extra")
-        info = flash.read(0)
-        assert info.lpn == 42
-        assert info.oob == "extra"
+        flash.touch_read(0)
+        assert flash.page_lpn_raw(0) == 42
+        assert json.loads(flash.state_dict()["page_oob"]) == [[0, "extra"]]
         assert flash.total_reads == 1
 
     def test_read_free_page_fails(self, flash):
         with pytest.raises(FlashStateError):
-            flash.read(5)
+            flash.touch_read(5)
 
     def test_invalidate_then_read_is_allowed(self, flash):
         flash.program(0, lpn=1)
         flash.invalidate(0)
-        assert flash.read(0).state is PageState.INVALID
+        flash.touch_read(0)
+        assert flash.page_state_code(0) == PAGE_INVALID
 
     def test_invalidate_updates_counters(self, flash):
         flash.program(0, lpn=1)
         flash.invalidate(0)
-        block = flash.block(0)
-        assert block.valid_count == 0
-        assert block.invalid_count == 1
+        assert flash.block_valid_count(0) == 0
+        assert flash.block_invalid_count(0) == 1
 
     def test_invalidate_free_page_fails(self, flash):
         with pytest.raises(FlashStateError):
@@ -118,21 +118,21 @@ class TestErase:
         flash.invalidate(0)
         reclaimed = flash.erase(0)
         assert reclaimed == 1
-        assert flash.page(0).state is PageState.FREE
-        assert flash.block(0).erase_count == 1
-        assert flash.block(0).next_page == 0
+        assert flash.page_state_code(0) == PAGE_FREE
+        assert flash.state_dict()["block_erase"][0] == 1
+        assert flash.block_programmed(0) == 0
 
     def test_erase_allows_reprogram_from_page_zero(self, flash):
         flash.program(0, lpn=1)
         flash.invalidate(0)
         flash.erase(0)
         flash.program(0, lpn=2)
-        assert flash.page(0).lpn == 2
+        assert flash.page_lpn_raw(0) == 2
 
     def test_erase_with_allow_valid(self, flash):
         flash.program(0, lpn=1)
         flash.erase(0, allow_valid=True)
-        assert flash.page(0).state is PageState.FREE
+        assert flash.page_state_code(0) == PAGE_FREE
 
     def test_erase_counter(self, flash):
         flash.program(0, lpn=1)
@@ -177,9 +177,6 @@ class TestQueries:
         assert flash.free_page_count == geometry.num_physical_pages
         flash.program(0, lpn=1)
         assert flash.free_page_count == geometry.num_physical_pages - 1
-
-    def test_iter_blocks_covers_all(self, flash, geometry):
-        assert len(list(flash.iter_blocks())) == geometry.num_blocks
 
 
 class TestColumnarQueries:
@@ -261,7 +258,6 @@ class TestLifecycleProperty:
             elif op == 2 and not valid and cursor > 0:
                 flash.erase(block)
                 cursor = 0
-            info = flash.block(block)
-            assert info.valid_count == len(valid)
-            assert 0 <= info.invalid_count <= geometry.pages_per_block
-            assert info.programmed == cursor
+            assert flash.block_valid_count(block) == len(valid)
+            assert 0 <= flash.block_invalid_count(block) <= geometry.pages_per_block
+            assert flash.block_programmed(block) == cursor

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ssd.request import CommandPurpose, HostRequest, OpType, ReadOutcome
-from tests.conftest import make_ssd, random_reads, random_writes
+from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
+from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 
 
 @pytest.fixture
@@ -33,9 +33,9 @@ class TestReads:
         assert ssd.stats.flash_reads[CommandPurpose.TRANSLATION_READ] == 0
 
     def test_unmapped_read_without_flash(self, ssd):
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=3))
-        assert txn.flash_read_count == 0
-        assert txn.outcomes == [ReadOutcome.BUFFER_HIT]
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=3))
+        assert command_kinds(buffer)[CommandKind.READ] == 0
+        assert buffer.outcome_codes == [ReadOutcome.BUFFER_HIT.code]
 
 
 class TestWritesAndGC:

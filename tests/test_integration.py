@@ -43,8 +43,8 @@ class TestCorrectnessAcrossDesigns:
         ssd.fill_sequential(io_pages=8)
         ssd.overwrite_random(pages=300, seed=34)
         for lpn in range(0, tiny_geometry.num_logical_pages, 13):
-            txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=lpn))
-            assert len(txn.outcomes) == 1
+            buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=lpn))
+            assert len(buffer.outcome_codes) == 1
         ssd.verify()
 
     def test_all_host_writes_become_flash_programs(self, tiny_geometry, ftl_name):

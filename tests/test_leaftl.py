@@ -8,8 +8,8 @@ from repro.core.base import FTLConfig
 from repro.core.leaftl import LeaFTL
 from repro.replay import state_fingerprint
 from repro.snapshot import load_snapshot, save_snapshot
-from repro.ssd.request import HostRequest, OpType, ReadOutcome
-from tests.conftest import make_ssd, random_reads, random_writes
+from repro.ssd.request import CommandKind, HostRequest, OpType, ReadOutcome
+from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
 
 
@@ -20,27 +20,32 @@ def ssd(tiny_geometry):
 
 class TestWriteAndTraining:
     def test_recent_writes_served_from_buffer(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=10))
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=10))
-        assert txn.outcomes == [ReadOutcome.BUFFER_HIT]
-        assert txn.flash_read_count == 1  # data only, no translation read
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=10))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=10))
+        assert buffer.outcome_codes == [ReadOutcome.BUFFER_HIT.code]
+        assert command_kinds(buffer)[CommandKind.READ] == 1  # data only, no translation read
 
     def test_buffer_flush_creates_segments(self, ssd):
         capacity = ssd.ftl._buffer_capacity
         for lpn in range(capacity + 1):
-            ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=lpn))
+            ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=lpn))
         assert ssd.ftl.segment_count() > 0
 
     def test_explicit_flush_clears_buffer(self, ssd):
         for lpn in range(10):
-            ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=lpn))
+            ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=lpn))
+        buffer = ssd.ftl.buffer.reset()
         ssd.ftl.flush_buffer()
         assert len(ssd.ftl._buffer) == 0
         assert ssd.ftl.segment_count() >= 1
+        # One stage of translation-page write-backs, charged the training time.
+        (stage,) = buffer.stages
+        assert stage[0] > 0.0
+        assert command_kinds(buffer)[CommandKind.PROGRAM] >= 1
 
     def test_sequential_writes_make_accurate_segments(self, ssd):
         for start in range(0, 64, 8):
-            ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=start, npages=8))
+            ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=start, npages=8))
         ssd.ftl.flush_buffer()
         segments = [
             seg for table in ssd.ftl._tables.values() for seg in table.segments()
@@ -50,7 +55,7 @@ class TestWriteAndTraining:
 
     def test_training_charges_compute_time(self, ssd):
         for lpn in range(16):
-            ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=lpn))
+            ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=lpn))
         ssd.ftl.flush_buffer()
         assert ssd.ftl.stats.train_time_us > 0
         assert ssd.ftl.stats.sort_time_us > 0
@@ -65,9 +70,9 @@ class TestReadPath:
     def test_accurate_cached_model_single_read(self, ssd):
         self._fill_and_flush(ssd)
         # Touch the LPN once to bring its translation page's segments into the cache.
-        ssd.ftl.process(HostRequest(op=OpType.READ, lpn=5))
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=6))
-        assert txn.outcomes[0] in (ReadOutcome.MODEL_HIT, ReadOutcome.BUFFER_HIT)
+        ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=5))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=6))
+        assert buffer.outcome_codes[0] in (ReadOutcome.MODEL_HIT.code, ReadOutcome.BUFFER_HIT.code)
 
     def test_model_cache_miss_costs_translation_read(self, tiny_geometry):
         # A one-byte model cache forces misses on every translation page switch.
@@ -100,8 +105,8 @@ class TestReadPath:
         assert ssd.stats.read_outcomes[ReadOutcome.TRIPLE_READ] > 0
 
     def test_unmapped_read_served_without_flash(self, ssd):
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=100))
-        assert txn.flash_read_count == 0
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=100))
+        assert command_kinds(buffer)[CommandKind.READ] == 0
 
 
 class TestModelCache:

@@ -11,8 +11,8 @@ from repro.core.base import FTLConfig
 from repro.core.learnedftl import LearnedFTL
 from repro.replay import state_fingerprint
 from repro.snapshot import warm_device
-from repro.ssd.request import CommandPurpose, HostRequest, OpType, ReadOutcome
-from tests.conftest import make_ssd, random_reads, random_writes
+from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
+from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
 
 
@@ -23,17 +23,17 @@ def ssd(tiny_geometry):
 
 class TestSequentialInitialization:
     def test_long_sequential_write_trains_model(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         model = ssd.ftl.models[0]
         assert model.trained_length() >= 16
         assert model.can_predict(5)
 
     def test_single_page_write_does_not_train(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=1))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=1))
         assert ssd.ftl.models[0].trained_length() == 0
 
     def test_model_predicts_correct_ppn_after_init(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         model = ssd.ftl.models[0]
         for lpn in range(16):
             vppn = model.predict(lpn)
@@ -41,17 +41,17 @@ class TestSequentialInitialization:
             assert ssd.ftl.codec.vppn_to_ppn(vppn) == ssd.ftl.directory.require(lpn)
 
     def test_shorter_run_does_not_replace_longer_model(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         before = ssd.ftl.models[0].trained_length()
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=32, npages=4))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=32, npages=4))
         assert ssd.ftl.models[0].trained_length() == before
 
 
 class TestBitmapConsistency:
     def test_overwrite_clears_bit(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         assert ssd.ftl.models[0].can_predict(3)
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=3, npages=1))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=3, npages=1))
         assert not ssd.ftl.models[0].can_predict(3)
 
     def test_cleared_bit_falls_back_to_double_read(self, ssd, tiny_geometry):
@@ -79,27 +79,27 @@ class TestBitmapConsistency:
 
 class TestReadPath:
     def test_cmt_hit_is_single_read(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=7))
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=7))
-        assert txn.outcomes == [ReadOutcome.CMT_HIT]
-        assert txn.flash_read_count == 1
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=7))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=7))
+        assert buffer.outcome_codes == [ReadOutcome.CMT_HIT.code]
+        assert command_kinds(buffer)[CommandKind.READ] == 1
 
     def test_model_hit_is_single_read_with_predict_cost(self, tiny_geometry):
         config = FTLConfig(min_cmt_entries=1, learnedftl_cmt_ratio=0.000001)
         ssd = make_ssd("learnedftl", tiny_geometry, config=config)
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         ssd.reset_stats()
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=8))
-        assert txn.outcomes == [ReadOutcome.MODEL_HIT]
-        assert txn.flash_read_count == 1
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=8))
+        assert buffer.outcome_codes == [ReadOutcome.MODEL_HIT.code]
+        assert command_kinds(buffer)[CommandKind.READ] == 1
         assert ssd.stats.predictions == 1
 
     def test_predict_cost_can_be_disabled(self, tiny_geometry):
         config = FTLConfig(charge_compute=False, min_cmt_entries=1, learnedftl_cmt_ratio=0.000001)
         ssd = make_ssd("learnedftl", tiny_geometry, config=config)
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
         ssd.reset_stats()
-        ssd.ftl.process(HostRequest(op=OpType.READ, lpn=8))
+        ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=8))
         assert ssd.stats.predict_time_us == 0.0
 
     def test_randread_beats_tpftl_after_warmup(self, tiny_geometry):
@@ -114,8 +114,8 @@ class TestReadPath:
         assert throughput["learnedftl"] > throughput["tpftl"]
 
     def test_unmapped_read_served_without_flash(self, ssd):
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=50))
-        assert txn.flash_read_count == 0
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=50))
+        assert command_kinds(buffer)[CommandKind.READ] == 0
 
 
 class TestGroupGC:
@@ -196,7 +196,7 @@ class TestRecoveryAndRewrite:
         ssd.verify()
 
     def test_train_on_rewrite_single_entry(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=0, npages=8))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=8))
         ssd.ftl.models[0].bitmap.clear_all()
         assert ssd.ftl.train_on_rewrite(0)
         assert ssd.ftl.models[0].trained_length() > 0

@@ -6,9 +6,17 @@ import pytest
 
 from repro.core.mapping import MappingDirectory, TranslationPageStore
 from repro.nand.errors import MappingError
-from repro.nand.flash import FlashArray, PageState
+from repro.nand.flash import PAGE_INVALID, FlashArray
 from repro.nand.geometry import SSDGeometry
-from repro.ssd.request import CommandKind, CommandPurpose
+from repro.ssd.request import (
+    KIND_BY_CODE,
+    OP_STRIDE,
+    CommandBuffer,
+    CommandKind,
+    CommandPurpose,
+    command_code,
+)
+from tests.conftest import command_kinds
 
 
 @pytest.fixture
@@ -84,63 +92,71 @@ class TestTranslationPageStore:
 
         return TranslationPageStore(flash, directory, allocate)
 
-    def test_read_command_before_first_flush_is_none(self, store):
-        assert store.read_command(0) is None
+    @pytest.fixture
+    def buffer(self) -> CommandBuffer:
+        return CommandBuffer()
 
-    def test_flush_programs_translation_page(self, store):
-        commands = store.flush(0)
-        assert len(commands) == 1  # no previous copy: program only
-        assert commands[0].kind is CommandKind.PROGRAM
+    def test_read_command_before_first_flush_is_none(self, store, buffer):
+        assert not store.read_into(buffer, buffer.new_stage(), 0)
+        assert buffer.ops == []
+
+    def test_flush_programs_translation_page(self, store, buffer):
+        store.flush_into(buffer, buffer.new_stage(), 0)
+        assert command_kinds(buffer) == {CommandKind.PROGRAM: 1}  # no previous copy
         ppn = store.location_of(0)
-        info = store.flash.page(ppn)
-        assert info.is_translation
-        assert info.oob == {"tvpn": 0}
+        assert store.flash.page_is_translation(ppn)
+        assert store.flash.page_tvpn(ppn) == 0
 
-    def test_second_flush_is_read_modify_write(self, store):
-        store.flush(0)
+    def test_second_flush_is_read_modify_write(self, store, buffer):
+        store.flush_into(buffer, buffer.new_stage(), 0)
         first_ppn = store.location_of(0)
-        commands = store.flush(0)
-        kinds = [cmd.kind for cmd in commands]
+        buffer.reset()
+        store.flush_into(buffer, buffer.new_stage(), 0)
+        kinds = [KIND_BY_CODE[code] for code in buffer.ops[::OP_STRIDE]]
         assert kinds == [CommandKind.READ, CommandKind.PROGRAM]
-        assert store.flash.page(first_ppn).state is PageState.INVALID
+        assert store.flash.page_state_code(first_ppn) == PAGE_INVALID
         assert store.location_of(0) != first_ppn
 
-    def test_read_command_after_flush(self, store):
-        store.flush(0)
-        command = store.read_command(0)
-        assert command is not None
-        assert command.kind is CommandKind.READ
-        assert command.purpose is CommandPurpose.TRANSLATION_READ
+    def test_read_command_after_flush(self, store, buffer):
+        store.flush_into(buffer, buffer.new_stage(), 0)
+        buffer.reset()
+        assert store.read_into(buffer, buffer.new_stage(), 0)
+        code, _chip, ppn, _block = buffer.ops
+        assert code == command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+        assert ppn == store.location_of(0)
 
-    def test_dirty_tracking(self, store):
+    def test_dirty_tracking(self, store, buffer):
         assert not store.is_dirty(2)
         store.mark_dirty(2)
         assert store.is_dirty(2)
         assert store.dirty_tvpns() == [2]
-        store.flush(2)
+        store.flush_into(buffer, buffer.new_stage(), 2)
         assert not store.is_dirty(2)
 
-    def test_counters(self, store):
-        store.flush(0)
-        store.flush(0)
-        store.read_command(0)
+    def test_counters(self, store, buffer):
+        store.flush_into(buffer, buffer.new_stage(), 0)
+        store.flush_into(buffer, buffer.new_stage(), 0)
+        store.read_into(buffer, buffer.new_stage(), 0)
         assert store.translation_writes == 2
         assert store.translation_reads == 2  # one RMW read + one lookup read
 
-    def test_relocate_moves_live_translation_page(self, store):
-        store.flush(3)
+    def test_relocate_moves_live_translation_page(self, store, buffer):
+        store.flush_into(buffer, buffer.new_stage(), 3)
         old_ppn = store.location_of(3)
-        new_ppn, command = store.relocate(old_ppn)
-        assert command.kind is CommandKind.PROGRAM
+        buffer.reset()
+        new_ppn = store.relocate_into(buffer, buffer.new_stage(), old_ppn)
+        code, _chip, ppn, _block = buffer.ops
+        assert code == command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
+        assert ppn == new_ppn
         assert store.location_of(3) == new_ppn
-        assert store.flash.page(old_ppn).state is PageState.INVALID
-        assert store.flash.page(new_ppn).oob == {"tvpn": 3}
+        assert store.flash.page_state_code(old_ppn) == PAGE_INVALID
+        assert store.flash.page_tvpn(new_ppn) == 3
 
-    def test_relocate_rejects_data_pages(self, store, geometry):
+    def test_relocate_rejects_data_pages(self, store, buffer, geometry):
         data_ppn = geometry.pages_per_block * 2  # first page of an untouched block
         store.flash.program(data_ppn, lpn=7)
         with pytest.raises(MappingError):
-            store.relocate(data_ppn)
+            store.relocate_into(buffer, buffer.new_stage(), data_ppn)
 
 
 class TestLookupMany:

@@ -1,5 +1,4 @@
-"""Tests for host requests, flash commands, the flat command buffer and
-transactions."""
+"""Tests for host requests, command codes and the flat command buffer."""
 
 from __future__ import annotations
 
@@ -10,17 +9,15 @@ from repro.ssd.request import (
     KIND_BY_CODE,
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
+    OP_STRIDE,
     OUTCOME_BY_CODE,
     PURPOSE_BY_CODE,
     CommandBuffer,
     CommandKind,
     CommandPurpose,
-    FlashCommand,
     HostRequest,
     OpType,
     ReadOutcome,
-    Stage,
-    Transaction,
     command_code,
 )
 
@@ -41,56 +38,6 @@ class TestHostRequest:
     def test_issue_time_optional(self):
         assert HostRequest(op=OpType.READ, lpn=0).issue_time_us is None
         assert HostRequest(op=OpType.READ, lpn=0, issue_time_us=5.0).issue_time_us == 5.0
-
-
-class TestStage:
-    def test_empty_stage(self):
-        assert Stage().is_empty()
-        assert not Stage(compute_us=1.0).is_empty()
-        cmd = FlashCommand(kind=CommandKind.READ, chip=0, ppn=0)
-        assert not Stage(commands=[cmd]).is_empty()
-
-
-class TestTransaction:
-    def _cmd(self, kind=CommandKind.READ, chip=0):
-        return FlashCommand(kind=kind, chip=chip, ppn=0)
-
-    def test_add_stage_skips_empty(self):
-        txn = Transaction(HostRequest(op=OpType.READ, lpn=0))
-        txn.add_stage([])
-        assert txn.stages == []
-
-    def test_add_stage_keeps_compute_only(self):
-        txn = Transaction(HostRequest(op=OpType.READ, lpn=0))
-        txn.add_stage([], compute_us=3.0)
-        assert len(txn.stages) == 1
-        assert txn.stages[0].compute_us == 3.0
-
-    def test_counts(self):
-        txn = Transaction(HostRequest(op=OpType.READ, lpn=0))
-        txn.add_stage([self._cmd(), self._cmd(CommandKind.PROGRAM)])
-        txn.add_stage([self._cmd()])
-        assert txn.flash_read_count == 2
-        assert txn.flash_program_count == 1
-
-    def test_iter_commands_in_stage_order(self):
-        txn = Transaction(HostRequest(op=OpType.READ, lpn=0))
-        first = self._cmd(chip=1)
-        second = self._cmd(chip=2)
-        txn.add_stage([first])
-        txn.add_stage([second])
-        assert list(txn.iter_commands()) == [first, second]
-
-    def test_extend_merges_stages_and_outcomes(self):
-        a = Transaction(HostRequest(op=OpType.READ, lpn=0))
-        a.add_stage([self._cmd()])
-        a.outcomes.append(ReadOutcome.CMT_HIT)
-        b = Transaction(HostRequest(op=OpType.READ, lpn=1))
-        b.add_stage([self._cmd()])
-        b.outcomes.append(ReadOutcome.DOUBLE_READ)
-        a.extend(b)
-        assert len(a.stages) == 2
-        assert a.outcomes == [ReadOutcome.CMT_HIT, ReadOutcome.DOUBLE_READ]
 
 
 class TestEnums:
@@ -124,63 +71,52 @@ class TestCommandCodes:
         for outcome in ReadOutcome:
             assert OUTCOME_BY_CODE[outcome.code] is outcome
 
-    def test_flash_command_exposes_its_code(self):
-        command = FlashCommand(CommandKind.ERASE, 0, None, 3, CommandPurpose.GC_ERASE)
-        assert command.code == command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)
-
 
 class TestCommandBuffer:
-    def _request(self):
-        return HostRequest(op=OpType.READ, lpn=0)
-
     def test_empty_stage_is_dropped(self):
-        buffer = CommandBuffer().reset(self._request())
+        buffer = CommandBuffer()
         stage = buffer.new_stage()
         assert not buffer.commit_stage(stage)
         assert buffer.stages == []
 
     def test_compute_only_stage_is_kept(self):
-        buffer = CommandBuffer().reset(self._request())
+        buffer = CommandBuffer()
         stage = buffer.new_stage()
         assert buffer.commit_stage(stage, 3.0)
-        txn = buffer.to_transaction()
-        assert len(txn.stages) == 1
-        assert txn.stages[0].compute_us == 3.0
-        assert txn.stages[0].commands == []
+        assert buffer.stages == [[3.0]]
+        assert buffer.command_count == 0
 
-    def test_roundtrip_to_transaction(self):
-        buffer = CommandBuffer().reset(self._request())
+    def test_append_encodes_code_chip_ppn_block_slots(self):
+        buffer = CommandBuffer()
         stage = buffer.new_stage()
-        buffer.append(stage, command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ), 1, 42)
-        buffer.append(stage, command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE), 0, -1, 7)
+        read = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+        erase = command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)
+        buffer.append(stage, read, 1, 42)
+        buffer.append(stage, erase, 0, -1, 7)
         buffer.commit_stage(stage)
         buffer.add_outcome(ReadOutcome.DOUBLE_READ.code)
-        txn = buffer.to_transaction()
-        assert txn.outcomes == [ReadOutcome.DOUBLE_READ]
-        read, erase = txn.stages[0].commands
-        assert read == FlashCommand(
-            CommandKind.READ, 1, 42, None, CommandPurpose.TRANSLATION_READ
-        )
-        assert erase == FlashCommand(CommandKind.ERASE, 0, None, 7, CommandPurpose.GC_ERASE)
+        assert buffer.outcome_codes == [ReadOutcome.DOUBLE_READ.code]
+        assert buffer.ops == [read, 1, 42, -1, erase, 0, -1, 7]
+        assert buffer.stages == [[0.0, 0, 2 * OP_STRIDE]]
 
     def test_front_commit_reproduces_insert_at_zero(self):
-        buffer = CommandBuffer().reset(self._request())
+        buffer = CommandBuffer()
         head = buffer.new_stage()
         flush = buffer.new_stage()
-        buffer.append(flush, command_code(CommandKind.PROGRAM, CommandPurpose.TRANSLATION_WRITE), 0, 9)
+        write_code = command_code(CommandKind.PROGRAM, CommandPurpose.TRANSLATION_WRITE)
+        read_code = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+        buffer.append(flush, write_code, 0, 9)
         buffer.commit_stage(flush)
-        buffer.append(head, command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ), 0, 5)
+        buffer.append(head, read_code, 0, 5)
         buffer.commit_stage(head, front=True)
-        txn = buffer.to_transaction()
-        assert [c.purpose for c in txn.iter_commands()] == [
-            CommandPurpose.TRANSLATION_READ,
-            CommandPurpose.TRANSLATION_WRITE,
-        ]
+        # Emitted second, executed first.
+        assert buffer.ops[::OP_STRIDE] == [write_code, read_code]
+        assert buffer.stages == [[0.0, 4, 8], [0.0, 0, 4]]
 
     def test_interleaved_floating_stages_keep_their_grouping(self):
         # GC emits reads and writes in one pass over the victim block; the
         # stage records must still partition the interleaved command stream.
-        buffer = CommandBuffer().reset(self._request())
+        buffer = CommandBuffer()
         reads = buffer.new_stage()
         writes = buffer.new_stage()
         read_code = command_code(CommandKind.READ, CommandPurpose.GC_READ)
@@ -192,10 +128,10 @@ class TestCommandBuffer:
         buffer.commit_stage(writes)
         assert buffer.stage_size(reads) == 3
         assert buffer.stage_size(writes) == 3
-        txn = buffer.to_transaction()
-        assert [c.purpose for c in txn.stages[0].commands] == [CommandPurpose.GC_READ] * 3
-        assert [c.purpose for c in txn.stages[1].commands] == [CommandPurpose.GC_WRITE] * 3
-        assert [c.ppn for c in txn.stages[1].commands] == [100, 101, 102]
+        assert buffer.stages == [[0.0, 0, 4, 8, 12, 16, 20], [0.0, 4, 8, 12, 16, 20, 24]]
+        assert [buffer.ops[i] for i in reads[1::2]] == [read_code] * 3
+        assert [buffer.ops[i] for i in writes[1::2]] == [write_code] * 3
+        assert [buffer.ops[i + 2] for i in writes[1::2]] == [100, 101, 102]
 
     def test_extend_matches_repeated_append(self):
         """One columnar ``extend`` per stage against appending command by command."""
@@ -203,8 +139,8 @@ class TestCommandBuffer:
         write_code = command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
         chips = np.array([3, 0, 3, 1], dtype=np.int64)
         ppns = np.array([40, 7, 41, 19], dtype=np.int64)
-        columnar = CommandBuffer().reset(self._request())
-        scalar = CommandBuffer().reset(self._request())
+        columnar = CommandBuffer()
+        scalar = CommandBuffer()
         stages = []
         for buffer in (columnar, scalar):
             reads, writes = buffer.new_stage(), buffer.new_stage()
@@ -228,27 +164,23 @@ class TestCommandBuffer:
         assert all(type(slot) is int for slot in columnar.ops)
         assert stages[0] == stages[1]
         assert stages[0][0] == [0.0, 0, 20, 36, 40]
+        assert columnar.stages == scalar.stages
         for mine, theirs in zip(*stages):
-            assert columnar.commands_of(mine) == scalar.commands_of(theirs)
             assert columnar.stage_size(mine) == scalar.stage_size(theirs)
         assert columnar.stage_size(stages[0][0]) == 6
-        assert columnar.to_transaction() == scalar.to_transaction()
 
     def test_reset_reuses_storage(self):
-        buffer = CommandBuffer().reset(self._request())
+        buffer = CommandBuffer()
         stage = buffer.new_stage()
         buffer.append(stage, command_code(CommandKind.READ, CommandPurpose.DATA_READ), 0, 1)
         buffer.commit_stage(stage)
         buffer.add_outcome(ReadOutcome.CMT_HIT.code)
-        buffer.reset(HostRequest(op=OpType.WRITE, lpn=5))
+        ops = buffer.ops
+        assert buffer.reset() is buffer
+        assert buffer.ops is ops
         assert buffer.command_count == 0
         assert buffer.outcome_codes == []
         assert buffer.stages == []
-        assert buffer.to_transaction().stages == []
-
-    def test_to_transaction_requires_request(self):
-        with pytest.raises(ValueError):
-            CommandBuffer().to_transaction()
 
 
 class TestRequestBatch:

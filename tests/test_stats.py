@@ -4,37 +4,24 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ssd.request import CommandKind, CommandPurpose, FlashCommand, ReadOutcome
+from repro.ssd.request import CommandKind, CommandPurpose, ReadOutcome, command_code
 from repro.ssd.stats import GCEvent, LatencyDigest, SimulationStats
 
 
-def _cmd(kind, purpose):
-    return FlashCommand(kind=kind, chip=0, ppn=0, purpose=purpose)
-
-
 class TestCounters:
-    def test_record_host_request(self):
-        stats = SimulationStats()
-        stats.record_host_request(True, 4)
-        stats.record_host_request(False, 2)
-        assert stats.host_read_requests == 1
-        assert stats.host_read_pages == 4
-        assert stats.host_write_requests == 1
-        assert stats.host_write_pages == 2
-
     def test_record_command_buckets_by_kind(self):
         stats = SimulationStats()
-        stats.record_command(_cmd(CommandKind.READ, CommandPurpose.DATA_READ))
-        stats.record_command(_cmd(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE))
-        stats.record_command(_cmd(CommandKind.ERASE, CommandPurpose.GC_ERASE))
+        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += 1
+        stats.command_counts[command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)] += 1
+        stats.command_counts[command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)] += 1
         assert stats.total_flash_reads == 1
         assert stats.total_flash_programs == 1
         assert stats.total_flash_erases == 1
 
     def test_purpose_breakdown(self):
         stats = SimulationStats()
-        stats.record_command(_cmd(CommandKind.READ, CommandPurpose.TRANSLATION_READ))
-        stats.record_command(_cmd(CommandKind.READ, CommandPurpose.DATA_READ))
+        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)] += 1
+        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += 1
         assert stats.flash_reads[CommandPurpose.TRANSLATION_READ] == 1
         assert stats.flash_reads[CommandPurpose.DATA_READ] == 1
 
@@ -43,8 +30,7 @@ class TestRatios:
     def test_write_amplification(self):
         stats = SimulationStats()
         stats.host_write_pages = 10
-        for _ in range(15):
-            stats.record_command(_cmd(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE))
+        stats.command_counts[command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)] = 15
         assert stats.write_amplification() == pytest.approx(1.5)
 
     def test_write_amplification_zero_writes(self):
@@ -59,10 +45,13 @@ class TestRatios:
 
     def test_outcome_fractions_sum_to_one(self):
         stats = SimulationStats()
-        stats.record_outcome(ReadOutcome.CMT_HIT)
-        stats.record_outcome(ReadOutcome.DOUBLE_READ)
-        stats.record_outcome(ReadOutcome.MODEL_HIT)
-        stats.record_outcome(ReadOutcome.TRIPLE_READ)
+        for outcome in (
+            ReadOutcome.CMT_HIT,
+            ReadOutcome.DOUBLE_READ,
+            ReadOutcome.MODEL_HIT,
+            ReadOutcome.TRIPLE_READ,
+        ):
+            stats.outcome_counts[outcome.code] += 1
         fractions = stats.outcome_fractions()
         assert sum(fractions.values()) == pytest.approx(1.0)
         assert stats.single_read_fraction() == pytest.approx(0.5)
@@ -71,8 +60,8 @@ class TestRatios:
 
     def test_model_hit_ratio(self):
         stats = SimulationStats()
-        stats.record_outcome(ReadOutcome.MODEL_HIT)
-        stats.record_outcome(ReadOutcome.DOUBLE_READ)
+        stats.outcome_counts[ReadOutcome.MODEL_HIT.code] += 1
+        stats.outcome_counts[ReadOutcome.DOUBLE_READ.code] += 1
         assert stats.model_hit_ratio() == pytest.approx(0.5)
 
     def test_empty_fractions(self):
@@ -192,32 +181,17 @@ class TestFlatAccounting:
     """Commands and outcomes are bucketed from integer codes into flat count
     arrays; the Counter views are derived from them."""
 
-    def test_record_commands_routes_through_command_counts(self):
-        stats = SimulationStats()
-        stats.record_commands(
-            [
-                _cmd(CommandKind.READ, CommandPurpose.TRANSLATION_READ),
-                _cmd(CommandKind.READ, CommandPurpose.DATA_READ),
-                _cmd(CommandKind.PROGRAM, CommandPurpose.GC_WRITE),
-            ]
-        )
-        read_code = _cmd(CommandKind.READ, CommandPurpose.DATA_READ).code
-        assert stats.command_counts[read_code] == 1
-        assert sum(stats.command_counts) == 3
-        assert stats.flash_reads[CommandPurpose.TRANSLATION_READ] == 1
-        assert stats.flash_programs[CommandPurpose.GC_WRITE] == 1
-
     def test_counter_views_only_list_nonzero_purposes(self):
         stats = SimulationStats()
-        stats.record_command(_cmd(CommandKind.READ, CommandPurpose.DATA_READ))
+        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += 1
         assert list(stats.flash_reads) == [CommandPurpose.DATA_READ]
         assert stats.flash_reads[CommandPurpose.GC_READ] == 0  # Counter default
         assert stats.flash_erases == {}
 
     def test_outcome_counts_back_the_counter_view(self):
         stats = SimulationStats()
-        stats.record_outcomes([ReadOutcome.MODEL_HIT, ReadOutcome.MODEL_HIT, ReadOutcome.DOUBLE_READ])
-        assert stats.outcome_counts[ReadOutcome.MODEL_HIT.code] == 2
+        stats.outcome_counts[ReadOutcome.MODEL_HIT.code] = 2
+        stats.outcome_counts[ReadOutcome.DOUBLE_READ.code] = 1
         assert stats.read_outcomes[ReadOutcome.MODEL_HIT] == 2
         assert stats.read_outcomes[ReadOutcome.DOUBLE_READ] == 1
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ssd.request import HostRequest, OpType, ReadOutcome
-from tests.conftest import make_ssd, random_reads
+from repro.ssd.request import CommandKind, HostRequest, OpType, ReadOutcome
+from tests.conftest import command_kinds, make_ssd, random_reads
 from repro.workloads.fio import FioJob
 
 
@@ -42,10 +42,10 @@ class TestPrefetching:
     def test_prefetch_depth_adapts_to_request_length(self, ssd):
         ssd.fill_sequential(io_pages=8)
         for lpn in range(0, 64, 8):
-            ssd.ftl.process(HostRequest(op=OpType.READ, lpn=lpn, npages=8))
+            ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=lpn, npages=8))
         long_depth = ssd.ftl._prefetch_length()
         for lpn in range(0, 64, 8):
-            ssd.ftl.process(HostRequest(op=OpType.READ, lpn=(lpn * 37) % 64, npages=1))
+            ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=(lpn * 37) % 64, npages=1))
         short_depth = ssd.ftl._prefetch_length()
         assert long_depth >= short_depth
 
@@ -55,9 +55,9 @@ class TestPrefetching:
         # trigger a dirty-eviction read-modify-write.
         ssd.ftl.cmt.flush_all()
         ssd.reset_stats()
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=40))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=40))
         # One translation read plus one data read at most, despite prefetching.
-        assert txn.flash_read_count <= 2
+        assert command_kinds(buffer)[CommandKind.READ] <= 2
 
 
 class TestCorrectness:
@@ -66,16 +66,16 @@ class TestCorrectness:
         ssd.verify()
 
     def test_reads_return_newest_copy_outcome(self, ssd):
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=3))
-        ssd.ftl.process(HostRequest(op=OpType.WRITE, lpn=3))
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=3))
-        assert txn.outcomes[0] in (ReadOutcome.CMT_HIT, ReadOutcome.DOUBLE_READ)
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=3))
+        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=3))
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=3))
+        assert buffer.outcome_codes[0] in (ReadOutcome.CMT_HIT.code, ReadOutcome.DOUBLE_READ.code)
         ssd.verify()
 
     def test_multi_page_read_classifies_each_page(self, ssd):
         ssd.fill_sequential(io_pages=8)
-        txn = ssd.ftl.process(HostRequest(op=OpType.READ, lpn=16, npages=4))
-        assert len(txn.outcomes) == 4
+        buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=16, npages=4))
+        assert len(buffer.outcome_codes) == 4
 
     def test_gc_under_pressure_keeps_integrity(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gzip
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -22,12 +23,8 @@ from repro.workloads.traces import (
     TraceCursor,
     TraceRecord,
     characterize,
-    iter_spc,
-    iter_systor_csv,
     iter_trace_records,
     open_trace,
-    parse_spc,
-    parse_systor_csv,
     synthesize_systor,
     synthesize_websearch,
     trace_format_for,
@@ -44,7 +41,7 @@ class TestParsers:
     def test_parse_spc(self, tmp_path):
         path = tmp_path / "trace.spc"
         path.write_text("0,12345,8192,R,0.001\n1,99,4096,W,0.002\n")
-        records = parse_spc(path)
+        records = list(iter_trace_records(path, "spc"))
         assert len(records) == 2
         assert records[0].offset_bytes == 12345 * 512
         assert records[0].size_bytes == 8192
@@ -54,21 +51,21 @@ class TestParsers:
     def test_parse_spc_skips_comments_and_blanks(self, tmp_path):
         path = tmp_path / "trace.spc"
         path.write_text("# header\n\n0,1,512,r,0.0\n")
-        assert len(parse_spc(path)) == 1
+        assert len(list(iter_trace_records(path, "spc"))) == 1
 
     def test_parse_spc_limit(self, tmp_path):
         path = tmp_path / "trace.spc"
         path.write_text("\n".join(f"0,{i},512,R,0.{i}" for i in range(10)))
-        assert len(parse_spc(path, limit=3)) == 3
+        assert len(list(iter_trace_records(path, "spc", limit=3))) == 3
 
     def test_parse_spc_malformed(self, tmp_path):
         path = tmp_path / "trace.spc"
         path.write_text("0,oops,512,R,0.0\n")
         with pytest.raises(TraceFormatError):
-            parse_spc(path)
+            list(iter_trace_records(path, "spc"))
         path.write_text("0,1,512\n")
         with pytest.raises(TraceFormatError):
-            parse_spc(path)
+            list(iter_trace_records(path, "spc"))
 
     def test_parse_systor(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -77,7 +74,7 @@ class TestParsers:
             "0.1,0.001,R,0,4096,8192\n"
             "0.2,0.001,W,1,0,4096\n"
         )
-        records = parse_systor_csv(path)
+        records = list(iter_trace_records(path, "systor"))
         assert len(records) == 2
         assert records[0].is_read and not records[1].is_read
         assert records[1].stream_id == 1
@@ -86,14 +83,14 @@ class TestParsers:
         path = tmp_path / "trace.csv"
         path.write_text("0.1,0.001,R,0,xyz,8192\n")
         with pytest.raises(TraceFormatError):
-            parse_systor_csv(path)
+            list(iter_trace_records(path, "systor"))
 
 
 class TestRealFormatFixtures:
     """The committed SPC / Systor '17 excerpts parse and replay end to end."""
 
     def test_spc_fixture_parses_fully(self):
-        records = parse_spc(SPC_FIXTURE)
+        records = list(iter_trace_records(SPC_FIXTURE, "spc"))
         assert len(records) == 8  # comment and blank lines skipped
         # Field mapping: LBA is in 512-byte sectors, opcode is case-insensitive.
         assert records[0].offset_bytes == 303567 * 512
@@ -104,17 +101,17 @@ class TestRealFormatFixtures:
         assert records[2].stream_id == 1  # ASU becomes the stream id
         timestamps = [r.timestamp_s for r in records]
         assert timestamps == sorted(timestamps)
-        assert parse_spc(SPC_FIXTURE, limit=3) == records[:3]
+        assert list(iter_trace_records(SPC_FIXTURE, "spc", limit=3)) == records[:3]
 
     def test_spc_fixture_characteristics(self):
-        stats = characterize("websearch_sample", parse_spc(SPC_FIXTURE))
+        stats = characterize("websearch_sample", list(iter_trace_records(SPC_FIXTURE, "spc")))
         assert stats.num_ios == 8
         assert stats.read_ratio == pytest.approx(7 / 8)
         # WebSearch-like: multi-KB mean request size.
         assert stats.average_io_kb > 8.0
 
     def test_systor_fixture_parses_fully(self):
-        records = parse_systor_csv(SYSTOR_FIXTURE)
+        records = list(iter_trace_records(SYSTOR_FIXTURE, "systor"))
         assert len(records) == 6  # header skipped
         assert records[0].offset_bytes == 706617344
         assert records[0].size_bytes == 16384
@@ -122,17 +119,17 @@ class TestRealFormatFixtures:
         assert records[3].is_read  # "READ" spelled out
         assert records[4].stream_id == 0  # empty LUN field defaults to 0
         assert not records[1].is_read and not records[4].is_read
-        assert parse_systor_csv(SYSTOR_FIXTURE, limit=2) == records[:2]
+        assert list(iter_trace_records(SYSTOR_FIXTURE, "systor", limit=2)) == records[:2]
 
-    @pytest.mark.parametrize("parse,fixture", [
-        (parse_spc, SPC_FIXTURE),
-        (parse_systor_csv, SYSTOR_FIXTURE),
+    @pytest.mark.parametrize("format,fixture", [
+        ("spc", SPC_FIXTURE),
+        ("systor", SYSTOR_FIXTURE),
     ])
-    def test_fixtures_convert_and_replay(self, geometry, parse, fixture):
+    def test_fixtures_convert_and_replay(self, geometry, format, fixture):
         # Round-trip: parse -> page-granular requests -> open-loop replay.
         from repro.ssd.device import SSD
 
-        records = parse(fixture)
+        records = list(iter_trace_records(fixture, format))
         requests = list(trace_to_requests(records, geometry))
         page = geometry.page_size
         assert sum(r.npages for r in requests) == sum(
@@ -310,19 +307,17 @@ class TestStreamingRoundTrip:
     @pytest.mark.parametrize("fmt,suffix", [("spc", "t.spc"), ("systor", "t.csv")])
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
     def test_iterator_list_and_original_agree(self, tmp_path, fmt, suffix, compress):
-        parse = parse_spc if fmt == "spc" else parse_systor_csv
         for seed in range(5):
             rng = random.Random(seed)
             records = _random_records(rng, 40, spc=(fmt == "spc"))
             path = _write_trace(
                 tmp_path / f"{seed}-{suffix}", _serialize(records, fmt, rng), compress=compress
             )
-            streamed = list(iter_trace_records(path, fmt))
-            listed = parse(path)
-            assert streamed == listed == records
+            with RecordStream(path, fmt) as stream:
+                assert list(stream) == records
+            assert list(iter_trace_records(path, fmt)) == records
             # limit counts records, not lines, and prefixes agree with the full parse.
             k = rng.randrange(0, len(records) + 1)
-            assert parse(path, limit=k) == records[:k]
             assert list(iter_trace_records(path, fmt, limit=k)) == records[:k]
 
     @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
@@ -340,29 +335,20 @@ class TestStreamingRoundTrip:
                 tail = list(second)
             assert head + tail == records
 
-    def test_iterators_are_thin_wrappers(self, tmp_path):
-        rng = random.Random(3)
-        records = _random_records(rng, 20, spc=True)
-        path = _write_trace(tmp_path / "t.spc", _serialize(records, "spc", rng), compress=False)
-        assert list(iter_spc(path)) == parse_spc(path) == records
-        systor = _random_records(rng, 20, spc=False)
-        spath = _write_trace(tmp_path / "t.csv", _serialize(systor, "systor", rng), compress=False)
-        assert list(iter_systor_csv(spath)) == parse_systor_csv(spath) == systor
-
 
 class TestStreamingErrors:
     def test_error_message_quotes_offending_line(self, tmp_path):
         path = tmp_path / "trace.spc"
         path.write_text("0,1,512,R,0.0\n0,oops,512,R,0.1\n")
         with pytest.raises(TraceFormatError, match=r"trace\.spc:2.*'0,oops,512,R,0\.1'"):
-            parse_spc(path)
+            list(iter_trace_records(path, "spc"))
 
     def test_error_message_truncates_long_lines(self, tmp_path):
         path = tmp_path / "trace.csv"
         long_line = "garbage" * 100
         path.write_text(long_line + "\n")
         with pytest.raises(TraceFormatError) as excinfo:
-            parse_systor_csv(path)
+            list(iter_trace_records(path, "systor"))
         message = str(excinfo.value)
         assert message.endswith("...")
         assert long_line not in message  # truncated, not echoed wholesale
@@ -378,11 +364,38 @@ class TestStreamingErrors:
         with RecordStream(path, "spc", max_errors=3) as stream:
             assert list(stream) == records
             assert stream.cursor.skipped_lines == 3
-        assert parse_spc(path, max_errors=3) == records
+        assert list(iter_trace_records(path, "spc", max_errors=3)) == records
         with pytest.raises(TraceFormatError):
-            parse_spc(path, max_errors=2)
+            list(iter_trace_records(path, "spc", max_errors=2))
         with pytest.raises(TraceFormatError):
-            parse_spc(path)  # strict by default
+            list(iter_trace_records(path, "spc"))  # strict by default
+
+    @pytest.mark.parametrize(
+        "fmt,line",
+        [
+            ("spc", "0,16,4096,R,nan"),
+            ("spc", "0,16,4096,R,-inf"),
+            ("spc", "0,-16,4096,W,0.2"),
+            ("spc", "0,16,-4096,W,0.2"),
+            ("systor", "nan,0.1,R,0,8192,4096"),
+            ("systor", "inf,0.1,R,0,8192,4096"),
+            ("systor", "0.0003,0.1,W,0,-8192,-4096"),
+            ("systor", "0.0003,0.1,W,0,8192,-4096"),
+        ],
+    )
+    def test_out_of_range_input_is_rejected(self, tmp_path, fmt, line):
+        """A non-finite timestamp or a negative offset or size is a malformed
+        line, and a negative ``limit`` is refused like a negative ``max_errors``."""
+        good = "0,16,4096,R,0.1" if fmt == "spc" else "0.1,0.1,R,0,8192,4096"
+        path = tmp_path / ("t.spc" if fmt == "spc" else "t.csv")
+        path.write_text(f"{good}\n{line}\n{good}\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{path}:2") + ".*" + re.escape(repr(line))):
+            list(iter_trace_records(path, fmt))
+        with RecordStream(path, fmt, max_errors=1) as stream:
+            assert len(list(stream)) == 2
+            assert stream.cursor.skipped_lines == 1
+        with pytest.raises(TraceFormatError, match="limit"):
+            RecordStream(path, fmt, limit=-1)
 
     def test_max_errors_must_be_non_negative(self, tmp_path):
         path = tmp_path / "t.spc"
