@@ -4,7 +4,9 @@ These complement the end-to-end figure benchmarks: they measure (with proper
 pytest-benchmark statistics) the per-operation cost of the pieces the paper
 argues are cheap — PLR training, model prediction, bitmap checks, the VPPN
 codec and CMT lookups — so performance regressions in the primitives are caught
-independently of the simulator around them.
+independently of the simulator around them.  ``test_bench_fill_sequential``
+times the one device-level path here, a sequential fill, because every
+preconditioned device pays for it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 
 import pytest
 
+from repro import SSD
 from repro.core.cmt import PageGroupedCMT
 from repro.core.learned.bitmap import Bitmap
 from repro.core.learned.inplace_model import InPlaceLinearModel
@@ -24,6 +27,7 @@ from repro.core.learned.segment import (
 )
 from repro.nand.address import AddressCodec
 from repro.nand.geometry import SSDGeometry
+from repro.replay import state_fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +120,25 @@ def test_bench_cmt_lookup(benchmark):
     for lpn in range(4000):
         cmt.insert(lpn, lpn + 100)
     assert benchmark(lambda: cmt.lookup(2000)) == 2100
+
+
+#: State fingerprint after a 128-page sequential fill of the device below.
+FILL_FINGERPRINTS = {
+    "learnedftl": "90dc75455b34afe8bd86ab01aa8a72ce755e9c33c7db7e6931c7fdc12c295943",
+    "tpftl": "20f8db259d0ed1583c8bdcb21e7e15a6de76207192ea9625c63793e62b711ac4",
+}
+
+
+@pytest.mark.parametrize("ftl_name", sorted(FILL_FINGERPRINTS))
+def test_bench_fill_sequential(benchmark, ftl_name):
+    """128-page sequential writes over a 24 576-LPN device: the columnar
+    multi-page write path (allocation, programs, mapping, CMT) end to end."""
+    geometry = SSDGeometry.small(blocks_per_plane=64, pages_per_block=128)
+    devices = []
+
+    def fresh_device():
+        devices.append(SSD.create(ftl_name, geometry))
+        return (devices[-1],), {}
+
+    benchmark.pedantic(lambda ssd: ssd.fill_sequential(io_pages=128), setup=fresh_device, rounds=3)
+    assert state_fingerprint(devices[-1].state_dict()) == FILL_FINGERPRINTS[ftl_name]

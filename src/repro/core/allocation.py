@@ -302,19 +302,21 @@ class StripingAllocator:
         return ppn
 
     def allocate_run(self, limit: int, min_free_blocks: int) -> list[int]:
-        """Allocate up to ``limit`` data pages in one call (the batched write kernel).
+        """Allocate up to ``limit`` data pages of a write in one call.
 
+        Used by multi-page host writes and the batched write kernel.
         Performs exactly the per-page striping steps ``limit`` sequential
         :meth:`allocate_data_one` calls would — same round-robin pointer
         movement, same free-list pops, same cursor advances — but stops
         *before* any page whose allocation the scalar write path would precede
-        with garbage collection: the caller passes its GC threshold as
+        with garbage collection: the batched kernel passes its GC threshold as
         ``min_free_blocks`` and every page first requires that many completely
         free data blocks (the count is tracked incrementally, so the run costs
         one free-list scan total).  The truncated tail of the run falls back to
         the scalar path, which runs the GC; allocation therefore never needs to
-        be rolled back.  Also stops (instead of raising) when no chip has
-        space, for the same reason.
+        be rolled back.  A multi-page host write, which checks GC once per
+        request, passes ``0``.  Also stops (instead of raising) when no chip
+        has space, so the caller raises where the scalar path does.
         """
         ppns: list[int] = []
         if limit <= 0:
@@ -642,62 +644,86 @@ class GroupAllocator:
         return best
 
     def allocate_run(self, groups: list[int], limit: int, min_free_pages: int) -> list[int]:
-        """Allocate up to ``limit`` data pages in one call (the batched write kernel).
+        """Allocate up to ``limit`` data pages of a write in one call.
 
+        Used by multi-page host writes and the batched write kernel.
         ``groups[j]`` is the owning group of page ``j``.  Only the two
         GC-free branches of :meth:`allocate_page` are served — filling the
         group's own stripes and claiming a fresh stripe — with effects
-        identical to the scalar call (``writes`` counter, cursor advances,
-        free-list pops, ``_layout_epoch`` bumps, ``_free_pages_total``
-        accounting).  The run stops *without any mutation for the stopping
-        page* before any page the scalar write path would precede with
-        proactive GC (``total_free_pages() < min_free_pages``), and at the
-        first page that would need cross-group borrowing or raise
-        :class:`GroupGCNeeded`; the caller's scalar fallback replays those
-        requests through the full machinery.
+        identical to ``limit`` scalar calls (``writes`` counter, cursor
+        advances, free-list pops, ``_layout_epoch`` bumps,
+        ``_free_pages_total`` accounting).  Consecutive pages of one group
+        that land in one stripe are taken as one slice of it, and the PPNs of
+        every slice come from a single VPPN-to-PPN conversion at the end (a
+        stripe *is* a VPPN range, see :meth:`StripeMap.ppn_at`).
+
+        The run stops *without any mutation for the stopping page* before any
+        page the scalar write path would precede with proactive GC
+        (``total_free_pages() < min_free_pages``), and at the first page that
+        would need cross-group borrowing or raise :class:`GroupGCNeeded`; the
+        caller's per-page path serves that page through the full machinery.
         """
-        ppns: list[int] = []
         if limit <= 0:
-            return ppns
+            return []
         groups_state = self._groups
         stripe_cursor = self._stripe_cursor
         cursor_get = stripe_cursor.get
         pages_per_stripe = self.stripe_map.pages_per_stripe
-        ppn_at = self.stripe_map.ppn_at
         free_stripes = self._free_stripes
         stripe_budget = self.group_stripe_limit * self.stripes_per_span
         gc_reserve = self.gc_reserve_stripes
-        append = ppns.append
-        for j in range(limit):
-            if self._free_pages_total < min_free_pages:
-                break
-            state = groups_state[groups[j]]
-            ppn = None
-            for stripe in reversed(state.stripes):
-                cursor = cursor_get(stripe, 0)
-                if cursor < pages_per_stripe:
-                    stripe_cursor[stripe] = cursor + 1
-                    self._free_pages_total -= 1
-                    state.free_pages -= 1
-                    ppn = ppn_at(stripe, cursor)
-                    break
-            if ppn is None:
-                if len(state.stripes) < stripe_budget and len(free_stripes) > gc_reserve:
+        # Every page debits the free-pages total by exactly one (a fresh-stripe
+        # claim moves a full stripe from the free list into the owned set and
+        # leaves the total unchanged), so the proactive-GC stop is a page budget.
+        budget = min(limit, self._free_pages_total - min_free_pages + 1)
+        first_vppns: list[int] = []
+        counts: list[int] = []
+        j = 0
+        while j < budget:
+            group = groups[j]
+            end = j + 1
+            while end < budget and groups[end] == group:
+                end += 1
+            state = groups_state[group]
+            while j < end:
+                stripe = -1
+                for candidate in reversed(state.stripes):
+                    cursor = cursor_get(candidate, 0)
+                    if cursor < pages_per_stripe:
+                        stripe = candidate
+                        break
+                if stripe < 0:
+                    if len(state.stripes) >= stripe_budget or len(free_stripes) <= gc_reserve:
+                        # Borrowing or group GC: the per-page path's business.
+                        budget = j
+                        break
                     # Same step order as allocate_page's fresh-stripe branch
                     # (pop, debit, assign, take), so the incremental
                     # free-pages total moves through identical values.
                     stripe = free_stripes.pop(0)
                     self._free_pages_total -= pages_per_stripe
-                    self._assign_stripe(groups[j], stripe)
-                    stripe_cursor[stripe] = 1
-                    self._free_pages_total -= 1
-                    state.free_pages -= 1
-                    ppn = ppn_at(stripe, 0)
-                else:
-                    break
-            state.writes += 1
-            append(ppn)
-        return ppns
+                    self._assign_stripe(group, stripe)
+                    cursor = 0
+                take = min(end - j, pages_per_stripe - cursor)
+                stripe_cursor[stripe] = cursor + take
+                self._free_pages_total -= take
+                state.free_pages -= take
+                state.writes += take
+                first_vppns.append(stripe * pages_per_stripe + cursor)
+                counts.append(take)
+                j += take
+        if not counts:
+            return []
+        if len(counts) == 1:
+            vppns = np.arange(first_vppns[0], first_vppns[0] + counts[0], dtype=np.int64)
+        else:
+            # Concatenated runs: page i of run r is first_vppns[r] + i.
+            run_counts = np.array(counts, dtype=np.int64)
+            run_starts = np.cumsum(run_counts) - run_counts
+            vppns = np.arange(j, dtype=np.int64) + np.repeat(
+                np.array(first_vppns, dtype=np.int64) - run_starts, run_counts
+            )
+        return self.codec.vppn_to_ppn_many(vppns).tolist()
 
     def take_gc_hints(self) -> list[int]:
         """Groups whose borrow budget overflowed since the last call (and reset them)."""

@@ -59,6 +59,17 @@ _CODE_GC_ERASE = command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)
 # Hoisted enum member: ``encode`` branches on it once per simulated request.
 _READ_OP = OpType.READ
 
+#: Shortest host write served as columns (one allocator call, one program,
+#: directory, invalidation and command scatter for the whole request) rather
+#: than page by page.  Below it NumPy's fixed cost per request (~45 us)
+#: outweighs the per-page Python it replaces.  Measured break-even on a
+#: 2-core x86-64 VM, sequential writes to a fresh ``SSDGeometry.medium()``:
+#: between 16 and 24 pages for LearnedFTL, between 32 and 48 for DFTL, TPFTL,
+#: LeaFTL and the ideal FTL (see docs/architecture.md, "Columnar multi-page
+#: writes").  One value serves every design, so it sits at the slowest
+#: break-even.  Both bodies leave bit-identical device state.
+_MIN_COLUMN_WRITE = 48
+
 
 @dataclass(frozen=True)
 class FTLConfig:
@@ -193,6 +204,7 @@ class FTLBase(ABC):
         self.flash = FlashArray(geometry)
         self.codec = self.flash.codec
         self.directory = MappingDirectory(geometry)
+        self._num_logical_pages = geometry.num_logical_pages
         #: Reusable flat transaction encoding; reset at the start of every
         #: request, consumed directly by ``TimingEngine.execute_buffer``.
         self.buffer = CommandBuffer()
@@ -209,6 +221,11 @@ class FTLBase(ABC):
         This is the hot-path entry point the device drives: the returned
         buffer is ``self.buffer`` (reset and refilled), valid until the next
         ``encode`` call on this FTL.
+
+        A write reaching outside the logical space raises
+        :class:`~repro.nand.errors.GeometryError` naming its first such LPN
+        before anything is counted, observed or mutated; reads of unmapped or
+        out-of-range LPNs are served as zero-fill.
         """
         stats = self.stats
         buffer = self.buffer
@@ -222,6 +239,9 @@ class FTLBase(ABC):
             stats.host_read_pages += request.npages
             self.read(request, now)
         else:
+            first = request.lpn
+            if request.npages > 0 and (first < 0 or first + request.npages > self._num_logical_pages):
+                self.geometry.check_lpn(first if first < 0 else max(first, self._num_logical_pages))
             stats.host_write_requests += 1
             stats.host_write_pages += request.npages
             self.write(request, now)
@@ -234,7 +254,21 @@ class FTLBase(ABC):
     @abstractmethod
     def write(self, request: HostRequest, now: float) -> None:
         """Allocate, program and persist mappings for a host write
-        (encoding into ``self.buffer``)."""
+        (encoding into ``self.buffer``); :meth:`encode` has already checked
+        that the request lies inside the logical space."""
+
+    def _invalidate_superseded(self, lpns: np.ndarray) -> None:
+        """Invalidate the valid flash copies a multi-page write supersedes.
+
+        One directory gather, one page-state gather and one
+        :meth:`FlashArray.invalidate_many` scatter: the columnar form of the
+        per-page ``lookup`` / ``is_valid`` / ``invalidate`` loop (a request's
+        LPNs are distinct, so are their old copies, and invalidation commutes).
+        """
+        old = self.directory.lookup_many(lpns)
+        old = old[old >= 0]
+        old = old[np.frombuffer(self.flash._page_state, dtype=np.uint8)[old] == PAGE_VALID]
+        self.flash.invalidate_many(old)
 
     # -------------------------------------------------------------- helpers
     def data_read_command(self, stage: list, ppn: int, code: int = _CODE_DATA_READ) -> None:
@@ -474,20 +508,27 @@ class StripingFTLBase(FTLBase):
 
     # ---------------------------------------------------------------- write
     def write(self, request: HostRequest, now: float) -> None:
+        """Invalidate, collect, allocate, program and map a host write.
+
+        An overwrite makes the previous physical copy stale the moment the
+        request is accepted; invalidating every superseded copy before
+        allocation lets the GC triggered by this very write reclaim that
+        space.  GC is checked once per request, so the allocation that
+        follows never stops for it.  A request of at least
+        :data:`_MIN_COLUMN_WRITE` pages is written as columns (see
+        :meth:`_write_columns`), a shorter one page by page; both leave the
+        same state.  :meth:`_after_write` then sees the whole request.
+        """
+        if request.npages >= _MIN_COLUMN_WRITE:
+            self._write_columns(request.lpn, request.npages, now)
+            return
         buffer = self.buffer
-        # An overwrite makes the previous physical copy stale the moment the
-        # request is accepted; invalidating it before allocation lets the GC
-        # triggered by this very write reclaim that space.
         flash = self.flash
         directory = self.directory
-        check_lpn = self.geometry.check_lpn
-        num_logical_pages = self.geometry.num_logical_pages
         lookup = directory.lookup
         is_valid = flash.is_valid
         invalidate = flash.invalidate
         for lpn in request.lpns():
-            if lpn < 0 or lpn >= num_logical_pages:
-                check_lpn(lpn)
             old = lookup(lpn)
             if old is not None and is_valid(old):
                 invalidate(old)
@@ -519,8 +560,39 @@ class StripingFTLBase(FTLBase):
             buffer.stages.append(program_stage)
         self._after_write(written, now)
 
+    def _write_columns(self, first: int, npages: int, now: float) -> None:
+        """:meth:`write`'s body for a long request, array-at-a-time.
+
+        One :meth:`_invalidate_superseded` pass, the once-per-request GC
+        check, one ``allocate_run`` for every page (no free-block stop: the GC
+        check is already done), then one directory, one program and one
+        command scatter in page order — the per-page body's effects, with
+        write versions taken in the same order.  When no chip has space left
+        the pages allocated so far are written and :class:`OutOfSpaceError`
+        is raised exactly where the per-page body raises it.
+        """
+        lpns = np.arange(first, first + npages, dtype=np.int64)
+        self._invalidate_superseded(lpns)
+        self._maybe_gc(now)
+        allocator = self.allocator
+        ppn_list = allocator.allocate_run(npages, 0)
+        written = len(ppn_list)
+        ppns = np.array(ppn_list, dtype=np.int64)
+        self.directory.store_many(lpns[:written], ppns)
+        self.flash.program_data_many(ppns, lpns[:written])
+        program_stage = [0.0]
+        self.buffer.extend(program_stage, _CODE_DATA_WRITE, ppns // self.flash._chip_stride, ppns)
+        if written < npages:
+            # No chip has a free page: this raises OutOfSpaceError.
+            allocator.allocate_data_one()
+        self.buffer.stages.append(program_stage)
+        self._after_write(list(zip(range(first, first + npages), ppn_list)), now)
+
     def _after_write(self, written: list[tuple[int, int]], now: float) -> None:
-        """Hook: persist mapping updates (CMT insertions, buffers, models)."""
+        """Hook: persist mapping updates (CMT insertions, buffers, models).
+
+        ``written`` holds the request's ``(lpn, ppn)`` pairs in page order,
+        after every page has been allocated, programmed and mapped."""
 
     # ----------------------------------------------------------------- read
     def read(self, request: HostRequest, now: float) -> None:

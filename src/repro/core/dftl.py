@@ -53,7 +53,6 @@ class DFTL(StripingFTLBase):
         self._cmt_get = self.cmt._entries.get
         self._cmt_refresh = self.cmt._entries.move_to_end
         self._dir_column = self.directory._ppn
-        self._num_logical_pages = geometry.num_logical_pages
         self._ts_read_into = self.translation_store.read_into
 
     # ----------------------------------------------------------------- read

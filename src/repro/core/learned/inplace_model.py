@@ -231,12 +231,15 @@ class InPlaceLinearModel:
         covering the run and the bitmap is rebuilt for it.  Returns ``True``
         when the model was replaced.
         """
-        if len(lpns) < 2 or len(lpns) != len(vppns):
+        count = len(lpns)
+        if count < 2 or count != len(vppns):
             return False
-        for i in range(1, len(lpns)):
-            if lpns[i] != lpns[i - 1] + 1 or vppns[i] != vppns[i - 1] + 1:
-                return False
-        if len(lpns) <= self.trained_length():
+        # Both columns must step by exactly one (compared as whole lists).
+        if list(lpns) != list(range(lpns[0], lpns[0] + count)) or list(vppns) != list(
+            range(vppns[0], vppns[0] + count)
+        ):
+            return False
+        if count <= self.trained_length():
             return False
         first_offset = self.offset_of(lpns[0])
         last_offset = self.offset_of(lpns[-1])

@@ -30,9 +30,9 @@ from collections import deque
 import numpy as np
 
 from repro.core.allocation import GroupAllocator, GroupGCNeeded
-from repro.core.base import FTLBase, FTLConfig
+from repro.core.base import _MIN_COLUMN_WRITE, FTLBase, FTLConfig
 from repro.core.batch import GroupedReadPlanner, GroupWritePlanner
-from repro.core.cmt import EvictedPage, PageGroupedCMT
+from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, EvictedPage, PageGroupedCMT
 from repro.core.learned.inplace_model import (
     BIT_NOT_SET,
     InPlaceLinearModel,
@@ -56,6 +56,7 @@ from repro.ssd.stats import GCEvent, SimulationStats
 
 __all__ = ["LearnedFTL"]
 
+_CODE_DATA_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
 _CODE_GC_READ = command_code(CommandKind.READ, CommandPurpose.GC_READ)
 _CODE_GC_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
 
@@ -86,6 +87,20 @@ class LearnedFTL(FTLBase):
             group_stripe_limit=self.config.group_stripe_limit,
             borrow_threshold_fraction=self.config.borrow_threshold_fraction,
         )
+        # Group GC never writes into the reserve stripes' share of the space,
+        # so a device whose remaining data stripes cannot hold every logical
+        # page would run out of room part-way through its first fill.
+        pages_per_stripe = self.allocator.stripe_map.pages_per_stripe
+        data_stripes = self.allocator.free_stripe_count()
+        reserve = self.allocator.gc_reserve_stripes
+        usable = (data_stripes - reserve) * pages_per_stripe
+        if usable < geometry.num_logical_pages:
+            raise ConfigurationError(
+                f"learnedftl cannot hold the logical space: {usable} usable data pages "
+                f"(({data_stripes} data stripes - {reserve} GC reserve) x {pages_per_stripe} "
+                f"pages per stripe) < {geometry.num_logical_pages} logical pages; "
+                f"raise op_ratio or add blocks"
+            )
         self.translation_store = TranslationPageStore(
             self.flash, self.directory, self.allocator.allocate_translation
         )
@@ -111,7 +126,6 @@ class LearnedFTL(FTLBase):
         self._sequential_streak = 0
         self._gc_old_stripes: set[int] = set()
         self._mappings_per_page = geometry.mappings_per_translation_page
-        self._num_logical_pages = geometry.num_logical_pages
         # Per-lookup constants and live references, hoisted out of the read
         # hot loop (the CMT's page dict and capacity never get reassigned).
         self._charge_compute = self.config.charge_compute
@@ -254,41 +268,137 @@ class LearnedFTL(FTLBase):
 
     # ----------------------------------------------------------------- write
     def write(self, request: HostRequest, now: float) -> None:
+        """Serve a host write, page by page or in columnar chunks.
+
+        The request is observed, the copies it supersedes are invalidated,
+        its pages written, then sequential initialization, hinted group GC
+        and translation-pool GC run.  Overwritten physical copies are stale
+        the moment the request is accepted; invalidating them first lets the
+        group GC triggered by this very write reclaim their space.  A request
+        of at least :data:`~repro.core.base._MIN_COLUMN_WRITE` pages is
+        written in columnar chunks (:meth:`_write_columns`), a shorter one
+        page by page (:meth:`_write_page`); both leave the same state.
+        """
         self._observe_request(request)
-        buffer = self.buffer
-        # Overwritten physical copies are stale the moment the request is
-        # accepted; invalidating them first lets the group GC triggered by this
-        # very write reclaim their space.
-        flash = self.flash
-        directory = self.directory
-        for lpn in request.lpns():
-            self.geometry.check_lpn(lpn)
-            old = directory.lookup(lpn)
-            if old is not None and flash.is_valid(old):
-                flash.invalidate(old)
+        first, npages = request.lpn, request.npages
         # The program stage floats while per-page allocation may commit GC
         # stages and CMT evictions may commit flush stages; it is committed
         # after them, exactly as the object pipeline appended it.
-        program_stage = buffer.new_stage()
-        written: list[tuple[int, int]] = []
-        for lpn in request.lpns():
-            tvpn = directory.tvpn_of(lpn)
-            # Allocation may trigger group GC (which retrains models from the
-            # *current* directory), so the bitmap bit of the overwritten LPN is
-            # cleared only once the new mapping is installed.
-            ppn = self._allocate_for_lpn(lpn, now)
-            directory.update(lpn, ppn)
-            flash.program_data(ppn, lpn)
-            self.models[tvpn].invalidate(lpn)
-            self.program_command(program_stage, ppn)
-            written.append((lpn, ppn))
-            self._handle_evictions(self.cmt.insert(lpn, ppn, dirty=True))
-        buffer.commit_stage(program_stage)
-        if len(written) >= self.config.sequential_init_min_pages:
-            self._sequential_initialization(written)
+        program_stage = [0.0]
+        if npages >= _MIN_COLUMN_WRITE:
+            self._invalidate_superseded(np.arange(first, first + npages, dtype=np.int64))
+            self._write_columns(first, first + npages, program_stage, now)
+        else:
+            flash = self.flash
+            lookup = self.directory.lookup
+            for lpn in request.lpns():
+                old = lookup(lpn)
+                if old is not None and flash.is_valid(old):
+                    flash.invalidate(old)
+            for lpn in request.lpns():
+                self._write_page(lpn, program_stage, now)
+        self.buffer.commit_stage(program_stage)
+        if npages >= self.config.sequential_init_min_pages:
+            self._sequential_initialization(first, npages)
         for hinted_group in self.allocator.take_gc_hints():
             self._group_gc(hinted_group, now)
         self._maybe_translation_gc()
+
+    def _write_page(self, lpn: int, program_stage: list, now: float) -> None:
+        """Allocate, program, map and cache one page of a host write."""
+        # Allocation may trigger group GC (which retrains models from the
+        # *current* directory), so the bitmap bit of the overwritten LPN is
+        # cleared only once the new mapping is installed.
+        ppn = self._allocate_for_lpn(lpn, now)
+        self.directory.update(lpn, ppn)
+        self.flash.program_data(ppn, lpn)
+        self.models[lpn // self._mappings_per_page].invalidate(lpn)
+        self.program_command(program_stage, ppn)
+        self._handle_evictions(self.cmt.insert(lpn, ppn, dirty=True))
+
+    def _write_columns(self, lpn: int, end: int, program_stage: list, now: float) -> None:
+        """Write pages ``lpn .. end - 1`` in maximal chunks of plain pages.
+
+        A chunk is a run of pages the per-page body would serve without
+        anything but an allocation from the group's own stripe or a fresh
+        stripe and a CMT insert that evicts nothing.  It ends before the page
+        that trips the proactive-GC threshold, needs borrowing or group GC
+        (``allocate_run`` stops there), or would make the CMT evict; that
+        page goes through :meth:`_write_page` and the next chunk starts after
+        it.  A chunk must end *before* an evicting insert: a dirty eviction's
+        translation flush takes the next flash write version, so the data
+        programs after it must not be issued ahead of it.
+
+        Below the threshold with no group holding an invalid page (the tail
+        of a fill), the per-page body's proactive GC finds no victim and does
+        nothing, and nothing a chunk does can create one, so the chunk does
+        not stop for the threshold.
+        """
+        allocator = self.allocator
+        lpns_per_group = allocator.lpns_per_group
+        threshold = lpns_per_group + allocator.stripe_map.pages_per_stripe
+        while lpn < end:
+            count = self._insertable_run(lpn, end)
+            if count:
+                groups = [page // lpns_per_group for page in range(lpn, lpn + count)]
+                min_free_pages = threshold
+                if (
+                    allocator.total_free_pages() < threshold
+                    and allocator.gc_candidate(exclude_if_empty=True) is None
+                ):
+                    min_free_pages = 0
+                ppns = allocator.allocate_run(groups, count, min_free_pages)
+                if ppns:
+                    self._write_chunk(lpn, ppns, program_stage)
+                    lpn += len(ppns)
+            if lpn < end:
+                self._write_page(lpn, program_stage, now)
+                lpn += 1
+
+    def _insertable_run(self, lpn: int, end: int) -> int:
+        """How many pages from ``lpn`` (below ``end``) insert into the CMT without evicting.
+
+        Mirrors :meth:`PageGroupedCMT.insert_many`'s size accounting: a page
+        already cached costs nothing, a new page of a cached node one entry,
+        the first page of an uncached node one entry plus the node overhead.
+        """
+        pages = self._cmt_pages
+        room = self.cmt.capacity_entries - self.cmt.memory_entries()
+        mappings_per_page = self._mappings_per_page
+        start = lpn
+        while lpn < end:
+            tvpn = lpn // mappings_per_page
+            stop = min(end, (tvpn + 1) * mappings_per_page)
+            node = pages.get(tvpn)
+            if node is None:
+                need = stop - lpn + PAGE_NODE_OVERHEAD_ENTRIES
+                if need > room:
+                    return lpn - start + max(0, room - PAGE_NODE_OVERHEAD_ENTRIES)
+                room -= need
+            else:
+                for page in range(lpn, stop):
+                    if page not in node:
+                        if room <= 0:
+                            return page - start
+                        room -= 1
+            lpn = stop
+        return lpn - start
+
+    def _write_chunk(self, first: int, ppn_list: list[int], program_stage: list) -> None:
+        """Program, map and cache pages ``first ..`` at their allocated PPNs, as columns."""
+        end = first + len(ppn_list)
+        lpns = np.arange(first, end, dtype=np.int64)
+        ppns = np.array(ppn_list, dtype=np.int64)
+        self.directory.store_many(lpns, ppns)
+        self.flash.program_data_many(ppns, lpns)
+        mappings_per_page = self._mappings_per_page
+        for tvpn in range(first // mappings_per_page, (end - 1) // mappings_per_page + 1):
+            base = tvpn * mappings_per_page
+            self.models[tvpn].bitmap.clear_many(
+                np.arange(max(first, base) - base, min(end, base + mappings_per_page) - base)
+            )
+        self.buffer.extend(program_stage, _CODE_DATA_WRITE, ppns // self.flash._chip_stride, ppns)
+        self.cmt.insert_many(zip(range(first, end), ppn_list), dirty=True)
 
     def _allocate_for_lpn(self, lpn: int, now: float) -> int:
         group = self.allocator.group_of_lpn(lpn)
@@ -316,21 +426,29 @@ class LearnedFTL(FTLBase):
         raise ConfigurationError("group allocation failed to converge after repeated GC")
 
     # ----------------------------------------------- sequential initialization
-    def _sequential_initialization(self, written: list[tuple[int, int]]) -> None:
+    def _sequential_initialization(self, first: int, npages: int) -> None:
         """Section III-E1: update models in place from a sequential write run.
 
         The *current* directory mapping is consulted rather than the PPN
         recorded at program time: a group GC triggered midway through a long
         request may already have relocated the earlier pages, and training on
-        their old locations would plant stale bits in the bitmap filter.
+        their old locations would plant stale bits in the bitmap filter.  A
+        long request's VPPNs come from one ``lookup_many`` + one
+        ``ppn_to_vppn_many``; each GTD entry then sees its slice of the run.
         """
-        runs: dict[int, list[int]] = {}
-        for lpn, _ppn in written:
-            runs.setdefault(self.directory.tvpn_of(lpn), []).append(lpn)
-        for tvpn, lpns in runs.items():
-            lpns = sorted(set(lpns))
-            vppns = [self.codec.ppn_to_vppn(self.directory.require(lpn)) for lpn in lpns]
-            self.models[tvpn].sequential_update(lpns, vppns)
+        end = first + npages
+        if npages >= _MIN_COLUMN_WRITE:
+            ppns = self.directory.lookup_many(np.arange(first, end, dtype=np.int64))
+            vppns = self.codec.ppn_to_vppn_many(ppns).tolist()
+        else:
+            ppn_to_vppn = self.codec.ppn_to_vppn
+            column = self._dir_column
+            vppns = [ppn_to_vppn(column[lpn]) for lpn in range(first, end)]
+        mappings_per_page = self._mappings_per_page
+        for tvpn in range(first // mappings_per_page, (end - 1) // mappings_per_page + 1):
+            lo = max(first, tvpn * mappings_per_page)
+            hi = min(end, (tvpn + 1) * mappings_per_page)
+            self.models[tvpn].sequential_update(range(lo, hi), vppns[lo - first : hi - first])
 
     # ------------------------------------------------------------------- GC
     def _group_gc(self, group: int, now: float) -> None:

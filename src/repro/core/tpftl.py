@@ -59,7 +59,6 @@ class TPFTL(StripingFTLBase):
         self._last_lpn_end: int | None = None
         self._sequential_streak = 0
         self._mappings_per_page = geometry.mappings_per_translation_page
-        self._num_logical_pages = geometry.num_logical_pages
         # The CMT's page dict and capacity never get reassigned, so the
         # prefetch path can hold direct references.
         self._cmt_pages = self.cmt._pages

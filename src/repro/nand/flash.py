@@ -293,7 +293,9 @@ class FlashArray:
         each block the programmed offsets must be exactly the next
         ``count`` pages after ``block_next`` with no duplicates, which is
         equivalent to the scalar per-page check for any in-order allocator
-        run.
+        run.  One sort of the PPN column yields every touched block with its
+        page count and lowest and highest offset, so the cost follows the
+        column, not the device.
         """
         ppns = np.asarray(ppns, dtype=np.int64)
         n = int(ppns.size)
@@ -301,24 +303,35 @@ class FlashArray:
             return
         lpns = np.asarray(lpns, dtype=np.int64)
         state = np.frombuffer(self._page_state, dtype=np.uint8)
-        if np.any(state[ppns] != PAGE_FREE):
-            bad = int(ppns[int(np.argmax(state[ppns] != PAGE_FREE))])
+        not_free = state[ppns] != PAGE_FREE
+        if not_free.any():
+            bad = int(ppns[int(np.argmax(not_free))])
             raise FlashStateError(
                 f"program of non-free page ppn={bad} (state={_STATE_BY_CODE[self._page_state[bad]]})"
             )
         pages_per_block = self._pages_per_block
-        blocks = ppns // pages_per_block
-        offsets = ppns - blocks * pages_per_block
+        ordered = np.sort(ppns)
+        ordered_blocks = ordered // pages_per_block
+        # Sorted, so each touched block is one run: its first index, size,
+        # and lowest and highest programmed offset.
+        starts_run = np.empty(n, dtype=bool)
+        starts_run[0] = True
+        np.not_equal(ordered_blocks[1:], ordered_blocks[:-1], out=starts_run[1:])
+        firsts = np.flatnonzero(starts_run)
+        ends = np.empty_like(firsts)
+        ends[:-1] = firsts[1:]
+        ends[-1] = n
+        counts = ends - firsts
+        touched = ordered_blocks[firsts]
+        bases = touched * pages_per_block
+        lowest = ordered[firsts] - bases
+        highest = ordered[firsts + counts - 1] - bases
         block_next = np.frombuffer(self._block_next, dtype=np.int32)
-        counts = np.zeros_like(block_next)
-        np.add.at(counts, blocks, 1)
-        touched = np.flatnonzero(counts)
-        old_next = block_next[blocks]
-        new_next = old_next + counts[blocks]
+        old_next = block_next[touched]
         if self.enforce_sequential_program and (
-            np.unique(ppns).size != n
-            or np.any(offsets < old_next)
-            or np.any(offsets >= new_next)
+            (ordered[1:] == ordered[:-1]).any()
+            or (lowest != old_next).any()
+            or (highest != old_next + counts - 1).any()
         ):
             raise FlashStateError("out-of-order program in batched write run")
         counter = self._version_counter
@@ -328,11 +341,11 @@ class FlashArray:
             counter + 1, counter + n + 1, dtype=np.int64
         )
         self._version_counter = counter + n
-        # Scalar per-page updates leave block_next at max(old_next, offset+1);
-        # the scatter-max reproduces that even with enforcement switched off.
-        np.maximum.at(block_next, blocks, (offsets + 1).astype(np.int32))
+        # Scalar per-page updates leave block_next at max(old_next, offset+1),
+        # which this reproduces even with enforcement switched off.
+        block_next[touched] = np.maximum(old_next, highest + 1)
         block_valid = np.frombuffer(self._block_valid, dtype=np.int32)
-        block_valid[touched] += counts[touched]
+        block_valid[touched] += counts.astype(np.int32)
         self.total_programs += n
         self._free_pages -= n
 

@@ -418,3 +418,58 @@ class TestResidentGroups:
                         if not flash.page_is_translation(ppn):
                             expected.add(allocator.group_of_lpn(flash.page_lpn_raw(ppn)))
             assert allocator.groups_resident_in_stripes(stripes) == expected
+
+
+class TestGroupAllocateRunParity:
+    """``allocate_run`` takes each group's consecutive pages as one stripe slice;
+    it must hand out the PPNs, and leave the state, of one ``allocate_page``
+    call per page, stopping where the per-page path would borrow, need GC or
+    fall below ``min_free_pages``."""
+
+    @staticmethod
+    def _page_by_page(allocator, groups, limit, min_free_pages):
+        pages_per_stripe = allocator.stripe_map.pages_per_stripe
+        stripe_budget = allocator.group_stripe_limit * allocator.stripes_per_span
+        ppns = []
+        for group in groups[:limit]:
+            if allocator.total_free_pages() < min_free_pages:
+                return ppns, "min_free_pages"
+            stripes = allocator.stripes_of_group(group)
+            if not any(allocator._stripe_cursor.get(s, 0) < pages_per_stripe for s in stripes):
+                if len(stripes) >= stripe_budget:
+                    return ppns, "stripe_budget"
+                if allocator.free_stripe_count() <= allocator.gc_reserve_stripes:
+                    return ppns, "gc_reserve"
+            ppn, owner = allocator.allocate_page(group)
+            assert owner == group
+            ppns.append(ppn)
+        return ppns, "complete"
+
+    @pytest.mark.parametrize("group_stripe_limit", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_ppns_and_state_as_allocate_page(self, geometry, group_stripe_limit, seed):
+        run_side = GroupAllocator(geometry, FlashArray(geometry), group_stripe_limit=group_stripe_limit)
+        page_side = GroupAllocator(geometry, FlashArray(geometry), group_stripe_limit=group_stripe_limit)
+        rng = random.Random(seed)
+        stops = set()
+        fresh_claims = 0
+        for _ in range(60):
+            groups = []
+            for _ in range(rng.randint(1, 4)):
+                groups += [rng.randrange(run_side.num_groups)] * rng.randint(1, 40)
+            limit = rng.randint(1, len(groups))
+            min_free_pages = 0
+            if rng.random() < 0.3:
+                min_free_pages = run_side.total_free_pages() - rng.randrange(limit)
+            epoch = run_side._layout_epoch
+            ppns = run_side.allocate_run(groups, limit, min_free_pages)
+            expected, stop = self._page_by_page(page_side, groups, limit, min_free_pages)
+            assert ppns == expected
+            assert run_side.state_dict() == page_side.state_dict()
+            assert [s.free_pages for s in run_side._groups] == [s.free_pages for s in page_side._groups]
+            stops.add(stop)
+            fresh_claims += run_side._layout_epoch - epoch
+        assert fresh_claims > 0
+        assert {"complete", "min_free_pages"} <= stops
+        # One stripe per group meets its budget first; two run the free list down to the reserve.
+        assert ("stripe_budget" if group_stripe_limit == 1 else "gc_reserve") in stops

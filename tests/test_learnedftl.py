@@ -9,6 +9,7 @@ import pytest
 from repro import SSDGeometry
 from repro.core.base import FTLConfig
 from repro.core.learnedftl import LearnedFTL
+from repro.nand.errors import ConfigurationError
 from repro.replay import state_fingerprint
 from repro.snapshot import warm_device
 from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
@@ -303,3 +304,22 @@ class TestEmergencyWriteBack:
         assert ssd.stats.read_outcomes[ReadOutcome.TRIPLE_READ] == 0
         assert state_fingerprint(ssd.state_dict()) == self.STATE_SHA
         assert ssd.stats.summary() == self.SUMMARY
+
+
+class TestCapacityCheck:
+    """Group GC never writes into the reserve stripes, so a geometry whose other
+    data stripes cannot hold the logical space is refused at construction
+    instead of running out of room part-way through its first fill."""
+
+    @pytest.mark.parametrize(("op_ratio", "logical_pages"), [(0.1, 1843), (0.07, 1904)])
+    def test_too_little_over_provisioning_is_refused(self, op_ratio, logical_pages):
+        with pytest.raises(
+            ConfigurationError, match=rf"1792 usable data pages .* < {logical_pages} logical pages"
+        ):
+            make_ssd("learnedftl", SSDGeometry.small(op_ratio=op_ratio))
+
+    def test_exactly_enough_space_fills_and_verifies(self):
+        ssd = make_ssd("learnedftl", SSDGeometry.small(op_ratio=0.125))
+        assert ssd.geometry.num_logical_pages == 1792
+        ssd.fill_sequential()
+        ssd.verify()
