@@ -24,7 +24,8 @@ per-stream ``stream_free`` clocks, the arrival-time origin and the running
 request/chunk counters.  Checkpoints are published atomically (write to a
 temp sibling, rename), so a kill during a checkpoint write can never corrupt
 an existing one; a corrupt checkpoint found at resume time is skipped with a
-warning in favour of the previous one.
+warning in favour of the previous one, and renamed ``refused-ckpt-NNNNNN`` so
+the resumed run can publish that sequence number afresh.
 
 What is *not* checkpointed: event-tracer buffers (a resumed run's Chrome
 trace covers events since the resume) and wall-clock timings.  Everything
@@ -78,6 +79,7 @@ REPLAY_MANIFEST_VERSION = 1
 _MANIFEST_NAME = "manifest.json"
 _CHECKPOINT_DIR = "checkpoints"
 _CHECKPOINT_PREFIX = "ckpt-"
+_REFUSED_PREFIX = "refused-"
 
 
 class ReplayError(RuntimeError):
@@ -380,7 +382,10 @@ class ReplaySession:
         temp = self.checkpoints_dir / f".{final.name}.tmp"
         shutil.rmtree(temp, ignore_errors=True)
         save_snapshot(temp, state)
-        publish_dir(temp, final)
+        if not publish_dir(temp, final):
+            # Resume moves refused checkpoints aside, so nothing should be
+            # here; keeping the old copy would leave it shadowing this one.
+            raise ReplayError(f"cannot publish checkpoint {final}: the directory exists")
         self._prune_checkpoints()
         return state["device"]
 
@@ -391,12 +396,23 @@ class ReplaySession:
             shutil.rmtree(stale, ignore_errors=True)
 
     def _load_latest_checkpoint(self) -> dict[str, Any] | None:
-        """Newest loadable checkpoint state, skipping corrupt ones with a warning."""
+        """Newest loadable checkpoint state, skipping corrupt ones with a warning.
+
+        A refused checkpoint is renamed out of :meth:`checkpoint_paths`'s
+        view (``refused-ckpt-NNNNNN``): the resumed run rewrites its sequence
+        number, and the new copy must not find the old one in its way.
+        """
         for path in reversed(self.checkpoint_paths()):
             try:
                 return load_snapshot(path)
             except SnapshotError as exc:
-                message = f"skipping corrupt replay checkpoint {path.name}: {exc}"
+                refused = path.with_name(f"{_REFUSED_PREFIX}{path.name}")
+                shutil.rmtree(refused, ignore_errors=True)
+                path.replace(refused)
+                message = (
+                    f"skipping corrupt replay checkpoint {path.name} "
+                    f"(moved aside to {refused.name}): {exc}"
+                )
                 warnings.warn(message, RuntimeWarning, stacklevel=2)
                 self._log(message)
         return None

@@ -18,6 +18,7 @@ import hashlib
 import json
 import random
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,38 @@ class TestCrashResume:
         assert resumed.finished
         assert resumed.resumed_from == 1
         assert_identical(resumed, baseline("learnedftl"))
+
+    def test_paused_resumes_past_a_refused_checkpoint_make_progress(
+        self, trace_file, baseline, tmp_path
+    ):
+        # The first resume falls back to checkpoint 1 and rewrites ckpt-000002;
+        # the refused copy must not shadow the rewrite, or every later resume
+        # falls back to checkpoint 1 again and the run never finishes.
+        run_dir = tmp_path / "run"
+        session = ReplaySession(make_plan(trace_file), run_dir)
+        session.run(stop_after_checkpoints=2)
+        flip_archive_payload_byte(session.checkpoint_paths()[-1] / "arrays.npz")
+        progress = []
+        for _ in range(8):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                result = session.run(resume=True, stop_after_checkpoints=1)
+            progress.append((result.resumed_from, result.requests))
+            if result.finished:
+                break
+        assert result.finished, progress
+        assert [seq for seq, _ in progress[:3]] == [1, 2, 3]
+        assert (run_dir / "checkpoints" / "refused-ckpt-000002").is_dir()
+        assert_identical(result, baseline("dftl"))
+
+    def test_a_checkpoint_that_cannot_be_published_is_an_error(
+        self, trace_file, tmp_path, monkeypatch
+    ):
+        import repro.replay.engine as engine
+
+        monkeypatch.setattr(engine, "publish_dir", lambda temp, final: False)
+        with pytest.raises(ReplayError, match="cannot publish checkpoint .*ckpt-000001"):
+            ReplaySession(make_plan(trace_file), tmp_path / "run").run()
 
     @pytest.mark.parametrize("ftl", ["dftl", "learnedftl"])
     def test_state_sha_is_the_checkpointed_device(self, ftl, trace_file, tmp_path):

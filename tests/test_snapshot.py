@@ -13,10 +13,15 @@ import io
 import json
 import random
 import shutil
+import tempfile
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from golden_workload import WORKLOAD_SEED, golden_geometry
 from tests.conftest import flip_archive_payload_byte
@@ -247,11 +252,14 @@ class TestArchiveWriter:
         assert not (tmp_path / "snap" / "arrays.npz").exists()
 
     def test_placeholder_absent_from_the_archive_is_refused(self, tmp_path):
-        path = save_snapshot(tmp_path / "snap", {"x": np.arange(4)})
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["state"]["y"] = {"__ndarray__": "a7"}
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(SnapshotError, match="'a7'") as excinfo:
+        # The manifest is left intact (its digest would refuse an edit), and
+        # the archive is rewritten without the second column's member.
+        path = save_snapshot(tmp_path / "snap", {"x": np.arange(4), "y": np.arange(2)})
+        with zipfile.ZipFile(path / "arrays.npz") as archive:
+            kept = archive.read("a0.npy")
+        with zipfile.ZipFile(path / "arrays.npz", "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("a0.npy", kept)
+        with pytest.raises(SnapshotError, match="'a1'") as excinfo:
             load_snapshot(path)
         assert isinstance(excinfo.value.__cause__, KeyError)
 
@@ -278,16 +286,173 @@ class TestArchiveWriter:
             load_snapshot(path)
 
 
+#: A format-1 image (columns stored as-is, no manifest digest) written by the
+#: format-1 writer: ``SSDGeometry.small()`` learnedftl after
+#: ``fill_sequential(io_pages=16)`` and
+#: ``overwrite_random(pages=400, io_pages=4, seed=3)``.
+FORMAT_1_IMAGE = Path(__file__).parent / "data" / "snapshot_format1"
+
+
+class TestFormatOneImage:
+    """Images written before the column encoding changed still load, unchanged."""
+
+    def test_loads_and_restores_to_the_fingerprints_pinned_when_it_was_written(self):
+        manifest = json.loads((FORMAT_1_IMAGE / "manifest.json").read_text())
+        assert set(manifest) == {"format", "state"} and manifest["format"] == 1
+        assert state_fingerprint(load_snapshot(FORMAT_1_IMAGE)) == (
+            "10c13ff09dd894c518b76a217e524e0f0a13f5c39d9f99e91dd8b167a302a3c6"
+        )
+        restored = SSD.restore(FORMAT_1_IMAGE)
+        restored.verify()
+        assert state_fingerprint(restored.state_dict()) == (
+            "d43cb4e104ec886e758396c830f44ef6c1bbb5907b020dd99ed5d50a269a3883"
+        )
+
+    def test_rewritten_in_the_current_format_it_loads_to_the_same_tree(self, tmp_path):
+        state = load_snapshot(FORMAT_1_IMAGE)
+        path = save_snapshot(tmp_path / "image", state)
+        assert json.loads((path / "manifest.json").read_text())["format"] == (
+            SNAPSHOT_FORMAT_VERSION
+        )
+        assert state_fingerprint(load_snapshot(path)) == state_fingerprint(state)
+        assert sum(f.stat().st_size for f in path.iterdir()) < sum(
+            f.stat().st_size for f in FORMAT_1_IMAGE.iterdir()
+        )
+
+    def test_a_format_1_manifest_with_format_2_fields_is_refused(self, tmp_path):
+        image = shutil.copytree(FORMAT_1_IMAGE, tmp_path / "image")
+        manifest = json.loads((image / "manifest.json").read_text())
+        manifest["columns"] = {}
+        (image / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SnapshotError, match="format-1"):
+            load_snapshot(image)
+
+
+#: Integer values at and one past every narrowing boundary, and the extremes.
+_BOUNDARY_INTS = sorted(
+    {0, 1, -1}
+    | {sign * 2**bits + delta for bits in (7, 8, 15, 16, 31, 32) for sign in (1, -1)
+       for delta in (-1, 0, 1)}
+    | {int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max), int(np.iinfo(np.uint64).max)}
+)
+_COLUMN_DTYPES = [
+    np.dtype(f"{order}{kind}{size}")
+    for kind in "iu" for size in (1, 2, 4, 8) for order in "<>"
+] + [np.dtype("<f8"), np.dtype(">f8"), np.dtype("<f4"), np.dtype(bool)]
+
+
+@st.composite
+def _columns(draw) -> np.ndarray:
+    """A column of any snapshot dtype, shape, memory layout and byte order."""
+    dtype = draw(st.sampled_from(_COLUMN_DTYPES))
+    shape = draw(st.sampled_from([(), (0,), (7,), (33,), (4, 5), (0, 3)]))
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        in_range = [value for value in _BOUNDARY_INTS if info.min <= value <= info.max]
+        elements = st.sampled_from(in_range) | st.integers(int(info.min), int(info.max))
+        column = hnp.arrays(dtype, shape, elements=elements)
+    elif dtype.kind == "f":
+        # Raw bit patterns: NaN payloads, -0.0, +-inf and subnormals included.
+        bits = np.dtype(f"{dtype.byteorder}u{dtype.itemsize}")
+        column = hnp.arrays(bits, shape).map(lambda raw: raw.view(dtype))
+    else:
+        column = hnp.arrays(dtype, shape)
+    column = draw(column)
+    layout = draw(st.sampled_from(["as-is", "strided", "transposed", "fortran"]))
+    if layout == "strided" and column.ndim:
+        column = np.repeat(column, 2, axis=0)[::2]
+    elif layout == "transposed":
+        column = column.T
+    elif layout == "fortran":
+        column = np.asfortranarray(column)
+    return column
+
+
+class TestColumnEncoding:
+    """Narrowing and byte planes are lossless and take the narrowest dtype."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(columns=st.lists(_columns(), min_size=1, max_size=4))
+    def test_any_column_roundtrips_byte_for_byte(self, columns):
+        with tempfile.TemporaryDirectory() as tmp:
+            loaded = load_snapshot(save_snapshot(Path(tmp) / "snap", {"columns": columns}))
+        assert len(loaded["columns"]) == len(columns)
+        for original, column in zip(columns, loaded["columns"]):
+            assert column.dtype == original.dtype and column.dtype.str == original.dtype.str
+            assert column.shape == original.shape
+            assert column.tobytes() == original.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, dtype, stored",
+        [
+            ([-(2**7), 2**7 - 1], "<i8", "|i1"),
+            ([-(2**7) - 1], "<i8", "<i2"),
+            ([2**7], ">i4", "<i2"),
+            ([2**15], "<i8", "<i4"),
+            ([-(2**31)], "<i8", "<i4"),
+            ([2**31], "<i8", "<i8"),
+            ([int(np.iinfo(np.int64).min)], ">i8", "<i8"),
+            ([2**8 - 1], "<u8", "|u1"),
+            ([2**8], "<u8", "<u2"),
+            ([2**32 - 1], "<u8", "<u4"),
+            ([2**32], "<u8", "<u8"),
+            ([], "<i8", "|i1"),
+            ([1.0], "<f8", "<f8"),
+            ([True], "|b1", "|b1"),
+        ],
+    )
+    def test_column_is_stored_in_the_narrowest_dtype_of_its_kind(
+        self, tmp_path, values, dtype, stored
+    ):
+        path = save_snapshot(tmp_path / "snap", {"x": np.asarray(values, dtype=dtype)})
+        manifest = json.loads((path / "manifest.json").read_text())
+        assert manifest["columns"]["a0"] == {
+            "dtype": np.dtype(dtype).str, "stored": stored, "shape": [len(values)]
+        }
+        with np.load(path / "arrays.npz") as members:
+            member = members["a0"]
+        width = np.dtype(stored).itemsize
+        if width > 1:
+            assert (member.dtype, member.shape) == (np.uint8, (width, len(values)))
+        else:
+            assert member.dtype == np.dtype(stored)
+
+    @pytest.mark.parametrize(
+        "member",
+        [np.zeros((4, 3), np.uint8), np.zeros((8, 2), np.uint8), np.zeros(3, np.int32)],
+        ids=["too-few-planes", "too-few-values", "not-planes"],
+    )
+    def test_a_member_that_disagrees_with_the_manifest_is_refused_by_column(
+        self, tmp_path, member
+    ):
+        # The manifest says a1 is int64 stored as eight planes of three values.
+        path = save_snapshot(
+            tmp_path / "snap", {"x": np.arange(2), "y": np.asarray([0, 1, 2**40])}
+        )
+        with zipfile.ZipFile(path / "arrays.npz") as archive:
+            kept = archive.read("a0.npy")
+        buffer = io.BytesIO()
+        np.lib.format.write_array(buffer, member)
+        with zipfile.ZipFile(path / "arrays.npz", "w", zipfile.ZIP_DEFLATED) as archive:
+            archive.writestr("a0.npy", kept)
+            archive.writestr("a1.npy", buffer.getvalue())
+        with pytest.raises(SnapshotError, match="'a1'") as excinfo:
+            load_snapshot(path)
+        assert "the manifest says" in str(excinfo.value)
+
+
 class TestFaultSweep:
     """Seeded damage to either file: refused by name, or loaded bit-identical.
 
-    ``arrays.npz`` is covered by zip's per-member CRC-32, so its bytes are
-    XORed with arbitrary masks.  ``manifest.json`` carries no checksum — only
-    damage that breaks its encoding, syntax or structure can be seen — so its
-    bytes are inverted, which always leaves invalid UTF-8.
+    ``arrays.npz`` is covered by zip's per-member CRC-32 and ``manifest.json``
+    by the sha256 it carries, so any damage to either is seen.  Archive bytes
+    are XORed with arbitrary masks; manifest bytes are inverted (invalid
+    UTF-8) or have a single bit flipped (mostly still valid JSON, which only
+    the digest can catch).
     """
 
     FLIPS = 200
+    BIT_FLIPS = 3000
 
     @pytest.mark.parametrize("name", ["arrays.npz", "manifest.json"])
     def test_every_damaged_image_is_refused_or_loads_bit_identical(
@@ -319,6 +484,29 @@ class TestFaultSweep:
                 # Anything but SnapshotError propagates and fails the test.
                 assert state_fingerprint(loaded) == sha
         assert refused >= self.FLIPS // 2
+
+    def test_every_single_bit_flip_of_the_manifest_is_refused_or_loads_bit_identical(
+        self, small_image, tmp_path
+    ):
+        # Most of these flips leave valid JSON that only the digest can catch.
+        pristine_image, sha = small_image
+        image = shutil.copytree(pristine_image, tmp_path / "image")
+        target = image / "manifest.json"
+        pristine = target.read_bytes()
+        rng = random.Random(20242)
+        refused = 0
+        for _ in range(self.BIT_FLIPS):
+            data = bytearray(pristine)
+            data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            target.write_bytes(bytes(data))
+            try:
+                loaded = load_snapshot(image)
+            except SnapshotError as exc:
+                assert str(image) in str(exc)
+                refused += 1
+            else:
+                assert state_fingerprint(loaded) == sha
+        assert refused >= self.BIT_FLIPS * 9 // 10
 
     def test_store_counts_a_flipped_image_as_a_miss_and_repairs_it(self, tmp_path):
         store = SnapshotStore(tmp_path)
