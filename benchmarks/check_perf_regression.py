@@ -45,10 +45,6 @@ TRACKED_METRICS = (
     "requests_per_second",
     "randread_requests_per_second",
     "randread_batched_requests_per_second",
-    "randwrite_requests_per_second",
-    "randwrite_batched_requests_per_second",
-    "mixed_requests_per_second",
-    "mixed_batched_requests_per_second",
 )
 
 #: Per-FTL batched/scalar speedup ratios gated against an absolute floor of
@@ -56,11 +52,7 @@ TRACKED_METRICS = (
 #: Both sides of each ratio come from the same run on the same machine, so
 #: these are **never** machine-scaled — a slow CI runner slows both modes
 #: equally and the ratio still isolates code regressions.
-TRACKED_RATIO_METRICS = (
-    "batched_vs_scalar_speedup",
-    "randwrite_batched_vs_scalar_speedup",
-    "mixed_batched_vs_scalar_speedup",
-)
+TRACKED_RATIO_METRICS = ("batched_vs_scalar_speedup",)
 RATIO_FLOOR = 1.0
 
 #: Top-level ``micro`` metrics gated the same way (higher is better).

@@ -9,14 +9,9 @@ trajectory is tracked across PRs:
   through the scalar loop and through the batched kernel
   (``SSD.run(..., batch=N)``), for **all five FTL designs**.  Both phases
   consume a :class:`RequestBatch`, so the ratio compares execution modes, not
-  request representations.
-* **randwrite / mixed** — single-page hot-set writes and a 50/50 read/write
-  burst mix through both modes, for every design with a batched write planner.
-  These run on a **half-filled** device (GC quiescent — a fully filled medium
-  device sits permanently at the GC threshold and both modes just measure the
-  cleaner) and the hot set is written once before timing, so the numbers are
-  steady-state kernel throughput rather than the one-time CMT warm-up
-  transient.
+  request representations.  Writes take the request step in both modes, so
+  no write phase is timed here; the ledger's ``overwrite_gc`` workload
+  measures the write path.
 * **micro** — ``lookup_many``/``probe_many`` rates of the mapping layer's
   batch probes, and the orchestrator's per-task dispatch overhead.
 * **replay** — the streaming checkpointed trace-replay stack end to end: a
@@ -31,9 +26,9 @@ trajectory is tracked across PRs:
   baseline: attaching the observability seams must cost the unobserved hot
   path nothing.
 
-Every mode pair also records a ``*batched_vs_scalar_speedup`` ratio; the
-perf-regression gate holds those at >= 1.0 (batch mode must never lose to the
-scalar loop on the same machine).
+The randread mode pair also records a ``batched_vs_scalar_speedup`` ratio;
+the perf-regression gate holds it at >= 1.0 (batch mode must never lose to
+the scalar loop on the same machine).
 
 Run either way::
 
@@ -57,9 +52,6 @@ from repro.ssd.request import RequestBatch
 
 #: Designs timed on the randread phases (all of them).
 FTL_NAMES = ("dftl", "tpftl", "leaftl", "learnedftl", "ideal")
-#: Designs timed on the write/mixed phases: those with a batched write
-#: planner.  LeaFTL's write buffer keeps its write path scalar by design.
-WRITE_FTL_NAMES = ("dftl", "tpftl", "learnedftl", "ideal")
 RANDREAD_REQUESTS = 50_000
 #: Batch size / worker count of the orchestrator dispatch-overhead probe.
 DISPATCH_TASKS = 64
@@ -67,17 +59,6 @@ DISPATCH_JOBS = 2
 #: The batched phases run longer storms: the array-at-a-time kernel amortizes
 #: per-chunk costs over enough requests to show its steady state.
 RANDREAD_BATCHED_REQUESTS = 200_000
-RANDWRITE_REQUESTS = 30_000
-RANDWRITE_BATCHED_REQUESTS = 100_000
-#: Hot-set size of the write phases: comfortably inside every design's CMT on
-#: the medium geometry (3686 entries for learnedftl is the smallest), so after
-#: the untimed warm pass the planners commit runs through the array path
-#: instead of refusing at the capacity check.
-WRITE_HOT_LPNS = 2048
-#: Requests per op-class burst in the mixed phase.  Per-request alternation
-#: would cap every run at ~2 requests; real mixed workloads (fio rwmixread)
-#: interleave at queue-depth granularity, which is what run-length-64 models.
-MIXED_BURST = 64
 BATCH_SIZE = 4096
 RUN_THREADS = 4
 SEED = 42
@@ -167,59 +148,6 @@ def bench_ftl(ftl_name: str) -> dict:
         "randread_batched_requests_per_second": round(batched_rps, 1),
         "batched_vs_scalar_speedup": round(batched_rps / scalar_rps, 3),
     }
-
-
-def _steady_state_device(ftl_name: str, geometry: SSDGeometry) -> SSD:
-    """A device in the write phases' steady state: half-filled, hot set cached.
-
-    Half-filled because a *fully* filled medium device ends its fill below the
-    GC threshold, so every subsequent write pays a multi-hundred-page cleaning
-    storm and the measurement compares garbage collectors, not kernels.  The
-    untimed hot-set pass moves the one-time CMT warm-up (first-touch inserts
-    refuse at capacity and fall back scalar, evicting dirty fill entries)
-    out of the timed region for both modes equally.
-    """
-    ssd = SSD.create(ftl_name, geometry)
-    ssd.fill_sequential(io_pages=128, fraction=0.5)
-    ssd.run(RequestBatch.writes(np.arange(WRITE_HOT_LPNS, dtype=np.int64)), threads=RUN_THREADS)
-    return ssd
-
-
-def _hot_writes(count: int) -> RequestBatch:
-    rng = np.random.default_rng(SEED)
-    return RequestBatch.writes(rng.integers(0, WRITE_HOT_LPNS, size=count))
-
-
-def _hot_mixed(count: int) -> RequestBatch:
-    rng = np.random.default_rng(SEED)
-    lpns = rng.integers(0, WRITE_HOT_LPNS, size=count)
-    ops = (np.arange(count) // MIXED_BURST % 2).astype(np.int8)
-    return RequestBatch(ops=ops, lpns=lpns, npages=np.ones(count, dtype=np.int64))
-
-
-def bench_ftl_writes(ftl_name: str) -> dict:
-    """Time hot-set randwrite and 50/50 mixed phases, scalar vs batched.
-
-    Each of the four timings gets a fresh steady-state device so the modes
-    see identical cache and free-space conditions.
-    """
-    geometry = SSDGeometry.medium()
-    row: dict = {}
-    for phase, build in (("randwrite", _hot_writes), ("mixed", _hot_mixed)):
-        rates = {}
-        for mode, batch, count in (
-            ("scalar", None, RANDWRITE_REQUESTS),
-            ("batched", BATCH_SIZE, RANDWRITE_BATCHED_REQUESTS),
-        ):
-            ssd = _steady_state_device(ftl_name, geometry)
-            seconds, completed = _timed_run(ssd, build(count), batch=batch)
-            rates[mode] = completed / max(seconds, 1e-9)
-            key = phase if mode == "scalar" else f"{phase}_batched"
-            row[f"{key}_seconds"] = round(seconds, 3)
-            row[f"{key}_requests"] = completed
-            row[f"{key}_requests_per_second"] = round(rates[mode], 1)
-        row[f"{phase}_batched_vs_scalar_speedup"] = round(rates["batched"] / rates["scalar"], 3)
-    return row
 
 
 def bench_obs() -> dict:
@@ -368,17 +296,6 @@ def run_benchmark(output: Path = DEFAULT_OUTPUT) -> dict:
             f"{results[name]['randread_batched_requests_per_second']} req/s batched "
             f"({results[name]['batched_vs_scalar_speedup']}x)"
         )
-    for name in WRITE_FTL_NAMES:
-        results[name].update(bench_ftl_writes(name))
-        print(
-            f"[perf_smoke] {name}: randwrite "
-            f"{results[name]['randwrite_requests_per_second']} req/s scalar, "
-            f"{results[name]['randwrite_batched_requests_per_second']} req/s batched "
-            f"({results[name]['randwrite_batched_vs_scalar_speedup']}x); mixed "
-            f"{results[name]['mixed_requests_per_second']} req/s scalar, "
-            f"{results[name]['mixed_batched_requests_per_second']} req/s batched "
-            f"({results[name]['mixed_batched_vs_scalar_speedup']}x)"
-        )
     micro = micro_benchmark()
     micro["orchestrator_dispatch_overhead_us"] = round(dispatch_benchmark(), 1)
     print(
@@ -404,10 +321,6 @@ def run_benchmark(output: Path = DEFAULT_OUTPUT) -> dict:
         "geometry": "medium",
         "randread_requests": RANDREAD_REQUESTS,
         "randread_batched_requests": RANDREAD_BATCHED_REQUESTS,
-        "randwrite_requests": RANDWRITE_REQUESTS,
-        "randwrite_batched_requests": RANDWRITE_BATCHED_REQUESTS,
-        "write_hot_lpns": WRITE_HOT_LPNS,
-        "mixed_burst": MIXED_BURST,
         "batch_size": BATCH_SIZE,
         "run_threads": RUN_THREADS,
         "python": platform.python_version(),
@@ -432,10 +345,6 @@ def test_perf_smoke(tmp_path):
         assert result["fill_pages"] > 0, name
         assert result["randread_batched_requests_per_second"] > 0, name
         assert result["batched_vs_scalar_speedup"] > 0, name
-    for name in WRITE_FTL_NAMES:
-        result = report["results"][name]
-        assert result["randwrite_batched_requests_per_second"] > 0, name
-        assert result["mixed_batched_requests_per_second"] > 0, name
     assert report["micro"]["lookup_many_lpns_per_second"] > 0
     assert report["micro"]["orchestrator_dispatch_overhead_us"] > 0
     assert report["obs"]["obs_disabled_requests_per_second"] > 0

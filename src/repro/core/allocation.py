@@ -301,30 +301,20 @@ class StripingAllocator:
         self._block_cursor[active] = cursor + 1
         return ppn
 
-    def allocate_run(self, limit: int, min_free_blocks: int) -> list[int]:
-        """Allocate up to ``limit`` data pages of a write in one call.
+    def allocate_run(self, limit: int) -> list[int]:
+        """Allocate up to ``limit`` data pages of a multi-page host write in one call.
 
-        Used by multi-page host writes and the batched write kernel.
         Performs exactly the per-page striping steps ``limit`` sequential
         :meth:`allocate_data_one` calls would — same round-robin pointer
-        movement, same free-list pops, same cursor advances — but stops
-        *before* any page whose allocation the scalar write path would precede
-        with garbage collection: the batched kernel passes its GC threshold as
-        ``min_free_blocks`` and every page first requires that many completely
-        free data blocks (the count is tracked incrementally, so the run costs
-        one free-list scan total).  The truncated tail of the run falls back to
-        the scalar path, which runs the GC; allocation therefore never needs to
-        be rolled back.  A multi-page host write, which checks GC once per
-        request, passes ``0``.  Also stops (instead of raising) when no chip
-        has space, so the caller raises where the scalar path does.
+        movement, same free-list pops, same cursor advances.  The write checks
+        GC once per request, before allocating, so the run never stops for
+        it.  Stops (instead of raising) when no chip has space, so the caller
+        raises where the per-page body does.
         """
         ppns: list[int] = []
         if limit <= 0:
             return ppns
         free_lists = self._free_blocks_per_chip
-        free_blocks = 0
-        for blocks in free_lists.values():
-            free_blocks += len(blocks)
         num_chips = self.geometry.num_chips
         chip_order = self._chip_order
         active_map = self._active_block
@@ -334,15 +324,14 @@ class StripingAllocator:
         block_base_ppn = self.codec.block_base_ppn
         append = ppns.append
         rr = self._rr_pointer
-        while len(ppns) < limit and free_blocks >= min_free_blocks:
+        while len(ppns) < limit:
             allocated = None
             for attempt in range(num_chips):
                 slot = rr + attempt
                 if slot >= num_chips:
                     slot -= num_chips
                 chip = chip_order[slot]
-                # Inlined _allocate_on_chip, with the free-block count kept
-                # current across free-list pops.
+                # Inlined _allocate_on_chip.
                 active = active_map[chip]
                 if active is not None and cursor_get(active, 0) >= pages_per_block:
                     active = None
@@ -352,7 +341,6 @@ class StripingAllocator:
                         active_map[chip] = None
                         continue
                     active = free_list.pop(0)
-                    free_blocks -= 1
                     active_map[chip] = active
                     cursor_map[active] = 0
                 cursor = cursor_map[active]
@@ -363,8 +351,8 @@ class StripingAllocator:
                     rr = 0
                 break
             if allocated is None:
-                # Scalar allocate_data_one would raise OutOfSpaceError here;
-                # leave the request to the scalar fallback so it does.
+                # allocate_data_one would raise OutOfSpaceError here; the
+                # caller calls it so that it does.
                 break
             append(allocated)
         self._rr_pointer = rr
@@ -646,9 +634,9 @@ class GroupAllocator:
     def allocate_run(self, groups: list[int], limit: int, min_free_pages: int) -> list[int]:
         """Allocate up to ``limit`` data pages of a write in one call.
 
-        Used by multi-page host writes and the batched write kernel.
-        ``groups[j]`` is the owning group of page ``j``.  Only the two
-        GC-free branches of :meth:`allocate_page` are served — filling the
+        Used by multi-page host writes.  ``groups[j]`` is the owning group of
+        page ``j``.  Only the two GC-free branches of :meth:`allocate_page`
+        are served — filling the
         group's own stripes and claiming a fresh stripe — with effects
         identical to ``limit`` scalar calls (``writes`` counter, cursor
         advances, free-list pops, ``_layout_epoch`` bumps,

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.allocation import StripingAllocator
 from repro.core.mapping import MappingDirectory, TranslationPageStore
-from repro.nand.errors import ConfigurationError
+from repro.nand.errors import ConfigurationError, GeometryError
 from repro.nand.flash import PAGE_FREE, PAGE_VALID, FlashArray
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -222,11 +222,17 @@ class FTLBase(ABC):
         buffer is ``self.buffer`` (reset and refilled), valid until the next
         ``encode`` call on this FTL.
 
-        A write reaching outside the logical space raises
-        :class:`~repro.nand.errors.GeometryError` naming its first such LPN
-        before anything is counted, observed or mutated; reads of unmapped or
-        out-of-range LPNs are served as zero-fill.
+        A request of fewer than one page, and a write reaching outside the
+        logical space, raise :class:`~repro.nand.errors.GeometryError` (the
+        latter naming its first such LPN) before anything is counted,
+        observed or mutated; reads of unmapped or out-of-range LPNs are
+        served as zero-fill.
         """
+        npages = request.npages
+        if npages < 1:
+            raise GeometryError(
+                f"request at lpn {request.lpn} covers {npages} pages; at least 1 is required"
+            )
         stats = self.stats
         buffer = self.buffer
         # Inlined buffer.reset and host-request counting (both run once per
@@ -236,14 +242,14 @@ class FTLBase(ABC):
         buffer.stages.clear()
         if request.op is _READ_OP:
             stats.host_read_requests += 1
-            stats.host_read_pages += request.npages
+            stats.host_read_pages += npages
             self.read(request, now)
         else:
             first = request.lpn
-            if request.npages > 0 and (first < 0 or first + request.npages > self._num_logical_pages):
+            if first < 0 or first + npages > self._num_logical_pages:
                 self.geometry.check_lpn(first if first < 0 else max(first, self._num_logical_pages))
             stats.host_write_requests += 1
-            stats.host_write_pages += request.npages
+            stats.host_write_pages += npages
             self.write(request, now)
         return buffer
 
@@ -367,20 +373,6 @@ class FTLBase(ABC):
         default keeps every design scalar; designs opt in individually
         (LeaFTL deliberately stays scalar — its per-read compute charges and
         probe machinery leave no mutation-free fast case).
-        """
-        return None
-
-    def begin_write_run(self, lpns):
-        """Hook for the batched device loop: the write-side of :meth:`begin_read_run`.
-
-        Called with the int64 LPN column of a maximal run of single-page host
-        writes; returns a planner (see :mod:`repro.core.batch`) that commits
-        the run array-at-a-time — one allocator call, one program scatter, one
-        directory scatter, one invalidation scatter — with per-request scalar
-        fallback for GC and cache-eviction boundaries, or ``None`` to execute
-        the whole run through the scalar :meth:`encode` path.  The default
-        keeps every design scalar (LeaFTL's write buffer makes even the
-        no-flush case mutation-heavy, so it stays scalar deliberately).
         """
         return None
 
@@ -575,7 +567,7 @@ class StripingFTLBase(FTLBase):
         self._invalidate_superseded(lpns)
         self._maybe_gc(now)
         allocator = self.allocator
-        ppn_list = allocator.allocate_run(npages, 0)
+        ppn_list = allocator.allocate_run(npages)
         written = len(ppn_list)
         ppns = np.array(ppn_list, dtype=np.int64)
         self.directory.store_many(lpns[:written], ppns)

@@ -1,12 +1,14 @@
-"""Array-at-a-time read and write planners: the FTL layer of the batched kernel.
+"""Array-at-a-time read planners: the FTL layer of the batched kernel.
 
 The batched device loop (``SSD.run(..., batch=N)``) splits each request chunk
-into maximal runs of single-page reads and single-page writes and asks the FTL
-for a *planner* over each run (:meth:`repro.core.base.FTLBase.begin_read_run` /
-:meth:`~repro.core.base.FTLBase.begin_write_run`).  A planner front-loads the
+into maximal runs of single-page reads and everything else, and asks the FTL
+for a *planner* over each read run
+(:meth:`repro.core.base.FTLBase.begin_read_run`).  Writes have no planner:
+each FTL states its write path once, in ``write``, and the device serves
+every write through the request step.  A planner front-loads the
 vectorizable work — one :meth:`MappingDirectory.lookup_many` gather, one
-page-state gather, one allocator call, one chip-index division over the whole
-run — and then serves the run incrementally through :meth:`take`:
+page-state gather, one chip-index division over the whole run — and then
+serves the run incrementally through :meth:`take`:
 
 * :meth:`take` consumes requests from the current cursor for as long as the
   design's fast-path predicate holds, applying **exactly** the cache/statistics
@@ -22,12 +24,12 @@ per fallback, so a run that alternates fast and slow requests degrades to the
 scalar path's cost instead of quadratic re-planning.
 
 Why resuming after a scalar fallback is sound: within a run every request is a
-single-page read (or write), and the planners re-consult every piece of live
-state a scalar request can mutate — cache dicts, page-state bytes, observer
-fields — per accepted request rather than from a snapshot.  The only
-pre-gathered columns are the mapping directory and (for reads) the data-page
-states, and no scalar *read* path mutates either; write planners re-resolve
-old mappings at commit time precisely because writes do.
+single-page read, and the planners re-consult every piece of live state a
+scalar request can mutate — cache dicts, page-state bytes, observer fields —
+per accepted request rather than from a snapshot.  The only pre-gathered
+columns are the mapping directory and the data-page states, and no scalar
+*read* path mutates either.  A run never spans a write: writes end a run, and
+the next read run gathers afresh.
 
 Read-planner fast paths:
 
@@ -44,39 +46,16 @@ Read-planner fast paths:
 * :class:`DirectReadPlanner` (ideal FTL) — every mapped read, with no
   per-request Python work at all (pure array prefix).
 
-Write planners (single-page host writes):
-
-* all four share one commit shape (:class:`_WriteRunPlanner`): a pure
-  mutation-free scan bounds the fast run, one allocator call
-  (``allocate_run``) reserves PPNs for the whole run, the programs are applied
-  as one :meth:`FlashArray.program_data_many` scatter, the directory is
-  updated with one :meth:`MappingDirectory.store_many` scatter, the
-  per-request cache/observer/model bookkeeping replays in order, and the
-  superseded copies are invalidated as one
-  :meth:`FlashArray.invalidate_many` scatter.  Deferring the invalidations
-  behind the programs is what makes in-run overwrites of the same LPN exact:
-  by commit time the superseded in-run copy is programmed (valid), so the
-  validity filter sees the same state the scalar interleave would;
-* :class:`DirectWritePlanner` (ideal) — bounds-checked requests while GC
-  stays quiescent;
-* :class:`EntryWritePlanner` (DFTL) — additionally requires the dirty CMT
-  insert not to evict (existing entry, or strictly free capacity);
-* :class:`PagedWritePlanner` (TPFTL) — the two-level-CMT equivalent, sized
-  with per-node overhead;
-* :class:`GroupWritePlanner` (LearnedFTL) — group-allocator variant; the FTL
-  only installs it when sequential initialization cannot trigger on
-  single-page writes (``sequential_init_min_pages > 1``).
-
 A planner's ``take`` returns ``(0, ...)`` — triggering one scalar fallback —
-whenever the next request needs anything the fast path cannot express: GC
-(data-block or translation-pool), a dirty CMT eviction, a model
-inconsistency, an out-of-bounds LPN.  The fallback runs the full scalar
-machinery (including raising, where the scalar path raises) and the planner
-resumes after it.
+whenever the next request needs anything the fast path cannot express: a
+dirty CMT eviction (translation flush), an unmapped LPN, a model
+inconsistency, a page the scalar path would refuse to read.  The fallback
+runs the full scalar machinery (including raising, where the scalar path
+raises) and the planner resumes after it.
 
-LeaFTL keeps the scalar path for every request: its per-read compute charges,
-frame probes and write-buffer flushes leave no mutation-free common case
-worth special-casing (both planner hooks return ``None``).
+LeaFTL keeps the scalar path for every request: its per-read compute charges
+and frame probes leave no mutation-free common case worth special-casing
+(:meth:`~repro.core.base.FTLBase.begin_read_run` returns ``None``).
 """
 
 from __future__ import annotations
@@ -102,26 +81,16 @@ __all__ = [
     "DemandReadPlanner",
     "GroupedReadPlanner",
     "DirectReadPlanner",
-    "DirectWritePlanner",
-    "EntryWritePlanner",
-    "PagedWritePlanner",
-    "GroupWritePlanner",
 ]
 
 _CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
-_CODE_DATA_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
 _OUT_CMT_HIT = ReadOutcome.CMT_HIT.code
 _OUT_MODEL_HIT = ReadOutcome.MODEL_HIT.code
 _OUT_DOUBLE_READ = ReadOutcome.DOUBLE_READ.code
 
 #: Cap of TPFTL/LearnedFTL's sequential-streak counter (see ``_observe_request``).
 _STREAK_CAP = 64
-
-#: Smallest write run worth the array commit: below this the numpy scatters
-#: (program/store/invalidate) cost more than the scalar requests they replace,
-#: so ``take`` hands the run to the scalar fallback instead.
-_MIN_WRITE_RUN = 4
 
 
 class DemandReadPlanner:
@@ -639,424 +608,3 @@ class DirectReadPlanner:
         """Advance past a request the device just executed through the scalar path."""
         self._pos += 1
 
-
-class _WriteRunPlanner:
-    """Shared core of the write-run planners.
-
-    :meth:`take` implements the commit shape every design shares; subclasses
-    provide three hooks:
-
-    * ``_scan(pos)`` — a **pure** (mutation-free) prefix scan returning how
-      many requests from ``pos`` the design's cache/bounds predicates accept;
-    * ``_allocate(limit)`` — one allocator call reserving up to ``limit``
-      PPNs, stopping (without GC) where the scalar path would collect;
-    * ``_commit(pos, k, ppns)`` — the per-request cache/observer/model
-      bookkeeping, replayed in request order.
-
-    Commit order vs. the scalar interleave: the scalar path alternates
-    invalidate -> GC-check -> allocate -> update -> program -> cache per
-    request, while :meth:`take` applies programs, then directory updates, then
-    cache bookkeeping, then the deferred invalidations, for the whole run.
-    Every reordered pair commutes: allocation only consumes ``PAGE_FREE``
-    pages, so invalidating a superseded (valid) copy neither enables nor
-    blocks it; the GC predicate is re-checked per page inside
-    ``allocate_run``; and programming *before* installing the new directory
-    entries means an in-run overwrite's superseded copy is valid by the time
-    the validity filter runs — exactly as it was at the scalar invalidation
-    point.
-    """
-
-    __slots__ = (
-        "_lpns_arr",
-        "_lpns",
-        "_n",
-        "_pos",
-        "_ftl",
-        "_flash",
-        "_chip_stride",
-        "_state_view",
-        "_directory",
-        "_stats",
-        "_num_logical_pages",
-        "_pool",
-    )
-
-    #: Command code of every program the fast path issues (host data writes).
-    program_code = _CODE_DATA_WRITE
-
-    def __init__(self, ftl: "FTLBase", lpns: np.ndarray) -> None:
-        self._lpns_arr = lpns
-        self._lpns = lpns.tolist()
-        self._n = lpns.shape[0]
-        self._pos = 0
-        self._ftl = ftl
-        flash = ftl.flash
-        self._flash = flash
-        self._chip_stride = flash._chip_stride
-        self._state_view = np.frombuffer(flash._page_state, dtype=np.uint8)
-        self._directory = ftl.directory
-        self._stats = ftl.stats
-        self._num_logical_pages = ftl.geometry.num_logical_pages
-        self._pool = ftl.allocator.translation_pool
-
-    def take(self):
-        """Serve the acceptable prefix from the cursor as one batched commit.
-
-        Returns ``(k, chips)``: ``k`` single-page writes were completed and
-        ``chips[i]`` is the chip request ``i``'s program serializes on.
-        """
-        pos = self._pos
-        if pos >= self._n:
-            return 0, []
-        if self._pool.needs_gc():
-            # Translation-pool GC pending: the scalar fallback's own
-            # translation-GC hook services it, then batching resumes.
-            return 0, []
-        if not self._can_allocate():
-            # Below the GC threshold: allocate_run would return nothing, so
-            # skip the (O(run)) scan and let the scalar fallback collect.
-            # Without this check a GC-bound run rescans its tail after every
-            # fallback — O(run^2) for zero committed requests.
-            return 0, []
-        limit = self._scan(pos)
-        if limit < _MIN_WRITE_RUN:
-            # Too short to amortize the array scatters (or nothing accepted):
-            # the scalar fallback serves these faster.
-            return 0, []
-        ppns = self._allocate(limit)
-        k = len(ppns)
-        if k == 0:
-            # Free space is below the GC threshold: the scalar fallback
-            # collects, then batching resumes.
-            return 0, []
-        end = pos + k
-        lpns_arr = self._lpns_arr[pos:end]
-        ppns_arr = np.asarray(ppns, dtype=np.int64)
-        flash = self._flash
-        # Programs first: an in-run overwrite's superseded copy must be
-        # programmed (valid) before old mappings are resolved below.
-        flash.program_data_many(ppns_arr, lpns_arr)
-        state = self._state_view
-        directory = self._directory
-        if int(np.unique(lpns_arr).size) == k:
-            old = directory.store_many(lpns_arr, ppns_arr)
-            stale = old[old >= 0]
-            stale = stale[state[stale] == PAGE_VALID]
-        else:
-            # In-run overwrites of the same LPN: store_many's gather-before-
-            # scatter would return the pre-run mapping for both copies, so
-            # update per request — each observing the previous one's mapping,
-            # exactly as the scalar interleave does.
-            update = directory.update
-            lpns = self._lpns
-            collected = []
-            for j in range(k):
-                previous = update(lpns[pos + j], ppns[j])
-                if previous is not None and state[previous] == PAGE_VALID:
-                    collected.append(previous)
-            stale = np.asarray(collected, dtype=np.int64)
-        self._commit(pos, k, ppns)
-        if stale.size:
-            flash.invalidate_many(stale)
-        stats = self._stats
-        stats.host_write_requests += k
-        stats.host_write_pages += k
-        self._pos = end
-        return k, (ppns_arr // self._chip_stride).tolist()
-
-    def _can_allocate(self) -> bool:
-        raise NotImplementedError
-
-    def _scan(self, pos: int) -> int:
-        raise NotImplementedError
-
-    def _allocate(self, limit: int) -> list[int]:
-        raise NotImplementedError
-
-    def _commit(self, pos: int, k: int, ppns: list[int]) -> None:
-        raise NotImplementedError
-
-    def skip(self) -> None:
-        """Advance past a request the device just executed through the scalar path."""
-        self._pos += 1
-
-
-class DirectWritePlanner(_WriteRunPlanner):
-    """Ideal-FTL write-run planner: every in-bounds write while GC is quiescent.
-
-    The ideal FTL has no mapping cache, so the scan reduces to the bounds
-    check and ``_commit`` is a no-op; the striping allocator's ``allocate_run``
-    enforces the per-request GC threshold exactly as ``_maybe_gc`` would.
-    """
-
-    __slots__ = ("_allocator", "_min_free_blocks")
-
-    def __init__(self, ftl: "FTLBase", lpns: np.ndarray) -> None:
-        super().__init__(ftl, lpns)
-        self._allocator = ftl.allocator
-        self._min_free_blocks = ftl._gc_threshold_blocks
-
-    def _can_allocate(self) -> bool:
-        return self._allocator.free_data_blocks() >= self._min_free_blocks
-
-    def _scan(self, pos: int) -> int:
-        lpns = self._lpns
-        n = self._n
-        num_logical_pages = self._num_logical_pages
-        i = pos
-        while i < n:
-            lpn = lpns[i]
-            if lpn < 0 or lpn >= num_logical_pages:
-                # Out-of-bounds LPN: the scalar check_lpn raises.
-                break
-            i += 1
-        return i - pos
-
-    def _allocate(self, limit: int) -> list[int]:
-        return self._allocator.allocate_run(limit, self._min_free_blocks)
-
-    def _commit(self, pos: int, k: int, ppns: list[int]) -> None:
-        pass
-
-
-class EntryWritePlanner(DirectWritePlanner):
-    """DFTL's write-run planner: dirty CMT inserts that cannot evict.
-
-    A write inserts its mapping dirty; evicting for room can flush a dirty
-    victim's translation page, so the scan accepts a request only when its
-    LPN is already cached (in the live cache or earlier in the accepted
-    prefix) or the cache has strictly free capacity.
-    """
-
-    __slots__ = ("_cmt", "_entries", "_capacity")
-
-    def __init__(self, ftl: "FTLBase", lpns: np.ndarray) -> None:
-        super().__init__(ftl, lpns)
-        cmt = ftl.cmt
-        self._cmt = cmt
-        self._entries = cmt._entries
-        self._capacity = cmt.capacity_entries
-
-    def _scan(self, pos: int) -> int:
-        lpns = self._lpns
-        n = self._n
-        num_logical_pages = self._num_logical_pages
-        entries = self._entries
-        capacity = self._capacity
-        size = len(entries)
-        pending: set[int] = set()
-        pending_add = pending.add
-        i = pos
-        while i < n:
-            lpn = lpns[i]
-            if lpn < 0 or lpn >= num_logical_pages:
-                break
-            if lpn not in entries and lpn not in pending:
-                if size >= capacity:
-                    # The insert's eviction loop would fire.
-                    break
-                pending_add(lpn)
-                size += 1
-            i += 1
-        return i - pos
-
-    def _commit(self, pos: int, k: int, ppns: list[int]) -> None:
-        # The real EntryLevelCMT.insert: the scan guarantees no evictions, so
-        # this is exactly the scalar _after_write without the (empty) flush.
-        insert = self._cmt.insert
-        lpns = self._lpns
-        for j in range(k):
-            insert(lpns[pos + j], ppns[j], dirty=True)
-
-
-class PagedWritePlanner(DirectWritePlanner):
-    """TPFTL's write-run planner: observer replay plus eviction-free inserts.
-
-    The two-level CMT charges :data:`PAGE_NODE_OVERHEAD_ENTRIES` extra units
-    for a fresh translation-page node, so the scan tracks per-node pending
-    membership to size each insert's delta exactly.
-    """
-
-    __slots__ = ("_cmt", "_pages", "_capacity", "_mappings_per_page", "_window")
-
-    def __init__(self, ftl: "FTLBase", lpns: np.ndarray) -> None:
-        super().__init__(ftl, lpns)
-        self._bind_paged_cmt(ftl)
-
-    def _bind_paged_cmt(self, ftl: "FTLBase") -> None:
-        cmt = ftl.cmt
-        self._cmt = cmt
-        self._pages = cmt._pages
-        self._capacity = cmt.capacity_entries
-        self._mappings_per_page = ftl._mappings_per_page
-        self._window = ftl._recent_request_lengths.maxlen
-
-    def _scan(self, pos: int) -> int:
-        lpns = self._lpns
-        n = self._n
-        num_logical_pages = self._num_logical_pages
-        pages_get = self._pages.get
-        capacity = self._capacity
-        mappings_per_page = self._mappings_per_page
-        size = self._cmt._size_entries
-        pending: dict[int, set[int]] = {}
-        i = pos
-        while i < n:
-            lpn = lpns[i]
-            if lpn < 0 or lpn >= num_logical_pages:
-                break
-            tvpn = lpn // mappings_per_page
-            node = pages_get(tvpn)
-            pend = pending.get(tvpn)
-            if (node is not None and lpn in node) or (pend is not None and lpn in pend):
-                delta = 0
-            elif node is not None or pend is not None:
-                delta = 1
-            else:
-                delta = PAGE_NODE_OVERHEAD_ENTRIES + 1
-            if delta:
-                if size + delta > capacity:
-                    # The insert would trigger _evict_until_fits.
-                    break
-                size += delta
-                if pend is None:
-                    pend = set()
-                    pending[tvpn] = pend
-                pend.add(lpn)
-            i += 1
-        return i - pos
-
-    def _commit(self, pos: int, k: int, ppns: list[int]) -> None:
-        ftl = self._ftl
-        insert = self._cmt.insert
-        lpns = self._lpns
-        lengths = ftl._recent_request_lengths
-        lengths_append = lengths.append
-        window = self._window
-        length_sum = ftl._recent_length_sum
-        streak = ftl._sequential_streak
-        last_end = ftl._last_lpn_end
-        for j in range(k):
-            lpn = lpns[pos + j]
-            # Scalar-equivalent _observe_request for a single-page request.
-            if len(lengths) == window:
-                length_sum -= lengths[0]
-            length_sum += 1
-            lengths_append(1)
-            if last_end == lpn:
-                if streak < _STREAK_CAP:
-                    streak += 1
-            else:
-                streak = 0
-            last_end = lpn + 1
-            # The real insert: the scan guarantees no evictions.
-            insert(lpn, ppns[j], dirty=True)
-        ftl._recent_length_sum = length_sum
-        ftl._sequential_streak = streak
-        ftl._last_lpn_end = last_end
-
-
-class GroupWritePlanner(PagedWritePlanner):
-    """LearnedFTL's write-run planner: group allocation plus model consistency.
-
-    The scan is the paged-CMT scan plus the bounds check, additionally
-    recording each request's allocation group; the allocator's
-    ``allocate_run`` walks those groups one page at a time, stopping (without
-    proactive GC or borrowing) exactly where the scalar ``_allocate_for_lpn``
-    would deviate from a plain own-stripe allocation.  The commit clears each
-    written LPN's bitmap bit, as the scalar write path does between program
-    and CMT insert.
-
-    The FTL only installs this planner when single-page writes cannot trigger
-    sequential initialization (``sequential_init_min_pages > 1``), so model
-    *training* never happens on the fast path.
-    """
-
-    __slots__ = ("_allocator_group", "_min_free_pages", "_models", "_groups")
-
-    def __init__(self, ftl: "FTLBase", lpns: np.ndarray) -> None:
-        _WriteRunPlanner.__init__(self, ftl, lpns)
-        self._bind_paged_cmt(ftl)
-        allocator = ftl.allocator
-        self._allocator_group = allocator
-        # The scalar proactive-GC threshold of _allocate_for_lpn.
-        self._min_free_pages = allocator.lpns_per_group + allocator.stripe_map.pages_per_stripe
-        self._models = ftl.models
-        self._groups: list[int] = []
-
-    def _can_allocate(self) -> bool:
-        return self._allocator_group.total_free_pages() >= self._min_free_pages
-
-    def _scan(self, pos: int) -> int:
-        lpns = self._lpns
-        n = self._n
-        num_logical_pages = self._num_logical_pages
-        pages_get = self._pages.get
-        capacity = self._capacity
-        mappings_per_page = self._mappings_per_page
-        group_of_lpn = self._allocator_group.group_of_lpn
-        size = self._cmt._size_entries
-        pending: dict[int, set[int]] = {}
-        groups = self._groups
-        groups.clear()
-        groups_append = groups.append
-        i = pos
-        while i < n:
-            lpn = lpns[i]
-            if lpn < 0 or lpn >= num_logical_pages:
-                break
-            tvpn = lpn // mappings_per_page
-            node = pages_get(tvpn)
-            pend = pending.get(tvpn)
-            if (node is not None and lpn in node) or (pend is not None and lpn in pend):
-                delta = 0
-            elif node is not None or pend is not None:
-                delta = 1
-            else:
-                delta = PAGE_NODE_OVERHEAD_ENTRIES + 1
-            if delta:
-                if size + delta > capacity:
-                    break
-                size += delta
-                if pend is None:
-                    pend = set()
-                    pending[tvpn] = pend
-                pend.add(lpn)
-            groups_append(group_of_lpn(lpn))
-            i += 1
-        return i - pos
-
-    def _allocate(self, limit: int) -> list[int]:
-        return self._allocator_group.allocate_run(self._groups, limit, self._min_free_pages)
-
-    def _commit(self, pos: int, k: int, ppns: list[int]) -> None:
-        ftl = self._ftl
-        insert = self._cmt.insert
-        models = self._models
-        lpns = self._lpns
-        mappings_per_page = self._mappings_per_page
-        lengths = ftl._recent_request_lengths
-        lengths_append = lengths.append
-        window = self._window
-        length_sum = ftl._recent_length_sum
-        streak = ftl._sequential_streak
-        last_end = ftl._last_lpn_end
-        for j in range(k):
-            lpn = lpns[pos + j]
-            if len(lengths) == window:
-                length_sum -= lengths[0]
-            length_sum += 1
-            lengths_append(1)
-            if last_end == lpn:
-                if streak < _STREAK_CAP:
-                    streak += 1
-            else:
-                streak = 0
-            last_end = lpn + 1
-            # Consistency (Section III-B): the overwritten LPN's bitmap bit is
-            # cleared once the new mapping is installed.
-            models[lpn // mappings_per_page].invalidate(lpn)
-            insert(lpn, ppns[j], dirty=True)
-        ftl._recent_length_sum = length_sum
-        ftl._sequential_streak = streak
-        ftl._last_lpn_end = last_end

@@ -13,7 +13,7 @@ summarized in Section II-A of the LearnedFTL paper.
 from __future__ import annotations
 
 from repro.core.base import FTLConfig, StripingFTLBase
-from repro.core.batch import DemandReadPlanner, EntryWritePlanner
+from repro.core.batch import DemandReadPlanner
 from repro.core.cmt import EntryLevelCMT, EvictedPage
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -85,11 +85,6 @@ class DFTL(StripingFTLBase):
         """Batch CMT hits and (while the cache is clean) misses; see
         :class:`repro.core.batch.DemandReadPlanner`."""
         return DemandReadPlanner(self, lpns)
-
-    def begin_write_run(self, lpns):
-        """Batch writes whose dirty CMT inserts cannot evict; see
-        :class:`repro.core.batch.EntryWritePlanner`."""
-        return EntryWritePlanner(self, lpns)
 
     # ---------------------------------------------------------------- write
     def _after_write(self, written, now):

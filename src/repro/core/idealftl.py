@@ -10,7 +10,7 @@ exactly 1.0 in Figure 14(c).
 from __future__ import annotations
 
 from repro.core.base import StripingFTLBase
-from repro.core.batch import DirectReadPlanner, DirectWritePlanner
+from repro.core.batch import DirectReadPlanner
 from repro.ssd.request import ReadOutcome
 
 __all__ = ["IdealFTL"]
@@ -39,11 +39,6 @@ class IdealFTL(StripingFTLBase):
         """Every mapped read batches — the ideal path mutates nothing.  See
         :class:`repro.core.batch.DirectReadPlanner`."""
         return DirectReadPlanner(self, lpns)
-
-    def begin_write_run(self, lpns):
-        """Every in-bounds write batches while GC is quiescent — there is no
-        mapping cache to evict.  See :class:`repro.core.batch.DirectWritePlanner`."""
-        return DirectWritePlanner(self, lpns)
 
     def memory_report(self) -> dict[str, int]:
         """The full mapping table at 8 bytes per logical page."""

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.allocation import GroupAllocator, GroupGCNeeded
 from repro.core.base import _MIN_COLUMN_WRITE, FTLBase, FTLConfig
-from repro.core.batch import GroupedReadPlanner, GroupWritePlanner
+from repro.core.batch import GroupedReadPlanner
 from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, EvictedPage, PageGroupedCMT
 from repro.core.learned.inplace_model import (
     BIT_NOT_SET,
@@ -175,18 +175,6 @@ class LearnedFTL(FTLBase):
         """Batch CMT hits, model hits and eviction-free double-read misses;
         see :class:`repro.core.batch.GroupedReadPlanner`."""
         return GroupedReadPlanner(self, lpns)
-
-    def begin_write_run(self, lpns):
-        """Batch group-allocated writes; see
-        :class:`repro.core.batch.GroupWritePlanner`.
-
-        Only installed when a single-page write cannot reach the
-        sequential-initialization threshold — model training stays on the
-        scalar path by construction.
-        """
-        if self.config.sequential_init_min_pages <= 1:
-            return None
-        return GroupWritePlanner(self, lpns)
 
     def _translate_read(self, lpn: int, head_stage: list) -> tuple[int | None, int, float]:
         stats = self.stats
@@ -558,8 +546,8 @@ class LearnedFTL(FTLBase):
         read_stage = buffer.new_stage()
         write_stage = buffer.new_stage()
         buffer.extend(read_stage, _CODE_GC_READ, flash.touch_read_many(old_ppns), old_ppns)
-        # Program before invalidate, like the batched write kernel; the new
-        # copies take the next write versions in LPN order.
+        # Program before invalidate; the new copies take the next write
+        # versions in LPN order.
         flash.program_data_many(new_ppns, lpns)
         flash.invalidate_many(old_ppns)
         directory.store_many(lpns, new_ppns)

@@ -132,10 +132,9 @@ class MappingDirectory:
         LPNs inside one call behave like sequential scalar updates: the scatter
         applies in order, so the last write wins, and the gather of "old" PPNs
         happens before any of them — callers that need per-duplicate old
-        values (the write planners do, to invalidate superseded copies) must
-        therefore resolve duplicates themselves before calling.  Bounds are
-        the caller's responsibility, matching the planners' check-then-commit
-        contract (out-of-range LPNs break to the scalar path, which raises).
+        values must therefore resolve duplicates themselves before calling.
+        Bounds are the caller's responsibility (``encode`` range-checks a
+        write before its columns reach here).
         """
         lpns = np.asarray(lpns, dtype=np.int64)
         ppns = np.asarray(ppns, dtype=np.int64)

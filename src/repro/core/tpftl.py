@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.base import FTLConfig, StripingFTLBase
-from repro.core.batch import GroupedReadPlanner, PagedWritePlanner
+from repro.core.batch import GroupedReadPlanner
 from repro.core.cmt import EvictedPage, PageGroupedCMT
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -114,11 +114,6 @@ class TPFTL(StripingFTLBase):
         """Batch CMT hits and eviction-free double-read misses; see
         :class:`repro.core.batch.GroupedReadPlanner`."""
         return GroupedReadPlanner(self, lpns)
-
-    def begin_write_run(self, lpns):
-        """Batch writes whose dirty CMT inserts cannot evict; see
-        :class:`repro.core.batch.PagedWritePlanner`."""
-        return PagedWritePlanner(self, lpns)
 
     def _prefetch_length(self) -> int:
         """Workload-adaptive prefetch depth.

@@ -333,7 +333,7 @@ class FlashArray:
             or (lowest != old_next).any()
             or (highest != old_next + counts - 1).any()
         ):
-            raise FlashStateError("out-of-order program in batched write run")
+            raise FlashStateError("out-of-order program in columnar write")
         counter = self._version_counter
         state[ppns] = PAGE_VALID
         np.frombuffer(self._page_lpn, dtype=np.int64)[ppns] = lpns
@@ -368,13 +368,13 @@ class FlashArray:
     def invalidate_many(self, ppns: "np.ndarray | list[int]") -> None:
         """Columnar :meth:`invalidate`: mark a whole PPN array invalid at once.
 
-        The batched write kernel collects the superseded data copies of a run
-        and scatters their state transitions in one call — same per-page
-        effects as sequential :meth:`invalidate` calls (invalidation is
-        order-independent: every touched column cell is distinct per page and
-        the block counters commute).  ``ppns`` must not contain duplicates,
-        which the callers guarantee because a page can only be superseded
-        once while it is valid.
+        Multi-page writes and group GC collect the superseded data copies of
+        a request or group and scatter their state transitions in one call —
+        same per-page effects as sequential :meth:`invalidate` calls
+        (invalidation is order-independent: every touched column cell is
+        distinct per page and the block counters commute).  ``ppns`` must
+        not contain duplicates, which the callers guarantee because a page
+        can only be superseded once while it is valid.
         """
         ppns = np.asarray(ppns, dtype=np.int64)
         if ppns.size == 0:

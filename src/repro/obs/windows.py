@@ -14,9 +14,9 @@ The recorder is a consumer of the device's request step, never a twin of it.
 Attribution is strictly per request, using only quantities both execution
 modes compute identically: after a scalar step :meth:`record_scalar` walks
 the request's encoded :class:`~repro.ssd.request.CommandBuffer`; after a
-batched kernel call :meth:`record_fast_read` / :meth:`record_fast_write` take
-the ``(issues, latencies, trans_chips)`` columns the call produced and record
-the (data, translation, program) commands its planner shapes imply.  Because
+batched read-kernel call :meth:`record_fast_read` takes the ``(issues,
+latencies, trans_chips)`` columns the call produced and records the (data,
+translation) reads its planner shapes imply.  Because
 both modes present requests in the same order with bit-identical issue
 times, the per-window series — including the float busy-time accumulators —
 is **bit-identical between the scalar and batched kernels**, which
@@ -202,18 +202,6 @@ class WindowedRecorder:
                 window.read_hits += 1
             counts[data_code] += 1
             window.busy_time_us += data_duration
-
-    def record_fast_write(self, issues: list, latencies: list, code: int) -> None:
-        """Attribute one batched-kernel call of single-page writes (one program each)."""
-        get = self._get
-        duration = self._durations[code]
-        for issue_us, latency_us in zip(issues, latencies):
-            window = get(issue_us)
-            window.writes += 1
-            window.write_pages += 1
-            window.write_latencies.append(latency_us)
-            window.command_counts[code] += 1
-            window.busy_time_us += duration
 
     # -------------------------------------------------------------- series
     def window_count(self) -> int:

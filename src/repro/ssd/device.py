@@ -52,7 +52,6 @@ from repro.ssd.energy import EnergyBreakdown, EnergyModel
 from repro.ssd.engine import TimingEngine
 from repro.ssd.request import (
     OP_READ_CODE,
-    OP_WRITE_CODE,
     CommandKind,
     CommandPurpose,
     HostRequest,
@@ -104,7 +103,7 @@ def create_ftl(
 
 
 #: Run classes of the batched loop's segment splitter.
-_RUN_SCALAR, _RUN_READ, _RUN_WRITE = 0, 1, 2
+_RUN_SCALAR, _RUN_READ = 0, 1
 
 #: Flat code of a translation-page read, for the request step's trace instants.
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
@@ -114,9 +113,8 @@ def _segments(klass: "np.ndarray") -> Iterator[tuple[int, int, int]]:
     """Split a run-class column into maximal constant runs.
 
     Yields ``(start, end, klass)`` half-open runs in order; the batched loop
-    executes :data:`_RUN_READ` runs through the FTL's read planner,
-    :data:`_RUN_WRITE` runs through its write planner, and :data:`_RUN_SCALAR`
-    runs through the scalar path.
+    executes :data:`_RUN_READ` runs through the FTL's read planner and
+    :data:`_RUN_SCALAR` runs through the request step.
     """
     n = klass.shape[0]
     if n == 0:
@@ -135,27 +133,22 @@ def _iter_request_chunks(
     """Chunk a request stream into ``(lpns, klass, request_at)`` columns.
 
     ``klass`` classifies each request for the segment splitter: single-page
-    reads (:data:`_RUN_READ`) and single-page writes (:data:`_RUN_WRITE`) are
-    planner-servable shapes, everything else is :data:`_RUN_SCALAR`.
-    ``request_at(i)`` materializes chunk-local request ``i`` for the scalar
-    path; for a :class:`RequestBatch` source it converts the chunk's columns
-    with one ``tolist`` per chunk on first use, so a planner-less design
-    (LeaFTL) pays list indexing per fallback request instead of NumPy scalar
-    extraction.  A :class:`RequestBatch` source is otherwise sliced zero-copy
-    (its columns already exist); any other iterable is buffered ``batch``
-    requests at a time, so generators stream without being drained up front.
+    reads (:data:`_RUN_READ`) are the planner-servable shape, everything else
+    is :data:`_RUN_SCALAR`.  ``request_at(i)`` materializes chunk-local
+    request ``i`` for the request step; for a :class:`RequestBatch` source it
+    converts the chunk's columns with one ``tolist`` per chunk on first use,
+    so writes and a planner-less design (LeaFTL) pay list indexing per
+    request instead of NumPy scalar extraction.  A :class:`RequestBatch`
+    source is otherwise sliced zero-copy (its columns already exist); any
+    other iterable is buffered ``batch`` requests at a time, so generators
+    stream without being drained up front.
     """
     if isinstance(requests, RequestBatch):
         lpns = requests.lpns
-        single = requests.npages == 1
         klass_all = np.where(
-            single & (requests.ops == OP_READ_CODE),
+            (requests.npages == 1) & (requests.ops == OP_READ_CODE),
             np.int8(_RUN_READ),
-            np.where(
-                single & (requests.ops == OP_WRITE_CODE),
-                np.int8(_RUN_WRITE),
-                np.int8(_RUN_SCALAR),
-            ),
+            np.int8(_RUN_SCALAR),
         )
         total = len(requests)
         read_op, write_op = OpType.READ, OpType.WRITE
@@ -180,7 +173,6 @@ def _iter_request_chunks(
             yield lpns[chunk_start:chunk_end], klass_all[chunk_start:chunk_end], request_at
         return
     read_op = OpType.READ
-    write_op = OpType.WRITE
     iterator = iter(requests)
     while True:
         chunk = list(islice(iterator, batch))
@@ -190,9 +182,7 @@ def _iter_request_chunks(
         lpns = np.fromiter((request.lpn for request in chunk), np.int64, count=n)
         klass = np.fromiter(
             (
-                (_RUN_READ if request.op is read_op else _RUN_WRITE if request.op is write_op else _RUN_SCALAR)
-                if request.npages == 1
-                else _RUN_SCALAR
+                _RUN_READ if request.op is read_op and request.npages == 1 else _RUN_SCALAR
                 for request in chunk
             ),
             np.int8,
@@ -359,13 +349,13 @@ class SSD:
         """Closed-loop execution: ``threads`` psync workers share the request stream.
 
         With ``batch=N`` (N > 1) the device runs the vectorized kernel:
-        requests are pulled ``N`` at a time, runs of single-page reads and
-        single-page writes are served array-at-a-time through the FTL's
-        planners (:meth:`~repro.core.base.FTLBase.begin_read_run` /
-        :meth:`~repro.core.base.FTLBase.begin_write_run`) and everything else
-        falls back to the scalar path per request.  Results are bit-identical
-        to ``batch=None``; passing the stream as a :class:`RequestBatch`
-        avoids materializing request objects on the fast path entirely.
+        requests are pulled ``N`` at a time, runs of single-page reads are
+        served array-at-a-time through the FTL's read planner
+        (:meth:`~repro.core.base.FTLBase.begin_read_run`) and everything else
+        — writes included — takes the request step one request at a time.
+        Results are bit-identical to ``batch=None``; passing the stream as a
+        :class:`RequestBatch` avoids materializing request objects on the
+        fast path entirely.
         ``batch=1`` degenerates to one request per "run" — there is nothing to
         vectorize — so it skips the packing machinery and runs the scalar loop
         directly.
@@ -405,10 +395,10 @@ class SSD:
         """The chunk → segment → planner loop of ``run(..., batch=N)``.
 
         Serves the stream against :meth:`run`'s thread heap and returns the
-        number of requests completed.  A planner's ``take()`` is executed by
-        the engine's batch kernels; requests it refuses, and segments no
-        planner serves, go through :meth:`_step`.  The windowed recorder and
-        the tracer consume each kernel call's ``(issues, latencies,
+        number of requests completed.  A read planner's ``take()`` is executed
+        by the engine's read-batch kernel; requests it refuses, and segments
+        no planner serves, go through :meth:`_step`.  The windowed recorder
+        and the tracer consume each kernel call's ``(issues, latencies,
         trans_chips)`` columns right after it — before the next ``take()`` or
         fallback — so both see requests in the order the scalar loop would
         have shown them, plus one ``batch_plan`` instant per planner run.
@@ -419,9 +409,7 @@ class SSD:
         completed = 0
         step = self._step
         execute_read_batch = self.engine.execute_read_batch
-        execute_write_batch = self.engine.execute_write_batch
         begin_read_run = self.ftl.begin_read_run
-        begin_write_run = self.ftl.begin_write_run
         record_latencies = self.stats.record_latencies
         recorder = self.recorder
         tracer = self.tracer
@@ -429,56 +417,36 @@ class SSD:
         heapreplace = heapq.heapreplace
         for lpns, klass, request_at in _iter_request_chunks(requests, batch):
             for seg_start, seg_end, kind in _segments(klass):
-                is_read = kind == _RUN_READ
-                if is_read:
-                    planner = begin_read_run(lpns[seg_start:seg_end])
-                elif kind == _RUN_WRITE:
-                    planner = begin_write_run(lpns[seg_start:seg_end])
-                else:
-                    planner = None
+                planner = begin_read_run(lpns[seg_start:seg_end]) if kind == _RUN_READ else None
                 seg_issue = thread_free[0]
                 fallbacks = 0
                 pos = seg_start
                 while pos < seg_end:
                     if planner is not None:
-                        if is_read:
-                            k, data_chips, trans_chips, trans_count, computes = planner.take()
-                            if k:
-                                issues, latencies = execute_read_batch(
-                                    data_chips,
-                                    trans_chips,
-                                    thread_free,
-                                    data_code=planner.data_code,
-                                    trans_code=planner.trans_code,
-                                    trans_count=trans_count,
-                                    computes=computes,
-                                )
-                                if recorder is not None:
-                                    recorder.record_fast_read(
-                                        issues,
-                                        latencies,
-                                        trans_chips,
-                                        planner.data_code,
-                                        planner.trans_code,
-                                    )
-                                if trace and trans_chips is not None:
-                                    for issue, chip in zip(issues, trans_chips):
-                                        if chip >= 0:
-                                            tracer.instant(
-                                                "translation_read", issue, {"chip": chip}
-                                            )
-                        else:
-                            k, write_chips = planner.take()
-                            if k:
-                                issues, latencies = execute_write_batch(
-                                    write_chips, thread_free, code=planner.program_code
-                                )
-                                if recorder is not None:
-                                    recorder.record_fast_write(
-                                        issues, latencies, planner.program_code
-                                    )
+                        k, data_chips, trans_chips, trans_count, computes = planner.take()
                         if k:
-                            record_latencies(is_read, latencies)
+                            issues, latencies = execute_read_batch(
+                                data_chips,
+                                trans_chips,
+                                thread_free,
+                                data_code=planner.data_code,
+                                trans_code=planner.trans_code,
+                                trans_count=trans_count,
+                                computes=computes,
+                            )
+                            if recorder is not None:
+                                recorder.record_fast_read(
+                                    issues,
+                                    latencies,
+                                    trans_chips,
+                                    planner.data_code,
+                                    planner.trans_code,
+                                )
+                            if trace and trans_chips is not None:
+                                for issue, chip in zip(issues, trans_chips):
+                                    if chip >= 0:
+                                        tracer.instant("translation_read", issue, {"chip": chip})
+                            record_latencies(True, latencies)
                             if progress is not None:
                                 first_mark = completed - completed % 10_000 + 10_000
                                 for mark in range(first_mark, completed + k + 1, 10_000):
@@ -487,9 +455,9 @@ class SSD:
                             pos += k
                             if pos >= seg_end:
                                 break
-                    # Multi-page requests, a design with no fast path for this
-                    # run class (LeaFTL), or the planner refused the request at
-                    # the cursor: the scalar step, then resume batching after it.
+                    # Writes, multi-page reads, a design with no read planner
+                    # (LeaFTL), or the planner refused the request at the
+                    # cursor: the request step, then resume batching after it.
                     heapreplace(thread_free, step(request_at(pos), thread_free[0]))
                     fallbacks += 1
                     completed += 1

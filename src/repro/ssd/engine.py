@@ -17,12 +17,12 @@ directly: per command it reads one integer code and one chip index, looks the
 latency up in a code-indexed table and buckets the statistics with a single
 list increment — no command objects, no enum dispatch.
 
-The batched device loop's planner takes run through
-:meth:`TimingEngine.execute_read_batch` / :meth:`~TimingEngine.execute_write_batch`,
-specializations of the buffer loop for the one-command-per-stage shapes
-planners emit.  They return per-request ``(issues, latencies)`` columns, which
-is everything the device's observers consume afterwards — the engine has no
-observed variants and never sees a recorder or a tracer.
+The batched device loop's read-planner takes run through
+:meth:`TimingEngine.execute_read_batch`, a specialization of the buffer loop
+for the one-command-per-stage shapes read planners emit.  It returns
+per-request ``(issues, latencies)`` columns, which is everything the device's
+observers consume afterwards — the engine has no observed variants and never
+sees a recorder or a tracer.
 
 The host side is a closed-loop ("psync") thread model: each of the N threads
 issues its next request as soon as its previous one completes, exactly like
@@ -263,38 +263,4 @@ class TimingEngine:
                 busy_time[chip] += data_duration
                 heapreplace(thread_free, finish)
                 append_latency(finish - issue)
-        return issues, latencies
-
-    def execute_write_batch(
-        self, chips: list, thread_free: list, *, code: int
-    ) -> tuple[list, list]:
-        """Execute a write planner's batch of single-page programs.
-
-        The mirror of :meth:`execute_read_batch` for the one shape the write
-        fast path emits — a single ``[program]`` stage with zero compute —
-        and bit-identical to :meth:`execute_buffer` on it: request ``i``
-        issues at ``thread_free[0]``, serializes its program on ``chips[i]``
-        and re-queues the thread at the program's finish.  Returns the
-        per-request ``(issues, latencies)`` columns in issue order.
-        """
-        counts = self._command_counts
-        counts[code] += len(chips)
-        duration = self._duration_by_code[code]
-        busy_until = self.timeline._busy_until
-        busy_time = self.timeline.busy_time
-        issues: list = []
-        latencies: list = []
-        append_issue = issues.append
-        append_latency = latencies.append
-        heapreplace = heapq.heapreplace
-        for chip in chips:
-            issue = thread_free[0]
-            append_issue(issue)
-            busy = busy_until[chip]
-            start = busy if busy > issue else issue
-            finish = start + duration
-            busy_until[chip] = finish
-            busy_time[chip] += duration
-            heapreplace(thread_free, finish)
-            append_latency(finish - issue)
         return issues, latencies

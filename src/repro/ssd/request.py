@@ -102,7 +102,9 @@ class RequestBatch:
     The batched execution kernel classifies and translates whole request
     arrays at once, so workload generators materialize their streams into
     this structure instead of one :class:`HostRequest` object per request.
-    ``ops`` holds :data:`OP_READ_CODE`/:data:`OP_WRITE_CODE` per request.
+    ``ops`` holds :data:`OP_READ_CODE`/:data:`OP_WRITE_CODE` per request and
+    ``npages`` at least 1; the constructor refuses any other value with a
+    ``ValueError`` naming the first offending index.
 
     The batch iterates (and indexes) as :class:`HostRequest` values, so every
     scalar consumer — ``SSD.run`` without ``batch=``, tests, reports — accepts
@@ -125,6 +127,17 @@ class RequestBatch:
                 f"column shapes differ: ops {self.ops.shape}, lpns {self.lpns.shape}, "
                 f"npages {self.npages.shape}"
             )
+        bad = np.flatnonzero((self.ops != OP_READ_CODE) & (self.ops != OP_WRITE_CODE))
+        if bad.size:
+            index = int(bad[0])
+            raise ValueError(
+                f"ops[{index}] is {int(self.ops[index])}; expected "
+                f"{OP_READ_CODE} (read) or {OP_WRITE_CODE} (write)"
+            )
+        bad = np.flatnonzero(self.npages < 1)
+        if bad.size:
+            index = int(bad[0])
+            raise ValueError(f"npages[{index}] is {int(self.npages[index])}; expected >= 1")
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -154,7 +167,7 @@ class RequestBatch:
 
     @classmethod
     def writes(cls, lpns: "np.ndarray | Iterable[int]", npages: int = 1) -> "RequestBatch":
-        """Single-page-write batch over an LPN column (the randwrite hot case)."""
+        """Single-page-write batch over an LPN column (a random-overwrite storm)."""
         lpns = np.ascontiguousarray(lpns, dtype=np.int64)
         return cls(
             np.full(lpns.shape[0], OP_WRITE_CODE, dtype=np.int8),

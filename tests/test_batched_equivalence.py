@@ -15,10 +15,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_workload import golden_geometry
-from repro import SSD
-from repro.ssd.request import HostRequest, OpType, RequestBatch
+from repro import SSD, SSDGeometry
+from repro.replay import state_fingerprint
+from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
 from repro.workloads.fio import FioJob
 
 ALL_FTL_NAMES = ("dftl", "tpftl", "leaftl", "learnedftl", "ideal")
@@ -344,3 +347,57 @@ def test_pinned_batched_fingerprints(ftl_name: str, kind: str) -> None:
     golden = tuple(PINNED[(ftl_name, kind)])
     assert _pinned_fingerprint(ftl_name, kind, 64) == golden
     assert _pinned_fingerprint(ftl_name, kind, None) == golden
+
+
+#: One segment of a random interleaving: its op mix, length, share of
+#: multi-page requests, whether its LPNs stay inside a CMT-sized hot range,
+#: and the seed of its columns.
+_SEGMENT = st.tuples(
+    st.sampled_from(("read", "write", "mixed")),
+    st.integers(1, 300),
+    st.sampled_from((0.0, 0.25)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+
+
+def _interleaving(geometry, segments) -> RequestBatch:
+    limit = geometry.num_logical_pages
+    columns = []
+    for kind, count, multi_share, hot, seed in segments:
+        rng = np.random.default_rng(seed)
+        if kind == "mixed":
+            ops = rng.integers(OP_READ_CODE, OP_WRITE_CODE + 1, size=count)
+        else:
+            ops = np.full(count, OP_READ_CODE if kind == "read" else OP_WRITE_CODE)
+        npages = np.where(rng.random(count) < multi_share, rng.integers(2, 9, size=count), 1)
+        lpns = rng.integers(0, 48 if hot else limit, size=count)
+        columns.append((ops, np.minimum(lpns, limit - npages), npages))
+    ops, lpns, npages = (np.concatenate(column) for column in zip(*columns))
+    return RequestBatch(ops, lpns, npages)
+
+
+@pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
+@settings(max_examples=16, deadline=None, derandomize=True)
+@given(
+    segments=st.lists(_SEGMENT, min_size=1, max_size=6),
+    batch=st.sampled_from((2, 16, 4096)),
+    threads=st.sampled_from((1, 3)),
+)
+def test_random_interleavings_match_scalar(ftl_name, segments, batch, threads):
+    """Batched == scalar after any interleaving of reads and writes.
+
+    Segments of single- and multi-page reads and writes, long enough to reach
+    GC and CMT eviction, so read planners are built right after scalar writes
+    in the same chunk at random boundaries.
+    """
+    geometry = SSDGeometry.small()
+    requests = _interleaving(geometry, segments)
+    results = []
+    for mode in (None, batch):
+        ssd = SSD.create(ftl_name, geometry)
+        ssd.fill_sequential()
+        ssd.run(requests, threads=threads, batch=mode)
+        results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary(), ssd.now_us))
+        ssd.verify()
+    assert results[1] == results[0]

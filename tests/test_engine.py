@@ -111,14 +111,13 @@ class TestExecuteBuffer:
 
 _DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _TRANS = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
-_PROGRAM = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
 
 
 class TestBatchKernelContract:
-    """``execute_read_batch`` / ``execute_write_batch`` are specializations of
-    ``execute_buffer``: driven with the same request columns they must leave
-    the same chip timelines, thread heap and counters behind and return the
-    issue and latency columns the request-by-request loop produces."""
+    """``execute_read_batch`` is a specialization of ``execute_buffer``:
+    driven with the same request columns it must leave the same chip
+    timelines, thread heap and counters behind and return the issue and
+    latency columns the request-by-request loop produces."""
 
     NUM_CHIPS = 4
     N = 40
@@ -192,18 +191,5 @@ class TestBatchKernelContract:
             trans_count=sum(chip >= 0 for chip in trans_chips or ()),
             computes=computes,
         )
-        assert columns == expected
-        assert self._state(engine, thread_free) == self._state(reference, reference_free)
-
-    @pytest.mark.parametrize("threads", [1, 4])
-    def test_write_batch_equals_buffer_loop(self, threads):
-        chips, _, _ = self._columns("data")
-        reference, reference_free = self._engine(threads)
-        expected = self._reference(
-            reference, reference_free, [[(0.0, [(_PROGRAM, chip)])] for chip in chips]
-        )
-
-        engine, thread_free = self._engine(threads)
-        columns = engine.execute_write_batch(chips, thread_free, code=_PROGRAM)
         assert columns == expected
         assert self._state(engine, thread_free) == self._state(reference, reference_free)

@@ -146,7 +146,7 @@ class TestNonInterference:
         def boom(*args, **kwargs):
             raise AssertionError("an observer was fed with observability off")
 
-        for name in ("record_scalar", "record_fast_read", "record_fast_write"):
+        for name in ("record_scalar", "record_fast_read"):
             monkeypatch.setattr(WindowedRecorder, name, boom)
         monkeypatch.setattr(TraceRecorder, "instant", boom)
         monkeypatch.setattr(TraceRecorder, "complete", boom)

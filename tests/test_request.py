@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import SSD
+from repro.nand.errors import GeometryError
+from repro.replay import state_fingerprint
 from repro.ssd.request import (
     KIND_BY_CODE,
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
+    OP_READ_CODE,
     OP_STRIDE,
+    OP_WRITE_CODE,
     OUTCOME_BY_CODE,
     PURPOSE_BY_CODE,
     CommandBuffer,
@@ -18,6 +23,7 @@ from repro.ssd.request import (
     HostRequest,
     OpType,
     ReadOutcome,
+    RequestBatch,
     command_code,
 )
 
@@ -224,3 +230,38 @@ class TestRequestBatch:
 
         batch = RequestBatch.from_requests(self._requests())
         assert sum(r.npages for r in batch) == 11
+
+
+#: (layer, op, npages): a page count below one on both layers and both ops,
+#: and an op code that is neither read nor write.
+_MALFORMED = [
+    pytest.param(layer, op, npages, id=f"{layer}-{op.value}-{npages}")
+    for layer in ("batch", "encode")
+    for op in (OpType.READ, OpType.WRITE)
+    for npages in (0, -3)
+] + [pytest.param("batch", 7, 1, id="batch-op7")]
+
+
+@pytest.mark.parametrize("layer,op,npages", _MALFORMED)
+def test_malformed_requests_are_refused(layer, op, npages, tiny_geometry):
+    """A malformed request is refused before it reaches any counter.
+
+    ``RequestBatch`` names the first offending index and value; ``encode``
+    raises before anything is counted or mutated, so the host page counters
+    cannot move backwards and a foreign op code is never served as a write.
+    """
+    if layer == "batch":
+        if isinstance(op, int):
+            code, match = op, rf"ops\[1\] is {op}"
+        else:
+            code = OP_READ_CODE if op is OpType.READ else OP_WRITE_CODE
+            match = rf"npages\[1\] is {npages}"
+        with pytest.raises(ValueError, match=match):
+            RequestBatch([OP_READ_CODE, code], [1, 2], [1, npages])
+        return
+    ssd = SSD.create("dftl", tiny_geometry)
+    ssd.fill_sequential(io_pages=16)
+    before = (ssd.stats.summary(), state_fingerprint(ssd.state_dict()))
+    with pytest.raises(GeometryError, match="at least 1"):
+        ssd.submit(HostRequest(op=op, lpn=5, npages=npages))
+    assert (ssd.stats.summary(), state_fingerprint(ssd.state_dict())) == before
