@@ -100,14 +100,27 @@ class FileQueue:
 
         The claim is a rename of the task file into ``claims/``; of N
         workers racing for the same task exactly one rename succeeds and
-        the rest move on to the next file.
+        the rest move on to the next file.  A claimed file that does not
+        decode to a payload gets an ``error`` outcome naming the claim file
+        and the cause (the coordinator re-enqueues the payload it holds), and
+        the search moves on.
         """
         for path in sorted(self.tasks_dir.glob("*.json")):
             destination = self.claims_dir / f"{path.stem}@{worker_id}.json"
             if not claim_path(path, destination):
                 continue
-            wire = json.loads(destination.read_text(encoding="utf-8"))
-            return path.stem, TaskPayload.from_wire(wire)
+            try:
+                wire = json.loads(destination.read_text(encoding="utf-8"))
+                return path.stem, TaskPayload.from_wire(wire)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                self.publish_result(
+                    path.stem,
+                    {
+                        "worker": worker_id,
+                        "backend": FileQueueBackend.name,
+                        "error": f"undecodable task file {destination}: {exc!r}",
+                    },
+                )
         return None
 
     def claims(self) -> dict[str, list[str]]:

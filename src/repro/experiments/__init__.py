@@ -54,13 +54,13 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
     "fig20": (fig20_filebench.run, "Filebench normalized throughput for every FTL"),
     "fig21": (fig21_tail_latency.run, "P99/P99.9 tail latency under four traces"),
     "fig22": (fig22_energy.run, "Energy cost under four traces"),
-    "noop": (noop.run, "Trivial experiment used to measure orchestration overhead"),
+    "noop": (noop.run, "Zero-work task the executor tests dispatch"),
     "table02": (table02_traces.run, "Workload characteristics of the four traces"),
 }
 
 #: Experiments that are execution units of another front end; ``all`` and the
 #: pytest experiment sweeps skip them (``studycell`` needs generated kwargs,
-#: ``noop`` exists only for the dispatch-overhead benchmark).
+#: ``noop`` is the zero-work task the executor tests dispatch).
 INTERNAL_EXPERIMENTS: frozenset[str] = frozenset({"studycell", "noop"})
 
 

@@ -1,12 +1,10 @@
-"""A deliberately trivial experiment for measuring execution overhead.
+"""A deliberately trivial experiment: the zero-work task of the executor tests.
 
 ``noop`` builds no SSD and replays no workload: it returns a one-row result
-immediately.  Running a batch of noop tasks through the orchestrator
-therefore measures the *machinery* — task dispatch, pickling, result
-collection — with essentially zero experiment compute, which is what the
-``orchestrator_dispatch_overhead_us`` metric in ``benchmarks/perf_smoke.py``
-gates.  Registered as an internal experiment: ``all`` and the CLI sweeps
-skip it.
+immediately.  The execution-backend tests dispatch it (in worker processes
+too) to check task dispatch, pickling and result collection without paying
+for any simulation.  Registered as an internal experiment: ``all`` and the
+CLI sweeps skip it.
 """
 
 from __future__ import annotations
@@ -19,6 +17,6 @@ def run(scale: Scale | str = Scale.TINY, *, index: int = 0, **_ignored) -> Exper
     scale = Scale.parse(scale)
     return ExperimentResult(
         name="noop",
-        description="Trivial experiment used to measure orchestration overhead",
+        description="Zero-work task the executor tests dispatch",
         rows=[{"index": index, "scale": scale.value}],
     )

@@ -428,6 +428,15 @@ def merge_results(
 
 
 # -------------------------------------------------------------------- caching
+def _decode_entry(payload: Mapping[str, Any]) -> tuple[ExperimentResult, float] | None:
+    """A validated cache payload's (result, elapsed seconds), or ``None``
+    when a field has the wrong shape (the entry then misses)."""
+    try:
+        return ExperimentResult.from_dict(payload["result"]), float(payload.get("elapsed_s", 0.0))
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 class ResultCache:
     """Content-keyed on-disk cache of task results.
 
@@ -452,7 +461,8 @@ class ResultCache:
     ) -> dict[str, Any] | None:
         """Return the full validated cache payload for ``task``, or ``None``.
 
-        Unreadable or partially-written files, entries from other package
+        Unreadable or partially-written files, entries that are not a JSON
+        object or carry no result object, entries from other package
         versions/kwargs and hash-prefix collisions all miss (the full key is
         checked against the stored one).  ``obs`` is the active observability
         descriptor; results recorded under different telemetry settings never
@@ -464,7 +474,9 @@ class ResultCache:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        if payload.get("key") != key or "result" not in payload:
+        if not isinstance(payload, dict) or payload.get("key") != key:
+            return None
+        if not isinstance(payload.get("result"), dict):
             return None
         return payload
 
@@ -476,13 +488,7 @@ class ResultCache:
     ) -> tuple[ExperimentResult, float] | None:
         """Return the cached (result, original elapsed seconds) or ``None``."""
         payload = self.load_entry(task, scale, obs)
-        if payload is None:
-            return None
-        try:
-            result = ExperimentResult.from_dict(payload["result"])
-        except KeyError:
-            return None
-        return result, float(payload.get("elapsed_s", 0.0))
+        return None if payload is None else _decode_entry(payload)
 
     def store(
         self,
@@ -612,13 +618,10 @@ def execute_tasks(
         if cache is None:
             continue
         entry = cache.load_entry(state.task, scale_value, obs)
-        if entry is None:
+        decoded = None if entry is None else _decode_entry(entry)
+        if decoded is None:
             continue
-        try:
-            state.result = ExperimentResult.from_dict(entry["result"])
-        except KeyError:
-            continue
-        state.elapsed_s = float(entry.get("elapsed_s", 0.0))
+        state.result, state.elapsed_s = decoded
         state.cached = True
         provenance = entry.get("provenance") or {}
         state.backend = provenance.get("backend")

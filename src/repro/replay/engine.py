@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -158,8 +159,15 @@ class ReplayPlan:
             raise ReplayError(f"chunk_requests must be positive, got {self.chunk_requests}")
         if self.checkpoint_every_requests is not None and self.checkpoint_every_requests <= 0:
             raise ReplayError("checkpoint_every_requests must be positive when given")
-        if self.checkpoint_every_sim_s is not None and self.checkpoint_every_sim_s <= 0:
-            raise ReplayError("checkpoint_every_sim_s must be positive when given")
+        if self.checkpoint_every_sim_s is not None and not (
+            math.isfinite(self.checkpoint_every_sim_s) and self.checkpoint_every_sim_s > 0
+        ):
+            raise ReplayError(
+                "checkpoint_every_sim_s must be finite and positive when given, "
+                f"got {self.checkpoint_every_sim_s}"
+            )
+        if not (math.isfinite(self.time_scale) and self.time_scale > 0):
+            raise ReplayError(f"time_scale must be finite and positive, got {self.time_scale}")
         if self.keep_checkpoints < 1:
             raise ReplayError(f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}")
 

@@ -23,6 +23,7 @@ to hand-built ones with the same parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
@@ -245,6 +246,11 @@ def build_workload(
             "name": name,
             "time_scale": float(_get(spec, "time_scale", 0.05, (int, float))),
         }
+        if not (math.isfinite(params["time_scale"]) and params["time_scale"] > 0):
+            raise ConfigurationError(
+                f"{_context(spec)}: field 'time_scale' must be finite and positive, "
+                f"got {params['time_scale']}"
+            )
         num_requests = _get(spec, "num_ios", read_requests, int)
         default_label = name
         description = f"trace replay of {name} x{num_requests}"

@@ -287,6 +287,31 @@ class TestCache:
         assert outcomes[0].ok and outcomes[0].cached_tasks == 0
         assert _FAKE_CALLS == ["alpha", "alpha"]
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            [],
+            "x",
+            None,
+            {"result": "oops"},
+            {"result": {"name": "fakealpha", "description": "d", "rows": 5}},
+            {"elapsed_s": "abc"},
+        ],
+        ids=["list", "string", "null", "result-string", "rows-int", "elapsed-string"],
+    )
+    def test_ill_typed_cache_entry_misses(self, tmp_path, fake_registry, entry):
+        cache_dir = tmp_path / "cache"
+        run_orchestrated(["fakealpha"], scale="tiny", jobs=1, cache_dir=cache_dir)
+        (path,) = cache_dir.glob("*.json")
+        if isinstance(entry, dict):
+            # Keep the stored key so only the ill-typed field differs.
+            entry = {**json.loads(path.read_text()), **entry}
+        path.write_text(json.dumps(entry))
+        assert ResultCache(cache_dir).load(ExperimentTask.create("fakealpha"), "tiny") is None
+        outcomes = run_orchestrated(["fakealpha"], scale="tiny", jobs=1, cache_dir=cache_dir)
+        assert outcomes[0].ok and outcomes[0].cached_tasks == 0
+        assert _FAKE_CALLS == ["alpha", "alpha"]
+
     def test_cache_roundtrip_preserves_result(self, tmp_path):
         cache = ResultCache(tmp_path)
         task = ExperimentTask.create("fakealpha")

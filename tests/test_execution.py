@@ -404,6 +404,23 @@ class TestFileQueue:
             assert outcome["backend"] == "file-queue"
             assert outcome["result"]["rows"] == [{"index": index, "scale": "tiny"}]
 
+    def test_undecodable_task_file_is_an_error_outcome(self, tmp_path):
+        # A truncated task file must not kill the worker: it publishes an
+        # error outcome naming the claim file and carries on with the queue.
+        queue = FileQueue(tmp_path).ensure()
+        for index in (0, 2):
+            queue.enqueue(f"t{index:04d}", self._payload(index))
+        good = json.dumps(self._payload(1).to_wire())
+        (queue.tasks_dir / "t0001.json").write_text(good[: len(good) // 2])
+        assert run_worker(tmp_path, drain=True, worker_id="w1") == 2
+        outcome = queue.result("t0001")
+        assert "result" not in outcome
+        assert outcome["worker"] == "w1"
+        assert "claims/t0001@w1.json" in outcome["error"]
+        assert "JSONDecodeError" in outcome["error"]
+        for index in (0, 2):
+            assert queue.result(f"t{index:04d}")["result"]["rows"][0]["index"] == index
+
     def test_run_worker_stops_on_sentinel(self, tmp_path):
         queue = FileQueue(tmp_path).ensure()
         queue.request_stop()

@@ -324,6 +324,22 @@ class TestReplaySessionLifecycle:
         assert again.checkpoints_written == 0
         assert_identical(first, again)
 
+    @pytest.mark.parametrize("field", ["time_scale", "checkpoint_every_sim_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 0.0, -2.0])
+    def test_plan_rejects_non_finite_or_non_positive_scale(self, trace_file, field, value):
+        with pytest.raises(ReplayError, match=f"{field} must be finite and positive.*{value}"):
+            make_plan(trace_file, **{field: value})
+
+    @pytest.mark.parametrize("value", ["nan", "-2.0"])
+    def test_cli_rejects_bad_time_scale(self, trace_file, tmp_path, capsys, value):
+        from repro.experiments.__main__ import main as cli_main
+
+        run_dir = tmp_path / "run"
+        args = ["replay", str(trace_file), "--run-dir", str(run_dir), f"--time-scale={value}"]
+        assert cli_main(args) == 2
+        assert f"time_scale must be finite and positive, got {value}" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_checkpoint_pruning_keeps_newest(self, trace_file, tmp_path):
         session = ReplaySession(
             make_plan(trace_file, keep_checkpoints=2, checkpoint_every_requests=60),

@@ -208,6 +208,15 @@ class TestWorkloadSpecs:
         requests = list(plan.requests(SSDGeometry.small()))
         assert requests  # trace I/Os expand to >= num_ios page requests
 
+    @pytest.mark.parametrize("time_scale", [float("nan"), float("inf"), 0.0, -2.0])
+    def test_trace_time_scale_must_be_finite_and_positive(self, time_scale):
+        with pytest.raises(ConfigurationError, match="time_scale.*finite and positive"):
+            build_workload(
+                {"kind": "trace", "name": "websearch1", "time_scale": time_scale},
+                read_requests=1,
+                write_requests=1,
+            )
+
     def test_unknown_field_named(self):
         with pytest.raises(ConfigurationError, match="theta"):
             build_workload(
