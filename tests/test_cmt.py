@@ -200,6 +200,32 @@ class TestBatchProbes:
         probed = cmt.probe_many(np.array([3, MAPPINGS_PER_PAGE + 1, 5], dtype=np.int64))
         assert probed.tolist() == [300, 400, -1]
 
+    def test_page_grouped_probe_many_preserves_recency(self):
+        import numpy as np
+
+        cmt = PageGroupedCMT(16, MAPPINGS_PER_PAGE)
+        for lpn in (1, 2, MAPPINGS_PER_PAGE + 1, 2 * MAPPINGS_PER_PAGE):
+            cmt.insert(lpn, lpn + 100)
+        before = _entries(cmt)
+        cmt.probe_many(np.array([1, 2, MAPPINGS_PER_PAGE + 1], dtype=np.int64))
+        assert _entries(cmt) == before  # neither node nor entry order moves
+
+    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
+    def test_probe_many_accepts_a_list(self, cls):
+        cmt = cls(8, MAPPINGS_PER_PAGE)
+        cmt.insert(4, 40)
+        assert cmt.probe_many([4, 5]).tolist() == [40, -1]
+
+    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
+    def test_probe_many_of_nothing_is_empty(self, cls):
+        import numpy as np
+
+        cmt = cls(8, MAPPINGS_PER_PAGE)
+        cmt.insert(4, 40)
+        probed = cmt.probe_many(np.array([], dtype=np.int64))
+        assert probed.dtype == np.int64
+        assert probed.tolist() == []
+
     def test_dirty_entry_count_tracks_inserts_and_evictions(self):
         cmt = EntryLevelCMT(2, MAPPINGS_PER_PAGE)
         assert cmt.dirty_entry_count == 0
@@ -292,3 +318,47 @@ class TestDirtyCounterIsExact:
             assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
             assert entries == _entries(reference)
             assert cmt.memory_entries() == reference.memory_entries()
+
+
+#: The designs whose FTL keeps a :mod:`repro.core.cmt` cache.
+CACHED_FTL_NAMES = ("dftl", "tpftl", "learnedftl")
+
+
+class TestProbeManyOnDevices:
+    """``probe_many`` over the CMT of a device that ran GC and a read storm."""
+
+    @staticmethod
+    def _device(warmed_ssd_factory, ftl_name: str):
+        import numpy as np
+
+        from repro.ssd.request import RequestBatch
+
+        ssd = warmed_ssd_factory(ftl_name)
+        size = ssd.geometry.num_logical_pages
+        rng = np.random.default_rng(7)
+        ssd.run(RequestBatch.reads(rng.integers(0, size, size=1000)), threads=4, batch=128)
+        return ssd, np.arange(size, dtype=np.int64)
+
+    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
+    def test_hits_agree_with_the_directory(self, ftl_name, warmed_ssd_factory):
+        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
+        probed = ssd.ftl.cmt.probe_many(lpns)
+        hits = probed >= 0
+        assert hits.any()
+        assert probed[hits].tolist() == ssd.ftl.directory.lookup_many(lpns)[hits].tolist()
+
+    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
+    def test_hits_are_exactly_the_cached_lpns(self, ftl_name, warmed_ssd_factory):
+        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
+        cmt = ssd.ftl.cmt
+        hits = cmt.probe_many(lpns) >= 0
+        assert hits.tolist() == [int(lpn) in cmt for lpn in lpns]
+        assert int(hits.sum()) == len(cmt)
+
+    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
+    def test_probing_leaves_the_cache_untouched(self, ftl_name, warmed_ssd_factory):
+        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
+        cmt = ssd.ftl.cmt
+        before = _entries(cmt)
+        cmt.probe_many(lpns[::-1])
+        assert _entries(cmt) == before

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.mapping import MappingDirectory, TranslationPageStore
@@ -14,9 +15,10 @@ from repro.ssd.request import (
     CommandBuffer,
     CommandKind,
     CommandPurpose,
+    RequestBatch,
     command_code,
 )
-from tests.conftest import command_kinds
+from tests.conftest import ALL_FTL_NAMES, command_kinds
 
 
 @pytest.fixture
@@ -200,6 +202,44 @@ class TestLookupMany:
         got = directory.lookup_many(np.array([1], dtype=np.int64))
         got[0] = -5  # must not corrupt the directory
         assert directory.lookup(1) == 10
+
+    def test_empty_input_gives_empty_column(self, directory):
+        got = directory.lookup_many(np.array([], dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == []
+
+
+class TestLookupManyOnDevices:
+    """The gather every read planner issues, on preconditioned devices whose
+    mappings GC has already moved."""
+
+    @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
+    def test_matches_scalar_lookup_after_gc(self, ftl_name, warmed_ssd_factory):
+        ssd = warmed_ssd_factory(ftl_name)
+        directory = ssd.ftl.directory
+        size = ssd.geometry.num_logical_pages
+        lpns = np.arange(-3, size + 3, dtype=np.int64)
+        expected = [directory.lookup(int(lpn)) for lpn in lpns]
+        assert directory.lookup_many(lpns).tolist() == [-1 if e is None else e for e in expected]
+
+    @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
+    def test_points_at_the_newest_flash_copy(self, ftl_name, warmed_ssd_factory):
+        ssd = warmed_ssd_factory(ftl_name)
+        size = ssd.geometry.num_logical_pages
+        ppns = ssd.ftl.directory.lookup_many(np.arange(size, dtype=np.int64))
+        assert (ppns >= 0).all()  # the fill mapped every logical page
+        assert ppns.tolist() == ssd.ftl.flash.newest_copies(size).tolist()
+
+    @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
+    def test_read_storms_move_no_data(self, ftl_name, warmed_ssd_factory):
+        ssd = warmed_ssd_factory(ftl_name)
+        size = ssd.geometry.num_logical_pages
+        lpns = np.arange(size, dtype=np.int64)
+        before = ssd.ftl.directory.lookup_many(lpns)
+        rng = np.random.default_rng(42)
+        ssd.run(RequestBatch.reads(rng.integers(0, size, size=1500)), threads=4)
+        ssd.run(RequestBatch.reads(rng.integers(0, size, size=1500)), threads=4, batch=256)
+        assert ssd.ftl.directory.lookup_many(lpns).tolist() == before.tolist()
 
 
 class TestStoreMany:

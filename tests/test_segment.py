@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 from bisect import bisect_right
 
@@ -333,7 +334,12 @@ class TestLinearScanDifferential:
 # ------------------------------------------------------- complexity regression
 def _python_calls(run) -> int:
     """Python-level function calls made by ``run`` (the ledger's
-    ``py.calls_per_op`` counter: exact and repeatable, unlike a timing)."""
+    ``py.calls_per_op`` counter: exact and repeatable, unlike a timing).
+
+    The cyclic collector is drained first and kept off while ``run`` is
+    profiled: a collection that fires inside ``run`` executes the finalizers
+    of garbage left by earlier tests, and those calls would be counted too.
+    """
     calls = 0
 
     def profile(frame, event, arg):
@@ -341,12 +347,17 @@ def _python_calls(run) -> int:
         if event == "call":
             calls += 1
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(previous)
+        if was_enabled:
+            gc.enable()
     return calls
 
 
