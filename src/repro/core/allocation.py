@@ -492,6 +492,9 @@ class GroupAllocator:
             max(0, len(self._free_stripes) - 1),
         )
         self._groups: list[GroupState] = [GroupState() for _ in range(self.num_groups)]
+        #: Groups whose ``gc_hint`` is set, so :meth:`take_gc_hints` need not
+        #: scan every group on every write (derived again on restore).
+        self._hinted: set[int] = set()
         self._stripe_owner: dict[int, int] = {}
         self._stripe_cursor: dict[int, int] = {}
         # Incrementally maintained value of the total_free_pages() formula
@@ -579,6 +582,7 @@ class GroupAllocator:
                     # Encroachment threshold reached: hint the FTL to collect this
                     # group (and, transitively, its lenders) after the current write.
                     state.gc_hint = True
+                    self._hinted.add(group)
                 return ppn, lender
         # No lender available: ask the FTL to collect the most garbage-laden group.
         victim = self.gc_candidate(exclude_if_empty=True)
@@ -715,12 +719,14 @@ class GroupAllocator:
 
     def take_gc_hints(self) -> list[int]:
         """Groups whose borrow budget overflowed since the last call (and reset them)."""
-        hinted = []
-        for group, state in enumerate(self._groups):
-            if state.gc_hint:
-                state.gc_hint = False
-                state.borrowed_pages = 0
-                hinted.append(group)
+        if not self._hinted:
+            return []
+        hinted = sorted(self._hinted)
+        self._hinted.clear()
+        for group in hinted:
+            state = self._groups[group]
+            state.gc_hint = False
+            state.borrowed_pages = 0
         return hinted
 
     # ---------------------------------------------------------------- GC API
@@ -847,6 +853,7 @@ class GroupAllocator:
         state.borrowed_pages = 0
         state.lenders.clear()
         state.gc_hint = False
+        self._hinted.discard(group)
 
     def allocate_translation(self) -> int:
         """Allocate one translation-page PPN from the reserved pool."""
@@ -894,6 +901,7 @@ class GroupAllocator:
             group_state.lenders = set(saved["lenders"])
             group_state.writes = int(saved["writes"])
             group_state.gc_hint = bool(saved["gc_hint"])
+        self._hinted = {group for group, group_state in enumerate(self._groups) if group_state.gc_hint}
         self._stripe_owner = {stripe: owner for stripe, owner in state["stripe_owner"]}
         self._stripe_cursor = {stripe: cursor for stripe, cursor in state["stripe_cursor"]}
         pages_per_stripe = self.stripe_map.pages_per_stripe

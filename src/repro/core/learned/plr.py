@@ -19,8 +19,13 @@ rounding whenever the data really is piece-wise linear.
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
+
+import numpy as np
 
 __all__ = ["LinearPiece", "fit_greedy_plr", "fit_fixed_pieces"]
 
@@ -49,17 +54,42 @@ class LinearPiece:
         return self.x_start <= x < self.x_start + self.length
 
 
+#: Points a piece grows through the scalar swing-filter step before the rest
+#: of the input is tested in NumPy windows.  LeaFTL's pieces are mostly 1-4
+#: points long and never leave this head; LearnedFTL's slope-1 runs do.
+_SCALAR_HEAD = 16
+#: Smallest columnar window; a window also spans at least the piece so far,
+#: so a piece of length L costs O(L) NumPy work however it is cut.
+_MIN_WINDOW = 512
+
+
 def _close_piece(
-    xs: Sequence[int], ys: Sequence[int], start: int, end: int, slope: float
+    xs: Sequence[int],
+    ys: Sequence[int],
+    start: int,
+    end: int,
+    slope: float,
+    columns: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LinearPiece:
-    """Build a piece over points ``start..end-1`` using the given slope."""
+    """Build a piece over points ``start..end-1`` using the given slope.
+
+    With ``columns`` (``xs``/``ys`` as int64 arrays) the error is taken in one
+    NumPy pass; ``np.rint`` rounds half to even like ``round``, and the error
+    keeps the scalar loop's type (``0.0`` when exact, else an ``int``).
+    """
     x0 = xs[start]
     y0 = ys[start]
     intercept = float(y0)
-    max_error = 0.0
-    for i in range(start, end):
-        predicted = round(slope * (xs[i] - x0) + intercept)
-        max_error = max(max_error, abs(predicted - ys[i]))
+    if columns is None:
+        max_error = 0.0
+        for i in range(start, end):
+            predicted = round(slope * (xs[i] - x0) + intercept)
+            max_error = max(max_error, abs(predicted - ys[i]))
+    else:
+        cx, cy = columns
+        predicted = np.rint(slope * (cx[start:end] - x0) + intercept)
+        worst = int(np.abs(predicted - cy[start:end]).max())
+        max_error = worst if worst else 0.0
     return LinearPiece(
         x_start=int(x0),
         slope=slope,
@@ -86,38 +116,69 @@ def fit_greedy_plr(
         Error bound.  ``0.5`` produces round-to-exact pieces for genuinely
         linear runs.
     """
+    return list(_greedy_pieces(xs, ys, gamma))
+
+
+def _greedy_pieces(xs: Sequence[int], ys: Sequence[int], gamma: float) -> Iterator[LinearPiece]:
+    """The greedy swing filter, yielding each piece as soon as it closes.
+
+    A piece is grown point by point for its first :data:`_SCALAR_HEAD`
+    points.  A piece that survives the head is grown over NumPy windows: the
+    running feasible slope interval is ``np.maximum.accumulate`` /
+    ``np.minimum.accumulate`` of the per-point bounds seeded with the head's
+    ``lo``/``hi``, and the piece breaks at the first point where ``lo > hi``.
+    Both steps evaluate the same float expressions, so the pieces are
+    bit-identical whichever step grew them.
+    """
     n = len(xs)
     if n != len(ys):
         raise ValueError("xs and ys must have the same length")
     if n == 0:
-        return []
-    for i in range(1, n):
-        if xs[i] <= xs[i - 1]:
-            raise ValueError("xs must be strictly increasing")
-
-    pieces: list[LinearPiece] = []
+        return
+    if not all(map(operator.lt, xs, islice(xs, 1, None))):
+        raise ValueError("xs must be strictly increasing")
+    # xs and ys as int64 arrays, built when the first piece outgrows the head.
+    columns: tuple[np.ndarray, np.ndarray] | None = None
     start = 0
-    lo = float("-inf")
-    hi = float("inf")
-    for i in range(1, n + 1):
-        if i == n:
-            slope = _pick_slope(lo, hi)
-            pieces.append(_close_piece(xs, ys, start, n, slope))
-            break
-        dx = xs[i] - xs[start]
-        dy_lo = (ys[i] - gamma) - ys[start]
-        dy_hi = (ys[i] + gamma) - ys[start]
-        new_lo = max(lo, dy_lo / dx)
-        new_hi = min(hi, dy_hi / dx)
-        if new_lo > new_hi:
-            slope = _pick_slope(lo, hi)
-            pieces.append(_close_piece(xs, ys, start, i, slope))
-            start = i
-            lo = float("-inf")
-            hi = float("inf")
-        else:
+    while start < n:
+        x0 = xs[start]
+        y0 = ys[start]
+        lo = float("-inf")
+        hi = float("inf")
+        i = start + 1
+        head_end = min(n, start + _SCALAR_HEAD)
+        while i < head_end:
+            dx = xs[i] - x0
+            new_lo = max(lo, ((ys[i] - gamma) - y0) / dx)
+            new_hi = min(hi, ((ys[i] + gamma) - y0) / dx)
+            if new_lo > new_hi:
+                break
             lo, hi = new_lo, new_hi
-    return pieces
+            i += 1
+        else:
+            # The piece outlived the head: extend it a window at a time.
+            if i < n and columns is None:
+                columns = np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+            while i < n:
+                cx, cy = columns
+                stop = min(n, i + max(_MIN_WINDOW, i - start))
+                dx = cx[i:stop] - x0
+                lows = np.maximum.accumulate(((cy[i:stop] - gamma) - y0) / dx)
+                highs = np.minimum.accumulate(((cy[i:stop] + gamma) - y0) / dx)
+                np.maximum(lows, lo, out=lows)
+                np.minimum(highs, hi, out=highs)
+                crossed = lows > highs
+                if crossed.any():
+                    k = int(crossed.argmax())
+                    if k:
+                        lo, hi = float(lows[k - 1]), float(highs[k - 1])
+                    i += k
+                    break
+                lo, hi = float(lows[-1]), float(highs[-1])
+                i = stop
+        long_piece = columns if i - start > _SCALAR_HEAD else None
+        yield _close_piece(xs, ys, start, i, _pick_slope(lo, hi), long_piece)
+        start = i
 
 
 def _pick_slope(lo: float, hi: float) -> float:
@@ -152,18 +213,14 @@ def fit_fixed_pieces(
     """
     if max_pieces <= 0:
         raise ValueError("max_pieces must be positive")
-    pieces = fit_greedy_plr(xs, ys, gamma=gamma)
+    # One piece past the budget tells whether the greedy fit overflows it.
+    pieces = list(islice(_greedy_pieces(xs, ys, gamma), max_pieces + 1))
     if len(pieces) <= max_pieces:
         return pieces
     # Count how many points the first max_pieces - 1 greedy segments cover.
     kept = pieces[: max_pieces - 1]
     boundary_x = kept[-1].x_start + kept[-1].length if kept else xs[0]
-    split = 0
-    for split, x in enumerate(xs):
-        if x >= boundary_x:
-            break
-    else:
-        split = len(xs)
+    split = bisect_left(xs, boundary_x)
     tail_xs = xs[split:]
     tail_ys = ys[split:]
     if not tail_xs:

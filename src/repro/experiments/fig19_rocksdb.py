@@ -10,7 +10,7 @@ reads, and is at least as good on readseq.
 from __future__ import annotations
 
 from repro.analysis.latency import normalize
-from repro.experiments.runner import ALL_FTLS, ExperimentResult, Scale, ScaleSpec
+from repro.experiments.runner import ALL_FTLS, ExperimentResult, Scale, ScaleSpec, observe_device
 from repro.ssd.device import SSD
 from repro.workloads.rocksdb import DbBench, MiniLSM
 
@@ -49,6 +49,7 @@ def run(
         lsm.flush_memtable()
         # Measure the read phases with clean statistics.
         ssd.reset_stats()
+        observe_device(ftl_name, ssd)
         rand_result = bench.readrandom(read_ops)
         rand_stats = ssd.reset_stats()
         seq_result = bench.readseq()

@@ -37,6 +37,7 @@ __all__ = [
     "ScaleSpec",
     "ExperimentResult",
     "prepare_ssd",
+    "observe_device",
     "ALL_FTLS",
     "BASELINE_FTLS",
     "WARMUP_IO_PAGES",
@@ -351,13 +352,23 @@ def prepare_ssd(
         store=store,
     )
     ssd.reset_stats()
-    if _METRICS_WINDOW_US is not None or _TRACE_DIR is not None:
-        # Instrument *after* the reset so window 0 starts at the measured
-        # phase; warm-up activity never reaches the series or the trace.
-        tracer = TraceRecorder() if _TRACE_DIR is not None else None
-        ssd.enable_observability(window_us=_METRICS_WINDOW_US, tracer=tracer)
-        _OBSERVED_DEVICES.append((ftl_name, ssd))
+    observe_device(ftl_name, ssd)
     return ssd
+
+
+def observe_device(ftl_name: str, ssd: SSD) -> None:
+    """Instrument a prepared device with the process-wide observability settings.
+
+    Call it right after the device's post-warm-up ``reset_stats()``, so window
+    0 starts at the measured phase and warm-up activity never reaches the
+    series or the trace; :func:`collect_telemetry` drains the device later.
+    A no-op while observability is off.
+    """
+    if _METRICS_WINDOW_US is None and _TRACE_DIR is None:
+        return
+    tracer = TraceRecorder() if _TRACE_DIR is not None else None
+    ssd.enable_observability(window_us=_METRICS_WINDOW_US, tracer=tracer)
+    _OBSERVED_DEVICES.append((ftl_name, ssd))
 
 
 def run_fio(ssd: SSD, job: FioJob, *, threads: int) -> None:

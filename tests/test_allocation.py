@@ -308,10 +308,30 @@ class TestGroupAllocator:
         assert allocator.stripes_of_group(0) == fresh
 
     def test_take_gc_hints_resets(self, geometry, flash):
-        allocator = GroupAllocator(geometry, flash)
-        allocator.group_state(0).gc_hint = True
-        assert allocator.take_gc_hints() == [0]
+        allocator = _allocator_with_hints(geometry, flash, (3, 1))
+        assert allocator.take_gc_hints() == [1, 3]
+        for group in range(allocator.num_groups):
+            assert allocator.group_state(group).borrowed_pages == 0
+            assert not allocator.group_state(group).gc_hint
         assert allocator.take_gc_hints() == []
+
+    def test_take_gc_hints_empty_without_borrowing(self, geometry, flash):
+        allocator = GroupAllocator(geometry, flash)
+        for group in range(allocator.num_groups):
+            allocator.allocate_page(group)
+        assert allocator.take_gc_hints() == []
+
+    def test_collected_group_leaves_the_hints(self, geometry, flash):
+        allocator = _allocator_with_hints(geometry, flash, (3, 1))
+        allocator.reset_borrow_state(3)
+        assert allocator.take_gc_hints() == [1]
+
+    def test_gc_hints_survive_a_restore(self, geometry, flash):
+        allocator = _allocator_with_hints(geometry, flash, (3, 1))
+        restored = GroupAllocator(geometry, FlashArray(geometry), group_stripe_limit=1)
+        restored.load_state(allocator.state_dict())
+        assert restored.take_gc_hints() == allocator.take_gc_hints() == [1, 3]
+        assert restored.state_dict() == allocator.state_dict()
 
     def test_groups_resident_in_stripes(self, geometry, flash):
         allocator = GroupAllocator(geometry, flash)
@@ -319,6 +339,20 @@ class TestGroupAllocator:
         flash.program(ppn, lpn=3)
         stripes = allocator.stripes_of_group(0)
         assert allocator.groups_resident_in_stripes(stripes) == {0}
+
+
+def _allocator_with_hints(geometry, flash, groups) -> GroupAllocator:
+    """An allocator on which each of ``groups`` (in that order) has borrowed
+    up to its encroachment threshold, setting its GC hint."""
+    allocator = GroupAllocator(geometry, flash, group_stripe_limit=1)
+    # Every group gets a stripe, so the hinted ones have lenders.
+    for group in range(allocator.num_groups):
+        allocator.allocate_page(group)
+    for group in groups:
+        while not allocator.group_state(group).gc_hint:
+            allocator.allocate_page(group)
+        assert allocator.group_state(group).borrowed_pages == allocator.borrow_threshold_pages
+    return allocator
 
 
 def _free_pages_by_recount(allocator: GroupAllocator) -> list[int]:

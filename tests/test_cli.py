@@ -362,6 +362,18 @@ class TestObservabilityFlags:
             trace = json.loads(Path(device["trace_file"]).read_text())
             assert isinstance(trace["traceEvents"], list) and trace["traceEvents"]
 
+    def test_fig19_device_is_observed(self):
+        """fig19 builds its own devices (no ``prepare_ssd``) and must still
+        carry the process-wide metrics window into its telemetry block."""
+        from repro.experiments.runner import set_metrics_window_us
+
+        set_metrics_window_us(50_000.0)
+        result = run_experiment("fig19", scale="tiny", ftls=("learnedftl",))
+        devices = result.raw["telemetry"]["devices"]
+        assert [device["ftl"] for device in devices] == ["learnedftl"]
+        assert devices[0]["windows"]["num_windows"] >= 1
+        assert sum(devices[0]["windows"]["reads"]) > 0
+
     def test_observed_results_cached_separately(self, tmp_path, fake_registry):
         cache_dir = tmp_path / "cache"
         run_orchestrated(["fakealpha"], scale="tiny", jobs=1, cache_dir=cache_dir)

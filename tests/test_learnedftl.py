@@ -182,6 +182,72 @@ class TestGroupGC:
         assert ssd.stats.read_outcomes[ReadOutcome.MODEL_HIT] > 0
 
 
+class TestGroupGCRetrainingPinned:
+    """GC-heavy LearnedFTL on 4 KiB pages, pinned to literals captured with
+    the scalar PLR fitter (the commit before the columnar one).
+
+    With 4 KiB pages each GTD entry holds 512 mappings, so group GC retrains
+    entries whose slope-1 runs outgrow the fitter's scalar head and are grown
+    in NumPy windows; the golden workload's 512 B pages (64 mappings an
+    entry) never get there.
+    """
+
+    STATE_SHA = "eb922290c24cc04a14e19f0c6a619c1fda33028cdf79ee26ff3a29c9718b9fa7"
+    SUMMARY = {
+        "host_read_pages": 1000.0,
+        "host_write_pages": 12144.0,
+        "flash_reads": 74735.0,
+        "flash_programs": 85854.0,
+        "flash_erases": 661.0,
+        "write_amplification": 7.069664031620554,
+        "cmt_hit_ratio": 0.012,
+        "model_hit_ratio": 0.951,
+        "single_read_fraction": 0.963,
+        "double_read_fraction": 0.037,
+        "triple_read_fraction": 0.0,
+        "gc_count": 16.0,
+        "gc_pages_moved": 67573.0,
+        "throughput_mb_s": 7.874588309785836,
+        "iops": 1030.8755867876566,
+        "read_p99_us": 280.0,
+        "read_p999_us": 320.0400000000036,
+        "write_p99_us": 35351.19999999999,
+        "write_p999_us": 402200.0,
+        "utilization": 0.7855233942426857,
+        "finish_time_us": 6836906.500000153,
+    }
+
+    def test_retraining_on_4k_pages_is_pinned(self, monkeypatch):
+        from repro.core.learned import plr
+
+        piece_lengths = []
+        close_piece = plr._close_piece
+
+        def recording(xs, ys, start, end, *args):
+            piece_lengths.append(end - start)
+            return close_piece(xs, ys, start, end, *args)
+
+        monkeypatch.setattr(plr, "_close_piece", recording)
+        geometry = SSDGeometry.small(
+            channels=2,
+            chips_per_channel=2,
+            planes_per_chip=1,
+            blocks_per_plane=16,
+            pages_per_block=128,
+            page_size=4096,
+            op_ratio=0.25,
+        )
+        assert geometry.mappings_per_translation_page == 512
+        ssd = make_ssd("learnedftl", geometry)
+        ssd.fill_sequential(io_pages=128)
+        ssd.run(random_writes(geometry, 6000, seed=31), threads=2)
+        ssd.run(random_reads(geometry, 1000, seed=32), threads=2)
+        ssd.verify()
+        assert sum(1 for length in piece_lengths if length > plr._SCALAR_HEAD) > 100
+        assert state_fingerprint(ssd.state_dict()) == self.STATE_SHA
+        assert ssd.stats.summary() == self.SUMMARY
+
+
 class TestRecoveryAndRewrite:
     def test_rebuild_models_from_flash(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=16)
