@@ -132,10 +132,6 @@ class FTLConfig:
         ratio = self.learnedftl_cmt_ratio if learnedftl else self.cmt_ratio
         return max(self.min_cmt_entries, int(geometry.num_logical_pages * ratio))
 
-    def with_cmt_ratio(self, ratio: float) -> "FTLConfig":
-        """Copy of this config with a different CMT ratio (Figure 3 sweep)."""
-        return replace(self, cmt_ratio=ratio)
-
     # ------------------------------------------------------------- sweeping
     @classmethod
     def sweepable_fields(cls) -> dict[str, type]:
@@ -370,9 +366,8 @@ class FTLBase(ABC):
         reads; returns a planner (see :mod:`repro.core.batch`) that serves the
         run array-at-a-time with per-request scalar fallback, or ``None`` to
         execute the whole run through the scalar :meth:`encode` path.  The
-        default keeps every design scalar; designs opt in individually
-        (LeaFTL deliberately stays scalar — its per-read compute charges and
-        probe machinery leave no mutation-free fast case).
+        default keeps a design scalar; LearnedFTL, the one design the batched
+        kernel serves, overrides it.
         """
         return None
 

@@ -66,9 +66,7 @@ class EntryLevelCMT:
         # lpn -> [ppn, dirty]
         self._entries: OrderedDict[int, list] = OrderedDict()
         # Count of entries with the dirty bit set, maintained by every mutation
-        # below.  The batched read planner consults it: when zero, any eviction
-        # a fast-path insert causes is silent (no translation-page flush), so a
-        # whole run of clean misses can bypass the scalar path.
+        # below (:attr:`dirty_entry_count`).
         self._dirty_count = 0
 
     def __len__(self) -> int:
@@ -89,21 +87,6 @@ class EntryLevelCMT:
             return None
         self._entries.move_to_end(lpn)
         return entry[0]
-
-    def probe_many(self, lpns: "np.ndarray | list[int]") -> np.ndarray:
-        """Batch-probe: cached PPN per LPN, ``-1`` on miss, **no recency update**.
-
-        The read-only counterpart of calling :meth:`lookup` per element; the
-        batched kernel and its tests use it to resolve hit-path translations
-        for a whole request array without perturbing the LRU order.
-        """
-        get = self._entries.get
-        lpns = lpns.tolist() if isinstance(lpns, np.ndarray) else lpns
-        out = np.empty(len(lpns), dtype=np.int64)
-        for i, lpn in enumerate(lpns):
-            entry = get(lpn)
-            out[i] = -1 if entry is None else entry[0]
-        return out
 
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:
         """Insert or update a mapping; returns dirty evictions needed to make room."""
@@ -190,7 +173,7 @@ class PageGroupedCMT:
         self._size_entries = 0
         # Count of entries with the dirty bit set, maintained by every mutation
         # below (mirror of :attr:`EntryLevelCMT._dirty_count`).  The batched
-        # read planners consult it: when zero, any eviction a fast-path insert
+        # read planner consults it: when zero, any eviction a fast-path insert
         # causes is silent (no translation-page flush).
         self._dirty_count = 0
 
@@ -228,22 +211,6 @@ class PageGroupedCMT:
         node.move_to_end(lpn)
         self._pages.move_to_end(tvpn)
         return entry[0]
-
-    def probe_many(self, lpns: "np.ndarray | list[int]") -> np.ndarray:
-        """Batch-probe: cached PPN per LPN, ``-1`` on miss, **no recency update**.
-
-        Mirrors :meth:`EntryLevelCMT.probe_many` for the two-level layout
-        (one node probe plus one entry probe per element).
-        """
-        pages_get = self._pages.get
-        mappings_per_page = self.mappings_per_page
-        lpns = lpns.tolist() if isinstance(lpns, np.ndarray) else lpns
-        out = np.empty(len(lpns), dtype=np.int64)
-        for i, lpn in enumerate(lpns):
-            node = pages_get(lpn // mappings_per_page)
-            entry = None if node is None else node.get(lpn)
-            out[i] = -1 if entry is None else entry[0]
-        return out
 
     # -------------------------------------------------------------- updates
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:

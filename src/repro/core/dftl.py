@@ -13,7 +13,6 @@ summarized in Section II-A of the LearnedFTL paper.
 from __future__ import annotations
 
 from repro.core.base import FTLConfig, StripingFTLBase
-from repro.core.batch import DemandReadPlanner
 from repro.core.cmt import EntryLevelCMT, EvictedPage
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -80,11 +79,6 @@ class DFTL(StripingFTLBase):
         if evicted:
             self._handle_evictions(evicted)
         return ppn, outcome, 0.0
-
-    def begin_read_run(self, lpns):
-        """Batch CMT hits and (while the cache is clean) misses; see
-        :class:`repro.core.batch.DemandReadPlanner`."""
-        return DemandReadPlanner(self, lpns)
 
     # ---------------------------------------------------------------- write
     def _after_write(self, written, now):

@@ -10,7 +10,6 @@ exactly 1.0 in Figure 14(c).
 from __future__ import annotations
 
 from repro.core.base import StripingFTLBase
-from repro.core.batch import DirectReadPlanner
 from repro.ssd.request import ReadOutcome
 
 __all__ = ["IdealFTL"]
@@ -34,11 +33,6 @@ class IdealFTL(StripingFTLBase):
             return None, _OUT_BUFFER_HIT, 0.0
         self.stats.cmt_hits += 1
         return ppn, _OUT_CMT_HIT, 0.0
-
-    def begin_read_run(self, lpns):
-        """Every mapped read batches — the ideal path mutates nothing.  See
-        :class:`repro.core.batch.DirectReadPlanner`."""
-        return DirectReadPlanner(self, lpns)
 
     def memory_report(self) -> dict[str, int]:
         """The full mapping table at 8 bytes per logical page."""

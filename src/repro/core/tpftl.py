@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.base import FTLConfig, StripingFTLBase
-from repro.core.batch import GroupedReadPlanner
 from repro.core.cmt import EvictedPage, PageGroupedCMT
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -109,11 +108,6 @@ class TPFTL(StripingFTLBase):
         if evicted:
             self._handle_evictions(evicted)
         return ppn, outcome, 0.0
-
-    def begin_read_run(self, lpns):
-        """Batch CMT hits and eviction-free double-read misses; see
-        :class:`repro.core.batch.GroupedReadPlanner`."""
-        return GroupedReadPlanner(self, lpns)
 
     def _prefetch_length(self) -> int:
         """Workload-adaptive prefetch depth.

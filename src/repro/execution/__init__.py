@@ -1,8 +1,8 @@
 """Pluggable execution backends for the experiment orchestrator.
 
 The orchestrator plans *what* to run; this package decides *where*: inline
-in the calling process (``serial``), across local threads or processes
-(``thread`` / ``process``), or across any number of hosts cooperating
+in the calling process (``serial``), across local processes
+(``process``), or across any number of hosts cooperating
 through a shared queue directory (``file-queue``).  All backends implement
 the same small :class:`~repro.execution.base.ExecutorBackend` contract and
 — because every experiment is deterministic — produce bit-identical
@@ -23,7 +23,7 @@ from repro.execution.base import (
     run_payload,
 )
 from repro.execution.filequeue import FileQueue, FileQueueBackend, run_worker
-from repro.execution.local import ProcessBackend, SerialBackend, ThreadBackend
+from repro.execution.local import ProcessBackend, SerialBackend
 
 __all__ = [
     "BACKEND_NAMES",
@@ -34,7 +34,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "TaskPayload",
-    "ThreadBackend",
     "create_backend",
     "default_worker_id",
     "resolve_workers",
@@ -43,7 +42,7 @@ __all__ = [
 ]
 
 #: Every selectable backend name (the CLI additionally accepts ``auto``).
-BACKEND_NAMES = ("serial", "thread", "process", "file-queue")
+BACKEND_NAMES = ("serial", "process", "file-queue")
 
 
 def create_backend(
@@ -62,8 +61,6 @@ def create_backend(
     """
     if name == "serial":
         return SerialBackend(on_note=on_note)
-    if name == "thread":
-        return ThreadBackend(workers=workers, on_note=on_note)
     if name == "process":
         return ProcessBackend(workers=workers, on_note=on_note)
     if name == "file-queue":

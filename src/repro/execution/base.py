@@ -134,9 +134,8 @@ class CompletedTask:
     result: dict[str, Any] | None = None
     error: str | None = None
     elapsed_s: float = 0.0
-    #: Identity of the worker that ran the task (``<host>-<pid>``, possibly
-    #: suffixed with a thread name), or ``"unknown"`` when the worker died
-    #: before reporting.
+    #: Identity of the worker that ran the task (``<host>-<pid>``), or
+    #: ``"unknown"`` when the worker died before reporting.
     worker: str = "unknown"
     backend: str = "?"
 
@@ -170,7 +169,7 @@ class ExecutorBackend(ABC):
     so one bad task cannot take down the batch.
     """
 
-    #: Registry name ("serial", "thread", "process", "file-queue").
+    #: Registry name ("serial", "process", "file-queue").
     name = "?"
 
     def __init__(self, workers: int = 1, on_note: Callable[[str], None] | None = None) -> None:

@@ -1,16 +1,13 @@
-"""The three single-host executor backends: serial, thread and process.
+"""The two single-host executor backends: serial and process.
 
 * :class:`SerialBackend` runs every task inline in the calling process —
   zero pickling, zero worker machinery — which is what makes ``--jobs 1``
   runs debuggable under ``pdb`` and profilable with ``cProfile``;
-* :class:`ThreadBackend` fans tasks over a :class:`ThreadPoolExecutor`
-  (useful when tasks block on shared-filesystem I/O, e.g. snapshot
-  restores, despite the GIL serializing simulation compute);
 * :class:`ProcessBackend` fans tasks over a :class:`ProcessPoolExecutor` —
   the pre-refactor orchestrator behavior, now one backend among peers.
 
-All three funnel through :func:`repro.execution.base.run_payload`, and all
-three report task failures as data (a traceback string plus the worker
+Both funnel through :func:`repro.execution.base.run_payload`, and both
+report task failures as data (a traceback string plus the worker
 identity that produced it) rather than raised exceptions.  A worker process
 that *dies* (rather than raising) surfaces as a broken-pool error on its
 task; the orchestrator's retry pass then resubmits on a fresh backend
@@ -19,9 +16,8 @@ instance, i.e. a fresh pool.
 
 from __future__ import annotations
 
-import threading
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Iterator, Sequence
 
 from repro.execution.base import (
@@ -32,7 +28,7 @@ from repro.execution.base import (
     run_payload,
 )
 
-__all__ = ["SerialBackend", "ThreadBackend", "ProcessBackend"]
+__all__ = ["SerialBackend", "ProcessBackend"]
 
 
 def _run_completed(payload: TaskPayload, backend: str, worker: str) -> CompletedTask:
@@ -70,28 +66,6 @@ class SerialBackend(ExecutorBackend):
 
     def describe(self) -> str:
         return "serial (in-process)"
-
-
-class ThreadBackend(ExecutorBackend):
-    """Local thread-pool execution (one shared interpreter, no pickling)."""
-
-    name = "thread"
-
-    def submit_all(self, payloads: Sequence[TaskPayload]) -> Iterator[CompletedTask]:
-        base_worker = default_worker_id()
-
-        def run_one(payload: TaskPayload) -> CompletedTask:
-            worker = f"{base_worker}/{threading.current_thread().name}"
-            return _run_completed(payload, self.name, worker)
-
-        max_workers = min(self.workers, max(1, len(payloads)))
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(run_one, payload) for payload in payloads]
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield future.result()
 
 
 def _process_entry(payload: TaskPayload, backend_name: str) -> CompletedTask:

@@ -12,7 +12,7 @@ Examples::
     python -m repro.experiments fig06 --scale tiny --profile
     python -m repro.experiments fig14 --scale tiny --metrics-window-us 50000 --trace-out traces/
     python -m repro.experiments study my_sweep.yaml --scale tiny --jobs 4
-    python -m repro.experiments study my_sweep.yaml --backend thread --workers 0
+    python -m repro.experiments study my_sweep.yaml --backend process --workers 0
     python -m repro.experiments worker shared/queue &          # on any host
     python -m repro.experiments all --backend file-queue --queue-dir shared/queue
     python -m repro.experiments replay trace.csv.gz --run-dir runs/r1 \\
@@ -21,7 +21,7 @@ Examples::
 
 ``all`` (or several experiment names) runs through the orchestrator: the
 multi-FTL figures are split into per-(FTL, workload) tasks, ``--backend``
-selects how tasks execute (``serial``, ``thread``, ``process``, or the
+selects how tasks execute (``serial``, ``process``, or the
 multi-host ``file-queue``; the default ``auto`` picks serial or process),
 ``--jobs N`` / ``--workers N`` sets the worker count (``0`` auto-detects the
 CPU count), ``--cache-dir`` reuses any task whose (experiment, scale, kwargs,
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["auto", "serial", "thread", "process", "file-queue"],
+        choices=["auto", "serial", "process", "file-queue"],
         default="auto",
         help="execution backend (default: auto = serial for one worker, process "
         "otherwise, file-queue when --queue-dir is given)",

@@ -9,7 +9,7 @@ task graph executed through a pluggable backend (:mod:`repro.execution`):
   (FTL, trace)/(workload, FTL) cell for the multi-FTL experiments, a single
   task otherwise);
 * :func:`run_orchestrated` executes tasks through the selected execution
-  backend — inline (``serial``), local pools (``thread``/``process``) or a
+  backend — inline (``serial``), a local process pool (``process``) or a
   shared queue directory spanning hosts (``file-queue``) — streaming per-task
   progress, caching each task's result on disk keyed by its content
   (experiment, scale, kwargs, package version), retrying a task that dies in
@@ -546,7 +546,7 @@ class TaskExecution:
     #: Name of the execution backend that produced the result (restored from
     #: the cache entry on a hit), or ``None`` before execution.
     backend: str | None = None
-    #: Identity of the worker (``<host>-<pid>[/<thread>]``) that ran the task.
+    #: Identity of the worker (``<host>-<pid>``) that ran the task.
     worker: str | None = None
     #: How many execution attempts the task took (2 = succeeded/failed on the
     #: retry pass); 0 for never-executed states.

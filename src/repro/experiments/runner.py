@@ -30,7 +30,6 @@ from repro.obs.trace import TraceRecorder
 from repro.snapshot.store import SnapshotStore
 from repro.snapshot.warm import warm_device
 from repro.ssd.device import SSD
-from repro.workloads.fio import FioJob
 
 __all__ = [
     "Scale",
@@ -369,8 +368,3 @@ def observe_device(ftl_name: str, ssd: SSD) -> None:
     tracer = TraceRecorder() if _TRACE_DIR is not None else None
     ssd.enable_observability(window_us=_METRICS_WINDOW_US, tracer=tracer)
     _OBSERVED_DEVICES.append((ftl_name, ssd))
-
-
-def run_fio(ssd: SSD, job: FioJob, *, threads: int) -> None:
-    """Run a fio job on a prepared SSD (statistics accumulate in ``ssd.stats``)."""
-    ssd.run(job.requests(ssd.geometry), threads=threads)

@@ -44,10 +44,6 @@ class FlashAddress:
     block: int
     page: int
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        """Return ``(channel, chip, plane, block, page)``."""
-        return (self.channel, self.chip, self.plane, self.block, self.page)
-
 
 class AddressCodec:
     """Translate between PPNs, VPPNs and decoded :class:`FlashAddress` values.

@@ -59,6 +59,7 @@ _HIT_CLASS_MAX = ReadOutcome.MODEL_HIT.code
 _READ_BASE = CommandKind.READ.code * NUM_PURPOSES
 _PROGRAM_BASE = CommandKind.PROGRAM.code * NUM_PURPOSES
 _ERASE_BASE = CommandKind.ERASE.code * NUM_PURPOSES
+_CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
 #: Integer per-window columns, in serialization order.
@@ -169,8 +170,6 @@ class WindowedRecorder:
         issues: list,
         latencies: list,
         trans_chips: "list | None",
-        data_code: int,
-        trans_code: int,
     ) -> None:
         """Attribute one batched-kernel call of single-page reads, column-wise.
 
@@ -184,8 +183,8 @@ class WindowedRecorder:
         bitwise equal.
         """
         get = self._get
-        data_duration = self._durations[data_code]
-        trans_duration = self._durations[trans_code]
+        data_duration = self._durations[_CODE_DATA_READ]
+        trans_duration = self._durations[_CODE_TRANSLATION_READ]
         for issue_us, latency_us, trans_chip in zip(
             issues, latencies, repeat(-1) if trans_chips is None else trans_chips
         ):
@@ -196,11 +195,11 @@ class WindowedRecorder:
             counts = window.command_counts
             if trans_chip >= 0:
                 window.read_misses += 1
-                counts[trans_code] += 1
+                counts[_CODE_TRANSLATION_READ] += 1
                 window.busy_time_us += trans_duration
             else:
                 window.read_hits += 1
-            counts[data_code] += 1
+            counts[_CODE_DATA_READ] += 1
             window.busy_time_us += data_duration
 
     # -------------------------------------------------------------- series

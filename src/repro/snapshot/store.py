@@ -128,8 +128,8 @@ class SnapshotStore:
         final = self.path_for(key)
         if (final / _MANIFEST).exists():
             return final
-        # Unique per (process, thread): thread backends save snapshots from
-        # several threads of one process, which must not share a temp dir.
+        # Unique per (process, thread): concurrent savers must not share a
+        # temp dir.
         temp = self.root / f".tmp-{key[:32]}-{os.getpid()}-{threading.get_ident()}"
         save_snapshot(temp, ssd.state_dict())
         if publish_dir(temp, final):

@@ -137,7 +137,7 @@ def _iter_request_chunks(
     is :data:`_RUN_SCALAR`.  ``request_at(i)`` materializes chunk-local
     request ``i`` for the request step; for a :class:`RequestBatch` source it
     converts the chunk's columns with one ``tolist`` per chunk on first use,
-    so writes and a planner-less design (LeaFTL) pay list indexing per
+    so writes and the planner-less designs pay list indexing per
     request instead of NumPy scalar extraction.  A :class:`RequestBatch`
     source is otherwise sliced zero-copy (its columns already exist); any
     other iterable is buffered ``batch`` requests at a time, so generators
@@ -429,19 +429,11 @@ class SSD:
                                 data_chips,
                                 trans_chips,
                                 thread_free,
-                                data_code=planner.data_code,
-                                trans_code=planner.trans_code,
                                 trans_count=trans_count,
                                 computes=computes,
                             )
                             if recorder is not None:
-                                recorder.record_fast_read(
-                                    issues,
-                                    latencies,
-                                    trans_chips,
-                                    planner.data_code,
-                                    planner.trans_code,
-                                )
+                                recorder.record_fast_read(issues, latencies, trans_chips)
                             if trace and trans_chips is not None:
                                 for issue, chip in zip(issues, trans_chips):
                                     if chip >= 0:
@@ -456,8 +448,9 @@ class SSD:
                             if pos >= seg_end:
                                 break
                     # Writes, multi-page reads, a design with no read planner
-                    # (LeaFTL), or the planner refused the request at the
-                    # cursor: the request step, then resume batching after it.
+                    # (every design but LearnedFTL), or the planner refused
+                    # the request at the cursor: the request step, then
+                    # resume batching after it.
                     heapreplace(thread_free, step(request_at(pos), thread_free[0]))
                     fallbacks += 1
                     completed += 1

@@ -37,10 +37,19 @@ import heapq
 import numpy as np
 
 from repro.nand.timing import TimingModel
-from repro.ssd.request import KIND_BY_CODE, CommandBuffer, CommandKind
+from repro.ssd.request import (
+    KIND_BY_CODE,
+    CommandBuffer,
+    CommandKind,
+    CommandPurpose,
+    command_code,
+)
 from repro.ssd.stats import SimulationStats
 
 __all__ = ["ChipTimeline", "TimingEngine"]
+
+_CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
+_CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
 
 class ChipTimeline:
@@ -56,10 +65,6 @@ class ChipTimeline:
     def num_chips(self) -> int:
         """Number of chips tracked."""
         return len(self._busy_until)
-
-    def free_at(self, chip: int) -> float:
-        """Return the time at which the chip becomes idle."""
-        return self._busy_until[chip]
 
     def occupy(self, chip: int, earliest_start: float, duration: float) -> tuple[float, float]:
         """Schedule an operation on a chip; returns ``(start, finish)``."""
@@ -190,8 +195,6 @@ class TimingEngine:
         trans_chips: list | None,
         thread_free: list,
         *,
-        data_code: int,
-        trans_code: int,
         trans_count: int = 0,
         computes: list | None = None,
     ) -> tuple[list, list]:
@@ -221,10 +224,10 @@ class TimingEngine:
         """
         n = len(data_chips)
         counts = self._command_counts
-        counts[data_code] += n
+        counts[_CODE_DATA_READ] += n
         if trans_count:
-            counts[trans_code] += trans_count
-        data_duration = self._duration_by_code[data_code]
+            counts[_CODE_TRANSLATION_READ] += trans_count
+        data_duration = self._duration_by_code[_CODE_DATA_READ]
         busy_until = self.timeline._busy_until
         busy_time = self.timeline.busy_time
         issues: list = []
@@ -244,7 +247,7 @@ class TimingEngine:
                 heapreplace(thread_free, finish)
                 append_latency(finish - issue)
         else:
-            trans_duration = self._duration_by_code[trans_code]
+            trans_duration = self._duration_by_code[_CODE_TRANSLATION_READ]
             for i in range(n):
                 issue = thread_free[0]
                 append_issue(issue)

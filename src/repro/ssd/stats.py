@@ -14,7 +14,7 @@ engine and the FTL.  Everything the paper's figures report is derived from it:
 
 Flash commands and read outcomes are bucketed from their **integer codes**
 (see :mod:`repro.ssd.request`) into flat count arrays that the hot paths —
-the timing engine's loops and the batched read planners — increment inline.
+the timing engine's loops and the batched read planner — increment inline.
 The per-purpose ``Counter`` views (``flash_reads``/``flash_programs``/
 ``flash_erases``/``read_outcomes``) are derived properties over those arrays.
 """

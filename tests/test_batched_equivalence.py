@@ -6,7 +6,7 @@ final clock and chip timelines — for every FTL design, any batch size and any
 thread count.  The workload here is deliberately hostile to the fast path: it
 mixes GC-triggering overwrites, a read storm that churns the CMT (hits,
 misses, evictions) and multi-page requests, so batches straddle every
-fallback boundary the planners draw.
+fallback boundary the planner draws.
 """
 
 from __future__ import annotations
@@ -192,73 +192,27 @@ def test_progress_marks_match_scalar() -> None:
     assert marks["batched_odd"] == marks["scalar"]
 
 
-def _clean_warm_dftl():
-    """A dftl device whose CMT holds only clean, read-inserted entries.
-
-    The sequential read storm evicts (and flushes) every dirty fill-era entry,
-    leaving the last 64 read LPNs resident — so a planner miss evicts silently
-    instead of breaking the run at a dirty LRU head.
-    """
-    geometry = golden_geometry()
-    ssd = SSD.create("dftl", geometry)
-    ssd.fill_sequential(io_pages=16)
-    ssd.run(RequestBatch.reads(np.arange(256, dtype=np.int64)), threads=1)
-    return ssd
-
-
-def test_demand_read_planner_partitions_hits_and_misses():
-    """One take serves an interleaved hit/miss run: misses ride along as
-    double reads (translation chip per miss) instead of ending the run."""
-    ssd = _clean_warm_dftl()
-    ftl = ssd.ftl
-    run = np.array([250, 10, 251, 20, 30], dtype=np.int64)
-    resident = [lpn in ftl.cmt._entries for lpn in run.tolist()]
-    assert resident == [True, False, True, False, False]
-    hits_before = ftl.stats.cmt_hits
-    trans_before = ftl.translation_store.translation_reads
-    reads_before = ftl.flash.total_reads
-
-    planner = ftl.begin_read_run(run)
-    k, data_chips, trans_chips, trans_count, computes = planner.take()
-
-    assert k == 5
-    assert len(data_chips) == 5
-    assert trans_count == 3
-    # Hit positions carry no translation read (-1); misses carry a chip id.
-    assert [chip == -1 for chip in trans_chips] == resident
-    assert computes is None
-    assert ftl.stats.cmt_hits - hits_before == 2
-    assert ftl.translation_store.translation_reads - trans_before == 3
-    assert ftl.flash.total_reads - reads_before == 5 + 3
-    # The misses were really inserted: a second take over them is all hits.
-    planner2 = ftl.begin_read_run(np.array([10, 20, 30], dtype=np.int64))
-    k2, _, trans_chips2, trans_count2, _ = planner2.take()
-    assert (k2, trans_count2, trans_chips2) == (3, 0, None)
-
-
-def test_demand_read_planner_trans_chips_none_when_all_hits():
-    """An all-hit take returns trans_chips=None (the engine's fast branch)."""
-    ssd = _clean_warm_dftl()
-    planner = ssd.ftl.begin_read_run(np.array([250, 251, 252], dtype=np.int64))
-    k, data_chips, trans_chips, trans_count, _ = planner.take()
-    assert (k, trans_count, trans_chips) == (3, 0, None)
-    assert len(data_chips) == 3
-
-
 def test_grouped_read_planner_batch_fills_translation_misses():
-    """TPFTL's planner services a cold sequential run with grouped prefetch:
-    one translation read loads a batch of neighbours, which the rest of the
-    run then hits — inside a single take."""
+    """LearnedFTL's planner services a cold sequential run whose model bits
+    are clear with grouped prefetch: one translation read loads a batch of
+    neighbours, which the rest of the run then hits — inside a single take."""
     geometry = golden_geometry()
-    ssd = SSD.create("tpftl", geometry)
-    ssd.fill_sequential(io_pages=16)
-    ssd.run(RequestBatch.reads(np.arange(128, dtype=np.int64)), threads=1)
+    ssd = SSD.create("learnedftl", geometry)
+    ssd.fill_sequential(io_pages=16, fraction=0.75)
     ftl = ssd.ftl
-    # Eight cold consecutive LPNs inside one translation page (tvpn 5).
+    # Eight consecutive LPNs inside one translation page (tvpn 5), overwritten
+    # after the fill so their model bits are clear; the read storm then
+    # flushes their dirty CMT entries and leaves tvpn 5 uncached.
     run = np.arange(320, 328, dtype=np.int64)
+    ssd.run(RequestBatch.writes(run), threads=1)
+    ssd.run(RequestBatch.reads(np.arange(128, dtype=np.int64)), threads=1)
     assert ftl.cmt._pages.get(5) is None
+    assert ftl.translation_store._tp_ppn.get(5) is not None
+    assert not any(ftl.models[5].can_predict(lpn) for lpn in run.tolist())
     hits_before = ftl.stats.cmt_hits
     trans_before = ftl.translation_store.translation_reads
+    lookups_before = ftl.stats.model_lookups
+    model_hits_before = ftl.stats.model_hits
 
     planner = ftl.begin_read_run(run)
     k, data_chips, trans_chips, trans_count, computes = planner.take()
@@ -274,6 +228,13 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     ]
     assert ftl.stats.cmt_hits - hits_before == 6
     assert ftl.translation_store.translation_reads - trans_before == 2
+    # Both misses consulted a model; none predicted.
+    assert ftl.stats.model_lookups - lookups_before == 2
+    assert ftl.stats.model_hits == model_hits_before
+    # The run is now cached: a second take is all hits, with no translation
+    # column at all (the engine's data-only branch).
+    k2, _, trans_chips2, trans_count2, _ = ftl.begin_read_run(run).take()
+    assert (k2, trans_count2, trans_chips2) == (8, 0, None)
 
 
 def _pinned_workload(kind: str, geometry) -> RequestBatch:

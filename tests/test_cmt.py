@@ -171,61 +171,7 @@ class TestPageGroupedCMT:
             assert found is None or found == expected
 
 
-class TestBatchProbes:
-    def test_entry_level_probe_many_matches_membership(self):
-        import numpy as np
-
-        cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
-        for lpn in range(5):
-            cmt.insert(lpn, lpn + 100)
-        probed = cmt.probe_many(np.array([0, 3, 7, 4], dtype=np.int64))
-        assert probed.tolist() == [100, 103, -1, 104]
-
-    def test_entry_level_probe_many_preserves_lru_order(self):
-        import numpy as np
-
-        cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
-        for lpn in range(5):
-            cmt.insert(lpn, lpn + 100)
-        before = list(cmt._entries)
-        cmt.probe_many(np.array([0, 1, 2], dtype=np.int64))
-        assert list(cmt._entries) == before  # probes never refresh recency
-
-    def test_page_grouped_probe_many_matches_membership(self):
-        import numpy as np
-
-        cmt = PageGroupedCMT(8, MAPPINGS_PER_PAGE)
-        cmt.insert(3, 300)
-        cmt.insert(MAPPINGS_PER_PAGE + 1, 400)
-        probed = cmt.probe_many(np.array([3, MAPPINGS_PER_PAGE + 1, 5], dtype=np.int64))
-        assert probed.tolist() == [300, 400, -1]
-
-    def test_page_grouped_probe_many_preserves_recency(self):
-        import numpy as np
-
-        cmt = PageGroupedCMT(16, MAPPINGS_PER_PAGE)
-        for lpn in (1, 2, MAPPINGS_PER_PAGE + 1, 2 * MAPPINGS_PER_PAGE):
-            cmt.insert(lpn, lpn + 100)
-        before = _entries(cmt)
-        cmt.probe_many(np.array([1, 2, MAPPINGS_PER_PAGE + 1], dtype=np.int64))
-        assert _entries(cmt) == before  # neither node nor entry order moves
-
-    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
-    def test_probe_many_accepts_a_list(self, cls):
-        cmt = cls(8, MAPPINGS_PER_PAGE)
-        cmt.insert(4, 40)
-        assert cmt.probe_many([4, 5]).tolist() == [40, -1]
-
-    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
-    def test_probe_many_of_nothing_is_empty(self, cls):
-        import numpy as np
-
-        cmt = cls(8, MAPPINGS_PER_PAGE)
-        cmt.insert(4, 40)
-        probed = cmt.probe_many(np.array([], dtype=np.int64))
-        assert probed.dtype == np.int64
-        assert probed.tolist() == []
-
+class TestDirtyEntryCount:
     def test_dirty_entry_count_tracks_inserts_and_evictions(self):
         cmt = EntryLevelCMT(2, MAPPINGS_PER_PAGE)
         assert cmt.dirty_entry_count == 0
@@ -301,7 +247,7 @@ def _entries(cmt) -> list[tuple[int, int, bool]]:
 
 class TestDirtyCounterIsExact:
     """``PageGroupedCMT`` skips the per-node dirty scan of an eviction when the
-    counter reads zero (and the batched planners draw the same conclusion), so
+    counter reads zero (and the batched planner draws the same conclusion), so
     the counter must equal a recount after any operation sequence."""
 
     @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
@@ -324,8 +270,8 @@ class TestDirtyCounterIsExact:
 CACHED_FTL_NAMES = ("dftl", "tpftl", "learnedftl")
 
 
-class TestProbeManyOnDevices:
-    """``probe_many`` over the CMT of a device that ran GC and a read storm."""
+class TestCachedEntriesOnDevices:
+    """The CMT of a device that ran GC and a batched read storm."""
 
     @staticmethod
     def _device(warmed_ssd_factory, ftl_name: str):
@@ -337,28 +283,14 @@ class TestProbeManyOnDevices:
         size = ssd.geometry.num_logical_pages
         rng = np.random.default_rng(7)
         ssd.run(RequestBatch.reads(rng.integers(0, size, size=1000)), threads=4, batch=128)
-        return ssd, np.arange(size, dtype=np.int64)
+        return ssd
 
     @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
     def test_hits_agree_with_the_directory(self, ftl_name, warmed_ssd_factory):
-        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
-        probed = ssd.ftl.cmt.probe_many(lpns)
-        hits = probed >= 0
-        assert hits.any()
-        assert probed[hits].tolist() == ssd.ftl.directory.lookup_many(lpns)[hits].tolist()
+        import numpy as np
 
-    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
-    def test_hits_are_exactly_the_cached_lpns(self, ftl_name, warmed_ssd_factory):
-        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
-        cmt = ssd.ftl.cmt
-        hits = cmt.probe_many(lpns) >= 0
-        assert hits.tolist() == [int(lpn) in cmt for lpn in lpns]
-        assert int(hits.sum()) == len(cmt)
-
-    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
-    def test_probing_leaves_the_cache_untouched(self, ftl_name, warmed_ssd_factory):
-        ssd, lpns = self._device(warmed_ssd_factory, ftl_name)
-        cmt = ssd.ftl.cmt
-        before = _entries(cmt)
-        cmt.probe_many(lpns[::-1])
-        assert _entries(cmt) == before
+        ssd = self._device(warmed_ssd_factory, ftl_name)
+        cached = _entries(ssd.ftl.cmt)
+        assert cached
+        lpns = np.array([lpn for lpn, _, _ in cached], dtype=np.int64)
+        assert [ppn for _, ppn, _ in cached] == ssd.ftl.directory.lookup_many(lpns).tolist()

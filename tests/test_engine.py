@@ -186,8 +186,6 @@ class TestBatchKernelContract:
             data_chips,
             trans_chips,
             thread_free,
-            data_code=_DATA,
-            trans_code=_TRANS,
             trans_count=sum(chip >= 0 for chip in trans_chips or ()),
             computes=computes,
         )

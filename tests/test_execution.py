@@ -1,7 +1,8 @@
 """Tests for the pluggable execution layer (``repro.execution``).
 
-Covers the atomic filesystem primitives, the four backends' behavioral
-equivalence (bit-identical study results), worker-failure retry with
+Covers the atomic filesystem primitives, the three backends' behavioral
+equivalence (bit-identical study results), per-task telemetry isolation
+under the process pool, worker-failure retry with
 backend/worker provenance, the file-queue protocol (atomic claims,
 heartbeats, dead-worker reclaim, exactly-once claiming across concurrent
 workers), and concurrent cache/snapshot publishers racing on one key.
@@ -169,14 +170,15 @@ class TestWorkerResolution:
             resolve_workers(-1)
 
     def test_create_backend_names(self, tmp_path):
-        assert set(BACKEND_NAMES) == {"serial", "thread", "process", "file-queue"}
-        for name in ("serial", "thread", "process"):
+        assert BACKEND_NAMES == ("serial", "process", "file-queue")
+        for name in ("serial", "process"):
             assert create_backend(name, workers=2).name == name
         assert create_backend("file-queue", queue_dir=tmp_path).name == "file-queue"
         with pytest.raises(ValueError, match="queue directory"):
             create_backend("file-queue")
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            create_backend("carrier-pigeon")
+        for name in ("carrier-pigeon", "thread"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                create_backend(name)
 
     def test_payload_wire_roundtrip_refreezes_sequences(self):
         payload = TaskPayload(
@@ -196,7 +198,7 @@ class TestWorkerResolution:
 class TestBackendEquivalence:
     def test_all_backends_produce_bit_identical_study_tables(self, tmp_path):
         # The acceptance pin of the executor refactor: the same study spec
-        # merged through serial, thread, process and file-queue yields the
+        # merged through serial, process and file-queue yields the
         # exact same table, rows, notes and raw payload.
         from repro.studies import run_study
 
@@ -226,7 +228,26 @@ class TestBackendEquivalence:
         assert _resolve_backend_name("auto", 4, 1, None) == "serial"
         assert _resolve_backend_name("auto", 4, 10, None) == "process"
         assert _resolve_backend_name("auto", 4, 10, tmp_path) == "file-queue"
-        assert _resolve_backend_name("thread", 1, 10, None) == "thread"
+        assert _resolve_backend_name("process", 1, 10, None) == "process"
+
+    def test_process_pool_keeps_each_shards_telemetry_to_itself(self):
+        # Runner telemetry state is process-global: tasks sharing one
+        # interpreter at once would drain each other's devices.  Worker
+        # processes run one task at a time, so every fig14 shard reports only
+        # the devices of its own FTL.
+        from repro.experiments.orchestrator import plan_tasks
+
+        tasks = plan_tasks("fig14")
+        states = execute_tasks(
+            tasks, scale="tiny", jobs=2, backend="process", metrics_window_us=50_000.0
+        )
+        assert len(states) == len(tasks) > 1
+        for state in states:
+            assert state.error is None, state.error
+            (ftl,) = dict(state.task.kwargs)["ftls"]
+            devices = state.result.raw["telemetry"]["devices"]
+            assert devices, state.task.label
+            assert {device["ftl"] for device in devices} == {ftl}, state.task.label
 
 
 # ---------------------------------------------------------- failure handling
@@ -330,7 +351,7 @@ class TestProvenance:
         cache_dir = tmp_path / "cache"
         tasks = _noop_tasks(1)
         first = execute_tasks(tasks, scale="tiny", backend="serial", cache_dir=cache_dir)
-        second = execute_tasks(tasks, scale="tiny", backend="thread", cache_dir=cache_dir)
+        second = execute_tasks(tasks, scale="tiny", backend="process", cache_dir=cache_dir)
         assert second[0].cached
         assert second[0].backend == "serial"  # who actually computed it
         assert second[0].worker == first[0].worker
@@ -488,8 +509,14 @@ class TestExecutionCLI:
         assert "fakealpha2" in capsys.readouterr().out
 
     def test_explicit_backend_flag(self, fake_alpha, capsys):
-        assert cli_main(["fakealpha2", "--scale", "tiny", "--backend", "thread"]) == 0
+        assert cli_main(["fakealpha2", "--scale", "tiny", "--backend", "serial"]) == 0
         assert "fakealpha2" in capsys.readouterr().out
+
+    def test_thread_backend_is_not_a_choice(self, fake_alpha, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["fakealpha2", "--scale", "tiny", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_list_advertises_worker_verb(self, capsys):
         assert cli_main(["--list"]) == 0
