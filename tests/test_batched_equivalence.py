@@ -192,6 +192,59 @@ def test_progress_marks_match_scalar() -> None:
     assert marks["batched_odd"] == marks["scalar"]
 
 
+def _clean_warm_dftl():
+    """A dftl device whose CMT holds only clean, read-inserted entries.
+
+    The sequential read storm evicts (and flushes) every dirty fill-era entry,
+    leaving the last 64 read LPNs resident.
+    """
+    geometry = golden_geometry()
+    ssd = SSD.create("dftl", geometry)
+    ssd.fill_sequential(io_pages=16)
+    ssd.run(RequestBatch.reads(np.arange(256, dtype=np.int64)), threads=1)
+    return ssd
+
+
+def test_dftl_batched_run_serves_hits_and_misses_through_the_step():
+    """DFTL has no planner: a batched interleaved hit/miss run goes through
+    the scalar step, misses served as double reads (translation read each)
+    and inserted into the CMT."""
+    ssd = _clean_warm_dftl()
+    ftl = ssd.ftl
+    run = np.array([250, 10, 251, 20, 30], dtype=np.int64)
+    resident = [lpn in ftl.cmt for lpn in run.tolist()]
+    assert resident == [True, False, True, False, False]
+    assert ftl.begin_read_run(run) is None
+    hits_before = ftl.stats.cmt_hits
+    trans_before = ftl.translation_store.translation_reads
+    reads_before = ftl.flash.total_reads
+
+    ssd.run(RequestBatch.reads(run), threads=1, batch=64)
+
+    assert ftl.stats.cmt_hits - hits_before == 2
+    assert ftl.translation_store.translation_reads - trans_before == 3
+    assert ftl.flash.total_reads - reads_before == 5 + 3
+    # The misses were really inserted: a second run over them is all hits.
+    assert all(lpn in ftl.cmt for lpn in (10, 20, 30))
+    trans_before = ftl.translation_store.translation_reads
+    ssd.run(RequestBatch.reads(np.array([10, 20, 30], dtype=np.int64)), threads=1, batch=64)
+    assert ftl.translation_store.translation_reads == trans_before
+
+
+def test_dftl_batched_all_hit_run_reads_data_only():
+    """An all-hit batched DFTL run issues one data read per request and no
+    translation read."""
+    ssd = _clean_warm_dftl()
+    ftl = ssd.ftl
+    trans_before = ftl.translation_store.translation_reads
+    reads_before = ftl.flash.total_reads
+    hits_before = ftl.stats.cmt_hits
+    ssd.run(RequestBatch.reads(np.array([250, 251, 252], dtype=np.int64)), threads=1, batch=64)
+    assert ftl.stats.cmt_hits - hits_before == 3
+    assert ftl.translation_store.translation_reads == trans_before
+    assert ftl.flash.total_reads - reads_before == 3
+
+
 def test_grouped_read_planner_batch_fills_translation_misses():
     """LearnedFTL's planner services a cold sequential run whose model bits
     are clear with grouped prefetch: one translation read loads a batch of

@@ -171,6 +171,60 @@ class TestPageGroupedCMT:
             assert found is None or found == expected
 
 
+class TestMembershipProbes:
+    """``lpn in cmt`` is the read-only probe: it answers membership without
+    refreshing recency, unlike :meth:`lookup`."""
+
+    def test_entry_level_membership_matches_inserts(self):
+        cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
+        for lpn in range(5):
+            cmt.insert(lpn, lpn + 100)
+        assert [lpn in cmt for lpn in (0, 3, 7, 4)] == [True, True, False, True]
+
+    def test_entry_level_membership_preserves_lru_order(self):
+        cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
+        for lpn in range(5):
+            cmt.insert(lpn, lpn + 100)
+        before = list(cmt._entries)
+        assert all(lpn in cmt for lpn in (0, 1, 2))
+        assert list(cmt._entries) == before  # probes never refresh recency
+
+    def test_page_grouped_membership_matches_inserts(self):
+        cmt = PageGroupedCMT(8, MAPPINGS_PER_PAGE)
+        cmt.insert(3, 300)
+        cmt.insert(MAPPINGS_PER_PAGE + 1, 400)
+        probes = (3, MAPPINGS_PER_PAGE + 1, 5, MAPPINGS_PER_PAGE + 3, 2 * MAPPINGS_PER_PAGE)
+        assert [lpn in cmt for lpn in probes] == [True, True, False, False, False]
+
+    def test_page_grouped_membership_preserves_recency(self):
+        cmt = PageGroupedCMT(16, MAPPINGS_PER_PAGE)
+        for lpn in (1, 2, MAPPINGS_PER_PAGE + 1, 2 * MAPPINGS_PER_PAGE):
+            cmt.insert(lpn, lpn + 100)
+        before = _entries(cmt)
+        assert all(lpn in cmt for lpn in (1, 2, MAPPINGS_PER_PAGE + 1))
+        assert _entries(cmt) == before  # neither node nor entry order moves
+
+    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
+    def test_lookup_refreshes_recency(self, cls):
+        cmt = cls(16, MAPPINGS_PER_PAGE)
+        for lpn in (1, 2, MAPPINGS_PER_PAGE + 1):
+            cmt.insert(lpn, lpn + 100)
+        assert cmt.lookup(1) == 101
+        assert _entries(cmt)[-1] == (1, 101, False)
+
+    @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
+    def test_evicted_lpn_is_no_longer_a_member(self, cls):
+        cmt = cls(8, MAPPINGS_PER_PAGE)
+        cmt.insert(4, 40)
+        cmt.insert(5, 50)
+        assert 4 in cmt
+        for lpn in range(3 * MAPPINGS_PER_PAGE, 3 * MAPPINGS_PER_PAGE + 8):
+            cmt.insert(lpn, lpn)
+        assert 4 not in cmt
+        assert cmt.lookup(4) is None
+        assert len(cmt) == len(_entries(cmt))
+
+
 class TestDirtyEntryCount:
     def test_dirty_entry_count_tracks_inserts_and_evictions(self):
         cmt = EntryLevelCMT(2, MAPPINGS_PER_PAGE)
@@ -294,3 +348,21 @@ class TestCachedEntriesOnDevices:
         assert cached
         lpns = np.array([lpn for lpn, _, _ in cached], dtype=np.int64)
         assert [ppn for _, ppn, _ in cached] == ssd.ftl.directory.lookup_many(lpns).tolist()
+
+    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
+    def test_members_are_exactly_the_cached_lpns(self, ftl_name, warmed_ssd_factory):
+        ssd = self._device(warmed_ssd_factory, ftl_name)
+        cmt = ssd.ftl.cmt
+        members = {lpn for lpn in range(ssd.geometry.num_logical_pages) if lpn in cmt}
+        assert members
+        assert members == {lpn for lpn, _, _ in _entries(cmt)}
+        assert len(members) == len(cmt)
+
+    @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
+    def test_probing_leaves_the_cache_untouched(self, ftl_name, warmed_ssd_factory):
+        ssd = self._device(warmed_ssd_factory, ftl_name)
+        cmt = ssd.ftl.cmt
+        before = _entries(cmt)
+        members = [lpn in cmt for lpn in reversed(range(ssd.geometry.num_logical_pages))]
+        assert sum(members) == len(before)
+        assert _entries(cmt) == before
