@@ -53,9 +53,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS, INTERNAL_EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, INTERNAL_EXPERIMENTS
 from repro.experiments.orchestrator import describe_plan, run_orchestrated, write_json_artifact
-from repro.experiments.runner import Scale, set_metrics_window_us, set_snapshot_dir, set_trace_dir
+from repro.experiments.runner import Scale
 from repro.nand.errors import ConfigurationError
 
 
@@ -160,36 +160,53 @@ def _build_parser() -> argparse.ArgumentParser:
         "status without executing anything",
     )
     parser.add_argument(
-        "--no-split",
-        action="store_true",
-        help="do not split multi-FTL experiments into per-(FTL, workload) tasks",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
-        help="run each experiment under cProfile and print the top-20 cumulative entries "
+        help="run under cProfile and print the top-20 cumulative entries "
         "(serial, in-process, bypasses the cache)",
     )
     return parser
 
 
-def _profile_experiments(names: list[str], scale: str, csv_dir: Path | None) -> int:
-    """The pre-orchestrator serial path, kept for --profile runs."""
-    for name in names:
-        started = time.time()
+def _plan_options(args) -> dict:
+    """The options a dry run and a real run of experiments or studies share."""
+    return {
+        "scale": args.scale,
+        "cache_dir": args.cache_dir,
+        "snapshot_dir": args.snapshot_dir,
+        "metrics_window_us": args.metrics_window_us,
+        "trace_dir": args.trace_out,
+    }
+
+
+def _run_and_report(args, run, noun: str) -> int:
+    """Call ``run(**options)`` (under cProfile with ``--profile``), report
+    every outcome it returns and return the exit status."""
+
+    def progress(line: str) -> None:
+        print(line, file=sys.stderr, flush=True)
+
+    options = _plan_options(args)
+    options.update(jobs=args.jobs, backend=args.backend, queue_dir=args.queue_dir)
+    started = time.time()
+    if args.profile:
         profiler = cProfile.Profile()
-        profiler.enable()
-        result = run_experiment(name, scale=scale)
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(20)
-        elapsed = time.time() - started
-        print(result.render())
-        print(f"[{name} completed in {elapsed:.1f} s at scale={scale}]")
-        print()
-        if csv_dir is not None:
-            csv_dir.mkdir(parents=True, exist_ok=True)
-            (csv_dir / f"{name}.csv").write_text(result.csv())
+        outcomes = profiler.runcall(run, progress=progress, **options)
+        pstats.Stats(profiler, stream=sys.stdout).sort_stats("cumulative").print_stats(20)
+    else:
+        outcomes = run(progress=progress, **options)
+    wall_s = time.time() - started
+
+    failed = _report_outcomes(outcomes, args)
+    if len(outcomes) > 1:
+        status = "all ok" if not failed else f"{len(failed)} failed"
+        print(
+            f"[{len(outcomes) - len(failed)}/{len(outcomes)} {noun} succeeded in "
+            f"{wall_s:.1f} s wall-clock with --jobs {args.jobs} ({status})]"
+        )
+    if failed:
+        print(f"failed {noun}: {', '.join(outcome.name for outcome in failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -243,27 +260,16 @@ def _run_studies(args) -> int:
     if not specs:
         print("study requires at least one spec file (YAML or JSON)", file=sys.stderr)
         return 2
-    if args.profile:
-        print("--profile is not supported for studies", file=sys.stderr)
-        return 2
 
     if args.dry_run:
         try:
             for spec in specs:
-                for line in describe_study_plan(
-                    spec,
-                    scale=args.scale,
-                    cache_dir=args.cache_dir,
-                    snapshot_dir=args.snapshot_dir,
-                ):
+                for line in describe_study_plan(spec, **_plan_options(args)):
                     print(line)
         except ConfigurationError as exc:
             print(f"invalid study spec: {exc}", file=sys.stderr)
             return 2
         return 0
-
-    def progress(line: str) -> None:
-        print(line, file=sys.stderr, flush=True)
 
     # Validate every spec before running any: a typo in the last spec must
     # not surface only after the earlier studies' cells have been paid for.
@@ -277,38 +283,9 @@ def _run_studies(args) -> int:
             print(f"invalid study spec {spec}: {exc}", file=sys.stderr)
             return 2
 
-    started = time.time()
-    outcomes = [
-        run_study(
-            study,
-            scale=args.scale,
-            jobs=args.jobs,
-            backend=args.backend,
-            queue_dir=args.queue_dir,
-            cache_dir=args.cache_dir,
-            snapshot_dir=args.snapshot_dir,
-            metrics_window_us=args.metrics_window_us,
-            trace_dir=args.trace_out,
-            progress=progress,
-        )
-        for study in resolved
-    ]
-    wall_s = time.time() - started
-
-    failed = _report_outcomes(outcomes, args)
-    if len(outcomes) > 1:
-        status = "all ok" if not failed else f"{len(failed)} failed"
-        print(
-            f"[{len(outcomes) - len(failed)}/{len(outcomes)} studies succeeded in "
-            f"{wall_s:.1f} s wall-clock with --jobs {args.jobs} ({status})]"
-        )
-    if failed:
-        print(
-            f"failed studies: {', '.join(outcome.name for outcome in failed)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _run_and_report(
+        args, lambda **options: [run_study(study, **options) for study in resolved], "studies"
+    )
 
 
 def _run_worker_verb(argv: list[str]) -> int:
@@ -644,6 +621,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.backend == "file-queue" and args.queue_dir is None:
         print("--backend file-queue requires --queue-dir", file=sys.stderr)
         return 2
+    if args.profile:
+        # cProfile sees this process only: every task runs inline, uncached.
+        args.jobs, args.backend, args.queue_dir, args.cache_dir = 1, "serial", None, None
     if args.experiments[0] == "study":
         return _run_studies(args)
     names: list[str] = []
@@ -662,55 +642,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.dry_run:
-        for line in describe_plan(
-            names,
-            scale=args.scale,
-            split=not args.no_split,
-            cache_dir=args.cache_dir,
-            snapshot_dir=args.snapshot_dir,
-        ):
+        for line in describe_plan(names, **_plan_options(args)):
             print(line)
         return 0
-
-    if args.profile:
-        set_snapshot_dir(args.snapshot_dir)
-        set_metrics_window_us(args.metrics_window_us)
-        set_trace_dir(args.trace_out)
-        return _profile_experiments(names, args.scale, args.csv_dir)
-
-    def progress(line: str) -> None:
-        print(line, file=sys.stderr, flush=True)
-
-    started = time.time()
-    outcomes = run_orchestrated(
-        names,
-        scale=args.scale,
-        jobs=args.jobs,
-        backend=args.backend,
-        queue_dir=args.queue_dir,
-        split=not args.no_split,
-        cache_dir=args.cache_dir,
-        snapshot_dir=args.snapshot_dir,
-        metrics_window_us=args.metrics_window_us,
-        trace_dir=args.trace_out,
-        progress=progress,
+    return _run_and_report(
+        args, lambda **options: run_orchestrated(names, **options), "experiments"
     )
-    wall_s = time.time() - started
-
-    failed = _report_outcomes(outcomes, args)
-    if len(names) > 1:
-        status = "all ok" if not failed else f"{len(failed)} failed"
-        print(
-            f"[{len(names) - len(failed)}/{len(names)} experiments succeeded in "
-            f"{wall_s:.1f} s wall-clock with --jobs {args.jobs} ({status})]"
-        )
-    if failed:
-        print(
-            f"failed experiments: {', '.join(outcome.name for outcome in failed)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -45,3 +45,8 @@ def run(scale: Scale | str = Scale.DEFAULT, *, ftl_name: str = "tpftl") -> Exper
         "throughput at every thread count, and the random-read CMT hit ratio is near zero."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec, *, ftl_name: str = "tpftl") -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec)]

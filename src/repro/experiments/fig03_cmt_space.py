@@ -46,3 +46,10 @@ def run(
         "full mapping table."
     )
     return result
+
+
+def warm_ups(
+    spec: ScaleSpec, *, ratios: Sequence[float] = DEFAULT_RATIOS, ftl_name: str = "tpftl"
+) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec, config=FTLConfig(cmt_ratio=r)) for r in ratios]

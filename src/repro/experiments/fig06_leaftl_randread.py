@@ -14,6 +14,8 @@ from repro.workloads.fio import FioJob
 
 __all__ = ["run"]
 
+FTLS = ("leaftl", "tpftl")
+
 
 def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
     """Reproduce Figure 6 (random-read throughput and multi-read statistics)."""
@@ -23,7 +25,7 @@ def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
         description="LeaFTL vs TPFTL random reads: throughput and read-count breakdown",
     )
     throughput: dict[str, float] = {}
-    for ftl_name in ("leaftl", "tpftl"):
+    for ftl_name in FTLS:
         ssd = prepare_ssd(ftl_name, spec, warmup="steady")
         job = FioJob.randread(spec.read_requests)
         ssd.run(job.requests(spec.geometry), threads=spec.threads)
@@ -46,3 +48,8 @@ def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
         "large fraction of its reads are double or triple reads."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec) for ftl_name in FTLS]

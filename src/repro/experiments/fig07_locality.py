@@ -15,6 +15,7 @@ from repro.workloads.filebench import FilebenchWorkload
 __all__ = ["run"]
 
 WORKLOADS = ("fileserver", "webserver", "varmail")
+FTLS = ("leaftl", "tpftl")
 
 
 def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
@@ -30,7 +31,7 @@ def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
     for workload_name in WORKLOADS:
         throughput: dict[str, float] = {}
         per_ftl: dict[str, dict[str, float]] = {}
-        for ftl_name in ("leaftl", "tpftl"):
+        for ftl_name in FTLS:
             ssd = prepare_ssd(ftl_name, spec, warmup="fill")
             workload = FilebenchWorkload.preset(workload_name, spec.geometry)
             ssd.run(workload.preconditioning(), threads=8)
@@ -67,3 +68,8 @@ def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
         "cache hit ratio can be high while its single-read fraction stays lower than TPFTL's."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec, warmup="fill") for ftl_name in FTLS]

@@ -22,6 +22,9 @@ __all__ = ["run"]
 
 PATTERNS = ("randread", "seqread", "randwrite", "seqwrite")
 
+#: The orchestrator runs one task per FTL.
+SHARD_AXES = {"ftls": ALL_FTLS}
+
 
 def run(
     scale: Scale | str = Scale.DEFAULT,
@@ -86,3 +89,8 @@ def run(
         "mapping designs."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec, *, ftls: tuple[str, ...] = ALL_FTLS, **_: object) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec) for ftl_name in ftls]

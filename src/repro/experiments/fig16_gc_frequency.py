@@ -59,3 +59,8 @@ def run(
         "comparable to (not larger than) the other FTLs'."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec, *, ftls: tuple[str, ...] = ALL_FTLS, **_: object) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec) for ftl_name in ftls]

@@ -45,3 +45,8 @@ def run(scale: Scale | str = Scale.DEFAULT, *, steps: int = 4) -> ExperimentResu
         "percent range (the paper reports up to 3.2%)."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec, **_: object) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name="learnedftl", spec=spec)]

@@ -75,3 +75,11 @@ def run(scale: Scale | str = Scale.DEFAULT) -> ExperimentResult:
         "for writes and <1% for reads)."
     )
     return result
+
+
+def warm_ups(spec: ScaleSpec) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [
+        dict(ftl_name="learnedftl", spec=spec, config=FTLConfig(charge_compute=charge))
+        for charge in (True, False)
+    ]

@@ -16,6 +16,9 @@ from repro.workloads.rocksdb import DbBench, MiniLSM
 
 __all__ = ["run"]
 
+#: The orchestrator runs one task per FTL.
+SHARD_AXES = {"ftls": ALL_FTLS}
+
 
 def run(
     scale: Scale | str = Scale.DEFAULT, *, ftls: tuple[str, ...] = ALL_FTLS
@@ -73,15 +76,6 @@ def run(
                     "single_read_fraction": round(stats.single_read_fraction(), 3),
                 }
             )
-    # Normalized columns need the baseline run; when this harness is invoked
-    # on an FTL subset (the orchestrator's per-FTL shards), the orchestrator
-    # recomputes them at merge time from the raw throughputs below.
-    if "dftl" in random_tput:
-        for row in result.rows:
-            row["readrandom_normalized"] = round(
-                normalize(random_tput, baseline="dftl")[row["ftl"]], 3
-            )
-            row["readseq_normalized"] = round(normalize(seq_tput, baseline="dftl")[row["ftl"]], 3)
     result.raw["readrandom_ops_s"] = random_tput
     result.raw["readseq_ops_s"] = seq_tput
     result.extra_tables["fig19b: CMT and model hit ratios"] = hit_rows
@@ -89,4 +83,17 @@ def run(
         "Expected shape: learnedftl's readrandom_normalized exceeds dftl/tpftl/leaftl and "
         "approaches ideal."
     )
+    return finish(result)
+
+
+def finish(result: ExperimentResult) -> ExperimentResult:
+    """Add the columns normalized to DFTL, when DFTL's run is among the rows."""
+    random_tput = result.raw["readrandom_ops_s"]
+    seq_tput = result.raw["readseq_ops_s"]
+    if "dftl" in random_tput:
+        random_norm = normalize(random_tput, baseline="dftl")
+        seq_norm = normalize(seq_tput, baseline="dftl")
+        for row in result.rows:
+            row["readrandom_normalized"] = round(random_norm[row["ftl"]], 3)
+            row["readseq_normalized"] = round(seq_norm[row["ftl"]], 3)
     return result

@@ -16,6 +16,9 @@ __all__ = ["run"]
 
 WORKLOADS = ("fileserver", "webserver", "varmail")
 
+#: The orchestrator runs one task per (workload, FTL) cell.
+SHARD_AXES = {"workloads": WORKLOADS, "ftls": ALL_FTLS}
+
 
 def run(
     scale: Scale | str = Scale.DEFAULT,
@@ -41,19 +44,28 @@ def run(
             threads = min(workload.threads, spec.threads)
             ssd.run(workload.requests(operations), threads=threads)
             throughput[ftl_name] = ssd.stats.throughput_mb_s()
-        # On an FTL subset (orchestrator shards) the DFTL baseline may be
-        # absent; the orchestrator then rebuilds the rows from the raw
-        # throughputs at merge time.
-        normalized = normalize(throughput, baseline="dftl") if "dftl" in throughput else {}
-        row: dict[str, object] = {"workload": workload_name}
-        for ftl_name in ftls:
-            if normalized:
-                row[f"{ftl_name}_normalized"] = round(normalized[ftl_name], 3)
-            row[f"{ftl_name}_mb_s"] = round(throughput[ftl_name], 1)
-        result.rows.append(row)
         result.raw.setdefault("throughput_mb_s", {})[workload_name] = throughput
     result.notes.append(
         "Expected shape: learnedftl_normalized >= tpftl_normalized >= leaftl_normalized on "
         "every personality, with ideal as the upper bound."
     )
+    return finish(result)
+
+
+def finish(result: ExperimentResult) -> ExperimentResult:
+    """One row per workload from the raw throughputs, normalized to DFTL when it ran."""
+    result.rows = []
+    for workload_name, throughput in result.raw["throughput_mb_s"].items():
+        normalized = normalize(throughput, baseline="dftl") if "dftl" in throughput else {}
+        row: dict[str, object] = {"workload": workload_name}
+        for ftl_name, mb_s in throughput.items():
+            if normalized:
+                row[f"{ftl_name}_normalized"] = round(normalized[ftl_name], 3)
+            row[f"{ftl_name}_mb_s"] = round(mb_s, 1)
+        result.rows.append(row)
     return result
+
+
+def warm_ups(spec: ScaleSpec, *, ftls: tuple[str, ...] = ALL_FTLS, **_: object) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec, warmup="fill") for ftl_name in ftls]

@@ -16,6 +16,10 @@ from repro.workloads.traces import TRACE_PRESETS, trace_to_requests
 __all__ = ["run", "TAIL_LATENCY_FTLS"]
 
 TAIL_LATENCY_FTLS: tuple[str, ...] = ("tpftl", "leaftl", "learnedftl", "ideal")
+TRACES: tuple[str, ...] = tuple(TRACE_PRESETS)
+
+#: The orchestrator runs one task per (trace, FTL) cell.
+SHARD_AXES = {"traces": TRACES, "ftls": TAIL_LATENCY_FTLS}
 
 
 def _trace_sizes(scale: Scale) -> int:
@@ -30,7 +34,7 @@ def run(
     scale: Scale | str = Scale.DEFAULT,
     *,
     ftls: tuple[str, ...] = TAIL_LATENCY_FTLS,
-    traces: tuple[str, ...] = ("websearch1", "websearch2", "websearch3", "systor17"),
+    traces: tuple[str, ...] = TRACES,
     time_scale: float = 0.05,
 ) -> ExperimentResult:
     """Reproduce Figure 21 (P99 and P99.9 tail latencies under four traces)."""
@@ -55,3 +59,10 @@ def run(
         "trace and close to ideal on the read-only WebSearch traces."
     )
     return result
+
+
+def warm_ups(
+    spec: ScaleSpec, *, ftls: tuple[str, ...] = TAIL_LATENCY_FTLS, **_: object
+) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of each warm-up :func:`run` makes."""
+    return [dict(ftl_name=ftl_name, spec=spec) for ftl_name in ftls]

@@ -1,23 +1,28 @@
 """Parallel experiment orchestration with result caching.
 
 The evaluation of the paper is 14 independent figure/table experiments, and
-the heavyweight ones (fig14, fig19-fig22) are themselves products of
+the heavyweight cross-FTL comparisons are themselves products of
 independent (FTL, workload) cells.  This module turns that structure into a
 task graph executed through a pluggable backend (:mod:`repro.execution`):
 
-* :func:`plan_tasks` splits an experiment into shard tasks (one per FTL or per
-  (FTL, trace)/(workload, FTL) cell for the multi-FTL experiments, a single
-  task otherwise);
+* :func:`plan_tasks` splits an experiment into shard tasks along the axes its
+  harness declares (``SHARD_AXES``: one task per FTL, or per (trace, FTL) or
+  (workload, FTL) cell), a single task otherwise;
 * :func:`run_orchestrated` executes tasks through the selected execution
   backend — inline (``serial``), a local process pool (``process``) or a
   shared queue directory spanning hosts (``file-queue``) — streaming per-task
   progress, caching each task's result on disk keyed by its content
   (experiment, scale, kwargs, package version), retrying a task that dies in
   a worker once on a fresh worker, and tolerating per-experiment failures;
-* :func:`merge_results` reassembles shard results into exactly the rows the
-  unsplit harness produces, recomputing cross-FTL normalized columns from the
-  unrounded metrics the harnesses expose via ``ExperimentResult.raw``.
+* :func:`merge_results` concatenates shard results and applies the
+  harness's own ``finish`` step, so the merged rows are exactly those of one
+  whole run, cross-FTL normalized columns included;
+* :func:`describe_plan` is the dry run: each task's cache status and the
+  snapshot keys its harness's ``warm_ups`` declaration predicts.
 
+The module knows no experiment by name: every per-figure fact lives in the
+figure's harness.  Studies (:mod:`repro.studies`) run through the same
+:class:`ExperimentPlan` path (:func:`run_plans`, :func:`describe_plans`).
 Because every task is deterministic given (experiment, scale, kwargs), the
 merged output is identical for any backend and any ``--jobs`` value, and a
 warm cache makes re-running ``all`` nearly free.
@@ -26,46 +31,37 @@ warm cache makes re-running ``all`` nearly free.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from repro import __version__
-from repro.analysis.latency import normalize
 from repro.execution import TaskPayload, create_backend, resolve_workers
 from repro.execution.atomic import publish_json, publish_text
 from repro.experiments import EXPERIMENTS
-from repro.experiments.fig20_filebench import WORKLOADS as _FILEBENCH
-from repro.experiments.fig21_tail_latency import TAIL_LATENCY_FTLS
-from repro.experiments.fig22_energy import ENERGY_FTLS
-from repro.experiments.runner import (
-    ALL_FTLS,
-    BASELINE_FTLS,
-    WARMUP_IO_PAGES,
-    WARMUP_SEED,
-    WARMUP_THREAD_CAP,
-    ExperimentResult,
-    Scale,
-    ScaleSpec,
-)
+from repro.experiments.runner import ExperimentResult, Scale, ScaleSpec, snapshot_key
 from repro.snapshot.fingerprint import source_fingerprint
 from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import warmup_recipe
-from repro.workloads.traces import TRACE_PRESETS
 
 __all__ = [
     "SCHEMA_VERSION",
     "ExperimentTask",
     "ExperimentOutcome",
+    "ExperimentPlan",
     "TaskExecution",
     "ResultCache",
     "plan_tasks",
+    "snapshot_keys",
     "describe_plan",
+    "describe_plans",
     "merge_results",
     "execute_tasks",
+    "run_plans",
     "run_orchestrated",
 ]
 
@@ -94,19 +90,6 @@ def _source_fingerprint() -> str:
     if _SOURCE_FINGERPRINT is None:
         _SOURCE_FINGERPRINT = source_fingerprint()
     return _SOURCE_FINGERPRINT
-
-#: The four traces of Figures 21/22 (canonical TRACE_PRESETS order — the
-#: default `traces` argument of those harnesses).
-_TRACES = tuple(TRACE_PRESETS)
-
-#: Per-experiment (FTL, workload) grids, taken from the harness modules so a
-#: split run always enumerates exactly the cells the unsplit run would.
-_CELL_GRIDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "fig20": (_FILEBENCH, ALL_FTLS),
-    "fig21": (_TRACES, TAIL_LATENCY_FTLS),
-    "fig22": (_TRACES, ENERGY_FTLS),
-}
-
 
 @dataclass(frozen=True)
 class ExperimentTask:
@@ -180,147 +163,150 @@ class ExperimentOutcome:
 
 
 # ------------------------------------------------------------------- planning
-def plan_tasks(name: str, *, split: bool = True) -> list[ExperimentTask]:
+def _declared(name: str, hook: str) -> Any:
+    """One optional orchestration hook of an experiment's harness module.
+
+    A harness may declare ``SHARD_AXES`` (how :func:`plan_tasks` splits it),
+    ``finish`` (the step :func:`merge_results` applies to the concatenated
+    shards) and ``warm_ups`` (the device warm-ups ``--dry-run`` predicts); an
+    experiment that declares nothing is one task with no warm-up.
+    """
+    run, _ = EXPERIMENTS[name]
+    return getattr(sys.modules[run.__module__], hook, None)
+
+
+def plan_tasks(name: str) -> list[ExperimentTask]:
     """Split one experiment into independent tasks.
 
-    The multi-FTL experiments decompose into one task per FTL (fig14, fig19)
-    or per (FTL, workload) cell (fig20, fig21, fig22); everything else runs as
-    a single task.  With ``split=False`` every experiment is one task, which
-    reproduces the pre-orchestrator execution exactly.
+    A harness whose ``SHARD_AXES`` maps keyword arguments to their values
+    runs as one task per combination, first axis outermost (e.g. one task
+    per FTL, or per (trace, FTL) cell); every other experiment is one task.
     """
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
-    if not split:
+    axes: Mapping[str, Sequence[str]] | None = _declared(name, "SHARD_AXES")
+    if not axes:
         return [ExperimentTask.create(name)]
-    if name in ("fig14", "fig19"):
-        return [
-            ExperimentTask.create(name, label=f"{name}[{ftl}]", ftls=(ftl,))
-            for ftl in ALL_FTLS
-        ]
-    if name in _CELL_GRIDS:
-        workloads, ftls = _CELL_GRIDS[name]
-        workload_kwarg = "workloads" if name == "fig20" else "traces"
-        return [
-            ExperimentTask.create(
-                name,
-                label=f"{name}[{workload}/{ftl}]",
-                ftls=(ftl,),
-                **{workload_kwarg: (workload,)},
-            )
-            for workload in workloads
-            for ftl in ftls
-        ]
-    return [ExperimentTask.create(name)]
+    return [
+        ExperimentTask.create(
+            name,
+            label=f"{name}[{'/'.join(values)}]",
+            **{axis: (value,) for axis, value in zip(axes, values)},
+        )
+        for values in itertools.product(*axes.values())
+    ]
+
+
+def snapshot_keys(task: ExperimentTask, scale: str) -> list[str]:
+    """The distinct snapshot-store keys ``task`` warms its devices under.
+
+    Predicted without running anything from the ``prepare_ssd`` calls the
+    harness's ``warm_ups`` declares, each key built as ``prepare_ssd`` does.
+    """
+    warm_ups = _declared(task.experiment, "warm_ups")
+    if warm_ups is None:
+        return []
+    calls = warm_ups(ScaleSpec.for_scale(scale), **task.run_kwargs())
+    keys = (snapshot_key(**call) for call in calls)
+    return list(dict.fromkeys(key for key in keys if key is not None))
+
+
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """One experiment's (or one study's) tasks and the merge of their results."""
+
+    name: str
+    tasks: Sequence[ExperimentTask]
+    merge: Callable[[list[ExperimentResult]], ExperimentResult]
+
+
+def _experiment_plan(name: str) -> ExperimentPlan:
+    tasks = plan_tasks(name)
+    return ExperimentPlan(name, tasks, lambda results: merge_results(name, tasks, results))
 
 
 # -------------------------------------------------------------------- dry run
-#: Experiment -> (warmup mode, default FTLs) for harnesses that warm devices
-#: through ``prepare_ssd`` with the **default** config and timing; used by
-#: ``--dry-run`` to predict snapshot-store hits.  Experiments that sweep
-#: custom configs/timings ("custom") resolve their keys only at run time, and
-#: experiments without a device warm-up map to ``None``.
-_WARM_PLANS: dict[str, tuple[str, tuple[str, ...]] | str | None] = {
-    "fig02": ("steady", ("tpftl",)),
-    "fig03": "custom",
-    "fig06": ("steady", BASELINE_FTLS),
-    "fig07": ("fill", BASELINE_FTLS),
-    "fig14": ("steady", ALL_FTLS),
-    "fig15": None,
-    "fig16": ("steady", ALL_FTLS),
-    "fig17": ("steady", ("learnedftl",)),
-    "fig18": "custom",
-    "fig19": None,
-    "fig20": ("fill", ALL_FTLS),
-    "fig21": ("steady", TAIL_LATENCY_FTLS),
-    "fig22": ("steady", ENERGY_FTLS),
-    "noop": None,
-    "table02": None,
-    # Study cells sweep configs/geometries declared in their spec; the study
-    # dry-run (repro.studies.planner.describe_study_plan) predicts their
-    # snapshot keys exactly instead of going through this table.
-    "studycell": "custom",
-}
+def _observability(
+    metrics_window_us: float | None, trace_dir: str | Path | None
+) -> dict[str, Any] | None:
+    """The telemetry descriptor folded into every cache key (``None``: off)."""
+    if metrics_window_us is None and trace_dir is None:
+        return None
+    return {"metrics_window_us": metrics_window_us, "trace": trace_dir is not None}
 
 
-def _snapshot_status(task: ExperimentTask, scale: str, store: SnapshotStore | None) -> str:
-    """Predicted snapshot-store status of one task (for the dry-run listing)."""
-    plan = _WARM_PLANS.get(task.experiment)
-    if plan is None:
-        return "none needed"
-    if plan == "custom":
-        return "custom warm-up (keys resolved at run time)"
-    if store is None:
-        return "no store"
-    warmup, default_ftls = plan
-    ftls = task.run_kwargs().get("ftls", default_ftls)
-    spec = ScaleSpec.for_scale(scale)
-    recipe = warmup_recipe(
-        warmup=warmup,
-        io_pages=WARMUP_IO_PAGES,
-        overwrite_factor=spec.warmup_overwrite_factor,
-        threads=min(WARMUP_THREAD_CAP, spec.threads),
-        seed=WARMUP_SEED,
-    )
-    hits = sum(
-        1
-        for ftl in ftls
-        if store.contains(
-            store.key_for(ftl_name=ftl, geometry=spec.geometry, recipe=recipe)
-        )
-    )
-    return f"{hits}/{len(ftls)} warm"
-
-
-def describe_plan(
-    names: Sequence[str],
+def describe_plans(
+    plans: Sequence[ExperimentPlan],
     *,
+    unit: str = "tasks",
     scale: Scale | str = Scale.DEFAULT,
-    split: bool = True,
     cache_dir: str | Path | None = None,
     snapshot_dir: str | Path | None = None,
+    metrics_window_us: float | None = None,
+    trace_dir: str | Path | None = None,
 ) -> list[str]:
-    """Describe what a run would do, without executing anything (``--dry-run``).
+    """Describe what running ``plans`` would do, without executing or writing anything.
 
-    One line per planned shard task with its result-cache status (hit/miss)
-    and its predicted snapshot-store status, followed by a totals line.
+    One line per task with its result-cache status (hit/miss, under the same
+    observability descriptor a run would use) and its predicted snapshot
+    status, then a totals line counting ``unit``.  A study cell warms one
+    device, so with ``unit="cells"`` its snapshot status reads warm/cold.
     """
     scale_value = Scale.parse(scale).value
+    obs = _observability(metrics_window_us, trace_dir)
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     store = SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
     lines: list[str] = []
-    total = 0
-    cached = 0
-    for name in names:
-        for task in plan_tasks(name, split=split):
-            total += 1
-            if cache is None:
-                cache_status = "no cache"
-            elif cache.load(task, scale_value) is not None:
-                cache_status = "hit"
-                cached += 1
+    total = cached = 0
+    for task in (task for plan in plans for task in plan.tasks):
+        total += 1
+        if cache is None:
+            cache_status = "no cache"
+        elif cache.load(task, scale_value, obs) is not None:
+            cache_status = "hit"
+            cached += 1
+        else:
+            cache_status = "miss"
+        keys = snapshot_keys(task, scale_value)
+        if not keys:
+            snapshots = "none needed"
+        elif store is None:
+            snapshots = "no store"
+        else:
+            hits = sum(store.contains(key) for key in keys)
+            if unit == "cells":
+                snapshots = "warm" if hits else "cold"
             else:
-                cache_status = "miss"
-            lines.append(
-                f"{task.label}: cache {cache_status}; "
-                f"snapshots: {_snapshot_status(task, scale_value, store)}"
-            )
-    summary = f"{total} tasks planned at scale={scale_value}"
+                snapshots = f"{hits}/{len(keys)} warm"
+        lines.append(f"{task.label}: cache {cache_status}; snapshots: {snapshots}")
+    summary = f"{total} {unit} planned at scale={scale_value}"
     if cache is not None:
         summary += f", {cached} cached, {total - cached} to run"
     lines.append(summary)
     return lines
 
 
+def describe_plan(
+    names: Sequence[str],
+    *,
+    scale: Scale | str = Scale.DEFAULT,
+    cache_dir: str | Path | None = None,
+    snapshot_dir: str | Path | None = None,
+    metrics_window_us: float | None = None,
+    trace_dir: str | Path | None = None,
+) -> list[str]:
+    """Describe what running experiments ``names`` would do (``--dry-run``)."""
+    return describe_plans(
+        [_experiment_plan(name) for name in names],
+        scale=scale,
+        cache_dir=cache_dir,
+        snapshot_dir=snapshot_dir,
+        metrics_window_us=metrics_window_us,
+        trace_dir=trace_dir,
+    )
+
+
 # -------------------------------------------------------------------- merging
-def _merged_notes(shards: Sequence[ExperimentResult]) -> list[str]:
-    notes: list[str] = []
-    for shard in shards:
-        for note in shard.notes:
-            if note not in notes:
-                notes.append(note)
-    return notes
-
-
 def _deep_update(target: dict[str, Any], value: Mapping[str, Any]) -> None:
     """Recursively merge nested raw payloads (e.g. {trace: {ftl: metric}})."""
     for key, item in value.items():
@@ -332,99 +318,29 @@ def _deep_update(target: dict[str, Any], value: Mapping[str, Any]) -> None:
             target[key] = item
 
 
-def _concat(shards: Sequence[ExperimentResult], template: ExperimentResult) -> ExperimentResult:
-    """Concatenate shard rows/extra tables in shard order."""
-    merged = ExperimentResult(name=template.name, description=template.description)
-    for shard in shards:
+def merge_results(
+    name: str, tasks: Sequence[ExperimentTask], results: Sequence[ExperimentResult]
+) -> ExperimentResult:
+    """Reassemble shard results (in ``tasks`` order) into the canonical result.
+
+    Rows and extra tables are concatenated in task order, notes deduplicated
+    and raw payloads deep-merged; the harness's ``finish`` step, when it
+    declares one, then rebuilds the columns that need every shard (the same
+    step its own ``run`` ends with).
+    """
+    if len(tasks) != len(results):
+        raise ValueError("tasks and results must align")
+    merged = ExperimentResult(name=results[0].name, description=results[0].description)
+    for shard in results:
         merged.rows.extend(shard.rows)
         for title, rows in shard.extra_tables.items():
             merged.extra_tables.setdefault(title, []).extend(rows)
         _deep_update(merged.raw, shard.raw)
-    merged.notes = _merged_notes(shards)
-    return merged
-
-
-def _merge_fig19(shards: Sequence[ExperimentResult]) -> ExperimentResult:
-    merged = _concat(shards, shards[0])
-    random_tput = merged.raw.get("readrandom_ops_s", {})
-    seq_tput = merged.raw.get("readseq_ops_s", {})
-    if "dftl" in random_tput:
-        random_norm = normalize(random_tput, baseline="dftl")
-        seq_norm = normalize(seq_tput, baseline="dftl")
-        for row in merged.rows:
-            row["readrandom_normalized"] = round(random_norm[row["ftl"]], 3)
-            row["readseq_normalized"] = round(seq_norm[row["ftl"]], 3)
-    return merged
-
-
-def _merge_fig20(shards: Sequence[ExperimentResult]) -> ExperimentResult:
-    merged = _concat(shards, shards[0])
-    throughput: Mapping[str, Mapping[str, float]] = merged.raw.get("throughput_mb_s", {})
-    rows: list[dict[str, Any]] = []
-    for workload in _FILEBENCH:
-        if workload not in throughput:
-            continue
-        per_ftl = throughput[workload]
-        normalized = normalize(dict(per_ftl), baseline="dftl") if "dftl" in per_ftl else {}
-        row: dict[str, Any] = {"workload": workload}
-        for ftl in (f for f in ALL_FTLS if f in per_ftl):
-            if normalized:
-                row[f"{ftl}_normalized"] = round(normalized[ftl], 3)
-            row[f"{ftl}_mb_s"] = round(per_ftl[ftl], 1)
-        rows.append(row)
-    merged.rows = rows
-    return merged
-
-
-def _merge_fig21(shards: Sequence[ExperimentResult]) -> ExperimentResult:
-    merged = _concat(shards, shards[0])
-    traces, ftls = _CELL_GRIDS[merged.name]
-    order = {
-        (trace, ftl): i
-        for i, (trace, ftl) in enumerate((trace, ftl) for trace in traces for ftl in ftls)
-    }
-    merged.rows.sort(key=lambda row: order.get((row["workload"], row["ftl"]), len(order)))
-    return merged
-
-
-def _merge_fig22(shards: Sequence[ExperimentResult]) -> ExperimentResult:
-    merged = _merge_fig21(shards)
-    energy: Mapping[str, Mapping[str, float]] = merged.raw.get("energy_uj", {})
-    rows = []
-    for row in merged.rows:
-        per_ftl = energy.get(row["workload"], {})
-        rebuilt = {"workload": row["workload"], "ftl": row["ftl"], "energy_mj": row["energy_mj"]}
-        if "tpftl" in per_ftl:
-            normalized = normalize(dict(per_ftl), baseline="tpftl")
-            rebuilt["normalized_energy"] = round(normalized[row["ftl"]], 3)
-        rebuilt.update(
-            {key: row[key] for key in ("read_mj", "program_mj", "erase_mj") if key in row}
-        )
-        rows.append(rebuilt)
-    merged.rows = rows
-    return merged
-
-
-_MERGERS: dict[str, Callable[[Sequence[ExperimentResult]], ExperimentResult]] = {
-    "fig19": _merge_fig19,
-    "fig20": _merge_fig20,
-    "fig21": _merge_fig21,
-    "fig22": _merge_fig22,
-}
-
-
-def merge_results(
-    name: str, tasks: Sequence[ExperimentTask], results: Sequence[ExperimentResult]
-) -> ExperimentResult:
-    """Reassemble shard results (in ``tasks`` order) into the canonical result."""
-    if len(tasks) != len(results):
-        raise ValueError("tasks and results must align")
-    if len(results) == 1 and tasks[0].label == name:
-        return results[0]
-    merger = _MERGERS.get(name)
-    if merger is not None:
-        return merger(results)
-    return _concat(results, results[0])
+        for note in shard.notes:
+            if note not in merged.notes:
+                merged.notes.append(note)
+    finish = _declared(name, "finish")
+    return merged if finish is None else finish(merged)
 
 
 # -------------------------------------------------------------------- caching
@@ -446,8 +362,8 @@ class ResultCache:
     """
 
     def __init__(self, root: str | Path) -> None:
+        # Created by the first store, so a dry run's lookups write nothing.
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, task: ExperimentTask, key: str) -> Path:
         safe_label = "".join(c if c.isalnum() else "-" for c in task.label)
@@ -525,6 +441,7 @@ class ResultCache:
             payload["obs"] = dict(obs)
         if provenance is not None:
             payload["provenance"] = dict(provenance)
+        self.root.mkdir(parents=True, exist_ok=True)
         return publish_json(path, payload)
 
 
@@ -606,12 +523,7 @@ def execute_tasks(
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     snapshot_arg = str(snapshot_dir) if snapshot_dir is not None else None
     trace_arg = str(trace_dir) if trace_dir is not None else None
-    obs: dict[str, Any] | None = None
-    if metrics_window_us is not None or trace_arg is not None:
-        obs = {
-            "metrics_window_us": metrics_window_us,
-            "trace": trace_arg is not None,
-        }
+    obs = _observability(metrics_window_us, trace_dir)
 
     states = [TaskExecution(task) for task in tasks]
     for state in states:
@@ -718,6 +630,46 @@ def execute_tasks(
     return states
 
 
+def _outcome(plan: ExperimentPlan, states: Sequence[TaskExecution]) -> ExperimentOutcome:
+    """Fold one plan's executed tasks into its outcome (merged, or failed)."""
+    backends = sorted({state.backend for state in states if state.backend})
+    outcome = ExperimentOutcome(
+        name=plan.name,
+        tasks=len(states),
+        cached_tasks=sum(1 for state in states if state.cached),
+        elapsed_s=sum(state.elapsed_s for state in states),
+        backend="+".join(backends) if backends else None,
+        workers=sorted({state.worker for state in states if state.worker}),
+    )
+    errors = [state for state in states if state.error is not None]
+    if errors:
+        outcome.error = "\n".join(
+            f"task {state.task.label} failed:\n{state.error}" for state in errors
+        )
+        return outcome
+    try:
+        outcome.result = plan.merge([state.result for state in states])
+    except Exception:
+        outcome.error = f"merging {plan.name} failed:\n{traceback.format_exc()}"
+    return outcome
+
+
+def run_plans(plans: Sequence[ExperimentPlan], **execution: Any) -> list[ExperimentOutcome]:
+    """Execute every plan's tasks in one batch and merge each plan's results.
+
+    ``execution`` holds :func:`execute_tasks`'s keyword arguments.  A failing
+    task marks its plan failed (with the traceback in
+    :attr:`ExperimentOutcome.error`) without stopping the batch.
+    """
+    states = execute_tasks([task for plan in plans for task in plan.tasks], **execution)
+    outcomes: list[ExperimentOutcome] = []
+    cursor = 0
+    for plan in plans:
+        outcomes.append(_outcome(plan, states[cursor : cursor + len(plan.tasks)]))
+        cursor += len(plan.tasks)
+    return outcomes
+
+
 def run_orchestrated(
     names: Sequence[str],
     *,
@@ -725,7 +677,6 @@ def run_orchestrated(
     jobs: int = 1,
     backend: str = "auto",
     queue_dir: str | Path | None = None,
-    split: bool = True,
     cache_dir: str | Path | None = None,
     snapshot_dir: str | Path | None = None,
     metrics_window_us: float | None = None,
@@ -748,11 +699,8 @@ def run_orchestrated(
     event tracing inside every task (see :mod:`repro.obs`); the per-window
     series ride back in each result's ``raw["telemetry"]`` block.
     """
-    planned: dict[str, list[ExperimentTask]] = {
-        name: plan_tasks(name, split=split) for name in names
-    }
-    states = execute_tasks(
-        [task for group in planned.values() for task in group],
+    return run_plans(
+        [_experiment_plan(name) for name in names],
         scale=scale,
         jobs=jobs,
         backend=backend,
@@ -763,37 +711,6 @@ def run_orchestrated(
         trace_dir=trace_dir,
         progress=progress,
     )
-    plan: dict[str, list[TaskExecution]] = {}
-    cursor = 0
-    for name, group_tasks in planned.items():
-        plan[name] = states[cursor : cursor + len(group_tasks)]
-        cursor += len(group_tasks)
-
-    outcomes: list[ExperimentOutcome] = []
-    for name, group in plan.items():
-        backends = sorted({state.backend for state in group if state.backend})
-        outcome = ExperimentOutcome(
-            name=name,
-            tasks=len(group),
-            cached_tasks=sum(1 for state in group if state.cached),
-            elapsed_s=sum(state.elapsed_s for state in group),
-            backend="+".join(backends) if backends else None,
-            workers=sorted({state.worker for state in group if state.worker}),
-        )
-        errors = [state for state in group if state.error is not None]
-        if errors:
-            outcome.error = "\n".join(
-                f"task {state.task.label} failed:\n{state.error}" for state in errors
-            )
-        else:
-            try:
-                outcome.result = merge_results(
-                    name, [state.task for state in group], [state.result for state in group]
-                )
-            except Exception:
-                outcome.error = f"merging {name} failed:\n{traceback.format_exc()}"
-        outcomes.append(outcome)
-    return outcomes
 
 
 # ------------------------------------------------------------------ artifacts

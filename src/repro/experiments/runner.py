@@ -10,7 +10,7 @@ provides the pieces they share:
   (hours; provided for completeness).
 * :func:`prepare_ssd` — create an SSD, warm it to steady state the way
   Section IV-B describes, and reset the statistics so measurements exclude the
-  warm-up.
+  warm-up; :func:`snapshot_key` is the store key such a call warms under.
 * :class:`ExperimentResult` — rows + rendered table + free-form notes.
 """
 
@@ -28,7 +28,7 @@ from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.trace import TraceRecorder
 from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import warm_device
+from repro.snapshot.warm import warm_device, warm_key
 from repro.ssd.device import SSD
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "ScaleSpec",
     "ExperimentResult",
     "prepare_ssd",
+    "snapshot_key",
     "observe_device",
     "ALL_FTLS",
     "BASELINE_FTLS",
@@ -51,11 +52,7 @@ __all__ = [
     "collect_telemetry",
 ]
 
-#: The warm-up identity :func:`prepare_ssd` uses by default.  The dry-run
-#: predictors (``orchestrator._snapshot_status`` and the study planner's
-#: ``_cell_snapshot_status``) must build their snapshot keys from these same
-#: constants — duplicating the literals there would let predictions silently
-#: drift from what a run actually warms.
+#: The warm-up identity :func:`prepare_ssd` uses by default.
 WARMUP_IO_PAGES = 128
 WARMUP_SEED = 7
 WARMUP_THREAD_CAP = 8
@@ -151,9 +148,9 @@ class ExperimentResult:
     """Output of one experiment harness.
 
     ``raw`` carries machine-readable side data that is never rendered: the
-    unrounded metrics (throughput, energy, ...) that the orchestrator needs to
-    recompute cross-FTL normalized columns when an experiment is split into
-    per-(ftl, trace) shards.  It must stay JSON-serializable.
+    unrounded metrics (throughput, energy, ...) a harness's ``finish`` step
+    builds its cross-FTL normalized columns from, so shard results merge into
+    the rows of one whole run.  It must stay JSON-serializable.
     """
 
     name: str
@@ -341,18 +338,39 @@ def prepare_ssd(
     ssd = warm_device(
         ftl_name,
         spec.geometry,
-        warmup=warmup,
-        io_pages=warmup_io_pages,
-        overwrite_factor=spec.warmup_overwrite_factor,
-        threads=min(WARMUP_THREAD_CAP, spec.threads),
-        seed=seed,
         config=config,
         timing=timing,
         store=store,
+        **_warm_recipe(spec, warmup, warmup_io_pages, seed),
     )
     ssd.reset_stats()
     observe_device(ftl_name, ssd)
     return ssd
+
+
+def _warm_recipe(spec: ScaleSpec, warmup: str, io_pages: int, seed: int) -> dict[str, Any]:
+    """The warm-up arguments :func:`prepare_ssd` hands to ``warm_device``."""
+    return {
+        "warmup": warmup,
+        "io_pages": io_pages,
+        "overwrite_factor": spec.warmup_overwrite_factor,
+        "threads": min(WARMUP_THREAD_CAP, spec.threads),
+        "seed": seed,
+    }
+
+
+def snapshot_key(
+    ftl_name: str, spec: ScaleSpec, *, config: FTLConfig | None = None, warmup: str = "steady"
+) -> str | None:
+    """The snapshot-store key :func:`prepare_ssd` with these arguments (and
+    the default timing and recipe) warms under, computed without warming
+    anything (``None``: nothing is stored)."""
+    return warm_key(
+        ftl_name,
+        spec.geometry,
+        config=config,
+        **_warm_recipe(spec, warmup, WARMUP_IO_PAGES, WARMUP_SEED),
+    )
 
 
 def observe_device(ftl_name: str, ssd: SSD) -> None:

@@ -48,8 +48,9 @@ class SnapshotStore:
     """Content-addressed on-disk store of warm SSD snapshots."""
 
     def __init__(self, root: str | Path) -> None:
+        # The root is created by the first save, so a store that is only
+        # asked what it holds (a dry run) leaves nothing on disk.
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         #: Successful restores served from the store.
         self.hits = 0
         #: Failed lookups (image absent or unreadable).
@@ -128,6 +129,7 @@ class SnapshotStore:
         final = self.path_for(key)
         if (final / _MANIFEST).exists():
             return final
+        self.root.mkdir(parents=True, exist_ok=True)
         # Unique per (process, thread): concurrent savers must not share a
         # temp dir.
         temp = self.root / f".tmp-{key[:32]}-{os.getpid()}-{threading.get_ident()}"

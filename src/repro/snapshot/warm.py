@@ -19,7 +19,7 @@ from repro.snapshot.store import SnapshotStore
 from repro.ssd.device import SSD
 from repro.workloads.fio import warmup_writes
 
-__all__ = ["warm_device", "warmup_recipe"]
+__all__ = ["warm_device", "warm_key", "warmup_recipe"]
 
 #: Warm-up styles understood by :func:`warm_device` (matching ``prepare_ssd``).
 WARMUP_MODES = ("none", "fill", "steady")
@@ -41,6 +41,30 @@ def warmup_recipe(
         "threads": threads,
         "seed": seed,
     }
+
+
+def warm_key(
+    ftl_name: str,
+    geometry: SSDGeometry,
+    *,
+    config: FTLConfig | None = None,
+    timing: TimingModel | None = None,
+    **recipe: Any,
+) -> str | None:
+    """The snapshot-store key :func:`warm_device` files a warm-up under.
+
+    ``recipe`` holds :func:`warmup_recipe`'s arguments; ``warmup="none"`` is
+    never stored (``None``).  Dry runs predict store hits with this.
+    """
+    if recipe["warmup"] == "none":
+        return None
+    return SnapshotStore.key_for(
+        ftl_name=ftl_name,
+        geometry=geometry,
+        recipe=warmup_recipe(**recipe),
+        config=config,
+        timing=timing,
+    )
 
 
 def warm_device(
@@ -74,20 +98,19 @@ def warm_device(
     if warmup not in WARMUP_MODES:
         raise ValueError(f"unknown warmup mode {warmup!r}")
     key = None
-    if store is not None and warmup != "none":
-        key = store.key_for(
-            ftl_name=ftl_name,
-            geometry=geometry,
-            recipe=warmup_recipe(
-                warmup=warmup,
-                io_pages=io_pages,
-                overwrite_factor=overwrite_factor,
-                threads=threads,
-                seed=seed,
-            ),
+    if store is not None:
+        key = warm_key(
+            ftl_name,
+            geometry,
             config=config,
             timing=timing,
+            warmup=warmup,
+            io_pages=io_pages,
+            overwrite_factor=overwrite_factor,
+            threads=threads,
+            seed=seed,
         )
+    if key is not None:
         restored = store.load(key)
         if restored is not None:
             return restored

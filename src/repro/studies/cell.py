@@ -60,6 +60,29 @@ def _decode(cell: str) -> dict[str, Any]:
     return dict(payload)
 
 
+def _device(payload: Mapping[str, Any], scale_spec: Any) -> tuple[Any, FTLConfig]:
+    """The cell's sizing (the scale's budgets on its geometry and host
+    threads) and FTL config."""
+    geometry_entry = payload.get("geometry") or {}
+    choice = GeometryChoice(
+        label=geometry_entry.get("label", "scale"),
+        base=geometry_entry.get("base"),
+        overrides=tuple((geometry_entry.get("overrides") or {}).items()),
+    )
+    spec = scale_spec.with_overrides(
+        geometry=choice.resolve(scale_spec.geometry),
+        threads=payload.get("threads") or scale_spec.threads,
+    )
+    return spec, FTLConfig().with_overrides(**(payload.get("config") or {}))
+
+
+def warm_ups(scale_spec: Any, *, cell: str) -> list[dict]:
+    """The ``prepare_ssd`` keyword arguments of the one warm-up :func:`run` makes."""
+    payload = _decode(cell)
+    spec, config = _device(payload, scale_spec)
+    return [dict(ftl_name=payload["ftl"], spec=spec, config=config, warmup=payload["warmup"])]
+
+
 def run(scale: Any = "default", *, cell: str) -> Any:
     """Run one study cell and return its single-row ``ExperimentResult``.
 
@@ -72,17 +95,7 @@ def run(scale: Any = "default", *, cell: str) -> Any:
     from repro.experiments.runner import ExperimentResult, ScaleSpec, prepare_ssd
 
     payload = _decode(cell)
-    scale_spec = ScaleSpec.for_scale(scale)
-    geometry_entry = payload.get("geometry") or {}
-    choice = GeometryChoice(
-        label=geometry_entry.get("label", "scale"),
-        base=geometry_entry.get("base"),
-        overrides=tuple((geometry_entry.get("overrides") or {}).items()),
-    )
-    geometry = choice.resolve(scale_spec.geometry)
-    config = FTLConfig().with_overrides(**(payload.get("config") or {}))
-    threads = payload.get("threads") or scale_spec.threads
-    spec = scale_spec.with_overrides(geometry=geometry, threads=threads)
+    spec, config = _device(payload, ScaleSpec.for_scale(scale))
     plan = build_workload(
         payload["workload"],
         read_requests=spec.read_requests,
@@ -91,9 +104,9 @@ def run(scale: Any = "default", *, cell: str) -> Any:
 
     ssd = prepare_ssd(payload["ftl"], spec, config=config, warmup=payload["warmup"])
     if plan.replay:
-        ssd.replay(plan.requests(geometry), streams=threads)
+        ssd.replay(plan.requests(spec.geometry), streams=spec.threads)
     else:
-        ssd.run(plan.requests(geometry), threads=threads)
+        ssd.run(plan.requests(spec.geometry), threads=spec.threads)
 
     metrics = cell_metrics(ssd.stats)
     label = payload["label"]

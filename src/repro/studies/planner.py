@@ -6,16 +6,18 @@ A study run is three steps:
    orchestrator :class:`~repro.experiments.orchestrator.ExperimentTask`
    (experiment ``studycell``, the cell's canonical JSON as its kwarg) so the
    result cache and worker-process execution apply unchanged;
-2. :func:`repro.experiments.orchestrator.execute_tasks` runs the tasks with
+2. :func:`repro.experiments.orchestrator.run_plans` runs the tasks with
    ``--jobs`` fan-out, serving unchanged cells from the cache and restoring
-   shared warm images from the snapshot store;
+   shared warm images from the snapshot store — the same path the figure
+   experiments take;
 3. :func:`merge_study` reassembles the single-row cell results — in spec
    cross-product order, so the merged table is identical for any job count —
    and derives the comparison report: per-axis normalized columns against
    each axis's first value, per-axis mean tables and best-cell notes.
 
 :func:`run_study` is the one-call entry point the CLI ``study`` verb uses;
-:func:`describe_study_plan` is its ``--dry-run``.
+:func:`describe_study_plan` is its ``--dry-run`` (the orchestrator's
+:func:`~repro.experiments.orchestrator.describe_plans` under a study header).
 """
 
 from __future__ import annotations
@@ -26,20 +28,12 @@ from typing import Any, Callable, Mapping, Sequence
 
 from repro.experiments.orchestrator import (
     ExperimentOutcome,
+    ExperimentPlan,
     ExperimentTask,
-    ResultCache,
-    execute_tasks,
+    describe_plans,
+    run_plans,
 )
-from repro.experiments.runner import (
-    WARMUP_IO_PAGES,
-    WARMUP_SEED,
-    WARMUP_THREAD_CAP,
-    ExperimentResult,
-    Scale,
-    ScaleSpec,
-)
-from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import warmup_recipe
+from repro.experiments.runner import ExperimentResult, Scale
 from repro.studies.spec import LOWER_IS_BETTER, StudyCell, StudySpec, load_study_file
 
 __all__ = [
@@ -165,6 +159,11 @@ def merge_study(
 
 
 # ------------------------------------------------------------------ execution
+def _study_plan(study: StudySpec) -> ExperimentPlan:
+    cells, tasks = plan_study(study)
+    return ExperimentPlan(study.name, tasks, lambda results: merge_study(study, cells, results))
+
+
 def run_study(
     spec: "StudySpec | Mapping[str, Any] | str | Path",
     *,
@@ -188,10 +187,8 @@ def run_study(
     cell's traceback in ``outcome.error``; surviving cell results stay
     cached, so a rerun only recomputes the failed cells.
     """
-    study = resolve_spec(spec)
-    cells, tasks = plan_study(study)
-    states = execute_tasks(
-        tasks,
+    (outcome,) = run_plans(
+        [_study_plan(resolve_spec(spec))],
         scale=scale,
         jobs=jobs,
         backend=backend,
@@ -202,92 +199,33 @@ def run_study(
         trace_dir=trace_dir,
         progress=progress,
     )
-    backends = sorted({state.backend for state in states if state.backend})
-    outcome = ExperimentOutcome(
-        name=study.name,
-        tasks=len(states),
-        cached_tasks=sum(1 for state in states if state.cached),
-        elapsed_s=sum(state.elapsed_s for state in states),
-        backend="+".join(backends) if backends else None,
-        workers=sorted({state.worker for state in states if state.worker}),
-    )
-    errors = [state for state in states if state.error is not None]
-    if errors:
-        outcome.error = "\n".join(
-            f"cell {state.task.label} failed:\n{state.error}" for state in errors
-        )
-        return outcome
-    try:
-        outcome.result = merge_study(study, cells, [state.result for state in states])
-    except Exception as exc:  # pragma: no cover - defensive
-        outcome.error = f"merging study {study.name} failed: {exc}"
     return outcome
 
 
 # -------------------------------------------------------------------- dry run
-def _cell_snapshot_status(
-    cell: StudyCell, scale_spec: ScaleSpec, store: SnapshotStore | None
-) -> str:
-    """Predicted snapshot-store status of one cell (exact, unlike the figure
-    experiments' "custom" plans: a cell's warm-up identity is fully declared)."""
-    if cell.warmup == "none":
-        return "none needed"
-    if store is None:
-        return "no store"
-    threads = cell.threads or scale_spec.threads
-    geometry = cell.geometry.resolve(scale_spec.geometry)
-    from repro.core.base import FTLConfig
-
-    recipe = warmup_recipe(
-        warmup=cell.warmup,
-        io_pages=WARMUP_IO_PAGES,
-        overwrite_factor=scale_spec.warmup_overwrite_factor,
-        threads=min(WARMUP_THREAD_CAP, threads),
-        seed=WARMUP_SEED,
-    )
-    key = store.key_for(
-        ftl_name=cell.ftl,
-        geometry=geometry,
-        recipe=recipe,
-        config=FTLConfig().with_overrides(**dict(cell.config)),
-    )
-    return "warm" if store.contains(key) else "cold"
-
-
 def describe_study_plan(
     spec: "StudySpec | Mapping[str, Any] | str | Path",
     *,
     scale: "Scale | str" = Scale.DEFAULT,
     cache_dir: "str | Path | None" = None,
     snapshot_dir: "str | Path | None" = None,
+    metrics_window_us: float | None = None,
+    trace_dir: "str | Path | None" = None,
 ) -> list[str]:
     """Describe what a study run would do without executing it (``--dry-run``)."""
     study = resolve_spec(spec)
-    scale_value = Scale.parse(scale).value
-    scale_spec = ScaleSpec.for_scale(scale_value)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    store = SnapshotStore(snapshot_dir) if snapshot_dir is not None else None
-    cells, tasks = plan_study(study)
-    lines = [
+    plan = _study_plan(study)
+    header = (
         f"study {study.name}: "
         + " x ".join(f"{axis}={len(values)}" for axis, values in study.axis_values().items())
-        + f" -> {len(cells)} cells"
-    ]
-    cached = 0
-    for cell, task in zip(cells, tasks):
-        if cache is None:
-            cache_status = "no cache"
-        elif cache.load(task, scale_value) is not None:
-            cache_status = "hit"
-            cached += 1
-        else:
-            cache_status = "miss"
-        lines.append(
-            f"{task.label}: cache {cache_status}; "
-            f"snapshots: {_cell_snapshot_status(cell, scale_spec, store)}"
-        )
-    summary = f"{len(cells)} cells planned at scale={scale_value}"
-    if cache is not None:
-        summary += f", {cached} cached, {len(cells) - cached} to run"
-    lines.append(summary)
-    return lines
+        + f" -> {len(plan.tasks)} cells"
+    )
+    return [header] + describe_plans(
+        [plan],
+        unit="cells",
+        scale=scale,
+        cache_dir=cache_dir,
+        snapshot_dir=snapshot_dir,
+        metrics_window_us=metrics_window_us,
+        trace_dir=trace_dir,
+    )

@@ -10,6 +10,7 @@ real experiment at tiny scale.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 from pathlib import Path
 
@@ -189,9 +190,6 @@ class TestOrchestratorPlanning:
         assert len(plan_tasks("fig22")) == 16
         assert len(plan_tasks("fig20")) == 15
 
-    def test_split_disabled(self):
-        assert len(plan_tasks("fig21", split=False)) == 1
-
     def test_unknown_experiment_raises(self):
         with pytest.raises(KeyError):
             plan_tasks("fig99")
@@ -217,31 +215,50 @@ class TestOrchestratorPlanning:
 
 
 class TestShardMergeFidelity:
-    """Per-FTL shards must merge into exactly the rows of the unsplit harness,
-    including the cross-FTL normalized columns recomputed from raw metrics."""
+    """Planned shards must merge into exactly the rows of one whole run,
+    including the cross-FTL normalized columns the harness's finish step
+    rebuilds from raw metrics, and in the whole run's row order."""
 
-    def _assert_split_matches_unsplit(self, name: str, ftls: tuple[str, ...], **extra):
+    def _assert_split_matches_unsplit(self, name: str, shard_axes: dict, **extra):
+        # The planner's own shards, restricted to a cheap subset of each axis.
         tasks = [
-            ExperimentTask.create(name, label=f"{name}[{ftl}]", ftls=(ftl,), **extra)
-            for ftl in ftls
+            ExperimentTask.create(name, label=task.label, **task.run_kwargs(), **extra)
+            for task in plan_tasks(name)
+            if all(task.run_kwargs()[axis][0] in values for axis, values in shard_axes.items())
         ]
+        assert len(tasks) == math.prod(len(values) for values in shard_axes.values())
         shards = [run_experiment(name, scale="tiny", **task.run_kwargs()) for task in tasks]
         merged = merge_results(name, tasks, shards)
-        direct = run_experiment(name, scale="tiny", ftls=ftls, **extra)
+        direct = run_experiment(name, scale="tiny", **shard_axes, **extra)
         assert merged.rows == direct.rows
         assert merged.extra_tables == direct.extra_tables
         assert merged.notes == direct.notes
 
     def test_fig22_shards_merge_to_unsplit_rows(self):
         self._assert_split_matches_unsplit(
-            "fig22", ("tpftl", "learnedftl"), traces=("websearch1",)
+            "fig22", {"traces": ("websearch1",), "ftls": ("tpftl", "learnedftl")}
         )
 
     def test_fig19_shards_merge_to_unsplit_rows(self):
-        self._assert_split_matches_unsplit("fig19", ("dftl", "learnedftl"))
+        self._assert_split_matches_unsplit("fig19", {"ftls": ("dftl", "learnedftl")})
 
     def test_fig20_shards_merge_to_unsplit_rows(self):
-        self._assert_split_matches_unsplit("fig20", ("dftl", "leaftl"), workloads=("varmail",))
+        self._assert_split_matches_unsplit(
+            "fig20", {"workloads": ("varmail",), "ftls": ("dftl", "leaftl")}
+        )
+
+    def test_fig21_shards_merge_to_unsplit_rows(self):
+        # Two traces: the merged rows keep the whole run's trace-major order
+        # with no re-sort, because the shards are planned trace-major.
+        self._assert_split_matches_unsplit(
+            "fig21",
+            {"traces": ("websearch1", "systor17"), "ftls": ("tpftl", "learnedftl")},
+        )
+
+    def test_fig14_shards_merge_to_unsplit_rows(self):
+        self._assert_split_matches_unsplit(
+            "fig14", {"ftls": ("dftl", "ideal")}, patterns=("randread", "randwrite")
+        )
 
 
 class TestCache:
@@ -393,51 +410,6 @@ class TestObservabilityFlags:
         assert _FAKE_CALLS == ["alpha", "alpha"]
 
 
-class TestWarmPlanTable:
-    """The dry-run's _WARM_PLANS table must track the harness call sites.
-
-    The table duplicates each harness's warm-up knowledge (mode, custom
-    config, or no device at all); these checks fail whenever a harness
-    changes its ``prepare_ssd`` usage without the table following.
-    """
-
-    def test_every_experiment_is_classified(self):
-        from repro.experiments.orchestrator import _WARM_PLANS
-
-        assert set(_WARM_PLANS) == set(EXPERIMENTS)
-
-    def test_plans_match_harness_sources(self):
-        import inspect
-        import sys
-
-        from repro.experiments.orchestrator import _WARM_PLANS
-
-        for name, plan in _WARM_PLANS.items():
-            runner, _ = EXPERIMENTS[name]
-            source = inspect.getsource(sys.modules[runner.__module__])
-            if plan is None:
-                assert "prepare_ssd(" not in source, (
-                    f"{name} warms devices but _WARM_PLANS says it does not"
-                )
-            elif plan == "custom":
-                assert "prepare_ssd(" in source and "config=" in source, (
-                    f"{name} is marked 'custom' but does not sweep configs"
-                )
-            else:
-                warmup, ftls = plan
-                assert f'warmup="{warmup}"' in source, (
-                    f"{name}: _WARM_PLANS says warmup={warmup!r} but the harness differs"
-                )
-                others = {"steady", "fill", "none"} - {warmup}
-                assert not any(f'warmup="{other}"' in source for other in others), (
-                    f"{name} uses several warm-up modes; _WARM_PLANS only predicts {warmup!r}"
-                )
-                assert "config=" not in source, (
-                    f"{name} passes a custom config; mark it 'custom' in _WARM_PLANS"
-                )
-                assert ftls, f"{name}: empty FTL list in _WARM_PLANS"
-
-
 class TestDryRun:
     def test_dry_run_plans_without_executing(self, tmp_path, capsys, fake_registry):
         code = cli_main(
@@ -477,6 +449,56 @@ class TestDryRun:
             ["fig02", "--scale", "tiny", "--dry-run", "--snapshot-dir", str(snap_dir)]
         ) == 0
         assert "fig02: cache no cache; snapshots: 1/1 warm" in capsys.readouterr().out
+
+    def test_dry_run_counts_the_observability_flags(self, tmp_path, capsys, fake_registry):
+        # Telemetry settings are part of every cache key, so a dry run with
+        # them must predict what the real run with them does.
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        window = ["--metrics-window-us", "50000"]
+        assert cli_main(["fakealpha", "--scale", "tiny", *cache]) == 0
+        capsys.readouterr()
+        assert cli_main(["fakealpha", "--scale", "tiny", "--dry-run", *cache, *window]) == 0
+        assert "1 tasks planned at scale=tiny, 0 cached, 1 to run" in capsys.readouterr().out
+        assert cli_main(["fakealpha", "--scale", "tiny", *cache, *window]) == 0
+        assert _FAKE_CALLS == ["alpha", "alpha"]
+        capsys.readouterr()
+        assert cli_main(["fakealpha", "--scale", "tiny", "--dry-run", *cache, *window]) == 0
+        assert "1 tasks planned at scale=tiny, 1 cached, 0 to run" in capsys.readouterr().out
+
+    def test_dry_run_creates_no_directory(self, tmp_path, capsys):
+        cache_dir, snap_dir = tmp_path / "cache", tmp_path / "snap"
+        assert cli_main(
+            ["fig14", "--scale", "tiny", "--dry-run",
+             "--cache-dir", str(cache_dir), "--snapshot-dir", str(snap_dir)]
+        ) == 0
+        assert "fig14[dftl]: cache miss; snapshots: 0/1 warm" in capsys.readouterr().out
+        assert not cache_dir.exists() and not snap_dir.exists()
+
+
+class TestProfileFlag:
+    def test_profile_writes_the_artifact_a_plain_run_writes(self, tmp_path, capsys):
+        plain_dir, profiled_dir = tmp_path / "plain", tmp_path / "profiled"
+        assert cli_main(["table02", "--scale", "tiny", "--json-dir", str(plain_dir)]) == 0
+        capsys.readouterr()
+        assert cli_main(
+            ["table02", "--scale", "tiny", "--profile", "--json-dir", str(profiled_dir),
+             "--cache-dir", str(tmp_path / "cache")]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "cumulative" in out and "table02" in out
+        plain = json.loads((plain_dir / "table02.json").read_text())
+        profiled = json.loads((profiled_dir / "table02.json").read_text())
+        plain.pop("elapsed_s")
+        profiled.pop("elapsed_s")
+        assert profiled == plain
+        # The result cache is bypassed under --profile.
+        assert not (tmp_path / "cache").exists()
+
+    def test_no_split_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["fig14", "--no-split"])
+        assert exited.value.code == 2
+        assert "--no-split" in capsys.readouterr().err
 
 
 class TestSnapshotDirFlag:
@@ -554,9 +576,7 @@ class TestParallelAll:
 
     @fork_only
     def test_parallel_failure_handling(self, fake_registry):
-        outcomes = run_orchestrated(
-            ["fakealpha", "fakeboom"], scale="tiny", jobs=2, split=False
-        )
+        outcomes = run_orchestrated(["fakealpha", "fakeboom"], scale="tiny", jobs=2)
         by_name = {outcome.name: outcome for outcome in outcomes}
         assert by_name["fakealpha"].ok
         assert not by_name["fakeboom"].ok
@@ -631,6 +651,39 @@ class TestStudyVerb:
         assert lines[1] == "cli-study[ideal/cmt_ratio=0.01/randread]: cache miss; snapshots: no store"
         assert lines[2] == "cli-study[ideal/cmt_ratio=0.05/randread]: cache miss; snapshots: no store"
         assert lines[3] == "2 cells planned at scale=tiny, 0 cached, 2 to run"
+
+    def test_study_dry_run_counts_the_observability_flags(self, spec_path, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert cli_main(["study", str(spec_path), "--scale", "tiny", *cache]) == 0
+        capsys.readouterr()
+        dry_run = ["study", str(spec_path), "--scale", "tiny", "--dry-run", *cache]
+        assert cli_main(dry_run) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "2 cells planned at scale=tiny, 2 cached, 0 to run"
+        )
+        assert cli_main([*dry_run, "--metrics-window-us", "50000"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "2 cells planned at scale=tiny, 0 cached, 2 to run"
+        )
+
+    def test_study_profile_writes_the_artifact(self, spec_path, tmp_path, capsys):
+        # Studies take the same orchestrated path as experiments, --profile too.
+        json_dir = tmp_path / "json"
+        assert cli_main(
+            ["study", str(spec_path), "--scale", "tiny", "--profile", "--json-dir", str(json_dir)]
+        ) == 0
+        assert "cumulative" in capsys.readouterr().out
+        payload = json.loads((json_dir / "cli-study.json").read_text())
+        assert payload["tasks"] == 2 and payload["execution"]["backend"] == "serial"
+
+    def test_study_dry_run_creates_no_directory(self, spec_path, tmp_path, capsys):
+        cache_dir, snap_dir = tmp_path / "cache", tmp_path / "snap"
+        assert cli_main(
+            ["study", str(spec_path), "--scale", "tiny", "--dry-run",
+             "--cache-dir", str(cache_dir), "--snapshot-dir", str(snap_dir)]
+        ) == 0
+        assert "snapshots: cold" in capsys.readouterr().out
+        assert not cache_dir.exists() and not snap_dir.exists()
 
     def test_study_end_to_end_writes_artifacts(self, spec_path, tmp_path, capsys):
         json_dir, csv_dir = tmp_path / "json", tmp_path / "csv"

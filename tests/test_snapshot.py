@@ -29,7 +29,13 @@ from repro import SSD, SSDGeometry
 from repro.core.base import FTLConfig
 from repro.experiments import EXPERIMENTS
 from repro.experiments import runner as runner_module
-from repro.experiments.orchestrator import describe_plan, run_orchestrated
+from repro.experiments.orchestrator import (
+    ExperimentTask,
+    describe_plan,
+    plan_tasks,
+    run_orchestrated,
+    snapshot_keys,
+)
 from repro.experiments.runner import ScaleSpec, prepare_ssd, set_snapshot_dir
 from repro.nand.errors import ConfigurationError
 from repro.replay import state_fingerprint
@@ -637,19 +643,52 @@ class TestWarmDevice:
 class TestExperimentIntegration:
     """Acceptance: a warm ``all --scale tiny`` rerun skips every fill phase."""
 
-    def test_all_tiny_rerun_hits_every_snapshot(self, tmp_path):
+    def test_all_tiny_rerun_hits_every_snapshot(self, tmp_path, monkeypatch):
+        import repro.experiments as experiments_package
         from repro.experiments import INTERNAL_EXPERIMENTS
 
         names = [name for name in EXPERIMENTS if name not in INTERNAL_EXPERIMENTS]
         snap_dir = tmp_path / "snapshots"
 
+        # Record, per task, every key the cold run asks the store for (the
+        # serial in-process backend calls run_experiment once per task).
+        asked: dict[tuple, set[str]] = {}
+        current: list[set[str]] = []
+        run_experiment, load = experiments_package.run_experiment, SnapshotStore.load
+
+        def recording_run(name, scale="default", **kwargs):
+            task = ExperimentTask.create(name, **kwargs)
+            current[:] = [asked.setdefault((task.experiment, task.kwargs), set())]
+            return run_experiment(name, scale=scale, **kwargs)
+
+        def recording_load(store, key):
+            current[0].add(key)
+            return load(store, key)
+
+        monkeypatch.setattr(experiments_package, "run_experiment", recording_run)
+        monkeypatch.setattr(SnapshotStore, "load", recording_load)
         cold = run_orchestrated(
             names, scale="tiny", jobs=1, snapshot_dir=snap_dir,
             cache_dir=tmp_path / "cache-cold",
         )
+        monkeypatch.undo()
         assert all(outcome.ok for outcome in cold), [o.error for o in cold if not o.ok]
         store = runner_module.active_snapshot_store()
         assert store is not None and store.stores > 0
+
+        # The dry run predicts exactly the keys each task asked for (no key
+        # missing, none extra), and sees every one of them warm now.
+        tasks = [task for name in names for task in plan_tasks(name)]
+        assert len(asked) == len(tasks)
+        for task in tasks:
+            predicted = snapshot_keys(task, "tiny")
+            assert len(predicted) == len(set(predicted))
+            assert set(predicted) == asked[(task.experiment, task.kwargs)], task.label
+        lines = describe_plan(names, scale="tiny", snapshot_dir=snap_dir)
+        for task, line in zip(tasks, lines):
+            keys = len(asked[(task.experiment, task.kwargs)])
+            status = f"{keys}/{keys} warm" if keys else "none needed"
+            assert line == f"{task.label}: cache no cache; snapshots: {status}"
 
         # Fresh result cache forces every task to re-execute; the warm images
         # must serve every single warm-up (zero misses == zero fill phases).
