@@ -323,22 +323,27 @@ def merge_results(
 ) -> ExperimentResult:
     """Reassemble shard results (in ``tasks`` order) into the canonical result.
 
-    Rows and extra tables are concatenated in task order, notes deduplicated
-    and raw payloads deep-merged; the harness's ``finish`` step, when it
-    declares one, then rebuilds the columns that need every shard (the same
-    step its own ``run`` ends with).
+    Rows, extra tables and ``raw.telemetry.devices`` are concatenated in
+    task order, notes deduplicated and the rest of the raw payloads
+    deep-merged; the harness's ``finish`` step, when it declares one, then
+    rebuilds the columns that need every shard (the same step its own
+    ``run`` ends with).
     """
     if len(tasks) != len(results):
         raise ValueError("tasks and results must align")
     merged = ExperimentResult(name=results[0].name, description=results[0].description)
+    devices: list[Any] = []
     for shard in results:
         merged.rows.extend(shard.rows)
         for title, rows in shard.extra_tables.items():
             merged.extra_tables.setdefault(title, []).extend(rows)
         _deep_update(merged.raw, shard.raw)
+        devices.extend(shard.raw.get("telemetry", {}).get("devices", ()))
         for note in shard.notes:
             if note not in merged.notes:
                 merged.notes.append(note)
+    if "telemetry" in merged.raw:
+        merged.raw["telemetry"]["devices"] = devices
     finish = _declared(name, "finish")
     return merged if finish is None else finish(merged)
 

@@ -1,16 +1,17 @@
 """Structured event tracing with Chrome trace-event JSON export.
 
 Two recorders share one tiny protocol (``enabled`` / ``now_us`` /
-:meth:`instant` / :meth:`complete`):
+:meth:`instant` / :meth:`complete` / :meth:`translation_reads` /
+:meth:`planned_translation_reads`):
 
 * :class:`NullTraceRecorder` — the default.  Every FTL and device carries
   :data:`NULL_TRACER`; hook sites — the FTLs' GC/eviction paths and the
   device's one request step — are gated on ``tracer.enabled``, so the
   disabled cost is one attribute test per site visit.
-* :class:`TraceRecorder` — collects typed events into flat columns and
-  exports the Chrome trace-event JSON format (the ``traceEvents`` array
-  form), loadable in Perfetto (https://ui.perfetto.dev) or
-  ``chrome://tracing``.
+* :class:`TraceRecorder` — keeps events as tuples in one list, in record
+  order, and exports the Chrome trace-event JSON format (the
+  ``traceEvents`` array form), loadable in Perfetto
+  (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Timestamps are **simulated** microseconds, which is exactly the unit the
 trace-event format expects for ``ts``/``dur``.  Event names used by the
@@ -33,15 +34,27 @@ name                   ph    args
 per-name sampling cap: after ``max_events_per_name`` events of one name the
 recorder drops further events of that name and reports the drop count in the
 exported ``otherData`` block.
+
+A row's length is its shape: ``(name, ts, dur, args)`` for an event recorded
+through :meth:`~TraceRecorder.instant` (``dur`` is ``None``) or
+:meth:`~TraceRecorder.complete`, ``(ts, chip, ppn)`` for a request step's
+translation read and ``(ts, chip)`` for a planner's.  The translation reads —
+nearly every event of a traced run — are admitted a request (or a planner
+step) at a time and never become dicts: :meth:`~TraceRecorder.write` streams
+each run of same-shape rows through one ``%`` template, falling back to the
+JSON encoder for any value ``%r`` would not print as JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain, groupby, islice
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from repro.nand.errors import ConfigurationError
+from repro.ssd.request import OP_STRIDE, CommandKind, CommandPurpose, command_code
 
 __all__ = ["NullTraceRecorder", "TraceRecorder", "NULL_TRACER"]
 
@@ -49,6 +62,19 @@ __all__ = ["NullTraceRecorder", "TraceRecorder", "NULL_TRACER"]
 #: translation-read instants track flash commands (millions on long replays);
 #: the cap bounds the trace file while keeping the interesting prefix.
 DEFAULT_MAX_EVENTS_PER_NAME = 100_000
+
+_TRANSLATION_READ = "translation_read"
+_CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+
+#: ``%`` templates of the two translation-read row shapes, keyed by row length.
+_TRANSLATION_READ_TEMPLATES = {
+    3: '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
+    '"args": {"chip": %r, "ppn": %r}}',
+    2: '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
+    '"args": {"chip": %r}}',
+}
+
+_PLAIN_TYPES = frozenset((int, float))
 
 
 class NullTraceRecorder:
@@ -73,16 +99,92 @@ class NullTraceRecorder:
     def complete(self, name: str, ts_us: float, dur_us: float, args: dict | None = None) -> None:
         """Ignore a complete (duration) event."""
 
+    def translation_reads(self, ts_us: float, ops: list) -> None:
+        """Ignore a request's translation reads."""
+
+    def planned_translation_reads(self, issues: list, chips: list, count: int) -> None:
+        """Ignore a planner step's translation reads."""
+
 
 #: The shared process-wide no-op recorder.  It holds no state besides the
 #: scratch ``now_us`` clock, so sharing one instance everywhere is safe.
 NULL_TRACER = NullTraceRecorder()
 
 
+def _event(row: tuple) -> dict[str, Any]:
+    """The trace-event dict of one row (the form :meth:`TraceRecorder.export` returns)."""
+    if len(row) == 4:
+        name, ts_us, dur_us, args = row
+        if dur_us is None:
+            event = {"name": name, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t"}
+        else:
+            event = {"name": name, "ph": "X", "ts": ts_us, "dur": dur_us, "pid": 0, "tid": 0}
+        if args:
+            event["args"] = args
+        return event
+    args = {"chip": row[1], "ppn": row[2]} if len(row) == 3 else {"chip": row[1]}
+    return {"name": _TRANSLATION_READ, "ph": "i", "ts": row[0], "pid": 0, "tid": 0, "s": "t",
+            "args": args}
+
+
+def _plain(values: Iterable[Any]) -> bool:
+    """Whether ``%r`` prints every value exactly as the JSON encoder does.
+
+    True for ints and finite floats of exactly those types; ``bool``, NumPy
+    scalars, strings, containers and ``inf``/``nan`` are encoded differently.
+    """
+    values = list(values)
+    if not set(map(type, values)) <= _PLAIN_TYPES:
+        return False
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range; the encoder prints it
+        return False
+
+
+def _quote(text: str) -> str:
+    """``text`` as a JSON string literal, escaped for use in a ``%`` template."""
+    return json.dumps(text).replace("%", "%%")
+
+
+def _template(name: Any, instant: bool, keys: tuple) -> str | None:
+    """The ``%`` template of one ``(name, ph, arg keys)`` shape (``None``: use the encoder)."""
+    if not isinstance(name, str) or not all(isinstance(key, str) for key in keys):
+        return None
+    if instant:
+        text = '{"name": ' + _quote(name) + ', "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t"'
+    else:
+        text = '{"name": ' + _quote(name) + ', "ph": "X", "ts": %r, "dur": %r, "pid": 0, "tid": 0'
+    if keys:
+        text += ', "args": {' + ", ".join(_quote(key) + ": %r" for key in keys) + "}"
+    return text + "}"
+
+
+def _encode(row: tuple, templates: dict[tuple, str | None]) -> str:
+    """The JSON text of one ``(name, ts, dur, args)`` row, via its shape's template.
+
+    ``templates`` caches one template per ``(name, instant, arg keys)`` shape.
+    """
+    name, ts_us, dur_us, args = row
+    instant = dur_us is None
+    values = (ts_us,) if instant else (ts_us, dur_us)
+    keys: tuple = ()
+    if args:
+        keys = tuple(args)
+        values += tuple(args.values())
+    shape = (name, instant, keys)
+    if shape not in templates:
+        templates[shape] = _template(*shape)
+    template = templates[shape]
+    if template is None or not _plain(values):
+        return json.dumps(_event(row))
+    return template % values
+
+
 class TraceRecorder:
     """Collect typed simulator events and export Chrome trace-event JSON."""
 
-    __slots__ = ("now_us", "max_events_per_name", "_events", "_counts", "_dropped")
+    __slots__ = ("now_us", "max_events_per_name", "_rows", "_counts", "_dropped")
 
     enabled = True
 
@@ -96,68 +198,85 @@ class TraceRecorder:
         #: (e.g. CMT eviction flushes) still get a meaningful timestamp.
         self.now_us = 0.0
         self.max_events_per_name = max_events_per_name
-        self._events: list[dict[str, Any]] = []
+        #: Every admitted event in record order; a row's length is its shape.
+        self._rows: list[tuple] = []
         self._counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     # ------------------------------------------------------------- recording
-    def _admit(self, name: str) -> bool:
-        count = self._counts.get(name, 0)
-        if count >= self.max_events_per_name:
-            self._dropped[name] = self._dropped.get(name, 0) + 1
-            return False
-        self._counts[name] = count + 1
-        return True
+    def _admit(self, name: str, count: int = 1) -> int:
+        """Admit up to ``count`` events of ``name`` under the cap; return how many.
+
+        The rest are counted as dropped.
+        """
+        used = self._counts.get(name, 0)
+        room = self.max_events_per_name - used
+        if count <= room:
+            self._counts[name] = used + count
+            return count
+        admitted = max(room, 0)
+        if admitted:
+            self._counts[name] = used + admitted
+        self._dropped[name] = self._dropped.get(name, 0) + count - admitted
+        return admitted
 
     def instant(self, name: str, ts_us: float, args: dict | None = None) -> None:
         """Record an instant event (``ph: "i"``, thread scope)."""
-        if not self._admit(name):
-            return
-        event: dict[str, Any] = {
-            "name": name,
-            "ph": "i",
-            "ts": ts_us,
-            "pid": 0,
-            "tid": 0,
-            "s": "t",
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        if self._admit(name):
+            self._rows.append((name, ts_us, None, args))
 
     def complete(self, name: str, ts_us: float, dur_us: float, args: dict | None = None) -> None:
         """Record a complete event spanning ``[ts_us, ts_us + dur_us]`` (``ph: "X"``)."""
-        if not self._admit(name):
+        if self._admit(name):
+            self._rows.append((name, ts_us, dur_us, args))
+
+    def translation_reads(self, ts_us: float, ops: list) -> None:
+        """Record the ``translation_read`` instants of one request step at once.
+
+        ``ops`` is the request's encoded command buffer (stride-4 records,
+        command code first); each translation read among them becomes one
+        ``{"chip", "ppn"}`` instant at ``ts_us``, in command order.  Reads
+        past the cap are only counted.
+        """
+        codes = ops[0::OP_STRIDE]
+        count = codes.count(_CODE_TRANSLATION_READ)
+        if not count:
             return
-        event: dict[str, Any] = {
-            "name": name,
-            "ph": "X",
-            "ts": ts_us,
-            "dur": dur_us,
-            "pid": 0,
-            "tid": 0,
-        }
-        if args:
-            event["args"] = args
-        self._events.append(event)
+        count = self._admit(_TRANSLATION_READ, count)
+        if count == 1:  # the common case: one double read
+            slot = codes.index(_CODE_TRANSLATION_READ) * OP_STRIDE
+            self._rows.append((ts_us, ops[slot + 1], ops[slot + 2]))
+            return
+        append = self._rows.append
+        position = -1
+        for _ in range(count):
+            position = codes.index(_CODE_TRANSLATION_READ, position + 1)
+            slot = position * OP_STRIDE
+            append((ts_us, ops[slot + 1], ops[slot + 2]))
+
+    def planned_translation_reads(self, issues: list, chips: list, count: int) -> None:
+        """Record the ``translation_read`` instants of one planner step at once.
+
+        ``issues`` and ``chips`` are the step's issue-time and
+        translation-chip columns (``chips[i] < 0``: request ``i`` needed no
+        translation read); ``count`` is how many reads the step issued.  Each
+        becomes one ``{"chip"}`` instant at its request's issue time.
+        """
+        admitted = self._admit(_TRANSLATION_READ, count)
+        if admitted:
+            reads = ((issue, chip) for issue, chip in zip(issues, chips) if chip >= 0)
+            self._rows.extend(islice(reads, admitted))
 
     # --------------------------------------------------------------- export
     def dropped_counts(self) -> dict[str, int]:
         """Events dropped per name by the sampling cap (empty = nothing dropped)."""
         return dict(self._dropped)
 
-    def export(self) -> dict[str, Any]:
-        """Return the Chrome trace-event JSON object form.
-
-        The object form (``{"traceEvents": [...]}``) rather than the bare
-        array so the export can carry metadata; both forms load in Perfetto
-        and ``chrome://tracing``.
-        """
+    def _metadata(self) -> dict[str, Any]:
         return {
-            "traceEvents": list(self._events),
             "displayTimeUnit": "ms",
             "otherData": {
                 "clock": "simulated_us",
@@ -166,9 +285,42 @@ class TraceRecorder:
             },
         }
 
+    def export(self) -> dict[str, Any]:
+        """Return the Chrome trace-event JSON object form.
+
+        The object form (``{"traceEvents": [...]}``) rather than the bare
+        array so the export can carry metadata; both forms load in Perfetto
+        and ``chrome://tracing``.
+        """
+        return {"traceEvents": list(map(_event, self._rows)), **self._metadata()}
+
+    def _encoded(self) -> Iterator[str]:
+        """The JSON text of every event, in record order (one run of rows at a time)."""
+        templates: dict[tuple, str | None] = {}
+        for shape, run in groupby(self._rows, len):
+            if shape == 4:
+                yield from (_encode(row, templates) for row in run)
+                continue
+            rows = list(run)
+            if _plain(chain.from_iterable(rows)):
+                yield ", ".join(map(_TRANSLATION_READ_TEMPLATES[shape].__mod__, rows))
+            else:
+                yield ", ".join(map(json.dumps, map(_event, rows)))
+
     def write(self, path: str | Path) -> Path:
-        """Serialize :meth:`export` to ``path`` and return it."""
+        """Stream :meth:`export`'s JSON to ``path`` and return it.
+
+        The bytes equal ``json.dumps(self.export())``; no event dict is built
+        unless one of its values needs the JSON encoder.
+        """
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.export()), encoding="utf-8")
+        with path.open("w", encoding="utf-8") as out:
+            out.write('{"traceEvents": [')
+            separator = ""
+            for text in self._encoded():
+                out.write(separator)
+                out.write(text)
+                separator = ", "
+            out.write("], " + json.dumps(self._metadata())[1:])
         return path

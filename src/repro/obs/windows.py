@@ -24,15 +24,19 @@ is **bit-identical between the scalar and batched kernels**, which
 
 Windows live in a dictionary of per-window accumulators (open-loop trace
 replay issues requests out of window order across streams, so windows can
-never be closed eagerly); the latency populations inside reuse the
-grow-by-doubling :class:`~repro.ssd.stats.LatencyBuffer` columns.  The whole
-recorder round-trips through ``state_dict()`` / ``load_state()``, so a
-snapshot-resume run reproduces the exact series of an uninterrupted one.
+never be closed eagerly); the latency populations inside are
+``array("d")`` columns (a C-level append per request, a zero-copy view for
+the digests).  The last window a request landed in stays at hand, so a
+closed loop, whose issue times never decrease, reaches it without a
+dictionary probe.  The whole recorder round-trips through ``state_dict()``
+/ ``load_state()``, so a snapshot-resume run reproduces the exact series of
+an uninterrupted one.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import repeat
 from typing import Any
 
@@ -42,12 +46,13 @@ from repro.nand.errors import ConfigurationError
 from repro.ssd.request import (
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
+    OP_STRIDE,
     CommandKind,
     CommandPurpose,
     ReadOutcome,
     command_code,
 )
-from repro.ssd.stats import LatencyBuffer, LatencyDigest, SimulationStats
+from repro.ssd.stats import LatencyDigest, SimulationStats
 
 __all__ = ["WindowedRecorder"]
 
@@ -91,8 +96,8 @@ class _Window:
         self.read_misses = 0
         self.busy_time_us = 0.0
         self.command_counts = [0] * NUM_COMMAND_CODES
-        self.read_latencies = LatencyBuffer()
-        self.write_latencies = LatencyBuffer()
+        self.read_latencies = array("d")
+        self.write_latencies = array("d")
 
 
 class WindowedRecorder:
@@ -103,6 +108,11 @@ class WindowedRecorder:
             raise ConfigurationError(f"window_us must be positive, got {window_us!r}")
         self.window_us = float(window_us)
         self._windows: dict[int, _Window] = {}
+        #: The last window a request was attributed to, and its index: a
+        #: closed loop issues in non-decreasing time, so most requests land
+        #: in it without a dictionary probe.
+        self._current_index = -1
+        self._current: _Window | None = None
         #: Per-code command durations, aliased from the engine's latency table
         #: (rebound by the device whenever it rebuilds its engine).
         self._durations: list[float] = [0.0] * NUM_COMMAND_CODES
@@ -120,13 +130,17 @@ class WindowedRecorder:
         never leak into it.
         """
         self._windows.clear()
+        self._current_index = -1
+        self._current = None
 
     # ----------------------------------------------------------- recording
-    def _get(self, issue_us: float) -> _Window:
-        index = int(issue_us / self.window_us)
+    def _open(self, index: int) -> _Window:
+        """Make window ``index`` the current one (creating it when untouched)."""
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _Window()
+        self._current_index = index
+        self._current = window
         return window
 
     def record_scalar(
@@ -140,7 +154,8 @@ class WindowedRecorder:
         command for command — in the same order, which keeps the per-window
         float sums bit-identical to the batched kernel's attribution.
         """
-        window = self._get(issue_us)
+        index = int(issue_us / self.window_us)
+        window = self._current if index == self._current_index else self._open(index)
         if is_read:
             window.reads += 1
             window.read_pages += npages
@@ -155,12 +170,10 @@ class WindowedRecorder:
             window.writes += 1
             window.write_pages += npages
             window.write_latencies.append(latency_us)
-        ops = buffer.ops
         counts = window.command_counts
         durations = self._durations
         busy = window.busy_time_us
-        for i in range(0, len(ops), 4):
-            code = ops[i]
+        for code in buffer.ops[0::OP_STRIDE]:
             counts[code] += 1
             busy += durations[code]
         window.busy_time_us = busy
@@ -182,13 +195,14 @@ class WindowedRecorder:
         the order the scalar path's buffer walk produces — keeping busy sums
         bitwise equal.
         """
-        get = self._get
+        width = self.window_us
         data_duration = self._durations[_CODE_DATA_READ]
         trans_duration = self._durations[_CODE_TRANSLATION_READ]
         for issue_us, latency_us, trans_chip in zip(
             issues, latencies, repeat(-1) if trans_chips is None else trans_chips
         ):
-            window = get(issue_us)
+            index = int(issue_us / width)
+            window = self._current if index == self._current_index else self._open(index)
             window.reads += 1
             window.read_pages += 1
             window.read_latencies.append(latency_us)
@@ -354,15 +368,11 @@ class WindowedRecorder:
             "write_latency_counts": np.asarray(
                 [len(w.write_latencies) for w in windows], dtype=np.int64
             ),
-            "read_latencies": (
-                np.concatenate([w.read_latencies.array() for w in windows])
-                if windows
-                else np.empty(0, dtype=np.float64)
+            "read_latencies": np.concatenate(
+                [np.frombuffer(w.read_latencies) for w in windows] or [np.empty(0)]
             ),
-            "write_latencies": (
-                np.concatenate([w.write_latencies.array() for w in windows])
-                if windows
-                else np.empty(0, dtype=np.float64)
+            "write_latencies": np.concatenate(
+                [np.frombuffer(w.write_latencies) for w in windows] or [np.empty(0)]
             ),
         }
         for column in _INT_COLUMNS:
@@ -381,7 +391,7 @@ class WindowedRecorder:
             raise ConfigurationError(
                 f"snapshot telemetry window is {width} us, recorder uses {self.window_us} us"
             )
-        self._windows.clear()
+        self.reset()
         indices = state["index"].tolist()
         int_columns = {column: state[column].tolist() for column in _INT_COLUMNS}
         busy = state["busy_time_us"].tolist()
@@ -400,9 +410,11 @@ class WindowedRecorder:
             window.command_counts[:] = command_counts[position].tolist()
             read_n = read_counts[position]
             write_n = write_counts[position]
-            window.read_latencies.replace(read_latencies[read_offset : read_offset + read_n])
-            window.write_latencies.replace(
-                write_latencies[write_offset : write_offset + write_n]
+            window.read_latencies.fromlist(
+                read_latencies[read_offset : read_offset + read_n].tolist()
+            )
+            window.write_latencies.fromlist(
+                write_latencies[write_offset : write_offset + write_n].tolist()
             )
             read_offset += read_n
             write_offset += write_n

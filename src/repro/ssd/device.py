@@ -52,12 +52,9 @@ from repro.ssd.energy import EnergyBreakdown, EnergyModel
 from repro.ssd.engine import TimingEngine
 from repro.ssd.request import (
     OP_READ_CODE,
-    CommandKind,
-    CommandPurpose,
     HostRequest,
     OpType,
     RequestBatch,
-    command_code,
 )
 from repro.ssd.stats import SimulationStats
 
@@ -104,9 +101,6 @@ def create_ftl(
 
 #: Run classes of the batched loop's segment splitter.
 _RUN_SCALAR, _RUN_READ = 0, 1
-
-#: Flat code of a translation-page read, for the request step's trace instants.
-_CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
 
 def _segments(klass: "np.ndarray") -> Iterator[tuple[int, int, int]]:
@@ -323,12 +317,7 @@ class SSD:
         if recorder is not None:
             recorder.record_scalar(is_read, request.npages, issue, finish - issue, buffer)
         if trace:
-            ops = buffer.ops
-            for i in range(0, len(ops), 4):
-                if ops[i] == _CODE_TRANSLATION_READ:
-                    tracer.instant(
-                        "translation_read", issue, {"chip": ops[i + 1], "ppn": ops[i + 2]}
-                    )
+            tracer.translation_reads(issue, buffer.ops)
         return finish
 
     def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
@@ -434,10 +423,8 @@ class SSD:
                             )
                             if recorder is not None:
                                 recorder.record_fast_read(issues, latencies, trans_chips)
-                            if trace and trans_chips is not None:
-                                for issue, chip in zip(issues, trans_chips):
-                                    if chip >= 0:
-                                        tracer.instant("translation_read", issue, {"chip": chip})
+                            if trace and trans_count:
+                                tracer.planned_translation_reads(issues, trans_chips, trans_count)
                             record_latencies(True, latencies)
                             if progress is not None:
                                 first_mark = completed - completed % 10_000 + 10_000

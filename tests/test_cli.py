@@ -34,7 +34,7 @@ from repro.experiments.orchestrator import (
     plan_tasks,
     run_orchestrated,
 )
-from repro.experiments.runner import ExperimentResult
+from repro.experiments.runner import ALL_FTLS, ExperimentResult
 
 #: Call log for the counting fake (meaningful only for in-process jobs=1 runs).
 _FAKE_CALLS: list[str] = []
@@ -378,6 +378,33 @@ class TestObservabilityFlags:
             assert sum(windows["reads"]) > 0
             trace = json.loads(Path(device["trace_file"]).read_text())
             assert isinstance(trace["traceEvents"], list) and trace["traceEvents"]
+
+    def test_sharded_figure_keeps_every_shards_devices(self, tmp_path, capsys, monkeypatch):
+        """fig14 runs one shard per FTL; the merged artifact lists every
+        device each shard prepared, in task order, and the CLI prints a
+        telemetry table for each."""
+        from repro.experiments import runner
+
+        prepared: list[str] = []
+        observe = runner.observe_device
+
+        def counting(ftl_name, ssd):
+            prepared.append(ftl_name)
+            observe(ftl_name, ssd)
+
+        monkeypatch.setattr(runner, "observe_device", counting)
+        json_dir = tmp_path / "json"
+        code = cli_main(
+            ["fig14", "--scale", "tiny", "--metrics-window-us", "50000",
+             "--json-dir", str(json_dir)]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        devices = json.loads((json_dir / "fig14.json").read_text())["raw"]["telemetry"]["devices"]
+        assert [device["ftl"] for device in devices] == prepared
+        assert sorted(set(prepared)) == sorted(ALL_FTLS)
+        for ftl in ALL_FTLS:
+            assert out.count(f"[windowed telemetry: fig14 / {ftl}]") == prepared.count(ftl) > 0
 
     def test_fig19_device_is_observed(self):
         """fig19 builds its own devices (no ``prepare_ssd``) and must still

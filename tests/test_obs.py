@@ -22,6 +22,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from golden_workload import golden_geometry, run_golden_workload
@@ -30,11 +31,27 @@ from repro.nand.errors import ConfigurationError
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
 from repro.replay import state_fingerprint
-from repro.ssd.request import HostRequest, OpType
+from repro.ssd.request import (
+    CommandKind,
+    CommandPurpose,
+    HostRequest,
+    OpType,
+    command_code,
+)
 from test_kernel_equivalence import GOLDEN
 
 WINDOW_US = 100_000.0
 SEED = 20240808
+
+#: The recording methods hook sites call on ``ssd.tracer``.
+_TRACER_PROTOCOL = ("instant", "complete", "translation_reads", "planned_translation_reads")
+_TR = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+_DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
+
+
+def _ops(*commands: tuple[int, int, int]) -> list[int]:
+    """An encoded command buffer's ``ops``: ``(code, chip, ppn)`` per command."""
+    return [slot for code, chip, ppn in commands for slot in (code, chip, ppn, -1)]
 
 
 def _mixed_workload(geometry) -> list[list[HostRequest]]:
@@ -148,8 +165,8 @@ class TestNonInterference:
 
         for name in ("record_scalar", "record_fast_read"):
             monkeypatch.setattr(WindowedRecorder, name, boom)
-        monkeypatch.setattr(TraceRecorder, "instant", boom)
-        monkeypatch.setattr(TraceRecorder, "complete", boom)
+        for name in _TRACER_PROTOCOL:
+            monkeypatch.setattr(TraceRecorder, name, boom)
 
         ssd = SSD.create("dftl", tiny_geometry)
         ssd.fill_sequential(io_pages=16)
@@ -167,8 +184,18 @@ class TestNonInterference:
         assert ssd.tracer is NULL_TRACER
         assert ssd.ftl.tracer is NULL_TRACER
         assert not NullTraceRecorder.enabled
+        # Every recording method of the real recorder exists on the null one.
+        recording = {
+            name for name in vars(TraceRecorder)
+            if not name.startswith("_") and callable(getattr(TraceRecorder, name))
+        } - {"export", "write", "dropped_counts"}
+        assert recording == set(_TRACER_PROTOCOL)
+        assert all(callable(getattr(NULL_TRACER, name)) for name in _TRACER_PROTOCOL)
         NULL_TRACER.instant("gc", 0.0, {"victim_block": 1})
         NULL_TRACER.complete("gc", 0.0, 10.0)
+        NULL_TRACER.translation_reads(0.0, _ops((_TR, 3, 77), (_DATA, 1, 9)))
+        NULL_TRACER.planned_translation_reads([0.0, 1.0], [2, -1], 1)
+        assert NULL_TRACER.__slots__ == ("now_us",)  # nothing to accumulate into
 
 
 def _entry_point_workload(geometry) -> list[HostRequest]:
@@ -389,6 +416,38 @@ class TestTraceRecorder:
         assert payload["traceEvents"][0]["name"] == "snapshot_restore"
         assert payload["displayTimeUnit"] == "ms"
 
+    def test_streamed_write_equals_the_reference_encoder(self, tmp_path):
+        tracer = TraceRecorder()
+        # Real traced runs: per-block GC (DFTL), then LearnedFTL's group GC,
+        # evictions, planner runs and both translation-read shapes.
+        for ftl_name, batch in (("dftl", None), ("learnedftl", 16)):
+            ssd, _ = _observed_device(ftl_name, tracer=tracer)
+            ssd.fill_sequential(io_pages=16)
+            for phase in _mixed_workload(ssd.geometry):
+                ssd.run(phase, threads=2, batch=batch)
+        tracer.instant("marker", 1.0)
+        tracer.instant("marker", 2.5, {"tvpn": 3})
+        tracer.instant("marker", 3.0, {})
+        tracer.complete("span", 4.0, 0.5)
+        tracer.complete("span", 5.0, 1.25, {"blocks": 2})
+        tracer.instant("marker", math.inf, {"tvpn": 4})
+        tracer.complete("span", 6.0, math.nan)
+        tracer.instant(
+            "marker", 7.0, {"flag": True, "planner": "GroupedReadPlanner", "nested": {"a": [1, 2.5]}}
+        )
+        tracer.instant("marker", 8.0, {"mean": np.float64(0.1), "huge": 10**400})
+        tracer.instant("évènement 100%", 9.0, {"clé %s": -0.0})
+        tracer.translation_reads(math.inf, _ops((_TR, 1, 2)))
+        tracer.planned_translation_reads([10.0, np.float64(11.5)], [-1, 4], 1)
+
+        events = tracer.export()["traceEvents"]
+        names = {event["name"] for event in events}
+        assert {"gc", "gc_group", "cmt_evict", "batch_plan"} <= names
+        shapes = {tuple(e["args"]) for e in events if e["name"] == "translation_read"}
+        assert shapes == {("chip", "ppn"), ("chip",)}
+        path = tracer.write(tmp_path / "events.json")
+        assert path.read_bytes() == json.dumps(tracer.export()).encode("utf-8")
+
     def test_traced_run_emits_gc_and_eviction_events(self, ftl_name):
         tracer = TraceRecorder()
         ssd, _ = _observed_device(ftl_name, tracer=tracer)
@@ -401,3 +460,111 @@ class TestTraceRecorder:
         assert ("gc" in names) or ("gc_group" in names)
         if ftl_name in ("dftl", "tpftl"):
             assert "translation_read" in names
+
+
+class _CallLog(TraceRecorder):
+    """A recorder that also logs every bulk translation-read admission."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, max_events_per_name: int) -> None:
+        super().__init__(max_events_per_name)
+        #: ``(method, arguments, count, admitted)`` per bulk call.
+        self.calls: list[tuple[str, tuple, int, int]] = []
+
+    def translation_reads(self, ts_us, ops):
+        before = len(self)
+        super().translation_reads(ts_us, ops)
+        count = ops[0::4].count(_TR)
+        if count:
+            self.calls.append(("scalar", (ts_us, list(ops)), count, len(self) - before))
+
+    def planned_translation_reads(self, issues, chips, count):
+        before = len(self)
+        super().planned_translation_reads(issues, chips, count)
+        self.calls.append(("planned", (list(issues), list(chips)), count, len(self) - before))
+
+
+def _per_event_replay(calls, cap: int) -> TraceRecorder:
+    """The per-event reference: every read of the logged bulk calls recorded
+    through :meth:`TraceRecorder.instant`, one ``_admit`` at a time."""
+    reference = TraceRecorder(max_events_per_name=cap)
+    for method, arguments, _, _ in calls:
+        if method == "scalar":
+            ts_us, ops = arguments
+            for i in range(0, len(ops), 4):
+                if ops[i] == _TR:
+                    reference.instant(
+                        "translation_read", ts_us, {"chip": ops[i + 1], "ppn": ops[i + 2]}
+                    )
+        else:
+            for issue, chip in zip(*arguments):
+                if chip >= 0:
+                    reference.instant("translation_read", issue, {"chip": chip})
+    return reference
+
+
+class TestBulkTranslationReads:
+    """A request's (or planner step's) translation reads are admitted in one call."""
+
+    def test_request_straddling_the_cap_keeps_the_per_event_prefix(self):
+        requests = [
+            (1.0, _ops((_TR, 0, 10), (_DATA, 1, 11))),
+            (2.0, _ops((_DATA, 2, 12))),
+            (3.0, _ops((_TR, 3, 13), (_DATA, 0, 14), (_TR, 1, 15), (_TR, 2, 16))),
+            (4.0, _ops((_TR, 0, 17), (_TR, 1, 18))),
+        ]
+        tracer = _CallLog(max_events_per_name=3)
+        for ts_us, ops in requests:
+            tracer.translation_reads(ts_us, ops)
+        tracer.planned_translation_reads([5.0, 6.0], [4, 5], 2)
+        assert [admitted for *_, admitted in tracer.calls] == [1, 2, 0, 0]
+        assert len(tracer) == 3
+        assert tracer.dropped_counts() == {"translation_read": 5}
+        assert tracer.export() == _per_event_replay(tracer.calls, 3).export()
+        assert [event["args"]["ppn"] for event in tracer.export()["traceEvents"]] == [10, 13, 15]
+
+    @pytest.mark.parametrize(
+        ("ftl_name", "batch", "method"),
+        [("dftl", None, "scalar"), ("learnedftl", 64, "planned")],
+    )
+    def test_cap_inside_a_call_on_a_real_run(self, ftl_name, batch, method):
+        def drive(cap):
+            tracer = _CallLog(max_events_per_name=cap)
+            ssd, recorder = _observed_device(ftl_name, tracer=tracer)
+            ssd.fill_sequential(io_pages=16)
+            rng = random.Random(SEED + 3)
+            storm = [
+                HostRequest(op=OpType.READ, lpn=rng.randrange(ssd.geometry.num_logical_pages))
+                for _ in range(300)
+            ]
+            # Multi-page reads give the step several translation reads per
+            # request; the read storm gives the planner several per step.
+            ssd.run(storm + _entry_point_workload(ssd.geometry), threads=1, batch=batch)
+            return tracer, recorder.series(ssd.stats)
+
+        uncapped, _ = drive(10**9)
+        # Put the cap one read into the first call of this path that issues
+        # several translation reads, so that call is cut short.
+        seen = 0
+        for kind, _, count, _ in uncapped.calls:
+            if kind == method and count >= 2:
+                break
+            seen += count
+        else:
+            pytest.fail(f"no {method} call issued two or more translation reads")
+        tracer, series = drive(seen + 1)
+        assert any(
+            kind == method and 0 < admitted < count for kind, _, count, admitted in tracer.calls
+        )
+        kept = _translation_read_events(tracer)
+        reference = _per_event_replay(tracer.calls, seen + 1)
+        assert kept == _translation_read_events(reference)
+        assert kept == _translation_read_events(uncapped)[: seen + 1]
+        dropped = tracer.dropped_counts()["translation_read"]
+        assert dropped == reference.dropped_counts()["translation_read"]
+        assert len(kept) + dropped == sum(series["translation_reads"])
+
+
+def _translation_read_events(tracer: TraceRecorder) -> list[dict]:
+    return [e for e in tracer.export()["traceEvents"] if e["name"] == "translation_read"]
