@@ -156,7 +156,9 @@ def run_payload(payload: TaskPayload) -> tuple[dict, float]:
     set_metrics_window_us(payload.metrics_window_us)
     set_trace_dir(payload.trace_dir)
     started = time.perf_counter()
-    result = run_experiment(payload.experiment, scale=payload.scale, **payload.run_kwargs())
+    result = run_experiment(
+        payload.experiment, scale=payload.scale, label=payload.label, **payload.run_kwargs()
+    )
     return result.to_dict(), time.perf_counter() - started
 
 

@@ -64,13 +64,17 @@ EXPERIMENTS: dict[str, tuple[Callable[..., ExperimentResult], str]] = {
 INTERNAL_EXPERIMENTS: frozenset[str] = frozenset({"studycell", "noop"})
 
 
-def run_experiment(name: str, scale: Scale | str = Scale.DEFAULT, **kwargs) -> ExperimentResult:
+def run_experiment(
+    name: str, scale: Scale | str = Scale.DEFAULT, *, label: str | None = None, **kwargs
+) -> ExperimentResult:
     """Run one experiment by name.
 
     When process-wide observability is on (``set_metrics_window_us`` /
     ``set_trace_dir`` in :mod:`repro.experiments.runner`), the telemetry of
     every device the harness prepares is drained into the result's
     ``raw["telemetry"]`` block, which flows into the JSON artifacts.
+    ``label`` names the task in trace file names (default: ``name``), so the
+    shards of one experiment write distinct files.
     """
     try:
         runner, _ = EXPERIMENTS[name]
@@ -86,7 +90,7 @@ def run_experiment(name: str, scale: Scale | str = Scale.DEFAULT, **kwargs) -> E
         return runner(scale=scale, **kwargs)
     begin_telemetry_capture()
     result = runner(scale=scale, **kwargs)
-    telemetry = collect_telemetry(name)
+    telemetry = collect_telemetry(label or name)
     if telemetry is not None:
         result.raw["telemetry"] = telemetry
     return result

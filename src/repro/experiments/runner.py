@@ -17,6 +17,7 @@ provides the pieces they share:
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -273,16 +274,19 @@ def begin_telemetry_capture() -> None:
     _OBSERVED_DEVICES.clear()
 
 
-def collect_telemetry(experiment: str) -> "dict[str, Any] | None":
+def collect_telemetry(label: str) -> "dict[str, Any] | None":
     """Drain the telemetry of every device prepared since the capture began.
 
     Returns a JSON-serializable block (or ``None`` when observability is off):
     one entry per instrumented device with its per-window series and, when
     tracing is on, the Chrome trace file written under the trace directory
-    (``<experiment>-<index>-<ftl>.trace.json``).
+    (``<task>-<index>-<ftl>.trace.json``, ``<task>`` being the task ``label``
+    — e.g. ``fig21[websearch1/dftl]`` — with each run of other characters
+    turned into ``-``, and ``<index>`` counting the task's devices).
     """
     if not _OBSERVED_DEVICES:
         return None
+    task = re.sub(r"[^0-9A-Za-z]+", "-", label).strip("-")
     devices: list[dict[str, Any]] = []
     for index, (ftl_name, ssd) in enumerate(_OBSERVED_DEVICES):
         entry: dict[str, Any] = {"ftl": ftl_name}
@@ -293,7 +297,7 @@ def collect_telemetry(experiment: str) -> "dict[str, Any] | None":
             entry["trace_events"] = len(tracer)
             if _TRACE_DIR is not None:
                 path = tracer.write(
-                    _TRACE_DIR / f"{experiment}-{index:02d}-{ftl_name}.trace.json"
+                    _TRACE_DIR / f"{task}-{index:02d}-{ftl_name}.trace.json"
                 )
                 entry["trace_file"] = str(path)
         devices.append(entry)

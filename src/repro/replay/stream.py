@@ -1,29 +1,33 @@
 """Chunked request streaming for bounded-memory trace replay.
 
-:func:`iter_trace_requests` adapts a record iterator (typically a
+:func:`iter_trace_requests` adapts a record source (typically a
 :class:`~repro.workloads.traces.RecordStream`) into bounded
-:class:`~repro.ssd.request.HostRequest` chunks, reusing the exact
-wrap-to-LPN-0 page-splitting of
-:func:`~repro.workloads.traces.trace_to_requests` — the concatenation of all
-chunks is the same request sequence the monolithic converter produces.
+:class:`~repro.ssd.request.HostRequest` chunks.  It reads records a block at
+a time and splits each block into page requests with the NumPy splitter
+:func:`~repro.workloads.traces.trace_to_requests` uses — wrap-to-LPN-0 tails
+included — so the concatenation of all chunks is the same request sequence
+the monolithic converter produces.
 
 Chunk boundaries always fall on **record** boundaries: a record whose I/O
 splits into several page-granular requests (large transfers, wrap-around)
-never straddles two chunks.  A chunk is yielded the moment it reaches
-``chunk_requests`` requests, *before* the next record is pulled from the
-source iterator — so a caller that reads ``RecordStream.cursor`` between
-chunks sees a cursor that accounts for exactly the records already delivered,
-which is what makes mid-replay checkpoints exact.
+never straddles two chunks.  A block never asks for more records than the
+open chunk still needs requests, and when wrap-around tails fill the chunk
+early the source is rewound to just after its last record — so a
+caller that reads ``RecordStream.cursor`` between chunks sees a cursor that
+accounts for exactly the records already delivered, which is what makes
+mid-replay checkpoints exact.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import HostRequest
-from repro.workloads.traces import TraceRecord, _record_to_requests
+from repro.workloads.traces import TraceRecord, _record_rows, _split_records
 
 __all__ = ["iter_trace_requests"]
 
@@ -39,23 +43,27 @@ def iter_trace_requests(
     """Yield bounded chunks of page-granular host requests from trace records.
 
     Each chunk holds at least ``chunk_requests`` requests (except the final
-    one) and ends on a record boundary, so it may exceed ``chunk_requests`` by
-    at most the split requests of its last record.  Memory stays O(chunk)
-    regardless of trace length.
+    one) and ends on the first record that brings it there, so it may exceed
+    ``chunk_requests`` by at most the split requests of its last record.
+    Memory stays O(chunk) regardless of trace length.
     """
     if chunk_requests <= 0:
         raise ConfigurationError(f"chunk_requests must be positive, got {chunk_requests}")
-    page = geometry.page_size
-    logical_pages = geometry.num_logical_pages
+    source = _record_rows(records)
+    page, logical_pages = geometry.page_size, geometry.num_logical_pages
     chunk: list[HostRequest] = []
-    for record in records:
-        chunk.extend(
-            _record_to_requests(
-                record, page, logical_pages, preserve_timing=preserve_timing, time_scale=time_scale
-            )
+    while rows := source.read_block(chunk_requests - len(chunk)):
+        requests, ends = _split_records(
+            rows, page, logical_pages, preserve_timing=preserve_timing, time_scale=time_scale
         )
-        if len(chunk) >= chunk_requests:
-            yield chunk
-            chunk = []
+        needed = chunk_requests - len(chunk)
+        if ends[-1] < needed:
+            chunk += requests
+            continue
+        last = int(np.searchsorted(ends, needed))
+        source.rewind(last + 1)
+        chunk += requests[: int(ends[last])]
+        yield chunk
+        chunk = []
     if chunk:
         yield chunk

@@ -159,9 +159,9 @@ def _iter_request_chunks(
                     _cache.append(requests.lpns[_start:_end].tolist())
                     _cache.append(requests.npages[_start:_end].tolist())
                 return HostRequest(
-                    op=read_op if _cache[0][i] == OP_READ_CODE else write_op,
-                    lpn=_cache[1][i],
-                    npages=_cache[2][i],
+                    read_op if _cache[0][i] == OP_READ_CODE else write_op,
+                    _cache[1][i],
+                    _cache[2][i],
                 )
 
             yield lpns[chunk_start:chunk_end], klass_all[chunk_start:chunk_end], request_at
@@ -521,7 +521,7 @@ class SSD:
             raise ConfigurationError(f"fraction must be in (0, 1], got {fraction}")
         total = int(num_logical_pages * fraction)
         requests = (
-            HostRequest(op=OpType.WRITE, lpn=lpn, npages=min(io_pages, total - lpn))
+            HostRequest(OpType.WRITE, lpn, min(io_pages, total - lpn))
             for lpn in range(0, total, io_pages)
         )
         return self.run(requests, threads=1)
@@ -548,7 +548,7 @@ class SSD:
         rng = random.Random(seed)
         limit = num_logical_pages - io_pages
         requests = (
-            HostRequest(op=OpType.WRITE, lpn=rng.randint(0, limit), npages=io_pages)
+            HostRequest(OpType.WRITE, rng.randint(0, limit), io_pages)
             for _ in range(pages // io_pages)
         )
         return self.run(requests, threads=threads)

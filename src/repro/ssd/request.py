@@ -57,9 +57,14 @@ class OpType(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class HostRequest:
     """A block-level host request, expressed in logical pages.
+
+    A plain slotted record, built positionally on every hot path: a frozen
+    dataclass pays one ``object.__setattr__`` per field at construction,
+    several times the cost of the slotted ``__init__``.  Nothing hashes a
+    request or mutates one after it is built.
 
     Attributes
     ----------
@@ -181,9 +186,9 @@ class RequestBatch:
 
     def __getitem__(self, index: int) -> HostRequest:
         return HostRequest(
-            op=OpType.READ if self.ops[index] == OP_READ_CODE else OpType.WRITE,
-            lpn=int(self.lpns[index]),
-            npages=int(self.npages[index]),
+            OpType.READ if self.ops[index] == OP_READ_CODE else OpType.WRITE,
+            int(self.lpns[index]),
+            int(self.npages[index]),
         )
 
     def __iter__(self) -> Iterator[HostRequest]:
@@ -191,9 +196,7 @@ class RequestBatch:
         for op, lpn, npages in zip(
             self.ops.tolist(), self.lpns.tolist(), self.npages.tolist()
         ):
-            yield HostRequest(
-                op=read_op if op == OP_READ_CODE else write_op, lpn=lpn, npages=npages
-            )
+            yield HostRequest(read_op if op == OP_READ_CODE else write_op, lpn, npages)
 
     def __repr__(self) -> str:
         reads = int(np.count_nonzero(self.ops == OP_READ_CODE))

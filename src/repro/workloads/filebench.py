@@ -165,19 +165,15 @@ class FilebenchWorkload:
     def preconditioning(self) -> Iterator[HostRequest]:
         """Write every file once (the 'create fileset' phase of Filebench)."""
         for index, file in enumerate(self._files):
-            yield HostRequest(
-                op=OpType.WRITE, lpn=file.start_lpn, npages=file.npages, stream_id=index
-            )
+            yield HostRequest(OpType.WRITE, file.start_lpn, file.npages, None, index)
 
     def _read_file(self, file: _FileExtent, index: int) -> Iterator[HostRequest]:
         if self._rng.random() < self.config.whole_file_fraction or file.npages == 1:
-            yield HostRequest(op=OpType.READ, lpn=file.start_lpn, npages=file.npages, stream_id=index)
+            yield HostRequest(OpType.READ, file.start_lpn, file.npages, None, index)
         else:
             offset = self._rng.randrange(file.npages)
             length = min(file.npages - offset, max(1, file.npages // 4))
-            yield HostRequest(
-                op=OpType.READ, lpn=file.start_lpn + offset, npages=length, stream_id=index
-            )
+            yield HostRequest(OpType.READ, file.start_lpn + offset, length, None, index)
 
     def _write_file(self, file: _FileExtent, index: int) -> Iterator[HostRequest]:
         if self._rng.random() < self.config.append_fraction or file.npages == 1:
@@ -188,9 +184,7 @@ class FilebenchWorkload:
             # Whole-file rewrite.
             length = file.npages
             offset = 0
-        yield HostRequest(
-            op=OpType.WRITE, lpn=file.start_lpn + offset, npages=length, stream_id=index
-        )
+        yield HostRequest(OpType.WRITE, file.start_lpn + offset, length, None, index)
 
     def describe(self) -> str:
         """Human-readable description of the scaled workload."""

@@ -97,7 +97,7 @@ class FioJob:
         op = OpType.READ if self.pattern.is_read else OpType.WRITE
         npages = self.io_pages
         for index, lpn in enumerate(self._lpn_column(geometry).tolist()):
-            yield HostRequest(op=op, lpn=lpn, npages=npages, stream_id=index)
+            yield HostRequest(op, lpn, npages, None, index)
 
     def request_batch(self, geometry: SSDGeometry) -> RequestBatch:
         """The job's request stream as one columnar :class:`RequestBatch`.
@@ -178,7 +178,7 @@ def warmup_writes(
     sequential_index = np.cumsum(sequential) - 1
     lpns[sequential] = (sequential_index[sequential] * npages) % wrap
     for lpn in lpns.tolist():
-        yield HostRequest(op=OpType.WRITE, lpn=lpn, npages=npages)
+        yield HostRequest(OpType.WRITE, lpn, npages)
 
 
 __all__.append("warmup_writes")

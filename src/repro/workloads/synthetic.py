@@ -49,7 +49,7 @@ def sequential_stream(
     for _ in range(num_requests):
         if lpn + io_pages > span:
             lpn = 0
-        yield HostRequest(op=op, lpn=lpn, npages=io_pages)
+        yield HostRequest(op, lpn, io_pages)
         lpn += io_pages
 
 
@@ -66,7 +66,7 @@ def mixed_stream(
     limit = max(1, geometry.num_logical_pages - io_pages + 1)
     for _ in range(num_requests):
         op = OpType.READ if rng.random() < read_fraction else OpType.WRITE
-        yield HostRequest(op=op, lpn=rng.randrange(limit), npages=io_pages)
+        yield HostRequest(op, rng.randrange(limit), io_pages)
 
 
 def mixed_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:
@@ -85,7 +85,7 @@ def strided_reads(
     span = geometry.num_logical_pages
     lpn = 0
     for _ in range(num_requests):
-        yield HostRequest(op=OpType.READ, lpn=lpn, npages=io_pages)
+        yield HostRequest(OpType.READ, lpn, io_pages)
         lpn = (lpn + stride_pages) % max(1, span - io_pages)
 
 
@@ -102,7 +102,7 @@ def zipf_reads(
         max(1, geometry.num_logical_pages - io_pages + 1), theta=theta, seed=seed
     )
     for _ in range(num_requests):
-        yield HostRequest(op=OpType.READ, lpn=generator.sample(), npages=io_pages)
+        yield HostRequest(OpType.READ, generator.sample(), io_pages)
 
 
 def zipf_read_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:
@@ -130,7 +130,7 @@ def hotspot_stream(
     )
     for _ in range(num_requests):
         op = OpType.READ if rng.random() < read_fraction else OpType.WRITE
-        yield HostRequest(op=op, lpn=generator.sample(), npages=io_pages)
+        yield HostRequest(op, generator.sample(), io_pages)
 
 
 def hotspot_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:

@@ -5,25 +5,31 @@ enterprise VDI trace (CSV format).  Those files cannot be shipped here, so this
 module provides both:
 
 * **one streaming reader** for the two on-disk formats
-  (:func:`iter_trace_records` over :class:`RecordStream`, with the per-line
-  parsers in :data:`TRACE_FORMATS`), so the real traces can be dropped in if
-  available; and
+  (:class:`RecordStream`, with the per-line parsers in :data:`TRACE_FORMATS`),
+  so the real traces can be dropped in if available; and
 * **synthetic generators** whose request streams match the characteristics the
   paper reports in Table II (I/O count, mean request size, read ratio) plus a
   strong hot-range locality, which is the property the tail-latency and energy
   experiments depend on.
 
-Every record is expressed as a :class:`TraceRecord` in byte units and converted
-to page-granular :class:`~repro.ssd.request.HostRequest` objects against a
-concrete device geometry (scaling LBAs into the logical space, as the paper
-does when it "scales up" the old WebSearch traces to modern SSD sizes).
+Ingest works a block at a time: :meth:`RecordStream.read_block` parses a block
+of lines into record rows — plain ``(timestamp_s, offset_bytes, size_bytes,
+is_read, stream_id)`` tuples, byte-addressed — and one NumPy splitter turns a
+block of rows into page-granular :class:`~repro.ssd.request.HostRequest`
+objects against a concrete device geometry (scaling LBAs into the logical
+space, as the paper does when it "scales up" the old WebSearch traces to
+modern SSD sizes).  :class:`TraceRecord` objects are built only for callers
+that iterate records (:func:`iter_trace_records`, iterating a stream, the
+synthetic generators).
 """
 
 from __future__ import annotations
 
 import gzip
 from dataclasses import dataclass
+from itertools import islice, repeat, starmap
 from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator
 
@@ -93,7 +99,13 @@ def _offending(line: str) -> str:
     return repr(line)
 
 
-def _parse_spc_line(line: str, path: "str | Path", line_no: int) -> TraceRecord | None:
+#: Op codes that name a read (``True``) or a write (``False``): the first
+#: letter of an SPC op code, a whole Systor I/O type (both case-insensitive).
+_SPC_OPS = {"r": True, "w": False}
+_SYSTOR_OPS = {"R": True, "READ": True, "W": False, "WRITE": False}
+
+
+def _parse_spc_line(line: str, path: "str | Path", line_no: int) -> tuple | None:
     """Parse one SPC line (``ASU,LBA,size,opcode,timestamp``); ``None`` skips it.
 
     The LBA unit is a 512-byte sector (the UMass WebSearch convention).
@@ -109,7 +121,6 @@ def _parse_spc_line(line: str, path: "str | Path", line_no: int) -> TraceRecord 
         asu = int(parts[0])
         lba = int(parts[1])
         size = int(parts[2])
-        opcode = parts[3].strip().lower()
         timestamp = float(parts[4])
     except ValueError as exc:
         raise TraceFormatError(
@@ -120,18 +131,20 @@ def _parse_spc_line(line: str, path: "str | Path", line_no: int) -> TraceRecord 
             f"{path}:{line_no}: SPC record out of range (timestamp must be finite, "
             f"LBA and size non-negative): {_offending(line)}"
         )
-    return TraceRecord(
-        timestamp_s=timestamp,
-        offset_bytes=lba * 512,
-        size_bytes=size,
-        is_read=opcode.startswith("r"),
-        stream_id=asu,
-    )
+    is_read = _SPC_OPS.get(parts[3].strip()[:1].lower())
+    if is_read is None:
+        raise TraceFormatError(
+            f"{path}:{line_no}: SPC op code must start with r (read) or w (write): "
+            f"{_offending(line)}"
+        )
+    return timestamp, lba * 512, size, is_read, asu
 
 
-def _parse_systor_line(line: str, path: "str | Path", line_no: int) -> TraceRecord | None:
+def _parse_systor_line(line: str, path: "str | Path", line_no: int) -> tuple | None:
     """Parse one Systor '17 CSV line (``timestamp,response,iotype,lun,offset,size``)."""
-    if not line or line.lower().startswith("timestamp"):
+    # A header starts with "timestamp" in any case; testing the first letter
+    # first keeps the lowering off every data line.
+    if not line or line[0] in "Tt" and line.lower().startswith("timestamp"):
         return None
     parts = line.split(",")
     if len(parts) < 6:
@@ -140,7 +153,6 @@ def _parse_systor_line(line: str, path: "str | Path", line_no: int) -> TraceReco
         )
     try:
         timestamp = float(parts[0])
-        iotype = parts[2].strip().upper()
         lun = int(parts[3]) if parts[3].strip() else 0
         offset = int(parts[4])
         size = int(parts[5])
@@ -153,20 +165,25 @@ def _parse_systor_line(line: str, path: "str | Path", line_no: int) -> TraceReco
             f"{path}:{line_no}: Systor record out of range (timestamp must be finite, "
             f"offset and size non-negative): {_offending(line)}"
         )
-    return TraceRecord(
-        timestamp_s=timestamp,
-        offset_bytes=offset,
-        size_bytes=size,
-        is_read=iotype in ("R", "READ"),
-        stream_id=lun,
-    )
+    is_read = _SYSTOR_OPS.get(parts[2])
+    if is_read is None:
+        is_read = _SYSTOR_OPS.get(parts[2].strip().upper())
+    if is_read is None:
+        raise TraceFormatError(
+            f"{path}:{line_no}: Systor I/O type must be R, READ, W or WRITE: "
+            f"{_offending(line)}"
+        )
+    return timestamp, offset, size, is_read, lun
 
 
 #: Per-line parsers by format name.  A parser takes ``(line, path, line_no)``
-#: and returns a :class:`TraceRecord` or ``None`` for skippable lines (blanks,
-#: comments, headers); malformed lines raise :class:`TraceFormatError` naming
-#: ``path:line_no`` and quoting the offending text (truncated).
-TRACE_FORMATS: dict[str, Callable[[str, "str | Path", int], TraceRecord | None]] = {
+#: and returns a record row — ``(timestamp_s, offset_bytes, size_bytes,
+#: is_read, stream_id)``, the field order of :class:`TraceRecord` — or
+#: ``None`` for skippable lines (blanks, comments, headers); malformed lines
+#: (including an op code that is neither a read nor a write) raise
+#: :class:`TraceFormatError` naming ``path:line_no`` and quoting the offending
+#: text (truncated).
+TRACE_FORMATS: dict[str, Callable[[str, "str | Path", int], tuple | None]] = {
     "spc": _parse_spc_line,
     "systor": _parse_systor_line,
 }
@@ -238,16 +255,31 @@ class TraceCursor:
         )
 
 
-class RecordStream:
-    """Streaming :class:`TraceRecord` iterator with a resumable cursor.
+def _decoded(lines: list[bytes]) -> list[str]:
+    """Each raw line as stripped text, decoded in one call for the whole list.
 
-    Reads one line at a time (never materializing the trace), parses it with
-    the named format's line parser and tracks an exact :class:`TraceCursor`
-    after every yielded record.  ``limit`` counts records from the *start of
-    the file* (cursor included), so a resumed stream stops where an
-    uninterrupted one would; with ``max_errors > 0`` up to that many malformed
-    lines are counted and skipped instead of aborting the stream — the first
-    line beyond the budget raises.
+    Invalid UTF-8 becomes U+FFFD as it would line by line: a newline byte
+    never belongs to a multi-byte sequence, so the split lines up.
+    """
+    texts = b"".join(lines).decode("utf-8", "replace").split("\n")
+    if len(texts) > len(lines):
+        texts.pop()  # the empty text after the last line's newline
+    return list(map(str.strip, texts))
+
+
+class RecordStream:
+    """Streaming trace reader with a resumable cursor.
+
+    :meth:`read_block` consumes lines through the next ``n`` records and
+    returns them as field rows; iterating the stream yields one
+    :class:`TraceRecord` at a time.  Neither ever materializes the trace, and
+    a block that returns all the rows asked for stops on its last row's line,
+    so :attr:`cursor` is exact after every call; :meth:`rewind` moves it back
+    to just after any earlier row of the block.  ``limit`` counts records
+    from the *start of the file* (cursor included), so a resumed stream stops
+    where an uninterrupted one would; with ``max_errors > 0`` up to that many
+    malformed lines are counted and skipped instead of aborting the stream —
+    the first line beyond the budget raises.
     """
 
     def __init__(
@@ -278,13 +310,19 @@ class RecordStream:
         self._line_no = cursor.line_no
         self._records = cursor.record_index
         self._skipped = cursor.skipped_lines
+        #: Lines given back by :meth:`rewind` or held at a malformed line
+        #: beyond the budget; read again before the file.
+        self._pending: list[bytes] = []
+        #: The latest block's lines, the counters before it and whether it
+        #: filled, for :meth:`rewind`.
+        self._undo: tuple = ([], 0, 0, 0, 0, True)
         self._handle: BinaryIO | None = open_trace(self.path)
         if cursor.byte_offset:
             self._handle.seek(cursor.byte_offset)
 
     @property
     def cursor(self) -> TraceCursor:
-        """Position *after* the last yielded record (checkpoint-safe)."""
+        """Position *after* the last returned record (checkpoint-safe)."""
         return TraceCursor(
             byte_offset=self._offset,
             line_no=self._line_no,
@@ -294,9 +332,102 @@ class RecordStream:
 
     def close(self) -> None:
         """Close the underlying file handle (idempotent)."""
+        self._pending.clear()
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+
+    def _lines(self, count: int) -> list[bytes]:
+        """Up to ``count`` raw lines, pending ones first; ``[]`` at the end."""
+        pending = self._pending
+        if pending:
+            lines = pending[:count]
+            del pending[:count]
+            return lines
+        if self._handle is None:
+            return []
+        return list(islice(self._handle, count))
+
+    def read_block(self, max_records: int) -> list[tuple]:
+        """Consume lines through the next ``max_records`` records; return their rows.
+
+        A row is ``(timestamp_s, offset_bytes, size_bytes, is_read,
+        stream_id)`` — :class:`TraceRecord`'s field order.  Fewer rows come
+        back only at the end of the file, at ``limit``, or just before a
+        malformed line beyond the ``max_errors`` budget: that line is left
+        unread, so the next call raises on it (with the cursor past it),
+        exactly where a record-at-a-time reader would have.
+        """
+        if self.limit is not None:
+            max_records = min(max_records, self.limit - self._records)
+        rows: list[tuple] = []
+        taken: list[bytes] = []
+        start = (self._offset, self._line_no, self._records, self._skipped)
+        parse, path, append = self._parse_line, self.path, rows.append
+        held = False
+        while len(rows) < max_records and not held:
+            lines = self._lines(max_records - len(rows))
+            if not lines:
+                break
+            line_no = self._line_no
+            for line in _decoded(lines):
+                line_no += 1
+                try:
+                    row = parse(line, path, line_no)
+                except TraceFormatError:
+                    if self._skipped < self.max_errors:
+                        self._skipped += 1
+                        continue
+                    index = line_no - self._line_no - 1
+                    if not rows:
+                        self._line_no = line_no
+                        self._offset += sum(map(len, lines[: index + 1]))
+                        self.close()
+                        raise
+                    self._pending[:0] = lines[index:]
+                    del lines[index:]
+                    line_no -= 1
+                    held = True
+                    break
+                if row is not None:
+                    append(row)
+            self._line_no = line_no
+            self._offset += sum(map(len, lines))
+            taken += lines
+        self._records += len(rows)
+        # A block that filled ends on its last row's line: nothing to rewind.
+        self._undo = (taken, *start, len(rows) == max_records and not held)
+        return rows
+
+    def rewind(self, keep: int) -> None:
+        """Move the cursor back to just after row ``keep`` of the latest block.
+
+        Every line after that row — later rows and skipped lines alike — is
+        read again by the next call; ``keep=0`` undoes the whole block.
+        """
+        taken, offset, line_no, records, skipped, filled = self._undo
+        if filled and keep == self._records - records:
+            return
+        # Re-parse the block up to row ``keep`` to find its line (a rare path:
+        # wrap-around tails filled a chunk early, or the block hit the end).
+        kept = found = bad = 0
+        for index, line in enumerate(_decoded(taken) if keep else ()):
+            try:
+                row = self._parse_line(line, self.path, line_no + index + 1)
+            except TraceFormatError:
+                bad += 1
+                continue
+            if row is not None:
+                found += 1
+                if found == keep:
+                    kept = index + 1
+                    break
+        self._pending[:0] = taken[kept:]
+        self._offset = offset + sum(map(len, taken[:kept]))
+        self._line_no = line_no + kept
+        self._records = records + keep
+        self._skipped = skipped + bad
+        self._undo = ([], self._offset, self._line_no, self._records, self._skipped, True)
 
     def __enter__(self) -> "RecordStream":
         return self
@@ -308,34 +439,15 @@ class RecordStream:
         return self
 
     def __next__(self) -> TraceRecord:
-        handle = self._handle
-        if handle is None:
+        rows = self.read_block(1)
+        if not rows:
+            self.close()
             raise StopIteration
-        limit = self.limit
-        parse_line = self._parse_line
-        while True:
-            if limit is not None and self._records >= limit:
-                self.close()
-                raise StopIteration
-            raw = handle.readline()
-            if not raw:
-                self.close()
-                raise StopIteration
-            self._offset += len(raw)
-            self._line_no += 1
-            line = raw.decode("utf-8", errors="replace").strip()
-            try:
-                record = parse_line(line, self.path, self._line_no)
-            except TraceFormatError:
-                if self._skipped < self.max_errors:
-                    self._skipped += 1
-                    continue
-                self.close()
-                raise
-            if record is None:
-                continue
-            self._records += 1
-            return record
+        return TraceRecord(*rows[0])
+
+
+#: Records one :func:`iter_trace_records` / :func:`trace_to_requests` block holds.
+_BLOCK_RECORDS = 4096
 
 
 def iter_trace_records(
@@ -348,14 +460,16 @@ def iter_trace_records(
     """Stream the records of a trace file (gzip-transparent, bounded memory).
 
     ``format`` is a :data:`TRACE_FORMATS` key (``"spc"`` or ``"systor"``).
-    Yields records one at a time without ever materializing the trace.  With
-    ``max_errors > 0`` up to that many malformed lines are skipped (counted)
-    instead of aborting; use :class:`RecordStream` directly to read the skip
-    count or to resume from a :class:`TraceCursor`.
+    Yields records one at a time, parsed a block at a time, without ever
+    materializing the trace.  With ``max_errors > 0`` up to that many
+    malformed lines are skipped (counted) instead of aborting; use
+    :class:`RecordStream` directly to read the skip count or to resume from a
+    :class:`TraceCursor`.
     """
     stream = RecordStream(path, format, limit=limit, max_errors=max_errors)
     try:
-        yield from stream
+        while rows := stream.read_block(_BLOCK_RECORDS):
+            yield from starmap(TraceRecord, rows)
     finally:
         stream.close()
 
@@ -394,17 +508,9 @@ def _synthesize(
     size_bytes = np.maximum(4096, np.round(size_kb / 4.0).astype(np.int64) * 4096)
     is_read = rng.random(num_ios) < read_ratio
     offsets = np.asarray(hotspot.sample_many(num_ios), dtype=np.int64) * 4096
-    return [
-        TraceRecord(
-            timestamp_s=timestamp,
-            offset_bytes=offset,
-            size_bytes=size,
-            is_read=read,
-        )
-        for timestamp, offset, size, read in zip(
-            timestamps.tolist(), offsets.tolist(), size_bytes.tolist(), is_read.tolist()
-        )
-    ]
+    return list(
+        map(TraceRecord, timestamps.tolist(), offsets.tolist(), size_bytes.tolist(), is_read.tolist())
+    )
 
 
 def synthesize_websearch(
@@ -456,7 +562,7 @@ TRACE_PRESETS = {
 
 # ------------------------------------------------------------------ conversion
 def trace_to_requests(
-    records: Iterable[TraceRecord],
+    records: Iterable[TraceRecord] | RecordStream,
     geometry: SSDGeometry,
     *,
     preserve_timing: bool = True,
@@ -470,45 +576,111 @@ def trace_to_requests(
     the logical space wraps around to LPN 0 (emitted as additional requests
     with the same timestamp and stream), so the replayed page volume matches
     the byte volume :func:`characterize` reports instead of being silently
-    truncated.
+    truncated.  Records are split a block at a time, by the same NumPy
+    splitter streaming replay uses.
     """
-    page = geometry.page_size
-    logical_pages = geometry.num_logical_pages
-    for record in records:
-        yield from _record_to_requests(
-            record, page, logical_pages, preserve_timing=preserve_timing, time_scale=time_scale
+    source = _record_rows(records)
+    page, logical_pages = geometry.page_size, geometry.num_logical_pages
+    while rows := source.read_block(_BLOCK_RECORDS):
+        requests, _ = _split_records(
+            rows, page, logical_pages, preserve_timing=preserve_timing, time_scale=time_scale
         )
+        yield from requests
 
 
-def _record_to_requests(
-    record: TraceRecord,
+#: A :class:`TraceRecord` as a record row (its fields in order).
+_row_of = attrgetter("timestamp_s", "offset_bytes", "size_bytes", "is_read", "stream_id")
+
+
+class _RecordRows:
+    """:meth:`RecordStream.read_block` / :meth:`RecordStream.rewind` over any
+    iterable of :class:`TraceRecord`."""
+
+    __slots__ = ("_records", "_held", "_last")
+
+    def __init__(self, records: Iterable[TraceRecord]) -> None:
+        self._records = iter(records)
+        self._held: list[tuple] = []
+        self._last: list[tuple] = []
+
+    def read_block(self, max_records: int) -> list[tuple]:
+        rows = self._held[:max_records]
+        del self._held[:max_records]
+        rows += map(_row_of, islice(self._records, max_records - len(rows)))
+        self._last = rows
+        return rows
+
+    def rewind(self, keep: int) -> None:
+        self._held[:0] = self._last[keep:]
+
+
+def _record_rows(records: Iterable[TraceRecord] | RecordStream) -> RecordStream | _RecordRows:
+    """A row source over ``records``: the stream itself, or rows of any record iterable."""
+    return records if isinstance(records, RecordStream) else _RecordRows(records)
+
+
+#: Op of a request by its record's ``is_read`` flag.
+_OP_OF_READ = (OpType.WRITE, OpType.READ)
+
+
+def _int_column(values: tuple) -> np.ndarray:
+    """``values`` as int64, or as Python objects when they do not all fit."""
+    column = np.array(values)
+    return column if column.dtype.kind == "i" else np.array(values, dtype=object)
+
+
+def _split_records(
+    rows: list[tuple],
     page: int,
     logical_pages: int,
     *,
     preserve_timing: bool,
     time_scale: float,
-) -> Iterator[HostRequest]:
-    """Expand one trace record into its page-granular host requests.
+) -> tuple[list[HostRequest], np.ndarray]:
+    """Split record rows into page-granular host requests, array-at-a-time.
 
-    Shared by :func:`trace_to_requests` and the streaming chunker
-    (``repro.replay.stream.iter_trace_requests``) so both paths produce the
-    same request sequence per record — including the wrap-to-LPN-0 split.
+    A record covers ``max(1, ceil(size / page))`` pages from
+    ``(offset // page) % logical_pages``; what runs past the last logical
+    page wraps to LPN 0 as further requests with the same op, issue time and
+    stream.  Returns the requests in record order and, per record, the
+    number of requests through it (a running count), so a chunker can cut
+    the block after any record.
     """
-    start_page = (record.offset_bytes // page) % logical_pages
-    remaining = max(1, -(-record.size_bytes // page))
-    issue_time = (record.timestamp_s * 1e6 * time_scale) if preserve_timing else None
-    op = OpType.READ if record.is_read else OpType.WRITE
-    while remaining > 0:
-        npages = min(remaining, logical_pages - start_page)
-        yield HostRequest(
-            op=op,
-            lpn=start_page,
-            npages=npages,
-            issue_time_us=issue_time,
-            stream_id=record.stream_id,
+    timestamps, offsets, sizes, reads, streams = zip(*rows)
+    start = _int_column(offsets) // page % logical_pages
+    pages = np.maximum(-(-_int_column(sizes) // page), 1)
+    head = np.minimum(pages, logical_pages - start)
+    tails = -(-(pages - head) // logical_pages)
+    flags = np.array(reads, dtype=bool)
+    times = np.array(timestamps, dtype=np.float64) * 1e6 * time_scale if preserve_timing else None
+    if not tails.any():
+        ends = np.arange(1, len(rows) + 1)
+        lpns, npages = start, head
+    else:
+        counts = (tails + 1).astype(np.int64)
+        ends = np.cumsum(counts)
+        owner = np.repeat(np.arange(len(rows)), counts)
+        step = np.arange(int(ends[-1])) - (ends - counts)[owner]
+        lpns = np.where(step == 0, start[owner], 0)
+        npages = np.where(
+            step == 0,
+            head[owner],
+            np.minimum(pages[owner] - head[owner] - (step - 1) * logical_pages, logical_pages),
         )
-        remaining -= npages
-        start_page = 0
+        flags = flags[owner]
+        times = None if times is None else times[owner]
+        streams = np.array(streams, dtype=object)[owner].tolist()
+    requests = list(
+        map(
+            HostRequest,
+            map(_OP_OF_READ.__getitem__, flags.tolist()),
+            lpns.tolist(),
+            npages.tolist(),
+            repeat(None) if times is None else times.tolist(),
+            streams,
+        )
+    )
+    return requests, ends
 
 
 def characterize(name: str, records: list[TraceRecord]) -> TraceCharacteristics:

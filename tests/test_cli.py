@@ -406,6 +406,25 @@ class TestObservabilityFlags:
         for ftl in ALL_FTLS:
             assert out.count(f"[windowed telemetry: fig14 / {ftl}]") == prepared.count(ftl) > 0
 
+    def test_same_ftl_shards_write_distinct_trace_files(self, tmp_path):
+        """fig21 shards per (trace, FTL), each preparing one device of its FTL:
+        the task label in the trace file name keeps them apart."""
+        from repro.experiments import runner
+        from repro.ssd.device import SSD
+        from tests.golden_workload import golden_geometry
+
+        runner.set_trace_dir(tmp_path)
+        files = []
+        for label in ("fig21[websearch1/dftl]", "fig21[websearch2/dftl]"):
+            runner.begin_telemetry_capture()
+            runner.observe_device("dftl", SSD.create("dftl", golden_geometry()))
+            files += [device["trace_file"] for device in runner.collect_telemetry(label)["devices"]]
+        assert [Path(file).name for file in files] == [
+            "fig21-websearch1-dftl-00-dftl.trace.json",
+            "fig21-websearch2-dftl-00-dftl.trace.json",
+        ]
+        assert sorted(tmp_path.glob("*.trace.json")) == sorted(map(Path, files))
+
     def test_fig19_device_is_observed(self):
         """fig19 builds its own devices (no ``prepare_ssd``) and must still
         carry the process-wide metrics window into its telemetry block."""
