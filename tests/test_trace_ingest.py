@@ -256,13 +256,11 @@ def oracle_steps(path, fmt, **options):
     return records, cursors, stream.cursor, error
 
 
-def chunk_steps(stream, records_source, chunk_requests, **timing):
-    """``(chunks, cursor at each boundary, error message)`` of a chunker."""
+def chunk_steps(stream, chunk_requests):
+    """``(chunks, cursor at each boundary, error message)`` of the chunker."""
     chunks, cursors, error = [], [], None
     try:
-        for chunk in iter_trace_requests(
-            records_source, GEOMETRY, chunk_requests=chunk_requests, **timing
-        ):
+        for chunk in iter_trace_requests(stream, GEOMETRY, chunk_requests=chunk_requests):
             chunks.append(chunk)
             cursors.append(stream.cursor)
     except TraceFormatError as exc:
@@ -380,13 +378,13 @@ class TestChunkParity:
         expected = oracle_chunk_steps(path, fmt, chunk_requests, **options)
 
         with RecordStream(path, fmt, **options) as stream:
-            assert chunk_steps(stream, stream, chunk_requests) == expected
+            assert chunk_steps(stream, chunk_requests) == expected
 
         # Resuming from every boundary cursor continues the same sequence.
         chunks, cursors, error = expected
         for index, cursor in enumerate(cursors):
             with RecordStream(path, fmt, cursor=cursor, **options) as stream:
-                tail = chunk_steps(stream, stream, chunk_requests)
+                tail = chunk_steps(stream, chunk_requests)
             assert tail == (chunks[index + 1 :], cursors[index + 1 :], error)
             assert tail == oracle_chunk_steps(path, fmt, chunk_requests, cursor=cursor, **options)
 
