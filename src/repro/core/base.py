@@ -29,6 +29,7 @@ from typing import get_type_hints
 import numpy as np
 
 from repro.core.allocation import StripingAllocator
+from repro.core.cmt import EvictedPage
 from repro.core.mapping import MappingDirectory, TranslationPageStore
 from repro.nand.errors import ConfigurationError, GeometryError
 from repro.nand.flash import PAGE_FREE, PAGE_VALID, FlashArray
@@ -371,10 +372,29 @@ class FTLBase(ABC):
         """
         return None
 
-    # -------------------------------------------------- translation-pool GC
-    # Shared by every design that keeps translation pages in flash (both the
-    # striping designs and LearnedFTL); requires ``self.allocator`` to expose
-    # ``translation_pool`` and ``self.translation_store`` to be wired.
+    # ------------------------------------- translation write-back and pool GC
+    # Every design keeps its translation pages in flash through
+    # ``self.translation_store``, allocated from the ``translation_pool`` of
+    # ``self.allocator`` (both wired by the subclass constructor).
+    def _handle_evictions(self, evicted: list[EvictedPage]) -> None:
+        """Write back the translation page of every dirty CMT eviction, in order."""
+        for page in evicted:
+            self._flush_translation_page(page.tvpn)
+
+    def _flush_translation_page(self, tvpn: int) -> None:
+        """Write back one dirty translation page (with pool-GC protection)."""
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.instant("cmt_evict", tracer.now_us, {"tvpn": tvpn})
+        buffer = self.buffer
+        if self.allocator.translation_pool.needs_gc():
+            gc_stage = buffer.new_stage()
+            self._collect_translation_block_into(gc_stage)
+            buffer.commit_stage(gc_stage)
+        stage = buffer.new_stage()
+        self.translation_store.flush_into(buffer, stage, tvpn)
+        buffer.commit_stage(stage)
+
     def _maybe_translation_gc(self) -> None:
         """Collect a translation-pool block (as its own stage) when space runs low."""
         if not self.allocator.translation_pool.needs_gc():
@@ -417,6 +437,8 @@ class FTLBase(ABC):
         return {
             "flash": self.flash.state_dict(),
             "directory": self.directory.state_dict(),
+            "allocator": self.allocator.state_dict(),
+            "translation_store": self.translation_store.state_dict(),
         }
 
     def load_state(self, state: dict) -> None:
@@ -429,6 +451,8 @@ class FTLBase(ABC):
         """
         self.flash.load_state(state["flash"])
         self.directory.load_state(state["directory"])
+        self.allocator.load_state(state["allocator"])
+        self.translation_store.load_state(state["translation_store"])
         self.buffer.reset()
 
     # ------------------------------------------------------------ invariants
@@ -670,30 +694,3 @@ class StripingFTLBase(FTLBase):
 
     def _after_gc_move(self, moved: list[tuple[int, int]]) -> None:
         """Hook: let caches/models observe GC relocations."""
-
-    # ------------------------------------------------------ snapshot support
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["allocator"] = self.allocator.state_dict()
-        state["translation_store"] = self.translation_store.state_dict()
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self.allocator.load_state(state["allocator"])
-        self.translation_store.load_state(state["translation_store"])
-
-    # -------------------------------------------------------------- flushes
-    def _flush_translation_page(self, tvpn: int) -> None:
-        """Write back one dirty translation page (with pool-GC protection)."""
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.instant("cmt_evict", tracer.now_us, {"tvpn": tvpn})
-        buffer = self.buffer
-        if self.allocator.translation_pool.needs_gc():
-            gc_stage = buffer.new_stage()
-            self._collect_translation_block_into(gc_stage)
-            buffer.commit_stage(gc_stage)
-        stage = buffer.new_stage()
-        self.translation_store.flush_into(buffer, stage, tvpn)
-        buffer.commit_stage(stage)

@@ -25,18 +25,20 @@ scalar path's cost instead of quadratic re-planning.
 
 Why resuming after a scalar fallback is sound: within a run every request is a
 single-page read, and the planner re-consults every piece of live state a
-scalar request can mutate — cache dicts, page-state bytes, observer fields —
+scalar request can mutate — cache dicts, page-state bytes, loading-policy fields —
 per accepted request rather than from a snapshot.  The only pre-gathered
 column is the mapping directory, and no scalar *read* path mutates it.  A run
 never spans a write: writes end a run, and the next read run gathers afresh.
 
 LearnedFTL is the one design with a read planner,
 :class:`GroupedReadPlanner`: it serves CMT hits, model hits and double-read
-misses whose prefetch-load cannot evict dirty mappings.  The
-request-locality observer (``_observe_request``) is replicated per accepted
-request, and on the miss path the prefetch depth is derived from the
-*post-observation* values before the observation is committed, so a refused
-request is left entirely unobserved for the scalar fallback.
+misses whose prefetch-load cannot evict dirty mappings.  It is the one
+specialization of TPFTL's loading policy
+(:class:`~repro.core.cmt.LoadingPolicy`): it runs the policy's fields in
+locals, observes each accepted request, and on the miss path derives the
+prefetch depth from the *post-observation* values before the observation is
+committed, so a refused request is left entirely unobserved for the scalar
+fallback.
 
 ``take`` returns ``(0, ...)`` — triggering one scalar fallback — whenever the
 next request needs anything the fast path cannot express: a dirty CMT
@@ -68,9 +70,6 @@ _OUT_CMT_HIT = ReadOutcome.CMT_HIT.code
 _OUT_MODEL_HIT = ReadOutcome.MODEL_HIT.code
 _OUT_DOUBLE_READ = ReadOutcome.DOUBLE_READ.code
 
-#: Cap of LearnedFTL's sequential-streak counter (see ``_observe_request``).
-_STREAK_CAP = 64
-
 
 class GroupedReadPlanner:
     """LearnedFTL's read-run planner: CMT hits, model hits and double reads.
@@ -79,16 +78,16 @@ class GroupedReadPlanner:
     exactly as the scalar ``_translate_read`` does, including the
     per-request compute charges.
 
-    The observer update runs *before* translation in the scalar path, and the
-    prefetch depth of a miss depends on it — so on the miss path the planner
-    derives the post-observation window/streak values first, sizes the
-    prefetch batch, evaluates the eviction predicate, and only then commits
-    the observation and calls the real ``insert_many``.  A refused request is
-    therefore left entirely unobserved for the scalar fallback.
+    The loading policy observes a request *before* translation in the
+    scalar path, and the prefetch depth of a miss depends on it — so the
+    planner derives each request's post-observation sum and streak first,
+    serves the request (on the miss path: sizes the prefetch batch with them
+    and evaluates the eviction predicate), and only commits the observation
+    once the request is accepted.  A refused request is therefore left
+    entirely unobserved for the scalar fallback.
     """
 
     __slots__ = (
-        "_ftl",
         "_pages",
         "_lpns",
         "_tvpns",
@@ -99,7 +98,7 @@ class GroupedReadPlanner:
         "_chip_stride",
         "_flash",
         "_stats",
-        "_window",
+        "_policy",
         "_cmt",
         "_capacity",
         "_tp_ppn",
@@ -108,7 +107,6 @@ class GroupedReadPlanner:
         "_directory_lookup",
         "_mappings_per_page",
         "_num_logical_pages",
-        "_prefetch_ceiling",
         "_models",
         "_charge",
         "_bitmap_check_us",
@@ -117,7 +115,6 @@ class GroupedReadPlanner:
     )
 
     def __init__(self, ftl: "LearnedFTL", lpns: np.ndarray) -> None:
-        self._ftl = ftl
         directory = ftl.directory
         flash = ftl.flash
         self._pages = ftl._cmt_pages
@@ -131,7 +128,7 @@ class GroupedReadPlanner:
         self._chip_stride = flash._chip_stride
         self._flash = flash
         self._stats = ftl.stats
-        self._window = ftl._recent_request_lengths.maxlen
+        self._policy = ftl.loading
         cmt = ftl.cmt
         self._cmt = cmt
         self._capacity = cmt.capacity_entries
@@ -141,7 +138,6 @@ class GroupedReadPlanner:
         self._directory_lookup = directory.lookup
         self._mappings_per_page = ftl._mappings_per_page
         self._num_logical_pages = ftl._num_logical_pages
-        self._prefetch_ceiling = ftl._prefetch_ceiling
         self._models = ftl.models
         self._charge = ftl._charge_compute
         self._bitmap_check_us = ftl._bitmap_check_us
@@ -166,7 +162,6 @@ class GroupedReadPlanner:
         trans_chips: list[int] = []
         append_data = data_chips.append
         append_trans = trans_chips.append
-        ftl = self._ftl
         pages = self._pages
         pages_get = pages.get
         pages_move = pages.move_to_end
@@ -182,7 +177,6 @@ class GroupedReadPlanner:
         directory_lookup = self._directory_lookup
         mappings_per_page = self._mappings_per_page
         num_logical_pages = self._num_logical_pages
-        ceiling = self._prefetch_ceiling
         models = self._models
         stats = self._stats
         charge = self._charge
@@ -194,15 +188,18 @@ class GroupedReadPlanner:
         # identically to no column at all).
         computes: list[float] | None = [] if charge else None
         append_compute = computes.append if computes is not None else None
-        lengths = ftl._recent_request_lengths
+        # The loading policy's fields run in locals and are written back after
+        # the loop; a break leaves the refused request entirely unobserved, so
+        # the scalar fallback's own observation applies cleanly.
+        policy = self._policy
+        window = policy.window
+        streak_cap = policy.streak_cap
+        ceiling = policy.ceiling
+        lengths = policy.lengths
         lengths_append = lengths.append
-        window = self._window
-        # The observer fields run in locals and are written back after the
-        # loop; a break leaves the refused request entirely unobserved, so the
-        # scalar fallback's own _observe_request applies cleanly.
-        length_sum = ftl._recent_length_sum
-        streak = ftl._sequential_streak
-        last_end = ftl._last_lpn_end
+        length_sum = policy.length_sum
+        streak = policy.streak
+        last_end = policy.last_end
         hits = 0
         nf_hits = 0
         misses = 0
@@ -210,6 +207,15 @@ class GroupedReadPlanner:
         while i < n:
             lpn = lpns[i]
             tvpn = tvpns[i]
+            # LoadingPolicy.observe(lpn, 1), committed once the request is accepted.
+            if len(lengths) == window:
+                new_sum = length_sum + 1 - lengths[0]
+            else:
+                new_sum = length_sum + 1
+            if last_end == lpn:
+                new_streak = streak + 1 if streak < streak_cap else streak
+            else:
+                new_streak = 0
             node = pages_get(tvpn)
             entry = None if node is None else node.get(lpn)
             if entry is not None:
@@ -217,17 +223,6 @@ class GroupedReadPlanner:
                 if not page_state[ppn]:
                     # PAGE_FREE: the scalar path's touch_read would raise.
                     break
-                # Scalar-equivalent _observe_request for a single-page request.
-                if len(lengths) == window:
-                    length_sum -= lengths[0]
-                length_sum += 1
-                lengths_append(1)
-                if last_end == lpn:
-                    if streak < _STREAK_CAP:
-                        streak += 1
-                else:
-                    streak = 0
-                last_end = lpn + 1
                 # Scalar-equivalent PageGroupedCMT.lookup hit: entry then node LRU.
                 node.move_to_end(lpn)
                 pages_move(tvpn)
@@ -236,98 +231,79 @@ class GroupedReadPlanner:
                 if computes is not None:
                     append_compute(0.0)
                 hits += 1
-                i += 1
-                continue
-            # CMT miss: resolve against the (pre-gathered) directory.
-            actual = dir_ppns[i]
-            if actual < 0:
-                # Unmapped LPN: the scalar path's zero-fill bookkeeping.
-                break
-            if not page_state[actual]:
-                # PAGE_FREE data page: the scalar touch_read would raise.
-                break
-            vppn = models[tvpn].predict_exact(lpn)
-            if vppn is not BIT_NOT_SET:
-                predicted = vppn_to_ppn(vppn) if vppn is not None else None
-                if predicted != actual:
-                    # Bitmap/model inconsistency: the scalar path raises.
+            else:
+                # CMT miss: resolve against the (pre-gathered) directory.
+                actual = dir_ppns[i]
+                if actual < 0:
+                    # Unmapped LPN: the scalar path's zero-fill bookkeeping.
                     break
-                # Model hit: one data read, no CMT load, no prefetch.
-                if len(lengths) == window:
-                    length_sum -= lengths[0]
-                length_sum += 1
-                lengths_append(1)
-                if last_end == lpn:
-                    if streak < _STREAK_CAP:
-                        streak += 1
+                if not page_state[actual]:
+                    # PAGE_FREE data page: the scalar touch_read would raise.
+                    break
+                vppn = models[tvpn].predict_exact(lpn)
+                if vppn is not BIT_NOT_SET:
+                    predicted = vppn_to_ppn(vppn) if vppn is not None else None
+                    if predicted != actual:
+                        # Bitmap/model inconsistency: the scalar path raises.
+                        break
+                    # Model hit: one data read, no CMT load, no prefetch.
+                    model_hits += 1
+                    if charge:
+                        stats.predict_time_us += predict_us
+                        append_compute(bitmap_check_us + predict_us)
+                    append_data(actual // chip_stride)
+                    append_trans(-1)
                 else:
-                    streak = 0
-                last_end = lpn + 1
-                model_hits += 1
-                if charge:
-                    stats.predict_time_us += predict_us
-                    append_compute(bitmap_check_us + predict_us)
-                append_data(actual // chip_stride)
-                append_trans(-1)
-                i += 1
-                continue
-            # Double read (or never-flushed CMT load).  The prefetch depth
-            # depends on the post-observation window/streak, so derive those
-            # without committing them yet.
-            tp_ppn = tp_get(tvpn)
-            if tp_ppn is not None and not page_state[tp_ppn]:
-                # PAGE_FREE translation page: scalar touch_read would raise.
-                break
-            if len(lengths) == window:
-                new_sum = length_sum + 1 - lengths[0]
-                new_window = window
-            else:
-                new_sum = length_sum + 1
-                new_window = len(lengths) + 1
-            if last_end == lpn:
-                new_streak = streak + 1 if streak < _STREAK_CAP else streak
-            else:
-                new_streak = 0
-            # Scalar-equivalent inlined _prefetch_length over the post-
-            # observation values (the window is never empty here).
-            depth = int(round(new_sum / new_window * 2)) + 2 * new_streak
-            if depth > ceiling:
-                depth = ceiling
-            batch = [(lpn, actual)]
-            if depth > 1:
-                stop = (tvpn + 1) * mappings_per_page
-                if stop > num_logical_pages:
-                    stop = num_logical_pages
-                if lpn + depth < stop:
-                    stop = lpn + depth
-                for neighbour in range(lpn + 1, stop):
-                    neighbour_ppn = directory_lookup(neighbour)
-                    if neighbour_ppn is not None and (node is None or neighbour not in node):
-                        batch.append((neighbour, neighbour_ppn))
-            delta = len(batch) if node is not None else len(batch) + PAGE_NODE_OVERHEAD_ENTRIES
-            if cmt._dirty_count != 0 and cmt._size_entries + delta > capacity:
-                # The load could evict dirty mappings (translation flushes).
-                break
-            # Accepted: commit the observation, load the batch for real.
+                    # Double read (or never-flushed CMT load).
+                    tp_ppn = tp_get(tvpn)
+                    if tp_ppn is not None and not page_state[tp_ppn]:
+                        # PAGE_FREE translation page: scalar touch_read would raise.
+                        break
+                    # Scalar-equivalent LoadingPolicy.load over the post-
+                    # observation values (the window is never empty here).
+                    new_window = window if len(lengths) == window else len(lengths) + 1
+                    depth = int(round(new_sum / new_window * 2)) + 2 * new_streak
+                    if depth > ceiling:
+                        depth = ceiling
+                    batch = [(lpn, actual)]
+                    if depth > 1:
+                        stop = (tvpn + 1) * mappings_per_page
+                        if stop > num_logical_pages:
+                            stop = num_logical_pages
+                        if lpn + depth < stop:
+                            stop = lpn + depth
+                        for neighbour in range(lpn + 1, stop):
+                            neighbour_ppn = directory_lookup(neighbour)
+                            if neighbour_ppn is not None and (
+                                node is None or neighbour not in node
+                            ):
+                                batch.append((neighbour, neighbour_ppn))
+                    delta = (
+                        len(batch) if node is not None else len(batch) + PAGE_NODE_OVERHEAD_ENTRIES
+                    )
+                    if cmt._dirty_count != 0 and cmt._size_entries + delta > capacity:
+                        # The load could evict dirty mappings (translation flushes).
+                        break
+                    insert_many(batch, dirty=False)
+                    append_data(actual // chip_stride)
+                    if tp_ppn is None:
+                        # Never-flushed translation page: served as a CMT hit.
+                        append_trans(-1)
+                        nf_hits += 1
+                    else:
+                        append_trans(tp_ppn // chip_stride)
+                        misses += 1
+                    if computes is not None:
+                        append_compute(bitmap_check_us)
+            # Accepted: commit the observation.
             length_sum = new_sum
             lengths_append(1)
             streak = new_streak
             last_end = lpn + 1
-            insert_many(batch, dirty=False)
-            append_data(actual // chip_stride)
-            if tp_ppn is None:
-                # Never-flushed translation page: served as a CMT hit.
-                append_trans(-1)
-                nf_hits += 1
-            else:
-                append_trans(tp_ppn // chip_stride)
-                misses += 1
-            if computes is not None:
-                append_compute(bitmap_check_us)
             i += 1
-        ftl._recent_length_sum = length_sum
-        ftl._sequential_streak = streak
-        ftl._last_lpn_end = last_end
+        policy.length_sum = length_sum
+        policy.streak = streak
+        policy.last_end = last_end
         k = i - pos
         self._pos = i
         if k:

@@ -12,6 +12,11 @@ Two CMT organizations are provided:
   once.  It also supports the prefetching that TPFTL's workload-adaptive
   loading policy performs on a miss.
 
+:class:`LoadingPolicy` is that loading policy, stated once: TPFTL and
+LearnedFTL each own one next to their :class:`PageGroupedCMT`, and
+LearnedFTL's batched read planner (:mod:`repro.core.batch`) runs its fields
+inline.
+
 Capacity is expressed in *entries* so experiments can size the cache as a
 percentage of the full mapping table, exactly as the paper does (3 % for
 DFTL/TPFTL/LeaFTL, 1.5 % for LearnedFTL).
@@ -19,15 +24,15 @@ DFTL/TPFTL/LeaFTL, 1.5 % for LearnedFTL).
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
 from repro.nand.errors import ConfigurationError
 
-__all__ = ["CMTEntry", "EvictedPage", "EntryLevelCMT", "PageGroupedCMT"]
+__all__ = ["CMTEntry", "EvictedPage", "EntryLevelCMT", "LoadingPolicy", "PageGroupedCMT"]
 
 #: In-memory overhead (expressed in mapping-entry units) charged per cached
 #: translation-page node in the two-level CMT.  TPFTL's node header holds the
@@ -347,3 +352,123 @@ class PageGroupedCMT:
                     node[lpn][1] = False
         self._dirty_count = 0
         return flushed
+
+
+class LoadingPolicy:
+    """TPFTL's workload-adaptive loading policy over a :class:`PageGroupedCMT`.
+
+    :meth:`observe` tracks the lengths of the last :attr:`window` host
+    requests (with their running sum) and the streak of requests that each
+    start where the previous one ended.  A CMT miss loads the missed mapping
+    plus the following mapped LPNs of its translation page (:meth:`load`), as
+    many as :meth:`depth` allows: long or sequential requests reach the full
+    depth quickly, random 4 KB reads stay at depth 2.
+
+    :class:`repro.core.batch.GroupedReadPlanner` runs the same three steps
+    inline over these fields; ``tests/test_batched_equivalence.py`` and
+    ``tests/test_demand_loading.py`` pin it to this class.
+    """
+
+    #: Number of recent request lengths the depth rule averages over.
+    window = 32
+    #: Cap of the sequential-streak counter.
+    streak_cap = 64
+
+    __slots__ = (
+        "lengths",
+        "length_sum",
+        "streak",
+        "last_end",
+        "ceiling",
+        "_cmt",
+        "_pages",
+        "_lookup",
+        "_mappings_per_page",
+        "_num_logical_pages",
+    )
+
+    def __init__(
+        self,
+        cmt: PageGroupedCMT,
+        lookup: Callable[[int], int | None],
+        num_logical_pages: int,
+        prefetch_max_entries: int,
+    ) -> None:
+        self.lengths: deque[int] = deque(maxlen=self.window)
+        #: Running sum of :attr:`lengths` (exact: integer page counts), so the
+        #: per-miss depth is O(1) instead of O(window).
+        self.length_sum = 0
+        self.streak = 0
+        self.last_end: int | None = None
+        # Never prefetch more than half the cache: loading one long run must
+        # not evict the mappings another thread is about to use.
+        self.ceiling = min(prefetch_max_entries, max(1, cmt.capacity_entries // 2))
+        self._cmt = cmt
+        self._pages = cmt._pages  # never reassigned
+        self._lookup = lookup
+        self._mappings_per_page = cmt.mappings_per_page
+        self._num_logical_pages = num_logical_pages
+
+    def observe(self, lpn: int, npages: int) -> None:
+        """Record one host request's length and whether it continues the last one."""
+        lengths = self.lengths
+        if len(lengths) == self.window:
+            self.length_sum -= lengths[0]
+        self.length_sum += npages
+        lengths.append(npages)
+        if lpn == self.last_end:
+            self.streak = min(self.streak + 1, self.streak_cap)
+        else:
+            self.streak = 0
+        self.last_end = lpn + npages
+
+    def depth(self) -> int:
+        """How many consecutive LPNs, the missed one included, a miss loads."""
+        window = len(self.lengths)
+        if not window:
+            return 1
+        depth = int(round(self.length_sum / window * 2)) + 2 * self.streak
+        return depth if depth < self.ceiling else self.ceiling
+
+    def load(self, lpn: int, ppn: int, tvpn: int) -> list[EvictedPage]:
+        """Insert a missed mapping plus its neighbour batch; returns dirty evictions.
+
+        The neighbours are the mapped LPNs after ``lpn`` in its translation
+        page ``tvpn``, up to :meth:`depth` LPNs in all, that the CMT does not
+        already hold.
+        """
+        batch = [(lpn, ppn)]
+        depth = self.depth()
+        if depth > 1:
+            stop = (tvpn + 1) * self._mappings_per_page
+            if stop > self._num_logical_pages:
+                stop = self._num_logical_pages
+            if lpn + depth < stop:
+                stop = lpn + depth
+            # The neighbours stay inside this translation page, so the
+            # membership probe can use its cached node directly (the cache is
+            # only mutated by insert_many below, after the batch is complete).
+            node = self._pages.get(tvpn)
+            lookup = self._lookup
+            for neighbour in range(lpn + 1, stop):
+                neighbour_ppn = lookup(neighbour)
+                if neighbour_ppn is not None and (node is None or neighbour not in node):
+                    batch.append((neighbour, neighbour_ppn))
+        return self._cmt.insert_many(batch, dirty=False)
+
+    # ------------------------------------------------------ snapshot support
+    def state_dict(self) -> dict[str, Any]:
+        """The observed window, last request end and streak (the ``"locality"`` entry)."""
+        return {
+            "recent_lengths": list(self.lengths),
+            "last_lpn_end": self.last_end,
+            "sequential_streak": self.streak,
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Restore :meth:`state_dict`'s fields in place."""
+        self.lengths.clear()
+        self.lengths.extend(state["recent_lengths"])
+        self.length_sum = sum(self.lengths)
+        self.last_end = state["last_lpn_end"]
+        self.streak = int(state["sequential_streak"])

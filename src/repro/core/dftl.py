@@ -13,7 +13,7 @@ summarized in Section II-A of the LearnedFTL paper.
 from __future__ import annotations
 
 from repro.core.base import FTLConfig, StripingFTLBase
-from repro.core.cmt import EntryLevelCMT, EvictedPage
+from repro.core.cmt import EntryLevelCMT
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.ssd.request import ReadOutcome
@@ -92,11 +92,7 @@ class DFTL(StripingFTLBase):
             if lpn in self.cmt:
                 self.cmt.insert(lpn, ppn, dirty=False)
 
-    # -------------------------------------------------------------- internal
-    def _handle_evictions(self, evicted: list[EvictedPage]) -> None:
-        for page in evicted:
-            self._flush_translation_page(page.tvpn)
-
+    # ------------------------------------------------------------ reporting
     def memory_report(self) -> dict[str, int]:
         """CMT occupancy in bytes (8 bytes per cached entry)."""
         return {"cmt_bytes": self.cmt.memory_entries() * 8}

@@ -25,14 +25,12 @@ request's contiguous VPPN run.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.core.allocation import GroupAllocator, GroupGCNeeded
 from repro.core.base import _MIN_COLUMN_WRITE, FTLBase, FTLConfig
 from repro.core.batch import GroupedReadPlanner
-from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, EvictedPage, PageGroupedCMT
+from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, LoadingPolicy, PageGroupedCMT
 from repro.core.learned.inplace_model import (
     BIT_NOT_SET,
     InPlaceLinearModel,
@@ -117,13 +115,13 @@ class LearnedFTL(FTLBase):
             )
             for tvpn in range(geometry.num_translation_pages)
         ]
-        self._recent_request_lengths: deque[int] = deque(maxlen=32)
-        #: Running sum of the deque (integer page counts, so the incremental
-        #: sum is exactly the recomputed one) — keeps the per-miss prefetch
-        #: depth O(1) instead of O(window).
-        self._recent_length_sum = 0
-        self._last_lpn_end: int | None = None
-        self._sequential_streak = 0
+        #: TPFTL's loading policy, for the misses the models cannot answer.
+        self.loading = LoadingPolicy(
+            self.cmt,
+            self.directory.lookup,
+            geometry.num_logical_pages,
+            self.config.prefetch_max_entries,
+        )
         self._gc_old_stripes: set[int] = set()
         self._mappings_per_page = geometry.mappings_per_translation_page
         # Per-lookup constants and live references, hoisted out of the read
@@ -132,43 +130,15 @@ class LearnedFTL(FTLBase):
         self._bitmap_check_us = self.timing.bitmap_check_us if self._charge_compute else 0.0
         self._predict_us = self.timing.predict_us
         self._cmt_pages = self.cmt._pages
-        self._prefetch_ceiling = min(
-            self.config.prefetch_max_entries, max(1, self.cmt.capacity_entries // 2)
-        )
         # The directory's mapping column and the store's read entry point are
         # created once; direct references shave attribute hops per page read.
         self._dir_column = self.directory._ppn
         self._ts_read_into = self.translation_store.read_into
         self._vppn_to_ppn = self.codec.vppn_to_ppn
 
-    def _observe_request(self, request: HostRequest) -> None:
-        """Track request length and sequentiality for the CMT loading policy."""
-        lengths = self._recent_request_lengths
-        if len(lengths) == lengths.maxlen:
-            self._recent_length_sum -= lengths[0]
-        self._recent_length_sum += request.npages
-        lengths.append(request.npages)
-        if self._last_lpn_end is not None and request.lpn == self._last_lpn_end:
-            self._sequential_streak = min(self._sequential_streak + 1, 64)
-        else:
-            self._sequential_streak = 0
-        self._last_lpn_end = request.lpn + request.npages
-
     # ------------------------------------------------------------------ read
     def read(self, request: HostRequest, now: float) -> None:
-        # Inlined _observe_request (the write path keeps the method call).
-        lengths = self._recent_request_lengths
-        npages = request.npages
-        if len(lengths) == lengths.maxlen:
-            self._recent_length_sum -= lengths[0]
-        self._recent_length_sum += npages
-        lengths.append(npages)
-        first_lpn = request.lpn
-        if self._last_lpn_end == first_lpn:
-            self._sequential_streak = min(self._sequential_streak + 1, 64)
-        else:
-            self._sequential_streak = 0
-        self._last_lpn_end = first_lpn + npages
+        self.loading.observe(request.lpn, request.npages)
         self._encode_read(request)
 
     def begin_read_run(self, lpns):
@@ -221,38 +191,10 @@ class LearnedFTL(FTLBase):
         else:
             outcome = _OUT_CMT_HIT
             stats.cmt_hits += 1
-        evicted = self._load_with_prefetch(lpn, actual, tvpn)
+        evicted = self.loading.load(lpn, actual, tvpn)
         if evicted:
             self._handle_evictions(evicted)
         return actual, outcome, compute_us
-
-    def _load_with_prefetch(self, lpn: int, ppn: int, tvpn: int) -> list[EvictedPage]:
-        # Inlined prefetch-depth computation (TPFTL._prefetch_length is the
-        # documented reference); this runs for every CMT/model miss.
-        window = len(self._recent_request_lengths)
-        if window:
-            depth = int(round(self._recent_length_sum / window * 2)) + 2 * self._sequential_streak
-            if depth > self._prefetch_ceiling:
-                depth = self._prefetch_ceiling
-        else:
-            depth = 1
-        batch: list[tuple[int, int]] = [(lpn, ppn)]
-        if depth > 1:
-            stop = (tvpn + 1) * self._mappings_per_page
-            if stop > self._num_logical_pages:
-                stop = self._num_logical_pages
-            if lpn + depth < stop:
-                stop = lpn + depth
-            # The neighbours stay inside this translation page, so the
-            # membership probe can use its cached node directly (the cache is
-            # only mutated by insert_many below, after the batch is complete).
-            node = self._cmt_pages.get(tvpn)
-            directory_lookup = self.directory.lookup
-            for neighbour in range(lpn + 1, stop):
-                neighbour_ppn = directory_lookup(neighbour)
-                if neighbour_ppn is not None and (node is None or neighbour not in node):
-                    batch.append((neighbour, neighbour_ppn))
-        return self.cmt.insert_many(batch, dirty=False)
 
     # ----------------------------------------------------------------- write
     def write(self, request: HostRequest, now: float) -> None:
@@ -267,8 +209,8 @@ class LearnedFTL(FTLBase):
         written in columnar chunks (:meth:`_write_columns`), a shorter one
         page by page (:meth:`_write_page`); both leave the same state.
         """
-        self._observe_request(request)
         first, npages = request.lpn, request.npages
+        self.loading.observe(first, npages)
         # The program stage floats while per-page allocation may commit GC
         # stages and CMT evictions may commit flush stages; it is committed
         # after them, exactly as the object pipeline appended it.
@@ -628,21 +570,6 @@ class LearnedFTL(FTLBase):
         buffer.commit_stage(erase_stage)
         return blocks_erased, blocks_erased * self.timing.erase_us
 
-    # ----------------------------------------------------- eviction handling
-    def _handle_evictions(self, evicted: list[EvictedPage]) -> None:
-        buffer = self.buffer
-        tracer = self.tracer
-        for page in evicted:
-            if tracer.enabled:
-                tracer.instant("cmt_evict", tracer.now_us, {"tvpn": page.tvpn})
-            if self.allocator.translation_pool.needs_gc():
-                gc_stage = buffer.new_stage()
-                self._collect_translation_block_into(gc_stage)
-                buffer.commit_stage(gc_stage)
-            stage = buffer.new_stage()
-            self.translation_store.flush_into(buffer, stage, page.tvpn)
-            buffer.commit_stage(stage)
-
     # ------------------------------------------------------ training via rewrite
     def train_on_rewrite(self, tvpn: int) -> bool:
         """Model training via the SSD rewrite path (Section III-E3).
@@ -705,27 +632,14 @@ class LearnedFTL(FTLBase):
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         state = super().state_dict()
-        state["allocator"] = self.allocator.state_dict()
-        state["translation_store"] = self.translation_store.state_dict()
         state["cmt"] = self.cmt.state_dict()
         state["models"] = pack_models(self.models)
-        state["locality"] = {
-            "recent_lengths": list(self._recent_request_lengths),
-            "last_lpn_end": self._last_lpn_end,
-            "sequential_streak": self._sequential_streak,
-        }
+        state["locality"] = self.loading.state_dict()
         return state
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
-        self.allocator.load_state(state["allocator"])
-        self.translation_store.load_state(state["translation_store"])
         self.cmt.load_state(state["cmt"])
         unpack_models(self.models, state["models"])
-        locality = state["locality"]
-        self._recent_request_lengths.clear()
-        self._recent_request_lengths.extend(locality["recent_lengths"])
-        self._recent_length_sum = sum(self._recent_request_lengths)
-        self._last_lpn_end = locality["last_lpn_end"]
-        self._sequential_streak = int(locality["sequential_streak"])
+        self.loading.load_state(state["locality"])
         self._gc_old_stripes = set()

@@ -501,7 +501,7 @@ def _run_replay_verb(argv: list[str]) -> int:
             try:
                 manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             except (OSError, ValueError) as exc:
-                print(f"cannot read {manifest_path}: {exc}", file=sys.stderr)
+                print(f"replay failed: cannot read {manifest_path}: {exc}", file=sys.stderr)
                 return 2
             plan = ReplayPlan.from_manifest(manifest)
         else:

@@ -39,14 +39,15 @@ import json
 import math
 import shutil
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 
 from repro.core.base import FTLConfig
 from repro.execution.atomic import publish_dir, publish_json
+from repro.nand.errors import ReproError
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.replay.stream import iter_trace_requests
@@ -118,6 +119,53 @@ def state_fingerprint(state: dict[str, Any]) -> str:
         # hashlib reads the (contiguous) column's buffer in place.
         digest.update(column)
     return digest.hexdigest()
+
+
+#: Where :meth:`ReplayPlan.from_manifest` finds each plan field: manifest
+#: section -> key -> ``ReplayPlan`` field.  The other keys (the trace hash, the
+#: code fingerprint) are checked by the resume, against a freshly built manifest.
+_MANIFEST_PLAN_FIELDS: dict[str, dict[str, str]] = {
+    "trace": {"path": "trace_path", "format": "trace_format", "limit": "limit",
+              "max_errors": "max_errors"},
+    "device": {"ftl": "ftl_name", "geometry": "geometry", "config": "config", "timing": "timing"},
+    "replay": {key: key for key in ("streams", "chunk_requests", "checkpoint_every_requests",
+                                    "checkpoint_every_sim_s", "preserve_timing", "time_scale",
+                                    "keep_checkpoints")},
+    "warmup": {"warmup": "warmup", "io_pages": "io_pages", "overwrite_factor": "overwrite_factor",
+               "threads": "warmup_threads", "seed": "warmup_seed"},
+    "obs": {"metrics_window_us": "metrics_window_us"},
+}
+
+
+def _manifest_value(name: str, value: Any, expected: Any) -> Any:
+    """``value`` checked against the annotation ``expected`` (ints are not bools,
+    floats accept ints); a dataclass takes an object of its fields and is built."""
+    options = get_args(expected) or (expected,)
+    if value is None and type(None) in options:
+        return None
+    kind = options[0]
+    if not is_dataclass(kind):
+        if isinstance(value, (int, float) if kind is float else kind) and (
+            kind is bool or not isinstance(value, bool)
+        ):
+            return value
+        wanted = kind.__name__ + (" or null" if type(None) in options else "")
+        raise ReplayError(f"run manifest field {name} must be {wanted}, got {value!r}")
+    if not isinstance(value, dict):
+        raise ReplayError(f"run manifest field {name} must be an object, got {value!r}")
+    hints = get_type_hints(kind)
+    known = {spec.name: spec for spec in fields(kind)}
+    for key, item in value.items():
+        if key not in known:
+            raise ReplayError(f"run manifest field {name}.{key} is not a {kind.__name__} field")
+        _manifest_value(f"{name}.{key}", item, hints[key])
+    for key, spec in known.items():
+        if key not in value and spec.default is MISSING and spec.default_factory is MISSING:
+            raise ReplayError(f"run manifest is missing {name}.{key}")
+    try:
+        return kind(**value)
+    except ReproError as exc:
+        raise ReplayError(f"run manifest field {name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -216,41 +264,34 @@ class ReplayPlan:
         """Rebuild the plan pinned by a run directory's ``manifest.json``.
 
         This is what lets ``replay --resume --run-dir X`` need no other flags:
-        the stored manifest is the single source of truth for the plan.
+        the stored manifest is the single source of truth for the plan.  A
+        manifest that is not an object, lacks a section or key, names an
+        unknown geometry/config/timing field or holds a wrongly typed value
+        raises :class:`ReplayError` naming the field.
         """
+        if not isinstance(manifest, dict):
+            raise ReplayError(f"run manifest must be a JSON object, got {manifest!r}")
         version = manifest.get("replay_manifest_version")
         if version != REPLAY_MANIFEST_VERSION:
             raise ReplayError(
                 f"run manifest has version {version!r}; "
                 f"this build reads version {REPLAY_MANIFEST_VERSION}"
             )
-        trace = manifest["trace"]
-        device = manifest["device"]
-        replay = manifest["replay"]
-        warm = manifest["warmup"]
-        return cls(
-            trace_path=trace["path"],
-            trace_format=trace["format"],
-            limit=trace["limit"],
-            max_errors=trace["max_errors"],
-            ftl_name=device["ftl"],
-            geometry=SSDGeometry(**device["geometry"]),
-            config=FTLConfig(**device["config"]),
-            timing=TimingModel(**device["timing"]),
-            streams=replay["streams"],
-            chunk_requests=replay["chunk_requests"],
-            checkpoint_every_requests=replay["checkpoint_every_requests"],
-            checkpoint_every_sim_s=replay["checkpoint_every_sim_s"],
-            preserve_timing=replay["preserve_timing"],
-            time_scale=replay["time_scale"],
-            keep_checkpoints=replay["keep_checkpoints"],
-            warmup=warm["warmup"],
-            io_pages=warm["io_pages"],
-            overwrite_factor=warm["overwrite_factor"],
-            warmup_threads=warm["threads"],
-            warmup_seed=warm["seed"],
-            metrics_window_us=manifest["obs"]["metrics_window_us"],
-        )
+        hints = get_type_hints(cls)
+        plan: dict[str, Any] = {}
+        for section, keys in _MANIFEST_PLAN_FIELDS.items():
+            if section not in manifest:
+                raise ReplayError(f"run manifest is missing the {section!r} section")
+            values = manifest[section]
+            if not isinstance(values, dict):
+                raise ReplayError(f"run manifest field {section} must be an object, got {values!r}")
+            for key, plan_field in keys.items():
+                if key not in values:
+                    raise ReplayError(f"run manifest is missing {section}.{key}")
+                plan[plan_field] = _manifest_value(
+                    f"{section}.{key}", values[key], hints[plan_field]
+                )
+        return cls(**plan)
 
 
 @dataclass

@@ -838,6 +838,31 @@ class TestReplayVerb:
         assert self._replay("--resume", "--run-dir", str(tmp_path / "empty")) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["truncated", "no_device", "not_an_object"])
+    def test_resume_with_bad_manifest_is_refused_without_traceback(
+        self, trace, tmp_path, capsys, damage
+    ):
+        run_dir = tmp_path / "run"
+        assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS,
+                            "--stop-after-checkpoints", "1") == 0
+        manifest_path = run_dir / "manifest.json"
+        text = manifest_path.read_text()
+        if damage == "truncated":
+            manifest_path.write_text(text[: len(text) // 2])
+        elif damage == "no_device":
+            manifest = json.loads(text)
+            del manifest["device"]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            manifest_path.write_text("[1]")
+        capsys.readouterr()
+        assert self._replay("--resume", "--run-dir", str(run_dir)) == 2
+        err = capsys.readouterr().err
+        assert "replay failed:" in err
+        assert "Traceback" not in err
+        if damage == "no_device":
+            assert "'device'" in err
+
     def test_fresh_run_refuses_existing_run_dir(self, trace, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS) == 0

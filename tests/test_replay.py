@@ -354,6 +354,88 @@ class TestReplaySessionLifecycle:
         assert names[-1].endswith(f"{result.checkpoints_written + (result.resumed_from or 0):06d}")
 
 
+# ------------------------------------------------------------- bad manifests
+class TestManifestRefusal:
+    """``from_manifest`` refuses a damaged manifest with a :class:`ReplayError`
+    naming the field, never a ``KeyError``/``AttributeError``/``TypeError``."""
+
+    @pytest.fixture
+    def manifest(self, trace_file):
+        return make_plan(trace_file).manifest()
+
+    @pytest.mark.parametrize("value", [[1], "manifest", None, 3])
+    def test_non_object_manifest(self, value):
+        with pytest.raises(ReplayError, match="run manifest must be a JSON object"):
+            ReplayPlan.from_manifest(value)
+
+    @pytest.mark.parametrize("section", ["trace", "device", "replay", "warmup", "obs"])
+    def test_missing_section(self, manifest, section):
+        del manifest[section]
+        with pytest.raises(ReplayError, match=f"missing the '{section}' section"):
+            ReplayPlan.from_manifest(manifest)
+
+    def test_partial_manifest_names_its_first_gap(self):
+        with pytest.raises(ReplayError, match="missing trace\\.format$"):
+            ReplayPlan.from_manifest({"replay_manifest_version": 1, "trace": {"path": "x"}})
+
+    @pytest.mark.parametrize(
+        ("section", "key"),
+        [("trace", "path"), ("trace", "limit"), ("device", "ftl"), ("device", "geometry"),
+         ("replay", "streams"), ("warmup", "seed"), ("obs", "metrics_window_us")],
+    )
+    def test_missing_key(self, manifest, section, key):
+        del manifest[section][key]
+        with pytest.raises(ReplayError, match=f"missing {section}\\.{key}$"):
+            ReplayPlan.from_manifest(manifest)
+
+    def test_missing_required_geometry_field(self, manifest):
+        del manifest["device"]["geometry"]["channels"]
+        with pytest.raises(ReplayError, match="missing device\\.geometry\\.channels"):
+            ReplayPlan.from_manifest(manifest)
+
+    @pytest.mark.parametrize("part", ["geometry", "config", "timing"])
+    def test_unknown_dataclass_field(self, manifest, part):
+        manifest["device"][part]["warp_factor"] = 9
+        with pytest.raises(
+            ReplayError, match=f"device\\.{part}\\.warp_factor is not a \\w+ field"
+        ):
+            ReplayPlan.from_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        ("path", "value", "wanted"),
+        [
+            (("device",), [], "an object"),
+            (("device", "config"), "fast", "an object"),
+            (("trace", "path"), 7, "str"),
+            (("trace", "limit"), "10", "int or null"),
+            (("replay", "streams"), 2.5, "int"),
+            (("replay", "preserve_timing"), "yes", "bool"),
+            (("replay", "time_scale"), None, "float"),
+            (("warmup", "io_pages"), True, "int"),
+            (("device", "geometry", "channels"), "2", "int"),
+            (("device", "config", "train_on_gc"), 1, "bool"),
+            (("device", "timing", "read_us"), "40", "float"),
+        ],
+    )
+    def test_wrongly_typed_value(self, manifest, path, value, wanted):
+        holder = manifest
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        name = "\\.".join(path)
+        with pytest.raises(ReplayError, match=f"field {name} must be {wanted}"):
+            ReplayPlan.from_manifest(manifest)
+
+    def test_invalid_geometry_value_is_named(self, manifest):
+        manifest["device"]["geometry"]["channels"] = 0
+        with pytest.raises(ReplayError, match="field device\\.geometry: channels must be"):
+            ReplayPlan.from_manifest(manifest)
+
+    def test_json_round_trip_still_loads(self, manifest):
+        stored = json.loads(json.dumps(manifest))
+        assert ReplayPlan.from_manifest(stored).manifest() == manifest
+
+
 # -------------------------------------------------------------- crash / resume
 class TestCrashResume:
     @pytest.mark.parametrize("ftl", ALL_FTLS)

@@ -43,10 +43,10 @@ class TestPrefetching:
         ssd.fill_sequential(io_pages=8)
         for lpn in range(0, 64, 8):
             ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=lpn, npages=8))
-        long_depth = ssd.ftl._prefetch_length()
+        long_depth = ssd.ftl.loading.depth()
         for lpn in range(0, 64, 8):
             ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=(lpn * 37) % 64, npages=1))
-        short_depth = ssd.ftl._prefetch_length()
+        short_depth = ssd.ftl.loading.depth()
         assert long_depth >= short_depth
 
     def test_prefetch_does_not_cost_extra_flash_reads(self, ssd):
