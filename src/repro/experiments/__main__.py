@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import math
 import pstats
 import sys
 import time
@@ -57,6 +58,17 @@ from repro.experiments import EXPERIMENTS, INTERNAL_EXPERIMENTS
 from repro.experiments.orchestrator import describe_plan, run_orchestrated, write_json_artifact
 from repro.experiments.runner import Scale
 from repro.nand.errors import ConfigurationError
+
+
+def _window_us(text: str) -> float:
+    """``--metrics-window-us``: a finite, positive width (refused at parse time)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of microseconds, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,7 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-window-us",
-        type=float,
+        type=_window_us,
         default=None,
         metavar="US",
         help="record per-window telemetry (simulated-time buckets of this width in "
@@ -458,7 +470,7 @@ def _run_replay_verb(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--metrics-window-us",
-        type=float,
+        type=_window_us,
         default=None,
         metavar="US",
         help="record per-window telemetry in simulated-time buckets of this width",

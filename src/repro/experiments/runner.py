@@ -17,6 +17,7 @@ provides the pieces they share:
 from __future__ import annotations
 
 import enum
+import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -251,8 +252,8 @@ _OBSERVED_DEVICES: list[tuple[str, SSD]] = []
 def set_metrics_window_us(window_us: float | None) -> float | None:
     """Enable (or disable, with ``None``) windowed telemetry for subsequent devices."""
     global _METRICS_WINDOW_US
-    if window_us is not None and window_us <= 0:
-        raise ConfigurationError(f"metrics window must be positive, got {window_us!r}")
+    if window_us is not None and not (math.isfinite(window_us) and window_us > 0):
+        raise ConfigurationError(f"metrics window must be finite and positive, got {window_us!r}")
     _METRICS_WINDOW_US = None if window_us is None else float(window_us)
     return _METRICS_WINDOW_US
 

@@ -1,17 +1,15 @@
 """Structured event tracing with Chrome trace-event JSON export.
 
 Two recorders share one tiny protocol (``enabled`` / ``now_us`` /
-:meth:`instant` / :meth:`complete` / :meth:`translation_reads` /
-:meth:`planned_translation_reads`):
+:meth:`instant` / :meth:`complete`):
 
 * :class:`NullTraceRecorder` — the default.  Every FTL and device carries
   :data:`NULL_TRACER`; hook sites — the FTLs' GC/eviction paths and the
-  device's one request step — are gated on ``tracer.enabled``, so the
-  disabled cost is one attribute test per site visit.
-* :class:`TraceRecorder` — keeps events as tuples in one list, in record
-  order, and exports the Chrome trace-event JSON format (the
-  ``traceEvents`` array form), loadable in Perfetto
-  (https://ui.perfetto.dev) or ``chrome://tracing``.
+  device's batched loop — are gated on ``tracer.enabled``, so the disabled
+  cost is one attribute test per site visit.
+* :class:`TraceRecorder` — keeps events in record order and exports the
+  Chrome trace-event JSON format (the ``traceEvents`` array form), loadable
+  in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
 
 Timestamps are **simulated** microseconds, which is exactly the unit the
 trace-event format expects for ``ts``/``dur``.  Event names used by the
@@ -35,25 +33,36 @@ per-name sampling cap: after ``max_events_per_name`` events of one name the
 recorder drops further events of that name and reports the drop count in the
 exported ``otherData`` block.
 
-A row's length is its shape: ``(name, ts, dur, args)`` for an event recorded
-through :meth:`~TraceRecorder.instant` (``dur`` is ``None``) or
-:meth:`~TraceRecorder.complete`, ``(ts, chip, ppn)`` for a request step's
-translation read and ``(ts, chip)`` for a planner's.  The translation reads —
-nearly every event of a traced run — are admitted a request (or a planner
-step) at a time and never become dicts: :meth:`~TraceRecorder.write` streams
-each run of same-shape rows through one ``%`` template, falling back to the
-JSON encoder for any value ``%r`` would not print as JSON.
+The translation reads — nearly every event of a traced run — are not
+recorded by a hook site: the tracer reads them from the device's
+:class:`~repro.obs.log.ObservationLog` a block at a time
+(:meth:`TraceRecorder.consume`) and keeps them as three columns (issue time,
+chip, ppn), never as one object per event.  Every other event is a
+``(name, ts, dur, args)`` row (``dur`` is ``None`` for an instant) that
+remembers how many translation reads precede it: an event recorded while
+requests are still pending in the log notes how many, and the next block
+places it after exactly those requests' reads.  The record order is thus the
+order of the simulation without a flush per event.  Every reader (``len``,
+:meth:`~TraceRecorder.export`, :meth:`~TraceRecorder.write`,
+:meth:`~TraceRecorder.dropped_counts`) flushes the log first.
+:meth:`~TraceRecorder.write` streams each run of translation reads through
+one ``%`` template, falling back to the JSON encoder for any value ``%r``
+would not print as JSON.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain, groupby, islice
+from array import array
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from repro.nand.errors import ConfigurationError
+from repro.obs.log import NO_PPN
 from repro.ssd.request import OP_STRIDE, CommandKind, CommandPurpose, command_code
 
 __all__ = ["NullTraceRecorder", "TraceRecorder", "NULL_TRACER"]
@@ -66,13 +75,15 @@ DEFAULT_MAX_EVENTS_PER_NAME = 100_000
 _TRANSLATION_READ = "translation_read"
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
-#: ``%`` templates of the two translation-read row shapes, keyed by row length.
-_TRANSLATION_READ_TEMPLATES = {
-    3: '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
-    '"args": {"chip": %r, "ppn": %r}}',
-    2: '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
-    '"args": {"chip": %r}}',
-}
+#: ``%`` templates of a translation read with and without its ppn.
+_READ_TEMPLATE = (
+    '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
+    '"args": {"chip": %r, "ppn": %r}}'
+)
+_PLANNED_READ_TEMPLATE = (
+    '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
+    '"args": {"chip": %r}}'
+)
 
 _PLAIN_TYPES = frozenset((int, float))
 
@@ -99,12 +110,6 @@ class NullTraceRecorder:
     def complete(self, name: str, ts_us: float, dur_us: float, args: dict | None = None) -> None:
         """Ignore a complete (duration) event."""
 
-    def translation_reads(self, ts_us: float, ops: list) -> None:
-        """Ignore a request's translation reads."""
-
-    def planned_translation_reads(self, issues: list, chips: list, count: int) -> None:
-        """Ignore a planner step's translation reads."""
-
 
 #: The shared process-wide no-op recorder.  It holds no state besides the
 #: scratch ``now_us`` clock, so sharing one instance everywhere is safe.
@@ -112,19 +117,24 @@ NULL_TRACER = NullTraceRecorder()
 
 
 def _event(row: tuple) -> dict[str, Any]:
-    """The trace-event dict of one row (the form :meth:`TraceRecorder.export` returns)."""
-    if len(row) == 4:
-        name, ts_us, dur_us, args = row
-        if dur_us is None:
-            event = {"name": name, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t"}
-        else:
-            event = {"name": name, "ph": "X", "ts": ts_us, "dur": dur_us, "pid": 0, "tid": 0}
-        if args:
-            event["args"] = args
-        return event
-    args = {"chip": row[1], "ppn": row[2]} if len(row) == 3 else {"chip": row[1]}
-    return {"name": _TRANSLATION_READ, "ph": "i", "ts": row[0], "pid": 0, "tid": 0, "s": "t",
-            "args": args}
+    """The trace-event dict of one ``(name, ts, dur, args)`` row."""
+    name, ts_us, dur_us, args = row
+    if dur_us is None:
+        event = {"name": name, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t"}
+    else:
+        event = {"name": name, "ph": "X", "ts": ts_us, "dur": dur_us, "pid": 0, "tid": 0}
+    if args:
+        event["args"] = args
+    return event
+
+
+def _read_events(ts: list, chips: list, ppns: list, with_ppn: bool) -> Iterator[dict[str, Any]]:
+    """The trace-event dicts of a run of translation reads."""
+    for ts_us, chip, ppn in zip(ts, chips, ppns):
+        yield {
+            "name": _TRANSLATION_READ, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t",
+            "args": {"chip": chip, "ppn": ppn} if with_ppn else {"chip": chip},
+        }
 
 
 def _plain(values: Iterable[Any]) -> bool:
@@ -184,7 +194,21 @@ def _encode(row: tuple, templates: dict[tuple, str | None]) -> str:
 class TraceRecorder:
     """Collect typed simulator events and export Chrome trace-event JSON."""
 
-    __slots__ = ("now_us", "max_events_per_name", "_rows", "_counts", "_dropped")
+    __slots__ = (
+        "now_us",
+        "max_events_per_name",
+        "_events",
+        "_at",
+        "_stamps",
+        "_read_ts",
+        "_read_chip",
+        "_read_ppn",
+        "_counts",
+        "_dropped",
+        "_first_drop",
+        "_logged",
+        "_source",
+    )
 
     enabled = True
 
@@ -198,15 +222,48 @@ class TraceRecorder:
         #: (e.g. CMT eviction flushes) still get a meaningful timestamp.
         self.now_us = 0.0
         self.max_events_per_name = max_events_per_name
-        #: Every admitted event in record order; a row's length is its shape.
-        self._rows: list[tuple] = []
+        #: :meth:`instant` / :meth:`complete` rows in record order, and for
+        #: each the number of translation reads recorded before it.
+        self._events: list[tuple] = []
+        self._at: list[int] = []
+        #: For the events after ``_events[len(_at)]``: how many requests were
+        #: pending in the source log when each was recorded.
+        self._stamps: list[int] = []
+        #: Admitted translation reads as columns (``_read_ppn`` is ``NO_PPN``
+        #: for a read the batched kernel served).
+        self._read_ts = array("d")
+        self._read_chip = array("q")
+        self._read_ppn = array("q")
         self._counts: dict[str, int] = {}
         self._dropped: dict[str, int] = {}
+        #: When each name first lost an event, as ``(requests logged before,
+        #: 0 for an event | 1 for a translation read)``: the export lists
+        #: ``dropped_events`` in that order, the order of the simulation.
+        self._first_drop: dict[str, tuple[int, int]] = {}
+        #: Requests consumed from observation logs so far.
+        self._logged = 0
+        #: The observation log feeding this tracer (``None`` until attached).
+        self._source = None
 
     def __len__(self) -> int:
-        return len(self._rows)
+        self._sync()
+        return len(self._events) + len(self._read_ts)
 
     # ------------------------------------------------------------- recording
+    def attach(self, log) -> None:
+        """Read translation reads from ``log`` (an :class:`~repro.obs.log.ObservationLog`).
+
+        The log this tracer followed before is flushed first, so its reads
+        keep their place ahead of anything recorded from now on.
+        """
+        self._sync()
+        self._source = log
+
+    def _sync(self) -> None:
+        """Bring the translation-read rows up to date with the source log."""
+        if self._source is not None:
+            self._source.flush()
+
     def _admit(self, name: str, count: int = 1) -> int:
         """Admit up to ``count`` events of ``name`` under the cap; return how many.
 
@@ -220,60 +277,74 @@ class TraceRecorder:
         admitted = max(room, 0)
         if admitted:
             self._counts[name] = used + admitted
+        if name not in self._dropped:
+            self._first_drop[name] = (self._logged + self._pending(), 0)
         self._dropped[name] = self._dropped.get(name, 0) + count - admitted
         return admitted
+
+    def _pending(self) -> int:
+        """Requests waiting in the source log (logged, not yet consumed)."""
+        return 0 if self._source is None else self._source.pending()
+
+    def _record(self, row: tuple) -> None:
+        """Append an event row, placed after every translation read logged so far."""
+        self._events.append(row)
+        pending = self._pending()
+        if pending:
+            self._stamps.append(pending)
+        else:
+            self._at.append(len(self._read_ts))
 
     def instant(self, name: str, ts_us: float, args: dict | None = None) -> None:
         """Record an instant event (``ph: "i"``, thread scope)."""
         if self._admit(name):
-            self._rows.append((name, ts_us, None, args))
+            self._record((name, ts_us, None, args))
 
     def complete(self, name: str, ts_us: float, dur_us: float, args: dict | None = None) -> None:
         """Record a complete event spanning ``[ts_us, ts_us + dur_us]`` (``ph: "X"``)."""
         if self._admit(name):
-            self._rows.append((name, ts_us, dur_us, args))
+            self._record((name, ts_us, dur_us, args))
 
-    def translation_reads(self, ts_us: float, ops: list) -> None:
-        """Record the ``translation_read`` instants of one request step at once.
+    def consume(self, block) -> None:
+        """Record the ``translation_read`` instants of one log block (:class:`~repro.obs.log.Block`).
 
-        ``ops`` is the request's encoded command buffer (stride-4 records,
-        command code first); each translation read among them becomes one
-        ``{"chip", "ppn"}`` instant at ``ts_us``, in command order.  Reads
-        past the cap are only counted.
+        Each translation read becomes one instant at its request's issue
+        time, in command order; reads past the per-name cap are only
+        counted.  Events recorded while the block was pending are placed
+        among the block's reads by the number of requests logged before them.
         """
-        codes = ops[0::OP_STRIDE]
-        count = codes.count(_CODE_TRANSLATION_READ)
-        if not count:
-            return
-        count = self._admit(_TRANSLATION_READ, count)
-        if count == 1:  # the common case: one double read
-            slot = codes.index(_CODE_TRANSLATION_READ) * OP_STRIDE
-            self._rows.append((ts_us, ops[slot + 1], ops[slot + 2]))
-            return
-        append = self._rows.append
-        position = -1
-        for _ in range(count):
-            position = codes.index(_CODE_TRANSLATION_READ, position + 1)
-            slot = position * OP_STRIDE
-            append((ts_us, ops[slot + 1], ops[slot + 2]))
-
-    def planned_translation_reads(self, issues: list, chips: list, count: int) -> None:
-        """Record the ``translation_read`` instants of one planner step at once.
-
-        ``issues`` and ``chips`` are the step's issue-time and
-        translation-chip columns (``chips[i] < 0``: request ``i`` needed no
-        translation read); ``count`` is how many reads the step issued.  Each
-        becomes one ``{"chip"}`` instant at its request's issue time.
-        """
-        admitted = self._admit(_TRANSLATION_READ, count)
-        if admitted:
-            reads = ((issue, chip) for issue, chip in zip(issues, chips) if chip >= 0)
-            self._rows.extend(islice(reads, admitted))
+        reads = np.flatnonzero(block.ops[0::OP_STRIDE] == _CODE_TRANSLATION_READ)
+        admitted = 0
+        if reads.shape[0]:
+            first_drop = _TRANSLATION_READ not in self._dropped
+            admitted = self._admit(_TRANSLATION_READ, reads.shape[0])
+            if first_drop and admitted < reads.shape[0]:
+                request = int(block.op_request[reads[admitted]])
+                self._first_drop[_TRANSLATION_READ] = (self._logged + request, 1)
+        self._logged += block.count
+        reads = reads[:admitted]
+        requests = block.op_request[reads]
+        before = len(self._read_ts)
+        if self._stamps:
+            offsets = np.searchsorted(requests, self._stamps) + before
+            self._at.extend(offsets.tolist())
+            self._stamps.clear()
+        slots = reads * OP_STRIDE
+        self._read_ts.frombytes(block.issue[requests].tobytes())
+        self._read_chip.frombytes(block.ops[slots + 1].tobytes())
+        self._read_ppn.frombytes(block.ops[slots + 2].tobytes())
 
     # --------------------------------------------------------------- export
     def dropped_counts(self) -> dict[str, int]:
         """Events dropped per name by the sampling cap (empty = nothing dropped)."""
-        return dict(self._dropped)
+        self._sync()
+        return self._dropped_in_order()
+
+    def _dropped_in_order(self) -> dict[str, int]:
+        return {
+            name: self._dropped[name]
+            for name in sorted(self._dropped, key=self._first_drop.__getitem__)
+        }
 
     def _metadata(self) -> dict[str, Any]:
         return {
@@ -281,9 +352,31 @@ class TraceRecorder:
             "otherData": {
                 "clock": "simulated_us",
                 "max_events_per_name": self.max_events_per_name,
-                "dropped_events": dict(self._dropped),
+                "dropped_events": self._dropped_in_order(),
             },
         }
+
+    def _rows(self) -> Iterator[tuple]:
+        """Every row in record order, as ``(event, None)`` or ``(None, reads)``.
+
+        ``event`` is an :meth:`instant`/:meth:`complete` row; ``reads`` is a
+        run of consecutive translation reads that all do (or all do not)
+        carry a ppn, as ``(ts, chips, ppns, with_ppn)`` lists.
+        """
+        start = 0
+        for event, at in zip(self._events + [None], self._at + [len(self._read_ts)]):
+            if start < at:
+                ts = self._read_ts[start:at].tolist()
+                chips = self._read_chip[start:at].tolist()
+                ppns = self._read_ppn[start:at].tolist()
+                first = 0
+                for with_ppn, run in groupby(ppns, NO_PPN.__ne__):
+                    last = first + sum(1 for _ in run)
+                    yield None, (ts[first:last], chips[first:last], ppns[first:last], with_ppn)
+                    first = last
+                start = at
+            if event is not None:
+                yield event, None
 
     def export(self) -> dict[str, Any]:
         """Return the Chrome trace-event JSON object form.
@@ -292,20 +385,29 @@ class TraceRecorder:
         array so the export can carry metadata; both forms load in Perfetto
         and ``chrome://tracing``.
         """
-        return {"traceEvents": list(map(_event, self._rows)), **self._metadata()}
+        self._sync()
+        events: list[dict[str, Any]] = []
+        for event, reads in self._rows():
+            if reads is None:
+                events.append(_event(event))
+            else:
+                events.extend(_read_events(*reads))
+        return {"traceEvents": events, **self._metadata()}
 
     def _encoded(self) -> Iterator[str]:
         """The JSON text of every event, in record order (one run of rows at a time)."""
         templates: dict[tuple, str | None] = {}
-        for shape, run in groupby(self._rows, len):
-            if shape == 4:
-                yield from (_encode(row, templates) for row in run)
+        for event, reads in self._rows():
+            if reads is None:
+                yield _encode(event, templates)
                 continue
-            rows = list(run)
-            if _plain(chain.from_iterable(rows)):
-                yield ", ".join(map(_TRANSLATION_READ_TEMPLATES[shape].__mod__, rows))
+            ts, chips, ppns, with_ppn = reads
+            if not _plain(ts):
+                yield ", ".join(map(json.dumps, _read_events(*reads)))
+            elif with_ppn:
+                yield ", ".join(map(_READ_TEMPLATE.__mod__, zip(ts, chips, ppns)))
             else:
-                yield ", ".join(map(json.dumps, map(_event, rows)))
+                yield ", ".join(map(_PLANNED_READ_TEMPLATE.__mod__, zip(ts, chips)))
 
     def write(self, path: str | Path) -> Path:
         """Stream :meth:`export`'s JSON to ``path`` and return it.
@@ -313,6 +415,7 @@ class TraceRecorder:
         The bytes equal ``json.dumps(self.export())``; no event dict is built
         unless one of its values needs the JSON encoder.
         """
+        self._sync()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as out:

@@ -11,33 +11,29 @@ series of a run is a pure function of the same quantities the golden
 fingerprints pin.
 
 The recorder is a consumer of the device's request step, never a twin of it.
-Attribution is strictly per request, using only quantities both execution
-modes compute identically: after a scalar step :meth:`record_scalar` walks
-the request's encoded :class:`~repro.ssd.request.CommandBuffer`; after a
-batched read-kernel call :meth:`record_fast_read` takes the ``(issues,
-latencies, trans_chips)`` columns the call produced and records the (data,
-translation) reads its planner shapes imply.  Because
-both modes present requests in the same order with bit-identical issue
-times, the per-window series — including the float busy-time accumulators —
-is **bit-identical between the scalar and batched kernels**, which
-``tests/test_obs.py`` pins.
+It reads the device's :class:`~repro.obs.log.ObservationLog` a block at a
+time (:meth:`WindowedRecorder.consume`): the log holds, per request and in
+the order the device served them, the issue time, latency, direction, page
+count, command slots and outcome codes — from the request step and from the
+batched read kernel alike.  Because both execution modes present requests in
+the same order with bit-identical issue times, the per-window series —
+including the float busy-time accumulators — is **bit-identical between the
+scalar and batched kernels**, which ``tests/test_obs.py`` pins.
 
 Windows live in a dictionary of per-window accumulators (open-loop trace
 replay issues requests out of window order across streams, so windows can
-never be closed eagerly); the latency populations inside are
-``array("d")`` columns (a C-level append per request, a zero-copy view for
-the digests).  The last window a request landed in stays at hand, so a
-closed loop, whose issue times never decrease, reaches it without a
-dictionary probe.  The whole recorder round-trips through ``state_dict()``
-/ ``load_state()``, so a snapshot-resume run reproduces the exact series of
-an uninterrupted one.
+never be closed eagerly); the latency populations inside are ``array("d")``
+columns (a block's samples land with one ``frombytes`` per window, and the
+digests read a zero-copy view).  Every reader folds the pending block in
+first.  The whole recorder round-trips through ``state_dict()`` /
+``load_state()``, so a snapshot-resume run reproduces the exact series of an
+uninterrupted one.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import repeat
 from typing import Any
 
 import numpy as np
@@ -64,15 +60,25 @@ _HIT_CLASS_MAX = ReadOutcome.MODEL_HIT.code
 _READ_BASE = CommandKind.READ.code * NUM_PURPOSES
 _PROGRAM_BASE = CommandKind.PROGRAM.code * NUM_PURPOSES
 _ERASE_BASE = CommandKind.ERASE.code * NUM_PURPOSES
-_CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
 #: Integer per-window columns, in serialization order.
 _INT_COLUMNS = ("reads", "writes", "read_pages", "write_pages", "read_hits", "read_misses")
 
 
+def _grouped(values: np.ndarray, groups: np.ndarray, counts: np.ndarray) -> list[bytes]:
+    """``values`` split by group (``counts[g]`` in group ``g``), as raw float64 bytes.
+
+    A stable sort keeps each group's values in their original (request) order.
+    """
+    if counts.shape[0] == 1:
+        return [values.tobytes()]
+    ordered = values[np.argsort(groups, kind="stable")]
+    return [part.tobytes() for part in np.split(ordered, np.cumsum(counts)[:-1])]
+
+
 class _Window:
-    """Accumulator of one open window (mutated in place on the hot path)."""
+    """Accumulator of one open window (updated in place, a block at a time)."""
 
     __slots__ = (
         "reads",
@@ -104,15 +110,12 @@ class WindowedRecorder:
     """Bucket per-request telemetry into fixed windows of the simulated clock."""
 
     def __init__(self, window_us: float) -> None:
-        if not window_us > 0.0:
-            raise ConfigurationError(f"window_us must be positive, got {window_us!r}")
+        if not (math.isfinite(window_us) and window_us > 0.0):
+            raise ConfigurationError(f"window_us must be finite and positive, got {window_us!r}")
         self.window_us = float(window_us)
         self._windows: dict[int, _Window] = {}
-        #: The last window a request was attributed to, and its index: a
-        #: closed loop issues in non-decreasing time, so most requests land
-        #: in it without a dictionary probe.
-        self._current_index = -1
-        self._current: _Window | None = None
+        #: The observation log this recorder reads (``None`` until attached).
+        self._source = None
         #: Per-code command durations, aliased from the engine's latency table
         #: (rebound by the device whenever it rebuilds its engine).
         self._durations: list[float] = [0.0] * NUM_COMMAND_CODES
@@ -120,6 +123,7 @@ class WindowedRecorder:
     # ------------------------------------------------------------- binding
     def bind_durations(self, durations: list[float]) -> None:
         """Alias the engine's per-code latency table for busy-time attribution."""
+        self._sync()
         self._durations = durations
 
     def reset(self) -> None:
@@ -127,98 +131,105 @@ class WindowedRecorder:
 
         ``reset_stats`` also rewinds the simulated clock to zero, so window 0
         restarts aligned with the new measurement interval — warm-up windows
-        never leak into it.
+        never leak into it.  Requests still pending in the log belong to the
+        interval being dropped: they are folded in first, then dropped too.
         """
+        self._sync()
         self._windows.clear()
-        self._current_index = -1
-        self._current = None
 
     # ----------------------------------------------------------- recording
-    def _open(self, index: int) -> _Window:
-        """Make window ``index`` the current one (creating it when untouched)."""
+    def attach(self, log) -> None:
+        """Read from ``log`` (:class:`~repro.obs.log.ObservationLog`) from now on."""
+        self._source = log
+
+    def _sync(self) -> None:
+        """Fold the source log's pending requests in before anything reads the windows."""
+        if self._source is not None:
+            self._source.flush()
+
+    def _window(self, index: int) -> _Window:
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _Window()
-        self._current_index = index
-        self._current = window
         return window
 
-    def record_scalar(
-        self, is_read: bool, npages: int, issue_us: float, latency_us: float, buffer
-    ) -> None:
-        """Attribute one scalar-path request: walk its encoded command buffer.
+    def consume(self, block) -> None:
+        """Attribute one log block (:class:`~repro.obs.log.Block`) to its windows.
 
-        ``buffer.ops`` holds exactly the commands the engine just executed
-        for this request (stride-4 records, command code first), so counting
-        and busy-time accumulation here mirror the engine's accounting
-        command for command — in the same order, which keeps the per-window
-        float sums bit-identical to the batched kernel's attribution.
+        Requests are grouped by the window of their issue time with a stable
+        sort, so each window's latency samples keep request order whatever
+        order the windows come in (open-loop replay issues out of window
+        order).  Busy time is accumulated with ``np.add.at``, which adds in
+        array order: each window's durations are added one command at a time
+        in request order, then command order — the order a per-request walk
+        of the command buffers adds them in, so the float sums are the same
+        bit for bit.
         """
-        index = int(issue_us / self.window_us)
-        window = self._current if index == self._current_index else self._open(index)
-        if is_read:
-            window.reads += 1
-            window.read_pages += npages
-            window.read_latencies.append(latency_us)
-            hits = 0
-            for code in buffer.outcome_codes:
-                if code <= _HIT_CLASS_MAX:
-                    hits += 1
-            window.read_hits += hits
-            window.read_misses += len(buffer.outcome_codes) - hits
-        else:
-            window.writes += 1
-            window.write_pages += npages
-            window.write_latencies.append(latency_us)
-        counts = window.command_counts
-        durations = self._durations
-        busy = window.busy_time_us
-        for code in buffer.ops[0::OP_STRIDE]:
-            counts[code] += 1
-            busy += durations[code]
-        window.busy_time_us = busy
-
-    def record_fast_read(
-        self,
-        issues: list,
-        latencies: list,
-        trans_chips: "list | None",
-    ) -> None:
-        """Attribute one batched-kernel call of single-page reads, column-wise.
-
-        Takes the ``(issues, latencies)`` columns ``execute_read_batch``
-        returned and the planner's ``trans_chips`` column, in request order.
-        A planner-served read is a hit-class outcome exactly when it needed no
-        translation read (``trans_chips`` is ``None`` or ``trans_chips[i] <
-        0``), so the hit/miss split matches the outcome codes the scalar path
-        walks.  The translation duration is added before the data duration —
-        the order the scalar path's buffer walk produces — keeping busy sums
-        bitwise equal.
-        """
-        width = self.window_us
-        data_duration = self._durations[_CODE_DATA_READ]
-        trans_duration = self._durations[_CODE_TRANSLATION_READ]
-        for issue_us, latency_us, trans_chip in zip(
-            issues, latencies, repeat(-1) if trans_chips is None else trans_chips
+        keys, request_window = np.unique(
+            (block.issue / self.window_us).astype(np.int64), return_inverse=True
+        )
+        count = keys.shape[0]
+        windows = [self._window(index) for index in keys.tolist()]
+        pages = block.pages
+        is_read = pages > 0
+        read_window = request_window[is_read]
+        write_window = request_window[~is_read]
+        reads = np.bincount(read_window, minlength=count)
+        writes = np.bincount(write_window, minlength=count)
+        read_pages = np.bincount(read_window, weights=pages[is_read], minlength=count)
+        write_pages = np.bincount(write_window, weights=-pages[~is_read], minlength=count)
+        outcome_window = request_window[block.outcome_request]
+        read_outcome = is_read[block.outcome_request]
+        hit = block.outcomes <= _HIT_CLASS_MAX
+        hits = np.bincount(outcome_window[read_outcome & hit], minlength=count)
+        misses = np.bincount(outcome_window[read_outcome & ~hit], minlength=count)
+        codes = block.ops[0::OP_STRIDE]
+        op_window = request_window[block.op_request]
+        command_counts = np.bincount(
+            op_window * NUM_COMMAND_CODES + codes, minlength=count * NUM_COMMAND_CODES
+        ).reshape(count, NUM_COMMAND_CODES)
+        busy = np.array([window.busy_time_us for window in windows], dtype=np.float64)
+        np.add.at(busy, op_window, np.asarray(self._durations, dtype=np.float64)[codes])
+        for (
+            window,
+            window_reads,
+            window_writes,
+            window_read_pages,
+            window_write_pages,
+            window_hits,
+            window_misses,
+            window_busy,
+            window_counts,
+            window_read_latencies,
+            window_write_latencies,
+        ) in zip(
+            windows,
+            reads.tolist(),
+            writes.tolist(),
+            read_pages.astype(np.int64).tolist(),
+            write_pages.astype(np.int64).tolist(),
+            hits.tolist(),
+            misses.tolist(),
+            busy.tolist(),
+            command_counts.tolist(),
+            _grouped(block.latency[is_read], read_window, reads),
+            _grouped(block.latency[~is_read], write_window, writes),
         ):
-            index = int(issue_us / width)
-            window = self._current if index == self._current_index else self._open(index)
-            window.reads += 1
-            window.read_pages += 1
-            window.read_latencies.append(latency_us)
-            counts = window.command_counts
-            if trans_chip >= 0:
-                window.read_misses += 1
-                counts[_CODE_TRANSLATION_READ] += 1
-                window.busy_time_us += trans_duration
-            else:
-                window.read_hits += 1
-            counts[_CODE_DATA_READ] += 1
-            window.busy_time_us += data_duration
+            window.reads += window_reads
+            window.writes += window_writes
+            window.read_pages += window_read_pages
+            window.write_pages += window_write_pages
+            window.read_hits += window_hits
+            window.read_misses += window_misses
+            window.busy_time_us = window_busy
+            window.command_counts[:] = map(int.__add__, window.command_counts, window_counts)
+            window.read_latencies.frombytes(window_read_latencies)
+            window.write_latencies.frombytes(window_write_latencies)
 
     # -------------------------------------------------------------- series
     def window_count(self) -> int:
         """Number of touched (non-empty) windows."""
+        self._sync()
         return len(self._windows)
 
     def series(self, stats: SimulationStats | None = None) -> dict[str, Any]:
@@ -230,6 +241,7 @@ class WindowedRecorder:
         ``gc_count`` / ``gc_pages_moved`` / ``gc_flash_time_us`` columns and
         its chip count feeds the per-window ``utilization`` column.
         """
+        self._sync()
         width = self.window_us
         gc_windows: dict[int, list[float]] = {}
         num_chips = 0
@@ -332,6 +344,7 @@ class WindowedRecorder:
         :func:`math.fsum` because the per-window partials were accumulated in
         a different association order than the engine's per-chip totals.
         """
+        self._sync()
         windows = list(self._windows.values())
         command_counts = [0] * NUM_COMMAND_CODES
         for window in windows:
@@ -353,6 +366,7 @@ class WindowedRecorder:
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:
         """Capture every open window (columnar arrays + ragged latency packs)."""
+        self._sync()
         indices = sorted(self._windows)
         windows = [self._windows[i] for i in indices]
         state: dict[str, Any] = {

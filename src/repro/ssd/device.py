@@ -20,10 +20,12 @@ Two host models are supported:
   stream)``.
 
 Both are short loops that only choose issue times: the act itself — encode
-the request, time its flash work, record its latency, feed the observers —
-is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  The
-windowed recorder and the tracer (:mod:`repro.obs`) consume that step's
-outputs; there is no observed variant of any loop.
+the request, time its flash work, record its latency, log what it produced
+— is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  With
+observability on, the step makes one append to an
+:class:`~repro.obs.log.ObservationLog`, and the windowed recorder and the
+tracer (:mod:`repro.obs`) consume that log a block at a time; there is no
+observed variant of any loop.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from repro.core.tpftl import TPFTL
 from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
+from repro.obs.log import BLOCK_OP_SLOTS, BLOCK_REQUESTS, ROW_WIDTH, ObservationLog
 from repro.obs.trace import NULL_TRACER
 from repro.obs.windows import WindowedRecorder
 from repro.ssd.energy import EnergyBreakdown, EnergyModel
@@ -98,6 +101,9 @@ def create_ftl(
         ) from exc
     return cls(geometry, timing=timing, config=config, stats=stats)
 
+
+#: Length of the observation log's row column at which the step flushes it.
+_BLOCK_ROW_SLOTS = BLOCK_REQUESTS * ROW_WIDTH
 
 #: Run classes of the batched loop's segment splitter.
 _RUN_SCALAR, _RUN_READ = 0, 1
@@ -241,11 +247,13 @@ class SSD:
         self.engine = TimingEngine(self.geometry.num_chips, self.timing, self.stats)
         self.energy_model = energy_model or EnergyModel()
         self._clock_us = 0.0
-        #: Optional windowed telemetry (:meth:`enable_observability`); ``None``
-        #: costs the request step one ``is not None`` test.
+        #: Optional windowed telemetry (:meth:`enable_observability`).
         self.recorder: WindowedRecorder | None = None
         #: Structured event tracer; the shared no-op by default.
         self.tracer = NULL_TRACER
+        #: What the request step produced, for the recorder and the tracer;
+        #: ``None`` (nothing attached) costs the step one ``is not None`` test.
+        self._log: ObservationLog | None = None
 
     # ------------------------------------------------------------- creation
     @classmethod
@@ -280,44 +288,68 @@ class SSD:
         given alone.  Returns the active recorder (or ``None``).
 
         Every host entry point (``submit``/``run``/``replay``) feeds whatever
-        is attached here from the same request step, so they observe alike;
-        nothing simulated changes.
+        is attached here through the same request step and observation log,
+        so they observe alike; nothing simulated changes.  Requests still
+        pending in the log reach the observers attached before the call.
         """
-        if window_us is not None:
-            recorder = WindowedRecorder(window_us)
+        recorder = None if window_us is None else WindowedRecorder(window_us)
+        self._flush_observations()
+        if recorder is not None:
             recorder.bind_durations(self.engine._duration_by_code)
             self.recorder = recorder
         if tracer is not None:
             self.tracer = tracer
             self.ftl.tracer = tracer
+        if self.recorder is not None or self.tracer.enabled:
+            self._log = ObservationLog(
+                self.recorder, self.tracer if self.tracer.enabled else None
+            )
         return self.recorder
+
+    def _flush_observations(self) -> None:
+        """Hand the requests pending in the observation log to its consumers."""
+        if self._log is not None:
+            self._log.flush()
 
     # --------------------------------------------------------------- running
     def _step(self, request: HostRequest, issue: float) -> float:
         """Serve one host request issued at ``issue``; returns its finish time.
 
-        The one statement of encode → execute → record → observe: every host
+        The one statement of encode → execute → record → log: every host
         entry point (:meth:`submit`, both loops of :meth:`run`, :meth:`replay`)
         picks an issue time from its own clock and calls this.  Callees are
         looked up per call because ``reset_stats`` and
-        ``enable_observability`` replace them between calls.  Observation
-        runs *after* the engine executed ``buffer`` — whose ``ops`` hold
-        exactly this request's commands until the next ``encode`` — and only
-        reads what the step computed.
+        ``enable_observability`` replace them between calls.  With
+        observability on, the step appends what it produced to the
+        observation log *after* the engine executed ``buffer`` — whose
+        ``ops`` and ``outcome_codes`` hold exactly this request's commands and
+        outcomes until the next ``encode``: one row (issue, latency, pages
+        signed by direction, command slots, outcome codes) and the two lists.
         """
         tracer = self.tracer
-        trace = tracer.enabled
-        if trace:
+        if tracer.enabled:
             tracer.now_us = issue
         buffer = self.ftl.encode(request, issue)
         finish = self.engine.execute_buffer(buffer, issue)
         is_read = request.op is OpType.READ
-        self.stats.record_latency(is_read, finish - issue)
-        recorder = self.recorder
-        if recorder is not None:
-            recorder.record_scalar(is_read, request.npages, issue, finish - issue, buffer)
-        if trace:
-            tracer.translation_reads(issue, buffer.ops)
+        latency = finish - issue
+        self.stats.record_latency(is_read, latency)
+        log = self._log
+        if log is not None:
+            ops = buffer.ops
+            outcomes = buffer.outcome_codes
+            rows = log.rows
+            rows += (
+                issue,
+                latency,
+                request.npages if is_read else -request.npages,
+                len(ops),
+                len(outcomes),
+            )
+            log.ops += ops
+            log.outcomes += outcomes
+            if len(rows) >= _BLOCK_ROW_SLOTS or len(log.ops) >= BLOCK_OP_SLOTS:
+                log.flush()
         return finish
 
     def submit(self, request: HostRequest, issue_time_us: float | None = None) -> float:
@@ -386,11 +418,11 @@ class SSD:
         Serves the stream against :meth:`run`'s thread heap and returns the
         number of requests completed.  A read planner's ``take()`` is executed
         by the engine's read-batch kernel; requests it refuses, and segments
-        no planner serves, go through :meth:`_step`.  The windowed recorder
-        and the tracer consume each kernel call's ``(issues, latencies,
-        trans_chips)`` columns right after it — before the next ``take()`` or
-        fallback — so both see requests in the order the scalar loop would
-        have shown them, plus one ``batch_plan`` instant per planner run.
+        no planner serves, go through :meth:`_step`.  Each kernel call's
+        ``(issues, latencies, trans_chips)`` columns go to the observation
+        log right after it — before the next ``take()`` or fallback — so the
+        log holds requests in the order the scalar loop would have, and the
+        tracer gets one ``batch_plan`` instant per planner run.
         Progress callbacks fire at the same 10k-request marks as the scalar
         loop (a planner step spanning a mark emits it immediately, not at
         chunk end).
@@ -400,7 +432,7 @@ class SSD:
         execute_read_batch = self.engine.execute_read_batch
         begin_read_run = self.ftl.begin_read_run
         record_latencies = self.stats.record_latencies
-        recorder = self.recorder
+        log = self._log
         tracer = self.tracer
         trace = tracer.enabled
         heapreplace = heapq.heapreplace
@@ -421,10 +453,8 @@ class SSD:
                                 trans_count=trans_count,
                                 computes=computes,
                             )
-                            if recorder is not None:
-                                recorder.record_fast_read(issues, latencies, trans_chips)
-                            if trace and trans_count:
-                                tracer.planned_translation_reads(issues, trans_chips, trans_count)
+                            if log is not None:
+                                log.append_reads(issues, latencies, trans_chips)
                             record_latencies(True, latencies)
                             if progress is not None:
                                 first_mark = completed - completed % 10_000 + 10_000
@@ -581,7 +611,9 @@ class SSD:
 
         The device must have been created with the same FTL design, geometry,
         config and timing as the snapshot source; anything else raises
-        :class:`ConfigurationError` rather than silently mixing states.
+        :class:`ConfigurationError` rather than silently mixing states — and
+        so does a snapshot whose telemetry window differs from the attached
+        recorder's.  Both are checked before anything is restored.
         """
         for field_name, current in (
             ("ftl_name", self.ftl.name),
@@ -594,11 +626,19 @@ class SSD:
                     f"snapshot {field_name} {state[field_name]!r} does not match "
                     f"this device's {current!r}"
                 )
+        obs = state.get("obs")
+        if obs is not None and self.recorder is not None:
+            width = float(obs["window_us"])
+            if width != self.recorder.window_us:
+                raise ConfigurationError(
+                    f"snapshot telemetry window is {width} us, "
+                    f"recorder uses {self.recorder.window_us} us"
+                )
+        self._flush_observations()
         self.ftl.load_state(state["ftl"])
         self.stats.load_state(state["stats"])
         self.engine.timeline.load_state(state["engine"])
         self._clock_us = float(state["clock_us"])
-        obs = state.get("obs")
         if obs is not None:
             if self.recorder is None:
                 self.enable_observability(window_us=float(obs["window_us"]))
@@ -652,6 +692,7 @@ class SSD:
         (mappings, caches, models, flash contents) is preserved.  Returns the
         warm-up statistics.
         """
+        self._flush_observations()
         old = self.stats
         fresh = SimulationStats(page_size=self.geometry.page_size)
         self.stats = fresh

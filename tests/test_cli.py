@@ -379,6 +379,33 @@ class TestObservabilityFlags:
             trace = json.loads(Path(device["trace_file"]).read_text())
             assert isinstance(trace["traceEvents"], list) and trace["traceEvents"]
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan", "inf"])
+    @pytest.mark.parametrize("verb", ["fig19", "study", "replay"])
+    def test_bad_metrics_window_is_refused_at_parse_time(
+        self, verb, value, tmp_path, capsys, monkeypatch
+    ):
+        """A non-finite or non-positive window exits 2 naming the flag, before
+        any task is planned or run."""
+        from repro.replay import ReplaySession
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(orchestrator, "execute_tasks", boom)
+        monkeypatch.setattr(ReplaySession, "run", boom)
+        argv = {
+            "fig19": ["fig19", "--scale", "tiny"],
+            "study": ["study", str(tmp_path / "spec.yaml")],
+            "replay": ["replay", str(tmp_path / "trace.csv"), "--run-dir", str(tmp_path / "r")],
+        }[verb]
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([*argv, "--metrics-window-us", value])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "argument --metrics-window-us: must be finite and positive" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+        assert not (tmp_path / "r").exists()
+
     def test_sharded_figure_keeps_every_shards_devices(self, tmp_path, capsys, monkeypatch):
         """fig14 runs one shard per FTL; the merged artifact lists every
         device each shard prepared, in task order, and the CLI prints a

@@ -9,6 +9,9 @@ The invariants pinned here are the subsystem's whole contract:
   with observability disabled never feeds an observer;
 * **one step** — ``submit``, ``run``, ``run(batch=)`` and ``replay`` simulate
   and observe a single request stream alike;
+* **one log** — the block-at-a-time consumers reproduce the per-request
+  attribution they replaced (kept here as the oracle) and the pinned digests
+  of five observed runs;
 * **mode equivalence** — the scalar and batched kernels produce bit-identical
   window series (including the float busy-time/utilization columns);
 * **persistence** — a snapshot/restore between two run calls reproduces the
@@ -28,6 +31,7 @@ import pytest
 from golden_workload import golden_geometry, run_golden_workload
 from repro import SSD
 from repro.nand.errors import ConfigurationError
+from repro.obs.log import BLOCK_REQUESTS, ObservationLog
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
 from repro.replay import state_fingerprint
@@ -44,7 +48,7 @@ WINDOW_US = 100_000.0
 SEED = 20240808
 
 #: The recording methods hook sites call on ``ssd.tracer``.
-_TRACER_PROTOCOL = ("instant", "complete", "translation_reads", "planned_translation_reads")
+_TRACER_PROTOCOL = ("instant", "complete")
 _TR = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 _DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 
@@ -163,9 +167,10 @@ class TestNonInterference:
         def boom(*args, **kwargs):
             raise AssertionError("an observer was fed with observability off")
 
-        for name in ("record_scalar", "record_fast_read"):
-            monkeypatch.setattr(WindowedRecorder, name, boom)
-        for name in _TRACER_PROTOCOL:
+        for name in ("__init__", "append_reads", "flush"):
+            monkeypatch.setattr(ObservationLog, name, boom)
+        monkeypatch.setattr(WindowedRecorder, "consume", boom)
+        for name in _TRACER_PROTOCOL + ("consume",):
             monkeypatch.setattr(TraceRecorder, name, boom)
 
         ssd = SSD.create("dftl", tiny_geometry)
@@ -176,7 +181,7 @@ class TestNonInterference:
         ssd.run(requests[40:80], threads=2)
         ssd.run(requests[80:120], threads=2, batch=16)
         ssd.replay(requests[120:], streams=2)
-        assert ssd.recorder is None
+        assert ssd.recorder is None and ssd._log is None
         assert ssd.stats.host_read_requests + ssd.stats.host_write_requests > 160
 
     def test_null_tracer_is_shared_and_inert(self, tiny_geometry):
@@ -184,17 +189,17 @@ class TestNonInterference:
         assert ssd.tracer is NULL_TRACER
         assert ssd.ftl.tracer is NULL_TRACER
         assert not NullTraceRecorder.enabled
-        # Every recording method of the real recorder exists on the null one.
+        # Every recording method of the real recorder exists on the null one
+        # (``attach``/``consume`` are the observation log's side, which the
+        # device never wires to the null tracer).
         recording = {
             name for name in vars(TraceRecorder)
             if not name.startswith("_") and callable(getattr(TraceRecorder, name))
-        } - {"export", "write", "dropped_counts"}
+        } - {"export", "write", "dropped_counts", "attach", "consume"}
         assert recording == set(_TRACER_PROTOCOL)
         assert all(callable(getattr(NULL_TRACER, name)) for name in _TRACER_PROTOCOL)
         NULL_TRACER.instant("gc", 0.0, {"victim_block": 1})
         NULL_TRACER.complete("gc", 0.0, 10.0)
-        NULL_TRACER.translation_reads(0.0, _ops((_TR, 3, 77), (_DATA, 1, 9)))
-        NULL_TRACER.planned_translation_reads([0.0, 1.0], [2, -1], 1)
         assert NULL_TRACER.__slots__ == ("now_us",)  # nothing to accumulate into
 
 
@@ -339,6 +344,25 @@ class TestPersistence:
         with pytest.raises(ConfigurationError):
             other.load_state(state)
 
+    def test_refused_load_leaves_the_device_untouched(self, small_geometry):
+        """A snapshot whose window differs from the attached recorder's is
+        refused before the FTL, stats, engine or clock are overwritten."""
+        source = SSD.create("tpftl", small_geometry)
+        source.enable_observability(window_us=WINDOW_US * 2)
+        source.fill_sequential(io_pages=64)
+        source.run(_single_page_workload(small_geometry, count=300), threads=2)
+        state = source.state_dict()
+
+        target = SSD.create("tpftl", small_geometry)
+        target.enable_observability(window_us=WINDOW_US)
+        target.fill_sequential(io_pages=16)
+        target.run(_single_page_workload(small_geometry, count=100), threads=2)
+        before = state_fingerprint(target.state_dict())
+        assert before != state_fingerprint(state)
+        with pytest.raises(ConfigurationError, match="telemetry window"):
+            target.load_state(state)
+        assert state_fingerprint(target.state_dict()) == before
+
     def test_reset_stats_realigns_recorder(self, tiny_geometry):
         ssd = SSD.create("dftl", tiny_geometry)
         recorder = ssd.enable_observability(window_us=WINDOW_US)
@@ -366,6 +390,16 @@ class TestWindowedRecorderUnit:
             WindowedRecorder(0.0)
         with pytest.raises(ConfigurationError):
             WindowedRecorder(-5.0)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, -math.inf])
+    def test_rejects_non_finite_window(self, width):
+        from repro.experiments.runner import observability_settings, set_metrics_window_us
+
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            WindowedRecorder(width)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            set_metrics_window_us(width)
+        assert observability_settings() == (None, None)
 
     def test_empty_recorder_series_and_totals(self):
         recorder = WindowedRecorder(WINDOW_US)
@@ -437,8 +471,11 @@ class TestTraceRecorder:
         )
         tracer.instant("marker", 8.0, {"mean": np.float64(0.1), "huge": 10**400})
         tracer.instant("évènement 100%", 9.0, {"clé %s": -0.0})
-        tracer.translation_reads(math.inf, _ops((_TR, 1, 2)))
-        tracer.planned_translation_reads([10.0, np.float64(11.5)], [-1, 4], 1)
+        # A step's translation read at a non-finite time, then a kernel call's.
+        log = ObservationLog(tracer=tracer)
+        log.rows += (math.inf, 1.0, 1, 8, 0)
+        log.ops += _ops((_TR, 1, 2), (_DATA, 0, 3))
+        log.append_reads([10.0, 11.5], [1.0, 1.0], [-1, 4])
 
         events = tracer.export()["traceEvents"]
         names = {event["name"] for event in events}
@@ -462,75 +499,72 @@ class TestTraceRecorder:
             assert "translation_read" in names
 
 
-class _CallLog(TraceRecorder):
-    """A recorder that also logs every bulk translation-read admission."""
-
-    __slots__ = ("calls",)
-
-    def __init__(self, max_events_per_name: int) -> None:
-        super().__init__(max_events_per_name)
-        #: ``(method, arguments, count, admitted)`` per bulk call.
-        self.calls: list[tuple[str, tuple, int, int]] = []
-
-    def translation_reads(self, ts_us, ops):
-        before = len(self)
-        super().translation_reads(ts_us, ops)
-        count = ops[0::4].count(_TR)
-        if count:
-            self.calls.append(("scalar", (ts_us, list(ops)), count, len(self) - before))
-
-    def planned_translation_reads(self, issues, chips, count):
-        before = len(self)
-        super().planned_translation_reads(issues, chips, count)
-        self.calls.append(("planned", (list(issues), list(chips)), count, len(self) - before))
+def _log_step(log: ObservationLog, ts_us: float, ops: list[int]) -> None:
+    """Append one request step's row and commands to ``log`` (a read, no outcomes)."""
+    log.rows += (ts_us, 1.0, 1, len(ops), 0)
+    log.ops += ops
 
 
-def _per_event_replay(calls, cap: int) -> TraceRecorder:
-    """The per-event reference: every read of the logged bulk calls recorded
-    through :meth:`TraceRecorder.instant`, one ``_admit`` at a time."""
-    reference = TraceRecorder(max_events_per_name=cap)
-    for method, arguments, _, _ in calls:
-        if method == "scalar":
-            ts_us, ops = arguments
-            for i in range(0, len(ops), 4):
-                if ops[i] == _TR:
-                    reference.instant(
-                        "translation_read", ts_us, {"chip": ops[i + 1], "ppn": ops[i + 2]}
-                    )
-        else:
-            for issue, chip in zip(*arguments):
-                if chip >= 0:
-                    reference.instant("translation_read", issue, {"chip": chip})
-    return reference
+class TestBlockTranslationReads:
+    """Translation reads are admitted a block at a time, under the per-name cap."""
 
-
-class TestBulkTranslationReads:
-    """A request's (or planner step's) translation reads are admitted in one call."""
-
-    def test_request_straddling_the_cap_keeps_the_per_event_prefix(self):
+    def test_cap_inside_a_block_keeps_the_per_event_prefix(self):
         requests = [
             (1.0, _ops((_TR, 0, 10), (_DATA, 1, 11))),
             (2.0, _ops((_DATA, 2, 12))),
             (3.0, _ops((_TR, 3, 13), (_DATA, 0, 14), (_TR, 1, 15), (_TR, 2, 16))),
             (4.0, _ops((_TR, 0, 17), (_TR, 1, 18))),
         ]
-        tracer = _CallLog(max_events_per_name=3)
+        tracer = TraceRecorder(max_events_per_name=3)
+        log = ObservationLog(tracer=tracer)
         for ts_us, ops in requests:
-            tracer.translation_reads(ts_us, ops)
-        tracer.planned_translation_reads([5.0, 6.0], [4, 5], 2)
-        assert [admitted for *_, admitted in tracer.calls] == [1, 2, 0, 0]
+            _log_step(log, ts_us, ops)
+        log.append_reads([5.0, 6.0], [1.0, 1.0], [4, 5])
+        reference = TraceRecorder(max_events_per_name=3)
+        for ts_us, ops in requests:
+            for i in range(0, len(ops), 4):
+                if ops[i] == _TR:
+                    reference.instant(
+                        "translation_read", ts_us, {"chip": ops[i + 1], "ppn": ops[i + 2]}
+                    )
+        for issue, chip in ((5.0, 4), (6.0, 5)):
+            reference.instant("translation_read", issue, {"chip": chip})
         assert len(tracer) == 3
         assert tracer.dropped_counts() == {"translation_read": 5}
-        assert tracer.export() == _per_event_replay(tracer.calls, 3).export()
+        assert tracer.export() == reference.export()
         assert [event["args"]["ppn"] for event in tracer.export()["traceEvents"]] == [10, 13, 15]
 
-    @pytest.mark.parametrize(
-        ("ftl_name", "batch", "method"),
-        [("dftl", None, "scalar"), ("learnedftl", 64, "planned")],
-    )
-    def test_cap_inside_a_call_on_a_real_run(self, ftl_name, batch, method):
+    def test_events_keep_their_place_among_pending_reads(self):
+        tracer = TraceRecorder()
+        log = ObservationLog(tracer=tracer)
+        tracer.instant("first", 0.0)
+        _log_step(log, 1.0, _ops((_TR, 0, 10)))
+        tracer.instant("second", 1.5)
+        tracer.complete("third", 1.6, 0.5)
+        _log_step(log, 2.0, _ops((_TR, 1, 11), (_TR, 2, 12)))
+        log.append_reads([3.0, 4.0], [1.0, 1.0], [-1, 3])
+        tracer.instant("fourth", 5.0)
+        assert log.pending() == 4
+        names = [event["name"] for event in tracer.export()["traceEvents"]]
+        assert log.pending() == 0
+        assert names == [
+            "first", "translation_read", "second", "third",
+            "translation_read", "translation_read", "translation_read", "fourth",
+        ]
+
+    def test_drops_are_listed_in_simulation_order(self):
+        tracer = TraceRecorder(max_events_per_name=1)
+        log = ObservationLog(tracer=tracer)
+        _log_step(log, 1.0, _ops((_TR, 0, 10)))
+        _log_step(log, 2.0, _ops((_TR, 0, 11)))  # the first drop: a translation read
+        tracer.instant("cmt_evict", 2.5)
+        tracer.instant("cmt_evict", 2.6)  # then a cmt_evict, while both are pending
+        assert list(tracer.dropped_counts()) == ["translation_read", "cmt_evict"]
+
+    @pytest.mark.parametrize(("ftl_name", "batch"), [("dftl", None), ("learnedftl", 64)])
+    def test_cap_inside_a_block_on_a_real_run(self, ftl_name, batch):
         def drive(cap):
-            tracer = _CallLog(max_events_per_name=cap)
+            tracer = TraceRecorder(max_events_per_name=cap)
             ssd, recorder = _observed_device(ftl_name, tracer=tracer)
             ssd.fill_sequential(io_pages=16)
             rng = random.Random(SEED + 3)
@@ -539,32 +573,303 @@ class TestBulkTranslationReads:
                 for _ in range(300)
             ]
             # Multi-page reads give the step several translation reads per
-            # request; the read storm gives the planner several per step.
+            # request; the read storm gives the planner several per call.
             ssd.run(storm + _entry_point_workload(ssd.geometry), threads=1, batch=batch)
             return tracer, recorder.series(ssd.stats)
 
-        uncapped, _ = drive(10**9)
-        # Put the cap one read into the first call of this path that issues
-        # several translation reads, so that call is cut short.
-        seen = 0
-        for kind, _, count, _ in uncapped.calls:
-            if kind == method and count >= 2:
-                break
-            seen += count
-        else:
-            pytest.fail(f"no {method} call issued two or more translation reads")
-        tracer, series = drive(seen + 1)
-        assert any(
-            kind == method and 0 < admitted < count for kind, _, count, admitted in tracer.calls
-        )
+        uncapped, series = drive(10**9)
+        total = sum(series["translation_reads"])
+        assert total >= 4
+        cap = total // 2
+        tracer, capped_series = drive(cap)
+        assert capped_series == series
         kept = _translation_read_events(tracer)
-        reference = _per_event_replay(tracer.calls, seen + 1)
-        assert kept == _translation_read_events(reference)
-        assert kept == _translation_read_events(uncapped)[: seen + 1]
-        dropped = tracer.dropped_counts()["translation_read"]
-        assert dropped == reference.dropped_counts()["translation_read"]
-        assert len(kept) + dropped == sum(series["translation_reads"])
+        assert kept == _translation_read_events(uncapped)[:cap]
+        assert len(kept) + tracer.dropped_counts()["translation_read"] == total
 
 
 def _translation_read_events(tracer: TraceRecorder) -> list[dict]:
     return [e for e in tracer.export()["traceEvents"] if e["name"] == "translation_read"]
+
+
+# ------------------------------------------------------- golden obs digests
+#: Window of the golden observation runs: narrow enough that each run spans
+#: dozens of windows and the open-loop replay issues out of window order.
+_GOLDEN_WINDOW_US = 2_000.0
+
+
+def _golden_mix(geometry, count: int, seed: int) -> list[HostRequest]:
+    """95 % reads (mostly single-page, some 2–6 pages), 5 % 1- or 4-page writes."""
+    rng = random.Random(seed)
+    limit = geometry.num_logical_pages
+    requests = []
+    for _ in range(count):
+        if rng.random() < 0.05:
+            npages = rng.choice((1, 1, 1, 4))
+            requests.append(HostRequest(OpType.WRITE, rng.randint(0, limit - npages), npages))
+        else:
+            npages = 1 if rng.random() < 0.9 else rng.randint(2, 6)
+            requests.append(HostRequest(OpType.READ, rng.randint(0, limit - npages), npages))
+    return requests
+
+
+def _golden_device(tracer):
+    from repro import SSDGeometry
+
+    ssd = SSD.create("learnedftl", SSDGeometry.small())
+    ssd.fill_sequential(io_pages=128)
+    ssd.reset_stats()
+    recorder = ssd.enable_observability(window_us=_GOLDEN_WINDOW_US, tracer=tracer)
+    return ssd, recorder
+
+
+def _golden_digests(recorder, stats, tracer, tmp_path) -> tuple[str, str]:
+    """sha256 of the window series (as sorted JSON) and of the trace file bytes."""
+    import hashlib
+
+    series = json.dumps(recorder.series(stats), sort_keys=True).encode("utf-8")
+    trace = tracer.write(tmp_path / "golden.trace.json").read_bytes()
+    return hashlib.sha256(series).hexdigest(), hashlib.sha256(trace).hexdigest()
+
+
+def _golden_replay_session(tmp_path) -> tuple[str, str]:
+    """A chunked replay killed after its first checkpoint, then resumed."""
+    from repro import SSDGeometry
+    from repro.replay import ReplayPlan, ReplaySession
+
+    geometry = SSDGeometry.small()
+    rng = random.Random(SEED + 7)
+    lines = ["timestamp,response,iotype,lun,offset,size"]
+    for i, request in enumerate(_golden_mix(geometry, 6_000, SEED + 8)):
+        lines.append(
+            f"{i * 0.0004!r},0.0,{'R' if request.op is OpType.READ else 'W'},"
+            f"{rng.randrange(4)},{request.lpn * geometry.page_size},"
+            f"{request.npages * geometry.page_size}"
+        )
+    trace = tmp_path / "golden.csv"
+    trace.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    plan = ReplayPlan(
+        trace_path=str(trace),
+        trace_format="systor",
+        ftl_name="learnedftl",
+        geometry=geometry,
+        streams=4,
+        chunk_requests=500,
+        checkpoint_every_requests=1_500,
+        time_scale=0.05,
+        warmup="fill",
+        metrics_window_us=_GOLDEN_WINDOW_US,
+    )
+    run_dir = tmp_path / "run"
+    paused = ReplaySession(plan, run_dir).run(stop_after_checkpoints=1)
+    assert not paused.finished
+    tracer = TraceRecorder()
+    resumed = ReplaySession(plan, run_dir, tracer=tracer).run(resume=True)
+    assert resumed.finished and resumed.resumed_from is not None
+    device = resumed.device
+    return _golden_digests(device.recorder, device.stats, tracer, tmp_path)
+
+
+def _golden_run(case: str, tmp_path) -> tuple[str, str]:
+    if case == "replay_session":
+        return _golden_replay_session(tmp_path)
+    tracer = TraceRecorder(max_events_per_name=40 if case == "capped" else 100_000)
+    ssd, recorder = _golden_device(tracer)
+    requests = _golden_mix(ssd.geometry, 10_000, SEED + 5)
+    if case == "replay_streams":
+        rng = random.Random(SEED + 6)
+        for i, request in enumerate(requests):
+            request.issue_time_us = i * 35.0
+            request.stream_id = rng.randrange(4)
+        ssd.replay(requests, streams=4)
+    else:
+        ssd.run(requests, threads=4, batch=512 if case == "batched" else None)
+    return _golden_digests(recorder, ssd.stats, tracer, tmp_path)
+
+
+class TestGoldenObservationDigests:
+    """The window series and the trace bytes of five observed runs, pinned.
+
+    Captured from the per-request observers the block-at-a-time consumer
+    replaced; a change to how observation is recorded must reproduce them.
+    """
+
+    GOLDEN = {
+        "scalar": (
+            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
+            "68f8acd746255cd9731762712f6f8a192b3a5315dc9d8eac270d77b37b6d5fe3",
+        ),
+        "batched": (
+            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
+            "1e04214b16f90577569c06756476b899cd2b726aef0acc04afc686f530fb20bd",
+        ),
+        "replay_streams": (
+            "3f00c6005172e5b24a64236c21e0a80e2785ba098bd2b1e7acfbff29695ead74",
+            "d5799ad892cd72686db383ae154fa1fb7fe40a4f15b004847b3b40529d5a7420",
+        ),
+        "replay_session": (
+            "bce35fa3d6f3536eb59fb9938f0380955f4a0d557f70d9593a37d946d4b42735",
+            "367ed0e7e21ecb2c594a493f977530904a96c1905818cce2ed4ed6c294603e15",
+        ),
+        "capped": (
+            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
+            "609f005fd5136d767a428dbbe5f69f3f06d6edf55fbfe69d944997dcc0d7a725",
+        ),
+    }
+
+    @pytest.mark.parametrize(
+        "case", ["scalar", "batched", "replay_streams", "replay_session", "capped"]
+    )
+    def test_digests(self, case, tmp_path):
+        assert _golden_run(case, tmp_path) == self.GOLDEN[case]
+
+
+# ------------------------------------------------------- per-request oracle
+_HIT_CLASS_MAX = 2  # BUFFER_HIT, CMT_HIT, MODEL_HIT
+
+
+class _PerRequestObserver:
+    """The per-request attribution the observation log replaced, kept as the oracle.
+
+    After each request step it walks the request's command buffer; after each
+    batched-kernel call it walks the ``(issues, latencies, trans_chips)``
+    columns.  Windows are filled one request at a time (cached current window,
+    ``+=`` per command), and translation reads become trace events as they
+    happen, interleaved with the hook sites' events and capped per name.
+    """
+
+    def __init__(self, window_us: float, durations: list[float], cap: int) -> None:
+        self.window_us = window_us
+        self.durations = durations
+        self.cap = cap
+        self.windows: dict = {}
+        self.events: list[dict] = []
+        self.counts: dict[str, int] = {}
+        self.dropped: dict[str, int] = {}
+
+    def _window(self, issue_us: float):
+        from repro.obs.windows import _Window
+
+        return self.windows.setdefault(int(issue_us / self.window_us), _Window())
+
+    def event(self, event: dict) -> None:
+        name = event["name"]
+        if self.counts.get(name, 0) < self.cap:
+            self.counts[name] = self.counts.get(name, 0) + 1
+            self.events.append(event)
+        else:
+            self.dropped[name] = self.dropped.get(name, 0) + 1
+
+    def _read(self, ts_us: float, args: dict) -> None:
+        self.event({"name": "translation_read", "ph": "i", "ts": ts_us, "pid": 0, "tid": 0,
+                    "s": "t", "args": args})
+
+    def step(self, is_read: bool, npages: int, issue: float, latency: float, buffer) -> None:
+        window = self._window(issue)
+        if is_read:
+            window.reads += 1
+            window.read_pages += npages
+            window.read_latencies.append(latency)
+            hits = sum(code <= _HIT_CLASS_MAX for code in buffer.outcome_codes)
+            window.read_hits += hits
+            window.read_misses += len(buffer.outcome_codes) - hits
+        else:
+            window.writes += 1
+            window.write_pages += npages
+            window.write_latencies.append(latency)
+        ops = buffer.ops
+        for slot in range(0, len(ops), 4):
+            code = ops[slot]
+            window.command_counts[code] += 1
+            window.busy_time_us += self.durations[code]
+            if code == _TR:
+                self._read(issue, {"chip": ops[slot + 1], "ppn": ops[slot + 2]})
+
+    def fast_read(self, issues: list, latencies: list, trans_chips) -> None:
+        for i, (issue, latency) in enumerate(zip(issues, latencies)):
+            window = self._window(issue)
+            window.reads += 1
+            window.read_pages += 1
+            window.read_latencies.append(latency)
+            trans_chip = -1 if trans_chips is None else trans_chips[i]
+            if trans_chip >= 0:
+                window.read_misses += 1
+                window.command_counts[_TR] += 1
+                window.busy_time_us += self.durations[_TR]
+                self._read(issue, {"chip": trans_chip})
+            else:
+                window.read_hits += 1
+            window.command_counts[_DATA] += 1
+            window.busy_time_us += self.durations[_DATA]
+
+    def series(self, stats) -> dict:
+        recorder = WindowedRecorder(self.window_us)
+        recorder._windows = self.windows
+        return recorder.series(stats)
+
+
+class _TeeTracer(TraceRecorder):
+    """A tracer that also hands every hook-site event to the oracle."""
+
+    def __init__(self, cap: int, oracle: _PerRequestObserver) -> None:
+        super().__init__(max_events_per_name=cap)
+        self.oracle = oracle
+
+    def instant(self, name, ts_us, args=None):
+        super().instant(name, ts_us, args)
+        event = {"name": name, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t"}
+        self.oracle.event({**event, "args": args} if args else event)
+
+    def complete(self, name, ts_us, dur_us, args=None):
+        super().complete(name, ts_us, dur_us, args)
+        event = {"name": name, "ph": "X", "ts": ts_us, "dur": dur_us, "pid": 0, "tid": 0}
+        self.oracle.event({**event, "args": args} if args else event)
+
+
+def _oracle_device(ftl_name: str, geometry, cap: int):
+    """A device observed both through its log and, per request, by the oracle."""
+    ssd = SSD.create(ftl_name, geometry)
+    ssd.fill_sequential(io_pages=16)
+    ssd.reset_stats()
+    oracle = _PerRequestObserver(WINDOW_US / 50, ssd.engine._duration_by_code, cap)
+    recorder = ssd.enable_observability(window_us=WINDOW_US / 50, tracer=_TeeTracer(cap, oracle))
+    step = ssd._step
+    execute_read_batch = ssd.engine.execute_read_batch
+
+    def oracle_step(request, issue):
+        finish = step(request, issue)
+        oracle.step(request.op is OpType.READ, request.npages, issue, finish - issue,
+                    ssd.ftl.buffer)
+        return finish
+
+    def oracle_read_batch(data_chips, trans_chips, thread_free, **kwargs):
+        issues, latencies = execute_read_batch(data_chips, trans_chips, thread_free, **kwargs)
+        oracle.fast_read(issues, latencies, trans_chips)
+        return issues, latencies
+
+    ssd._step = oracle_step
+    ssd.engine.execute_read_batch = oracle_read_batch
+    return ssd, recorder, oracle
+
+
+class TestPerRequestOracle:
+    """The block consumers equal the per-request attribution, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["run", "batched", "replay"])
+    def test_series_and_trace_match_the_oracle(self, ftl_name, mode):
+        ssd, recorder, oracle = _oracle_device(ftl_name, golden_geometry(), cap=60)
+        requests = _golden_mix(ssd.geometry, 2 * BLOCK_REQUESTS + 1_000, SEED + 4)
+        if mode == "replay":
+            rng = random.Random(SEED + 9)
+            for i, request in enumerate(requests):
+                request.issue_time_us = i * 20.0
+                request.stream_id = rng.randrange(3)
+            ssd.replay(requests, streams=3)
+        else:
+            ssd.run(requests, threads=3, batch=97 if mode == "batched" else None)
+        trace = ssd.tracer.export()
+        assert recorder.series(ssd.stats) == oracle.series(ssd.stats)
+        assert trace["traceEvents"] == oracle.events
+        assert list(trace["otherData"]["dropped_events"].items()) == list(oracle.dropped.items())
+        if ftl_name != "ideal":  # the one design without translation pages
+            assert oracle.dropped.get("translation_read", 0) > 0
