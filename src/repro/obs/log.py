@@ -27,8 +27,8 @@ carries hundreds of commands) — :meth:`ObservationLog.flush` turns the lists
 into one :class:`Block` of NumPy columns and hands it to the consumers: the
 :class:`~repro.obs.windows.WindowedRecorder` folds it into its window
 accumulators and the :class:`~repro.obs.trace.TraceRecorder` turns its
-translation reads into trace rows.  The lists are then emptied in place, so
-memory stays bounded by one block.
+translation reads into trace rows.  The log starts fresh lists, so memory
+stays bounded by one block.
 
 Consumers flush their log before anything reads them (series, totals,
 snapshots, exports, ``len``) and before ``reset``/``load_state`` drop their
@@ -83,9 +83,11 @@ class Block:
     """One flushed block of the log as NumPy columns (request order throughout).
 
     ``issue``, ``latency`` and ``pages`` (signed: reads positive) have one
-    entry per request; ``ops`` holds every command's four slots and
-    ``outcomes`` every outcome code.  ``op_request`` / ``outcome_request``
-    name each command's / outcome's request (non-decreasing).
+    entry per request; ``codes`` holds every command's code and ``outcomes``
+    every outcome code, and ``op_request`` / ``outcome_request`` name the
+    request each belongs to (non-decreasing).  ``ops`` is the log's raw
+    command-slot list (``code, chip, ppn, block`` per command), for the few
+    slots only some commands need.
     """
 
     __slots__ = (
@@ -94,21 +96,23 @@ class Block:
         "latency",
         "pages",
         "ops",
+        "codes",
         "op_request",
         "outcomes",
         "outcome_request",
     )
 
     def __init__(self, rows: list, ops: list, outcomes: list) -> None:
-        table = np.array(rows, dtype=np.float64).reshape(-1, ROW_WIDTH)
+        table = np.fromiter(rows, np.float64, len(rows)).reshape(-1, ROW_WIDTH)
         self.count = table.shape[0]
         self.issue = table[:, 0]
         self.latency = table[:, 1]
         self.pages = table[:, 2].astype(np.int64)
         requests = np.arange(self.count)
-        self.ops = np.array(ops, dtype=np.int64)
+        self.ops = ops
+        self.codes = np.fromiter(ops[0::OP_STRIDE], np.int64, len(ops) // OP_STRIDE)
         self.op_request = np.repeat(requests, table[:, 3].astype(np.int64) // OP_STRIDE)
-        self.outcomes = np.array(outcomes, dtype=np.int64)
+        self.outcomes = np.fromiter(outcomes, np.int64, len(outcomes))
         self.outcome_request = np.repeat(requests, table[:, 4].astype(np.int64))
 
 
@@ -178,9 +182,9 @@ class ObservationLog:
         if not self.rows:
             return
         block = Block(self.rows, self.ops, self.outcomes)
-        self.rows.clear()
-        self.ops.clear()
-        self.outcomes.clear()
+        self.rows = []
+        self.ops = []
+        self.outcomes = []
         if self.recorder is not None:
             self.recorder.consume(block)
         if self.tracer is not None:

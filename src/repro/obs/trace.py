@@ -313,7 +313,7 @@ class TraceRecorder:
         counted.  Events recorded while the block was pending are placed
         among the block's reads by the number of requests logged before them.
         """
-        reads = np.flatnonzero(block.ops[0::OP_STRIDE] == _CODE_TRANSLATION_READ)
+        reads = np.flatnonzero(block.codes == _CODE_TRANSLATION_READ)
         admitted = 0
         if reads.shape[0]:
             first_drop = _TRANSLATION_READ not in self._dropped
@@ -329,10 +329,11 @@ class TraceRecorder:
             offsets = np.searchsorted(requests, self._stamps) + before
             self._at.extend(offsets.tolist())
             self._stamps.clear()
-        slots = reads * OP_STRIDE
         self._read_ts.frombytes(block.issue[requests].tobytes())
-        self._read_chip.frombytes(block.ops[slots + 1].tobytes())
-        self._read_ppn.frombytes(block.ops[slots + 2].tobytes())
+        ops = block.ops
+        slots = (reads * OP_STRIDE).tolist()
+        self._read_chip.fromlist([ops[slot + 1] for slot in slots])
+        self._read_ppn.fromlist([ops[slot + 2] for slot in slots])
 
     # --------------------------------------------------------------- export
     def dropped_counts(self) -> dict[str, int]:

@@ -42,7 +42,6 @@ from repro.nand.errors import ConfigurationError
 from repro.ssd.request import (
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
-    OP_STRIDE,
     CommandKind,
     CommandPurpose,
     ReadOutcome,
@@ -183,7 +182,7 @@ class WindowedRecorder:
         hit = block.outcomes <= _HIT_CLASS_MAX
         hits = np.bincount(outcome_window[read_outcome & hit], minlength=count)
         misses = np.bincount(outcome_window[read_outcome & ~hit], minlength=count)
-        codes = block.ops[0::OP_STRIDE]
+        codes = block.codes
         op_window = request_window[block.op_request]
         command_counts = np.bincount(
             op_window * NUM_COMMAND_CODES + codes, minlength=count * NUM_COMMAND_CODES
