@@ -159,8 +159,9 @@ PAGES: list[tuple[str, str, str, list[str]]] = [
         "Observability",
         "Interval-windowed telemetry over the simulated clock and structured "
         "event tracing with Chrome trace-event export (see "
-        "docs/observability.md).",
+        "docs/observability.md), both fed by the device's observation log.",
         [
+            "repro.obs.log",
             "repro.obs.windows",
             "repro.obs.trace",
         ],

@@ -13,17 +13,20 @@ adds the time dimension:
   (GC invocations, CMT eviction flushes, translation reads, snapshot
   restores, batch-planning decisions) and exports them as Chrome
   trace-event JSON loadable in Perfetto or ``chrome://tracing``;
+* :class:`~repro.obs.log.ObservationLog` is what feeds both: the device's
+  request step appends what it produced once per request, and the two
+  recorders consume the log a block of requests at a time;
 * :data:`~repro.obs.trace.NULL_TRACER` is the zero-cost default every FTL
-  carries — the hot paths stay byte-for-byte identical while observability
-  is off, and the device only dispatches into its observed loop variants
-  once per ``run`` call when it is on.
+  carries — with nothing attached the device keeps no log and the request
+  step pays two branch tests.
 
 Wire it through :meth:`repro.ssd.device.SSD.enable_observability`, or from
 the command line with ``--metrics-window-us`` / ``--trace-out``
 (see ``docs/observability.md``).
 """
 
+from repro.obs.log import ObservationLog
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
 
-__all__ = ["WindowedRecorder", "TraceRecorder", "NullTraceRecorder", "NULL_TRACER"]
+__all__ = ["WindowedRecorder", "TraceRecorder", "NullTraceRecorder", "NULL_TRACER", "ObservationLog"]

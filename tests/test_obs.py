@@ -873,3 +873,16 @@ class TestPerRequestOracle:
         assert list(trace["otherData"]["dropped_events"].items()) == list(oracle.dropped.items())
         if ftl_name != "ideal":  # the one design without translation pages
             assert oracle.dropped.get("translation_read", 0) > 0
+
+    @pytest.mark.parametrize(("ftl_name", "mode"), [("learnedftl", "batched"), ("dftl", "replay")])
+    def test_tiny_blocks_match_the_oracle(self, monkeypatch, ftl_name, mode):
+        """Blocks of 7 requests (or 64 command slots): windows, latency order
+        and event placement all straddle block boundaries."""
+        import repro.obs.log as log_module
+        import repro.ssd.device as device_module
+
+        monkeypatch.setattr(device_module, "_BLOCK_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
+        monkeypatch.setattr(device_module, "BLOCK_OP_SLOTS", 64)
+        monkeypatch.setattr(log_module, "_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
+        monkeypatch.setattr(log_module, "BLOCK_OP_SLOTS", 64)
+        self.test_series_and_trace_match_the_oracle(ftl_name, mode)
