@@ -254,7 +254,9 @@ class TraceRecorder:
         """Read translation reads from ``log`` (an :class:`~repro.obs.log.ObservationLog`).
 
         The log this tracer followed before is flushed first, so its reads
-        keep their place ahead of anything recorded from now on.
+        keep their place ahead of anything recorded from now on.  A tracer
+        follows one log at a time: events are placed against the pending
+        requests of the latest one.
         """
         self._sync()
         self._source = log

@@ -827,8 +827,15 @@ class _TeeTracer(TraceRecorder):
 
 
 def _oracle_device(ftl_name: str, geometry, cap: int):
-    """A device observed both through its log and, per request, by the oracle."""
-    ssd = SSD.create(ftl_name, geometry)
+    """A device observed both through its log and, per request, by the oracle.
+
+    Its flash latencies are not whole microseconds, so a busy-time sum taken
+    in another order than the per-request walk's rounds differently.
+    """
+    from repro.nand.timing import TimingModel
+
+    timing = TimingModel(read_us=40.1, program_us=200.3, erase_us=2000.7)
+    ssd = SSD.create(ftl_name, geometry, timing=timing)
     ssd.fill_sequential(io_pages=16)
     ssd.reset_stats()
     oracle = _PerRequestObserver(WINDOW_US / 50, ssd.engine._duration_by_code, cap)
