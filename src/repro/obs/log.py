@@ -37,10 +37,12 @@ contents; the device flushes it before ``reset_stats``, ``load_state`` and
 ordered against the pending block without a flush (see
 :mod:`repro.obs.trace`).
 
-``BLOCK_REQUESTS = 4096`` was measured on the ``hotspot_observed`` ledger
-workload (192 000 requests per round, 95 % reads): smaller blocks pay the
-fixed NumPy cost of a flush more often, larger ones only grow the pending
-lists.
+``BLOCK_REQUESTS = 4096`` was chosen on the ``hotspot_observed`` ledger
+workload (192 000 requests per round, 95 % reads).  Replaying its logged
+requests through both consumers costs 0.78 µs per request in blocks of 256,
+0.56 µs in blocks of 1 024 or 4 096 and 0.50 µs in blocks of 16 384 (2-vCPU
+Xeon VM): smaller blocks pay the fixed NumPy cost of a flush more often,
+larger ones mostly grow the pending lists.
 """
 
 from __future__ import annotations
@@ -55,24 +57,34 @@ from repro.ssd.request import (
     command_code,
 )
 
-__all__ = ["ObservationLog", "Block", "BLOCK_REQUESTS", "BLOCK_OP_SLOTS", "ROW_WIDTH", "NO_PPN"]
+__all__ = [
+    "ObservationLog",
+    "Block",
+    "BLOCK_REQUESTS",
+    "BLOCK_ROW_SLOTS",
+    "BLOCK_OP_SLOTS",
+    "ROW_WIDTH",
+    "NO_PPN",
+]
 
 #: Requests per block: the log flushes into its consumers every this many.
 BLOCK_REQUESTS = 4096
 
+#: Slots per request row: issue, latency, signed pages, command slots, outcomes.
+ROW_WIDTH = 5
+
+#: Length of the row list at which the log flushes (:data:`BLOCK_REQUESTS` rows).
+BLOCK_ROW_SLOTS = BLOCK_REQUESTS * ROW_WIDTH
+
 #: Pending command slots that force an early flush (bounds a block of
 #: garbage-collecting writes, whose command lists run to hundreds of slots).
 BLOCK_OP_SLOTS = 1 << 18
-
-#: Slots per request row: issue, latency, signed pages, command slots, outcomes.
-ROW_WIDTH = 5
 
 #: The ppn slot of a translation read the batched kernel served (the planner
 #: knows the chip, not the page).  A translation read the step encoded always
 #: names a real page (``>= 0``).
 NO_PPN = -1
 
-_ROW_SLOTS = BLOCK_REQUESTS * ROW_WIDTH
 _CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 _HIT_CODE = ReadOutcome.CMT_HIT.code
@@ -174,7 +186,7 @@ class ObservationLog:
         self.rows += rows.ravel().tolist()
         self.ops += commands[keep].ravel().tolist()
         self.outcomes += np.where(miss, _MISS_CODE, _HIT_CODE).tolist()
-        if len(self.rows) >= _ROW_SLOTS or len(self.ops) >= BLOCK_OP_SLOTS:
+        if len(self.rows) >= BLOCK_ROW_SLOTS or len(self.ops) >= BLOCK_OP_SLOTS:
             self.flush()
 
     def flush(self) -> None:

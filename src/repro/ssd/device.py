@@ -48,7 +48,7 @@ from repro.core.tpftl import TPFTL
 from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
-from repro.obs.log import BLOCK_OP_SLOTS, BLOCK_REQUESTS, ROW_WIDTH, ObservationLog
+from repro.obs.log import BLOCK_OP_SLOTS, BLOCK_ROW_SLOTS, ObservationLog
 from repro.obs.trace import NULL_TRACER
 from repro.obs.windows import WindowedRecorder
 from repro.ssd.energy import EnergyBreakdown, EnergyModel
@@ -101,9 +101,6 @@ def create_ftl(
         ) from exc
     return cls(geometry, timing=timing, config=config, stats=stats)
 
-
-#: Length of the observation log's row column at which the step flushes it.
-_BLOCK_ROW_SLOTS = BLOCK_REQUESTS * ROW_WIDTH
 
 #: Run classes of the batched loop's segment splitter.
 _RUN_SCALAR, _RUN_READ = 0, 1
@@ -348,7 +345,7 @@ class SSD:
             )
             log.ops += ops
             log.outcomes += outcomes
-            if len(rows) >= _BLOCK_ROW_SLOTS or len(log.ops) >= BLOCK_OP_SLOTS:
+            if len(rows) >= BLOCK_ROW_SLOTS or len(log.ops) >= BLOCK_OP_SLOTS:
                 log.flush()
         return finish
 

@@ -888,8 +888,8 @@ class TestPerRequestOracle:
         import repro.obs.log as log_module
         import repro.ssd.device as device_module
 
-        monkeypatch.setattr(device_module, "_BLOCK_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
+        monkeypatch.setattr(device_module, "BLOCK_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
         monkeypatch.setattr(device_module, "BLOCK_OP_SLOTS", 64)
-        monkeypatch.setattr(log_module, "_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
+        monkeypatch.setattr(log_module, "BLOCK_ROW_SLOTS", 7 * log_module.ROW_WIDTH)
         monkeypatch.setattr(log_module, "BLOCK_OP_SLOTS", 64)
         self.test_series_and_trace_match_the_oracle(ftl_name, mode)
