@@ -4,7 +4,6 @@ from repro.analysis.compute import ComputeCosts, measure_compute_costs
 from repro.analysis.latency import (
     TailLatencyRow,
     normalize,
-    percentile,
     speedup,
     tail_latency_row,
 )
@@ -18,7 +17,6 @@ __all__ = [
     "tail_latency_row",
     "normalize",
     "speedup",
-    "percentile",
     "format_table",
     "format_kv",
     "rows_to_csv",

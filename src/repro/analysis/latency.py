@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.ssd.stats import SimulationStats
 
 __all__ = ["TailLatencyRow", "tail_latency_row", "normalize", "speedup"]
@@ -81,13 +79,3 @@ def speedup(values: dict[str, float], baseline: str, *, lower_is_better: bool = 
         else:
             result[key] = value / base if base else float("inf")
     return result
-
-
-def percentile(samples: list[float], q: float) -> float:
-    """Simple percentile wrapper (numpy) used by ad-hoc analyses."""
-    if not samples:
-        return 0.0
-    return float(np.percentile(np.asarray(samples, dtype=float), q))
-
-
-__all__.append("percentile")

@@ -147,21 +147,24 @@ class GroupedReadPlanner:
     def take(self):
         """Process requests from the cursor while the fast-path predicate holds.
 
-        Returns ``(k, data_chips, trans_chips, trans_count, computes)``: ``k``
+        Returns ``(k, data_chips, trans_chips, trans_ppns, computes)``: ``k``
         requests were completed, ``data_chips[i]`` is request ``i``'s
         data-read chip and ``trans_chips[i]`` its translation-read chip
         (``-1`` where no translation read is issued; ``None`` when none of the
-        batch issues one).  ``computes`` is the per-request controller compute
-        column, or ``None`` when prediction time is not charged.
+        batch issues one).  ``trans_ppns`` holds the page of each translation
+        read, in request order.  ``computes`` is the per-request controller
+        compute column, or ``None`` when prediction time is not charged.
         """
         i = pos = self._pos
         n = self._n
         if i >= n:
-            return 0, [], None, 0, None
+            return 0, [], None, [], None
         data_chips: list[int] = []
         trans_chips: list[int] = []
+        trans_ppns: list[int] = []
         append_data = data_chips.append
         append_trans = trans_chips.append
+        append_trans_ppn = trans_ppns.append
         pages = self._pages
         pages_get = pages.get
         pages_move = pages.move_to_end
@@ -202,7 +205,6 @@ class GroupedReadPlanner:
         last_end = policy.last_end
         hits = 0
         nf_hits = 0
-        misses = 0
         model_hits = 0
         while i < n:
             lpn = lpns[i]
@@ -292,7 +294,7 @@ class GroupedReadPlanner:
                         nf_hits += 1
                     else:
                         append_trans(tp_ppn // chip_stride)
-                        misses += 1
+                        append_trans_ppn(tp_ppn)
                     if computes is not None:
                         append_compute(bitmap_check_us)
             # Accepted: commit the observation.
@@ -306,6 +308,7 @@ class GroupedReadPlanner:
         policy.last_end = last_end
         k = i - pos
         self._pos = i
+        misses = len(trans_ppns)
         if k:
             stats.host_read_requests += k
             stats.host_read_pages += k
@@ -326,7 +329,7 @@ class GroupedReadPlanner:
             self._flash.total_reads += k + misses
         if misses == 0:
             trans_chips = None
-        return k, data_chips, trans_chips, misses, computes
+        return k, data_chips, trans_chips, trans_ppns, computes
 
     def skip(self) -> None:
         """Advance past a request the device just executed through the scalar path."""

@@ -614,13 +614,10 @@ class LearnedFTL(FTLBase):
     # ------------------------------------------------------------- reporting
     def model_accuracy(self) -> float:
         """Fraction of mapped LPNs whose bitmap bit is set (predictable share)."""
-        mapped = 0
-        predictable = 0
-        for lpn in self.directory.mapped_lpns():
-            mapped += 1
-            if self.models[self.directory.tvpn_of(lpn)].can_predict(lpn):
-                predictable += 1
-        return predictable / mapped if mapped else 0.0
+        lpns = self.directory.mapped_lpns().tolist()
+        tvpn_of = self.directory.tvpn_of
+        predictable = sum(self.models[tvpn_of(lpn)].can_predict(lpn) for lpn in lpns)
+        return predictable / len(lpns) if lpns else 0.0
 
     def memory_report(self) -> dict[str, int]:
         """Bytes used by the CMT and by all in-place-update models."""

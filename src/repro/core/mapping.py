@@ -17,7 +17,7 @@ flushes, and tracks which translation pages are dirty.
 from __future__ import annotations
 
 from array import array
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
@@ -102,13 +102,9 @@ class MappingDirectory:
     def __len__(self) -> int:
         return self._mapped_count
 
-    def mapped_lpns(self) -> "_MappedLpnView":
-        """View of all mapped LPNs (in increasing order).
-
-        Like the dict keys view this replaces, the result is re-iterable and
-        supports ``len`` and membership tests without materializing the LPNs.
-        """
-        return _MappedLpnView(self)
+    def mapped_lpns(self) -> np.ndarray:
+        """All mapped LPNs, as an increasing ``int64`` column."""
+        return np.flatnonzero(self._ppn_view != _UNMAPPED)
 
     # --------------------------------------------------------------- updates
     def update(self, lpn: int, ppn: int) -> int | None:
@@ -187,26 +183,6 @@ class MappingDirectory:
         """Mapped LPNs inside one translation page, as an increasing ``int64`` column."""
         lpns = self.lpn_range_of_tvpn(tvpn)
         return np.flatnonzero(self._ppn_view[lpns.start : lpns.stop] != _UNMAPPED) + lpns.start
-
-
-class _MappedLpnView:
-    """Re-iterable view over a directory's mapped LPNs (dict-keys-like)."""
-
-    __slots__ = ("_directory",)
-
-    def __init__(self, directory: MappingDirectory) -> None:
-        self._directory = directory
-
-    def __iter__(self) -> Iterator[int]:
-        directory = self._directory
-        column = directory._ppn
-        return (lpn for lpn in range(directory._size) if column[lpn] != _UNMAPPED)
-
-    def __len__(self) -> int:
-        return len(self._directory)
-
-    def __contains__(self, lpn: object) -> bool:
-        return isinstance(lpn, int) and self._directory.is_mapped(lpn)
 
 
 class TranslationPageStore:

@@ -11,7 +11,7 @@ adds the time dimension:
   utilization) that snapshots and resumes bit-identically;
 * :class:`~repro.obs.trace.TraceRecorder` collects typed simulator events
   (GC invocations, CMT eviction flushes, translation reads, snapshot
-  restores, batch-planning decisions) and exports them as Chrome
+  restores) and exports them as Chrome
   trace-event JSON loadable in Perfetto or ``chrome://tracing``;
 * :class:`~repro.obs.log.ObservationLog` is what feeds both: the device's
   request step appends what it produced once per request, and the two

@@ -13,12 +13,13 @@ append of what the step produced:
 * its read-outcome codes (``CommandBuffer.outcome_codes``).
 
 The batched read kernel appends each call's ``(issues, latencies,
-trans_chips)`` columns to the same log, as the rows, commands and outcomes
-those reads stand for: an optional translation read on ``trans_chips[i]``
-(its ppn is not known there, so the slot holds :data:`NO_PPN`), then one
+trans_chips, trans_ppns)`` columns to the same log, as the rows, commands and
+outcomes those reads stand for: an optional translation read on chip
+``trans_chips[i]`` (its page is the next entry of ``trans_ppns``), then one
 data read; the outcome is a hit-class code exactly when no translation read
-was needed.  One log therefore holds every request in the order the device
-served it, whichever path served it.
+was needed.  One log
+therefore holds every request in the order the device served it, and a
+consumer sees the same translation reads whichever path served them.
 
 All three columns are flat Python lists that grow by C-level ``extend``
 calls.  Every :data:`BLOCK_REQUESTS` requests — or sooner, once
@@ -64,7 +65,6 @@ __all__ = [
     "BLOCK_ROW_SLOTS",
     "BLOCK_OP_SLOTS",
     "ROW_WIDTH",
-    "NO_PPN",
 ]
 
 #: Requests per block: the log flushes into its consumers every this many.
@@ -79,11 +79,6 @@ BLOCK_ROW_SLOTS = BLOCK_REQUESTS * ROW_WIDTH
 #: Pending command slots that force an early flush (bounds a block of
 #: garbage-collecting writes, whose command lists run to hundreds of slots).
 BLOCK_OP_SLOTS = 1 << 18
-
-#: The ppn slot of a translation read the batched kernel served (the planner
-#: knows the chip, not the page).  A translation read the step encoded always
-#: names a real page (``>= 0``).
-NO_PPN = -1
 
 _CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
@@ -154,13 +149,17 @@ class ObservationLog:
         """Requests appended since the last flush."""
         return len(self.rows) // ROW_WIDTH
 
-    def append_reads(self, issues: list, latencies: list, trans_chips: "list | None") -> None:
+    def append_reads(
+        self, issues: list, latencies: list, trans_chips: "list | None", trans_ppns: list
+    ) -> None:
         """Append one batched-kernel call of single-page reads (request order).
 
         Read ``i`` is logged as the commands the kernel charged for it — a
         translation read on ``trans_chips[i]`` when that is ``>= 0`` (slot
-        order as the step encodes a double read), then the data read — and
-        one hit- or miss-class outcome code.
+        order as the step encodes a double read; ``trans_ppns`` holds those
+        reads' pages in order), then the data read — and one hit- or
+        miss-class outcome code.  The data read is logged by its code alone
+        (its other slots hold ``-1``): no consumer reads them.
         """
         count = len(issues)
         if not count:
@@ -179,7 +178,7 @@ class ObservationLog:
         commands = np.full((count, 2, OP_STRIDE), -1, dtype=np.int64)
         commands[:, 0, 0] = _CODE_TRANSLATION_READ
         commands[:, 0, 1] = trans
-        commands[:, 0, 2] = NO_PPN
+        commands[miss, 0, 2] = trans_ppns
         commands[:, 1, 0] = _CODE_DATA_READ
         keep = np.ones((count, 2), dtype=bool)
         keep[:, 0] = miss

@@ -5,8 +5,8 @@ Two recorders share one tiny protocol (``enabled`` / ``now_us`` /
 
 * :class:`NullTraceRecorder` — the default.  Every FTL and device carries
   :data:`NULL_TRACER`; hook sites — the FTLs' GC/eviction paths and the
-  device's batched loop — are gated on ``tracer.enabled``, so the disabled
-  cost is one attribute test per site visit.
+  device's snapshot restore — are gated on ``tracer.enabled``, so the
+  disabled cost is one attribute test per site visit.
 * :class:`TraceRecorder` — keeps events in record order and exports the
   Chrome trace-event JSON format (the ``traceEvents`` array form), loadable
   in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.
@@ -22,8 +22,7 @@ name                   ph    args
 ``gc_group``           X     group, blocks_erased, pages_moved
 ``translation_gc``     i     victim_block, pages_moved
 ``cmt_evict``          i     tvpn
-``translation_read``   i     chip, ppn (``ppn`` absent on the batched path)
-``batch_plan``         i     planner, requests, fallbacks
+``translation_read``   i     chip, ppn
 ``snapshot_restore``   i     finish_time_us
 =====================  ====  =================================================
 
@@ -42,7 +41,9 @@ chip, ppn), never as one object per event.  Every other event is a
 remembers how many translation reads precede it: an event recorded while
 requests are still pending in the log notes how many, and the next block
 places it after exactly those requests' reads.  The record order is thus the
-order of the simulation without a flush per event.  Every reader (``len``,
+order of the simulation without a flush per event.  A translation read
+has one shape whichever execution path served it, so ``run(batch=N)``
+traces exactly like ``run()``.  Every reader (``len``,
 :meth:`~TraceRecorder.export`, :meth:`~TraceRecorder.write`,
 :meth:`~TraceRecorder.dropped_counts`) flushes the log first.
 :meth:`~TraceRecorder.write` streams each run of translation reads through
@@ -55,14 +56,12 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from itertools import groupby
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from repro.nand.errors import ConfigurationError
-from repro.obs.log import NO_PPN
 from repro.ssd.request import OP_STRIDE, CommandKind, CommandPurpose, command_code
 
 __all__ = ["NullTraceRecorder", "TraceRecorder", "NULL_TRACER"]
@@ -75,14 +74,10 @@ DEFAULT_MAX_EVENTS_PER_NAME = 100_000
 _TRANSLATION_READ = "translation_read"
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 
-#: ``%`` templates of a translation read with and without its ppn.
+#: ``%`` template of a translation read.
 _READ_TEMPLATE = (
     '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
     '"args": {"chip": %r, "ppn": %r}}'
-)
-_PLANNED_READ_TEMPLATE = (
-    '{"name": "translation_read", "ph": "i", "ts": %r, "pid": 0, "tid": 0, "s": "t", '
-    '"args": {"chip": %r}}'
 )
 
 _PLAIN_TYPES = frozenset((int, float))
@@ -128,12 +123,12 @@ def _event(row: tuple) -> dict[str, Any]:
     return event
 
 
-def _read_events(ts: list, chips: list, ppns: list, with_ppn: bool) -> Iterator[dict[str, Any]]:
+def _read_events(ts: list, chips: list, ppns: list) -> Iterator[dict[str, Any]]:
     """The trace-event dicts of a run of translation reads."""
     for ts_us, chip, ppn in zip(ts, chips, ppns):
         yield {
             "name": _TRANSLATION_READ, "ph": "i", "ts": ts_us, "pid": 0, "tid": 0, "s": "t",
-            "args": {"chip": chip, "ppn": ppn} if with_ppn else {"chip": chip},
+            "args": {"chip": chip, "ppn": ppn},
         }
 
 
@@ -229,8 +224,7 @@ class TraceRecorder:
         #: For the events after ``_events[len(_at)]``: how many requests were
         #: pending in the source log when each was recorded.
         self._stamps: list[int] = []
-        #: Admitted translation reads as columns (``_read_ppn`` is ``NO_PPN``
-        #: for a read the batched kernel served).
+        #: Admitted translation reads as columns.
         self._read_ts = array("d")
         self._read_chip = array("q")
         self._read_ppn = array("q")
@@ -363,20 +357,16 @@ class TraceRecorder:
         """Every row in record order, as ``(event, None)`` or ``(None, reads)``.
 
         ``event`` is an :meth:`instant`/:meth:`complete` row; ``reads`` is a
-        run of consecutive translation reads that all do (or all do not)
-        carry a ppn, as ``(ts, chips, ppns, with_ppn)`` lists.
+        run of consecutive translation reads as ``(ts, chips, ppns)`` lists.
         """
         start = 0
         for event, at in zip(self._events + [None], self._at + [len(self._read_ts)]):
             if start < at:
-                ts = self._read_ts[start:at].tolist()
-                chips = self._read_chip[start:at].tolist()
-                ppns = self._read_ppn[start:at].tolist()
-                first = 0
-                for with_ppn, run in groupby(ppns, NO_PPN.__ne__):
-                    last = first + sum(1 for _ in run)
-                    yield None, (ts[first:last], chips[first:last], ppns[first:last], with_ppn)
-                    first = last
+                yield None, (
+                    self._read_ts[start:at].tolist(),
+                    self._read_chip[start:at].tolist(),
+                    self._read_ppn[start:at].tolist(),
+                )
                 start = at
             if event is not None:
                 yield event, None
@@ -404,13 +394,10 @@ class TraceRecorder:
             if reads is None:
                 yield _encode(event, templates)
                 continue
-            ts, chips, ppns, with_ppn = reads
-            if not _plain(ts):
+            if not _plain(reads[0]):
                 yield ", ".join(map(json.dumps, _read_events(*reads)))
-            elif with_ppn:
-                yield ", ".join(map(_READ_TEMPLATE.__mod__, zip(ts, chips, ppns)))
             else:
-                yield ", ".join(map(_PLANNED_READ_TEMPLATE.__mod__, zip(ts, chips)))
+                yield ", ".join(map(_READ_TEMPLATE.__mod__, zip(*reads)))
 
     def write(self, path: str | Path) -> Path:
         """Stream :meth:`export`'s JSON to ``path`` and return it.

@@ -60,9 +60,9 @@ from repro.snapshot.serialization import (
     save_snapshot,
 )
 from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import warm_device, warmup_recipe
-from repro.ssd.device import SSD
-from repro.workloads.traces import RecordStream, TraceCursor
+from repro.snapshot.warm import WARMUP_MODES, warm_device, warmup_recipe
+from repro.ssd.device import FTL_REGISTRY, SSD
+from repro.workloads.traces import TRACE_FORMATS, RecordStream, TraceCursor
 
 __all__ = [
     "REPLAY_MANIFEST_VERSION",
@@ -175,7 +175,9 @@ class ReplayPlan:
     The plan is pinned verbatim (plus the trace's sha256 and the code
     fingerprint) in the run directory's ``manifest.json``; a resume refuses to
     continue under a different plan, trace file or source tree, because any of
-    those could silently break bit-identity with the original run.
+    those could silently break bit-identity with the original run.  Building
+    a plan checks every field the run consumes and raises :class:`ReplayError`
+    naming the first bad one, so a refused plan never touches a run directory.
     """
 
     trace_path: str
@@ -218,6 +220,29 @@ class ReplayPlan:
             raise ReplayError(f"time_scale must be finite and positive, got {self.time_scale}")
         if self.keep_checkpoints < 1:
             raise ReplayError(f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}")
+        for name, choices in (
+            ("ftl_name", FTL_REGISTRY),
+            ("trace_format", TRACE_FORMATS),
+            ("warmup", WARMUP_MODES),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ReplayError(f"{name} must be one of {sorted(choices)}, got {value!r}")
+        if self.limit is not None and self.limit < 0:
+            raise ReplayError(f"limit must be >= 0 when given, got {self.limit}")
+        if self.max_errors < 0:
+            raise ReplayError(f"max_errors must be >= 0, got {self.max_errors}")
+        if self.io_pages <= 0:
+            raise ReplayError(f"io_pages must be positive, got {self.io_pages}")
+        if self.warmup_threads <= 0:
+            raise ReplayError(f"warmup_threads must be positive, got {self.warmup_threads}")
+        if self.metrics_window_us is not None and not (
+            math.isfinite(self.metrics_window_us) and self.metrics_window_us > 0
+        ):
+            raise ReplayError(
+                "metrics_window_us must be finite and positive when given, "
+                f"got {self.metrics_window_us}"
+            )
 
     def manifest(self) -> dict[str, Any]:
         """The run manifest: plan + trace hash + code fingerprint, all pinned."""

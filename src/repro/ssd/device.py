@@ -416,10 +416,11 @@ class SSD:
         number of requests completed.  A read planner's ``take()`` is executed
         by the engine's read-batch kernel; requests it refuses, and segments
         no planner serves, go through :meth:`_step`.  Each kernel call's
-        ``(issues, latencies, trans_chips)`` columns go to the observation
-        log right after it — before the next ``take()`` or fallback — so the
-        log holds requests in the order the scalar loop would have, and the
-        tracer gets one ``batch_plan`` instant per planner run.
+        ``(issues, latencies, trans_chips, trans_ppns)`` columns go to the
+        observation log right after it — before the next ``take()`` or
+        fallback — so the log holds the same requests, commands and outcomes
+        in the same order as the scalar loop's, and what is observed does not
+        depend on ``batch``.
         Progress callbacks fire at the same 10k-request marks as the scalar
         loop (a planner step spanning a mark emits it immediately, not at
         chunk end).
@@ -430,28 +431,24 @@ class SSD:
         begin_read_run = self.ftl.begin_read_run
         record_latencies = self.stats.record_latencies
         log = self._log
-        tracer = self.tracer
-        trace = tracer.enabled
         heapreplace = heapq.heapreplace
         for lpns, klass, request_at in _iter_request_chunks(requests, batch):
             for seg_start, seg_end, kind in _segments(klass):
                 planner = begin_read_run(lpns[seg_start:seg_end]) if kind == _RUN_READ else None
-                seg_issue = thread_free[0]
-                fallbacks = 0
                 pos = seg_start
                 while pos < seg_end:
                     if planner is not None:
-                        k, data_chips, trans_chips, trans_count, computes = planner.take()
+                        k, data_chips, trans_chips, trans_ppns, computes = planner.take()
                         if k:
                             issues, latencies = execute_read_batch(
                                 data_chips,
                                 trans_chips,
                                 thread_free,
-                                trans_count=trans_count,
+                                trans_count=len(trans_ppns),
                                 computes=computes,
                             )
                             if log is not None:
-                                log.append_reads(issues, latencies, trans_chips)
+                                log.append_reads(issues, latencies, trans_chips, trans_ppns)
                             record_latencies(True, latencies)
                             if progress is not None:
                                 first_mark = completed - completed % 10_000 + 10_000
@@ -466,23 +463,12 @@ class SSD:
                     # the request at the cursor: the request step, then
                     # resume batching after it.
                     heapreplace(thread_free, step(request_at(pos), thread_free[0]))
-                    fallbacks += 1
                     completed += 1
                     if progress is not None and completed % 10_000 == 0:
                         progress(completed)
                     pos += 1
                     if planner is not None:
                         planner.skip()
-                if trace and planner is not None:
-                    tracer.instant(
-                        "batch_plan",
-                        seg_issue,
-                        {
-                            "planner": type(planner).__name__,
-                            "requests": seg_end - seg_start,
-                            "fallbacks": fallbacks,
-                        },
-                    )
         return completed
 
     def replay(

@@ -21,6 +21,7 @@ The per-purpose ``Counter`` views (``flash_reads``/``flash_programs``/
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -35,119 +36,10 @@ from repro.ssd.request import (
     ReadOutcome,
 )
 
-__all__ = ["GCEvent", "LatencyBuffer", "LatencyDigest", "SimulationStats"]
+__all__ = ["GCEvent", "LatencyDigest", "SimulationStats"]
 
 #: Number of distinct read-outcome codes.
 _NUM_OUTCOMES = len(ReadOutcome)
-
-
-class LatencyBuffer:
-    """Grow-by-doubling float64 latency column.
-
-    Replaces the Python-list latency populations: appends stay O(1) amortized,
-    a batch lands with one slice assignment (:meth:`extend`), and the digest
-    math gets a zero-copy ``ndarray`` view (:meth:`array`) instead of
-    converting a million-element list per percentile call.
-
-    Iteration yields Python floats in insertion order, so existing consumers
-    (``sum(stats.read_latencies_us)``, element-wise comparisons in tests)
-    observe exactly the values the old list held.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    _INITIAL_CAPACITY = 16
-
-    def __init__(self, values: "Iterable[float] | np.ndarray" = ()) -> None:
-        self._data = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._size = 0
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.size:
-            self.extend(arr)
-
-    # ------------------------------------------------------------- mutation
-    def append(self, value: float) -> None:
-        """Record one sample (the scalar hot-path entry point)."""
-        size = self._size
-        data = self._data
-        if size == data.shape[0]:
-            data = self._grow(size + 1)
-        data[size] = value
-        self._size = size + 1
-
-    def extend(self, values: "Iterable[float] | np.ndarray") -> None:
-        """Record a batch of samples with one slice assignment."""
-        arr = np.asarray(values, dtype=np.float64)
-        n = arr.shape[0]
-        if n == 0:
-            return
-        size = self._size
-        if size + n > self._data.shape[0]:
-            self._grow(size + n)
-        self._data[size : size + n] = arr
-        self._size = size + n
-
-    def replace(self, values: "Iterable[float] | np.ndarray") -> None:
-        """Overwrite the whole population (snapshot restore)."""
-        self._size = 0
-        self.extend(values)
-
-    def clear(self) -> None:
-        """Drop every sample (capacity is retained)."""
-        self._size = 0
-
-    def _grow(self, needed: int) -> np.ndarray:
-        capacity = max(self._INITIAL_CAPACITY, self._data.shape[0])
-        while capacity < needed:
-            capacity *= 2
-        grown = np.empty(capacity, dtype=np.float64)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-        return grown
-
-    # ---------------------------------------------------------------- views
-    def array(self) -> np.ndarray:
-        """Zero-copy ``float64`` view of the recorded samples."""
-        return self._data[: self._size]
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        view = self._data[: self._size]
-        if dtype is not None and dtype != view.dtype:
-            return view.astype(dtype)
-        if copy:
-            return view.copy()
-        return view
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __iter__(self):
-        # tolist() yields Python floats in insertion order, so sequential
-        # ``sum()`` over the buffer reproduces the old list's rounding exactly.
-        return iter(self._data[: self._size].tolist())
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._data[: self._size][index].tolist()
-        size = self._size
-        if index < 0:
-            index += size
-        if not 0 <= index < size:
-            raise IndexError("LatencyBuffer index out of range")
-        return float(self._data[index])
-
-    def __eq__(self, other: object):
-        if isinstance(other, (LatencyBuffer, list, tuple, np.ndarray)):
-            if len(other) != self._size:
-                return False
-            mine = self._data[: self._size]
-            return bool(np.array_equal(mine, np.asarray(other, dtype=np.float64)))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        preview = self._data[: min(self._size, 6)].tolist()
-        ellipsis = ", ..." if self._size > 6 else ""
-        return f"LatencyBuffer([{', '.join(map(repr, preview))}{ellipsis}], size={self._size})"
 
 
 @dataclass(frozen=True)
@@ -176,18 +68,22 @@ class LatencyDigest:
     max_us: float
 
     @classmethod
-    def from_samples(cls, samples: "np.ndarray | list[float]") -> "LatencyDigest":
-        """Build a digest from raw samples; empty input yields an all-zero digest."""
-        arr = np.asarray(samples, dtype=float)
+    def from_samples(cls, samples: "np.ndarray | array | list[float]") -> "LatencyDigest":
+        """Build a digest from raw samples; empty input yields an all-zero digest.
+
+        The samples are copied, so an ``array('d')`` column stays appendable.
+        """
+        arr = np.array(samples, dtype=np.float64)
         if arr.size == 0:
             return cls(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        p50, p95, p99, p999 = np.percentile(arr, (50, 95, 99, 99.9)).tolist()
         return cls(
             count=int(arr.size),
             mean_us=float(arr.mean()),
-            p50_us=float(np.percentile(arr, 50)),
-            p95_us=float(np.percentile(arr, 95)),
-            p99_us=float(np.percentile(arr, 99)),
-            p999_us=float(np.percentile(arr, 99.9)),
+            p50_us=p50,
+            p95_us=p95,
+            p99_us=p99,
+            p999_us=p999,
             max_us=float(arr.max()),
         )
 
@@ -229,8 +125,11 @@ class SimulationStats:
     models_trained: int = 0
 
     # Latency / time ----------------------------------------------------------
-    read_latencies_us: LatencyBuffer = field(default_factory=LatencyBuffer)
-    write_latencies_us: LatencyBuffer = field(default_factory=LatencyBuffer)
+    #: Per-request latencies by direction, in the order the device served them.
+    #: Readers copy (``np.array(column)``): a live buffer view would make the
+    #: next append raise ``BufferError``.
+    read_latencies_us: array = field(default_factory=lambda: array("d"))
+    write_latencies_us: array = field(default_factory=lambda: array("d"))
     finish_time_us: float = 0.0
 
     # Chip occupancy (wired by the timing engine) ------------------------------
@@ -300,8 +199,8 @@ class SimulationStats:
             "predict_time_us": self.predict_time_us,
             "predictions": self.predictions,
             "models_trained": self.models_trained,
-            "read_latencies_us": self.read_latencies_us.array().copy(),
-            "write_latencies_us": self.write_latencies_us.array().copy(),
+            "read_latencies_us": np.array(self.read_latencies_us, dtype=np.float64),
+            "write_latencies_us": np.array(self.write_latencies_us, dtype=np.float64),
             "finish_time_us": self.finish_time_us,
         }
 
@@ -343,8 +242,8 @@ class SimulationStats:
         self.predict_time_us = float(state["predict_time_us"])
         self.predictions = int(state["predictions"])
         self.models_trained = int(state["models_trained"])
-        self.read_latencies_us.replace(state["read_latencies_us"])
-        self.write_latencies_us.replace(state["write_latencies_us"])
+        for name in ("read_latencies_us", "write_latencies_us"):
+            getattr(self, name)[:] = array("d", np.asarray(state[name], np.float64).tobytes())
         self.finish_time_us = float(state["finish_time_us"])
 
     # --------------------------------------------------------- counter views
@@ -463,12 +362,6 @@ class SimulationStats:
         """Latency digest over host write requests."""
         return LatencyDigest.from_samples(self.write_latencies_us)
 
-    def all_latency_digest(self) -> LatencyDigest:
-        """Latency digest over all host requests."""
-        return LatencyDigest.from_samples(
-            np.concatenate([self.read_latencies_us.array(), self.write_latencies_us.array()])
-        )
-
     def throughput_mb_s(self, page_size: int | None = None) -> float:
         """Host throughput in MB/s over the simulated run time."""
         if self.finish_time_us <= 0.0:
@@ -477,14 +370,6 @@ class SimulationStats:
         total_bytes = (self.host_read_pages + self.host_write_pages) * size
         seconds = self.finish_time_us / 1_000_000.0
         return total_bytes / seconds / 1_000_000.0
-
-    def read_throughput_mb_s(self, page_size: int | None = None) -> float:
-        """Host read throughput in MB/s over the simulated run time."""
-        if self.finish_time_us <= 0.0:
-            return 0.0
-        size = self.page_size if page_size is None else page_size
-        seconds = self.finish_time_us / 1_000_000.0
-        return self.host_read_pages * size / seconds / 1_000_000.0
 
     def iops(self) -> float:
         """Host requests completed per simulated second."""

@@ -43,13 +43,11 @@ from typing import Any, Mapping, Sequence
 from repro.core.base import FTLConfig
 from repro.nand.errors import ConfigurationError, GeometryError
 from repro.nand.geometry import GEOMETRY_PRESETS, SSDGeometry
+from repro.snapshot.warm import WARMUP_MODES
 from repro.ssd.device import available_ftls
 from repro.workloads.spec import build_workload
 
 __all__ = ["StudySpec", "StudyCell", "GeometryChoice", "load_study_file"]
-
-#: Warm-up styles a study may request (mirrors ``prepare_ssd``).
-_WARMUPS = ("none", "fill", "steady")
 
 #: Metrics a cell reports; the spec's ``metric`` must be one of these.
 CELL_METRICS: tuple[str, ...] = (
@@ -183,9 +181,9 @@ class StudySpec:
         if not isinstance(description, str):
             raise ConfigurationError("study spec: key 'description' must be a string")
         warmup = payload.get("warmup", "steady")
-        if warmup not in _WARMUPS:
+        if warmup not in WARMUP_MODES:
             raise ConfigurationError(
-                f"study spec: key 'warmup' must be one of {list(_WARMUPS)}, got {warmup!r}"
+                f"study spec: key 'warmup' must be one of {list(WARMUP_MODES)}, got {warmup!r}"
             )
         metric = payload.get("metric", "throughput_mb_s")
         if metric not in CELL_METRICS:

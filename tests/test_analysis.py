@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.analysis.compute import measure_compute_costs
-from repro.analysis.latency import normalize, percentile, speedup, tail_latency_row
+from repro.analysis.latency import normalize, speedup, tail_latency_row
 from repro.analysis.report import bar_chart, format_kv, format_table, rows_to_csv
 from repro.ssd.stats import SimulationStats
 
@@ -40,10 +40,6 @@ class TestNormalizeAndSpeedup:
     def test_speedup_higher_is_better(self):
         result = speedup({"base": 100.0, "fast": 200.0}, "base", lower_is_better=False)
         assert result["fast"] == pytest.approx(2.0)
-
-    def test_percentile(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == pytest.approx(3.0)
-        assert percentile([], 99) == 0.0
 
 
 class TestTailLatencyRow:

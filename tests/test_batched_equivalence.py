@@ -268,14 +268,15 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     model_hits_before = ftl.stats.model_hits
 
     planner = ftl.begin_read_run(run)
-    k, data_chips, trans_chips, trans_count, computes = planner.take()
+    k, data_chips, trans_chips, trans_ppns, computes = planner.take()
 
     assert k == 8
     assert len(data_chips) == 8
     # Miss at 320 (fresh jump, depth 2: prefetches 321) and at 322 (streak 2,
     # depth 6: prefetches 323..327) — two translation reads for eight
     # requests, where per-request demand loading would have paid eight.
-    assert trans_count == 2
+    # Both read translation page 5, whose page the planner hands back.
+    assert trans_ppns == [ftl.translation_store._tp_ppn[5]] * 2
     assert [chip != -1 for chip in trans_chips] == [
         True, False, True, False, False, False, False, False,
     ]
@@ -286,8 +287,8 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     assert ftl.stats.model_hits == model_hits_before
     # The run is now cached: a second take is all hits, with no translation
     # column at all (the engine's data-only branch).
-    k2, _, trans_chips2, trans_count2, _ = ftl.begin_read_run(run).take()
-    assert (k2, trans_count2, trans_chips2) == (8, 0, None)
+    k2, _, trans_chips2, trans_ppns2, _ = ftl.begin_read_run(run).take()
+    assert (k2, trans_ppns2, trans_chips2) == (8, [], None)
 
 
 def _pinned_workload(kind: str, geometry) -> RequestBatch:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import shutil
 from pathlib import Path
 
 import pytest
@@ -865,7 +866,7 @@ class TestReplayVerb:
         assert self._replay("--resume", "--run-dir", str(tmp_path / "empty")) == 2
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_device", "not_an_object"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_device", "not_an_object", "bad_warmup"])
     def test_resume_with_bad_manifest_is_refused_without_traceback(
         self, trace, tmp_path, capsys, damage
     ):
@@ -880,6 +881,12 @@ class TestReplayVerb:
             manifest = json.loads(text)
             del manifest["device"]
             manifest_path.write_text(json.dumps(manifest))
+        elif damage == "bad_warmup":
+            # With no checkpoint left the resume would warm a fresh device.
+            manifest = json.loads(text)
+            manifest["warmup"]["warmup"] = "bogus"
+            manifest_path.write_text(json.dumps(manifest))
+            shutil.rmtree(run_dir / "checkpoints")
         else:
             manifest_path.write_text("[1]")
         capsys.readouterr()
@@ -889,6 +896,21 @@ class TestReplayVerb:
         assert "Traceback" not in err
         if damage == "no_device":
             assert "'device'" in err
+        if damage == "bad_warmup":
+            assert "warmup must be one of" in err
+
+    @pytest.mark.parametrize(
+        "bad", [("--limit", "-5"), ("--ftl", "nosuch"), ("--max-errors", "-1")]
+    )
+    def test_refused_plan_leaves_the_run_dir_usable(self, trace, tmp_path, capsys, bad):
+        run_dir = tmp_path / "run"
+        assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS, *bad) == 2
+        err = capsys.readouterr().err
+        assert "replay failed:" in err
+        assert "Traceback" not in err
+        assert not (run_dir / "manifest.json").exists()
+        assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS) == 0
+        assert "[replay finished:" in capsys.readouterr().out
 
     def test_fresh_run_refuses_existing_run_dir(self, trace, tmp_path, capsys):
         run_dir = tmp_path / "run"

@@ -191,7 +191,7 @@ class TestPreconditioningAndReset:
         assert warm.utilization() > 0.0  # warm stats keep their own busy time
         assert ssd.stats.finish_time_us == 0.0
         assert ssd.stats.total_flash_reads == 0
-        assert ssd.stats.read_latencies_us == []
+        assert list(ssd.stats.read_latencies_us) == []
         assert sum(ssd.stats.chip_busy_time_us) == 0.0
         ssd.run(random_reads(tiny_geometry, 50), threads=2)
         measured = ssd.stats

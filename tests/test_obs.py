@@ -262,25 +262,13 @@ class TestEntryPointsObserveAlike:
             assert state_fingerprint(ssd.state_dict()) == state_fingerprint(
                 reference.state_dict()
             ), name
-            if name != "run_batched" or ftl_name != "learnedftl":
-                # The planner's instants carry no ``ppn`` and the batched loop
-                # stamps ``now_us`` per fallback only.  Without a planner it
-                # serves every request through the step, so the trace is the
-                # scalar one.
-                assert trace["traceEvents"] == reference_trace["traceEvents"], name
+            assert trace == reference_trace, name
             # The tracer and the windowed recorder are fed by the same step.
             instants = sum(e["name"] == "translation_read" for e in trace["traceEvents"])
             dropped = trace["otherData"]["dropped_events"].get("translation_read", 0)
             assert instants + dropped == sum(series["translation_reads"]), name
         if ftl_name in ("dftl", "tpftl"):
             assert sum(reference_series["translation_reads"]) > self.TRACE_CAP
-        plans = [
-            event["args"]
-            for event in runs["run_batched"][2]["traceEvents"]
-            if event["name"] == "batch_plan"
-        ]
-        assert bool(plans) == (ftl_name == "learnedftl")  # the one design with a planner
-        assert all(0 <= plan["fallbacks"] <= plan["requests"] for plan in plans)
 
 
 class TestModeEquivalence:
@@ -453,7 +441,7 @@ class TestTraceRecorder:
     def test_streamed_write_equals_the_reference_encoder(self, tmp_path):
         tracer = TraceRecorder()
         # Real traced runs: per-block GC (DFTL), then LearnedFTL's group GC,
-        # evictions, planner runs and both translation-read shapes.
+        # evictions, and translation reads from the step and the planner.
         for ftl_name, batch in (("dftl", None), ("learnedftl", 16)):
             ssd, _ = _observed_device(ftl_name, tracer=tracer)
             ssd.fill_sequential(io_pages=16)
@@ -475,13 +463,13 @@ class TestTraceRecorder:
         log = ObservationLog(tracer=tracer)
         log.rows += (math.inf, 1.0, 1, 8, 0)
         log.ops += _ops((_TR, 1, 2), (_DATA, 0, 3))
-        log.append_reads([10.0, 11.5], [1.0, 1.0], [-1, 4])
+        log.append_reads([10.0, 11.5], [1.0, 1.0], [-1, 4], [40])
 
         events = tracer.export()["traceEvents"]
         names = {event["name"] for event in events}
-        assert {"gc", "gc_group", "cmt_evict", "batch_plan"} <= names
+        assert {"gc", "gc_group", "cmt_evict", "translation_read"} <= names
         shapes = {tuple(e["args"]) for e in events if e["name"] == "translation_read"}
-        assert shapes == {("chip", "ppn"), ("chip",)}
+        assert shapes == {("chip", "ppn")}
         path = tracer.write(tmp_path / "events.json")
         assert path.read_bytes() == json.dumps(tracer.export()).encode("utf-8")
 
@@ -519,7 +507,7 @@ class TestBlockTranslationReads:
         log = ObservationLog(tracer=tracer)
         for ts_us, ops in requests:
             _log_step(log, ts_us, ops)
-        log.append_reads([5.0, 6.0], [1.0, 1.0], [4, 5])
+        log.append_reads([5.0, 6.0], [1.0, 1.0], [4, 5], [19, 20])
         reference = TraceRecorder(max_events_per_name=3)
         for ts_us, ops in requests:
             for i in range(0, len(ops), 4):
@@ -527,8 +515,8 @@ class TestBlockTranslationReads:
                     reference.instant(
                         "translation_read", ts_us, {"chip": ops[i + 1], "ppn": ops[i + 2]}
                     )
-        for issue, chip in ((5.0, 4), (6.0, 5)):
-            reference.instant("translation_read", issue, {"chip": chip})
+        for issue, chip, ppn in ((5.0, 4, 19), (6.0, 5, 20)):
+            reference.instant("translation_read", issue, {"chip": chip, "ppn": ppn})
         assert len(tracer) == 3
         assert tracer.dropped_counts() == {"translation_read": 5}
         assert tracer.export() == reference.export()
@@ -542,7 +530,7 @@ class TestBlockTranslationReads:
         tracer.instant("second", 1.5)
         tracer.complete("third", 1.6, 0.5)
         _log_step(log, 2.0, _ops((_TR, 1, 11), (_TR, 2, 12)))
-        log.append_reads([3.0, 4.0], [1.0, 1.0], [-1, 3])
+        log.append_reads([3.0, 4.0], [1.0, 1.0], [-1, 3], [13])
         tracer.instant("fourth", 5.0)
         assert log.pending() == 4
         names = [event["name"] for event in tracer.export()["traceEvents"]]
@@ -701,7 +689,7 @@ class TestGoldenObservationDigests:
         ),
         "batched": (
             "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
-            "1e04214b16f90577569c06756476b899cd2b726aef0acc04afc686f530fb20bd",
+            "68f8acd746255cd9731762712f6f8a192b3a5315dc9d8eac270d77b37b6d5fe3",
         ),
         "replay_streams": (
             "3f00c6005172e5b24a64236c21e0a80e2785ba098bd2b1e7acfbff29695ead74",
@@ -733,7 +721,7 @@ class _PerRequestObserver:
 
     After each request step it walks the request's command buffer; after each
     batched-kernel call it walks the ``(issues, latencies, trans_chips)``
-    columns.  Windows are filled one request at a time (cached current window,
+    columns and the ``trans_ppns`` the planner's ``take()`` returned.  Windows are filled one request at a time (cached current window,
     ``+=`` per command), and translation reads become trace events as they
     happen, interleaved with the hook sites' events and capped per name.
     """
@@ -785,7 +773,8 @@ class _PerRequestObserver:
             if code == _TR:
                 self._read(issue, {"chip": ops[slot + 1], "ppn": ops[slot + 2]})
 
-    def fast_read(self, issues: list, latencies: list, trans_chips) -> None:
+    def fast_read(self, issues: list, latencies: list, trans_chips, trans_ppns: list) -> None:
+        ppns = iter(trans_ppns)
         for i, (issue, latency) in enumerate(zip(issues, latencies)):
             window = self._window(issue)
             window.reads += 1
@@ -796,7 +785,7 @@ class _PerRequestObserver:
                 window.read_misses += 1
                 window.command_counts[_TR] += 1
                 window.busy_time_us += self.durations[_TR]
-                self._read(issue, {"chip": trans_chip})
+                self._read(issue, {"chip": trans_chip, "ppn": next(ppns)})
             else:
                 window.read_hits += 1
             window.command_counts[_DATA] += 1
@@ -826,6 +815,23 @@ class _TeeTracer(TraceRecorder):
         self.oracle.event({**event, "args": args} if args else event)
 
 
+class _PlannerTap:
+    """A read planner whose ``take()`` also hands its ``trans_ppns`` to ``taken``."""
+
+    def __init__(self, planner, taken: list) -> None:
+        self.planner = planner
+        self.taken = taken
+
+    def take(self):
+        result = self.planner.take()
+        if result[0]:
+            self.taken.append(result[3])
+        return result
+
+    def skip(self) -> None:
+        self.planner.skip()
+
+
 def _oracle_device(ftl_name: str, geometry, cap: int):
     """A device observed both through its log and, per request, by the oracle.
 
@@ -842,6 +848,9 @@ def _oracle_device(ftl_name: str, geometry, cap: int):
     recorder = ssd.enable_observability(window_us=WINDOW_US / 50, tracer=_TeeTracer(cap, oracle))
     step = ssd._step
     execute_read_batch = ssd.engine.execute_read_batch
+    begin_read_run = ssd.ftl.begin_read_run
+    #: The ``trans_ppns`` of each ``take()``, until the kernel call it feeds.
+    taken: list[list] = []
 
     def oracle_step(request, issue):
         finish = step(request, issue)
@@ -851,11 +860,16 @@ def _oracle_device(ftl_name: str, geometry, cap: int):
 
     def oracle_read_batch(data_chips, trans_chips, thread_free, **kwargs):
         issues, latencies = execute_read_batch(data_chips, trans_chips, thread_free, **kwargs)
-        oracle.fast_read(issues, latencies, trans_chips)
+        oracle.fast_read(issues, latencies, trans_chips, taken.pop())
         return issues, latencies
+
+    def oracle_read_run(lpns):
+        planner = begin_read_run(lpns)
+        return None if planner is None else _PlannerTap(planner, taken)
 
     ssd._step = oracle_step
     ssd.engine.execute_read_batch = oracle_read_batch
+    ssd.ftl.begin_read_run = oracle_read_run
     return ssd, recorder, oracle
 
 

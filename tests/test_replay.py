@@ -431,6 +431,45 @@ class TestManifestRefusal:
         with pytest.raises(ReplayError, match="field device\\.geometry: channels must be"):
             ReplayPlan.from_manifest(manifest)
 
+    @pytest.mark.parametrize(
+        ("path", "value", "field"),
+        [
+            (("device", "ftl"), "nosuch", "ftl_name"),
+            (("trace", "format"), "csv", "trace_format"),
+            (("warmup", "warmup"), "bogus", "warmup"),
+            (("trace", "limit"), -5, "limit"),
+            (("trace", "max_errors"), -1, "max_errors"),
+            (("warmup", "io_pages"), 0, "io_pages"),
+            (("warmup", "threads"), -2, "warmup_threads"),
+            (("obs", "metrics_window_us"), 0.0, "metrics_window_us"),
+            (("obs", "metrics_window_us"), float("inf"), "metrics_window_us"),
+            (("obs", "metrics_window_us"), float("nan"), "metrics_window_us"),
+        ],
+    )
+    def test_value_the_run_cannot_use_is_named(self, manifest, path, value, field):
+        # Refused while the plan is built, before a run directory is touched
+        # (a bad warm-up mode used to surface as a ValueError from the warm-up).
+        manifest[path[0]][path[1]] = value
+        with pytest.raises(ReplayError, match=f"^{field} must be"):
+            ReplayPlan.from_manifest(manifest)
+
+    @pytest.mark.parametrize(
+        ("override", "field"),
+        [
+            ({"ftl": "nosuch"}, "ftl_name"),
+            ({"limit": -5}, "limit"),
+            ({"max_errors": -1}, "max_errors"),
+            ({"warmup": "bogus"}, "warmup"),
+            ({"metrics_window_us": -1.0}, "metrics_window_us"),
+        ],
+    )
+    def test_plan_refuses_before_the_run_directory_exists(
+        self, trace_file, tmp_path, override, field
+    ):
+        with pytest.raises(ReplayError, match=f"^{field} must be"):
+            make_plan(trace_file, **override)
+        assert not (tmp_path / "run").exists()
+
     def test_json_round_trip_still_loads(self, manifest):
         stored = json.loads(json.dumps(manifest))
         assert ReplayPlan.from_manifest(stored).manifest() == manifest

@@ -90,7 +90,6 @@ class TestThroughputAndLatency:
         stats.host_read_requests = 3  # requests recorded but no simulated time
         stats.host_read_pages = 3
         assert stats.throughput_mb_s() == 0.0
-        assert stats.read_throughput_mb_s() == 0.0
         assert stats.iops() == 0.0
         assert stats.utilization() == 0.0
         summary = stats.summary()
@@ -145,7 +144,6 @@ class TestThroughputAndLatency:
         stats.record_latency(False, 20.0)
         assert stats.read_latency_digest().count == 1
         assert stats.write_latency_digest().count == 1
-        assert stats.all_latency_digest().count == 2
 
 
 class TestGCAndCompute:
@@ -208,80 +206,14 @@ class TestUtilization:
         assert stats.utilization() == pytest.approx(0.375)
 
 
-class TestLatencyBuffer:
-    def test_starts_empty(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer()
-        assert len(buffer) == 0
-        assert list(buffer) == []
-        assert buffer == []
-
-    def test_append_grows_past_initial_capacity(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer()
-        values = [float(i) * 1.5 for i in range(1000)]
-        for value in values:
-            buffer.append(value)
-        assert len(buffer) == 1000
-        assert list(buffer) == values
-        assert buffer._data.shape[0] >= 1000  # amortized doubling, not per-append
-
-    def test_extend_and_replace_and_clear(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer([1.0, 2.0])
-        buffer.extend([3.0, 4.0])
-        assert buffer == [1.0, 2.0, 3.0, 4.0]
-        buffer.replace([9.0])
-        assert buffer == [9.0]
-        buffer.clear()
-        assert len(buffer) == 0
-
-    def test_getitem_int_slice_and_bounds(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer([10.0, 20.0, 30.0])
-        assert buffer[0] == 10.0
-        assert buffer[-1] == 30.0
-        assert buffer[1:] == [20.0, 30.0]
-        with pytest.raises(IndexError):
-            buffer[3]
-
-    def test_iter_yields_python_floats(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer([1.5])
-        (value,) = list(buffer)
-        assert type(value) is float
-
-    def test_array_view_tracks_size(self):
-        import numpy as np
-
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer([1.0, 2.0, 3.0])
-        assert np.asarray(buffer).tolist() == [1.0, 2.0, 3.0]
-        assert buffer.array().dtype == np.float64
-
-    def test_equality_against_foreign_types(self):
-        from repro.ssd.stats import LatencyBuffer
-
-        buffer = LatencyBuffer([1.0])
-        assert buffer == [1.0]
-        assert buffer == (1.0,)
-        assert buffer == LatencyBuffer([1.0])
-        assert buffer != [2.0]
-        assert buffer != object()
-
+class TestLatencyColumns:
     def test_record_latencies_routes_by_direction(self):
         stats = SimulationStats()
         stats.record_latencies(True, [1.0, 2.0])
         stats.record_latencies(False, [3.0])
         stats.record_latency(True, 4.0)
-        assert stats.read_latencies_us == [1.0, 2.0, 4.0]
-        assert stats.write_latencies_us == [3.0]
+        assert list(stats.read_latencies_us) == [1.0, 2.0, 4.0]
+        assert list(stats.write_latencies_us) == [3.0]
 
     def test_state_roundtrip_preserves_latency_buffers(self):
         stats = SimulationStats()
@@ -289,5 +221,41 @@ class TestLatencyBuffer:
         stats.record_latencies(False, [7.0])
         restored = SimulationStats()
         restored.load_state(stats.state_dict())
-        assert restored.read_latencies_us == [5.0, 6.0]
-        assert restored.write_latencies_us == [7.0]
+        assert list(restored.read_latencies_us) == [5.0, 6.0]
+        assert list(restored.write_latencies_us) == [7.0]
+
+    def test_readers_leave_the_columns_appendable(self):
+        # Readers copy the columns: a live buffer view would make the next
+        # append raise BufferError, and a captured state would move with it.
+        import numpy as np
+
+        stats = SimulationStats()
+        stats.record_latencies(True, [1.0, 2.0, 3.0])
+        stats.record_latency(False, 4.0)
+        stats.summary()
+        digest = stats.read_latency_digest()
+        state = stats.state_dict()
+        captured = {key: state[key].copy() for key in ("read_latencies_us", "write_latencies_us")}
+        stats.record_latency(True, 5.0)
+        stats.record_latency(False, 6.0)
+        stats.record_latencies(True, [7.0])
+        assert list(stats.read_latencies_us) == [1.0, 2.0, 3.0, 5.0, 7.0]
+        assert list(stats.write_latencies_us) == [4.0, 6.0]
+        for key, column in captured.items():
+            assert np.array_equal(state[key], column)
+            assert state[key].dtype == np.float64
+        assert digest.count == 3 and digest.max_us == 3.0
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1_001, 192_000])
+def test_digest_equals_four_separate_percentiles(size):
+    # Oracle: one np.percentile call over the four quantiles returns exactly
+    # what four separate calls return.
+    import numpy as np
+
+    samples = np.random.default_rng(size).exponential(100.0, size)
+    digest = LatencyDigest.from_samples(samples)
+    expected = [float(np.percentile(samples, q)) for q in (50, 95, 99, 99.9)]
+    assert [digest.p50_us, digest.p95_us, digest.p99_us, digest.p999_us] == expected
+    assert digest.count == size
+    assert digest.max_us == float(samples.max())
