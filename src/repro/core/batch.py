@@ -25,20 +25,25 @@ scalar path's cost instead of quadratic re-planning.
 
 Why resuming after a scalar fallback is sound: within a run every request is a
 single-page read, and the planner re-consults every piece of live state a
-scalar request can mutate — cache dicts, page-state bytes, loading-policy fields —
-per accepted request rather than from a snapshot.  The only pre-gathered
-column is the mapping directory, and no scalar *read* path mutates it.  A run
-never spans a write: writes end a run, and the next read run gathers afresh.
+scalar request can mutate — cache dicts, page-state bytes — per accepted
+request rather than from a snapshot.  Two columns are pre-gathered: the
+mapping directory, which no scalar *read* path mutates, and the loading
+policy's post-observation depths, because every request of the run is
+observed exactly once, as one page, whether :meth:`take` or the scalar
+fallback serves it.  A run never spans a write: writes end a run, and the
+next read run gathers afresh.
 
 LearnedFTL is the one design with a read planner,
 :class:`GroupedReadPlanner`: it serves CMT hits, model hits and double-read
-misses whose prefetch-load cannot evict dirty mappings.  It is the one
-specialization of TPFTL's loading policy
-(:class:`~repro.core.cmt.LoadingPolicy`): it runs the policy's fields in
-locals, observes each accepted request, and on the miss path derives the
-prefetch depth from the *post-observation* values before the observation is
-committed, so a refused request is left entirely unobserved for the scalar
-fallback.
+misses whose prefetch-load cannot evict dirty mappings.  TPFTL's loading
+policy (:class:`~repro.core.cmt.LoadingPolicy`) states its rules once and the
+planner calls them: :meth:`~repro.core.cmt.LoadingPolicy.observe_run` gives
+the depth column up front, a miss builds its batch with
+:meth:`~repro.core.cmt.LoadingPolicy.scan` and loads it with
+:meth:`~repro.core.cmt.PageGroupedCMT.load_node`, and each :meth:`take`
+commits its accepted requests' observations once
+(:meth:`~repro.core.cmt.LoadingPolicy.commit_run`), so a refused request is
+left unobserved for the scalar fallback.
 
 ``take`` returns ``(0, ...)`` — triggering one scalar fallback — whenever the
 next request needs anything the fast path cannot express: a dirty CMT
@@ -80,11 +85,11 @@ class GroupedReadPlanner:
 
     The loading policy observes a request *before* translation in the
     scalar path, and the prefetch depth of a miss depends on it — so the
-    planner derives each request's post-observation sum and streak first,
-    serves the request (on the miss path: sizes the prefetch batch with them
-    and evaluates the eviction predicate), and only commits the observation
-    once the request is accepted.  A refused request is therefore left
-    entirely unobserved for the scalar fallback.
+    constructor takes every request's post-observation depth from
+    :meth:`~repro.core.cmt.LoadingPolicy.observe_run`, next to the directory
+    gather.  A miss whose batch could evict dirty mappings is refused before
+    anything is loaded; :meth:`take` then commits the observations of the
+    requests it accepted, leaving the refused one for the scalar fallback.
     """
 
     __slots__ = (
@@ -99,14 +104,13 @@ class GroupedReadPlanner:
         "_flash",
         "_stats",
         "_policy",
+        "_depths",
+        "_length_sums",
+        "_streaks",
         "_cmt",
         "_capacity",
         "_tp_ppn",
         "_translation_store",
-        "_insert_many",
-        "_directory_lookup",
-        "_mappings_per_page",
-        "_num_logical_pages",
         "_models",
         "_charge",
         "_bitmap_check_us",
@@ -122,22 +126,22 @@ class GroupedReadPlanner:
         self._tvpns = (lpns // ftl._mappings_per_page).tolist()
         # Safe to pre-gather: no scalar read path mutates the directory.
         self._dir_ppns = directory.lookup_many(lpns).tolist()
+        # Every request of the run is observed once, as one page, whether
+        # take() or the scalar fallback serves it, so the loading policy's
+        # post-observation columns are known up front.
+        policy = self._policy = ftl.loading
+        self._depths, self._length_sums, self._streaks = policy.observe_run(lpns)
         self._n = len(self._lpns)
         self._pos = 0
         self._page_state = flash._page_state
         self._chip_stride = flash._chip_stride
         self._flash = flash
         self._stats = ftl.stats
-        self._policy = ftl.loading
         cmt = ftl.cmt
         self._cmt = cmt
         self._capacity = cmt.capacity_entries
         self._tp_ppn = ftl.translation_store._tp_ppn
         self._translation_store = ftl.translation_store
-        self._insert_many = cmt.insert_many
-        self._directory_lookup = directory.lookup
-        self._mappings_per_page = ftl._mappings_per_page
-        self._num_logical_pages = ftl._num_logical_pages
         self._models = ftl.models
         self._charge = ftl._charge_compute
         self._bitmap_check_us = ftl._bitmap_check_us
@@ -173,13 +177,12 @@ class GroupedReadPlanner:
         dir_ppns = self._dir_ppns
         page_state = self._page_state
         chip_stride = self._chip_stride
+        depths = self._depths
         cmt = self._cmt
         capacity = self._capacity
+        load_node = cmt.load_node
+        scan = self._policy.scan
         tp_get = self._tp_ppn.get
-        insert_many = self._insert_many
-        directory_lookup = self._directory_lookup
-        mappings_per_page = self._mappings_per_page
-        num_logical_pages = self._num_logical_pages
         models = self._models
         stats = self._stats
         charge = self._charge
@@ -191,33 +194,12 @@ class GroupedReadPlanner:
         # identically to no column at all).
         computes: list[float] | None = [] if charge else None
         append_compute = computes.append if computes is not None else None
-        # The loading policy's fields run in locals and are written back after
-        # the loop; a break leaves the refused request entirely unobserved, so
-        # the scalar fallback's own observation applies cleanly.
-        policy = self._policy
-        window = policy.window
-        streak_cap = policy.streak_cap
-        ceiling = policy.ceiling
-        lengths = policy.lengths
-        lengths_append = lengths.append
-        length_sum = policy.length_sum
-        streak = policy.streak
-        last_end = policy.last_end
         hits = 0
         nf_hits = 0
         model_hits = 0
         while i < n:
             lpn = lpns[i]
             tvpn = tvpns[i]
-            # LoadingPolicy.observe(lpn, 1), committed once the request is accepted.
-            if len(lengths) == window:
-                new_sum = length_sum + 1 - lengths[0]
-            else:
-                new_sum = length_sum + 1
-            if last_end == lpn:
-                new_streak = streak + 1 if streak < streak_cap else streak
-            else:
-                new_streak = 0
             node = pages_get(tvpn)
             entry = None if node is None else node.get(lpn)
             if entry is not None:
@@ -261,32 +243,16 @@ class GroupedReadPlanner:
                     if tp_ppn is not None and not page_state[tp_ppn]:
                         # PAGE_FREE translation page: scalar touch_read would raise.
                         break
-                    # Scalar-equivalent LoadingPolicy.load over the post-
-                    # observation values (the window is never empty here).
-                    new_window = window if len(lengths) == window else len(lengths) + 1
-                    depth = int(round(new_sum / new_window * 2)) + 2 * new_streak
-                    if depth > ceiling:
-                        depth = ceiling
-                    batch = [(lpn, actual)]
-                    if depth > 1:
-                        stop = (tvpn + 1) * mappings_per_page
-                        if stop > num_logical_pages:
-                            stop = num_logical_pages
-                        if lpn + depth < stop:
-                            stop = lpn + depth
-                        for neighbour in range(lpn + 1, stop):
-                            neighbour_ppn = directory_lookup(neighbour)
-                            if neighbour_ppn is not None and (
-                                node is None or neighbour not in node
-                            ):
-                                batch.append((neighbour, neighbour_ppn))
+                    # Scalar-equivalent LoadingPolicy.load at this request's
+                    # post-observation depth.
+                    batch = scan(lpn, actual, tvpn, depths[i], node)
                     delta = (
                         len(batch) if node is not None else len(batch) + PAGE_NODE_OVERHEAD_ENTRIES
                     )
                     if cmt._dirty_count != 0 and cmt._size_entries + delta > capacity:
                         # The load could evict dirty mappings (translation flushes).
                         break
-                    insert_many(batch, dirty=False)
+                    load_node(tvpn, batch)
                     append_data(actual // chip_stride)
                     if tp_ppn is None:
                         # Never-flushed translation page: served as a CMT hit.
@@ -297,19 +263,14 @@ class GroupedReadPlanner:
                         append_trans_ppn(tp_ppn)
                     if computes is not None:
                         append_compute(bitmap_check_us)
-            # Accepted: commit the observation.
-            length_sum = new_sum
-            lengths_append(1)
-            streak = new_streak
-            last_end = lpn + 1
             i += 1
-        policy.length_sum = length_sum
-        policy.streak = streak
-        policy.last_end = last_end
         k = i - pos
         self._pos = i
         misses = len(trans_ppns)
         if k:
+            # The accepted requests' observations; a refused one is left
+            # unobserved for the scalar fallback.
+            self._policy.commit_run(k, self._length_sums[i - 1], self._streaks[i - 1], lpns[i - 1] + 1)
             stats.host_read_requests += k
             stats.host_read_pages += k
             stats.cmt_lookups += k

@@ -14,8 +14,7 @@ Two CMT organizations are provided:
 
 :class:`LoadingPolicy` is that loading policy, stated once: TPFTL and
 LearnedFTL each own one next to their :class:`PageGroupedCMT`, and
-LearnedFTL's batched read planner (:mod:`repro.core.batch`) runs its fields
-inline.
+LearnedFTL's batched read planner (:mod:`repro.core.batch`) calls it.
 
 Capacity is expressed in *entries* so experiments can size the cache as a
 percentage of the full mapping table, exactly as the paper does (3 % for
@@ -26,7 +25,8 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, NamedTuple
+from itertools import repeat
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,7 +223,11 @@ class PageGroupedCMT:
         return self.insert_many([(lpn, ppn)], dirty=dirty)
 
     def insert_many(self, mappings: Iterable[tuple[int, int]], *, dirty: bool = False) -> list[EvictedPage]:
-        """Insert a batch of mappings (a miss fetch plus its prefetched neighbours)."""
+        """Insert or update a batch of mappings, one at a time.
+
+        Writes and GC moves use it (dirty or not), and so do the miss loads
+        :meth:`load_node` hands off.
+        """
         evicted: list[EvictedPage] = []
         pages = self._pages
         mappings_per_page = self.mappings_per_page
@@ -257,6 +261,50 @@ class PageGroupedCMT:
                 pages.move_to_end(tvpn)
             if self._size_entries > capacity:
                 evicted.extend(self._evict_until_fits(exclude_tvpn=tvpn, exclude_lpn=lpn))
+        return evicted
+
+    def load_node(self, tvpn: int, mappings: list[tuple[int, int]]) -> list[EvictedPage]:
+        """Load clean mappings of translation page ``tvpn`` in one step.
+
+        ``mappings`` is a miss load: the missed mapping plus its prefetched
+        neighbours, none of them cached.  It costs one node lookup, one
+        recency move, one capacity check after the whole batch and whole-node
+        LRU eviction.  It leaves the cache, and returns the dirty evictions,
+        exactly as ``insert_many(mappings, dirty=False)`` does: evicting after
+        each mapping and once after the batch remove the same LRU prefix of
+        nodes, and the loaded node is the most recently used in both.  Only
+        when the loaded node alone would exceed the capacity can the
+        per-mapping entry fallback differ, so that case is handed to
+        :meth:`insert_many`.
+        """
+        pages = self._pages
+        node = pages.get(tvpn)
+        capacity = self.capacity_entries
+        if node is None:
+            grown = len(mappings) + PAGE_NODE_OVERHEAD_ENTRIES
+            if grown > capacity:
+                return self.insert_many(mappings, dirty=False)
+            node = pages[tvpn] = OrderedDict()
+        else:
+            grown = len(mappings)
+            if len(node) + grown + PAGE_NODE_OVERHEAD_ENTRIES > capacity:
+                return self.insert_many(mappings, dirty=False)
+            pages.move_to_end(tvpn)
+        for lpn, ppn in mappings:
+            node[lpn] = [ppn, False]
+        size = self._size_entries + grown
+        evicted: list[EvictedPage] = []
+        # The loaded node fits alone and is the most recently used, so the
+        # LRU node is never it while the cache is over capacity.
+        while size > capacity:
+            victim_tvpn, victim = pages.popitem(last=False)
+            size -= len(victim) + PAGE_NODE_OVERHEAD_ENTRIES
+            if self._dirty_count:
+                dirty_lpns = tuple(lpn for lpn, entry in victim.items() if entry[1])
+                if dirty_lpns:
+                    self._dirty_count -= len(dirty_lpns)
+                    evicted.append(EvictedPage(tvpn=victim_tvpn, dirty_lpns=dirty_lpns))
+        self._size_entries = size
         return evicted
 
     def _evict_until_fits(self, *, exclude_tvpn: int, exclude_lpn: int) -> list[EvictedPage]:
@@ -364,9 +412,12 @@ class LoadingPolicy:
     many as :meth:`depth` allows: long or sequential requests reach the full
     depth quickly, random 4 KB reads stay at depth 2.
 
-    :class:`repro.core.batch.GroupedReadPlanner` runs the same three steps
-    inline over these fields; ``tests/test_batched_equivalence.py`` and
-    ``tests/test_demand_loading.py`` pin it to this class.
+    LearnedFTL's batched read planner (:class:`repro.core.batch.GroupedReadPlanner`)
+    observes a run of single-page reads as columns: :meth:`observe_run` gives
+    every request's post-observation depth in one NumPy pass and
+    :meth:`commit_run` leaves what that many :meth:`observe` calls leave.  A
+    miss in either path builds its batch with :meth:`scan` and loads it with
+    :meth:`PageGroupedCMT.load_node`.
     """
 
     #: Number of recent request lengths the depth rule averages over.
@@ -382,7 +433,7 @@ class LoadingPolicy:
         "ceiling",
         "_cmt",
         "_pages",
-        "_lookup",
+        "_column",
         "_mappings_per_page",
         "_num_logical_pages",
     )
@@ -390,7 +441,7 @@ class LoadingPolicy:
     def __init__(
         self,
         cmt: PageGroupedCMT,
-        lookup: Callable[[int], int | None],
+        column: Sequence[int],
         num_logical_pages: int,
         prefetch_max_entries: int,
     ) -> None:
@@ -405,7 +456,8 @@ class LoadingPolicy:
         self.ceiling = min(prefetch_max_entries, max(1, cmt.capacity_entries // 2))
         self._cmt = cmt
         self._pages = cmt._pages  # never reassigned
-        self._lookup = lookup
+        # The directory's LPN -> PPN column (-1: unmapped), read in place.
+        self._column = column
         self._mappings_per_page = cmt.mappings_per_page
         self._num_logical_pages = num_logical_pages
 
@@ -430,31 +482,73 @@ class LoadingPolicy:
         depth = int(round(self.length_sum / window * 2)) + 2 * self.streak
         return depth if depth < self.ceiling else self.ceiling
 
-    def load(self, lpn: int, ppn: int, tvpn: int) -> list[EvictedPage]:
-        """Insert a missed mapping plus its neighbour batch; returns dirty evictions.
+    def observe_run(self, lpns: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+        """Columns of ``observe(lpn, 1)`` over a run of single-page reads.
 
-        The neighbours are the mapped LPNs after ``lpn`` in its translation
-        page ``tvpn``, up to :meth:`depth` LPNs in all, that the CMT does not
-        already hold.
+        Returns ``(depths, length_sums, streaks)``: entry ``i`` is what
+        :meth:`depth`, :attr:`length_sum` and :attr:`streak` read after the
+        run's first ``i + 1`` requests are observed, one at a time, from the
+        current state.  Nothing is changed; :meth:`commit_run` applies a
+        prefix.
+        """
+        n = len(lpns)
+        index = np.arange(n, dtype=np.int64)
+        # Window: the kept tail of the current lengths plus min(i + 1, window) ones.
+        held = np.fromiter(self.lengths, dtype=np.int64, count=len(self.lengths))
+        tail_sums = np.concatenate(([0], np.cumsum(held[::-1])))
+        ones = np.minimum(index + 1, self.window)
+        kept = np.minimum(len(held), self.window - ones)
+        sums = tail_sums[kept] + ones
+        widths = kept + ones
+        # Streak: +1 (saturating) per request starting where the last one ended.
+        continues = np.empty(n, dtype=bool)
+        continues[1:] = lpns[1:] == lpns[:-1] + 1
+        if n:
+            continues[0] = lpns[0] == self.last_end
+        last_break = np.maximum.accumulate(np.where(continues, -1, index))
+        streaks = index - last_break
+        streaks[last_break < 0] += self.streak
+        np.minimum(streaks, self.streak_cap, out=streaks)
+        depths = np.rint(sums / widths * 2).astype(np.int64) + 2 * streaks
+        np.minimum(depths, self.ceiling, out=depths)
+        return depths.tolist(), sums.tolist(), streaks.tolist()
+
+    def commit_run(self, count: int, length_sum: int, streak: int, last_end: int) -> None:
+        """Leave what ``count`` calls of ``observe(lpn, 1)`` leave.
+
+        ``length_sum`` and ``streak`` are the :meth:`observe_run` values of
+        the last of them, ``last_end`` its LPN plus one.
+        """
+        self.lengths.extend(repeat(1, count))
+        self.length_sum = length_sum
+        self.streak = streak
+        self.last_end = last_end
+
+    def scan(self, lpn: int, ppn: int, tvpn: int, depth: int, node: dict | None) -> list[tuple[int, int]]:
+        """The batch a miss on ``lpn`` (mapped to ``ppn``) loads.
+
+        The missed mapping, then the mapped LPNs after ``lpn`` in its
+        translation page ``tvpn``, up to ``depth`` LPNs in all, that ``node``
+        (the page's cached node, or ``None``) does not already hold.
         """
         batch = [(lpn, ppn)]
-        depth = self.depth()
         if depth > 1:
             stop = (tvpn + 1) * self._mappings_per_page
             if stop > self._num_logical_pages:
                 stop = self._num_logical_pages
             if lpn + depth < stop:
                 stop = lpn + depth
-            # The neighbours stay inside this translation page, so the
-            # membership probe can use its cached node directly (the cache is
-            # only mutated by insert_many below, after the batch is complete).
-            node = self._pages.get(tvpn)
-            lookup = self._lookup
+            column = self._column
             for neighbour in range(lpn + 1, stop):
-                neighbour_ppn = lookup(neighbour)
-                if neighbour_ppn is not None and (node is None or neighbour not in node):
+                neighbour_ppn = column[neighbour]
+                if neighbour_ppn != -1 and (node is None or neighbour not in node):
                     batch.append((neighbour, neighbour_ppn))
-        return self._cmt.insert_many(batch, dirty=False)
+        return batch
+
+    def load(self, lpn: int, ppn: int, tvpn: int) -> list[EvictedPage]:
+        """Load a missed mapping plus its neighbour batch; returns dirty evictions."""
+        batch = self.scan(lpn, ppn, tvpn, self.depth(), self._pages.get(tvpn))
+        return self._cmt.load_node(tvpn, batch)
 
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:

@@ -118,7 +118,7 @@ class LearnedFTL(FTLBase):
         #: TPFTL's loading policy, for the misses the models cannot answer.
         self.loading = LoadingPolicy(
             self.cmt,
-            self.directory.lookup,
+            self.directory._ppn,
             geometry.num_logical_pages,
             self.config.prefetch_max_entries,
         )

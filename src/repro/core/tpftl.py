@@ -51,7 +51,7 @@ class TPFTL(StripingFTLBase):
         #: The workload-adaptive loading policy (request observer + prefetch).
         self.loading = LoadingPolicy(
             self.cmt,
-            self.directory.lookup,
+            self.directory._ppn,
             geometry.num_logical_pages,
             self.config.prefetch_max_entries,
         )

@@ -526,8 +526,15 @@ class ReplaySession:
         ``stop_after_requests`` aborts once the *total* replayed request count
         reaches the threshold, without writing a checkpoint — modelling a
         crash between checkpoints; the work since the last checkpoint is
-        rolled back on resume.  Both return ``finished=False``.
+        rolled back on resume.  Both return ``finished=False``, and each must
+        be at least 1 when given (checked before the run directory is touched).
         """
+        for name, value in (
+            ("stop_after_checkpoints", stop_after_checkpoints),
+            ("stop_after_requests", stop_after_requests),
+        ):
+            if value is not None and value < 1:
+                raise ReplayError(f"{name} must be >= 1 when given, got {value}")
         plan = self.plan
         manifest = plan.manifest()
         resumed_from: int | None = None

@@ -912,6 +912,18 @@ class TestReplayVerb:
         assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS) == 0
         assert "[replay finished:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "stop", [("--stop-after-checkpoints", "0"), ("--stop-after-requests", "-1")]
+    )
+    def test_stop_count_below_one_is_refused_without_manifest(self, trace, tmp_path, capsys, stop):
+        run_dir = tmp_path / "run"
+        assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS, *stop) == 2
+        err = capsys.readouterr().err
+        assert "replay failed:" in err
+        assert stop[0].lstrip("-").replace("-", "_") in err
+        assert "Traceback" not in err
+        assert not (run_dir / "manifest.json").exists()
+
     def test_fresh_run_refuses_existing_run_dir(self, trace, tmp_path, capsys):
         run_dir = tmp_path / "run"
         assert self._replay(str(trace), "--run-dir", str(run_dir), *self.FLAGS) == 0

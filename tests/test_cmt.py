@@ -256,6 +256,7 @@ _CMT_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), _LPNS, st.booleans()),
         st.tuples(st.just("insert_many"), st.lists(_LPNS, min_size=1, max_size=6), st.booleans()),
+        st.tuples(st.just("load_node"), _LPNS, st.integers(1, 6)),
         st.tuples(st.just("lookup"), _LPNS),
         st.tuples(st.just("flush_all")),
         st.tuples(st.just("state_round_trip")),
@@ -272,7 +273,30 @@ def _never_trusting_the_counter(cls):
     class Reference(cls):
         _dirty_count = property(lambda self: True, lambda self, value: None)
 
+        def load_node(self, tvpn, mappings):
+            """The per-mapping path the node-level load must equal."""
+            return self.insert_many(mappings, dirty=False)
+
     return Reference
+
+
+class _CountingHandOffs(PageGroupedCMT):
+    """Counts the node-level loads handed to the per-mapping path."""
+
+    hand_offs = 0
+    _loading = False
+
+    def load_node(self, tvpn, mappings):
+        self._loading = True
+        try:
+            return super().load_node(tvpn, mappings)
+        finally:
+            self._loading = False
+
+    def insert_many(self, mappings, *, dirty=False):
+        if self._loading:
+            type(self).hand_offs += 1
+        return super().insert_many(mappings, dirty=dirty)
 
 
 def _apply(cmt, op, serial: int):
@@ -284,6 +308,17 @@ def _apply(cmt, op, serial: int):
         if hasattr(cmt, "insert_many"):
             return cmt, cmt.insert_many(mappings, dirty=op[2])
         return cmt, [page for lpn, ppn in mappings for page in cmt.insert(lpn, ppn, dirty=op[2])]
+    if op[0] == "load_node":
+        # A miss load: the LPNs of [lpn, lpn + span) inside lpn's translation
+        # page that the cache does not hold, loaded clean in one batch.
+        tvpn = op[1] // MAPPINGS_PER_PAGE
+        stop = min(op[1] + op[2], (tvpn + 1) * MAPPINGS_PER_PAGE)
+        batch = [(lpn, serial + lpn) for lpn in range(op[1], stop) if lpn not in cmt]
+        if not batch:
+            return cmt, None
+        if isinstance(cmt, EntryLevelCMT):
+            return cmt, [page for lpn, ppn in batch for page in cmt.insert(lpn, ppn)]
+        return cmt, cmt.load_node(tvpn, batch)
     if op[0] == "lookup":
         return cmt, cmt.lookup(op[1])
     if op[0] == "flush_all":
@@ -302,22 +337,33 @@ def _entries(cmt) -> list[tuple[int, int, bool]]:
 class TestDirtyCounterIsExact:
     """``PageGroupedCMT`` skips the per-node dirty scan of an eviction when the
     counter reads zero (and the batched planner draws the same conclusion), so
-    the counter must equal a recount after any operation sequence."""
+    the counter must equal a recount after any operation sequence.  The
+    reference also serves ``PageGroupedCMT.load_node`` through
+    ``insert_many``, so the node-level load is pinned to the per-mapping
+    path, its hand-off for a node that reaches the capacity alone included."""
 
     @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
-    @given(ops=_CMT_OPS, capacity=st.integers(3, 24))
-    @settings(max_examples=150, deadline=None)
-    def test_counter_matches_recount_and_evictions_match_reference(self, cls, ops, capacity):
-        cmt = cls(capacity, MAPPINGS_PER_PAGE)
-        reference = _never_trusting_the_counter(cls)(capacity, MAPPINGS_PER_PAGE)
-        for serial, op in enumerate(ops):
-            cmt, result = _apply(cmt, op, 10 * serial)
-            reference, expected = _apply(reference, op, 10 * serial)
-            assert result == expected
-            entries = _entries(cmt)
-            assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
-            assert entries == _entries(reference)
-            assert cmt.memory_entries() == reference.memory_entries()
+    def test_counter_matches_recount_and_evictions_match_reference(self, cls):
+        tested = _CountingHandOffs if cls is PageGroupedCMT else cls
+        _CountingHandOffs.hand_offs = 0
+
+        @given(ops=_CMT_OPS, capacity=st.integers(3, 24))
+        @settings(max_examples=150, deadline=None)
+        def check(ops, capacity):
+            cmt = tested(capacity, MAPPINGS_PER_PAGE)
+            reference = _never_trusting_the_counter(cls)(capacity, MAPPINGS_PER_PAGE)
+            for serial, op in enumerate(ops):
+                cmt, result = _apply(cmt, op, 10 * serial)
+                reference, expected = _apply(reference, op, 10 * serial)
+                assert result == expected
+                entries = _entries(cmt)
+                assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
+                assert entries == _entries(reference)
+                assert cmt.memory_entries() == reference.memory_entries()
+
+        check()
+        if tested is _CountingHandOffs:
+            assert _CountingHandOffs.hand_offs > 0
 
 
 #: The designs whose FTL keeps a :mod:`repro.core.cmt` cache.

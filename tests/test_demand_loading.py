@@ -1,7 +1,7 @@
 """TPFTL's loading policy, stated once in :class:`repro.core.cmt.LoadingPolicy`.
 
-TPFTL and LearnedFTL both own one; LearnedFTL's batched read planner runs the
-same policy inline.  The pin here: with its models off (no sequential
+TPFTL and LearnedFTL both own one; LearnedFTL's batched read planner calls the
+same policy, observing a read run as columns.  The pin here: with its models off (no sequential
 initialization, no training at GC) LearnedFTL *is* TPFTL at the CMT level —
 the same lookups, hits, outcomes, policy state and CMT occupancy for the same
 read stream, through the scalar loop and through the batched kernel.
@@ -10,8 +10,12 @@ read stream, through the scalar loop and through the batched kernel.
 from __future__ import annotations
 
 import random
+from array import array
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import SSD, SSDGeometry
 from repro.core.base import FTLConfig
@@ -80,7 +84,8 @@ def test_learnedftl_without_models_is_tpftl_at_the_cmt(overwrite, max_pages, bat
 
 def _policy(capacity: int = 1024, *, mapped: int = 4096) -> LoadingPolicy:
     cmt = PageGroupedCMT(capacity_entries=capacity, mappings_per_page=64)
-    return LoadingPolicy(cmt, lambda lpn: lpn + 10 if lpn < mapped else None, 4096, 64)
+    column = array("q", [lpn + 10 if lpn < mapped else -1 for lpn in range(4096)])
+    return LoadingPolicy(cmt, column, 4096, 64)
 
 
 def test_depth_follows_request_length_and_streak():
@@ -129,3 +134,53 @@ def test_state_round_trips_in_place():
     assert restored.state_dict() == state
     assert restored.length_sum == 9
     assert restored.depth() == policy.depth()
+
+
+# ------------------------------------------- a read run observed as columns
+_WINDOWS = st.lists(st.integers(1, 64), max_size=32)
+_STRETCHES = st.lists(
+    st.tuples(st.integers(0, 4000), st.integers(1, 100)), min_size=1, max_size=5
+)
+
+
+@given(
+    window=_WINDOWS,
+    streak=st.integers(0, 64),
+    last_end=st.sampled_from(["none", "adjacent", "elsewhere"]),
+    stretches=_STRETCHES,
+    capacity=st.sampled_from([8, 1024]),
+)
+@settings(max_examples=200, deadline=None)
+def test_observe_run_equals_one_observe_at_a_time(window, streak, last_end, stretches, capacity):
+    """``observe_run``'s columns are what ``observe(lpn, 1)`` then ``depth()``
+    read request by request, and ``commit_run`` after any prefix, at once or
+    a request at a time, leaves the scalar state."""
+    lpns = np.array(
+        [lpn for start, length in stretches for lpn in range(start, start + length)], dtype=np.int64
+    )
+    first = int(lpns[0])
+    state = {
+        "recent_lengths": window,
+        "last_lpn_end": {"none": None, "adjacent": first, "elsewhere": first + 7}[last_end],
+        "sequential_streak": streak,
+    }
+    scalar = _policy(capacity)
+    scalar.load_state(state)
+    columnar = _policy(capacity)
+    columnar.load_state(state)
+    stepwise = _policy(capacity)
+    stepwise.load_state(state)
+    at_once = _policy(capacity)
+    depths, sums, streaks = columnar.observe_run(lpns)
+    assert columnar.state_dict() == state
+    for i, lpn in enumerate(lpns.tolist()):
+        scalar.observe(lpn, 1)
+        assert (depths[i], sums[i], streaks[i]) == (
+            scalar.depth(), scalar.length_sum, scalar.streak
+        )
+        stepwise.commit_run(1, sums[i], streaks[i], lpn + 1)
+        at_once.load_state(state)
+        at_once.commit_run(i + 1, sums[i], streaks[i], lpn + 1)
+        for committed in (stepwise, at_once):
+            assert committed.state_dict() == scalar.state_dict()
+            assert committed.length_sum == scalar.length_sum

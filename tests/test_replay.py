@@ -316,6 +316,23 @@ class TestReplaySessionLifecycle:
         with pytest.raises(ReplayError, match="already holds a replay run"):
             ReplaySession(make_plan(trace_file), tmp_path / "run").run()
 
+    @pytest.mark.parametrize(
+        ("argument", "value"),
+        [
+            ("stop_after_checkpoints", 0),
+            ("stop_after_checkpoints", -2),
+            ("stop_after_requests", 0),
+            ("stop_after_requests", -1),
+        ],
+    )
+    def test_stop_counts_below_one_are_refused_before_the_run_dir(
+        self, trace_file, tmp_path, argument, value
+    ):
+        run_dir = tmp_path / "run"
+        with pytest.raises(ReplayError, match=f"{argument} must be >= 1 when given, got {value}"):
+            ReplaySession(make_plan(trace_file), run_dir).run(**{argument: value})
+        assert not run_dir.exists()
+
     def test_resume_of_completed_run_is_noop(self, trace_file, baseline, tmp_path):
         run_dir = tmp_path / "run"
         first = ReplaySession(make_plan(trace_file), run_dir).run()
