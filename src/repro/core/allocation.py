@@ -28,6 +28,7 @@ by :class:`TranslationPool`.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -65,6 +66,13 @@ class StripeMap:
         self.blocks_per_stripe = geometry.num_chips * geometry.planes_per_chip
         self.pages_per_stripe = self.blocks_per_stripe * geometry.pages_per_block
         self._blocks_of_cache: list[list[int] | None] = [None] * self.num_stripes
+        #: PPN of each page of stripe 0 in VPPN order.  Block is the most
+        #: significant VPPN field, so page ``i`` of stripe ``s`` is
+        #: ``page_ppns[i] + s * block_ppn_stride`` (see :meth:`ppn_at`).
+        self.page_ppns = array(
+            "q", self.codec.vppn_to_ppn_many(np.arange(self.pages_per_stripe)).tobytes()
+        )
+        self.block_ppn_stride = geometry.pages_per_block
 
     def blocks_of(self, stripe: int) -> list[int]:
         """Flat block indices composing a stripe.
@@ -98,7 +106,7 @@ class StripeMap:
             raise AllocationError(
                 f"stripe index {index} out of range [0, {self.pages_per_stripe})"
             )
-        return self.codec.vppn_to_ppn(stripe * self.pages_per_stripe + index)
+        return self.page_ppns[index] + stripe * self.block_ppn_stride
 
     def ppn_run(self, stripe: int, start: int, count: int) -> np.ndarray:
         """Columnar :meth:`ppn_at`: the PPNs of pages ``start .. start + count - 1``."""
@@ -482,6 +490,8 @@ class GroupAllocator:
         self.stripes_per_span = max(
             1, -(-self.lpns_per_group // self.stripe_map.pages_per_stripe)
         )
+        #: Stripes a group may own before it has to borrow.
+        self._stripe_budget = group_stripe_limit * self.stripes_per_span
         self._free_stripes: list[int] = [
             stripe for stripe in range(self.stripe_map.num_stripes) if stripe not in translation_stripes
         ]
@@ -554,47 +564,65 @@ class GroupAllocator:
         Returns ``(ppn, owner_group_of_the_stripe)``; the owner differs from
         ``group`` when the page was borrowed from a cold group's stripe.
         Raises :class:`GroupGCNeeded` when the FTL must garbage-collect first.
+
+        The page comes from the group's newest stripe with space, else from a
+        fresh stripe, else from the oldest stripe with space of the lender
+        :meth:`_pick_lender` names.  Every branch ends in the same stripe
+        take, written out once here: single-page host writes call this once
+        per page, and on a steady-state device most of them borrow.
         """
         state = self._groups[group]
         state.writes += 1
-        ppn = self._allocate_from_own_stripes(group)
-        if ppn is not None:
-            return ppn, group
-        # Need a new stripe for this group (leaving the GC reserve untouched).
-        if (
-            len(state.stripes) < self.group_stripe_limit * self.stripes_per_span
-            and len(self._free_stripes) > self.gc_reserve_stripes
-        ):
-            stripe = self._free_stripes.pop(0)
-            self._free_pages_total -= self.stripe_map.pages_per_stripe
-            self._assign_stripe(group, stripe)
-            return self._take_from_stripe(stripe), group
-        # Either the group hit its stripe limit or no free stripes remain:
-        # opportunistic cross-group allocation into a cold group's stripe.
-        lender = self._pick_lender(exclude=group)
-        if lender is not None:
-            lender_stripe = self._stripe_with_space(lender)
-            if lender_stripe is not None:
+        stripe_map = self.stripe_map
+        pages_per_stripe = stripe_map.pages_per_stripe
+        cursors = self._stripe_cursor
+        owner, owner_state = group, state
+        for stripe in reversed(state.stripes):
+            cursor = cursors.get(stripe, 0)
+            if cursor < pages_per_stripe:
+                break
+        else:
+            # Need a new stripe for this group (leaving the GC reserve untouched).
+            if (
+                len(state.stripes) < self._stripe_budget
+                and len(self._free_stripes) > self.gc_reserve_stripes
+            ):
+                stripe = self._free_stripes.pop(0)
+                self._free_pages_total -= pages_per_stripe
+                self._assign_stripe(group, stripe)
+                cursor = 0
+            else:
+                # Either the group hit its stripe limit or no free stripes
+                # remain: opportunistic cross-group allocation into the first
+                # stripe with space of a cold group.
+                stripe = -1
+                lender = self._pick_lender(exclude=group)
+                if lender is not None:
+                    owner, owner_state = lender, self._groups[lender]
+                    for candidate in owner_state.stripes:
+                        cursor = cursors.get(candidate, 0)
+                        if cursor < pages_per_stripe:
+                            stripe = candidate
+                            break
+                if stripe < 0:
+                    # No lender available: ask the FTL to collect the most
+                    # garbage-laden group.
+                    victim = self.gc_candidate(exclude_if_empty=True)
+                    if victim is None:
+                        raise OutOfSpaceError("no free stripes, no lender and nothing to collect")
+                    raise GroupGCNeeded(victim)
                 state.borrowed_pages += 1
                 state.lenders.add(lender)
-                ppn = self._take_from_stripe(lender_stripe)
                 if state.borrowed_pages >= self.borrow_threshold_pages:
                     # Encroachment threshold reached: hint the FTL to collect this
                     # group (and, transitively, its lenders) after the current write.
                     state.gc_hint = True
                     self._hinted.add(group)
-                return ppn, lender
-        # No lender available: ask the FTL to collect the most garbage-laden group.
-        victim = self.gc_candidate(exclude_if_empty=True)
-        if victim is None:
-            raise OutOfSpaceError("no free stripes, no lender and nothing to collect")
-        raise GroupGCNeeded(victim)
-
-    def _allocate_from_own_stripes(self, group: int) -> int | None:
-        for stripe in reversed(self._groups[group].stripes):
-            if self._stripe_cursor.get(stripe, 0) < self.stripe_map.pages_per_stripe:
-                return self._take_from_stripe(stripe)
-        return None
+        # Inlined _take_from_stripe; the stripe's owner is ``owner``.
+        cursors[stripe] = cursor + 1
+        self._free_pages_total -= 1
+        owner_state.free_pages -= 1
+        return stripe_map.page_ppns[cursor] + stripe * stripe_map.block_ppn_stride, owner
 
     def _take_from_stripe(self, stripe: int) -> int:
         cursor = self._stripe_cursor.get(stripe, 0)
@@ -613,12 +641,6 @@ class GroupAllocator:
         self._stripe_cursor[stripe] = 0
         self._free_pages_total += self.stripe_map.pages_per_stripe
         self._layout_epoch += 1
-
-    def _stripe_with_space(self, group: int) -> int | None:
-        for stripe in self._groups[group].stripes:
-            if self._stripe_cursor.get(stripe, 0) < self.stripe_map.pages_per_stripe:
-                return stripe
-        return None
 
     def _pick_lender(self, exclude: int) -> int | None:
         """The other group with the most free pages (ties: the fewest writes, then the lowest id)."""
@@ -662,7 +684,7 @@ class GroupAllocator:
         cursor_get = stripe_cursor.get
         pages_per_stripe = self.stripe_map.pages_per_stripe
         free_stripes = self._free_stripes
-        stripe_budget = self.group_stripe_limit * self.stripes_per_span
+        stripe_budget = self._stripe_budget
         gc_reserve = self.gc_reserve_stripes
         # Every page debits the free-pages total by exactly one (a fresh-stripe
         # claim moves a full stripe from the free list into the owned set and

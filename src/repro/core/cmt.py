@@ -219,8 +219,39 @@ class PageGroupedCMT:
 
     # -------------------------------------------------------------- updates
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:
-        """Insert or update one mapping; returns dirty evictions made for room."""
-        return self.insert_many([(lpn, ppn)], dirty=dirty)
+        """Insert or update one mapping; returns dirty evictions made for room.
+
+        The one-mapping case of :meth:`insert_many`, stated directly: it
+        leaves the cache, and returns (as a new list), what
+        ``insert_many([(lpn, ppn)], dirty=dirty)`` does.  Host writes and GC
+        refreshes of cached mappings call it once per page.
+        """
+        tvpn = lpn // self.mappings_per_page
+        pages = self._pages
+        node = pages.get(tvpn)
+        if node is None:
+            node = pages[tvpn] = OrderedDict()
+            node[lpn] = [ppn, dirty]
+            self._size_entries += PAGE_NODE_OVERHEAD_ENTRIES + 1
+            if dirty:
+                self._dirty_count += 1
+        else:
+            existing = node.get(lpn)
+            if existing is None:
+                node[lpn] = [ppn, dirty]
+                self._size_entries += 1
+                if dirty:
+                    self._dirty_count += 1
+            else:
+                existing[0] = ppn
+                if dirty and not existing[1]:
+                    existing[1] = True
+                    self._dirty_count += 1
+                node.move_to_end(lpn)
+            pages.move_to_end(tvpn)
+        if self._size_entries > self.capacity_entries:
+            return self._evict_until_fits(exclude_tvpn=tvpn, exclude_lpn=lpn)
+        return []
 
     def insert_many(self, mappings: Iterable[tuple[int, int]], *, dirty: bool = False) -> list[EvictedPage]:
         """Insert or update a batch of mappings, one at a time.

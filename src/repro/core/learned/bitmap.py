@@ -49,7 +49,11 @@ class Bitmap:
             self._popcount += 1
 
     def clear(self, index: int) -> None:
-        """Clear the bit at ``index``."""
+        """Clear the bit at ``index``.
+
+        ``LearnedFTL._write_pages`` inlines this body (byte/bit layout and
+        popcount) for every page a host write overwrites.
+        """
         self._check(index)
         byte = index >> 3
         mask = 1 << (index & 7)

@@ -44,6 +44,7 @@ from repro.nand.flash import PAGE_VALID
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.ssd.request import (
+    OP_STRIDE,
     CommandKind,
     CommandPurpose,
     HostRequest,
@@ -135,6 +136,14 @@ class LearnedFTL(FTLBase):
         self._dir_column = self.directory._ppn
         self._ts_read_into = self.translation_store.read_into
         self._vppn_to_ppn = self.codec.vppn_to_ppn
+        # Write-side constants and columns (restores write the columns in place).
+        self._page_state = self.flash._page_state
+        self._chip_stride = self.flash._chip_stride
+        #: Proactive GC (Section III-D) starts below a group's worth of free
+        #: pages plus one stripe of slack.
+        self._proactive_gc_pages = (
+            self.allocator.lpns_per_group + self.allocator.stripe_map.pages_per_stripe
+        )
 
     # ------------------------------------------------------------------ read
     def read(self, request: HostRequest, now: float) -> None:
@@ -207,44 +216,83 @@ class LearnedFTL(FTLBase):
         group GC triggered by this very write reclaim their space.  A request
         of at least :data:`~repro.core.base._MIN_COLUMN_WRITE` pages is
         written in columnar chunks (:meth:`_write_columns`), a shorter one
-        page by page (:meth:`_write_page`); both leave the same state.
+        page by page (:meth:`_write_pages`); both leave the same state.
         """
         first, npages = request.lpn, request.npages
+        end = first + npages
         self.loading.observe(first, npages)
         # The program stage floats while per-page allocation may commit GC
         # stages and CMT evictions may commit flush stages; it is committed
         # after them, exactly as the object pipeline appended it.
         program_stage = [0.0]
         if npages >= _MIN_COLUMN_WRITE:
-            self._invalidate_superseded(np.arange(first, first + npages, dtype=np.int64))
-            self._write_columns(first, first + npages, program_stage, now)
+            self._invalidate_superseded(np.arange(first, end, dtype=np.int64))
+            self._write_columns(first, end, program_stage, now)
         else:
-            flash = self.flash
-            lookup = self.directory.lookup
-            for lpn in request.lpns():
-                old = lookup(lpn)
-                if old is not None and flash.is_valid(old):
-                    flash.invalidate(old)
-            for lpn in request.lpns():
-                self._write_page(lpn, program_stage, now)
-        self.buffer.commit_stage(program_stage)
+            # Inlined MappingDirectory.lookup / FlashArray.is_valid.
+            column = self._dir_column
+            page_state = self._page_state
+            for lpn in range(first, end):
+                old = column[lpn]
+                if old != -1 and page_state[old] == PAGE_VALID:
+                    self.flash.invalidate(old)
+            self._write_pages(first, end, program_stage, now)
+        # Inlined CommandBuffer.commit_stage: the stage holds every page's
+        # program command and no compute time.
+        self.buffer.stages.append(program_stage)
         if npages >= self.config.sequential_init_min_pages:
             self._sequential_initialization(first, npages)
-        for hinted_group in self.allocator.take_gc_hints():
-            self._group_gc(hinted_group, now)
+        if self.allocator._hinted:
+            for hinted_group in self.allocator.take_gc_hints():
+                self._group_gc(hinted_group, now)
         self._maybe_translation_gc()
 
-    def _write_page(self, lpn: int, program_stage: list, now: float) -> None:
-        """Allocate, program, map and cache one page of a host write."""
-        # Allocation may trigger group GC (which retrains models from the
-        # *current* directory), so the bitmap bit of the overwritten LPN is
-        # cleared only once the new mapping is installed.
-        ppn = self._allocate_for_lpn(lpn, now)
-        self.directory.update(lpn, ppn)
-        self.flash.program_data(ppn, lpn)
-        self.models[lpn // self._mappings_per_page].invalidate(lpn)
-        self.program_command(program_stage, ppn)
-        self._handle_evictions(self.cmt.insert(lpn, ppn, dirty=True))
+    def _write_pages(self, first: int, end: int, program_stage: list, now: float) -> None:
+        """Allocate, program, map and cache pages ``first .. end - 1``, one at a time.
+
+        The per-page body of every write: a short write runs it over all its
+        pages, the columnar body (:meth:`_write_columns`) over each page that
+        ends a chunk.
+        """
+        column = self._dir_column
+        directory = self.directory
+        program_data = self.flash.program_data
+        models = self.models
+        mappings_per_page = self._mappings_per_page
+        chip_stride = self._chip_stride
+        ops = self.buffer.ops
+        insert = self.cmt.insert
+        for lpn in range(first, end):
+            # Allocation may trigger group GC (which retrains models from the
+            # *current* directory), so the bitmap bit of the overwritten LPN
+            # is cleared only once the new mapping is installed.
+            ppn = self._allocate_for_lpn(lpn, now)
+            # Inlined MappingDirectory.update (encode range-checked the write).
+            if column[lpn] == -1:
+                directory._mapped_count += 1
+            column[lpn] = ppn
+            program_data(ppn, lpn)
+            # Inlined InPlaceLinearModel.invalidate: Bitmap.clear of the
+            # LPN's offset in its GTD entry (bit i: byte i >> 3, mask 1 << (i & 7)).
+            tvpn = lpn // mappings_per_page
+            offset = lpn - tvpn * mappings_per_page
+            bitmap = models[tvpn].bitmap
+            bits = bitmap._bits
+            mask = 1 << (offset & 7)
+            if bits[offset >> 3] & mask:
+                bits[offset >> 3] ^= mask
+                bitmap._popcount -= 1
+            # Inlined program_command / CommandBuffer.append.
+            index = len(ops)
+            ops.extend((_CODE_DATA_WRITE, ppn // chip_stride, ppn, -1))
+            if len(program_stage) > 1 and program_stage[-1] == index:
+                program_stage[-1] = index + OP_STRIDE
+            else:
+                program_stage.append(index)
+                program_stage.append(index + OP_STRIDE)
+            evicted = insert(lpn, ppn, dirty=True)
+            if evicted:
+                self._handle_evictions(evicted)
 
     def _write_columns(self, lpn: int, end: int, program_stage: list, now: float) -> None:
         """Write pages ``lpn .. end - 1`` in maximal chunks of plain pages.
@@ -254,7 +302,7 @@ class LearnedFTL(FTLBase):
         stripe and a CMT insert that evicts nothing.  It ends before the page
         that trips the proactive-GC threshold, needs borrowing or group GC
         (``allocate_run`` stops there), or would make the CMT evict; that
-        page goes through :meth:`_write_page` and the next chunk starts after
+        page goes through :meth:`_write_pages` and the next chunk starts after
         it.  A chunk must end *before* an evicting insert: a dirty eviction's
         translation flush takes the next flash write version, so the data
         programs after it must not be issued ahead of it.
@@ -266,7 +314,7 @@ class LearnedFTL(FTLBase):
         """
         allocator = self.allocator
         lpns_per_group = allocator.lpns_per_group
-        threshold = lpns_per_group + allocator.stripe_map.pages_per_stripe
+        threshold = self._proactive_gc_pages
         while lpn < end:
             count = self._insertable_run(lpn, end)
             if count:
@@ -282,7 +330,7 @@ class LearnedFTL(FTLBase):
                     self._write_chunk(lpn, ppns, program_stage)
                     lpn += len(ppns)
             if lpn < end:
-                self._write_page(lpn, program_stage, now)
+                self._write_pages(lpn, lpn + 1, program_stage, now)
                 lpn += 1
 
     def _insertable_run(self, lpn: int, end: int) -> int:
@@ -331,26 +379,36 @@ class LearnedFTL(FTLBase):
         self.cmt.insert_many(zip(range(first, end), ppn_list), dirty=True)
 
     def _allocate_for_lpn(self, lpn: int, now: float) -> int:
-        group = self.allocator.group_of_lpn(lpn)
-        # Proactive GC (Section III-D): once free space falls below a group's
-        # worth plus one stripe of slack, collect groups with invalid pages
-        # while there is still room to relocate their valid pages.  Checked per
-        # page because a single large host write can consume a stripe by itself.
-        threshold = self.allocator.lpns_per_group + self.allocator.stripe_map.pages_per_stripe
-        guard = 0
-        while self.allocator.total_free_pages() < threshold and guard < self.allocator.num_groups:
-            victim = self.allocator.gc_candidate(exclude_if_empty=True)
-            if victim is None:
-                break
-            before = self.allocator.total_free_pages()
-            self._group_gc(victim, now)
-            if self.allocator.total_free_pages() <= before:
-                break
-            guard += 1
-        for _ in range(self.allocator.num_groups + 2):
+        """Allocate the page of ``lpn``, garbage-collecting groups when needed.
+
+        Proactive GC (Section III-D): once free space falls below a group's
+        worth plus one stripe of slack, collect groups with invalid pages
+        while there is still room to relocate their valid pages.  Checked per
+        page because a single large host write can consume a stripe by
+        itself.  A :class:`GroupGCNeeded` from the allocator is answered by
+        collecting the group it names and asking again.  In the common case
+        neither loop runs: one check and one ``allocate_page`` call.
+        """
+        allocator = self.allocator
+        # Inlined GroupAllocator.total_free_pages().
+        if allocator._free_pages_total < self._proactive_gc_pages:
+            guard = 0
+            while (
+                allocator.total_free_pages() < self._proactive_gc_pages
+                and guard < allocator.num_groups
+            ):
+                victim = allocator.gc_candidate(exclude_if_empty=True)
+                if victim is None:
+                    break
+                before = allocator.total_free_pages()
+                self._group_gc(victim, now)
+                if allocator.total_free_pages() <= before:
+                    break
+                guard += 1
+        group = lpn // allocator.lpns_per_group
+        for _ in range(allocator.num_groups + 2):
             try:
-                ppn, _owner = self.allocator.allocate_page(group)
-                return ppn
+                return allocator.allocate_page(group)[0]
             except GroupGCNeeded as need:
                 self._group_gc(need.victim_group, now)
         raise ConfigurationError("group allocation failed to converge after repeated GC")

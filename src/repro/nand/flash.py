@@ -222,16 +222,12 @@ class FlashArray:
         so tests can identify the most recent copy of an LPN regardless of
         which FTL produced it.
         """
-        self._program_raw(ppn, _NONE if lpn is None else lpn)
+        self.program_data(ppn, _NONE if lpn is None else lpn)
         if is_translation:
             self._page_translation[ppn] = 1
             self._block_translation[ppn // self._pages_per_block] = 1
         if oob is not None:
             self._page_oob[ppn] = oob
-
-    def program_data(self, ppn: int, lpn: int) -> None:
-        """Program a free data page (hot path: no OOB payload)."""
-        self._program_raw(ppn, lpn)
 
     def program_translation(self, ppn: int, tvpn: int) -> None:
         """Program a free page as a translation page holding GTD entry ``tvpn``.
@@ -240,7 +236,7 @@ class FlashArray:
         oob={"tvpn": tvpn})``: the tvpn goes into a flat column instead of a
         per-page dict payload.
         """
-        self._program_raw(ppn, _NONE)
+        self.program_data(ppn, _NONE)
         self._page_translation[ppn] = 1
         self._page_tvpn[ppn] = tvpn
         self._block_translation[ppn // self._pages_per_block] = 1
@@ -255,7 +251,13 @@ class FlashArray:
             return oob.get("tvpn")
         return None
 
-    def _program_raw(self, ppn: int, lpn: int) -> None:
+    def program_data(self, ppn: int, lpn: int) -> None:
+        """Program a free page holding ``lpn`` (hot path: no OOB payload).
+
+        The data-page write of every FTL, and the body :meth:`program` and
+        :meth:`program_translation` share (``lpn`` is ``-1`` for them when
+        the page holds no logical page).
+        """
         if not 0 <= ppn < self._num_pages:
             self.geometry.check_ppn(ppn)
         state = self._page_state

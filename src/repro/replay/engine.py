@@ -234,6 +234,10 @@ class ReplayPlan:
             raise ReplayError(f"max_errors must be >= 0, got {self.max_errors}")
         if self.io_pages <= 0:
             raise ReplayError(f"io_pages must be positive, got {self.io_pages}")
+        if not (math.isfinite(self.overwrite_factor) and self.overwrite_factor >= 0):
+            raise ReplayError(
+                f"overwrite_factor must be finite and >= 0, got {self.overwrite_factor}"
+            )
         if self.warmup_threads <= 0:
             raise ReplayError(f"warmup_threads must be positive, got {self.warmup_threads}")
         if self.metrics_window_us is not None and not (

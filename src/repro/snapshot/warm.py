@@ -10,9 +10,11 @@ process or any other sharing the store directory — restores it bit-identically
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 from repro.core.base import FTLConfig
+from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.snapshot.store import SnapshotStore
@@ -93,10 +95,16 @@ def warm_device(
     The returned device carries its warm-up statistics and clock; callers that
     measure a fresh interval call :meth:`SSD.reset_stats` afterwards, exactly
     as with an inline warm-up.  Restored devices are bit-identical to freshly
-    warmed ones (pinned by ``tests/test_snapshot.py``).
+    warmed ones (pinned by ``tests/test_snapshot.py``).  A NaN, infinite or
+    negative ``overwrite_factor`` raises :class:`ConfigurationError` before
+    anything is built or looked up.
     """
     if warmup not in WARMUP_MODES:
         raise ValueError(f"unknown warmup mode {warmup!r}")
+    if not (math.isfinite(overwrite_factor) and overwrite_factor >= 0):
+        raise ConfigurationError(
+            f"overwrite_factor must be finite and >= 0, got {overwrite_factor}"
+        )
     key = None
     if store is not None:
         key = warm_key(

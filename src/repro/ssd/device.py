@@ -31,6 +31,7 @@ observed variant of any loop.
 from __future__ import annotations
 
 import heapq
+import operator
 import random
 from dataclasses import asdict, dataclass
 from itertools import islice
@@ -207,6 +208,20 @@ class RunResult:
         return self.stats.iops()
 
 
+def _count_argument(name: str, value: Any) -> int:
+    """``value`` as a Python int, or :class:`ConfigurationError` naming ``name``.
+
+    Any integer passes (NumPy integers included, through ``operator.index``);
+    a bool, a float or a string is refused rather than taken as a count.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 class SSD:
     """A complete simulated SSD bound to one FTL design.
 
@@ -378,6 +393,9 @@ class SSD:
         vectorize — so it skips the packing machinery and runs the scalar loop
         directly.
         """
+        threads = _count_argument("threads", threads)
+        if batch is not None:
+            batch = _count_argument("batch", batch)
         if batch is not None and batch <= 0:
             raise ConfigurationError("batch must be positive")
         if threads <= 0:
@@ -493,6 +511,7 @@ class SSD:
         bit-identical to one monolithic call over the concatenated requests.
         Leave both ``None`` for the classic single-shot behaviour.
         """
+        streams = _count_argument("streams", streams)
         if streams <= 0:
             raise ConfigurationError("streams must be positive")
         if stream_free is not None and not stream_free:
@@ -523,6 +542,7 @@ class SSD:
         raises :class:`ConfigurationError`.
         """
         num_logical_pages = self.geometry.num_logical_pages
+        io_pages = _count_argument("io_pages", io_pages)
         if io_pages <= 0:
             raise ConfigurationError(f"io_pages must be positive, got {io_pages}")
         if io_pages > num_logical_pages:

@@ -10,11 +10,13 @@ method supplies the multi-threading.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
+from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
 
@@ -155,16 +157,22 @@ def warmup_writes(
     is written in addition to the initial sequential fill performed by
     :meth:`repro.ssd.device.SSD.fill_sequential`.
 
-    The whole stream is drawn as NumPy arrays up front (every request has the
-    same page count, so the request count is known in advance); the stream is
-    deterministic per seed.
+    The whole stream is drawn as NumPy arrays when this is called (every
+    request has the same page count, so the request count is known in
+    advance); the stream is deterministic per seed.  A NaN, infinite or
+    negative ``overwrite_factor`` raises :class:`ConfigurationError` here,
+    not at the first request.
     """
+    if not (math.isfinite(overwrite_factor) and overwrite_factor >= 0):
+        raise ConfigurationError(
+            f"overwrite_factor must be finite and >= 0, got {overwrite_factor}"
+        )
     span = geometry.num_logical_pages
     npages = min(io_pages, span)
     total_pages = int(span * overwrite_factor)
     num_requests = -(-total_pages // npages) if total_pages > 0 else 0
     if num_requests == 0:
-        return
+        return iter(())
     rng = np.random.default_rng(seed)
     is_random = rng.random(num_requests) < random_fraction
     lpns = np.empty(num_requests, dtype=np.int64)
@@ -177,8 +185,7 @@ def warmup_writes(
     wrap = max(npages, (span // npages) * npages)
     sequential_index = np.cumsum(sequential) - 1
     lpns[sequential] = (sequential_index[sequential] * npages) % wrap
-    for lpn in lpns.tolist():
-        yield HostRequest(OpType.WRITE, lpn, npages)
+    return (HostRequest(OpType.WRITE, lpn, npages) for lpn in lpns.tolist())
 
 
 __all__.append("warmup_writes")

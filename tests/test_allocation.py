@@ -269,6 +269,19 @@ class TestGroupAllocator:
         assert owner == 1  # borrowed from the cold group
         assert allocator.group_state(0).borrowed_pages >= 1
 
+    def test_stripe_choice_when_several_have_space(self, geometry, flash):
+        # A group's own pages come from its newest stripe with space, a
+        # borrowed page from the lender's oldest one.
+        allocator = GroupAllocator(geometry, flash)
+        stripe_map = allocator.stripe_map
+        budget = allocator.group_stripe_limit * allocator.stripes_per_span
+        full = allocator.begin_fresh_stripes(0, budget)
+        allocator.assign_gc_destination(0, full, budget * stripe_map.pages_per_stripe)
+        older, newer = allocator.begin_fresh_stripes(1, 2)
+        allocator.assign_gc_destination(1, [older, newer], 3)
+        assert allocator.allocate_page(0) == (stripe_map.ppn_at(older, 3), 1)
+        assert allocator.allocate_page(1) == (stripe_map.ppn_at(newer, 0), 1)
+
     def test_gc_needed_when_nothing_to_borrow(self, geometry, flash):
         allocator = GroupAllocator(geometry, flash, group_stripe_limit=1)
         pages_per_stripe = allocator.stripe_map.pages_per_stripe

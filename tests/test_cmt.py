@@ -277,6 +277,12 @@ def _never_trusting_the_counter(cls):
             """The per-mapping path the node-level load must equal."""
             return self.insert_many(mappings, dirty=False)
 
+        if hasattr(cls, "insert_many"):
+
+            def insert(self, lpn, ppn, *, dirty=False):
+                """The one-mapping batch the single insert must equal."""
+                return self.insert_many([(lpn, ppn)], dirty=dirty)
+
     return Reference
 
 
@@ -340,7 +346,9 @@ class TestDirtyCounterIsExact:
     the counter must equal a recount after any operation sequence.  The
     reference also serves ``PageGroupedCMT.load_node`` through
     ``insert_many``, so the node-level load is pinned to the per-mapping
-    path, its hand-off for a node that reaches the capacity alone included."""
+    path, its hand-off for a node that reaches the capacity alone included,
+    and a dirty or clean ``insert`` through ``insert_many`` of one mapping.
+    Every list an ``insert`` returns is a new one."""
 
     @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
     def test_counter_matches_recount_and_evictions_match_reference(self, cls):
@@ -352,10 +360,14 @@ class TestDirtyCounterIsExact:
         def check(ops, capacity):
             cmt = tested(capacity, MAPPINGS_PER_PAGE)
             reference = _never_trusting_the_counter(cls)(capacity, MAPPINGS_PER_PAGE)
+            inserted = []
             for serial, op in enumerate(ops):
                 cmt, result = _apply(cmt, op, 10 * serial)
                 reference, expected = _apply(reference, op, 10 * serial)
                 assert result == expected
+                if op[0] == "insert":
+                    inserted.append(result)
+                    assert len({id(returned) for returned in inserted}) == len(inserted)
                 entries = _entries(cmt)
                 assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
                 assert entries == _entries(reference)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.nand.errors import ConfigurationError
@@ -64,6 +65,49 @@ class TestSubmitAndRun:
         )
         assert ssd.stats.write_latency_digest().count == 1
         assert ssd.stats.read_latency_digest().count == 1
+
+
+_COUNT_ARGUMENTS = ("threads", "batch", "streams", "io_pages")
+_NOT_COUNTS = (2.5, "4", True, False, np.bool_(True), None)
+
+
+class TestCountArguments:
+    """Counts given to the device entry points must be integers: a float or a
+    string used to escape as a bare ``TypeError``, a bool to run as 1."""
+
+    @staticmethod
+    def _calls(ssd):
+        writes = [HostRequest(op=OpType.WRITE, lpn=0)]
+        return {
+            "threads": lambda value: ssd.run(writes, threads=value),
+            "batch": lambda value: ssd.run(writes, batch=value),
+            "streams": lambda value: ssd.replay(writes, streams=value),
+            "io_pages": lambda value: ssd.fill_sequential(io_pages=value),
+        }
+
+    @pytest.mark.parametrize(
+        ("argument", "value"),
+        # batch=None is the scalar loop, not a bad count.
+        [
+            (name, value)
+            for name in _COUNT_ARGUMENTS
+            for value in _NOT_COUNTS
+            if (name, value) != ("batch", None)
+        ],
+        ids=repr,
+    )
+    def test_non_integers_are_refused_by_name(self, tiny_geometry, argument, value):
+        ssd = SSD.create("ideal", tiny_geometry)
+        with pytest.raises(ConfigurationError, match=rf"^{argument} must be an integer, got "):
+            self._calls(ssd)[argument](value)
+        assert ssd.stats.host_write_requests == 0
+
+    @pytest.mark.parametrize("argument", _COUNT_ARGUMENTS)
+    def test_numpy_integers_still_count(self, tiny_geometry, argument):
+        plain, numpy = SSD.create("ideal", tiny_geometry), SSD.create("ideal", tiny_geometry)
+        self._calls(plain)[argument](4)
+        self._calls(numpy)[argument](np.int64(4))
+        assert numpy.stats.summary() == plain.stats.summary()
 
 
 class TestReplay:

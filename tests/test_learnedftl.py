@@ -4,15 +4,24 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro import SSDGeometry
+from repro.core.allocation import GroupGCNeeded
 from repro.core.base import FTLConfig
 from repro.core.learnedftl import LearnedFTL
 from repro.nand.errors import ConfigurationError
 from repro.replay import state_fingerprint
 from repro.snapshot import warm_device
-from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
+from repro.ssd.request import (
+    CommandKind,
+    CommandPurpose,
+    HostRequest,
+    OpType,
+    ReadOutcome,
+    RequestBatch,
+)
 from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
 
@@ -389,3 +398,97 @@ class TestCapacityCheck:
         assert ssd.geometry.num_logical_pages == 1792
         ssd.fill_sequential()
         ssd.verify()
+
+
+class TestSinglePageWriteStorm:
+    """Single-page writes reach every rare branch of the per-page write body.
+
+    A 2 x 2-chip device with 8-page blocks and 18 % over-provisioning, 80 %
+    filled (so writes to the unwritten groups claim fresh stripes), a CMT of
+    5 % of the mappings (dirty evictions, translation-pool GC), one stripe per
+    group (``GroupGCNeeded`` when no group can lend) and a borrow threshold of
+    a tenth of a stripe (hinted group GC).  The fingerprint was captured from
+    the per-page body that went through ``_allocate_from_own_stripes``,
+    ``_take_from_stripe`` and ``CMT.insert_many``.
+    """
+
+    STATE_SHA = "aee2c586e67ac9479d6f3e3548abece23e3430c9987ebc25ec7a5ea9b46cae6d"
+
+    def test_every_branch_is_taken_and_the_state_is_pinned(self):
+        geometry = SSDGeometry.small(
+            blocks_per_plane=32, pages_per_block=8, page_size=1024, op_ratio=0.18
+        )
+        config = FTLConfig(
+            learnedftl_cmt_ratio=0.05, borrow_threshold_fraction=0.1, group_stripe_limit=1
+        )
+        ssd = make_ssd("learnedftl", geometry, config=config)
+        ssd.fill_sequential(io_pages=16, fraction=0.8)
+        ftl = ssd.ftl
+        allocator = ftl.allocator
+        seen = dict.fromkeys(
+            (
+                "own_stripe",
+                "fresh_stripe",
+                "borrowed",
+                "gc_needed",
+                "hinted_gc",
+                "proactive_gc",
+                "dirty_eviction",
+                "translation_gc",
+            ),
+            0,
+        )
+        # Group GCs still to be attributed to a GroupGCNeeded or a hint.
+        owed = {"gc_needed": 0, "hinted_gc": 0}
+        allocate_page, take_gc_hints = allocator.allocate_page, allocator.take_gc_hints
+        group_gc, handle = ftl._group_gc, ftl._handle_evictions
+        collect = ftl._collect_translation_block_into
+
+        def spy_allocate_page(group):
+            stripes = len(allocator.group_state(group).stripes)
+            try:
+                ppn, owner = allocate_page(group)
+            except GroupGCNeeded:
+                seen["gc_needed"] += 1
+                owed["gc_needed"] += 1
+                raise
+            if owner != group:
+                seen["borrowed"] += 1
+            elif len(allocator.group_state(group).stripes) > stripes:
+                seen["fresh_stripe"] += 1
+            else:
+                seen["own_stripe"] += 1
+            return ppn, owner
+
+        def spy_take_gc_hints():
+            hinted = take_gc_hints()
+            owed["hinted_gc"] += len(hinted)
+            return hinted
+
+        def spy_group_gc(group, now):
+            if owed["gc_needed"]:
+                owed["gc_needed"] -= 1
+            elif owed["hinted_gc"]:
+                owed["hinted_gc"] -= 1
+                seen["hinted_gc"] += 1
+            else:
+                seen["proactive_gc"] += 1
+            return group_gc(group, now)
+
+        def spy_handle(evicted):
+            seen["dirty_eviction"] += bool(evicted)
+            return handle(evicted)
+
+        def spy_collect(stage):
+            seen["translation_gc"] += 1
+            return collect(stage)
+
+        allocator.allocate_page, allocator.take_gc_hints = spy_allocate_page, spy_take_gc_hints
+        ftl._group_gc, ftl._handle_evictions = spy_group_gc, spy_handle
+        ftl._collect_translation_block_into = spy_collect
+        lpns = np.random.default_rng(5).integers(0, geometry.num_logical_pages, size=3000)
+        ssd.run(RequestBatch.writes(lpns), threads=2)
+        ssd.verify()
+        assert all(seen.values()), seen
+        assert owed == {"gc_needed": 0, "hinted_gc": 0}
+        assert state_fingerprint(ssd.state_dict()) == self.STATE_SHA

@@ -461,6 +461,8 @@ class TestManifestRefusal:
             (("obs", "metrics_window_us"), 0.0, "metrics_window_us"),
             (("obs", "metrics_window_us"), float("inf"), "metrics_window_us"),
             (("obs", "metrics_window_us"), float("nan"), "metrics_window_us"),
+            (("warmup", "overwrite_factor"), float("nan"), "overwrite_factor"),
+            (("warmup", "overwrite_factor"), -1.0, "overwrite_factor"),
         ],
     )
     def test_value_the_run_cannot_use_is_named(self, manifest, path, value, field):
@@ -478,6 +480,8 @@ class TestManifestRefusal:
             ({"max_errors": -1}, "max_errors"),
             ({"warmup": "bogus"}, "warmup"),
             ({"metrics_window_us": -1.0}, "metrics_window_us"),
+            ({"warmup": "steady", "overwrite_factor": float("nan")}, "overwrite_factor"),
+            ({"warmup": "steady", "overwrite_factor": -1.0}, "overwrite_factor"),
         ],
     )
     def test_plan_refuses_before_the_run_directory_exists(

@@ -48,6 +48,7 @@ from repro.snapshot import (
     warm_device,
 )
 from repro.ssd.request import HostRequest, OpType
+from repro.workloads.fio import warmup_writes
 
 ALL_FTL_NAMES = ("dftl", "tpftl", "leaftl", "learnedftl", "ideal")
 
@@ -624,6 +625,18 @@ class TestWarmDevice:
     def test_unknown_warmup_mode_rejected(self):
         with pytest.raises(ValueError):
             warm_device("dftl", golden_geometry(), warmup="hot")
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), -1.0])
+    def test_unusable_overwrite_factor_is_refused(self, tmp_path, factor):
+        # Refused before the store is consulted or a device is warmed (a NaN
+        # used to fail inside the warm-up stream, -1 to skip the overwrites).
+        store = SnapshotStore(tmp_path)
+        message = f"overwrite_factor must be finite and >= 0, got {factor}"
+        with pytest.raises(ConfigurationError, match=message):
+            warm_device("dftl", golden_geometry(), overwrite_factor=factor, store=store)
+        assert (store.hits, store.misses, store.stores) == (0, 0, 0)
+        with pytest.raises(ConfigurationError, match=message):
+            warmup_writes(golden_geometry(), overwrite_factor=factor)
 
     def test_prepare_ssd_uses_store_and_stays_identical(self, tmp_path):
         spec = ScaleSpec.for_scale("tiny")
