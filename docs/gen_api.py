@@ -21,6 +21,7 @@ import argparse
 import importlib
 import inspect
 import sys
+import typing
 from pathlib import Path
 
 #: page name -> (title, blurb, modules documented on the page).
@@ -28,13 +29,15 @@ PAGES: list[tuple[str, str, str, list[str]]] = [
     (
         "nand",
         "NAND substrate",
-        "Geometry, physical addressing, flash-page state tracking and timing "
-        "parameters — the layer everything else is built on.",
+        "Geometry, physical addressing, flash-page state tracking, timing "
+        "parameters and the config field rule — the layer everything else is "
+        "built on.",
         [
             "repro.nand.geometry",
             "repro.nand.address",
             "repro.nand.flash",
             "repro.nand.timing",
+            "repro.nand.fields",
             "repro.nand.errors",
         ],
     ),
@@ -226,8 +229,15 @@ def _document_module(module_name: str, lines: list[str]) -> None:
             continue
         if inspect.isclass(obj):
             _document_class(name, obj, lines)
-        elif inspect.isfunction(obj):
-            _document_function(name, obj, lines)
+        elif inspect.isfunction(inspect.unwrap(obj)):
+            _document_function(name, inspect.unwrap(obj), lines)
+        elif typing.get_origin(obj) is typing.Annotated:
+            # A declared field type (repro.nand.fields): its type and bound.
+            kind, *bounds = typing.get_args(obj)
+            lines.append(f"### `{name}` *(field type)*")
+            lines.append("")
+            lines.append(f"`{kind.__name__}`, {', '.join(bound.text for bound in bounds)}.")
+            lines.append("")
         else:
             kind = type(obj).__name__
             lines.append(f"### `{name}` *({kind})*")

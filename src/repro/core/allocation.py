@@ -141,6 +141,8 @@ class TranslationPool:
         self._active_base_ppn = 0
         self._cursor = 0
         self._pages_per_block = flash.geometry.pages_per_block
+        #: The active block's unwritten tail plus every free block's pages.
+        self._free_pages = len(blocks) * self._pages_per_block
         # GC must start while enough free pages remain to relocate every valid
         # page of the victim block, so the trigger slack scales with the erase
         # block size (large-block geometries exhaust the pool otherwise).
@@ -161,18 +163,16 @@ class TranslationPool:
             self._cursor = 0
         ppn = self._active_base_ppn + self._cursor
         self._cursor += 1
+        self._free_pages -= 1
         return ppn
 
     def free_pages(self) -> int:
         """Free translation-page slots remaining without GC."""
-        pages_per_block = self._pages_per_block
-        active_free = 0 if self._active is None else pages_per_block - self._cursor
-        return active_free + len(self._free_blocks) * pages_per_block
+        return self._free_pages
 
-    def needs_gc(self, *, slack_pages: int | None = None) -> bool:
+    def needs_gc(self) -> bool:
         """True when a translation GC should run before more flushes."""
-        slack = self._gc_slack_pages if slack_pages is None else slack_pages
-        return self.free_pages() <= slack
+        return self._free_pages <= self._gc_slack_pages
 
     def victim_block(self) -> int | None:
         """Written pool block with the fewest valid pages, or ``None``.
@@ -199,6 +199,7 @@ class TranslationPool:
         if block not in self.blocks:
             raise AllocationError(f"block {block} does not belong to the translation pool")
         self._free_blocks.append(block)
+        self._free_pages += self._pages_per_block
 
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:
@@ -217,6 +218,8 @@ class TranslationPool:
         self._active_base_ppn = (
             self.flash.codec.block_base_ppn(self._active) if self._active is not None else 0
         )
+        active_free = 0 if self._active is None else self._pages_per_block - self._cursor
+        self._free_pages = active_free + len(self._free_blocks) * self._pages_per_block
 
 
 def _reserve_translation_blocks(geometry: SSDGeometry, stripe_map: StripeMap) -> tuple[list[int], set[int]]:
@@ -466,8 +469,6 @@ class GroupAllocator:
         borrow_threshold_fraction: float = 0.5,
         gc_reserve_stripes: int = 1,
     ) -> None:
-        if group_stripe_limit < 1:
-            raise ConfigurationError("group_stripe_limit must be >= 1")
         if gc_reserve_stripes < 0:
             raise ConfigurationError("gc_reserve_stripes must be >= 0")
         self.geometry = geometry

@@ -23,8 +23,7 @@ from :class:`FTLBase`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields, replace
-from typing import get_type_hints
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.core.allocation import StripingAllocator
 from repro.core.cmt import EvictedPage
 from repro.core.mapping import MappingDirectory, TranslationPageStore
 from repro.nand.errors import ConfigurationError, GeometryError
+from repro.nand.fields import Checked, Count, Fraction, NonNegativeFloat, PositiveInt
 from repro.nand.flash import PAGE_FREE, PAGE_VALID, FlashArray
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -73,46 +73,49 @@ _MIN_COLUMN_WRITE = 48
 
 
 @dataclass(frozen=True)
-class FTLConfig:
+class FTLConfig(Checked):
     """Tunable parameters for every FTL design.
 
     Only the fields relevant to a given design are consulted by it; keeping a
-    single configuration object makes experiment sweeps trivial.
+    single configuration object makes experiment sweeps trivial.  Every field
+    is checked when the config is built, whichever design will read it (see
+    :mod:`repro.nand.fields`); a bad one raises :class:`ConfigurationError`
+    naming it.
     """
 
     # Mapping-cache sizing -------------------------------------------------
-    cmt_ratio: float = 0.03
+    cmt_ratio: Fraction = 0.03
     """CMT capacity as a fraction of the full page-mapping table (DFTL/TPFTL/LeaFTL)."""
 
-    learnedftl_cmt_ratio: float = 0.015
+    learnedftl_cmt_ratio: Fraction = 0.015
     """LearnedFTL's CMT ratio: half of the others so the learned models' memory
     keeps the total DRAM budget identical (Section IV-A)."""
 
-    min_cmt_entries: int = 64
+    min_cmt_entries: PositiveInt = 64
     """Lower bound on CMT capacity so tiny test geometries stay functional."""
 
     # TPFTL ------------------------------------------------------------------
-    prefetch_max_entries: int = 64
+    prefetch_max_entries: PositiveInt = 64
     """Upper bound on TPFTL's workload-adaptive prefetch length."""
 
     # LeaFTL ------------------------------------------------------------------
-    leaftl_gamma: float = 4.0
+    leaftl_gamma: NonNegativeFloat = 4.0
     """LeaFTL's PLR error bound (larger = fewer, more approximate segments)."""
 
-    leaftl_buffer_pages: int = 2048
+    leaftl_buffer_pages: PositiveInt = 2048
     """Mappings buffered before LeaFTL sorts, trains and flushes segments."""
 
     # LearnedFTL ---------------------------------------------------------------
-    max_pieces: int = 8
+    max_pieces: PositiveInt = 8
     """Pieces per in-place-update linear model (paper default: 8)."""
 
-    group_stripe_limit: int = 2
+    group_stripe_limit: PositiveInt = 2
     """Stripes a GTD entry group may hold before GC is requested."""
 
-    borrow_threshold_fraction: float = 0.5
+    borrow_threshold_fraction: Fraction = 0.5
     """Fraction of a stripe a hot group may borrow before GC of both groups."""
 
-    sequential_init_min_pages: int = 2
+    sequential_init_min_pages: PositiveInt = 2
     """Minimum write-request length eligible for sequential initialization."""
 
     charge_compute: bool = True
@@ -122,62 +125,16 @@ class FTLConfig:
     """Train models during GC (switching this off isolates sequential init)."""
 
     # Garbage collection --------------------------------------------------------
-    gc_free_block_fraction: float = 0.03
+    gc_free_block_fraction: Fraction = 0.03
     """Greedy GC starts when free data blocks drop below this fraction."""
 
-    gc_target_free_blocks: int = 0
+    gc_target_free_blocks: Count = 0
     """Free blocks greedy GC tries to restore (0 = threshold + one per chip)."""
 
     def cmt_entries(self, geometry: SSDGeometry, *, learnedftl: bool = False) -> int:
         """Translate a CMT ratio into an entry budget for a geometry."""
         ratio = self.learnedftl_cmt_ratio if learnedftl else self.cmt_ratio
         return max(self.min_cmt_entries, int(geometry.num_logical_pages * ratio))
-
-    # ------------------------------------------------------------- sweeping
-    @classmethod
-    def sweepable_fields(cls) -> dict[str, type]:
-        """Enumerate every tunable knob by name (``{field: type}``).
-
-        This is the config surface declarative studies sweep over: every
-        dataclass field of :class:`FTLConfig` is sweepable, and
-        :meth:`with_overrides` applies a ``{name: value}`` mapping with
-        validation.  Keeping the enumeration here (rather than in the study
-        layer) means a new knob becomes sweepable the moment it is added.
-        Field types come from the resolved annotations (``from __future__
-        import annotations`` turns ``fields()``'s own ``type`` into strings).
-        """
-        hints = get_type_hints(cls)
-        return {spec.name: hints[spec.name] for spec in fields(cls)}
-
-    def with_overrides(self, **overrides: object) -> "FTLConfig":
-        """Copy of this config with named knobs replaced.
-
-        Unknown knob names and type-incompatible values raise
-        :class:`~repro.nand.errors.ConfigurationError` naming the offending
-        key, so a typo in a study spec fails at validation time instead of
-        silently running the default configuration.
-        """
-        valid = self.sweepable_fields()
-        for key, value in overrides.items():
-            if key not in valid:
-                raise ConfigurationError(
-                    f"unknown FTLConfig knob {key!r}; sweepable knobs: {sorted(valid)}"
-                )
-            expected = valid[key]
-            if expected is bool:
-                ok = isinstance(value, bool)
-            elif expected is float:
-                ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            elif expected is int:
-                ok = isinstance(value, int) and not isinstance(value, bool)
-            else:
-                ok = isinstance(value, expected)
-            if not ok:
-                raise ConfigurationError(
-                    f"FTLConfig knob {key!r} expects {expected.__name__}, "
-                    f"got {value!r} ({type(value).__name__})"
-                )
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 class FTLBase(ABC):

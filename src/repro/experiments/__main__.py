@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import math
 import pstats
 import sys
 import time
@@ -58,6 +57,7 @@ from repro.experiments import EXPERIMENTS, INTERNAL_EXPERIMENTS
 from repro.experiments.orchestrator import describe_plan, run_orchestrated, write_json_artifact
 from repro.experiments.runner import Scale
 from repro.nand.errors import ConfigurationError
+from repro.nand.fields import PositiveFloat, field_rule
 
 
 def _window_us(text: str) -> float:
@@ -66,8 +66,9 @@ def _window_us(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number of microseconds, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    problem = field_rule(PositiveFloat).problem(value)
+    if problem is not None:
+        raise argparse.ArgumentTypeError(problem)
     return value
 
 

@@ -17,7 +17,6 @@ provides the pieces they share:
 from __future__ import annotations
 
 import enum
-import math
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.analysis.report import format_table, rows_to_csv
 from repro.core.base import FTLConfig
-from repro.nand.errors import ConfigurationError
+from repro.nand.fields import PositiveFloat, check_value
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.trace import TraceRecorder
@@ -252,8 +251,7 @@ _OBSERVED_DEVICES: list[tuple[str, SSD]] = []
 def set_metrics_window_us(window_us: float | None) -> float | None:
     """Enable (or disable, with ``None``) windowed telemetry for subsequent devices."""
     global _METRICS_WINDOW_US
-    if window_us is not None and not (math.isfinite(window_us) and window_us > 0):
-        raise ConfigurationError(f"metrics window must be finite and positive, got {window_us!r}")
+    check_value("metrics window", window_us, PositiveFloat | None)
     _METRICS_WINDOW_US = None if window_us is None else float(window_us)
     return _METRICS_WINDOW_US
 

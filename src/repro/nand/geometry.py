@@ -19,20 +19,24 @@ geometries built with :meth:`SSDGeometry.small`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import Annotated
 
 from repro.nand.errors import GeometryError
+from repro.nand.fields import Bound, Checked, PositiveInt, check_value, one_of
 
-__all__ = ["SSDGeometry", "GEOMETRY_PRESETS"]
+__all__ = ["SSDGeometry", "GEOMETRY_PRESETS", "GeometryPreset"]
 
 #: Named base geometries a study spec (or any caller) can start from; values
 #: are the corresponding :class:`SSDGeometry` classmethod names.
 GEOMETRY_PRESETS: tuple[str, ...] = ("small", "medium", "paper")
+#: Declared type of a preset name (see :mod:`repro.nand.fields`).
+GeometryPreset = Annotated[str, one_of(GEOMETRY_PRESETS)]
 
 
 @dataclass(frozen=True)
-class SSDGeometry:
+class SSDGeometry(Checked):
     """Immutable description of the physical layout of a simulated SSD.
 
     Parameters
@@ -54,30 +58,19 @@ class SSDGeometry:
         as logical capacity.  The paper uses 32 GB logical + 2 GB OP, i.e. an
         OP ratio of roughly 1/17; we default to 0.07 which produces the same
         logical/physical split for the paper geometry.
+
+    Every field is checked when built; a bad one raises :class:`GeometryError`.
     """
 
-    channels: int
-    chips_per_channel: int
-    planes_per_chip: int
-    blocks_per_plane: int
-    pages_per_block: int
-    page_size: int = 4096
-    op_ratio: float = 0.07
+    field_error = GeometryError
 
-    def __post_init__(self) -> None:
-        for name in (
-            "channels",
-            "chips_per_channel",
-            "planes_per_chip",
-            "blocks_per_plane",
-            "pages_per_block",
-            "page_size",
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value <= 0:
-                raise GeometryError(f"{name} must be a positive integer, got {value!r}")
-        if not 0.0 <= self.op_ratio < 0.9:
-            raise GeometryError(f"op_ratio must be in [0, 0.9), got {self.op_ratio}")
+    channels: PositiveInt
+    chips_per_channel: PositiveInt
+    planes_per_chip: PositiveInt
+    blocks_per_plane: PositiveInt
+    pages_per_block: PositiveInt
+    page_size: PositiveInt = 4096
+    op_ratio: Annotated[float, Bound("in [0, 0.9)", lambda value: 0 <= value < 0.9)] = 0.07
 
     # ------------------------------------------------------------------ sizes
     @cached_property
@@ -219,34 +212,8 @@ class SSDGeometry:
         Unknown names raise :class:`GeometryError`; :data:`GEOMETRY_PRESETS`
         enumerates the valid ones.
         """
-        if name not in GEOMETRY_PRESETS:
-            raise GeometryError(
-                f"unknown geometry preset {name!r}; choose one of {list(GEOMETRY_PRESETS)}"
-            )
+        check_value("geometry preset", name, GeometryPreset, GeometryError)
         return getattr(cls, name)()
-
-    # -------------------------------------------------------------- sweeping
-    @classmethod
-    def sweepable_fields(cls) -> tuple[str, ...]:
-        """The geometry knobs that can be overridden by name (all dataclass fields)."""
-        return tuple(spec.name for spec in fields(cls))
-
-    def with_overrides(self, **overrides: object) -> "SSDGeometry":
-        """Copy of this geometry with named fields replaced.
-
-        This is the geometry half of the study-sweep config surface: unknown
-        field names raise :class:`GeometryError` naming the key, and the
-        replaced dataclass re-runs ``__post_init__`` so inconsistent values
-        (zero chips, out-of-range OP ratio) are rejected the same way direct
-        construction rejects them.
-        """
-        valid = self.sweepable_fields()
-        for key in overrides:
-            if key not in valid:
-                raise GeometryError(
-                    f"unknown geometry field {key!r}; valid fields: {list(valid)}"
-                )
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------- validation
     def check_block(self, block: int) -> None:

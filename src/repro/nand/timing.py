@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.nand.fields import Checked, NonNegativeFloat
+
 __all__ = ["TimingModel", "US_PER_S", "MS_PER_S"]
 
 US_PER_S = 1_000_000.0
@@ -22,7 +24,7 @@ MS_PER_S = 1_000.0
 
 
 @dataclass(frozen=True)
-class TimingModel:
+class TimingModel(Checked):
     """Latency constants for flash operations and controller computation.
 
     Attributes
@@ -41,16 +43,18 @@ class TimingModel:
         Controller CPU cost of a single learned-model prediction (0.65 us).
     bitmap_check_us:
         Cost of a bitmap-filter check; negligible, kept for completeness.
+
+    Every time must be finite and >= 0 (checked when built).
     """
 
-    read_us: float = 40.0
-    program_us: float = 200.0
-    erase_us: float = 2000.0
-    channel_transfer_us: float = 0.0
-    sort_us_per_entry: float = 20.0
-    train_us_per_entry: float = 30.0
-    predict_us: float = 0.65
-    bitmap_check_us: float = 0.0
+    read_us: NonNegativeFloat = 40.0
+    program_us: NonNegativeFloat = 200.0
+    erase_us: NonNegativeFloat = 2000.0
+    channel_transfer_us: NonNegativeFloat = 0.0
+    sort_us_per_entry: NonNegativeFloat = 20.0
+    train_us_per_entry: NonNegativeFloat = 30.0
+    predict_us: NonNegativeFloat = 0.65
+    bitmap_check_us: NonNegativeFloat = 0.0
 
     @classmethod
     def femu_default(cls) -> "TimingModel":

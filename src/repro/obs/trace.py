@@ -61,7 +61,7 @@ from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-from repro.nand.errors import ConfigurationError
+from repro.nand.fields import PositiveInt, check_value
 from repro.ssd.request import OP_STRIDE, CommandKind, CommandPurpose, command_code
 
 __all__ = ["NullTraceRecorder", "TraceRecorder", "NULL_TRACER"]
@@ -208,10 +208,7 @@ class TraceRecorder:
     enabled = True
 
     def __init__(self, max_events_per_name: int = DEFAULT_MAX_EVENTS_PER_NAME) -> None:
-        if max_events_per_name <= 0:
-            raise ConfigurationError(
-                f"max_events_per_name must be positive, got {max_events_per_name!r}"
-            )
+        check_value("max_events_per_name", max_events_per_name, PositiveInt)
         #: Simulated clock stamped by the device's request step before each
         #: request is encoded, so deep hook sites without a ``now`` argument
         #: (e.g. CMT eviction flushes) still get a meaningful timestamp.

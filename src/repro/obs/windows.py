@@ -39,6 +39,7 @@ from typing import Any
 import numpy as np
 
 from repro.nand.errors import ConfigurationError
+from repro.nand.fields import PositiveFloat, check_value
 from repro.ssd.request import (
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
@@ -109,8 +110,7 @@ class WindowedRecorder:
     """Bucket per-request telemetry into fixed windows of the simulated clock."""
 
     def __init__(self, window_us: float) -> None:
-        if not (math.isfinite(window_us) and window_us > 0.0):
-            raise ConfigurationError(f"window_us must be finite and positive, got {window_us!r}")
+        check_value("window_us", window_us, PositiveFloat)
         self.window_us = float(window_us)
         self._windows: dict[int, _Window] = {}
         #: The observation log this recorder reads (``None`` until attached).

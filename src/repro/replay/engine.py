@@ -36,18 +36,27 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import shutil
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, get_args, get_type_hints
+from typing import Annotated, Any, Callable
 
 import numpy as np
 
 from repro.core.base import FTLConfig
 from repro.execution.atomic import publish_dir, publish_json
 from repro.nand.errors import ReproError
+from repro.nand.fields import (
+    Checked,
+    Count,
+    FieldRule,
+    NonNegativeFloat,
+    PositiveFloat,
+    PositiveInt,
+    field_rules,
+    one_of,
+)
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.replay.stream import iter_trace_requests
@@ -60,8 +69,8 @@ from repro.snapshot.serialization import (
     save_snapshot,
 )
 from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import WARMUP_MODES, warm_device, warmup_recipe
-from repro.ssd.device import FTL_REGISTRY, SSD
+from repro.snapshot.warm import WarmupMode, warm_device, warmup_recipe
+from repro.ssd.device import SSD, FtlName
 from repro.workloads.traces import TRACE_FORMATS, RecordStream, TraceCursor
 
 __all__ = [
@@ -137,31 +146,25 @@ _MANIFEST_PLAN_FIELDS: dict[str, dict[str, str]] = {
 }
 
 
-def _manifest_value(name: str, value: Any, expected: Any) -> Any:
-    """``value`` checked against the annotation ``expected`` (ints are not bools,
-    floats accept ints); a dataclass takes an object of its fields and is built."""
-    options = get_args(expected) or (expected,)
-    if value is None and type(None) in options:
-        return None
-    kind = options[0]
-    if not is_dataclass(kind):
-        if isinstance(value, (int, float) if kind is float else kind) and (
-            kind is bool or not isinstance(value, bool)
-        ):
-            return value
-        wanted = kind.__name__ + (" or null" if type(None) in options else "")
-        raise ReplayError(f"run manifest field {name} must be {wanted}, got {value!r}")
+def _manifest_value(name: str, value: Any, rule: FieldRule) -> Any:
+    """``value`` held to the type of ``rule``'s field; a dataclass takes an
+    object of its fields and is built (its bounds checked there)."""
+    kind = rule.kind
+    if (value is None and rule.optional) or not is_dataclass(kind):
+        problem = rule.type_problem(value)
+        if problem is not None:
+            raise ReplayError(f"run manifest field {name} {problem}")
+        return value
     if not isinstance(value, dict):
         raise ReplayError(f"run manifest field {name} must be an object, got {value!r}")
-    hints = get_type_hints(kind)
-    known = {spec.name: spec for spec in fields(kind)}
+    rules = field_rules(kind)
     for key, item in value.items():
-        if key not in known:
+        if key not in rules:
             raise ReplayError(f"run manifest field {name}.{key} is not a {kind.__name__} field")
-        _manifest_value(f"{name}.{key}", item, hints[key])
-    for key, spec in known.items():
-        if key not in value and spec.default is MISSING and spec.default_factory is MISSING:
-            raise ReplayError(f"run manifest is missing {name}.{key}")
+        _manifest_value(f"{name}.{key}", item, rules[key])
+    for spec in fields(kind):
+        if spec.name not in value and spec.default is MISSING and spec.default_factory is MISSING:
+            raise ReplayError(f"run manifest is missing {name}.{spec.name}")
     try:
         return kind(**value)
     except ReproError as exc:
@@ -169,84 +172,41 @@ def _manifest_value(name: str, value: Any, expected: Any) -> Any:
 
 
 @dataclass(frozen=True)
-class ReplayPlan:
+class ReplayPlan(Checked):
     """Everything that determines a replay run's simulated results.
 
     The plan is pinned verbatim (plus the trace's sha256 and the code
     fingerprint) in the run directory's ``manifest.json``; a resume refuses to
     continue under a different plan, trace file or source tree, because any of
     those could silently break bit-identity with the original run.  Building
-    a plan checks every field the run consumes and raises :class:`ReplayError`
-    naming the first bad one, so a refused plan never touches a run directory.
+    a plan checks every field against its annotation (see
+    :mod:`repro.nand.fields`) and raises :class:`ReplayError` naming the
+    first bad one, so a refused plan never touches a run directory.
     """
 
+    field_error = ReplayError
+
     trace_path: str
-    trace_format: str
-    ftl_name: str
+    trace_format: Annotated[str, one_of(TRACE_FORMATS)]
+    ftl_name: FtlName
     geometry: SSDGeometry
     config: FTLConfig | None = None
     timing: TimingModel | None = None
-    streams: int = 1
-    chunk_requests: int = 10_000
-    checkpoint_every_requests: int | None = None
-    checkpoint_every_sim_s: float | None = None
+    streams: PositiveInt = 1
+    chunk_requests: PositiveInt = 10_000
+    checkpoint_every_requests: PositiveInt | None = None
+    checkpoint_every_sim_s: PositiveFloat | None = None
     preserve_timing: bool = True
-    time_scale: float = 1.0
-    limit: int | None = None
-    max_errors: int = 0
-    warmup: str = "none"
-    io_pages: int = 128
-    overwrite_factor: float = 1.0
-    warmup_threads: int = 1
-    warmup_seed: int = 7
-    metrics_window_us: float | None = None
-    keep_checkpoints: int = 2
-
-    def __post_init__(self) -> None:
-        if self.streams <= 0:
-            raise ReplayError(f"streams must be positive, got {self.streams}")
-        if self.chunk_requests <= 0:
-            raise ReplayError(f"chunk_requests must be positive, got {self.chunk_requests}")
-        if self.checkpoint_every_requests is not None and self.checkpoint_every_requests <= 0:
-            raise ReplayError("checkpoint_every_requests must be positive when given")
-        if self.checkpoint_every_sim_s is not None and not (
-            math.isfinite(self.checkpoint_every_sim_s) and self.checkpoint_every_sim_s > 0
-        ):
-            raise ReplayError(
-                "checkpoint_every_sim_s must be finite and positive when given, "
-                f"got {self.checkpoint_every_sim_s}"
-            )
-        if not (math.isfinite(self.time_scale) and self.time_scale > 0):
-            raise ReplayError(f"time_scale must be finite and positive, got {self.time_scale}")
-        if self.keep_checkpoints < 1:
-            raise ReplayError(f"keep_checkpoints must be >= 1, got {self.keep_checkpoints}")
-        for name, choices in (
-            ("ftl_name", FTL_REGISTRY),
-            ("trace_format", TRACE_FORMATS),
-            ("warmup", WARMUP_MODES),
-        ):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ReplayError(f"{name} must be one of {sorted(choices)}, got {value!r}")
-        if self.limit is not None and self.limit < 0:
-            raise ReplayError(f"limit must be >= 0 when given, got {self.limit}")
-        if self.max_errors < 0:
-            raise ReplayError(f"max_errors must be >= 0, got {self.max_errors}")
-        if self.io_pages <= 0:
-            raise ReplayError(f"io_pages must be positive, got {self.io_pages}")
-        if not (math.isfinite(self.overwrite_factor) and self.overwrite_factor >= 0):
-            raise ReplayError(
-                f"overwrite_factor must be finite and >= 0, got {self.overwrite_factor}"
-            )
-        if self.warmup_threads <= 0:
-            raise ReplayError(f"warmup_threads must be positive, got {self.warmup_threads}")
-        if self.metrics_window_us is not None and not (
-            math.isfinite(self.metrics_window_us) and self.metrics_window_us > 0
-        ):
-            raise ReplayError(
-                "metrics_window_us must be finite and positive when given, "
-                f"got {self.metrics_window_us}"
-            )
+    time_scale: PositiveFloat = 1.0
+    limit: Count | None = None
+    max_errors: Count = 0
+    warmup: WarmupMode = "none"
+    io_pages: PositiveInt = 128
+    overwrite_factor: NonNegativeFloat = 1.0
+    warmup_threads: PositiveInt = 1
+    warmup_seed: Count = 7
+    metrics_window_us: PositiveFloat | None = None
+    keep_checkpoints: PositiveInt = 2
 
     def manifest(self) -> dict[str, Any]:
         """The run manifest: plan + trace hash + code fingerprint, all pinned."""
@@ -306,7 +266,7 @@ class ReplayPlan:
                 f"run manifest has version {version!r}; "
                 f"this build reads version {REPLAY_MANIFEST_VERSION}"
             )
-        hints = get_type_hints(cls)
+        rules = field_rules(cls)
         plan: dict[str, Any] = {}
         for section, keys in _MANIFEST_PLAN_FIELDS.items():
             if section not in manifest:
@@ -318,7 +278,7 @@ class ReplayPlan:
                 if key not in values:
                     raise ReplayError(f"run manifest is missing {section}.{key}")
                 plan[plan_field] = _manifest_value(
-                    f"{section}.{key}", values[key], hints[plan_field]
+                    f"{section}.{key}", values[key], rules[plan_field]
                 )
         return cls(**plan)
 

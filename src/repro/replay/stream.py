@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.nand.errors import ConfigurationError
+from repro.nand.fields import PositiveInt, check_value
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import HostRequest
 from repro.workloads.traces import TraceRecord, _record_rows, _split_records
@@ -47,8 +47,7 @@ def iter_trace_requests(
     ``chunk_requests`` by at most the split requests of its last record.
     Memory stays O(chunk) regardless of trace length.
     """
-    if chunk_requests <= 0:
-        raise ConfigurationError(f"chunk_requests must be positive, got {chunk_requests}")
+    check_value("chunk_requests", chunk_requests, PositiveInt)
     source = _record_rows(records)
     page, logical_pages = geometry.page_size, geometry.num_logical_pages
     chunk: list[HostRequest] = []

@@ -10,11 +10,10 @@ process or any other sharing the store directory — restores it bit-identically
 
 from __future__ import annotations
 
-import math
-from typing import Any
+from typing import Annotated, Any
 
 from repro.core.base import FTLConfig
-from repro.nand.errors import ConfigurationError
+from repro.nand.fields import NonNegativeFloat, check_value, one_of
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.snapshot.store import SnapshotStore
@@ -25,6 +24,8 @@ __all__ = ["warm_device", "warm_key", "warmup_recipe"]
 
 #: Warm-up styles understood by :func:`warm_device` (matching ``prepare_ssd``).
 WARMUP_MODES = ("none", "fill", "steady")
+#: Declared type of a warm-up mode field (see :mod:`repro.nand.fields`).
+WarmupMode = Annotated[str, one_of(WARMUP_MODES)]
 
 
 def warmup_recipe(
@@ -99,12 +100,8 @@ def warm_device(
     negative ``overwrite_factor`` raises :class:`ConfigurationError` before
     anything is built or looked up.
     """
-    if warmup not in WARMUP_MODES:
-        raise ValueError(f"unknown warmup mode {warmup!r}")
-    if not (math.isfinite(overwrite_factor) and overwrite_factor >= 0):
-        raise ConfigurationError(
-            f"overwrite_factor must be finite and >= 0, got {overwrite_factor}"
-        )
+    check_value("warmup", warmup, WarmupMode, ValueError)
+    check_value("overwrite_factor", overwrite_factor, NonNegativeFloat)
     key = None
     if store is not None:
         key = warm_key(

@@ -31,12 +31,11 @@ observed variant of any loop.
 from __future__ import annotations
 
 import heapq
-import operator
 import random
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Annotated, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -47,6 +46,7 @@ from repro.core.leaftl import LeaFTL
 from repro.core.learnedftl import LearnedFTL
 from repro.core.tpftl import TPFTL
 from repro.nand.errors import ConfigurationError
+from repro.nand.fields import Count, PositiveInt, as_int, check_value, one_of
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.log import BLOCK_OP_SLOTS, BLOCK_ROW_SLOTS, ObservationLog
@@ -62,7 +62,7 @@ from repro.ssd.request import (
 )
 from repro.ssd.stats import SimulationStats
 
-__all__ = ["SSD", "RunResult", "FTL_REGISTRY", "create_ftl", "available_ftls"]
+__all__ = ["SSD", "RunResult", "FTL_REGISTRY", "FtlName", "create_ftl", "available_ftls"]
 
 #: Factory registry mapping design names to classes; ``SSD.create`` and the
 #: experiment harness look designs up here.
@@ -73,6 +73,8 @@ FTL_REGISTRY: dict[str, type[FTLBase]] = {
     "learnedftl": LearnedFTL,
     "ideal": IdealFTL,
 }
+#: Declared type of a design-name field (see :mod:`repro.nand.fields`).
+FtlName = Annotated[str, one_of(FTL_REGISTRY)]
 
 
 def available_ftls() -> tuple[str, ...]:
@@ -209,17 +211,18 @@ class RunResult:
 
 
 def _count_argument(name: str, value: Any) -> int:
-    """``value`` as a Python int, or :class:`ConfigurationError` naming ``name``.
+    """``value`` as a positive Python int, or :class:`ConfigurationError`
+    naming ``name``.
 
-    Any integer passes (NumPy integers included, through ``operator.index``);
-    a bool, a float or a string is refused rather than taken as a count.
+    The integer rule of the config fields (:func:`repro.nand.fields.as_int`):
+    any integer passes, NumPy integers included; a bool, a float or a string
+    is refused rather than taken as a count.
     """
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    count = as_int(value)
+    if count is None:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    check_value(name, count, PositiveInt)
+    return count
 
 
 class SSD:
@@ -396,10 +399,6 @@ class SSD:
         threads = _count_argument("threads", threads)
         if batch is not None:
             batch = _count_argument("batch", batch)
-        if batch is not None and batch <= 0:
-            raise ConfigurationError("batch must be positive")
-        if threads <= 0:
-            raise ConfigurationError("threads must be positive")
         start = self._clock_us
         # Min-heap of bare free-time floats: the next request always goes to
         # the earliest-free thread.  psync threads are indistinguishable, so
@@ -512,8 +511,6 @@ class SSD:
         Leave both ``None`` for the classic single-shot behaviour.
         """
         streams = _count_argument("streams", streams)
-        if streams <= 0:
-            raise ConfigurationError("streams must be positive")
         if stream_free is not None and not stream_free:
             raise ConfigurationError("stream_free must be non-empty when given")
         start = self._clock_us
@@ -543,8 +540,6 @@ class SSD:
         """
         num_logical_pages = self.geometry.num_logical_pages
         io_pages = _count_argument("io_pages", io_pages)
-        if io_pages <= 0:
-            raise ConfigurationError(f"io_pages must be positive, got {io_pages}")
         if io_pages > num_logical_pages:
             raise ConfigurationError(
                 f"io_pages={io_pages} exceeds the logical space of "
@@ -569,15 +564,13 @@ class SSD:
         ``pages`` must be non-negative.
         """
         num_logical_pages = self.geometry.num_logical_pages
-        if io_pages <= 0:
-            raise ConfigurationError(f"io_pages must be positive, got {io_pages}")
+        io_pages = _count_argument("io_pages", io_pages)
         if io_pages > num_logical_pages:
             raise ConfigurationError(
                 f"io_pages={io_pages} exceeds the logical space of "
                 f"{num_logical_pages} pages; every overwrite would run past the device end"
             )
-        if pages < 0:
-            raise ConfigurationError(f"pages must be non-negative, got {pages}")
+        check_value("pages", pages, Count)
         rng = random.Random(seed)
         limit = num_logical_pages - io_pages
         requests = (

@@ -38,13 +38,14 @@ import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Annotated, Any, Mapping, Sequence
 
 from repro.core.base import FTLConfig
-from repro.nand.errors import ConfigurationError, GeometryError
-from repro.nand.geometry import GEOMETRY_PRESETS, SSDGeometry
-from repro.snapshot.warm import WARMUP_MODES
-from repro.ssd.device import available_ftls
+from repro.nand.errors import ConfigurationError, ReproError
+from repro.nand.fields import NonEmptyStr, PositiveInt, check_value, one_of
+from repro.nand.geometry import GeometryPreset, SSDGeometry
+from repro.snapshot.warm import WarmupMode
+from repro.ssd.device import FtlName, available_ftls
 from repro.workloads.spec import build_workload
 
 __all__ = ["StudySpec", "StudyCell", "GeometryChoice", "load_study_file"]
@@ -68,7 +69,23 @@ LOWER_IS_BETTER: frozenset[str] = frozenset(
 )
 
 _TOP_LEVEL_KEYS = ("name", "description", "axes", "warmup", "metric")
+#: Declared types of the spec's scalar keys, held to the config field rule.
+_SCALAR_KEYS = {
+    "name": NonEmptyStr,
+    "description": str,
+    "warmup": WarmupMode,
+    "metric": Annotated[str, one_of(CELL_METRICS)],
+}
 _AXIS_KEYS = ("ftl", "config", "geometry", "workload", "host")
+
+
+def _refused_from(where: str, base: Any, overrides: dict[str, Any]) -> Any:
+    """``base.with_overrides(**overrides)``; a refusal becomes a
+    :class:`ConfigurationError` that says ``where`` the values came from."""
+    try:
+        return base.with_overrides(**overrides)
+    except ReproError as exc:
+        raise ConfigurationError(f"{where}: {exc}") from exc
 
 
 def _value_label(value: Any) -> str:
@@ -91,10 +108,7 @@ class GeometryChoice:
         geometry = SSDGeometry.preset(self.base) if self.base else scale_geometry
         if not self.overrides:
             return geometry
-        try:
-            return geometry.with_overrides(**dict(self.overrides))
-        except GeometryError as exc:
-            raise ConfigurationError(f"geometry axis value {self.label!r}: {exc}") from exc
+        return _refused_from(f"geometry axis value {self.label!r}", geometry, dict(self.overrides))
 
 
 @dataclass(frozen=True)
@@ -175,21 +189,11 @@ class StudySpec:
                     f"allowed keys: {list(_TOP_LEVEL_KEYS)}"
                 )
         name = payload.get("name")
-        if not isinstance(name, str) or not name:
-            raise ConfigurationError("study spec: key 'name' must be a non-empty string")
         description = payload.get("description", "")
-        if not isinstance(description, str):
-            raise ConfigurationError("study spec: key 'description' must be a string")
         warmup = payload.get("warmup", "steady")
-        if warmup not in WARMUP_MODES:
-            raise ConfigurationError(
-                f"study spec: key 'warmup' must be one of {list(WARMUP_MODES)}, got {warmup!r}"
-            )
         metric = payload.get("metric", "throughput_mb_s")
-        if metric not in CELL_METRICS:
-            raise ConfigurationError(
-                f"study spec: key 'metric' must be one of {list(CELL_METRICS)}, got {metric!r}"
-            )
+        for key, value in zip(_SCALAR_KEYS, (name, description, warmup, metric)):
+            check_value(f"study spec: key {key!r}", value, _SCALAR_KEYS[key])
 
         axes = payload.get("axes")
         if not isinstance(axes, Mapping) or not axes:
@@ -227,11 +231,7 @@ class StudySpec:
             raise ConfigurationError("study spec: axis 'ftl' must be a non-empty list of names")
         seen: list[str] = []
         for entry in value:
-            if entry not in known:
-                raise ConfigurationError(
-                    f"study spec: axis 'ftl' value {entry!r} is not a registered design; "
-                    f"choose from {list(known)}"
-                )
+            check_value("study spec: axis 'ftl' value", entry, FtlName)
             if entry in seen:
                 raise ConfigurationError(f"study spec: axis 'ftl' repeats value {entry!r}")
             seen.append(entry)
@@ -253,8 +253,8 @@ class StudySpec:
                     f"study spec: config knob {knob!r} must list at least one value"
                 )
             for item in values:
-                # Validates both the knob name and the value type, naming the key.
-                default.with_overrides(**{str(knob): item})
+                # FTLConfig checks both the knob name and the value.
+                _refused_from("study spec: axis 'config'", default, {str(knob): item})
             labels = [_value_label(item) for item in values]
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(
@@ -279,20 +279,15 @@ class StudySpec:
                     "allowed keys: ['base', 'overrides']"
                 )
         base = value.get("base")
-        if base is not None and base not in GEOMETRY_PRESETS:
-            raise ConfigurationError(
-                f"study spec: geometry base {base!r} is not a preset; "
-                f"choose from {list(GEOMETRY_PRESETS)}"
-            )
+        check_value("study spec: geometry base", base, GeometryPreset | None)
         overrides = value.get("overrides", [{}])
         if not isinstance(overrides, Sequence) or isinstance(overrides, (str, bytes)) or not overrides:
             raise ConfigurationError(
                 "study spec: geometry 'overrides' must be a non-empty list of mappings"
             )
-        valid_fields = SSDGeometry.sweepable_fields()
         # Stand-in base for value validation when the real base is the (yet
-        # unknown) scale geometry; __post_init__'s checks are per-field, so
-        # any base exposes exactly the same invalid values.
+        # unknown) scale geometry; the field checks are per-field, so any
+        # base exposes exactly the same invalid values.
         probe_base = SSDGeometry.preset(base) if base else SSDGeometry.small()
         choices: list[GeometryChoice] = []
         for entry in overrides:
@@ -300,18 +295,11 @@ class StudySpec:
                 raise ConfigurationError(
                     f"study spec: geometry override {entry!r} must be a mapping"
                 )
-            for key in entry:
-                if key not in valid_fields:
-                    raise ConfigurationError(
-                        f"study spec: geometry override field {key!r} is unknown; "
-                        f"valid fields: {list(valid_fields)}"
-                    )
-            try:
-                probe_base.with_overrides(**entry)
-            except GeometryError as exc:
-                raise ConfigurationError(
-                    f"study spec: geometry override {dict(entry)!r} is invalid: {exc}"
-                ) from exc
+            _refused_from(
+                f"study spec: geometry override {dict(entry)!r}",
+                probe_base,
+                {str(key): item for key, item in entry.items()},
+            )
             base_label = base or "scale"
             suffix = "+".join(f"{key}={_value_label(item)}" for key, item in entry.items())
             label = f"{base_label}+{suffix}" if suffix else base_label
@@ -365,10 +353,7 @@ class StudySpec:
                 "study spec: host 'threads' must be a non-empty list of positive integers"
             )
         for item in threads:
-            if not isinstance(item, int) or isinstance(item, bool) or item <= 0:
-                raise ConfigurationError(
-                    f"study spec: host 'threads' value {item!r} must be a positive integer"
-                )
+            check_value("study spec: host 'threads' value", item, PositiveInt)
         if len(set(threads)) != len(threads):
             raise ConfigurationError("study spec: host 'threads' repeats a value")
         return tuple(threads)

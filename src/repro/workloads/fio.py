@@ -10,13 +10,12 @@ method supplies the multi-threading.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.nand.errors import ConfigurationError
+from repro.nand.fields import NonNegativeFloat, check_value
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
 
@@ -163,10 +162,7 @@ def warmup_writes(
     negative ``overwrite_factor`` raises :class:`ConfigurationError` here,
     not at the first request.
     """
-    if not (math.isfinite(overwrite_factor) and overwrite_factor >= 0):
-        raise ConfigurationError(
-            f"overwrite_factor must be finite and >= 0, got {overwrite_factor}"
-        )
+    check_value("overwrite_factor", overwrite_factor, NonNegativeFloat)
     span = geometry.num_logical_pages
     npages = min(io_pages, span)
     total_pages = int(span * overwrite_factor)

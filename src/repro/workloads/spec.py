@@ -23,11 +23,11 @@ to hand-built ones with the same parameters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Iterator, Mapping
+from typing import Annotated, Any, Iterator, Mapping
 
 from repro.nand.errors import ConfigurationError
+from repro.nand.fields import NonEmptyStr, PositiveFloat, PositiveInt, check_value, one_of
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import HostRequest
 from repro.workloads.fio import FioJob, FioPattern
@@ -54,6 +54,10 @@ _KIND_FIELDS: dict[str, tuple[str, ...]] = {
     "mixed": ("read_fraction", "io_pages", "seed", "num_requests"),
     "trace": ("name", "num_ios", "time_scale"),
 }
+#: Declared types of the choice fields (see :mod:`repro.nand.fields`).
+_KIND = Annotated[str, one_of(WORKLOAD_KINDS)]
+_FIO_PATTERN = Annotated[str, one_of([member.value for member in FioPattern])]
+_TRACE_NAME = Annotated[str, one_of(TRACE_PRESETS)]
 
 
 @dataclass(frozen=True)
@@ -132,19 +136,11 @@ def _context(spec: Mapping[str, Any]) -> str:
     return f"workload spec (kind={kind!r})"
 
 
-def _get(
-    spec: Mapping[str, Any],
-    key: str,
-    default: Any,
-    expected: type | tuple[type, ...],
-) -> Any:
-    """Fetch and type-check one optional field, naming the key on failure."""
+def _get(spec: Mapping[str, Any], key: str, default: Any, hint: Any) -> Any:
+    """Fetch one optional field and hold it to its declared type
+    (:mod:`repro.nand.fields`), naming the key on failure."""
     value = spec.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, expected):
-        raise ConfigurationError(
-            f"{_context(spec)}: field {key!r} expects "
-            f"{expected.__name__ if isinstance(expected, type) else 'number'}, got {value!r}"
-        )
+    check_value(f"{_context(spec)}: field {key!r}", value, hint)
     return value
 
 
@@ -165,10 +161,7 @@ def build_workload(
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"workload spec must be a mapping, got {spec!r}")
     kind = spec.get("kind")
-    if kind not in _KIND_FIELDS:
-        raise ConfigurationError(
-            f"workload spec field 'kind' must be one of {list(WORKLOAD_KINDS)}, got {kind!r}"
-        )
+    check_value("workload spec field 'kind'", kind, _KIND)
     allowed = set(_KIND_FIELDS[kind]) | {"kind", "label"}
     for key in spec:
         if key not in allowed:
@@ -176,49 +169,41 @@ def build_workload(
                 f"{_context(spec)}: unknown field {key!r}; "
                 f"allowed fields: {sorted(allowed)}"
             )
-    label = spec.get("label")
-    if label is not None and (not isinstance(label, str) or not label):
-        raise ConfigurationError(f"{_context(spec)}: field 'label' must be a non-empty string")
+    label = _get(spec, "label", None, NonEmptyStr | None)
 
     if kind == "fio":
-        pattern = spec.get("pattern")
-        valid_patterns = [member.value for member in FioPattern]
-        if pattern not in valid_patterns:
-            raise ConfigurationError(
-                f"{_context(spec)}: field 'pattern' must be one of {valid_patterns}, "
-                f"got {pattern!r}"
-            )
+        pattern = _get(spec, "pattern", None, _FIO_PATTERN)
         is_read = FioPattern(pattern).is_read
         budget = read_requests if is_read else write_requests
         params = {
             "pattern": pattern,
-            "io_pages": _get(spec, "io_pages", 1, int),
-            "span_fraction": float(_get(spec, "span_fraction", 1.0, (int, float))),
+            "io_pages": _get(spec, "io_pages", 1, PositiveInt),
+            "span_fraction": float(_get(spec, "span_fraction", 1.0, float)),
             "seed": _get(spec, "seed", 42, int),
         }
-        num_requests = _get(spec, "num_requests", budget, int)
+        num_requests = _get(spec, "num_requests", budget, PositiveInt)
         default_label = pattern
         description = f"fio {pattern} x{num_requests}"
         replay = False
     elif kind == "zipf":
         params = {
-            "theta": float(_get(spec, "theta", 0.99, (int, float))),
-            "io_pages": _get(spec, "io_pages", 1, int),
+            "theta": float(_get(spec, "theta", 0.99, float)),
+            "io_pages": _get(spec, "io_pages", 1, PositiveInt),
             "seed": _get(spec, "seed", 23, int),
         }
-        num_requests = _get(spec, "num_requests", read_requests, int)
+        num_requests = _get(spec, "num_requests", read_requests, PositiveInt)
         default_label = f"zipf{params['theta']:g}"
         description = f"zipf(theta={params['theta']:g}) reads x{num_requests}"
         replay = False
     elif kind == "hotspot":
         params = {
-            "read_fraction": float(_get(spec, "read_fraction", 0.7, (int, float))),
-            "hot_fraction": float(_get(spec, "hot_fraction", 0.2, (int, float))),
-            "hot_probability": float(_get(spec, "hot_probability", 0.8, (int, float))),
-            "io_pages": _get(spec, "io_pages", 1, int),
+            "read_fraction": float(_get(spec, "read_fraction", 0.7, float)),
+            "hot_fraction": float(_get(spec, "hot_fraction", 0.2, float)),
+            "hot_probability": float(_get(spec, "hot_probability", 0.8, float)),
+            "io_pages": _get(spec, "io_pages", 1, PositiveInt),
             "seed": _get(spec, "seed", 29, int),
         }
-        num_requests = _get(spec, "num_requests", read_requests, int)
+        num_requests = _get(spec, "num_requests", read_requests, PositiveInt)
         default_label = f"hotspot{params['hot_probability']:g}"
         description = (
             f"hotspot mix ({params['hot_probability']:.0%} of I/O on "
@@ -227,41 +212,24 @@ def build_workload(
         replay = False
     elif kind == "mixed":
         params = {
-            "read_fraction": float(_get(spec, "read_fraction", 0.5, (int, float))),
-            "io_pages": _get(spec, "io_pages", 1, int),
+            "read_fraction": float(_get(spec, "read_fraction", 0.5, float)),
+            "io_pages": _get(spec, "io_pages", 1, PositiveInt),
             "seed": _get(spec, "seed", 17, int),
         }
-        num_requests = _get(spec, "num_requests", read_requests, int)
+        num_requests = _get(spec, "num_requests", read_requests, PositiveInt)
         default_label = f"mixed{params['read_fraction']:g}"
         description = f"uniform mix ({params['read_fraction']:.0%} reads) x{num_requests}"
         replay = False
     else:  # trace
-        name = spec.get("name")
-        if name not in TRACE_PRESETS:
-            raise ConfigurationError(
-                f"{_context(spec)}: field 'name' must be one of "
-                f"{sorted(TRACE_PRESETS)}, got {name!r}"
-            )
+        name = _get(spec, "name", None, _TRACE_NAME)
         params = {
             "name": name,
-            "time_scale": float(_get(spec, "time_scale", 0.05, (int, float))),
+            "time_scale": float(_get(spec, "time_scale", 0.05, PositiveFloat)),
         }
-        if not (math.isfinite(params["time_scale"]) and params["time_scale"] > 0):
-            raise ConfigurationError(
-                f"{_context(spec)}: field 'time_scale' must be finite and positive, "
-                f"got {params['time_scale']}"
-            )
-        num_requests = _get(spec, "num_ios", read_requests, int)
+        num_requests = _get(spec, "num_ios", read_requests, PositiveInt)
         default_label = name
         description = f"trace replay of {name} x{num_requests}"
         replay = True
-
-    if num_requests <= 0:
-        key = "num_ios" if kind == "trace" else "num_requests"
-        raise ConfigurationError(f"{_context(spec)}: field {key!r} must be positive")
-    for key in ("io_pages",):
-        if key in params and params[key] <= 0:
-            raise ConfigurationError(f"{_context(spec)}: field {key!r} must be positive")
 
     return WorkloadPlan(
         kind=kind,

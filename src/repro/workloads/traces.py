@@ -36,6 +36,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 import numpy as np
 
 from repro.nand.errors import TraceFormatError
+from repro.nand.fields import Count, check_value
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import HostRequest, OpType
 from repro.workloads.zipf import HotspotGenerator
@@ -297,10 +298,8 @@ class RecordStream:
             raise TraceFormatError(
                 f"unknown trace format {format!r}; choose one of {sorted(TRACE_FORMATS)}"
             ) from None
-        if max_errors < 0:
-            raise TraceFormatError(f"max_errors must be >= 0, got {max_errors}")
-        if limit is not None and limit < 0:
-            raise TraceFormatError(f"limit must be >= 0, got {limit}")
+        check_value("max_errors", max_errors, Count, TraceFormatError)
+        check_value("limit", limit, Count | None, TraceFormatError)
         self.path = Path(path)
         self.format = format
         self.limit = limit

@@ -131,11 +131,40 @@ class TestTranslationPool:
             pool.allocate()
 
     def test_needs_gc_threshold(self, geometry, flash):
+        # The pool's own slack, max(8, pages_per_block // 2): 8 pages here.
         pool = TranslationPool(flash, blocks=[0])
-        assert not pool.needs_gc(slack_pages=4)
-        for _ in range(geometry.pages_per_block - 2):
+        assert not pool.needs_gc()
+        for _ in range(geometry.pages_per_block - 9):
             flash.program(pool.allocate(), lpn=None, is_translation=True, oob={"tvpn": 0})
-        assert pool.needs_gc(slack_pages=4)
+        assert pool.free_pages() == 9 and not pool.needs_gc()
+        flash.program(pool.allocate(), lpn=None, is_translation=True, oob={"tvpn": 0})
+        assert pool.free_pages() == 8 and pool.needs_gc()
+
+    def test_free_page_count_follows_every_change(self, geometry, flash):
+        """The kept count equals the active block's tail plus the free blocks
+        after every allocate, release and load_state."""
+        pages_per_block = geometry.pages_per_block
+
+        def recount(pool: TranslationPool) -> int:
+            tail = 0 if pool._active is None else pages_per_block - pool._cursor
+            return tail + len(pool._free_blocks) * pages_per_block
+
+        pool = TranslationPool(flash, blocks=[0, 1, 2])
+        assert pool.free_pages() == recount(pool) == 3 * pages_per_block
+        for _ in range(2 * pages_per_block + 3):
+            ppn = pool.allocate()
+            flash.program(ppn, lpn=None, is_translation=True, oob={"tvpn": 0})
+            flash.invalidate(ppn)
+            assert pool.free_pages() == recount(pool)
+        victim = pool.victim_block()
+        flash.erase(victim)
+        pool.release(victim)
+        assert pool.free_pages() == recount(pool) == 2 * pages_per_block - 3
+        restored = TranslationPool(flash, blocks=[0, 1, 2])
+        restored.load_state(pool.state_dict())
+        assert restored.free_pages() == pool.free_pages()
+        assert restored.allocate() == pool.allocate()
+        assert restored.free_pages() == pool.free_pages() == recount(pool)
 
     def test_victim_and_release_cycle(self, geometry, flash):
         pool = TranslationPool(flash, blocks=[0, 1])

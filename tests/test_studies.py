@@ -99,6 +99,22 @@ class TestSpecValidation:
                 lambda spec: spec["axes"].update({"geometry": {"overrides": [{"channels": 0}]}}),
                 "channels",
             ),
+            # A string, a bool and a NaN are refused by the dataclass's field
+            # rule (they once raised a TypeError, ran as 1 and died in the cell).
+            (
+                lambda spec: spec["axes"].update({"geometry": {"overrides": [{"op_ratio": "0.1"}]}}),
+                "op_ratio must be float, got '0.1'",
+            ),
+            (
+                lambda spec: spec["axes"].update(
+                    {"geometry": {"overrides": [{"pages_per_block": True}]}}
+                ),
+                "pages_per_block must be int, got True",
+            ),
+            (
+                lambda spec: spec["axes"].update({"config": {"cmt_ratio": [0.01, float("nan")]}}),
+                "cmt_ratio must be finite and in",
+            ),
             (
                 lambda spec: spec["axes"].update({"workload": [{"kind": "fio", "patern": "x"}]}),
                 "pattern",
