@@ -57,7 +57,7 @@ from repro.experiments import EXPERIMENTS, INTERNAL_EXPERIMENTS
 from repro.experiments.orchestrator import describe_plan, run_orchestrated, write_json_artifact
 from repro.experiments.runner import Scale
 from repro.nand.errors import ConfigurationError
-from repro.nand.fields import PositiveFloat, field_rule
+from repro.nand.fields import PositiveFloat, field_defaults, field_rule
 
 
 def _window_us(text: str) -> float:
@@ -360,7 +360,11 @@ def _run_replay_verb(argv: list[str]) -> int:
     from repro.replay import ReplayError, ReplayPlan, ReplaySession
     from repro.snapshot.store import SnapshotStore
     from repro.snapshot.warm import WARMUP_MODES
-    from repro.workloads.traces import trace_format_for
+    from repro.workloads.traces import TRACE_FORMATS, trace_format_for
+
+    # Options named after a ReplayPlan field reach the plan only when given
+    # (SUPPRESS), so the plan supplies, and the help reads, each default.
+    plan_defaults = field_defaults(ReplayPlan)
 
     parser = argparse.ArgumentParser(
         prog="repro-experiments replay",
@@ -388,7 +392,7 @@ def _run_replay_verb(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--format",
-        choices=["spc", "systor"],
+        choices=list(TRACE_FORMATS),
         default=None,
         help="trace format (default: inferred from the file suffix)",
     )
@@ -402,55 +406,63 @@ def _run_replay_verb(argv: list[str]) -> int:
     parser.add_argument(
         "--streams",
         type=int,
-        default=1,
+        default=argparse.SUPPRESS,
         metavar="N",
-        help="independent open-loop submission streams (stream_id maps modulo N)",
+        help="independent open-loop submission streams (stream_id maps modulo N; "
+        f"default: {plan_defaults['streams']})",
     )
     parser.add_argument(
         "--chunk-requests",
         type=int,
-        default=10_000,
+        default=argparse.SUPPRESS,
         metavar="N",
-        help="requests replayed per bounded chunk (memory stays O(chunk); default: 10000)",
+        help="requests replayed per bounded chunk (memory stays O(chunk); "
+        f"default: {plan_defaults['chunk_requests']})",
     )
     parser.add_argument(
         "--checkpoint-every",
+        dest="checkpoint_every_requests",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="N",
         help="write a checkpoint every N replayed requests",
     )
     parser.add_argument(
         "--checkpoint-every-sim-s",
         type=float,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="S",
         help="write a checkpoint every S simulated seconds",
     )
     parser.add_argument(
         "--keep-checkpoints",
         type=int,
-        default=2,
+        default=argparse.SUPPRESS,
         metavar="N",
-        help="retain the newest N checkpoints (default: 2, so a corrupt newest "
-        "checkpoint still leaves a fallback)",
+        help=f"retain the newest N checkpoints (default: {plan_defaults['keep_checkpoints']}, "
+        "so a corrupt newest checkpoint still leaves a fallback)",
     )
     parser.add_argument(
-        "--limit", type=int, default=None, metavar="N", help="replay only the first N records"
+        "--limit",
+        type=int,
+        default=argparse.SUPPRESS,
+        metavar="N",
+        help="replay only the first N records",
     )
     parser.add_argument(
         "--max-errors",
         type=int,
-        default=0,
+        default=argparse.SUPPRESS,
         metavar="N",
-        help="tolerate up to N malformed trace lines (counted and skipped; default: 0)",
+        help="tolerate up to N malformed trace lines (counted and skipped; "
+        f"default: {plan_defaults['max_errors']})",
     )
     parser.add_argument(
         "--time-scale",
         type=float,
-        default=1.0,
+        default=argparse.SUPPRESS,
         metavar="F",
-        help="multiply trace inter-arrival times by F (default: 1.0)",
+        help=f"multiply trace inter-arrival times by F (default: {plan_defaults['time_scale']})",
     )
     parser.add_argument(
         "--no-timing",
@@ -460,8 +472,8 @@ def _run_replay_verb(argv: list[str]) -> int:
     parser.add_argument(
         "--warmup",
         choices=list(WARMUP_MODES),
-        default="none",
-        help="precondition the device before replaying (default: none)",
+        default=argparse.SUPPRESS,
+        help=f"precondition the device before replaying (default: {plan_defaults['warmup']})",
     )
     parser.add_argument(
         "--snapshot-dir",
@@ -472,7 +484,7 @@ def _run_replay_verb(argv: list[str]) -> int:
     parser.add_argument(
         "--metrics-window-us",
         type=_window_us,
-        default=None,
+        default=argparse.SUPPRESS,
         metavar="US",
         help="record per-window telemetry in simulated-time buckets of this width",
     )
@@ -529,17 +541,8 @@ def _run_replay_verb(argv: list[str]) -> int:
                 trace_format=args.format or trace_format_for(args.trace),
                 ftl_name=args.ftl,
                 geometry=ScaleSpec.for_scale(args.scale).geometry,
-                streams=args.streams,
-                chunk_requests=args.chunk_requests,
-                checkpoint_every_requests=args.checkpoint_every,
-                checkpoint_every_sim_s=args.checkpoint_every_sim_s,
                 preserve_timing=not args.no_timing,
-                time_scale=args.time_scale,
-                limit=args.limit,
-                max_errors=args.max_errors,
-                warmup=args.warmup,
-                metrics_window_us=args.metrics_window_us,
-                keep_checkpoints=args.keep_checkpoints,
+                **{name: value for name, value in vars(args).items() if name in plan_defaults},
             )
         tracer = None
         if args.trace_out is not None:

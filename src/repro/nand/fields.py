@@ -1,12 +1,16 @@
-"""One field rule for the configuration dataclasses.
+"""One field rule for the configuration dataclasses and workload generators.
 
-``SSDGeometry``, ``FTLConfig``, ``TimingModel`` and ``ReplayPlan`` declare
-each field's type and bound in its annotation (``PositiveInt``, ``Fraction``,
-``Annotated[str, one_of(...)]``) and derive from :class:`Checked`, which
-holds every field to it when the object is built or replaced and raises the
-class's ``field_error`` as ``<field> must be ..., got <value>``.  A bool is
-not an int; an int is any integer (NumPy's are stored as Python ints); a
-float accepts an int and must be finite; ``X | None`` admits ``None``.
+``SSDGeometry``, ``FTLConfig``, ``TimingModel``, ``ReplayPlan`` and ``FioJob``
+declare each field's type and bound in its annotation (``PositiveInt``,
+``Fraction``, ``Annotated[str, one_of(...)]``) and derive from
+:class:`Checked`, which holds every field to it when the object is built or
+replaced and raises the class's ``field_error`` as ``<field> must be ...,
+got <value>``.  A bool is not an int; an int is any integer (NumPy's are
+stored as Python ints); a float accepts an int and must be finite; an enum
+takes a member or a member's value (stored as the member); ``X | None``
+admits ``None``.  A workload generator function declares its keyword-only
+parameters the same way; :func:`field_rules` and :func:`field_defaults` read
+either kind of declaration.
 """
 
 from __future__ import annotations
@@ -14,8 +18,10 @@ from __future__ import annotations
 import math
 import operator
 import types
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, is_dataclass, replace
+from enum import EnumMeta
 from functools import cache
+from inspect import Parameter, signature
 from typing import Annotated, Any, Callable, NamedTuple, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -30,10 +36,13 @@ __all__ = [
     "Fraction",
     "NonEmptyStr",
     "NonNegativeFloat",
+    "OpenFraction",
     "PositiveFloat",
     "PositiveInt",
+    "SpanFraction",
     "as_int",
     "check_value",
+    "field_defaults",
     "field_rule",
     "field_rules",
     "one_of",
@@ -58,6 +67,8 @@ Count = Annotated[int, Bound(">= 0", lambda value: value >= 0)]
 PositiveFloat = Annotated[float, Bound("positive", lambda value: value > 0)]
 NonNegativeFloat = Annotated[float, Bound(">= 0", lambda value: value >= 0)]
 Fraction = Annotated[float, Bound("in [0, 1]", lambda value: 0 <= value <= 1)]
+OpenFraction = Annotated[float, Bound("in (0, 1)", lambda value: 0 < value < 1)]
+SpanFraction = Annotated[float, Bound("in (0, 1]", lambda value: 0 < value <= 1)]
 NonEmptyStr = Annotated[str, Bound("non-empty", bool)]
 
 
@@ -85,6 +96,12 @@ class FieldRule:
         self.bound: Bound | None = None
         if get_origin(hint) is Annotated:
             hint, self.bound = get_args(hint)
+        elif isinstance(hint, EnumMeta):
+            values = [member.value for member in hint]
+            self.bound = Bound(
+                f"one of {sorted(values)}",
+                lambda value: isinstance(value, hint) or value in values,
+            )
         self.kind: type = hint
 
     def type_problem(self, value: Any) -> str | None:
@@ -95,6 +112,8 @@ class FieldRule:
             ok = as_int(value) is not None
         elif self.kind is float:
             ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        elif isinstance(self.kind, EnumMeta):
+            ok = True  # the bound names the members
         else:
             ok = isinstance(value, self.kind)
         if ok:
@@ -106,7 +125,7 @@ class FieldRule:
         """What is wrong with ``value`` for this field (type, then finiteness
         and bound) as ``"must be ..., got ..."``; ``None`` if nothing."""
         problem = self.type_problem(value)
-        if problem is not None or value is None:
+        if problem is not None or (value is None and self.optional):
             return problem
         bound = self.bound
         if self.kind is float and not (math.isfinite(value) and (bound is None or bound.test(value))):
@@ -117,6 +136,12 @@ class FieldRule:
             return None
         return f"must be {wanted}, got {value!r}"
 
+    def check(self, name: str, value: Any, error: type[Exception] = ConfigurationError) -> None:
+        """Raise ``error("<name> must be ..., got ...")`` if ``value`` has a problem."""
+        problem = self.problem(value)
+        if problem is not None:
+            raise error(f"{name} {problem}")
+
 
 @cache
 def field_rule(hint: Any) -> FieldRule:
@@ -124,12 +149,32 @@ def field_rule(hint: Any) -> FieldRule:
     return FieldRule(hint)
 
 
+def _declared(target: Callable[..., Any]) -> dict[str, Any]:
+    """Each field of a dataclass, or keyword-only parameter of a function, in
+    declared order, mapped to its default (``MISSING`` where it has none)."""
+    if is_dataclass(target):
+        return {spec.name: spec.default for spec in fields(target)}
+    return {
+        name: MISSING if parameter.default is Parameter.empty else parameter.default
+        for name, parameter in signature(target).parameters.items()
+        if parameter.kind is Parameter.KEYWORD_ONLY
+    }
+
+
 @cache
-def field_rules(cls: type) -> dict[str, FieldRule]:
-    """``{field: FieldRule}`` of a dataclass in field order, its annotations
-    resolved once per class rather than on every construction."""
-    hints = get_type_hints(cls, include_extras=True)
-    return {spec.name: field_rule(hints[spec.name]) for spec in fields(cls)}
+def field_rules(target: Callable[..., Any]) -> dict[str, FieldRule]:
+    """``{field: FieldRule}`` of a dataclass's fields, or of a function's
+    keyword-only parameters, in declared order; the annotations are resolved
+    once per target rather than on every construction or call."""
+    hints = get_type_hints(target, include_extras=True)
+    return {name: field_rule(hints[name]) for name in _declared(target)}
+
+
+@cache
+def field_defaults(target: Callable[..., Any]) -> dict[str, Any]:
+    """``{field: default}`` of the declarations :func:`field_rules` reads
+    that have a default."""
+    return {name: value for name, value in _declared(target).items() if value is not MISSING}
 
 
 def check_value(
@@ -137,9 +182,7 @@ def check_value(
 ) -> None:
     """Hold a value that is not a dataclass field to a declared type, raising
     ``error("<name> must be ..., got ...")``."""
-    problem = field_rule(hint).problem(value)
-    if problem is not None:
-        raise error(f"{name} {problem}")
+    field_rule(hint).check(name, value, error)
 
 
 class Checked:
@@ -152,11 +195,13 @@ class Checked:
     def __post_init__(self) -> None:
         for name, rule in field_rules(type(self)).items():
             value = getattr(self, name)
-            problem = rule.problem(value)
-            if problem is not None:
-                raise self.field_error(f"{name} {problem}")
-            if rule.kind is int and type(value) is not int and value is not None:
+            rule.check(name, value, self.field_error)
+            if value is None or type(value) is rule.kind:
+                continue
+            if rule.kind is int:
                 object.__setattr__(self, name, operator.index(value))
+            elif isinstance(rule.kind, EnumMeta):
+                object.__setattr__(self, name, rule.kind(value))
 
     @classmethod
     def sweepable_fields(cls) -> dict[str, type]:

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 import numpy as np
 
-from repro.nand.fields import NonNegativeFloat, check_value
+from repro.nand.fields import Checked, Count, NonNegativeFloat, PositiveInt, SpanFraction, check_value
 from repro.nand.geometry import SSDGeometry
-from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
+from repro.ssd.request import HostRequest, OpType
 
 __all__ = ["FioPattern", "FioJob"]
 
@@ -42,8 +42,11 @@ class FioPattern(enum.Enum):
 
 
 @dataclass(frozen=True)
-class FioJob:
-    """One fio job description.
+class FioJob(Checked):
+    """One fio job description: the declaration of the ``fio`` workload kind.
+
+    Each field is held to its annotation when the job is built (see
+    :mod:`repro.nand.fields`); a pattern may be given by name.
 
     Attributes
     ----------
@@ -61,34 +64,34 @@ class FioJob:
     """
 
     pattern: FioPattern
-    num_requests: int
-    io_pages: int = 1
-    seed: int = 42
-    span_fraction: float = 1.0
+    num_requests: PositiveInt
+    io_pages: PositiveInt = 1
+    seed: Count = 42
+    span_fraction: SpanFraction = 1.0
 
     # ------------------------------------------------------------- factories
     @classmethod
-    def seqread(cls, num_requests: int, *, io_pages: int = 1, seed: int = 42) -> "FioJob":
+    def seqread(cls, num_requests: int, **kwargs: Any) -> "FioJob":
         """Sequential read job."""
-        return cls(FioPattern.SEQ_READ, num_requests, io_pages=io_pages, seed=seed)
+        return cls(FioPattern.SEQ_READ, num_requests, **kwargs)
 
     @classmethod
-    def randread(cls, num_requests: int, *, io_pages: int = 1, seed: int = 42) -> "FioJob":
+    def randread(cls, num_requests: int, **kwargs: Any) -> "FioJob":
         """Random read job."""
-        return cls(FioPattern.RAND_READ, num_requests, io_pages=io_pages, seed=seed)
+        return cls(FioPattern.RAND_READ, num_requests, **kwargs)
 
     @classmethod
-    def seqwrite(cls, num_requests: int, *, io_pages: int = 1, seed: int = 42) -> "FioJob":
+    def seqwrite(cls, num_requests: int, **kwargs: Any) -> "FioJob":
         """Sequential write job."""
-        return cls(FioPattern.SEQ_WRITE, num_requests, io_pages=io_pages, seed=seed)
+        return cls(FioPattern.SEQ_WRITE, num_requests, **kwargs)
 
     @classmethod
-    def randwrite(cls, num_requests: int, *, io_pages: int = 1, seed: int = 42) -> "FioJob":
+    def randwrite(cls, num_requests: int, **kwargs: Any) -> "FioJob":
         """Random write job."""
-        return cls(FioPattern.RAND_WRITE, num_requests, io_pages=io_pages, seed=seed)
+        return cls(FioPattern.RAND_WRITE, num_requests, **kwargs)
 
     @classmethod
-    def from_name(cls, name: str, num_requests: int, **kwargs) -> "FioJob":
+    def from_name(cls, name: str, num_requests: int, **kwargs: Any) -> "FioJob":
         """Build a job from a pattern name (``seqread``/``randread``/...)."""
         return cls(FioPattern(name), num_requests, **kwargs)
 
@@ -97,39 +100,18 @@ class FioJob:
         """Yield the job's host requests sized to a device geometry."""
         op = OpType.READ if self.pattern.is_read else OpType.WRITE
         npages = self.io_pages
-        for index, lpn in enumerate(self._lpn_column(geometry).tolist()):
-            yield HostRequest(op, lpn, npages, None, index)
-
-    def request_batch(self, geometry: SSDGeometry) -> RequestBatch:
-        """The job's request stream as one columnar :class:`RequestBatch`.
-
-        Request ``i`` is element-wise identical to the ``i``-th yield of
-        :meth:`requests` (same LPN column, drawn from the same RNG state);
-        passing the batch to ``SSD.run(..., batch=N)`` lets the device slice
-        its columns directly instead of re-deriving them from request objects.
-        """
-        lpns = self._lpn_column(geometry)
-        n = lpns.shape[0]
-        op_code = OP_READ_CODE if self.pattern.is_read else OP_WRITE_CODE
-        return RequestBatch(
-            np.full(n, op_code, dtype=np.int8),
-            lpns,
-            np.full(n, self.io_pages, dtype=np.int64),
-        )
-
-    def _lpn_column(self, geometry: SSDGeometry) -> "np.ndarray":
-        """The job's LPN column (shared by the object and columnar streams)."""
-        span = max(self.io_pages, int(geometry.num_logical_pages * self.span_fraction))
-        span = min(span, geometry.num_logical_pages)
+        span = max(npages, int(geometry.num_logical_pages * self.span_fraction))
         if self.pattern.is_sequential:
             # The cursor advances by io_pages and wraps to 0 whenever the next
             # request would cross span, i.e. position k is (k * io_pages)
             # modulo the largest io_pages multiple that fits.
-            wrap = max(self.io_pages, (span // self.io_pages) * self.io_pages)
-            return (np.arange(self.num_requests, dtype=np.int64) * self.io_pages) % wrap
-        limit = max(1, span - self.io_pages + 1)
-        rng = np.random.default_rng(self.seed)
-        return rng.integers(0, limit, size=self.num_requests)
+            wrap = max(npages, (span // npages) * npages)
+            lpns = (np.arange(self.num_requests, dtype=np.int64) * npages) % wrap
+        else:
+            limit = max(1, span - npages + 1)
+            lpns = np.random.default_rng(self.seed).integers(0, limit, size=self.num_requests)
+        for index, lpn in enumerate(lpns.tolist()):
+            yield HostRequest(op, lpn, npages, None, index)
 
     # ------------------------------------------------------------- reporting
     def describe(self) -> str:

@@ -5,13 +5,10 @@ module adds small composable building blocks that are convenient when writing
 tests, examples and ablation studies: mixed read/write streams, strided
 patterns and locality-controlled streams.
 
-Each stream also has a ``*_batch`` counterpart returning a columnar
-:class:`~repro.ssd.request.RequestBatch` (op/lpn/npages columns) for the
-batched execution kernel.  The batch builders pack the *same* generator the
-iterator form yields from, so the two streams are bit-identical per seed by
-construction — sampling is inherently sequential for these RNG-driven
-patterns (each draw advances shared generator state), and generation is not
-the hot path the batched kernel optimizes.
+:func:`mixed_stream`, :func:`zipf_reads` and :func:`hotspot_stream` are the
+declarations of the ``mixed``, ``zipf`` and ``hotspot`` workload kinds: their
+annotated keyword-only parameters are the spec's keys, defaults and bounds
+(see :mod:`repro.workloads.spec`).
 """
 
 from __future__ import annotations
@@ -19,18 +16,16 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
+from repro.nand.fields import Count, Fraction, NonNegativeFloat, OpenFraction, PositiveInt
 from repro.nand.geometry import SSDGeometry
-from repro.ssd.request import HostRequest, OpType, RequestBatch
+from repro.ssd.request import HostRequest, OpType
 from repro.workloads.zipf import HotspotGenerator, ZipfGenerator
 
 __all__ = [
     "mixed_stream",
-    "mixed_batch",
     "strided_reads",
     "zipf_reads",
-    "zipf_read_batch",
     "hotspot_stream",
-    "hotspot_batch",
     "sequential_stream",
 ]
 
@@ -56,10 +51,10 @@ def sequential_stream(
 def mixed_stream(
     geometry: SSDGeometry,
     *,
-    num_requests: int,
-    read_fraction: float = 0.5,
-    io_pages: int = 1,
-    seed: int = 17,
+    num_requests: PositiveInt,
+    read_fraction: Fraction = 0.5,
+    io_pages: PositiveInt = 1,
+    seed: Count = 17,
 ) -> Iterator[HostRequest]:
     """Uniformly random stream with a configurable read/write mix."""
     rng = random.Random(seed)
@@ -67,11 +62,6 @@ def mixed_stream(
     for _ in range(num_requests):
         op = OpType.READ if rng.random() < read_fraction else OpType.WRITE
         yield HostRequest(op, rng.randrange(limit), io_pages)
-
-
-def mixed_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:
-    """:func:`mixed_stream` as one columnar batch (bit-identical stream)."""
-    return RequestBatch.from_requests(mixed_stream(geometry, **kwargs))
 
 
 def strided_reads(
@@ -92,10 +82,10 @@ def strided_reads(
 def zipf_reads(
     geometry: SSDGeometry,
     *,
-    num_requests: int,
-    theta: float = 0.99,
-    io_pages: int = 1,
-    seed: int = 23,
+    num_requests: PositiveInt,
+    theta: NonNegativeFloat = 0.99,
+    io_pages: PositiveInt = 1,
+    seed: Count = 23,
 ) -> Iterator[HostRequest]:
     """Zipf-skewed random reads (popularity locality without spatial locality)."""
     generator = ZipfGenerator(
@@ -105,20 +95,15 @@ def zipf_reads(
         yield HostRequest(OpType.READ, generator.sample(), io_pages)
 
 
-def zipf_read_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:
-    """:func:`zipf_reads` as one columnar batch (bit-identical stream)."""
-    return RequestBatch.from_requests(zipf_reads(geometry, **kwargs))
-
-
 def hotspot_stream(
     geometry: SSDGeometry,
     *,
-    num_requests: int,
-    read_fraction: float = 0.7,
-    hot_fraction: float = 0.2,
-    hot_probability: float = 0.8,
-    io_pages: int = 1,
-    seed: int = 29,
+    num_requests: PositiveInt,
+    read_fraction: Fraction = 0.7,
+    hot_fraction: OpenFraction = 0.2,
+    hot_probability: OpenFraction = 0.8,
+    io_pages: PositiveInt = 1,
+    seed: Count = 29,
 ) -> Iterator[HostRequest]:
     """Hot/cold mixed stream: a small region absorbs most of the traffic."""
     rng = random.Random(seed)
@@ -131,8 +116,3 @@ def hotspot_stream(
     for _ in range(num_requests):
         op = OpType.READ if rng.random() < read_fraction else OpType.WRITE
         yield HostRequest(op, generator.sample(), io_pages)
-
-
-def hotspot_batch(geometry: SSDGeometry, **kwargs) -> RequestBatch:
-    """:func:`hotspot_stream` as one columnar batch (bit-identical stream)."""
-    return RequestBatch.from_requests(hotspot_stream(geometry, **kwargs))

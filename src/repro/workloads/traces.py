@@ -31,12 +31,12 @@ from itertools import islice, repeat, starmap
 from math import isfinite
 from operator import attrgetter
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import Annotated, BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.nand.errors import TraceFormatError
-from repro.nand.fields import Count, check_value
+from repro.nand.fields import Count, PositiveFloat, PositiveInt, check_value, one_of
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import HostRequest, OpType
 from repro.workloads.zipf import HotspotGenerator
@@ -53,6 +53,7 @@ __all__ = [
     "synthesize_websearch",
     "synthesize_systor",
     "trace_to_requests",
+    "preset_requests",
     "characterize",
     "TRACE_PRESETS",
 ]
@@ -585,6 +586,23 @@ def trace_to_requests(
             rows, page, logical_pages, preserve_timing=preserve_timing, time_scale=time_scale
         )
         yield from requests
+
+
+#: Declared type of a :data:`TRACE_PRESETS` name (see :mod:`repro.nand.fields`).
+TraceName = Annotated[str, one_of(TRACE_PRESETS)]
+
+
+def preset_requests(
+    geometry: SSDGeometry,
+    *,
+    name: TraceName,
+    num_ios: PositiveInt,
+    time_scale: PositiveFloat = 0.05,
+) -> Iterator[HostRequest]:
+    """Page requests of ``num_ios`` I/Os of the synthetic trace ``name``,
+    inter-arrival times scaled by ``time_scale``: the declaration of the
+    ``trace`` workload kind (see :mod:`repro.workloads.spec`)."""
+    return trace_to_requests(TRACE_PRESETS[name](num_ios), geometry, time_scale=time_scale)
 
 
 #: A :class:`TraceRecord` as a record row (its fields in order).

@@ -20,6 +20,8 @@ import random
 
 import numpy as np
 
+from repro.nand.fields import NonNegativeFloat, OpenFraction, PositiveInt, check_value
+
 __all__ = ["ZipfGenerator", "HotspotGenerator"]
 
 
@@ -31,11 +33,9 @@ class ZipfGenerator:
     used in the experiments and exactly reproducible from the seed.
     """
 
-    def __init__(self, n: int, theta: float = 0.99, *, seed: int = 1) -> None:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if theta < 0:
-            raise ValueError("theta must be non-negative")
+    def __init__(self, n: PositiveInt, theta: NonNegativeFloat = 0.99, *, seed: int = 1) -> None:
+        check_value("n", n, PositiveInt, ValueError)
+        check_value("theta", theta, NonNegativeFloat, ValueError)
         self.n = n
         self.theta = theta
         self._rng = random.Random(seed)
@@ -75,18 +75,15 @@ class HotspotGenerator:
 
     def __init__(
         self,
-        n: int,
+        n: PositiveInt,
         *,
-        hot_fraction: float = 0.2,
-        hot_probability: float = 0.8,
+        hot_fraction: OpenFraction = 0.2,
+        hot_probability: OpenFraction = 0.8,
         seed: int = 1,
     ) -> None:
-        if n <= 0:
-            raise ValueError("n must be positive")
-        if not 0.0 < hot_fraction < 1.0:
-            raise ValueError("hot_fraction must be in (0, 1)")
-        if not 0.0 < hot_probability < 1.0:
-            raise ValueError("hot_probability must be in (0, 1)")
+        check_value("n", n, PositiveInt, ValueError)
+        check_value("hot_fraction", hot_fraction, OpenFraction, ValueError)
+        check_value("hot_probability", hot_probability, OpenFraction, ValueError)
         self.n = n
         self.hot_fraction = hot_fraction
         self.hot_probability = hot_probability

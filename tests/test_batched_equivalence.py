@@ -138,7 +138,9 @@ def test_request_batch_source_matches_object_stream(ftl_name: str, pattern: str)
         ssd = SSD.create(ftl_name, geometry)
         ssd.fill_sequential(io_pages=16)
         job = FioJob.from_name(pattern, num_requests=800)
-        source = job.request_batch(geometry) if columnar else job.requests(geometry)
+        source = job.requests(geometry)
+        if columnar:
+            source = RequestBatch.from_requests(source)
         ssd.run(source, threads=4, batch=64)
         results.append(_fingerprint(ssd))
     assert results[0] == results[1]
@@ -147,14 +149,16 @@ def test_request_batch_source_matches_object_stream(ftl_name: str, pattern: str)
 @pytest.mark.parametrize("ftl_name", ("dftl", "tpftl"))
 def test_mixed_batch_source_matches_object_stream(ftl_name: str) -> None:
     """The synthetic mixed workload's op column feeds the kernel end to end."""
-    from repro.workloads.synthetic import mixed_batch, mixed_stream
+    from repro.workloads.synthetic import mixed_stream
 
     results = []
     for columnar in (False, True):
         geometry = golden_geometry()
         ssd = SSD.create(ftl_name, geometry)
         ssd.fill_sequential(io_pages=16)
-        source = (mixed_batch if columnar else mixed_stream)(geometry, num_requests=800)
+        source = mixed_stream(geometry, num_requests=800)
+        if columnar:
+            source = RequestBatch.from_requests(source)
         ssd.run(source, threads=4, batch=64)
         results.append(_fingerprint(ssd))
     assert results[0] == results[1]

@@ -13,7 +13,9 @@ Covers the three contract layers:
 
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import islice
 
 import pytest
 
@@ -30,8 +32,11 @@ from repro.studies import (
     plan_study,
     run_study,
 )
-from repro.workloads.spec import build_workload
-from repro.workloads.synthetic import zipf_reads
+from repro.nand.fields import field_rules
+from repro.workloads.fio import FioJob
+from repro.workloads.spec import WORKLOAD_KINDS, build_workload
+from repro.workloads.synthetic import hotspot_stream, mixed_stream, zipf_reads
+from repro.workloads.traces import preset_requests
 
 
 #: A fast 2 (ftl) x 2 (cmt budget) x 2 (workload) grid; ``fill`` warm-up and
@@ -56,6 +61,139 @@ def _no_ambient_snapshot_store():
     """Keep the process-wide snapshot store from leaking across tests."""
     yield
     set_snapshot_dir(None)
+
+
+NAN, INF = float("nan"), float("inf")
+
+#: kind -> (generator, the keys a valid spec needs, {parameter: (wrongly
+#: typed values, values just outside the bound)}).  The outside values include
+#: the specs that once ran, or died inside the cell, with such values.
+WORKLOAD_TABLE = {
+    "fio": (
+        FioJob,
+        {"pattern": "randread"},
+        {
+            "pattern": ((7, True, None), ("randx", "RANDREAD")),
+            "num_requests": ((True, 10.0, "10"), (0,)),
+            "io_pages": ((True, 1.0, "1"), (0,)),
+            "seed": ((True, 42.0, "42"), (-1,)),
+            "span_fraction": (("1", True, None), (0.0, -1.0, 1.0001)),
+        },
+    ),
+    "zipf": (
+        zipf_reads,
+        {},
+        {
+            "num_requests": ((False, 2.5), (0,)),
+            "theta": (("0.99", True, None), (-0.01, -3)),
+            "io_pages": ((True, "1"), (0,)),
+            "seed": ((True, 1.5), (-1,)),
+        },
+    ),
+    "hotspot": (
+        hotspot_stream,
+        {},
+        {
+            "num_requests": ((True, "5"), (0,)),
+            "read_fraction": (("0.7", False), (1.5, -0.01)),
+            "hot_fraction": (("0.2", True), (0, 1.0)),
+            "hot_probability": ((None, True), (0.0, 1)),
+            "io_pages": ((True, 2.0), (0,)),
+            "seed": ((True, "29"), (-1,)),
+        },
+    ),
+    "mixed": (
+        mixed_stream,
+        {},
+        {
+            "num_requests": ((True, 3.0), (0,)),
+            "read_fraction": (("0.5", True), (1.01, -0.5)),
+            "io_pages": ((True, "4"), (0,)),
+            "seed": ((True, 17.5), (-1,)),
+        },
+    ),
+    "trace": (
+        preset_requests,
+        {"name": "websearch1"},
+        {
+            "name": ((1, None, True), ("websearch4", "")),
+            "num_ios": ((True, 50.0), (0,)),
+            "time_scale": (("0.05", True, None), (0.0, -2.0)),
+        },
+    ),
+}
+
+
+def _workload_cases():
+    for kind, (generator, _, table) in WORKLOAD_TABLE.items():
+        rules = field_rules(generator)
+        for name, (wrong, outside) in table.items():
+            floats = (NAN, INF, -INF) if rules[name].kind is float else ()
+            for value in (*wrong, *floats, *outside):
+                yield pytest.param(kind, name, value, id=f"{kind}.{name}={value!r}")
+
+
+def _stream_digest(requests) -> str:
+    h = hashlib.sha256()
+    for r in islice(requests, 200):
+        h.update(repr((r.op.value, r.lpn, r.npages, r.issue_time_us, r.stream_id)).encode())
+    return h.hexdigest()[:16]
+
+
+#: Specs captured before the workload spec took its keys from the generators
+#: (examples/sweep_cmt_budget.yaml, docs/studies.md, TINY_STUDY, the ledger's
+#: hotspot_observed at seed 7, and one all-defaults spec per kind):
+#: (spec, read budget, write budget, WorkloadPlan fields, first-200 digest).
+PINNED_PLANS = [
+    ({"kind": "fio", "pattern": "randread"}, 500, 400,
+     ("fio", "randread", "fio randread x500", False, 500,
+      (("io_pages", 1), ("pattern", "randread"), ("seed", 42), ("span_fraction", 1.0))),
+     "d625338bf5e4b79b"),
+    ({"kind": "zipf", "theta": 0.99}, 500, 400,
+     ("zipf", "zipf0.99", "zipf(theta=0.99) reads x500", False, 500,
+      (("io_pages", 1), ("seed", 23), ("theta", 0.99))),
+     "e797fa352f3f2382"),
+    ({"kind": "fio", "pattern": "randwrite"}, 500, 400,
+     ("fio", "randwrite", "fio randwrite x400", False, 400,
+      (("io_pages", 1), ("pattern", "randwrite"), ("seed", 42), ("span_fraction", 1.0))),
+     "d4e6f7936c998bca"),
+    ({"kind": "fio", "pattern": "randread", "num_requests": 300}, 500, 400,
+     ("fio", "randread", "fio randread x300", False, 300,
+      (("io_pages", 1), ("pattern", "randread"), ("seed", 42), ("span_fraction", 1.0))),
+     "d625338bf5e4b79b"),
+    ({"kind": "zipf", "theta": 0.99, "num_requests": 300}, 500, 400,
+     ("zipf", "zipf0.99", "zipf(theta=0.99) reads x300", False, 300,
+      (("io_pages", 1), ("seed", 23), ("theta", 0.99))),
+     "e797fa352f3f2382"),
+    ({"kind": "hotspot", "read_fraction": 0.95, "hot_fraction": 0.2, "hot_probability": 0.8,
+      "num_requests": 1_000_000_000, "seed": 7}, 0, 0,
+     ("hotspot", "hotspot0.8", "hotspot mix (80% of I/O on 20% of the space) x1000000000",
+      False, 1_000_000_000,
+      (("hot_fraction", 0.2), ("hot_probability", 0.8), ("io_pages", 1),
+       ("read_fraction", 0.95), ("seed", 7))),
+     "911309b3920bbdee"),
+    ({"kind": "fio", "pattern": "seqwrite"}, 500, 400,
+     ("fio", "seqwrite", "fio seqwrite x400", False, 400,
+      (("io_pages", 1), ("pattern", "seqwrite"), ("seed", 42), ("span_fraction", 1.0))),
+     "57b6eb46edc38ffe"),
+    ({"kind": "zipf"}, 500, 400,
+     ("zipf", "zipf0.99", "zipf(theta=0.99) reads x500", False, 500,
+      (("io_pages", 1), ("seed", 23), ("theta", 0.99))),
+     "e797fa352f3f2382"),
+    ({"kind": "hotspot"}, 500, 400,
+     ("hotspot", "hotspot0.8", "hotspot mix (80% of I/O on 20% of the space) x500", False, 500,
+      (("hot_fraction", 0.2), ("hot_probability", 0.8), ("io_pages", 1),
+       ("read_fraction", 0.7), ("seed", 29))),
+     "4b196327d24e8efd"),
+    ({"kind": "mixed"}, 500, 400,
+     ("mixed", "mixed0.5", "uniform mix (50% reads) x500", False, 500,
+      (("io_pages", 1), ("read_fraction", 0.5), ("seed", 17))),
+     "9fd7e40d3797608b"),
+    ({"kind": "trace", "name": "websearch1"}, 500, 400,
+     ("trace", "websearch1", "trace replay of websearch1 x500", True, 500,
+      (("name", "websearch1"), ("time_scale", 0.05))),
+     "0bdb6dafb885f3e1"),
+]
 
 
 class TestSpecValidation:
@@ -240,6 +378,36 @@ class TestWorkloadSpecs:
                 read_requests=1,
                 write_requests=1,
             )
+
+    def test_table_covers_every_kind_and_parameter(self):
+        assert tuple(WORKLOAD_TABLE) == WORKLOAD_KINDS
+        for generator, _, table in WORKLOAD_TABLE.values():
+            assert list(table) == list(field_rules(generator))
+
+    @pytest.mark.parametrize(("kind", "name", "value"), list(_workload_cases()))
+    def test_bad_value_is_refused_naming_kind_and_field(self, kind, name, value):
+        _, required, _ = WORKLOAD_TABLE[kind]
+        spec = {"kind": kind, **required, name: value}
+        with pytest.raises(ConfigurationError, match=rf"kind='{kind}'\): {name} must be "):
+            build_workload(spec, read_requests=1, write_requests=1)
+
+    @pytest.mark.parametrize(("spec", "reads", "writes", "plan", "digest"), PINNED_PLANS)
+    def test_valid_specs_build_the_pinned_plan_and_stream(self, spec, reads, writes, plan, digest):
+        built = build_workload(spec, read_requests=reads, write_requests=writes)
+        fields = (built.kind, built.label, built.description, built.replay,
+                  built.num_requests, built.params)
+        assert fields == plan
+        assert _stream_digest(built.requests(SSDGeometry.small())) == digest
+
+    def test_bound_edges_are_admitted(self):
+        for spec in (
+            {"kind": "fio", "pattern": "randread", "span_fraction": 1, "seed": 0},
+            {"kind": "hotspot", "read_fraction": 0, "hot_fraction": 0.999, "seed": 0},
+            {"kind": "mixed", "read_fraction": 1.0},
+            {"kind": "zipf", "theta": 0},
+        ):
+            plan = build_workload(spec, read_requests=5, write_requests=5)
+            assert len(list(plan.requests(SSDGeometry.small()))) == 5
 
 
 class TestExpansion:

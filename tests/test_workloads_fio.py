@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.nand.errors import ConfigurationError
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.request import OpType
 from repro.workloads.fio import FioJob, FioPattern, warmup_writes
@@ -35,6 +36,17 @@ class TestFioJob:
         assert FioJob.from_name("randread", 5).pattern is FioPattern.RAND_READ
         with pytest.raises(ValueError):
             FioJob.from_name("bogus", 5)
+
+    def test_fields_are_checked_when_built(self):
+        # FioJob declares the fio workload kind: a name is held as the member,
+        # and a bad field is refused naming it.
+        assert FioJob("seqwrite", 5).pattern is FioPattern.SEQ_WRITE
+        with pytest.raises(ConfigurationError, match="^pattern must be one of "):
+            FioJob("bogus", 5)
+        with pytest.raises(ConfigurationError, match=r"^span_fraction must be finite and in \(0, 1\]"):
+            FioJob.randread(5, span_fraction=1.5)
+        with pytest.raises(ConfigurationError, match="^num_requests must be positive"):
+            FioJob.seqread(0)
 
     def test_request_count(self, geometry):
         requests = list(FioJob.randread(123).requests(geometry))
@@ -91,21 +103,3 @@ class TestWarmupWrites:
         diffs = [b - a for a, b in zip(lpns, lpns[1:])]
         assert any(d == 8 for d in diffs)      # sequential runs exist
         assert any(abs(d) > 64 for d in diffs)  # random jumps exist
-
-
-class TestRequestBatchColumn:
-    @pytest.mark.parametrize("name", ["seqread", "randread", "seqwrite", "randwrite"])
-    def test_request_batch_matches_object_stream(self, geometry, name):
-        from repro.ssd.request import RequestBatch
-
-        job = FioJob.from_name(name, 300, io_pages=3, seed=11)
-        reference = RequestBatch.from_requests(job.requests(geometry))
-        batch = job.request_batch(geometry)
-        assert batch.ops.tolist() == reference.ops.tolist()
-        assert batch.lpns.tolist() == reference.lpns.tolist()
-        assert batch.npages.tolist() == reference.npages.tolist()
-
-    def test_request_batch_respects_span_fraction(self, geometry):
-        job = FioJob(FioPattern.RAND_READ, 500, span_fraction=0.1)
-        batch = job.request_batch(geometry)
-        assert int(batch.lpns.max()) < int(geometry.num_logical_pages * 0.1)

@@ -100,33 +100,3 @@ class TestStreams:
         geometry = SSDGeometry.small()
         for request in mixed_stream(geometry, num_requests=50, read_fraction=read_fraction):
             assert 0 <= request.lpn < geometry.num_logical_pages
-
-
-class TestBatchCounterparts:
-    """Each ``*_batch`` builder packs the exact stream its iterator form yields."""
-
-    @pytest.mark.parametrize(
-        "stream,batch,kwargs",
-        [
-            (mixed_stream, None, {"num_requests": 500, "read_fraction": 0.3, "seed": 5}),
-            (zipf_reads, None, {"num_requests": 500, "theta": 0.9, "seed": 5}),
-            (hotspot_stream, None, {"num_requests": 500, "read_fraction": 0.6, "seed": 5}),
-        ],
-    )
-    def test_op_lpn_columns_bit_identical(self, geometry, stream, batch, kwargs):
-        from repro.ssd.request import OP_READ_CODE
-        from repro.workloads.synthetic import hotspot_batch, mixed_batch, zipf_read_batch
-
-        batch_fn = {
-            mixed_stream: mixed_batch,
-            zipf_reads: zipf_read_batch,
-            hotspot_stream: hotspot_batch,
-        }[stream]
-        expected = list(stream(geometry, **kwargs))
-        got = batch_fn(geometry, **kwargs)
-        assert len(got) == len(expected)
-        assert got.lpns.tolist() == [r.lpn for r in expected]
-        assert got.npages.tolist() == [r.npages for r in expected]
-        assert [code == OP_READ_CODE for code in got.ops.tolist()] == [
-            r.op is OpType.READ for r in expected
-        ]
