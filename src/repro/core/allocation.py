@@ -29,7 +29,9 @@ by :class:`TranslationPool`.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -40,6 +42,7 @@ from repro.nand.flash import FlashArray
 from repro.nand.geometry import SSDGeometry
 
 __all__ = [
+    "fewest_valid_block",
     "StripeMap",
     "TranslationPool",
     "StripingAllocator",
@@ -54,6 +57,23 @@ class GroupGCNeeded(AllocationError):
     def __init__(self, victim_group: int, message: str = "") -> None:
         super().__init__(message or f"group {victim_group} requires garbage collection")
         self.victim_group = victim_group
+
+
+def fewest_valid_block(flash: FlashArray, candidates: Iterable[int]) -> int | None:
+    """The greedy victim rule: the written candidate with the fewest valid pages.
+
+    A tie goes to the first such candidate in ``candidates``' order; ``None``
+    when no candidate has been written since its last erase.  Data GC and
+    translation-pool GC both choose their victim with it.
+    """
+    programmed = flash._block_next
+    valid = flash._block_valid
+    best: int | None = None
+    best_valid = 0
+    for block in candidates:
+        if programmed[block] and (best is None or valid[block] < best_valid):
+            best, best_valid = block, valid[block]
+    return best
 
 
 class StripeMap:
@@ -175,24 +195,16 @@ class TranslationPool:
         return self._free_pages <= self._gc_slack_pages
 
     def victim_block(self) -> int | None:
-        """Written pool block with the fewest valid pages, or ``None``.
+        """Written pool block with the fewest valid pages (ties: pool order), or ``None``.
 
         The block currently being appended to is excluded unless it is already
         full (a full "active" block is just a written block awaiting reuse).
         """
-        pages_per_block = self.flash.geometry.pages_per_block
-        candidates = []
-        for block in self.blocks:
-            if block in self._free_blocks:
-                continue
-            if block == self._active and self._cursor < pages_per_block:
-                continue
-            if self.flash.block_programmed(block) == 0:
-                continue
-            candidates.append(block)
-        if not candidates:
-            return None
-        return min(candidates, key=self.flash.block_valid_count)
+        if self._active is not None and self._cursor < self._pages_per_block:
+            candidates = (block for block in self.blocks if block != self._active)
+        else:
+            candidates = self.blocks
+        return fewest_valid_block(self.flash, candidates)
 
     def release(self, block: int) -> None:
         """Return an erased block to the pool's free list."""
@@ -251,12 +263,14 @@ class StripingAllocator:
         )
         self.translation_pool = TranslationPool(flash, translation_blocks)
         translation_set = set(translation_blocks)
+        #: Every block outside the translation pool, in block-id order.
+        self._data_blocks = [
+            block for block in range(geometry.num_blocks) if block not in translation_set
+        ]
         self._free_blocks_per_chip: dict[int, list[int]] = {
             chip: [] for chip in range(geometry.num_chips)
         }
-        for block in range(geometry.num_blocks):
-            if block in translation_set:
-                continue
+        for block in self._data_blocks:
             self._free_blocks_per_chip[self.codec.chip_of_block(block)].append(block)
         self._active_block: dict[int, int | None] = {chip: None for chip in range(geometry.num_chips)}
         self._block_cursor: dict[int, int] = {}
@@ -271,7 +285,7 @@ class StripingAllocator:
             for channel in range(geometry.channels)
         ]
         self._rr_pointer = 0
-        self.data_block_count = sum(len(blocks) for blocks in self._free_blocks_per_chip.values())
+        self.data_block_count = len(self._data_blocks)
 
     # ------------------------------------------------------------ data pages
     def allocate_data(self, count: int = 1) -> list[int]:
@@ -378,19 +392,6 @@ class StripingAllocator:
         """Number of completely free data blocks remaining."""
         return sum(len(blocks) for blocks in self._free_blocks_per_chip.values())
 
-    def active_blocks(self) -> set[int]:
-        """Blocks currently being appended to (excluded from GC).
-
-        A chip's active block that is already fully programmed is not returned:
-        it can no longer receive writes and is a legitimate GC victim.
-        """
-        pages_per_block = self.geometry.pages_per_block
-        return {
-            block
-            for block in self._active_block.values()
-            if block is not None and self._block_cursor.get(block, 0) < pages_per_block
-        }
-
     def release_block(self, block: int) -> None:
         """Return an erased data block to its chip's free list."""
         chip = self.codec.chip_of_block(block)
@@ -424,22 +425,22 @@ class StripingAllocator:
         self.translation_pool.load_state(state["translation_pool"])
 
     def victim_block(self) -> int | None:
-        """Greedy GC victim: written, non-active data block with fewest valid pages."""
-        active = self.active_blocks()
-        translation_blocks = set(self.translation_pool.blocks)
-        best_block: int | None = None
-        best_valid: int | None = None
-        flash = self.flash
-        for block in range(self.geometry.num_blocks):
-            if block in translation_blocks or block in active:
-                continue
-            if flash.block_programmed(block) == 0:
-                continue
-            valid = flash.block_valid_count(block)
-            if best_valid is None or valid < best_valid:
-                best_valid = valid
-                best_block = block
-        return best_block
+        """Greedy GC victim: the written data block with the fewest valid pages
+        (ties: the lowest block id), or ``None``.
+
+        A chip's active block is excluded while it can still receive writes;
+        once fully programmed it is a legitimate victim.
+        """
+        pages_per_block = self.geometry.pages_per_block
+        cursor = self._block_cursor
+        active = {
+            block
+            for block in self._active_block.values()
+            if block is not None and cursor.get(block, 0) < pages_per_block
+        }
+        return fewest_valid_block(
+            self.flash, (block for block in self._data_blocks if block not in active)
+        )
 
 
 @dataclass
@@ -512,11 +513,11 @@ class GroupAllocator:
         # (free stripes at full capacity plus the unwritten tail of every owned
         # stripe), so the per-write space check is O(1).
         self._free_pages_total = len(self._free_stripes) * self.stripe_map.pages_per_stripe
-        # Memoized gc_candidate() results: the victim choice only changes when a
+        # Memoized gc_candidate() result: the victim choice only changes when a
         # data page is invalidated/erased or the stripe layout changes, so the
         # scan is keyed on those epochs.
         self._layout_epoch = 0
-        self._gc_candidate_cache: dict[bool, tuple[tuple[int, int], int | None]] = {}
+        self._gc_candidate_cache: tuple[tuple[int, int], int | None] | None = None
 
     # ------------------------------------------------------------- geometry
     def group_of_lpn(self, lpn: int) -> int:
@@ -588,9 +589,7 @@ class GroupAllocator:
                 len(state.stripes) < self._stripe_budget
                 and len(self._free_stripes) > self.gc_reserve_stripes
             ):
-                stripe = self._free_stripes.pop(0)
-                self._free_pages_total -= pages_per_stripe
-                self._assign_stripe(group, stripe)
+                stripe = self._claim_stripe(group)
                 cursor = 0
             else:
                 # Either the group hit its stripe limit or no free stripes
@@ -608,7 +607,7 @@ class GroupAllocator:
                 if stripe < 0:
                     # No lender available: ask the FTL to collect the most
                     # garbage-laden group.
-                    victim = self.gc_candidate(exclude_if_empty=True)
+                    victim = self.gc_candidate()
                     if victim is None:
                         raise OutOfSpaceError("no free stripes, no lender and nothing to collect")
                     raise GroupGCNeeded(victim)
@@ -619,29 +618,26 @@ class GroupAllocator:
                     # group (and, transitively, its lenders) after the current write.
                     state.gc_hint = True
                     self._hinted.add(group)
-        # Inlined _take_from_stripe; the stripe's owner is ``owner``.
+        # Take the page at the cursor of ``stripe``, whose owner is ``owner``.
         cursors[stripe] = cursor + 1
         self._free_pages_total -= 1
         owner_state.free_pages -= 1
         return stripe_map.page_ppns[cursor] + stripe * stripe_map.block_ppn_stride, owner
 
-    def _take_from_stripe(self, stripe: int) -> int:
-        cursor = self._stripe_cursor.get(stripe, 0)
-        if cursor >= self.stripe_map.pages_per_stripe:
-            raise AllocationError(f"stripe {stripe} is full")
-        self._stripe_cursor[stripe] = cursor + 1
-        self._free_pages_total -= 1
-        self._groups[self._stripe_owner[stripe]].free_pages -= 1
-        return self.stripe_map.ppn_at(stripe, cursor)
+    def _claim_stripe(self, group: int) -> int:
+        """Hand the first free stripe to ``group`` and return it.
 
-    def _assign_stripe(self, group: int, stripe: int) -> None:
+        The free-pages total is unchanged: the stripe's pages move from the
+        free list to the group's unwritten tail.
+        """
+        stripe = self._free_stripes.pop(0)
         state = self._groups[group]
         state.stripes.append(stripe)
         state.free_pages += self.stripe_map.pages_per_stripe
         self._stripe_owner[stripe] = group
         self._stripe_cursor[stripe] = 0
-        self._free_pages_total += self.stripe_map.pages_per_stripe
         self._layout_epoch += 1
+        return stripe
 
     def _pick_lender(self, exclude: int) -> int | None:
         """The other group with the most free pages (ties: the fewest writes, then the lowest id)."""
@@ -712,12 +708,7 @@ class GroupAllocator:
                         # Borrowing or group GC: the per-page path's business.
                         budget = j
                         break
-                    # Same step order as allocate_page's fresh-stripe branch
-                    # (pop, debit, assign, take), so the incremental
-                    # free-pages total moves through identical values.
-                    stripe = free_stripes.pop(0)
-                    self._free_pages_total -= pages_per_stripe
-                    self._assign_stripe(group, stripe)
+                    stripe = self._claim_stripe(group)
                     cursor = 0
                 take = min(end - j, pages_per_stripe - cursor)
                 stripe_cursor[stripe] = cursor + take
@@ -753,19 +744,20 @@ class GroupAllocator:
         return hinted
 
     # ---------------------------------------------------------------- GC API
-    def gc_candidate(self, *, exclude_if_empty: bool = False) -> int | None:
-        """The group with the most invalid data pages (the paper's victim rule).
+    def gc_candidate(self) -> int | None:
+        """The group with the most invalid data pages (the paper's victim rule),
+        or ``None`` when no group holds one.
 
         The scan result is memoized on the flash data-invalidation epoch and
         the stripe-layout epoch: until either changes, the per-block invalid
         counts (and therefore the victim choice) cannot have changed.
         """
         epoch = (self.flash.data_invalidation_epoch, self._layout_epoch)
-        cached = self._gc_candidate_cache.get(exclude_if_empty)
+        cached = self._gc_candidate_cache
         if cached is not None and cached[0] == epoch:
             return cached[1]
         best_group: int | None = None
-        best_invalid = -1
+        best_invalid = 0
         block_invalid_count = self.flash.block_invalid_count
         blocks_of = self.stripe_map.blocks_of
         for group, state in enumerate(self._groups):
@@ -773,12 +765,10 @@ class GroupAllocator:
             for stripe in state.stripes:
                 for block in blocks_of(stripe):
                     invalid += block_invalid_count(block)
-            if exclude_if_empty and invalid == 0:
-                continue
             if invalid > best_invalid:
                 best_invalid = invalid
                 best_group = group
-        self._gc_candidate_cache[exclude_if_empty] = (epoch, best_group)
+        self._gc_candidate_cache = (epoch, best_group)
         return best_group
 
     def groups_resident_in_stripes(self, stripes: list[int]) -> set[int]:
@@ -790,69 +780,57 @@ class GroupAllocator:
             residents.update(np.unique(lpns[lpns >= 0] // self.lpns_per_group).tolist())
         return residents
 
-    def begin_fresh_stripes(self, group: int, count: int) -> list[int]:
-        """Take ``count`` free stripes for a group's GC write-back destination."""
-        if len(self._free_stripes) < count:
-            raise OutOfSpaceError(
-                f"group GC needs {count} free stripes but only {len(self._free_stripes)} remain"
+    def gc_destination(self, group: int, pages: int, avoid_stripes: set[int]) -> np.ndarray:
+        """The PPNs a group's GC write-back of ``pages`` pages fills, in order.
+
+        Normally whole free stripes, handed to the group and filled front to
+        back (VPPN order), so the relocated pages stay one trainable run.
+        When the free stripes cannot hold them all (heavy cross-group
+        borrowing), the write-back is scattered page by page into whatever
+        space is left: the group's own stripes, then any owned stripe, both
+        outside ``avoid_stripes`` (the stripes the collection is emptying,
+        which could never be erased otherwise), then the avoided ones, then a
+        free stripe.  The scattered pages lose their contiguity (training
+        marks them inaccurate) but the collection still progresses.  Raises
+        :class:`OutOfSpaceError` when no free page is left anywhere.
+        """
+        pages_per_stripe = self.stripe_map.pages_per_stripe
+        if len(self._free_stripes) * pages_per_stripe < pages:
+            return np.array(
+                [self._scatter_page(group, avoid_stripes) for _ in range(pages)], dtype=np.int64
             )
-        stripes = [self._free_stripes.pop(0) for _ in range(count)]
-        self._free_pages_total -= count * self.stripe_map.pages_per_stripe
-        return stripes
-
-    def emergency_allocate_page(
-        self, group: int, *, avoid_stripes: set[int] | None = None
-    ) -> tuple[int, int]:
-        """Last-resort GC destination page when no free stripe remains.
-
-        Prefers free pages in stripes the group already owns, then any stripe
-        with space (including other groups' partially-filled GC destinations).
-        ``avoid_stripes`` lists stripes the caller is in the middle of emptying;
-        they are used only when nothing else has space.  Loses the
-        sorted-contiguity property for the affected pages — the model evaluation
-        step simply marks them inaccurate — but keeps the collection making
-        progress.  Returns ``(ppn, owner_group)``.
-        """
-        avoid = avoid_stripes or set()
-        own = [
-            stripe
-            for stripe in self._groups[group].stripes
-            if stripe not in avoid
-            and self._stripe_cursor.get(stripe, 0) < self.stripe_map.pages_per_stripe
-        ]
-        if own:
-            return self._take_from_stripe(own[0]), group
-        for preferred in (True, False):
-            for stripe, owner in self._stripe_owner.items():
-                if preferred and stripe in avoid:
-                    continue
-                if self._stripe_cursor.get(stripe, 0) < self.stripe_map.pages_per_stripe:
-                    return self._take_from_stripe(stripe), owner
-        if self._free_stripes:
-            stripe = self._free_stripes.pop(0)
-            self._free_pages_total -= self.stripe_map.pages_per_stripe
-            self._assign_stripe(group, stripe)
-            return self._take_from_stripe(stripe), group
-        raise OutOfSpaceError("no free page anywhere for GC write-back")
-
-    def assign_gc_destination(self, group: int, stripes: list[int], pages_written: int) -> np.ndarray:
-        """Record the fresh stripes a group's GC write-back fills front to back.
-
-        Returns the PPNs of the ``pages_written`` destination pages in fill
-        (VPPN) order.
-        """
-        for stripe in stripes:
-            self._assign_stripe(group, stripe)
+        state = self._groups[group]
         runs = [np.empty(0, dtype=np.int64)]
-        remaining = pages_written
-        for stripe in stripes:
-            used = min(remaining, self.stripe_map.pages_per_stripe)
+        while pages > 0:
+            stripe = self._claim_stripe(group)
+            used = min(pages, pages_per_stripe)
             self._stripe_cursor[stripe] = used
             self._free_pages_total -= used
-            self._groups[group].free_pages -= used
+            state.free_pages -= used
             runs.append(self.stripe_map.ppn_run(stripe, 0, used))
-            remaining -= used
+            pages -= used
         return np.concatenate(runs)
+
+    def _scatter_page(self, group: int, avoid: set[int]) -> int:
+        """One page of a scattered GC write-back (see :meth:`gc_destination`)."""
+        cursors = self._stripe_cursor
+        owners = self._stripe_owner
+        order = chain(
+            (stripe for stripe in self._groups[group].stripes if stripe not in avoid),
+            (stripe for stripe in owners if stripe not in avoid),
+            (stripe for stripe in owners if stripe in avoid),
+        )
+        pages_per_stripe = self.stripe_map.pages_per_stripe
+        stripe = next((s for s in order if cursors.get(s, 0) < pages_per_stripe), None)
+        if stripe is None:
+            if not self._free_stripes:
+                raise OutOfSpaceError("no free page anywhere for GC write-back")
+            stripe = self._claim_stripe(group)
+        cursor = cursors.get(stripe, 0)
+        cursors[stripe] = cursor + 1
+        self._free_pages_total -= 1
+        self._groups[owners[stripe]].free_pages -= 1
+        return self.stripe_map.ppn_at(stripe, cursor)
 
     def release_stripe(self, stripe: int) -> None:
         """Return a fully-erased stripe to the free list."""
@@ -935,5 +913,5 @@ class GroupAllocator:
             )
         self._free_pages_total = int(state["free_pages_total"])
         self._layout_epoch = int(state["layout_epoch"])
-        self._gc_candidate_cache.clear()
+        self._gc_candidate_cache = None
         self.translation_pool.load_state(state["translation_pool"])

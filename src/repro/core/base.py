@@ -55,6 +55,7 @@ _CODE_GC_READ = command_code(CommandKind.READ, CommandPurpose.GC_READ)
 _CODE_OOB_PROBE = command_code(CommandKind.READ, CommandPurpose.OOB_PROBE)
 _CODE_DATA_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
 _CODE_GC_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
+_CODE_TRANSLATION_WRITE = command_code(CommandKind.PROGRAM, CommandPurpose.TRANSLATION_WRITE)
 _CODE_GC_ERASE = command_code(CommandKind.ERASE, CommandPurpose.GC_ERASE)
 
 # Hoisted enum member: ``encode`` branches on it once per simulated request.
@@ -246,10 +247,24 @@ class FTLBase(ABC):
         """Append a program command for an already-programmed PPN."""
         self.buffer.append(stage, code, self.codec.chip_index(ppn), ppn)
 
-    def erase_command(self, stage: list, block: int, code: int = _CODE_GC_ERASE) -> None:
-        """Append an erase command for a flat block index."""
+    def erase_block(self, stage: list, block: int) -> None:
+        """Erase a flat block index and append its GC erase command.
+
+        The caller returns the block to whichever free list owns it.
+        """
+        self.flash.erase(block)
         base = self.codec.block_base_ppn(block)
-        self.buffer.append(stage, code, self.codec.chip_index(base), -1, block)
+        self.buffer.append(stage, _CODE_GC_ERASE, self.codec.chip_index(base), -1, block)
+
+    def _record_gc(self, span: str, args: dict, **event) -> None:
+        """Record one collection: the :class:`GCEvent` of the ``event`` fields
+        and, when tracing, a ``span`` complete event over its flash time
+        carrying ``args``."""
+        record = GCEvent(**event)
+        self.stats.gc_events.append(record)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.complete(span, record.time_us, record.flash_time_us, args)
 
     # ------------------------------------------------------- shared read body
     def _encode_read(self, request: HostRequest) -> None:
@@ -339,21 +354,34 @@ class FTLBase(ABC):
             self._flush_translation_page(page.tvpn)
 
     def _flush_translation_page(self, tvpn: int) -> None:
-        """Write back one dirty translation page (with pool-GC protection)."""
+        """Write back one evicted dirty translation page as its own stage,
+        after any pool GC it needs (in a stage of its own)."""
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant("cmt_evict", tracer.now_us, {"tvpn": tvpn})
+        self._maybe_translation_gc()
         buffer = self.buffer
-        if self.allocator.translation_pool.needs_gc():
-            gc_stage = buffer.new_stage()
-            self._collect_translation_block_into(gc_stage)
-            buffer.commit_stage(gc_stage)
         stage = buffer.new_stage()
         self.translation_store.flush_into(buffer, stage, tvpn)
         buffer.commit_stage(stage)
 
+    def _write_back_translation(
+        self, stage: list, tvpn: int, code: int = _CODE_TRANSLATION_WRITE
+    ) -> None:
+        """Write back one translation page into ``stage`` (program ``code``),
+        collecting a pool block into the same stage first when the pool runs
+        low.  Every batch of write-backs (data GC, group GC, LeaFTL's buffer
+        flush) goes through here."""
+        if self.allocator.translation_pool.needs_gc():
+            self._collect_translation_block_into(stage)
+        self.translation_store.flush_into(self.buffer, stage, tvpn, code)
+
     def _maybe_translation_gc(self) -> None:
-        """Collect a translation-pool block (as its own stage) when space runs low."""
+        """Collect a translation-pool block (as its own stage) when space runs low.
+
+        The once-per-request check; the only other consumer of ``needs_gc``
+        is :meth:`_write_back_translation`.
+        """
         if not self.allocator.translation_pool.needs_gc():
             return
         buffer = self.buffer
@@ -373,9 +401,8 @@ class FTLBase(ABC):
             self.data_read_command(stage, ppn, _CODE_GC_READ)
             self.translation_store.relocate_into(buffer, stage, ppn)
             relocated += 1
-        self.flash.erase(victim)
+        self.erase_block(stage, victim)
         pool.release(victim)
-        self.erase_command(stage, victim)
         tracer = self.tracer
         if tracer.enabled:
             tracer.instant(
@@ -568,21 +595,21 @@ class StripingFTLBase(FTLBase):
 
     # ------------------------------------------------------------------- GC
     def _maybe_gc(self, now: float) -> None:
-        """Run greedy GC until the free-block target is met (if below threshold)."""
-        if self.allocator.free_data_blocks() >= self._gc_threshold_blocks:
-            self._maybe_translation_gc()
-            return
-        guard = 0
-        while self.allocator.free_data_blocks() < self._gc_target_blocks:
-            victim = self.allocator.victim_block()
-            if victim is None or self.flash.block_invalid_count(victim) == 0:
-                # Nothing reclaimable right now; erasing an all-valid block
-                # would consume as much space as it frees.
-                break
-            self._collect_block(victim, now)
-            guard += 1
-            if guard > self.geometry.num_blocks:
-                raise ConfigurationError("greedy GC failed to make progress")
+        """Run greedy GC until the free-block target is met (if below threshold),
+        then the per-request translation-pool check."""
+        allocator = self.allocator
+        if allocator.free_data_blocks() < self._gc_threshold_blocks:
+            guard = 0
+            while allocator.free_data_blocks() < self._gc_target_blocks:
+                victim = allocator.victim_block()
+                if victim is None or self.flash.block_invalid_count(victim) == 0:
+                    # Nothing reclaimable right now; erasing an all-valid block
+                    # would consume as much space as it frees.
+                    break
+                self._collect_block(victim, now)
+                guard += 1
+                if guard > self.geometry.num_blocks:
+                    raise ConfigurationError("greedy GC failed to make progress")
         self._maybe_translation_gc()
 
     def _collect_block(self, victim: int, now: float) -> None:
@@ -604,16 +631,13 @@ class StripingFTLBase(FTLBase):
             self.program_command(write_stage, new_ppn, _CODE_GC_WRITE)
             moved.append((lpn, new_ppn))
             touched_tvpns.add(self.directory.tvpn_of(lpn))
-        self.flash.erase(victim)
-        self.allocator.release_block(victim)
         erase_stage = buffer.new_stage()
-        self.erase_command(erase_stage, victim)
+        self.erase_block(erase_stage, victim)
+        self.allocator.release_block(victim)
         translation_stage = buffer.new_stage()
         if self.persists_translation_pages:
             for tvpn in sorted(touched_tvpns):
-                if self.allocator.translation_pool.needs_gc():
-                    self._collect_translation_block_into(translation_stage)
-                self.translation_store.flush_into(buffer, translation_stage, tvpn, _CODE_GC_WRITE)
+                self._write_back_translation(translation_stage, tvpn, _CODE_GC_WRITE)
         self._after_gc_move(moved)
         buffer.commit_stage(read_stage)
         buffer.commit_stage(write_stage)
@@ -626,28 +650,16 @@ class StripingFTLBase(FTLBase):
             + self.timing.erase_us
         )
         translation_pages = len(touched_tvpns) if self.persists_translation_pages else 0
-        self.stats.gc_events.append(
-            GCEvent(
-                time_us=now,
-                blocks_erased=1,
-                pages_moved=len(moved),
-                translation_pages_written=translation_pages,
-                flash_time_us=flash_time,
-                compute_time_us=0.0,
-            )
+        self._record_gc(
+            "gc",
+            {"victim_block": victim, "pages_moved": len(moved), "translation_pages": translation_pages},
+            time_us=now,
+            blocks_erased=1,
+            pages_moved=len(moved),
+            translation_pages_written=translation_pages,
+            flash_time_us=flash_time,
+            compute_time_us=0.0,
         )
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.complete(
-                "gc",
-                now,
-                flash_time,
-                {
-                    "victim_block": victim,
-                    "pages_moved": len(moved),
-                    "translation_pages": translation_pages,
-                },
-            )
 
     def _after_gc_move(self, moved: list[tuple[int, int]]) -> None:
         """Hook: let caches/models observe GC relocations."""

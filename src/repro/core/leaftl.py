@@ -187,9 +187,7 @@ class LeaFTL(StripingFTLBase):
             self.stats.sort_time_us += self.timing.sort_us_per_entry
             self.stats.train_time_us += self.timing.train_us_per_entry
             self.stats.models_trained += len(segments)
-            if self.allocator.translation_pool.needs_gc():
-                self._collect_translation_block_into(stage)
-            self.translation_store.flush_into(command_buffer, stage, tvpn)
+            self._write_back_translation(stage, tvpn)
             if tvpn in self._model_cache:
                 self._refresh_cache_entry(tvpn)
         self._buffer.clear()

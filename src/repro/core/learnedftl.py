@@ -39,7 +39,7 @@ from repro.core.learned.inplace_model import (
     unpack_models,
 )
 from repro.core.mapping import TranslationPageStore
-from repro.nand.errors import ConfigurationError, OutOfSpaceError
+from repro.nand.errors import ConfigurationError
 from repro.nand.flash import PAGE_VALID
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
@@ -51,7 +51,7 @@ from repro.ssd.request import (
     ReadOutcome,
     command_code,
 )
-from repro.ssd.stats import GCEvent, SimulationStats
+from repro.ssd.stats import SimulationStats
 
 __all__ = ["LearnedFTL"]
 
@@ -123,7 +123,6 @@ class LearnedFTL(FTLBase):
             geometry.num_logical_pages,
             self.config.prefetch_max_entries,
         )
-        self._gc_old_stripes: set[int] = set()
         self._mappings_per_page = geometry.mappings_per_translation_page
         # Per-lookup constants and live references, hoisted out of the read
         # hot loop (the CMT's page dict and capacity never get reassigned).
@@ -322,7 +321,7 @@ class LearnedFTL(FTLBase):
                 min_free_pages = threshold
                 if (
                     allocator.total_free_pages() < threshold
-                    and allocator.gc_candidate(exclude_if_empty=True) is None
+                    and allocator.gc_candidate() is None
                 ):
                     min_free_pages = 0
                 ppns = allocator.allocate_run(groups, count, min_free_pages)
@@ -397,7 +396,7 @@ class LearnedFTL(FTLBase):
                 allocator.total_free_pages() < self._proactive_gc_pages
                 and guard < allocator.num_groups
             ):
-                victim = allocator.gc_candidate(exclude_if_empty=True)
+                victim = allocator.gc_candidate()
                 if victim is None:
                     break
                 before = allocator.total_free_pages()
@@ -448,16 +447,16 @@ class LearnedFTL(FTLBase):
         old_stripes = {
             member: self.allocator.stripes_of_group(member) for member in sorted(collected)
         }
-        # Emergency write-back allocations must stay out of the stripes we are
-        # trying to empty, otherwise they can never be erased.
-        self._gc_old_stripes = {stripe for stripes in old_stripes.values() for stripe in stripes}
+        # A scattered write-back stays out of the stripes being emptied while
+        # it can, or they could never be erased.
+        emptying = {stripe for stripes in old_stripes.values() for stripe in stripes}
         total_moved = 0
         total_blocks = 0
         total_translation_writes = 0
         compute_us_total = 0.0
         flash_time_total = 0.0
         for member in sorted(collected):
-            moved, translation_writes, compute_us, flash_time = self._move_group(member)
+            moved, translation_writes, compute_us, flash_time = self._move_group(member, emptying)
             total_moved += moved
             total_translation_writes += translation_writes
             compute_us_total += compute_us
@@ -469,30 +468,17 @@ class LearnedFTL(FTLBase):
             flash_time_total += erase_time
         for member in collected:
             self.allocator.reset_borrow_state(member)
-        self._gc_old_stripes = set()
-        self.stats.gc_events.append(
-            GCEvent(
-                time_us=now,
-                blocks_erased=total_blocks,
-                pages_moved=total_moved,
-                translation_pages_written=total_translation_writes,
-                flash_time_us=flash_time_total,
-                compute_time_us=compute_us_total,
-                group=group,
-            )
+        self._record_gc(
+            "gc_group",
+            {"group": group, "blocks_erased": total_blocks, "pages_moved": total_moved},
+            time_us=now,
+            blocks_erased=total_blocks,
+            pages_moved=total_moved,
+            translation_pages_written=total_translation_writes,
+            flash_time_us=flash_time_total,
+            compute_time_us=compute_us_total,
+            group=group,
         )
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.complete(
-                "gc_group",
-                now,
-                flash_time_total,
-                {
-                    "group": group,
-                    "blocks_erased": total_blocks,
-                    "pages_moved": total_moved,
-                },
-            )
 
     def _expand_collection_set(self, group: int) -> set[int]:
         """The victim group plus every group with valid pages in its stripes (fixed point)."""
@@ -506,8 +492,12 @@ class LearnedFTL(FTLBase):
             collected |= residents
         return collected
 
-    def _move_group(self, group: int) -> tuple[int, int, float, float]:
-        """Relocate a group's valid pages (sorted by LPN) and retrain its models."""
+    def _move_group(self, group: int, emptying: set[int]) -> tuple[int, int, float, float]:
+        """Relocate a group's valid pages (sorted by LPN) and retrain its models.
+
+        ``emptying`` holds the stripes the whole collection is emptying, which
+        the write-back avoids while it can (see ``GroupAllocator.gc_destination``).
+        """
         allocator = self.allocator
         flash = self.flash
         directory = self.directory
@@ -526,23 +516,7 @@ class LearnedFTL(FTLBase):
         lpns = group_lpns[relocated]
         old_ppns = group_ppns[relocated]
         moved = int(lpns.size)
-        try:
-            new_stripes = allocator.begin_fresh_stripes(
-                group, -(-moved // allocator.stripe_map.pages_per_stripe)
-            )
-        except OutOfSpaceError:
-            # No free stripe at all (heavy cross-group borrowing): fall back to
-            # scattering the write-back into whatever free pages remain.  The
-            # affected models lose accuracy but the collection still progresses.
-            new_ppns = np.array(
-                [
-                    allocator.emergency_allocate_page(group, avoid_stripes=self._gc_old_stripes)[0]
-                    for _ in range(moved)
-                ],
-                dtype=np.int64,
-            )
-        else:
-            new_ppns = allocator.assign_gc_destination(group, new_stripes, moved)
+        new_ppns = allocator.gc_destination(group, moved, emptying)
         read_stage = buffer.new_stage()
         write_stage = buffer.new_stage()
         buffer.extend(read_stage, _CODE_GC_READ, flash.touch_read_many(old_ppns), old_ppns)
@@ -585,9 +559,7 @@ class LearnedFTL(FTLBase):
                     compute_us += self.timing.sort_us_per_entry + self.timing.train_us_per_entry
                 self.stats.sort_time_us += self.timing.sort_us_per_entry
                 self.stats.train_time_us += self.timing.train_us_per_entry
-            if allocator.translation_pool.needs_gc():
-                self._collect_translation_block_into(translation_stage)
-            self.translation_store.flush_into(buffer, translation_stage, tvpn, _CODE_GC_WRITE)
+            self._write_back_translation(translation_stage, tvpn, _CODE_GC_WRITE)
             translation_writes += 1
         buffer.commit_stage(read_stage)
         buffer.commit_stage(write_stage, compute_us)
@@ -618,8 +590,7 @@ class LearnedFTL(FTLBase):
                 if written and fully_invalid:
                     for block in blocks:
                         if self.flash.block_programmed(block) > 0:
-                            self.flash.erase(block)
-                            self.erase_command(erase_stage, block)
+                            self.erase_block(erase_stage, block)
                             blocks_erased += 1
                     self.allocator.release_stripe(stripe)
                 else:
@@ -697,4 +668,3 @@ class LearnedFTL(FTLBase):
         self.cmt.load_state(state["cmt"])
         unpack_models(self.models, state["models"])
         self.loading.load_state(state["locality"])
-        self._gc_old_stripes = set()

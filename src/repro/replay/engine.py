@@ -69,7 +69,7 @@ from repro.snapshot.serialization import (
     save_snapshot,
 )
 from repro.snapshot.store import SnapshotStore
-from repro.snapshot.warm import WarmupMode, warm_device, warmup_recipe
+from repro.snapshot.warm import WarmupMode, warm_device
 from repro.ssd.device import SSD, FtlName
 from repro.workloads.traces import TRACE_FORMATS, RecordStream, TraceCursor
 
@@ -209,44 +209,27 @@ class ReplayPlan(Checked):
     keep_checkpoints: PositiveInt = 2
 
     def manifest(self) -> dict[str, Any]:
-        """The run manifest: plan + trace hash + code fingerprint, all pinned."""
-        return {
+        """The run manifest: plan + trace hash + code fingerprint, all pinned.
+
+        The plan sections are laid out by ``_MANIFEST_PLAN_FIELDS``, the table
+        :meth:`from_manifest` reads them back with; a dataclass field is
+        stored as an object of its fields (its default's when unset).
+        """
+        rules = field_rules(type(self))
+        manifest: dict[str, Any] = {
             "replay_manifest_version": REPLAY_MANIFEST_VERSION,
             "snapshot_format": SNAPSHOT_FORMAT_VERSION,
             "source_fingerprint": source_fingerprint(),
-            "trace": {
-                "path": str(self.trace_path),
-                "sha256": trace_sha256(self.trace_path),
-                "format": self.trace_format,
-                "limit": self.limit,
-                "max_errors": self.max_errors,
-            },
-            "device": {
-                "ftl": self.ftl_name,
-                "geometry": asdict(self.geometry),
-                "config": asdict(self.config if self.config is not None else FTLConfig()),
-                "timing": asdict(
-                    self.timing if self.timing is not None else TimingModel.femu_default()
-                ),
-            },
-            "replay": {
-                "streams": self.streams,
-                "chunk_requests": self.chunk_requests,
-                "checkpoint_every_requests": self.checkpoint_every_requests,
-                "checkpoint_every_sim_s": self.checkpoint_every_sim_s,
-                "preserve_timing": self.preserve_timing,
-                "time_scale": self.time_scale,
-                "keep_checkpoints": self.keep_checkpoints,
-            },
-            "warmup": warmup_recipe(
-                warmup=self.warmup,
-                io_pages=self.io_pages,
-                overwrite_factor=self.overwrite_factor,
-                threads=self.warmup_threads,
-                seed=self.warmup_seed,
-            ),
-            "obs": {"metrics_window_us": self.metrics_window_us},
         }
+        for section, keys in _MANIFEST_PLAN_FIELDS.items():
+            values = manifest[section] = {}
+            for key, plan_field in keys.items():
+                value, kind = getattr(self, plan_field), rules[plan_field].kind
+                if is_dataclass(kind):
+                    value = asdict(kind() if value is None else value)
+                values[key] = value
+        manifest["trace"]["sha256"] = trace_sha256(self.trace_path)
+        return manifest
 
     @classmethod
     def from_manifest(cls, manifest: dict[str, Any]) -> "ReplayPlan":

@@ -304,10 +304,10 @@ class TestGroupAllocator:
         allocator = GroupAllocator(geometry, flash)
         stripe_map = allocator.stripe_map
         budget = allocator.group_stripe_limit * allocator.stripes_per_span
-        full = allocator.begin_fresh_stripes(0, budget)
-        allocator.assign_gc_destination(0, full, budget * stripe_map.pages_per_stripe)
-        older, newer = allocator.begin_fresh_stripes(1, 2)
-        allocator.assign_gc_destination(1, [older, newer], 3)
+        allocator.gc_destination(0, budget * stripe_map.pages_per_stripe, set())
+        allocator.gc_destination(1, 3, set())
+        newer = allocator._claim_stripe(1)
+        older = allocator.stripes_of_group(1)[0]
         assert allocator.allocate_page(0) == (stripe_map.ppn_at(older, 3), 1)
         assert allocator.allocate_page(1) == (stripe_map.ppn_at(newer, 0), 1)
 
@@ -345,9 +345,10 @@ class TestGroupAllocator:
         allocator.release_stripe(old_stripe)
         assert allocator.free_stripe_count() == free_before + 1
         assert allocator.stripes_of_group(0) == []
-        fresh = allocator.begin_fresh_stripes(0, 1)
-        allocator.assign_gc_destination(0, fresh, pages_written=5)
-        assert allocator.stripes_of_group(0) == fresh
+        destination = allocator.gc_destination(0, 5, set())
+        fresh = allocator.stripes_of_group(0)
+        assert len(fresh) == 1
+        assert destination.tolist() == [allocator.stripe_map.ppn_at(fresh[0], i) for i in range(5)]
 
     def test_take_gc_hints_resets(self, geometry, flash):
         allocator = _allocator_with_hints(geometry, flash, (3, 1))
@@ -452,11 +453,15 @@ class TestGroupFreePageCounter:
         allocator.allocate_run([4, 4, 5, 4], limit=4, min_free_pages=0)
         self._check(allocator)
         # GC write-back: fresh stripes in, an emptied stripe out.
-        fresh = allocator.begin_fresh_stripes(3, 1)
-        destination = allocator.assign_gc_destination(3, fresh, pages_written=7)
-        assert destination.tolist() == [allocator.stripe_map.ppn_at(fresh[0], i) for i in range(7)]
+        owned = set(allocator.stripes_of_group(3))
+        destination = allocator.gc_destination(3, 7, set())
+        (fresh,) = set(allocator.stripes_of_group(3)) - owned
+        assert destination.tolist() == [allocator.stripe_map.ppn_at(fresh, i) for i in range(7)]
         self._check(allocator)
-        allocator.emergency_allocate_page(0)
+        # A write-back larger than every free stripe together is scattered.
+        free_pages = allocator.free_stripe_count() * allocator.stripe_map.pages_per_stripe
+        assert allocator.total_free_pages() > free_pages
+        allocator.gc_destination(0, free_pages + 1, set(allocator.stripes_of_group(0)))
         self._check(allocator)
         allocator.release_stripe(allocator.stripes_of_group(5)[0])
         self._check(allocator)

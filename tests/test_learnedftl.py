@@ -297,8 +297,8 @@ class TestMemoryBudget:
 
 
 class TestEmergencyWriteBack:
-    """Group GC with no free stripe left: ``begin_fresh_stripes`` raises and
-    the write-back scatters into whatever free pages other stripes still hold.
+    """Group GC with no free stripe left: ``GroupAllocator.gc_destination``
+    scatters the write-back into whatever free pages other stripes still hold.
 
     No golden workload reaches that branch (the GC reserve stripe normally
     prevents it), so the test forces it: after cross-group borrowing has set
@@ -353,19 +353,19 @@ class TestEmergencyWriteBack:
         for group in coldest:
             if not allocator._free_stripes:
                 break
-            stripe = allocator._free_stripes.pop(0)
-            allocator._free_pages_total -= allocator.stripe_map.pages_per_stripe
-            allocator._assign_stripe(group, stripe)
+            allocator._claim_stripe(group)
         assert allocator.free_stripe_count() == 0
 
+        # One entry per scattered page, naming the group written back.
         emergency_pages = []
-        emergency_allocate_page = allocator.emergency_allocate_page
+        gc_destination = allocator.gc_destination
 
-        def counting(group, **kwargs):
-            emergency_pages.append(group)
-            return emergency_allocate_page(group, **kwargs)
+        def counting(group, pages, avoid_stripes):
+            if allocator.free_stripe_count() * allocator.stripe_map.pages_per_stripe < pages:
+                emergency_pages.extend([group] * pages)
+            return gc_destination(group, pages, avoid_stripes)
 
-        monkeypatch.setattr(allocator, "emergency_allocate_page", counting)
+        monkeypatch.setattr(allocator, "gc_destination", counting)
         ssd.run(random_writes(geometry, 600, seed=5), threads=2)
         assert len(emergency_pages) > geometry.pages_per_block
         assert len(set(emergency_pages)) > 1

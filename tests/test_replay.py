@@ -27,7 +27,10 @@ import pytest
 from tests.conftest import flip_archive_payload_byte
 from tests.golden_workload import golden_geometry
 
+from repro.core.base import FTLConfig
 from repro.nand.errors import ConfigurationError
+from repro.nand.geometry import SSDGeometry
+from repro.nand.timing import TimingModel
 from repro.replay import (
     ReplayError,
     ReplayPlan,
@@ -38,6 +41,7 @@ from repro.replay import (
     trace_sha256,
 )
 from repro.snapshot import load_snapshot
+from repro.snapshot.fingerprint import source_fingerprint
 from repro.snapshot.serialization import _flatten
 from repro.ssd.device import SSD
 from repro.workloads.traces import (
@@ -494,6 +498,84 @@ class TestManifestRefusal:
     def test_json_round_trip_still_loads(self, manifest):
         stored = json.loads(json.dumps(manifest))
         assert ReplayPlan.from_manifest(stored).manifest() == manifest
+
+
+class TestManifestLayout:
+    """``manifest()`` builds its plan sections from the table ``from_manifest``
+    reads them with; the expected manifests were captured from the
+    hand-written layout that table replaced (the code fingerprint aside)."""
+
+    SAMPLE = Path(__file__).parent / "data" / "systor17_sample.csv"
+    SAMPLE_SHA = "7383e12129a7eed225ca8ec549aea9dd17eedb7d0c81589ec2827d307bcc2b49"
+    GEOMETRY = {
+        "channels": 2, "chips_per_channel": 2, "planes_per_chip": 1, "blocks_per_plane": 16,
+        "pages_per_block": 32, "page_size": 1024, "op_ratio": 0.25,
+    }
+    CONFIG = {
+        "cmt_ratio": 0.03, "learnedftl_cmt_ratio": 0.015, "min_cmt_entries": 64,
+        "prefetch_max_entries": 64, "leaftl_gamma": 4.0, "leaftl_buffer_pages": 2048,
+        "max_pieces": 8, "group_stripe_limit": 2, "borrow_threshold_fraction": 0.5,
+        "sequential_init_min_pages": 2, "charge_compute": True, "train_on_gc": True,
+        "gc_free_block_fraction": 0.03, "gc_target_free_blocks": 0,
+    }
+    TIMING = {
+        "read_us": 40.0, "program_us": 200.0, "erase_us": 2000.0, "channel_transfer_us": 0.0,
+        "sort_us_per_entry": 20.0, "train_us_per_entry": 30.0, "predict_us": 0.65,
+        "bitmap_check_us": 0.0,
+    }
+
+    def _manifest(self, **plan) -> dict:
+        manifest = ReplayPlan(
+            trace_path=str(self.SAMPLE), trace_format="systor", geometry=SSDGeometry.small(), **plan
+        ).manifest()
+        assert isinstance(manifest.pop("source_fingerprint"), str)
+        return manifest
+
+    def test_overridden_config_default_timing(self):
+        manifest = self._manifest(
+            ftl_name="learnedftl", config=FTLConfig(cmt_ratio=0.05), streams=2,
+            chunk_requests=500, checkpoint_every_requests=1000, warmup="fill", io_pages=64,
+            metrics_window_us=5000.0, limit=300,
+        )
+        assert manifest == {
+            "replay_manifest_version": 1,
+            "snapshot_format": 2,
+            "trace": {"path": str(self.SAMPLE), "sha256": self.SAMPLE_SHA, "format": "systor",
+                      "limit": 300, "max_errors": 0},
+            "device": {"ftl": "learnedftl", "geometry": self.GEOMETRY,
+                       "config": {**self.CONFIG, "cmt_ratio": 0.05}, "timing": self.TIMING},
+            "replay": {"streams": 2, "chunk_requests": 500, "checkpoint_every_requests": 1000,
+                       "checkpoint_every_sim_s": None, "preserve_timing": True, "time_scale": 1.0,
+                       "keep_checkpoints": 2},
+            "warmup": {"warmup": "fill", "io_pages": 64, "overwrite_factor": 1.0, "threads": 1,
+                       "seed": 7},
+            "obs": {"metrics_window_us": 5000.0},
+        }
+
+    def test_default_config_given_timing(self):
+        manifest = self._manifest(
+            ftl_name="dftl", timing=TimingModel.fast(), checkpoint_every_sim_s=0.5,
+            preserve_timing=False, time_scale=0.01, max_errors=3, warmup="steady",
+            overwrite_factor=0.5, warmup_threads=2, warmup_seed=3, keep_checkpoints=3,
+        )
+        assert manifest == {
+            "replay_manifest_version": 1,
+            "snapshot_format": 2,
+            "trace": {"path": str(self.SAMPLE), "sha256": self.SAMPLE_SHA, "format": "systor",
+                      "limit": None, "max_errors": 3},
+            "device": {"ftl": "dftl", "geometry": self.GEOMETRY, "config": self.CONFIG,
+                       "timing": {**self.TIMING, "read_us": 10.0, "program_us": 100.0,
+                                  "erase_us": 1000.0}},
+            "replay": {"streams": 1, "chunk_requests": 10000, "checkpoint_every_requests": None,
+                       "checkpoint_every_sim_s": 0.5, "preserve_timing": False,
+                       "time_scale": 0.01, "keep_checkpoints": 3},
+            "warmup": {"warmup": "steady", "io_pages": 128, "overwrite_factor": 0.5, "threads": 2,
+                       "seed": 3},
+            "obs": {"metrics_window_us": None},
+        }
+        assert ReplayPlan.from_manifest(manifest).manifest() == {
+            **manifest, "source_fingerprint": source_fingerprint()
+        }
 
 
 # -------------------------------------------------------------- crash / resume
