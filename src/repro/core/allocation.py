@@ -23,7 +23,8 @@ Three cooperating pieces live here:
   limit requests a group GC via :class:`GroupGCNeeded`.
 
 Both allocators reserve a small pool of blocks for translation pages, managed
-by :class:`TranslationPool`.
+by :class:`TranslationPool`.  Data GC and translation-pool GC pick their
+victim block by one rule, :func:`fewest_valid_block`.
 """
 
 from __future__ import annotations
@@ -425,11 +426,11 @@ class StripingAllocator:
         self.translation_pool.load_state(state["translation_pool"])
 
     def victim_block(self) -> int | None:
-        """Greedy GC victim: the written data block with the fewest valid pages
-        (ties: the lowest block id), or ``None``.
+        """Greedy GC victim: the written data block with the fewest valid pages, or ``None``.
 
-        A chip's active block is excluded while it can still receive writes;
-        once fully programmed it is a legitimate victim.
+        A tie goes to the lowest block id.  A chip's active block is excluded
+        while it can still receive writes; once fully programmed it is a
+        legitimate victim.
         """
         pages_per_block = self.geometry.pages_per_block
         cursor = self._block_cursor
@@ -618,7 +619,7 @@ class GroupAllocator:
                     # group (and, transitively, its lenders) after the current write.
                     state.gc_hint = True
                     self._hinted.add(group)
-        # Take the page at the cursor of ``stripe``, whose owner is ``owner``.
+        # Every branch takes the page at ``stripe``'s cursor; ``owner`` owns it.
         cursors[stripe] = cursor + 1
         self._free_pages_total -= 1
         owner_state.free_pages -= 1
@@ -745,12 +746,12 @@ class GroupAllocator:
 
     # ---------------------------------------------------------------- GC API
     def gc_candidate(self) -> int | None:
-        """The group with the most invalid data pages (the paper's victim rule),
-        or ``None`` when no group holds one.
+        """The group with the most invalid data pages, or ``None`` when none holds one.
 
-        The scan result is memoized on the flash data-invalidation epoch and
-        the stripe-layout epoch: until either changes, the per-block invalid
-        counts (and therefore the victim choice) cannot have changed.
+        This is the paper's victim rule.  The scan result is memoized on the
+        flash data-invalidation epoch and the stripe-layout epoch: until either
+        changes, the per-block invalid counts (and therefore the victim choice)
+        cannot have changed.
         """
         epoch = (self.flash.data_invalidation_epoch, self._layout_epoch)
         cached = self._gc_candidate_cache

@@ -578,25 +578,23 @@ class LearnedFTL(FTLBase):
 
     def _release_invalid_stripes(self, old_stripes: dict[int, list[int]]) -> tuple[int, float]:
         """Erase and free every pre-GC stripe that no longer holds valid pages."""
-        buffer = self.buffer
-        erase_stage = buffer.new_stage()
+        flash = self.flash
+        blocks_of = self.allocator.stripe_map.blocks_of
+        erase_stage = self.buffer.new_stage()
         blocks_erased = 0
         for member, stripes in old_stripes.items():
             remaining: list[int] = []
             for stripe in stripes:
-                blocks = self.allocator.stripe_map.blocks_of(stripe)
-                written = any(self.flash.block_programmed(block) > 0 for block in blocks)
-                fully_invalid = all(self.flash.block_valid_count(block) == 0 for block in blocks)
-                if written and fully_invalid:
-                    for block in blocks:
-                        if self.flash.block_programmed(block) > 0:
-                            self.erase_block(erase_stage, block)
-                            blocks_erased += 1
-                    self.allocator.release_stripe(stripe)
-                else:
+                written = [block for block in blocks_of(stripe) if flash.block_programmed(block)]
+                if not written or any(flash.block_valid_count(block) for block in written):
                     remaining.append(stripe)
+                    continue
+                for block in written:
+                    self.erase_block(erase_stage, block)
+                blocks_erased += len(written)
+                self.allocator.release_stripe(stripe)
             old_stripes[member] = remaining
-        buffer.commit_stage(erase_stage)
+        self.buffer.commit_stage(erase_stage)
         return blocks_erased, blocks_erased * self.timing.erase_us
 
     # ------------------------------------------------------ training via rewrite

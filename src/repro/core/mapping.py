@@ -330,10 +330,9 @@ class TranslationPageStore:
     def relocate_into(self, buffer: CommandBuffer, stage: list, old_ppn: int) -> int:
         """Move a live translation page during translation-pool GC.
 
-        Appends the program command (the GC read is issued by the caller) and
-        returns the new PPN.
+        Appends the program command and returns the new PPN.  The caller's
+        GC read of the old copy issues and counts the read.
         """
-        self.flash.touch_read(old_ppn)
         tvpn = self.flash.page_tvpn(old_ppn)
         if tvpn is None:
             raise MappingError(f"ppn {old_ppn} is not a translation page")

@@ -130,9 +130,10 @@ def state_fingerprint(state: dict[str, Any]) -> str:
     return digest.hexdigest()
 
 
-#: Where :meth:`ReplayPlan.from_manifest` finds each plan field: manifest
-#: section -> key -> ``ReplayPlan`` field.  The other keys (the trace hash, the
-#: code fingerprint) are checked by the resume, against a freshly built manifest.
+#: The manifest's plan layout, which :meth:`ReplayPlan.manifest` writes and
+#: :meth:`ReplayPlan.from_manifest` reads: section -> key -> ``ReplayPlan``
+#: field.  The other keys (the versions, the trace hash, the code fingerprint)
+#: are checked by the resume, against a freshly built manifest.
 _MANIFEST_PLAN_FIELDS: dict[str, dict[str, str]] = {
     "trace": {"path": "trace_path", "format": "trace_format", "limit": "limit",
               "max_errors": "max_errors"},

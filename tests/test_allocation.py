@@ -324,6 +324,7 @@ class TestGroupAllocator:
 
     def test_gc_candidate_prefers_most_invalid(self, geometry, flash):
         allocator = GroupAllocator(geometry, flash)
+        assert allocator.gc_candidate() is None  # no group holds an invalid page
         for group in (0, 1):
             for i in range(8):
                 ppn, _ = allocator.allocate_page(group)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.nand.geometry import SSDGeometry
 from repro.ssd.device import SSD
 from repro.ssd.request import HostRequest, OpType
 from repro.workloads.fio import FioJob
@@ -188,3 +189,26 @@ class TestConcurrencyScaling:
                 ssd.replay(list(requests), streams=2)
             totals.append(ssd.stats.total_flash_reads)
         assert totals[0] == totals[1]
+
+
+class TestFlashTotalsMatchTheEngine:
+    """The flash array and the timing engine count the same flash work.
+
+    A fill plus 6 000 single-page overwrites of ``small()`` runs data or
+    group GC on every design and translation-pool GC on DFTL, TPFTL and
+    LearnedFTL; a page one layer counts twice, or misses, shows as a
+    difference between ``FlashArray``'s totals and the engine's per-command
+    counts.
+    """
+
+    def test_totals_after_fill_and_overwrites(self, ftl_name):
+        ssd = make_ssd(ftl_name, SSDGeometry.small())
+        ssd.fill_sequential()
+        ssd.overwrite_random(pages=6000)
+        flash, stats = ssd.ftl.flash, ssd.stats
+        assert stats.gc_events
+        assert (flash.total_reads, flash.total_programs, flash.total_erases) == (
+            stats.total_flash_reads,
+            stats.total_flash_programs,
+            stats.total_flash_erases,
+        )

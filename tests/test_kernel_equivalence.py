@@ -27,6 +27,9 @@ import pytest
 from golden_workload import run_golden_workload
 
 #: Statistics fingerprints captured from the seed (pre-columnar) kernel.
+#: ``flash_total_reads`` of dftl, tpftl and leaftl were re-pinned when a
+#: translation page moved by translation-pool GC stopped being counted as two
+#: flash reads (the engine always counted one).
 GOLDEN = {
     "dftl": {
         "cmt_hit_ratio": 0.1001984126984127,
@@ -37,7 +40,7 @@ GOLDEN = {
         "flash_reads": 15729.0,
         "flash_total_erases": 790.0,
         "flash_total_programs": 13280.0,
-        "flash_total_reads": 15780.0,
+        "flash_total_reads": 15729.0,
         "gc_count": 507.0,
         "gc_pages_moved": 7330.0,
         "host_read_pages": 2016.0,
@@ -87,7 +90,7 @@ GOLDEN = {
         "flash_reads": 13790.0,
         "flash_total_erases": 719.0,
         "flash_total_programs": 12148.0,
-        "flash_total_reads": 13741.0,
+        "flash_total_reads": 13740.0,
         "gc_count": 507.0,
         "gc_pages_moved": 7330.0,
         "host_read_pages": 2016.0,
@@ -137,7 +140,7 @@ GOLDEN = {
         "flash_reads": 13346.0,
         "flash_total_erases": 717.0,
         "flash_total_programs": 12114.0,
-        "flash_total_reads": 13349.0,
+        "flash_total_reads": 13346.0,
         "gc_count": 507.0,
         "gc_pages_moved": 7330.0,
         "host_read_pages": 2016.0,

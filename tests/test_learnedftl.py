@@ -198,10 +198,13 @@ class TestGroupGCRetrainingPinned:
     With 4 KiB pages each GTD entry holds 512 mappings, so group GC retrains
     entries whose slope-1 runs outgrow the fitter's scalar head and are grown
     in NumPy windows; the golden workload's 512 B pages (64 mappings an
-    entry) never get there.
+    entry) never get there.  ``STATE_SHA`` was re-pinned when a translation
+    page moved by translation-pool GC stopped being counted as two flash
+    reads (``FlashArray.total_reads`` is part of the state); the summary did
+    not move.
     """
 
-    STATE_SHA = "eb922290c24cc04a14e19f0c6a619c1fda33028cdf79ee26ff3a29c9718b9fa7"
+    STATE_SHA = "ee5bc07e43e388085017dd10c12b54a662bfcb9a1dca9b90e54fd14e3e226158"
     SUMMARY = {
         "host_read_pages": 1000.0,
         "host_write_pages": 12144.0,
@@ -409,10 +412,12 @@ class TestSinglePageWriteStorm:
     group (``GroupGCNeeded`` when no group can lend) and a borrow threshold of
     a tenth of a stripe (hinted group GC).  The fingerprint was captured from
     the per-page body that went through ``_allocate_from_own_stripes``,
-    ``_take_from_stripe`` and ``CMT.insert_many``.
+    ``_take_from_stripe`` and ``CMT.insert_many``, and re-pinned when a
+    translation page moved by translation-pool GC stopped being counted as
+    two flash reads (``FlashArray.total_reads`` is part of the state).
     """
 
-    STATE_SHA = "aee2c586e67ac9479d6f3e3548abece23e3430c9987ebc25ec7a5ea9b46cae6d"
+    STATE_SHA = "252d06fff62ce508e5ccb5defd40714fe6a46b2e4dec5d71d7675d8e117c5927"
 
     def test_every_branch_is_taken_and_the_state_is_pinned(self):
         geometry = SSDGeometry.small(
