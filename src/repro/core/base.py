@@ -37,12 +37,14 @@ from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.trace import NULL_TRACER
 from repro.ssd.request import (
+    OP_STRIDE,
     CommandBuffer,
     CommandKind,
     CommandPurpose,
     HostRequest,
     OpType,
     command_code,
+    durations_by_code,
 )
 from repro.ssd.stats import GCEvent, SimulationStats
 
@@ -154,6 +156,8 @@ class FTLBase(ABC):
     ) -> None:
         self.geometry = geometry
         self.timing = timing or TimingModel.femu_default()
+        #: Each command code's flash latency (:meth:`_flash_time_since`).
+        self._durations = durations_by_code(self.timing)
         self.config = config or FTLConfig()
         self.stats = stats or SimulationStats()
         self.flash = FlashArray(geometry)
@@ -238,9 +242,14 @@ class FTLBase(ABC):
         self.buffer.append(stage, code, self.codec.chip_index(ppn), ppn)
 
     def probe_read_command(self, stage: list, ppn: int) -> None:
-        """Append a read of a possibly-unprogrammed page (LeaFTL misprediction probe)."""
-        if self.flash.page_state_code(ppn) != PAGE_FREE:
-            self.flash.touch_read(ppn)
+        """Append (and account in the flash array) a read of a possibly-unprogrammed
+        page (LeaFTL misprediction probe): a probe of a free page is a flash
+        read too, it just finds nothing."""
+        flash = self.flash
+        if flash.page_state_code(ppn) != PAGE_FREE:
+            flash.touch_read(ppn)
+        else:
+            flash.total_reads += 1
         self.buffer.append(stage, _CODE_OOB_PROBE, self.codec.chip_index(ppn), ppn)
 
     def program_command(self, stage: list, ppn: int, code: int = _CODE_DATA_WRITE) -> None:
@@ -255,6 +264,16 @@ class FTLBase(ABC):
         self.flash.erase(block)
         base = self.codec.block_base_ppn(block)
         self.buffer.append(stage, _CODE_GC_ERASE, self.codec.chip_index(base), -1, block)
+
+    def _flash_time_since(self, first: int) -> float:
+        """Flash time of the commands encoded from slot ``first`` of the buffer
+        on: each command's own latency, summed in encoding order.  A
+        collection notes ``len(buffer.ops)`` when it starts; everything it
+        encodes, a translation-pool GC inside its write-back included, is its
+        own."""
+        ops = self.buffer.ops
+        codes = map(ops.__getitem__, range(first, len(ops), OP_STRIDE))
+        return sum(map(self._durations.__getitem__, codes))
 
     def _record_gc(self, span: str, args: dict, **event) -> None:
         """Record one collection: the :class:`GCEvent` of the ``event`` fields
@@ -615,6 +634,7 @@ class StripingFTLBase(FTLBase):
     def _collect_block(self, victim: int, now: float) -> None:
         """Migrate a victim block's valid pages, erase it and record the event."""
         buffer = self.buffer
+        first = len(buffer.ops)
         read_stage = buffer.new_stage()
         write_stage = buffer.new_stage()
         moved: list[tuple[int, int]] = []
@@ -643,12 +663,6 @@ class StripingFTLBase(FTLBase):
         buffer.commit_stage(write_stage)
         buffer.commit_stage(erase_stage)
         buffer.commit_stage(translation_stage)
-        translation_commands = buffer.stage_size(translation_stage)
-        flash_time = (
-            len(moved) * self.timing.read_us
-            + (len(moved) + translation_commands) * self.timing.program_us
-            + self.timing.erase_us
-        )
         translation_pages = len(touched_tvpns) if self.persists_translation_pages else 0
         self._record_gc(
             "gc",
@@ -657,7 +671,7 @@ class StripingFTLBase(FTLBase):
             blocks_erased=1,
             pages_moved=len(moved),
             translation_pages_written=translation_pages,
-            flash_time_us=flash_time,
+            flash_time_us=self._flash_time_since(first),
             compute_time_us=0.0,
         )
 

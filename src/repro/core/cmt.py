@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -44,9 +44,13 @@ PAGE_NODE_OVERHEAD_ENTRIES = 2
 class CMTEntry:
     """One cached LPN -> PPN mapping.
 
-    Documents the logical schema of a cache slot; the caches below store the
-    equivalent ``[ppn, dirty]`` list internally because slots are created and
-    discarded millions of times per simulated run.
+    Documents the logical schema of a cache slot.  The caches below store a
+    slot as its bare PPN (``lpn -> ppn`` in an ``OrderedDict`` whose order is
+    the recency order) and keep the dirty bit out of the slot: the dirty LPNs
+    live in a set, one per translation page in :class:`PageGroupedCMT` and
+    one per cache in :class:`EntryLevelCMT`.  Slots are created and discarded
+    millions of times per simulated run, and an eviction then finds the LPNs
+    it must write back without looking at a slot.
     """
 
     ppn: int
@@ -54,7 +58,10 @@ class CMTEntry:
 
 
 class EvictedPage(NamedTuple):
-    """Dirty mappings evicted together, grouped by translation page."""
+    """Dirty mappings evicted together, grouped by translation page.
+
+    ``dirty_lpns`` is in ascending order.
+    """
 
     tvpn: int
     dirty_lpns: tuple[int, ...]
@@ -68,11 +75,10 @@ class EntryLevelCMT:
             raise ConfigurationError("CMT capacity must be at least one entry")
         self.capacity_entries = capacity_entries
         self.mappings_per_page = mappings_per_page
-        # lpn -> [ppn, dirty]
-        self._entries: OrderedDict[int, list] = OrderedDict()
-        # Count of entries with the dirty bit set, maintained by every mutation
-        # below (:attr:`dirty_entry_count`).
-        self._dirty_count = 0
+        # lpn -> ppn, least to most recently used.
+        self._entries: OrderedDict[int, int] = OrderedDict()
+        # The cached LPNs whose mapping their translation page does not hold yet.
+        self._dirty: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -83,51 +89,50 @@ class EntryLevelCMT:
     @property
     def dirty_entry_count(self) -> int:
         """Number of cached entries whose dirty bit is set."""
-        return self._dirty_count
+        return len(self._dirty)
 
     def lookup(self, lpn: int) -> int | None:
         """Return the cached PPN of an LPN (refreshing recency) or ``None``."""
-        entry = self._entries.get(lpn)
-        if entry is None:
-            return None
-        self._entries.move_to_end(lpn)
-        return entry[0]
+        ppn = self._entries.get(lpn)
+        if ppn is not None:
+            self._entries.move_to_end(lpn)
+        return ppn
 
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:
-        """Insert or update a mapping; returns dirty evictions needed to make room."""
+        """Insert or update a mapping; returns dirty evictions needed to make room.
+
+        A clean update never cleans a dirty entry: only the write-back does.
+        """
         entries = self._entries
-        entry = entries.get(lpn)
-        if entry is not None:
-            entry[0] = ppn
-            if dirty and not entry[1]:
-                entry[1] = True
-                self._dirty_count += 1
+        if lpn in entries:
+            entries[lpn] = ppn
             entries.move_to_end(lpn)
+            if dirty:
+                self._dirty.add(lpn)
             return []
         evicted: list[EvictedPage] = []
+        dirty_lpns = self._dirty
         while len(entries) >= self.capacity_entries:
-            victim_lpn, victim = entries.popitem(last=False)
-            if victim[1]:
-                self._dirty_count -= 1
+            victim_lpn, _ = entries.popitem(last=False)
+            if victim_lpn in dirty_lpns:
+                dirty_lpns.remove(victim_lpn)
                 evicted.append(
                     EvictedPage(
                         tvpn=victim_lpn // self.mappings_per_page,
                         dirty_lpns=(victim_lpn,),
                     )
                 )
-        entries[lpn] = [ppn, dirty]
+        entries[lpn] = ppn
         if dirty:
-            self._dirty_count += 1
+            dirty_lpns.add(lpn)
         return evicted
 
     def flush_all(self) -> list[EvictedPage]:
         """Return (and clean) every dirty entry grouped by translation page."""
         grouped: dict[int, list[int]] = {}
-        for lpn, entry in self._entries.items():
-            if entry[1]:
-                grouped.setdefault(lpn // self.mappings_per_page, []).append(lpn)
-                entry[1] = False
-        self._dirty_count = 0
+        for lpn in sorted(self._dirty):
+            grouped.setdefault(lpn // self.mappings_per_page, []).append(lpn)
+        self._dirty.clear()
         return [EvictedPage(tvpn=tvpn, dirty_lpns=tuple(lpns)) for tvpn, lpns in grouped.items()]
 
     def memory_entries(self) -> int:
@@ -141,28 +146,21 @@ class EntryLevelCMT:
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:
         """Capture the cached entries in LRU-to-MRU order."""
-        lpns = np.fromiter(self._entries.keys(), dtype=np.int64, count=len(self._entries))
-        ppns = np.fromiter(
-            (entry[0] for entry in self._entries.values()),
-            dtype=np.int64,
-            count=len(self._entries),
-        )
-        dirty = np.fromiter(
-            (entry[1] for entry in self._entries.values()),
-            dtype=np.uint8,
-            count=len(self._entries),
-        )
+        entries = self._entries
+        count = len(entries)
+        lpns = np.fromiter(entries.keys(), dtype=np.int64, count=count)
+        ppns = np.fromiter(entries.values(), dtype=np.int64, count=count)
+        dirty = np.fromiter(map(self._dirty.__contains__, entries), dtype=np.uint8, count=count)
         return {"lpns": lpns, "ppns": ppns, "dirty": dirty}
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore the cache **in place**, preserving exact recency order
         (hot paths hold direct references to the entry dict)."""
+        lpns = state["lpns"].tolist()
         self._entries.clear()
-        for lpn, ppn, dirty in zip(
-            state["lpns"].tolist(), state["ppns"].tolist(), state["dirty"].tolist()
-        ):
-            self._entries[lpn] = [ppn, bool(dirty)]
-        self._dirty_count = int(np.count_nonzero(state["dirty"]))
+        self._entries.update(zip(lpns, state["ppns"].tolist()))
+        self._dirty.clear()
+        self._dirty.update(compress(lpns, state["dirty"].tolist()))
 
 
 class PageGroupedCMT:
@@ -173,18 +171,18 @@ class PageGroupedCMT:
             raise ConfigurationError("CMT capacity must be at least one entry")
         self.capacity_entries = capacity_entries
         self.mappings_per_page = mappings_per_page
-        # tvpn -> (lpn -> [ppn, dirty])
-        self._pages: OrderedDict[int, OrderedDict[int, list]] = OrderedDict()
+        # tvpn -> (lpn -> ppn); nodes and the entries of a node are each
+        # ordered least to most recently used.
+        self._pages: OrderedDict[int, OrderedDict[int, int]] = OrderedDict()
+        # tvpn -> the node's dirty LPNs.  A node without dirty entries has no
+        # key, so evicting a node finds its write-back with one pop, and the
+        # batched read planner tells a dirty node by membership.
+        self._dirty: dict[int, set[int]] = {}
         self._size_entries = 0
-        # Count of entries with the dirty bit set, maintained by every mutation
-        # below (mirror of :attr:`EntryLevelCMT._dirty_count`).  The batched
-        # read planner consults it: when zero, any eviction a fast-path insert
-        # causes is silent (no translation-page flush).
-        self._dirty_count = 0
 
     # ------------------------------------------------------------ accounting
     def __len__(self) -> int:
-        return sum(len(node) for node in self._pages.values())
+        return sum(map(len, self._pages.values()))
 
     def memory_entries(self) -> int:
         """Occupancy in entry units, including per-node overhead."""
@@ -201,7 +199,7 @@ class PageGroupedCMT:
     @property
     def dirty_entry_count(self) -> int:
         """Number of cached entries whose dirty bit is set."""
-        return self._dirty_count
+        return sum(map(len, self._dirty.values()))
 
     # --------------------------------------------------------------- lookup
     def lookup(self, lpn: int) -> int | None:
@@ -210,12 +208,12 @@ class PageGroupedCMT:
         node = self._pages.get(tvpn)
         if node is None:
             return None
-        entry = node.get(lpn)
-        if entry is None:
+        ppn = node.get(lpn)
+        if ppn is None:
             return None
         node.move_to_end(lpn)
         self._pages.move_to_end(tvpn)
-        return entry[0]
+        return ppn
 
     # -------------------------------------------------------------- updates
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:
@@ -224,31 +222,30 @@ class PageGroupedCMT:
         The one-mapping case of :meth:`insert_many`, stated directly: it
         leaves the cache, and returns (as a new list), what
         ``insert_many([(lpn, ppn)], dirty=dirty)`` does.  Host writes and GC
-        refreshes of cached mappings call it once per page.
+        refreshes of cached mappings call it once per page.  A clean update
+        never cleans a dirty entry: only the write-back does.
         """
         tvpn = lpn // self.mappings_per_page
         pages = self._pages
         node = pages.get(tvpn)
         if node is None:
             node = pages[tvpn] = OrderedDict()
-            node[lpn] = [ppn, dirty]
+            node[lpn] = ppn
             self._size_entries += PAGE_NODE_OVERHEAD_ENTRIES + 1
-            if dirty:
-                self._dirty_count += 1
         else:
-            existing = node.get(lpn)
-            if existing is None:
-                node[lpn] = [ppn, dirty]
-                self._size_entries += 1
-                if dirty:
-                    self._dirty_count += 1
-            else:
-                existing[0] = ppn
-                if dirty and not existing[1]:
-                    existing[1] = True
-                    self._dirty_count += 1
+            if lpn in node:
+                node[lpn] = ppn
                 node.move_to_end(lpn)
+            else:
+                node[lpn] = ppn
+                self._size_entries += 1
             pages.move_to_end(tvpn)
+        if dirty:
+            dirty_lpns = self._dirty.get(tvpn)
+            if dirty_lpns is None:
+                self._dirty[tvpn] = {lpn}
+            else:
+                dirty_lpns.add(lpn)
         if self._size_entries > self.capacity_entries:
             return self._evict_until_fits(exclude_tvpn=tvpn, exclude_lpn=lpn)
         return []
@@ -261,6 +258,7 @@ class PageGroupedCMT:
         """
         evicted: list[EvictedPage] = []
         pages = self._pages
+        dirty_sets = self._dirty
         mappings_per_page = self.mappings_per_page
         capacity = self.capacity_entries
         for lpn, ppn in mappings:
@@ -270,26 +268,23 @@ class PageGroupedCMT:
                 # Fresh node: creating it already puts it at the recency tail,
                 # and the entry cannot pre-exist, so both the membership probe
                 # and the move_to_end are skipped.
-                node = OrderedDict()
-                pages[tvpn] = node
-                node[lpn] = [ppn, dirty]
+                node = pages[tvpn] = OrderedDict()
+                node[lpn] = ppn
                 self._size_entries += PAGE_NODE_OVERHEAD_ENTRIES + 1
-                if dirty:
-                    self._dirty_count += 1
             else:
-                existing = node.get(lpn)
-                if existing is None:
-                    node[lpn] = [ppn, dirty]
-                    self._size_entries += 1
-                    if dirty:
-                        self._dirty_count += 1
-                else:
-                    existing[0] = ppn
-                    if dirty and not existing[1]:
-                        existing[1] = True
-                        self._dirty_count += 1
+                if lpn in node:
+                    node[lpn] = ppn
                     node.move_to_end(lpn)
+                else:
+                    node[lpn] = ppn
+                    self._size_entries += 1
                 pages.move_to_end(tvpn)
+            if dirty:
+                dirty_lpns = dirty_sets.get(tvpn)
+                if dirty_lpns is None:
+                    dirty_sets[tvpn] = {lpn}
+                else:
+                    dirty_lpns.add(lpn)
             if self._size_entries > capacity:
                 evicted.extend(self._evict_until_fits(exclude_tvpn=tvpn, exclude_lpn=lpn))
         return evicted
@@ -299,14 +294,14 @@ class PageGroupedCMT:
 
         ``mappings`` is a miss load: the missed mapping plus its prefetched
         neighbours, none of them cached.  It costs one node lookup, one
-        recency move, one capacity check after the whole batch and whole-node
-        LRU eviction.  It leaves the cache, and returns the dirty evictions,
-        exactly as ``insert_many(mappings, dirty=False)`` does: evicting after
-        each mapping and once after the batch remove the same LRU prefix of
-        nodes, and the loaded node is the most recently used in both.  Only
-        when the loaded node alone would exceed the capacity can the
-        per-mapping entry fallback differ, so that case is handed to
-        :meth:`insert_many`.
+        ``OrderedDict`` construction or ``update``, one recency move, one
+        capacity check after the whole batch and whole-node LRU eviction.  It
+        leaves the cache, and returns the dirty evictions, exactly as
+        ``insert_many(mappings, dirty=False)`` does: evicting after each
+        mapping and once after the batch remove the same LRU prefix of nodes,
+        and the loaded node is the most recently used in both.  Only when the
+        loaded node alone would exceed the capacity can the per-mapping entry
+        fallback differ, so that case is handed to :meth:`insert_many`.
         """
         pages = self._pages
         node = pages.get(tvpn)
@@ -315,52 +310,52 @@ class PageGroupedCMT:
             grown = len(mappings) + PAGE_NODE_OVERHEAD_ENTRIES
             if grown > capacity:
                 return self.insert_many(mappings, dirty=False)
-            node = pages[tvpn] = OrderedDict()
+            pages[tvpn] = OrderedDict(mappings)
         else:
             grown = len(mappings)
             if len(node) + grown + PAGE_NODE_OVERHEAD_ENTRIES > capacity:
                 return self.insert_many(mappings, dirty=False)
             pages.move_to_end(tvpn)
-        for lpn, ppn in mappings:
-            node[lpn] = [ppn, False]
+            node.update(mappings)
         size = self._size_entries + grown
         evicted: list[EvictedPage] = []
         # The loaded node fits alone and is the most recently used, so the
         # LRU node is never it while the cache is over capacity.
-        while size > capacity:
-            victim_tvpn, victim = pages.popitem(last=False)
-            size -= len(victim) + PAGE_NODE_OVERHEAD_ENTRIES
-            if self._dirty_count:
-                dirty_lpns = tuple(lpn for lpn, entry in victim.items() if entry[1])
-                if dirty_lpns:
-                    self._dirty_count -= len(dirty_lpns)
-                    evicted.append(EvictedPage(tvpn=victim_tvpn, dirty_lpns=dirty_lpns))
+        if size > capacity:
+            dirty_sets = self._dirty
+            while size > capacity:
+                victim_tvpn, victim = pages.popitem(last=False)
+                size -= len(victim) + PAGE_NODE_OVERHEAD_ENTRIES
+                dirty_lpns = dirty_sets.pop(victim_tvpn, None)
+                if dirty_lpns is not None:
+                    evicted.append(EvictedPage(victim_tvpn, tuple(sorted(dirty_lpns))))
         self._size_entries = size
         return evicted
 
     def _evict_until_fits(self, *, exclude_tvpn: int, exclude_lpn: int) -> list[EvictedPage]:
         evicted: list[EvictedPage] = []
+        pages = self._pages
+        dirty_sets = self._dirty
         # First evict whole LRU translation-page nodes (TPFTL's normal policy).
-        while self._size_entries > self.capacity_entries and len(self._pages) > 1:
-            victim_tvpn = next(iter(self._pages))
+        while self._size_entries > self.capacity_entries and len(pages) > 1:
+            victim_tvpn = next(iter(pages))
             if victim_tvpn == exclude_tvpn:
                 # Re-queue the protected node and try the next-oldest one.
-                self._pages.move_to_end(victim_tvpn)
-                victim_tvpn = next(iter(self._pages))
+                pages.move_to_end(victim_tvpn)
+                victim_tvpn = next(iter(pages))
                 if victim_tvpn == exclude_tvpn:
                     break
-            node = self._pages.pop(victim_tvpn)
+            node = pages.pop(victim_tvpn)
             self._size_entries -= len(node) + PAGE_NODE_OVERHEAD_ENTRIES
-            if self._dirty_count:
-                dirty_lpns = tuple(lpn for lpn, entry in node.items() if entry[1])
-                if dirty_lpns:
-                    self._dirty_count -= len(dirty_lpns)
-                    evicted.append(EvictedPage(tvpn=victim_tvpn, dirty_lpns=dirty_lpns))
+            dirty_lpns = dirty_sets.pop(victim_tvpn, None)
+            if dirty_lpns is not None:
+                evicted.append(EvictedPage(victim_tvpn, tuple(sorted(dirty_lpns))))
         # If a single node alone exceeds the capacity, fall back to evicting its
         # least-recently-used entries (never the one just inserted).
-        if self._size_entries > self.capacity_entries and len(self._pages) == 1:
-            tvpn, node = next(iter(self._pages.items()))
-            dirty_lpns: list[int] = []
+        if self._size_entries > self.capacity_entries and len(pages) == 1:
+            tvpn, node = next(iter(pages.items()))
+            node_dirty = dirty_sets.get(tvpn, set())
+            flushed: list[int] = []
             while self._size_entries > self.capacity_entries and len(node) > 1:
                 victim_lpn = next(iter(node))
                 if victim_lpn == exclude_lpn:
@@ -368,68 +363,66 @@ class PageGroupedCMT:
                     victim_lpn = next(iter(node))
                     if victim_lpn == exclude_lpn:
                         break
-                entry = node.pop(victim_lpn)
+                del node[victim_lpn]
                 self._size_entries -= 1
-                if entry[1]:
-                    self._dirty_count -= 1
-                    dirty_lpns.append(victim_lpn)
-            if dirty_lpns:
-                evicted.append(EvictedPage(tvpn=tvpn, dirty_lpns=tuple(dirty_lpns)))
+                if victim_lpn in node_dirty:
+                    node_dirty.remove(victim_lpn)
+                    flushed.append(victim_lpn)
+            if flushed:
+                if not node_dirty:
+                    del dirty_sets[tvpn]
+                evicted.append(EvictedPage(tvpn=tvpn, dirty_lpns=tuple(sorted(flushed))))
         return evicted
 
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:
         """Capture nodes (LRU-to-MRU) and their entries (LRU-to-MRU within a node)."""
+        pages = self._pages
         total = len(self)
-        node_tvpns = np.fromiter(self._pages.keys(), dtype=np.int64, count=len(self._pages))
-        node_sizes = np.fromiter(
-            (len(node) for node in self._pages.values()), dtype=np.int64, count=len(self._pages)
+        node_tvpns = np.fromiter(pages.keys(), dtype=np.int64, count=len(pages))
+        node_sizes = np.fromiter(map(len, pages.values()), dtype=np.int64, count=len(pages))
+        lpns = np.fromiter(chain.from_iterable(pages.values()), dtype=np.int64, count=total)
+        ppns = np.fromiter(
+            chain.from_iterable(node.values() for node in pages.values()),
+            dtype=np.int64,
+            count=total,
         )
-        lpns = np.empty(total, dtype=np.int64)
-        ppns = np.empty(total, dtype=np.int64)
-        dirty = np.empty(total, dtype=np.uint8)
-        index = 0
-        for node in self._pages.values():
-            for lpn, entry in node.items():
-                lpns[index] = lpn
-                ppns[index] = entry[0]
-                dirty[index] = entry[1]
-                index += 1
+        dirty_lpns = np.fromiter(chain.from_iterable(self._dirty.values()), dtype=np.int64)
         return {
             "node_tvpns": node_tvpns,
             "node_sizes": node_sizes,
             "lpns": lpns,
             "ppns": ppns,
-            "dirty": dirty,
+            "dirty": np.isin(lpns, dirty_lpns).astype(np.uint8),
             "size_entries": self._size_entries,
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore the two-level cache **in place** with exact recency orders."""
-        self._pages.clear()
+        pages = self._pages
+        pages.clear()
         lpns = state["lpns"].tolist()
         ppns = state["ppns"].tolist()
-        dirty = state["dirty"].tolist()
         index = 0
         for tvpn, size in zip(state["node_tvpns"].tolist(), state["node_sizes"].tolist()):
-            node: OrderedDict[int, list] = OrderedDict()
-            for _ in range(size):
-                node[lpns[index]] = [ppns[index], bool(dirty[index])]
-                index += 1
-            self._pages[tvpn] = node
+            pages[tvpn] = OrderedDict(zip(lpns[index : index + size], ppns[index : index + size]))
+            index += size
+        dirty_sets = self._dirty
+        dirty_sets.clear()
+        for lpn in compress(lpns, state["dirty"].tolist()):
+            dirty_sets.setdefault(lpn // self.mappings_per_page, set()).add(lpn)
         self._size_entries = int(state["size_entries"])
-        self._dirty_count = int(np.count_nonzero(state["dirty"]))
 
     def flush_all(self) -> list[EvictedPage]:
-        """Return (and clean) every dirty entry grouped by translation page."""
-        flushed: list[EvictedPage] = []
-        for tvpn, node in self._pages.items():
-            dirty_lpns = tuple(lpn for lpn, entry in node.items() if entry[1])
-            if dirty_lpns:
-                flushed.append(EvictedPage(tvpn=tvpn, dirty_lpns=dirty_lpns))
-                for lpn in dirty_lpns:
-                    node[lpn][1] = False
-        self._dirty_count = 0
+        """Return (and clean) every dirty entry grouped by translation page,
+        pages in recency order."""
+        dirty_sets = self._dirty
+        flushed = [
+            EvictedPage(tvpn=tvpn, dirty_lpns=tuple(sorted(dirty_sets[tvpn])))
+            for tvpn in self._pages
+            if tvpn in dirty_sets
+        ]
+        dirty_sets.clear()
         return flushed
 
 

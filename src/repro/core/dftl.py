@@ -59,11 +59,11 @@ class DFTL(StripingFTLBase):
         stats = self.stats
         stats.cmt_lookups += 1
         # Inlined EntryLevelCMT.lookup (runs once per host page read).
-        entry = self._cmt_get(lpn)
-        if entry is not None:
+        cached = self._cmt_get(lpn)
+        if cached is not None:
             self._cmt_refresh(lpn)
             stats.cmt_hits += 1
-            return entry[0], _OUT_CMT_HIT, 0.0
+            return cached, _OUT_CMT_HIT, 0.0
         # Inlined MappingDirectory.lookup (-1 is the unmapped sentinel).
         ppn = self._dir_column[lpn] if 0 <= lpn < self._num_logical_pages else -1
         if ppn == -1:

@@ -1,9 +1,12 @@
 """Fixed-size bitmap used as LearnedFTL's bitmap filter (Section III-B).
 
 Each GTD-entry model carries one bit per LPN it covers; the bit says whether
-the model's prediction for that LPN is exact.  The implementation is a plain
-``bytearray`` so the memory accounting matches the paper's 512-bit (64-byte)
-figure per model.
+the model's prediction for that LPN is exact.  The bits are plain bytes (bit
+``i`` in byte ``i >> 3`` under mask ``1 << (i & 7)``) so the memory accounting
+matches the paper's 512-bit (64-byte) figure per model.  A bitmap owns its
+bytes, or is a view of one row of a larger buffer: LearnedFTL keeps every
+model's bits in one fleet column (see
+:func:`repro.core.learned.inplace_model.model_fleet`).
 """
 
 from __future__ import annotations
@@ -20,12 +23,26 @@ class Bitmap:
 
     __slots__ = ("_bits", "_size", "_popcount")
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, bits: "bytearray | memoryview | None" = None) -> None:
+        """A bitmap of ``size`` bits, all clear, in fresh bytes or in ``bits``.
+
+        ``bits`` is a writable buffer of exactly ``(size + 7) // 8`` bytes,
+        usually a ``memoryview`` row of a larger column; it is used in place
+        and its set bits are counted.
+        """
         if size <= 0:
             raise ValueError("bitmap size must be positive")
         self._size = size
-        self._bits = bytearray((size + 7) // 8)
-        self._popcount = 0
+        if bits is None:
+            self._bits = bytearray((size + 7) // 8)
+            self._popcount = 0
+        else:
+            if len(bits) != (size + 7) // 8:
+                raise ValueError(
+                    f"a {size}-bit bitmap needs {(size + 7) // 8} bytes, got {len(bits)}"
+                )
+            self._bits = bits
+            self._popcount = int.from_bytes(bits, "little").bit_count()
 
     def __len__(self) -> int:
         return self._size

@@ -32,6 +32,7 @@ __all__ = [
     "InPlaceLinearModel",
     "TrainingResult",
     "BIT_NOT_SET",
+    "model_fleet",
     "pack_models",
     "unpack_models",
 ]
@@ -75,7 +76,17 @@ class TrainingResult:
 class InPlaceLinearModel:
     """Piece-wise linear model with a bitmap filter for one GTD entry."""
 
-    def __init__(self, start_lpn: int, span: int, *, max_pieces: int = 8) -> None:
+    def __init__(
+        self,
+        start_lpn: int,
+        span: int,
+        *,
+        max_pieces: int = 8,
+        bits: "bytearray | memoryview | None" = None,
+    ) -> None:
+        """A model of the ``span`` LPNs from ``start_lpn``; its bitmap filter
+        owns its bytes, or uses ``bits`` in place (a row of a fleet column,
+        see :func:`model_fleet`)."""
         if span <= 0:
             raise ValueError("span must be positive")
         if max_pieces <= 0:
@@ -84,7 +95,7 @@ class InPlaceLinearModel:
         self.span = span
         self.max_pieces = max_pieces
         self.pieces: list[ModelPiece] = []
-        self.bitmap = Bitmap(span)
+        self.bitmap = Bitmap(span, bits)
 
     # ------------------------------------------------------------ inspection
     def covers(self, lpn: int) -> bool:
@@ -254,14 +265,43 @@ def _to_model_piece(piece: LinearPiece) -> ModelPiece:
     return ModelPiece(slope=piece.slope, intercept=piece.intercept, offset=piece.x_start)
 
 
-# --------------------------------------------------------- snapshot support
-def pack_models(models: Sequence[InPlaceLinearModel]) -> dict[str, Any]:
-    """Serialize a fleet of GTD-entry models into flat NumPy columns.
+# ------------------------------------------------------------- model fleets
+def model_fleet(
+    count: int, span: int, *, max_pieces: int = 8
+) -> tuple[bytearray, list[InPlaceLinearModel]]:
+    """``count`` models of consecutive ``span``-LPN entries over one bit column.
 
-    All models of one device share the same span, so the bitmaps concatenate
-    into one ``uint8`` buffer; the ragged piece arrays are flattened with a
-    per-model count column.  At the paper's full geometry this packs ~16k
-    models into five buffers instead of 16k objects.
+    Returns ``(column, models)``: model ``t`` covers LPNs ``t * span`` up to
+    ``(t + 1) * span`` and its bitmap is a ``memoryview`` of row ``t`` of
+    ``column`` (``(span + 7) // 8`` bytes a row).  When ``span`` is a multiple
+    of 8 the bit of LPN ``l`` is therefore bit ``l & 7`` of byte ``l >> 3``,
+    which lets a reader test a whole run of LPNs in one NumPy gather.  Every
+    bitmap update writes its row in place, so the column always holds the
+    fleet's bits.
+    """
+    row = (span + 7) // 8
+    column = bytearray(count * row)
+    view = memoryview(column)
+    models = [
+        InPlaceLinearModel(
+            start_lpn=index * span,
+            span=span,
+            max_pieces=max_pieces,
+            bits=view[index * row : (index + 1) * row],
+        )
+        for index in range(count)
+    ]
+    return column, models
+
+
+# --------------------------------------------------------- snapshot support
+def pack_models(models: Sequence[InPlaceLinearModel], column: bytearray) -> dict[str, Any]:
+    """Serialize a :func:`model_fleet` into flat NumPy columns.
+
+    The bitmaps are one copy of the fleet's bit column (row ``t`` is model
+    ``t``'s bitmap); the ragged piece arrays are flattened with a per-model
+    count column.  At the paper's full geometry this packs ~16k models into
+    five buffers instead of 16k objects.
     """
     piece_counts = np.fromiter(
         (len(model.pieces) for model in models), dtype=np.int64, count=len(models)
@@ -277,18 +317,23 @@ def pack_models(models: Sequence[InPlaceLinearModel]) -> dict[str, Any]:
             intercepts[index] = piece.intercept
             offsets[index] = piece.offset
             index += 1
-    bitmaps = b"".join(bytes(model.bitmap._bits) for model in models)
     return {
         "piece_counts": piece_counts,
         "slopes": slopes,
         "intercepts": intercepts,
         "offsets": offsets,
-        "bitmaps": np.frombuffer(bitmaps, dtype=np.uint8),
+        "bitmaps": np.frombuffer(bytes(column), dtype=np.uint8),
     }
 
 
-def unpack_models(models: Sequence[InPlaceLinearModel], state: dict[str, Any]) -> None:
-    """Restore a fleet of models **in place** from :func:`pack_models` output."""
+def unpack_models(
+    models: Sequence[InPlaceLinearModel], column: bytearray, state: dict[str, Any]
+) -> None:
+    """Restore a :func:`model_fleet` **in place** from :func:`pack_models` output.
+
+    The bit column is overwritten in one copy, so every bitmap stays a view
+    of it.
+    """
     piece_counts = state["piece_counts"].tolist()
     if len(piece_counts) != len(models):
         raise ValueError(
@@ -298,24 +343,16 @@ def unpack_models(models: Sequence[InPlaceLinearModel], state: dict[str, Any]) -
     intercepts = state["intercepts"].tolist()
     offsets = state["offsets"].tolist()
     bits = np.asarray(state["bitmaps"], dtype=np.uint8)
-    sizes = np.fromiter(
-        (len(model.bitmap._bits) for model in models), dtype=np.int64, count=len(models)
-    )
-    if int(sizes.sum()) != bits.size:
+    if bits.size != len(column):
         raise ValueError("snapshot bitmap buffer does not match the model fleet")
-    starts = np.cumsum(sizes) - sizes
-    # The fleet's popcounts in one pass: set bits per byte, summed per model.
-    popcounts = np.add.reduceat(np.unpackbits(bits).reshape(-1, 8).sum(axis=1), starts)
-    bitmaps = bits.tobytes()
+    column[:] = bits.tobytes()
+    # The fleet's popcounts in one pass: set bits per row.
+    popcounts = np.unpackbits(bits).reshape(len(models), -1).sum(axis=1, dtype=np.int64)
     index = 0
-    for model, count, start, popcount in zip(
-        models, piece_counts, starts.tolist(), popcounts.tolist()
-    ):
+    for model, count, popcount in zip(models, piece_counts, popcounts.tolist()):
         model.pieces = [
             ModelPiece(slope=slopes[i], intercept=intercepts[i], offset=offsets[i])
             for i in range(index, index + count)
         ]
         index += count
-        bitmap = model.bitmap
-        bitmap._bits[:] = bitmaps[start : start + len(bitmap._bits)]
-        bitmap._popcount = popcount
+        model.bitmap._popcount = popcount

@@ -32,9 +32,9 @@ from repro.core.base import _MIN_COLUMN_WRITE, FTLBase, FTLConfig
 from repro.core.batch import GroupedReadPlanner
 from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, LoadingPolicy, PageGroupedCMT
 from repro.core.learned.inplace_model import (
-    BIT_NOT_SET,
     InPlaceLinearModel,
     TrainingResult,
+    model_fleet,
     pack_models,
     unpack_models,
 )
@@ -108,14 +108,17 @@ class LearnedFTL(FTLBase):
             mappings_per_page=geometry.mappings_per_translation_page,
         )
         mappings_per_tp = geometry.mappings_per_translation_page
-        self.models: list[InPlaceLinearModel] = [
-            InPlaceLinearModel(
-                start_lpn=tvpn * mappings_per_tp,
-                span=mappings_per_tp,
-                max_pieces=self.config.max_pieces,
-            )
-            for tvpn in range(geometry.num_translation_pages)
-        ]
+        #: One model per GTD entry; model ``t``'s bitmap is row ``t`` of the
+        #: fleet bit column ``_model_bits``.  The bit of LPN ``l`` in entry
+        #: ``t`` is bit ``b & 7`` of byte ``b >> 3`` for ``b = l + t *
+        #: _model_bit_pad``; the pad is the row's spare bits, 0 whenever a
+        #: translation page holds a multiple of 8 mappings (a page size that
+        #: is a multiple of 64 bytes), so ``b`` is ``l`` itself.
+        self.models: list[InPlaceLinearModel]
+        self._model_bits, self.models = model_fleet(
+            geometry.num_translation_pages, mappings_per_tp, max_pieces=self.config.max_pieces
+        )
+        self._model_bit_pad = -mappings_per_tp % 8
         #: TPFTL's loading policy, for the misses the models cannot answer.
         self.loading = LoadingPolicy(
             self.cmt,
@@ -164,20 +167,21 @@ class LearnedFTL(FTLBase):
         pages = self._cmt_pages
         node = pages.get(tvpn)
         if node is not None:
-            entry = node.get(lpn)
-            if entry is not None:
+            cached = node.get(lpn)
+            if cached is not None:
                 node.move_to_end(lpn)
                 pages.move_to_end(tvpn)
                 stats.cmt_hits += 1
-                return entry[0], _OUT_CMT_HIT, 0.0
+                return cached, _OUT_CMT_HIT, 0.0
         # Inlined MappingDirectory.lookup (-1 is the unmapped sentinel).
         actual = self._dir_column[lpn] if 0 <= lpn < self._num_logical_pages else -1
         if actual == -1:
             return None, _OUT_BUFFER_HIT, 0.0
         compute_us = self._bitmap_check_us
         stats.model_lookups += 1
-        vppn = self.models[tvpn].predict_exact(lpn)
-        if vppn is not BIT_NOT_SET:
+        bit = lpn + tvpn * self._model_bit_pad
+        if self._model_bits[bit >> 3] & (1 << (bit & 7)):
+            vppn = self.models[tvpn].predict_exact(lpn)
             predicted_ppn = self._vppn_to_ppn(vppn) if vppn is not None else None
             if self._charge_compute:
                 compute_us += self._predict_us
@@ -257,6 +261,8 @@ class LearnedFTL(FTLBase):
         directory = self.directory
         program_data = self.flash.program_data
         models = self.models
+        model_bits = self._model_bits
+        bit_pad = self._model_bit_pad
         mappings_per_page = self._mappings_per_page
         chip_stride = self._chip_stride
         ops = self.buffer.ops
@@ -272,15 +278,13 @@ class LearnedFTL(FTLBase):
             column[lpn] = ppn
             program_data(ppn, lpn)
             # Inlined InPlaceLinearModel.invalidate: Bitmap.clear of the
-            # LPN's offset in its GTD entry (bit i: byte i >> 3, mask 1 << (i & 7)).
+            # LPN's bit in the fleet column (layout: see __init__).
             tvpn = lpn // mappings_per_page
-            offset = lpn - tvpn * mappings_per_page
-            bitmap = models[tvpn].bitmap
-            bits = bitmap._bits
-            mask = 1 << (offset & 7)
-            if bits[offset >> 3] & mask:
-                bits[offset >> 3] ^= mask
-                bitmap._popcount -= 1
+            bit = lpn + tvpn * bit_pad
+            mask = 1 << (bit & 7)
+            if model_bits[bit >> 3] & mask:
+                model_bits[bit >> 3] ^= mask
+                models[tvpn].bitmap._popcount -= 1
             # Inlined program_command / CommandBuffer.append.
             index = len(ops)
             ops.extend((_CODE_DATA_WRITE, ppn // chip_stride, ppn, -1))
@@ -440,6 +444,7 @@ class LearnedFTL(FTLBase):
     # ------------------------------------------------------------------- GC
     def _group_gc(self, group: int, now: float) -> None:
         """Group-based garbage collection with model training (Section III-E2)."""
+        first = len(self.buffer.ops)
         collected = self._expand_collection_set(group)
         # Sorted member order: the release order of reclaimed stripes feeds the
         # allocator's free list, so it must not depend on set iteration order
@@ -454,18 +459,14 @@ class LearnedFTL(FTLBase):
         total_blocks = 0
         total_translation_writes = 0
         compute_us_total = 0.0
-        flash_time_total = 0.0
         for member in sorted(collected):
-            moved, translation_writes, compute_us, flash_time = self._move_group(member, emptying)
+            moved, translation_writes, compute_us = self._move_group(member, emptying)
             total_moved += moved
             total_translation_writes += translation_writes
             compute_us_total += compute_us
-            flash_time_total += flash_time
             # Free stripes as soon as they become fully invalid so the next
             # member's write-back always has a destination.
-            blocks, erase_time = self._release_invalid_stripes(old_stripes)
-            total_blocks += blocks
-            flash_time_total += erase_time
+            total_blocks += self._release_invalid_stripes(old_stripes)
         for member in collected:
             self.allocator.reset_borrow_state(member)
         self._record_gc(
@@ -475,7 +476,7 @@ class LearnedFTL(FTLBase):
             blocks_erased=total_blocks,
             pages_moved=total_moved,
             translation_pages_written=total_translation_writes,
-            flash_time_us=flash_time_total,
+            flash_time_us=self._flash_time_since(first),
             compute_time_us=compute_us_total,
             group=group,
         )
@@ -492,7 +493,7 @@ class LearnedFTL(FTLBase):
             collected |= residents
         return collected
 
-    def _move_group(self, group: int, emptying: set[int]) -> tuple[int, int, float, float]:
+    def _move_group(self, group: int, emptying: set[int]) -> tuple[int, int, float]:
         """Relocate a group's valid pages (sorted by LPN) and retrain its models.
 
         ``emptying`` holds the stripes the whole collection is emptying, which
@@ -564,11 +565,7 @@ class LearnedFTL(FTLBase):
         buffer.commit_stage(read_stage)
         buffer.commit_stage(write_stage, compute_us)
         buffer.commit_stage(translation_stage)
-        translation_commands = buffer.stage_size(translation_stage)
-        flash_time = (
-            moved * self.timing.read_us + (moved + translation_commands) * self.timing.program_us
-        )
-        return moved, translation_writes, compute_us, flash_time
+        return moved, translation_writes, compute_us
 
     def _train_entry(self, tvpn: int, entry_lpns: np.ndarray) -> TrainingResult:
         """(Re)train one GTD entry's model over its mapped LPNs' current VPPNs."""
@@ -576,8 +573,9 @@ class LearnedFTL(FTLBase):
         self.stats.models_trained += 1
         return self.models[tvpn].train(entry_lpns, vppns)
 
-    def _release_invalid_stripes(self, old_stripes: dict[int, list[int]]) -> tuple[int, float]:
-        """Erase and free every pre-GC stripe that no longer holds valid pages."""
+    def _release_invalid_stripes(self, old_stripes: dict[int, list[int]]) -> int:
+        """Erase and free every pre-GC stripe that no longer holds valid
+        pages; returns the number of blocks erased."""
         flash = self.flash
         blocks_of = self.allocator.stripe_map.blocks_of
         erase_stage = self.buffer.new_stage()
@@ -595,7 +593,7 @@ class LearnedFTL(FTLBase):
                 self.allocator.release_stripe(stripe)
             old_stripes[member] = remaining
         self.buffer.commit_stage(erase_stage)
-        return blocks_erased, blocks_erased * self.timing.erase_us
+        return blocks_erased
 
     # ------------------------------------------------------ training via rewrite
     def train_on_rewrite(self, tvpn: int) -> bool:
@@ -657,12 +655,12 @@ class LearnedFTL(FTLBase):
     def state_dict(self) -> dict:
         state = super().state_dict()
         state["cmt"] = self.cmt.state_dict()
-        state["models"] = pack_models(self.models)
+        state["models"] = pack_models(self.models, self._model_bits)
         state["locality"] = self.loading.state_dict()
         return state
 
     def load_state(self, state: dict) -> None:
         super().load_state(state)
         self.cmt.load_state(state["cmt"])
-        unpack_models(self.models, state["models"])
+        unpack_models(self.models, self._model_bits, state["models"])
         self.loading.load_state(state["locality"])

@@ -486,6 +486,8 @@ class SSD:
                     pos += 1
                     if planner is not None:
                         planner.skip()
+                # Free the run's columns before the next run gathers its own.
+                planner = None
         return completed
 
     def replay(

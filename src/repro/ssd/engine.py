@@ -38,11 +38,11 @@ import numpy as np
 
 from repro.nand.timing import TimingModel
 from repro.ssd.request import (
-    KIND_BY_CODE,
     CommandBuffer,
     CommandKind,
     CommandPurpose,
     command_code,
+    durations_by_code,
 )
 from repro.ssd.stats import SimulationStats
 
@@ -113,8 +113,7 @@ class TimingEngine:
         self.stats = stats
         # Per-code latency table: the latency depends only on the kind bits of
         # the flat command code, so one list index resolves it.
-        latency = {kind: timing.latency_of(kind.value) for kind in CommandKind}
-        self._duration_by_code = [latency[kind] for kind in KIND_BY_CODE]
+        self._duration_by_code = durations_by_code(timing)
         # The stats object is bound for the engine's lifetime (resetting stats
         # builds a fresh engine), so its flat count arrays can be cached and
         # incremented inline in the buffer loop.

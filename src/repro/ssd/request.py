@@ -26,9 +26,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.nand.timing import TimingModel
 
 __all__ = [
     "OpType",
@@ -277,6 +280,12 @@ def command_code(kind: CommandKind, purpose: CommandPurpose) -> int:
     return kind.code * NUM_PURPOSES + purpose.code
 
 
+def durations_by_code(timing: "TimingModel") -> list[float]:
+    """Every command code's flash latency under ``timing`` (its kind decides it)."""
+    latency = {kind: timing.latency_of(kind.value) for kind in _KINDS}
+    return [latency[kind] for kind in KIND_BY_CODE]
+
+
 #: Number of slots one command occupies in :attr:`CommandBuffer.ops`.
 OP_STRIDE = 4
 
@@ -390,10 +399,6 @@ class CommandBuffer:
         else:
             self.stages.append(stage)
         return True
-
-    def stage_size(self, stage: list) -> int:
-        """Number of commands recorded in a stage (committed or floating)."""
-        return sum(stage[i + 1] - stage[i] for i in range(1, len(stage), 2)) // OP_STRIDE
 
     # --------------------------------------------------------------- outcomes
     def add_outcome(self, code: int) -> None:

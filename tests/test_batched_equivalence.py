@@ -328,7 +328,9 @@ def _pinned_fingerprint(ftl_name: str, kind: str, batch: int | None) -> tuple:
 #: both modes to the repository's history, so a change that alters simulated
 #: behaviour in BOTH paths at once still fails loudly.  The flash-read total
 #: (4th element) of five entries was re-pinned when a translation page moved
-#: by translation-pool GC stopped being counted as two reads.  Regenerate (only for
+#: by translation-pool GC stopped being counted as two reads, and leaftl's
+#: mixed entry's again when a misprediction probe of an unprogrammed page
+#: started being counted as a read (16 265 -> 16 297).  Regenerate (only for
 #: intentional modelling changes) with:
 #:
 #:     PYTHONPATH=src:tests python - <<'PY'
@@ -346,7 +348,7 @@ PINNED: dict[tuple[str, str], tuple] = {
     ("tpftl", "mixed"): (3496720.0, 1771320.0, 12111440.0, 16160, 15800, 948),
     ("leaftl", "reads"): (63140.0, 122400.0, 32500.0, 2014, 590, 0),
     ("leaftl", "writes"): (7122690.0, 0, 28393020.0, 29781, 32366, 1982),
-    ("leaftl", "mixed"): (3467170.0, 1556200.0, 12214820.0, 16265, 15742, 944),
+    ("leaftl", "mixed"): (3467170.0, 1556200.0, 12214820.0, 16297, 15742, 944),
     ("learnedftl", "reads"): (99419.49999999994, 258957.99999999956, 34640.0, 3377, 603, 0),
     ("learnedftl", "writes"): (12546770.0, 0, 50039220.0, 115294, 117879, 7747),
     ("learnedftl", "mixed"): (
@@ -422,3 +424,182 @@ def test_random_interleavings_match_scalar(ftl_name, segments, batch, threads):
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary(), ssd.now_us))
         ssd.verify()
     assert results[1] == results[0]
+
+
+def test_planner_columns_hold_across_flushes_and_pool_gc() -> None:
+    """Batched == scalar on one read run whose scalar fallbacks write back
+    dirty translation pages and collect a translation-pool block mid-run.
+
+    A 16-entry CMT over 24 translation pages of 32 mappings and a 12-block
+    pool: 200 random writes leave dirty nodes behind, and the read run that
+    follows refuses each load that would evict one.  The refused request's
+    step flushes the node, and one flush finds the pool low and collects a
+    block first.  The planner keeps serving the run from the columns it
+    gathered before either happened (model hits, CMT hits and double reads
+    included).
+    """
+    from repro.core.base import FTLConfig
+
+    geometry = SSDGeometry.small(blocks_per_plane=32, pages_per_block=8, page_size=256)
+    config = FTLConfig(learnedftl_cmt_ratio=0.01, min_cmt_entries=16)
+    rng = np.random.default_rng(5)
+    writes = rng.integers(0, geometry.num_logical_pages, size=200)
+    reads = rng.integers(0, geometry.num_logical_pages, size=2000)
+    requests = RequestBatch(
+        ops=np.repeat(np.array([OP_WRITE_CODE, OP_READ_CODE], dtype=np.int8), (200, 2000)),
+        lpns=np.concatenate([writes, reads]),
+        npages=np.ones(2200, dtype=np.int64),
+    )
+    results = []
+    for batch in (None, 4096):
+        ssd = SSD.create("learnedftl", geometry, config=config)
+        ssd.fill_sequential(io_pages=16)
+        ftl = ssd.ftl
+        events: list[tuple[str, int]] = []
+        if batch:
+            begin, flush, collect = (
+                ftl.begin_read_run,
+                ftl._flush_translation_page,
+                ftl._collect_translation_block_into,
+            )
+
+            class Recorded:
+                def __init__(self, planner):
+                    self.planner = planner
+                    events.append(("begin", len(planner._lpns)))
+
+                def take(self):
+                    taken = self.planner.take()
+                    events.append(("take", taken[0]))
+                    return taken
+
+                def skip(self):
+                    self.planner.skip()
+
+            ftl.begin_read_run = lambda lpns: Recorded(begin(lpns))
+            ftl._flush_translation_page = lambda tvpn: (events.append(("flush", 1)), flush(tvpn))
+            ftl._collect_translation_block_into = lambda stage: (
+                events.append(("pool_gc", 1)),
+                collect(stage),
+            )
+        ssd.run(requests, threads=4, batch=batch)
+        ssd.verify()
+        stats = ssd.stats
+        results.append((state_fingerprint(ssd.state_dict()), stats.summary(), ssd.now_us))
+    assert results[1] == results[0]
+    assert stats.model_hits and stats.cmt_hits and ftl.translation_store.translation_reads
+    # The read run is the last planner; within it, requests were taken after
+    # a flush and after a pool GC.
+    run = events[max(i for i, (kind, _) in enumerate(events) if kind == "begin") :]
+    assert run[0] == ("begin", 2000)
+    first_flush = run.index(("flush", 1))
+    first_gc = run.index(("pool_gc", 1))
+    assert sum(k for kind, k in run[max(first_flush, first_gc) :] if kind == "take") > 0
+
+
+def test_clear_bits_cost_no_model_call(monkeypatch) -> None:
+    """A CMT miss with a clear model bit goes straight to the double read; a
+    set bit makes one ``predict_exact`` call and no ``vppn_to_ppn``."""
+    from repro.core.learned.inplace_model import InPlaceLinearModel
+
+    geometry = golden_geometry()
+    ssd = SSD.create("learnedftl", geometry)
+    ssd.fill_sequential(io_pages=16)
+    ftl = ssd.ftl
+    # Clear the bits of every other LPN in a stretch, then push the stretch
+    # out of the CMT with reads elsewhere.
+    stretch = np.arange(128, 160, dtype=np.int64)
+    ssd.run(RequestBatch.writes(stretch[::2]), threads=1)
+    ssd.run(RequestBatch.reads(np.arange(320, 576, dtype=np.int64)), threads=1)
+    assert not any(lpn in ftl.cmt for lpn in stretch.tolist())
+    set_bits = [
+        ftl.models[lpn // ftl._mappings_per_page].can_predict(lpn) for lpn in stretch.tolist()
+    ]
+    assert any(set_bits) and not all(set_bits)
+
+    predicted: list[int] = []
+    predict_exact = InPlaceLinearModel.predict_exact
+
+    def spy_predict(model, lpn):
+        predicted.append(lpn)
+        return predict_exact(model, lpn)
+
+    def no_vppn_to_ppn(vppn):
+        raise AssertionError("the planner translated a VPPN")
+
+    monkeypatch.setattr(InPlaceLinearModel, "predict_exact", spy_predict)
+    monkeypatch.setattr(ftl.codec, "vppn_to_ppn", no_vppn_to_ppn)
+    monkeypatch.setattr(ftl, "_vppn_to_ppn", no_vppn_to_ppn)
+    translation_reads = ftl.translation_store.translation_reads
+    planner = ftl.begin_read_run(stretch)
+    served = 0
+    while served < len(stretch):
+        served += planner.take()[0]
+        if served < len(stretch):
+            # A refused request would run the scalar step; none is expected.
+            raise AssertionError(f"refused lpn {stretch[served]}")
+    # Only the set-bit requests the CMT missed reached a model; a double
+    # read's prefetch can bring a set-bit neighbour into the CMT first.
+    assert predicted and all(set_bits[lpn - 128] for lpn in predicted)
+    assert ftl.translation_store.translation_reads > translation_reads
+
+
+def test_cached_ppn_off_the_directory_is_refused() -> None:
+    """The planner serves a CMT hit only when the cached PPN is the
+    directory's: the data chip comes from the directory's column."""
+    geometry = golden_geometry()
+    ssd = SSD.create("learnedftl", geometry)
+    ssd.fill_sequential(io_pages=16)
+    ftl = ssd.ftl
+    ssd.run(RequestBatch.writes(np.array([300, 301], dtype=np.int64)), threads=1)
+    node = ftl.cmt._pages[300 // ftl._mappings_per_page]
+    node[301] = node[301] + 1
+    k = ftl.begin_read_run(np.array([300, 301], dtype=np.int64)).take()[0]
+    assert k == 1
+
+
+def _cmt_with_three_nodes(dirty_tvpn: int | None) -> SSD:
+    """A single-page-filled LearnedFTL (every model bit clear) whose full
+    64-entry CMT holds, least recently used first, tvpn 1 (LPNs 64-69),
+    tvpn 2 (LPN 128) and tvpn 3 (LPNs 192-242); ``dirty_tvpn``'s entries
+    are dirty."""
+    from repro.core.base import FTLConfig
+
+    ssd = SSD.create("learnedftl", golden_geometry(), config=FTLConfig(train_on_gc=False))
+    ssd.fill_sequential(io_pages=1)
+    cmt = ssd.ftl.cmt
+    nodes = {1: range(64, 70), 2: range(128, 129), 3: range(192, 243)}
+    lpns = np.array([lpn for node in nodes.values() for lpn in node], dtype=np.int64)
+    cmt.load_state(
+        {
+            "node_tvpns": np.array(list(nodes), dtype=np.int64),
+            "node_sizes": np.array([len(node) for node in nodes.values()], dtype=np.int64),
+            "lpns": lpns,
+            "ppns": ssd.ftl.directory.lookup_many(lpns),
+            "dirty": (lpns // cmt.mappings_per_page == dirty_tvpn).astype(np.uint8),
+            "size_entries": cmt.capacity_entries,
+        }
+    )
+    assert cmt.memory_entries() == cmt.capacity_entries == 64
+    return ssd
+
+
+@pytest.mark.parametrize("dirty_tvpn,served", [(2, 0), (3, 1), (None, 1)])
+def test_load_refused_only_when_an_evicted_node_is_dirty(dirty_tvpn, served) -> None:
+    """A miss whose load overflows the CMT is refused only when a node the
+    load would evict is dirty.
+
+    A miss on LPN 70 loads into tvpn 1, which ``load_node`` moves to the
+    recency tail first, so the overflow evicts tvpn 2 and nothing else: a
+    dirty tvpn 2 refuses the miss, a dirty tvpn 3 does not.  Served either
+    way, the run equals the scalar step.
+    """
+    ssd = _cmt_with_three_nodes(dirty_tvpn)
+    assert not ssd.ftl.models[1].can_predict(70)
+    assert ssd.ftl.begin_read_run(np.array([70], dtype=np.int64)).take()[0] == served
+    results = []
+    for batch in (None, 64):
+        ssd = _cmt_with_three_nodes(dirty_tvpn)
+        ssd.run(RequestBatch.reads(np.array([70], dtype=np.int64)), threads=1, batch=batch)
+        results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
+    assert results[0] == results[1]

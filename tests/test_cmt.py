@@ -266,13 +266,11 @@ _CMT_OPS = st.lists(
 )
 
 
-def _never_trusting_the_counter(cls):
-    """The same cache with the dirty counter pinned truthy and unwritable:
-    whatever a dirty eviction reports is found by looking at the entries."""
+def _by_hand_offs(cls):
+    """The same cache with its single-mapping and node-level loads handed to
+    ``insert_many``: what they report and leave must equal the per-mapping path."""
 
     class Reference(cls):
-        _dirty_count = property(lambda self: True, lambda self, value: None)
-
         def load_node(self, tvpn, mappings):
             """The per-mapping path the node-level load must equal."""
             return self.insert_many(mappings, dirty=False)
@@ -335,20 +333,59 @@ def _apply(cmt, op, serial: int):
 
 
 def _entries(cmt) -> list[tuple[int, int, bool]]:
-    """Every cached ``(lpn, ppn, dirty)`` in recency order, read off the slots."""
-    nodes = [cmt._entries] if isinstance(cmt, EntryLevelCMT) else cmt._pages.values()
-    return [(lpn, ppn, dirty) for node in nodes for lpn, (ppn, dirty) in node.items()]
+    """Every cached ``(lpn, ppn, dirty)`` in recency order.
+
+    PPNs are read off the slots (bare ints) and dirty bits off the dirty
+    sets, which must name cached LPNs only: one set per cache, or one
+    non-empty set per translation page, holding LPNs of that page's node.
+    """
+    if isinstance(cmt, EntryLevelCMT):
+        nodes = [cmt._entries]
+        dirty = cmt._dirty
+    else:
+        nodes = cmt._pages.values()
+        for tvpn, lpns in cmt._dirty.items():
+            node = cmt._pages.get(tvpn, {})
+            assert lpns and all(lpn in node for lpn in lpns), (tvpn, lpns)
+        dirty = set().union(*cmt._dirty.values())
+    entries = [(lpn, ppn, lpn in dirty) for node in nodes for lpn, ppn in node.items()]
+    assert all(type(ppn) is int for _, ppn, _ in entries)
+    assert sum(flag for _, _, flag in entries) == len(dirty)
+    return entries
+
+
+def _check_reports(before, after, op, result) -> None:
+    """What an insert or load reports against the entries around it: every
+    dirty mapping that left the cache is reported, and nothing else (a
+    mapping the op itself wrote dirty may also be reported, even twice:
+    evicted within the batch, then written and evicted again).  Each page's
+    LPNs are ascending and of that page."""
+    if op[0] not in ("insert", "insert_many", "load_node") or result is None:
+        return
+    reported = []
+    for page in result:
+        assert list(page.dirty_lpns) == sorted(page.dirty_lpns)
+        assert {lpn // MAPPINGS_PER_PAGE for lpn in page.dirty_lpns} == {page.tvpn}
+        reported.extend(page.dirty_lpns)
+    written = {op[1]} if op[0] == "insert" else set(op[1]) if op[0] == "insert_many" else set()
+    dirty_before = {lpn for lpn, _, flag in before if flag}
+    if op[0] != "load_node" and op[2]:
+        dirty_before |= written
+    cached_after = {lpn for lpn, _, _ in after}
+    assert dirty_before - cached_after <= set(reported) <= dirty_before
 
 
 class TestDirtyCounterIsExact:
-    """``PageGroupedCMT`` skips the per-node dirty scan of an eviction when the
-    counter reads zero (and the batched planner draws the same conclusion), so
-    the counter must equal a recount after any operation sequence.  The
-    reference also serves ``PageGroupedCMT.load_node`` through
-    ``insert_many``, so the node-level load is pinned to the per-mapping
-    path, its hand-off for a node that reaches the capacity alone included,
-    and a dirty or clean ``insert`` through ``insert_many`` of one mapping.
-    Every list an ``insert`` returns is a new one."""
+    """An eviction finds its write-back in the dirty sets without looking at
+    a slot (and the batched planner tells a dirty node by membership), so
+    the sets must name exactly the dirty cached mappings after any operation
+    sequence, ``dirty_entry_count`` must equal a recount, and every dirty
+    mapping that leaves the cache must be reported.  The reference serves
+    ``PageGroupedCMT.load_node`` through ``insert_many``, so the node-level
+    load is pinned to the per-mapping path, its hand-off for a node that
+    reaches the capacity alone included, and a dirty or clean ``insert``
+    through ``insert_many`` of one mapping.  Every list an ``insert``
+    returns is a new one."""
 
     @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
     def test_counter_matches_recount_and_evictions_match_reference(self, cls):
@@ -359,9 +396,11 @@ class TestDirtyCounterIsExact:
         @settings(max_examples=150, deadline=None)
         def check(ops, capacity):
             cmt = tested(capacity, MAPPINGS_PER_PAGE)
-            reference = _never_trusting_the_counter(cls)(capacity, MAPPINGS_PER_PAGE)
+            reference = _by_hand_offs(cls)(capacity, MAPPINGS_PER_PAGE)
             inserted = []
+            entries = []
             for serial, op in enumerate(ops):
+                before = entries
                 cmt, result = _apply(cmt, op, 10 * serial)
                 reference, expected = _apply(reference, op, 10 * serial)
                 assert result == expected
@@ -369,6 +408,7 @@ class TestDirtyCounterIsExact:
                     inserted.append(result)
                     assert len({id(returned) for returned in inserted}) == len(inserted)
                 entries = _entries(cmt)
+                _check_reports(before, entries, op, result)
                 assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
                 assert entries == _entries(reference)
                 assert cmt.memory_entries() == reference.memory_entries()

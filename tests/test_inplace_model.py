@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.learned.inplace_model import (
     BIT_NOT_SET,
     InPlaceLinearModel,
+    model_fleet,
     pack_models,
     unpack_models,
 )
@@ -266,14 +267,14 @@ class TestFleetPacking:
     """``pack_models`` / ``unpack_models``: the snapshot form of a model fleet."""
 
     @staticmethod
-    def _fleet(span: int, count: int = 7) -> list[InPlaceLinearModel]:
-        return [InPlaceLinearModel(start_lpn=i * span, span=span, max_pieces=4) for i in range(count)]
+    def _fleet(span: int, count: int = 7) -> tuple[bytearray, list[InPlaceLinearModel]]:
+        return model_fleet(count, span, max_pieces=4)
 
     # 13 and 100 are not multiples of 8: the last byte of every bitmap is partial.
     @pytest.mark.parametrize("span", [13, 64, 100, 512])
     def test_restored_popcounts_match_per_bit_counting(self, span):
         rng = np.random.default_rng(span)
-        source = self._fleet(span)
+        source_column, source = self._fleet(span)
         for index, model in enumerate(source):
             # Per-bit set then clear, leaving gaps; model 0 stays empty and
             # model 1 ends up full, so both extremes are in the fleet.
@@ -285,20 +286,39 @@ class TestFleetPacking:
                     model.bitmap.clear(offset)
         trained = source[2]
         trained.train([trained.start_lpn + i for i in range(6)], [40 + 2 * i for i in range(6)])
-        restored = self._fleet(span)
+        column, restored = self._fleet(span)
         restored[0].bitmap.set(0)  # stale state the restore must overwrite
-        unpack_models(restored, pack_models(source))
+        unpack_models(restored, column, pack_models(source, source_column))
         for before, after in zip(source, restored):
             set_bits = list(before.bitmap.iter_set())
             assert after.bitmap.count() == before.bitmap.count() == len(set_bits)
             assert list(after.bitmap.iter_set()) == set_bits
             assert after.pieces == before.pieces
         assert (restored[0].bitmap.count(), restored[1].bitmap.count()) == (0, span)
+        # The packed bitmaps are the models' rows, joined; the restore wrote
+        # the column in place, so every bitmap is still a view of it.
+        assert pack_models(source, source_column)["bitmaps"].tobytes() == b"".join(
+            bytes(model.bitmap._bits) for model in source
+        )
+        assert bytes(column) == bytes(source_column)
+        for model in restored:
+            assert model.bitmap._bits.obj is column
 
     def test_mismatched_buffers_are_rejected(self):
-        state = pack_models(self._fleet(64))
+        column, models = self._fleet(64)
+        state = pack_models(models, column)
+        fewer_column, fewer_models = self._fleet(64, count=6)
         with pytest.raises(ValueError, match="models"):
-            unpack_models(self._fleet(64, count=6), state)
+            unpack_models(fewer_models, fewer_column, state)
         for bitmaps in (state["bitmaps"][:-1], np.append(state["bitmaps"], np.uint8(0))):
             with pytest.raises(ValueError, match="bitmap buffer"):
-                unpack_models(self._fleet(64), {**state, "bitmaps": bitmaps})
+                unpack_models(models, column, {**state, "bitmaps": bitmaps})
+
+    def test_fleet_rows_are_views_of_one_column(self):
+        column, models = model_fleet(3, 16)
+        models[1].bitmap.set(5)
+        assert column == bytearray([0, 0, 0b100000, 0, 0, 0])
+        column[5] = 0b11
+        assert models[2].bitmap.test(8) and models[2].bitmap.test(9)
+        standalone = InPlaceLinearModel(start_lpn=0, span=16)
+        assert isinstance(standalone.bitmap._bits, bytearray)

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.nand.flash import PAGE_FREE
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.device import SSD
-from repro.ssd.request import HostRequest, OpType
+from repro.ssd.request import KIND_BY_CODE, OP_STRIDE, CommandKind, HostRequest, OpType
 from repro.workloads.fio import FioJob
 from tests.conftest import ALL_FTL_NAMES, make_ssd, random_reads, random_writes
 
@@ -212,3 +213,65 @@ class TestFlashTotalsMatchTheEngine:
             stats.total_flash_programs,
             stats.total_flash_erases,
         )
+
+    def test_totals_after_leaftl_probes_free_pages(self):
+        """A LeaFTL misprediction can point at a page never programmed; the
+        probe is a flash read on both layers.  A 90 % fill, random
+        overwrites inside it and random reads over the whole space make
+        such probes (about a hundred)."""
+        ssd = make_ssd("leaftl", SSDGeometry.small())
+        ssd.fill_sequential(fraction=0.9)
+        ftl = ssd.ftl
+        free_probes = []
+        probe = ftl.probe_read_command
+
+        def spy(stage, ppn):
+            free_probes.append(ftl.flash.page_state_code(ppn) == PAGE_FREE)
+            probe(stage, ppn)
+
+        ftl.probe_read_command = spy
+        rng = random.Random(3)
+        limit = int(ssd.geometry.num_logical_pages * 0.9) - 1
+        ssd.run([HostRequest(OpType.WRITE, rng.randrange(limit)) for _ in range(2000)], threads=1)
+        ssd.run(random_reads(ssd.geometry, 3000, seed=4), threads=1)
+        assert sum(free_probes) > 0
+        flash, stats = ftl.flash, ssd.stats
+        assert (flash.total_reads, flash.total_programs, flash.total_erases) == (
+            stats.total_flash_reads,
+            stats.total_flash_programs,
+            stats.total_flash_erases,
+        )
+
+
+class TestGCFlashTime:
+    """A GC event's flash time is the sum of the latencies of the commands
+    that collection encoded, whatever their kind: the translation stage's
+    read-modify-write reads, and any translation-pool GC reads, programs
+    and erase, included."""
+
+    @pytest.mark.parametrize(
+        "ftl_name,collector",
+        [("dftl", "_collect_block"), ("tpftl", "_collect_block"), ("learnedftl", "_group_gc")],
+    )
+    def test_flash_time_is_the_encoded_commands_latencies(self, ftl_name, collector):
+        ssd = make_ssd(ftl_name, SSDGeometry.small())
+        ssd.fill_sequential()
+        ftl = ssd.ftl
+        latency = {kind: ftl.timing.latency_of(kind.value) for kind in CommandKind}
+        collect = getattr(ftl, collector)
+        encoded: list[float] = []
+        kinds: set[CommandKind] = set()
+
+        def spy(victim, now):
+            start = len(ftl.buffer.ops)
+            collect(victim, now)
+            codes = [KIND_BY_CODE[code] for code in ftl.buffer.ops[start::OP_STRIDE]]
+            kinds.update(codes)
+            encoded.append(sum(latency[kind] for kind in codes))
+
+        setattr(ftl, collector, spy)
+        events = len(ssd.stats.gc_events)
+        ssd.overwrite_random(pages=3000)
+        recorded = [event.flash_time_us for event in ssd.stats.gc_events[events:]]
+        assert recorded and kinds == set(CommandKind)
+        assert recorded == encoded

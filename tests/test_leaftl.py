@@ -156,11 +156,16 @@ class TestPinnedDeepTables:
     images written by that implementation load unchanged.  Both fingerprints
     were re-pinned when a translation page moved by translation-pool GC
     stopped being counted as two flash reads (``FlashArray.total_reads`` is
-    part of the state); the summary did not move.
+    part of the state); the summary did not move.  They were re-pinned again
+    when a misprediction probe of an unprogrammed page started being counted
+    as a flash read (``total_reads`` 22 207 -> 22 326) and a GC event's flash
+    time became the sum of its commands' own latencies (every
+    ``gc_flash_time_us`` entry moves; the old sum charged the translation
+    stage's reads at the program latency).
     """
 
-    FINGERPRINT = "7b4fe218be22a4d58702f7fcc9c9971062fed4b2815e981bc49b18d2b43cf8ec"
-    FINGERPRINT_AFTER_MORE_READS = "fac1373763ce530613c4b8645072c9d735195de1da0080764c378c0ee7013e78"
+    FINGERPRINT = "2e4c95cc0bcbf6fc139ff95f364799394a785c366d4bee1aa99517fcdaba1f78"
+    FINGERPRINT_AFTER_MORE_READS = "3d9fe533c1d6fdc4e3194cb9e3c77acfb3a4b18dd9729a51d071b58655dfc21c"
     SUMMARY = {
         "cmt_hit_ratio": 0.6644117647058824,
         "double_read_fraction": 0.41441176470588237,

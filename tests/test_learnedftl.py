@@ -87,6 +87,80 @@ class TestBitmapConsistency:
         ssd.verify()
 
 
+class TestFleetBitColumn:
+    """Every model's bitmap is a view of row ``t`` of LearnedFTL's one bit
+    column, through every path that rewrites bits: a write, sequential
+    initialization, a group-GC retrain and a snapshot restore."""
+
+    @staticmethod
+    def _assert_views(ftl) -> None:
+        column = ftl._model_bits
+        row = len(column) // len(ftl.models)
+        def address(buffer) -> int:
+            return np.frombuffer(buffer, dtype=np.uint8).__array_interface__["data"][0]
+
+        for tvpn, model in enumerate(ftl.models):
+            bits = model.bitmap._bits
+            assert isinstance(bits, memoryview) and bits.obj is column
+            assert address(bits) == address(column) + tvpn * row
+            assert len(bits) == row
+            assert model.bitmap.count() == int.from_bytes(bits, "little").bit_count()
+
+    @staticmethod
+    def _column_bit(ftl, lpn: int) -> bool:
+        bit = lpn + lpn // ftl._mappings_per_page * ftl._model_bit_pad
+        return bool(ftl._model_bits[bit >> 3] & (1 << (bit & 7)))
+
+    def test_bitmaps_stay_rows_of_the_fleet_column(self, ssd, tiny_geometry):
+        ftl = ssd.ftl
+        assert ftl._model_bit_pad == 0
+        self._assert_views(ftl)
+        ssd.fill_sequential(io_pages=16)  # sequential initialization
+        assert self._column_bit(ftl, 5) and ftl.models[0].can_predict(5)
+        self._assert_views(ftl)
+        ftl.encode(HostRequest(op=OpType.WRITE, lpn=5, npages=1))
+        assert not self._column_bit(ftl, 5) and not ftl.models[0].can_predict(5)
+        self._assert_views(ftl)
+        trained = ssd.stats.models_trained
+        ssd.run(random_writes(tiny_geometry, 800, seed=12), threads=1)
+        assert ssd.stats.models_trained > trained  # group-GC retrains
+        self._assert_views(ftl)
+        mapped = ftl.directory.mapped_lpns().tolist()
+        assert [self._column_bit(ftl, lpn) for lpn in mapped] == [
+            ftl.models[lpn // ftl._mappings_per_page].can_predict(lpn) for lpn in mapped
+        ]
+        restored = make_ssd("learnedftl", tiny_geometry)
+        column = restored.ftl._model_bits
+        restored.load_state(ssd.state_dict())
+        assert restored.ftl._model_bits is column
+        assert column == ftl._model_bits
+        self._assert_views(restored.ftl)
+
+    def test_padded_rows(self):
+        """520-byte pages: 65 mappings per translation page, so each row of
+        the column ends in 7 spare bits and the bit of LPN l is l + 7 * tvpn.
+        The scalar and batched reads find the same bits."""
+        geometry = SSDGeometry.small(blocks_per_plane=12, pages_per_block=16, page_size=520)
+        rng = np.random.default_rng(3)
+        writes = rng.integers(0, geometry.num_logical_pages // 2, size=40)
+        reads = rng.integers(0, geometry.num_logical_pages, size=1500)
+        results = []
+        for batch in (None, 64):
+            ssd = make_ssd("learnedftl", geometry)
+            ftl = ssd.ftl
+            assert ftl._model_bit_pad == 7
+            ssd.fill_sequential(io_pages=16, fraction=0.5)
+            ssd.run(RequestBatch.writes(writes), threads=1)
+            self._assert_views(ftl)
+            mapped = ftl.directory.mapped_lpns().tolist()
+            assert [self._column_bit(ftl, lpn) for lpn in mapped] == [
+                ftl.models[lpn // ftl._mappings_per_page].can_predict(lpn) for lpn in mapped
+            ]
+            ssd.run(RequestBatch.reads(reads), threads=2, batch=batch)
+            results.append((state_fingerprint(ssd.state_dict()), ssd.stats.model_hits))
+        assert results[0] == results[1] and results[0][1] > 0
+
+
 class TestReadPath:
     def test_cmt_hit_is_single_read(self, ssd):
         ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=7))
@@ -201,10 +275,11 @@ class TestGroupGCRetrainingPinned:
     entry) never get there.  ``STATE_SHA`` was re-pinned when a translation
     page moved by translation-pool GC stopped being counted as two flash
     reads (``FlashArray.total_reads`` is part of the state); the summary did
-    not move.
+    not move.  Re-pinned again when a GC event's flash time became the sum of
+    its commands' own latencies (only ``gc_flash_time_us`` moved).
     """
 
-    STATE_SHA = "ee5bc07e43e388085017dd10c12b54a662bfcb9a1dca9b90e54fd14e3e226158"
+    STATE_SHA = "c971182b5ef19b717bfc4dab9e51324edc31fb3112fd759843395c1e215b8342"
     SUMMARY = {
         "host_read_pages": 1000.0,
         "host_write_pages": 12144.0,
@@ -307,10 +382,12 @@ class TestEmergencyWriteBack:
     prevents it), so the test forces it: after cross-group borrowing has set
     in, every free stripe is handed to the coldest groups the way
     ``allocate_page`` claims one.  The constants were captured from the
-    per-page relocation loop the columnar ``_move_group`` replaced.
+    per-page relocation loop the columnar ``_move_group`` replaced;
+    ``STATE_SHA`` was re-pinned when a GC event's flash time became the sum
+    of its commands' own latencies (only ``gc_flash_time_us`` moved).
     """
 
-    STATE_SHA = "6115e27e5f060d495d949d3d12dd65ce8e0110f0185cd1599506e82aeeaafc2a"
+    STATE_SHA = "863b094f11d2f4cb648e44a2a74d9642429e38d3eca55e4859e03d0be2fc2c0f"
     SUMMARY = {
         "host_read_pages": 768.0,
         "host_write_pages": 1668.0,
@@ -414,10 +491,12 @@ class TestSinglePageWriteStorm:
     the per-page body that went through ``_allocate_from_own_stripes``,
     ``_take_from_stripe`` and ``CMT.insert_many``, and re-pinned when a
     translation page moved by translation-pool GC stopped being counted as
-    two flash reads (``FlashArray.total_reads`` is part of the state).
+    two flash reads (``FlashArray.total_reads`` is part of the state), and
+    again when a GC event's flash time became the sum of its commands' own
+    latencies (only ``gc_flash_time_us`` moved).
     """
 
-    STATE_SHA = "252d06fff62ce508e5ccb5defd40714fe6a46b2e4dec5d71d7675d8e117c5927"
+    STATE_SHA = "2126a2a7209ddcf2eacb55060968c5045a76acc0a2b978f8b3105385c26d55f9"
 
     def test_every_branch_is_taken_and_the_state_is_pinned(self):
         geometry = SSDGeometry.small(

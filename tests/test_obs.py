@@ -680,28 +680,31 @@ class TestGoldenObservationDigests:
 
     Captured from the per-request observers the block-at-a-time consumer
     replaced; a change to how observation is recorded must reproduce them.
+    Re-pinned when a GC event's flash time became the sum of its commands'
+    own latencies: only the series' ``gc_flash_time_us`` column and the
+    ``gc_group`` spans' ``dur`` moved.
     """
 
     GOLDEN = {
         "scalar": (
-            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
-            "68f8acd746255cd9731762712f6f8a192b3a5315dc9d8eac270d77b37b6d5fe3",
+            "02d50bbcb7ebedf3235050a16b35fbd1bb974541c005d5507d75e428ddfdcbac",
+            "46108e20f97dccbbd5a80aeaba726e0ea212b939d33143a630cf4b526a590844",
         ),
         "batched": (
-            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
-            "68f8acd746255cd9731762712f6f8a192b3a5315dc9d8eac270d77b37b6d5fe3",
+            "02d50bbcb7ebedf3235050a16b35fbd1bb974541c005d5507d75e428ddfdcbac",
+            "46108e20f97dccbbd5a80aeaba726e0ea212b939d33143a630cf4b526a590844",
         ),
         "replay_streams": (
-            "3f00c6005172e5b24a64236c21e0a80e2785ba098bd2b1e7acfbff29695ead74",
-            "d5799ad892cd72686db383ae154fa1fb7fe40a4f15b004847b3b40529d5a7420",
+            "04075b512e900cea7bb8f81602559c0d04a4edd0fcde7a061cec8967d8d67642",
+            "87dc842f90bdac7b79501571b2a5fce5cae0fb043622541936bd8dd7e61c85c4",
         ),
         "replay_session": (
-            "bce35fa3d6f3536eb59fb9938f0380955f4a0d557f70d9593a37d946d4b42735",
-            "367ed0e7e21ecb2c594a493f977530904a96c1905818cce2ed4ed6c294603e15",
+            "3b0ba6531481365f202b0cd0e5bead7a64581afb50de2d7f1d89377f939dd8d5",
+            "4bafe9b2eda5cc12f0c455af05e1945694ed3a9d9e2767292b834f0f92e4ef2a",
         ),
         "capped": (
-            "c2d9613a464fe90ae1f2b218466c44d97a0d9192bc1e851f1840b97c6a48340a",
-            "609f005fd5136d767a428dbbe5f69f3f06d6edf55fbfe69d944997dcc0d7a725",
+            "02d50bbcb7ebedf3235050a16b35fbd1bb974541c005d5507d75e428ddfdcbac",
+            "21d801cbfc757efa0c6bcfd16e6d52b6a0c2224c7aace31c788cd70d28bfd0d2",
         ),
     }
 
