@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import SSD
@@ -68,8 +69,7 @@ def test_bench_model_prediction(benchmark, entry_mappings):
 
 def test_bench_bitmap_check(benchmark):
     bitmap = Bitmap(512)
-    for index in range(0, 512, 2):
-        bitmap.set(index)
+    bitmap.assign(np.arange(512) % 2 == 0)
     assert benchmark(lambda: bitmap.test(256)) is True
 
 

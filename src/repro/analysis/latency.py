@@ -2,8 +2,8 @@
 
 The heavy lifting (percentile digests) lives on
 :class:`~repro.ssd.stats.SimulationStats`; the helpers here operate across runs:
-normalizing a metric to a baseline FTL, computing speedups, and building the
-percentile rows that the tail-latency figures print.
+normalizing a metric to a baseline FTL and building the percentile rows that
+the tail-latency figures print.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from repro.ssd.stats import SimulationStats
 
-__all__ = ["TailLatencyRow", "tail_latency_row", "normalize", "speedup"]
+__all__ = ["TailLatencyRow", "tail_latency_row", "normalize"]
 
 
 @dataclass(frozen=True)
@@ -66,16 +66,3 @@ def normalize(values: dict[str, float], baseline: str) -> dict[str, float]:
         }
     return {key: value / base for key, value in values.items()}
 
-
-def speedup(values: dict[str, float], baseline: str, *, lower_is_better: bool = True) -> dict[str, float]:
-    """Express each FTL's metric as a speedup factor over the baseline."""
-    if baseline not in values:
-        raise KeyError(f"baseline {baseline!r} missing from {sorted(values)}")
-    base = values[baseline]
-    result = {}
-    for key, value in values.items():
-        if lower_is_better:
-            result[key] = base / value if value else float("inf")
-        else:
-            result[key] = value / base if base else float("inf")
-    return result

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-__all__ = ["format_table", "rows_to_csv", "format_kv", "bar_chart"]
+__all__ = ["format_table", "rows_to_csv"]
 
 
 def _format_value(value: Any) -> str:
@@ -58,24 +58,3 @@ def rows_to_csv(rows: Sequence[Mapping[str, Any]]) -> str:
     return buffer.getvalue()
 
 
-def format_kv(pairs: Mapping[str, Any], *, title: str | None = None) -> str:
-    """Render a flat key/value mapping, one pair per line."""
-    width = max((len(str(k)) for k in pairs), default=0)
-    lines = [title] if title else []
-    for key, value in pairs.items():
-        lines.append(f"{str(key).ljust(width)} : {_format_value(value)}")
-    return "\n".join(lines)
-
-
-def bar_chart(values: Mapping[str, float], *, width: int = 40, title: str | None = None) -> str:
-    """Render a horizontal ASCII bar chart (used for quick figure previews)."""
-    lines = [title] if title else []
-    if not values:
-        lines.append("(no data)")
-        return "\n".join(lines)
-    label_width = max(len(str(k)) for k in values)
-    peak = max(abs(v) for v in values.values()) or 1.0
-    for key, value in values.items():
-        bar = "#" * max(0, int(round(abs(value) / peak * width)))
-        lines.append(f"{str(key).ljust(label_width)} | {bar} {_format_value(value)}")
-    return "\n".join(lines)

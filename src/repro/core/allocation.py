@@ -139,11 +139,6 @@ class StripeMap:
         first = stripe * self.pages_per_stripe + start
         return self.codec.vppn_to_ppn_many(np.arange(first, first + count, dtype=np.int64))
 
-    def stripe_of_block(self, block: int) -> int:
-        """Stripe id containing a flat block index."""
-        base_ppn = self.codec.block_base_ppn(block)
-        return self.codec.decode_ppn(base_ppn).block
-
     def _check(self, stripe: int) -> None:
         if not 0 <= stripe < self.num_stripes:
             raise AllocationError(f"stripe {stripe} out of range [0, {self.num_stripes})")
@@ -186,10 +181,6 @@ class TranslationPool:
         self._cursor += 1
         self._free_pages -= 1
         return ppn
-
-    def free_pages(self) -> int:
-        """Free translation-page slots remaining without GC."""
-        return self._free_pages
 
     def needs_gc(self) -> bool:
         """True when a translation GC should run before more flushes."""
@@ -289,10 +280,6 @@ class StripingAllocator:
         self.data_block_count = len(self._data_blocks)
 
     # ------------------------------------------------------------ data pages
-    def allocate_data(self, count: int = 1) -> list[int]:
-        """Allocate ``count`` data-page PPNs, striping across chips."""
-        allocate_one = self.allocate_data_one
-        return [allocate_one() for _ in range(count)]
 
     def allocate_data_one(self) -> int:
         """Allocate a single data-page PPN (hot path: no list wrapper)."""
@@ -521,13 +508,6 @@ class GroupAllocator:
         self._gc_candidate_cache: tuple[tuple[int, int], int | None] | None = None
 
     # ------------------------------------------------------------- geometry
-    def group_of_lpn(self, lpn: int) -> int:
-        """The GTD entry group an LPN belongs to."""
-        return lpn // self.lpns_per_group
-
-    def group_of_tvpn(self, tvpn: int) -> int:
-        """The GTD entry group a translation page (GTD entry) belongs to."""
-        return tvpn // self.entries_per_group
 
     def tvpns_of_group(self, group: int) -> range:
         """The GTD entries (translation pages) belonging to a group."""
@@ -547,10 +527,6 @@ class GroupAllocator:
     def stripes_of_group(self, group: int) -> list[int]:
         """The stripes currently assigned to a group."""
         return list(self._groups[group].stripes)
-
-    def owner_of_stripe(self, stripe: int) -> int | None:
-        """The owning group of a stripe, if assigned."""
-        return self._stripe_owner.get(stripe)
 
     def free_stripe_count(self) -> int:
         """Stripes not assigned to any group."""

@@ -483,10 +483,6 @@ class FTLBase(ABC):
             f"lpn {lpn} maps to ppn {ppn} but newest copy is {flash.latest_version_of(lpn)}"
         )
 
-    def memory_report(self) -> dict[str, int]:
-        """Approximate DRAM bytes used by mapping metadata (per design)."""
-        return {}
-
 
 class StripingFTLBase(FTLBase):
     """Shared implementation for FTLs using dynamic (striping) allocation."""

@@ -80,23 +80,8 @@ class EntryLevelCMT:
         # The cached LPNs whose mapping their translation page does not hold yet.
         self._dirty: set[int] = set()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __contains__(self, lpn: int) -> bool:
         return lpn in self._entries
-
-    @property
-    def dirty_entry_count(self) -> int:
-        """Number of cached entries whose dirty bit is set."""
-        return len(self._dirty)
-
-    def lookup(self, lpn: int) -> int | None:
-        """Return the cached PPN of an LPN (refreshing recency) or ``None``."""
-        ppn = self._entries.get(lpn)
-        if ppn is not None:
-            self._entries.move_to_end(lpn)
-        return ppn
 
     def insert(self, lpn: int, ppn: int, *, dirty: bool = False) -> list[EvictedPage]:
         """Insert or update a mapping; returns dirty evictions needed to make room.
@@ -126,22 +111,6 @@ class EntryLevelCMT:
         if dirty:
             dirty_lpns.add(lpn)
         return evicted
-
-    def flush_all(self) -> list[EvictedPage]:
-        """Return (and clean) every dirty entry grouped by translation page."""
-        grouped: dict[int, list[int]] = {}
-        for lpn in sorted(self._dirty):
-            grouped.setdefault(lpn // self.mappings_per_page, []).append(lpn)
-        self._dirty.clear()
-        return [EvictedPage(tvpn=tvpn, dirty_lpns=tuple(lpns)) for tvpn, lpns in grouped.items()]
-
-    def memory_entries(self) -> int:
-        """Current occupancy in entry units."""
-        return len(self._entries)
-
-    def hit_capacity(self) -> int:
-        """Configured capacity in entry units."""
-        return self.capacity_entries
 
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:
@@ -188,18 +157,9 @@ class PageGroupedCMT:
         """Occupancy in entry units, including per-node overhead."""
         return self._size_entries
 
-    def node_count(self) -> int:
-        """Number of cached translation-page nodes."""
-        return len(self._pages)
-
     def __contains__(self, lpn: int) -> bool:
         node = self._pages.get(lpn // self.mappings_per_page)
         return node is not None and lpn in node
-
-    @property
-    def dirty_entry_count(self) -> int:
-        """Number of cached entries whose dirty bit is set."""
-        return sum(map(len, self._dirty.values()))
 
     # --------------------------------------------------------------- lookup
     def lookup(self, lpn: int) -> int | None:
@@ -412,18 +372,6 @@ class PageGroupedCMT:
         for lpn in compress(lpns, state["dirty"].tolist()):
             dirty_sets.setdefault(lpn // self.mappings_per_page, set()).add(lpn)
         self._size_entries = int(state["size_entries"])
-
-    def flush_all(self) -> list[EvictedPage]:
-        """Return (and clean) every dirty entry grouped by translation page,
-        pages in recency order."""
-        dirty_sets = self._dirty
-        flushed = [
-            EvictedPage(tvpn=tvpn, dirty_lpns=tuple(sorted(dirty_sets[tvpn])))
-            for tvpn in self._pages
-            if tvpn in dirty_sets
-        ]
-        dirty_sets.clear()
-        return flushed
 
 
 class LoadingPolicy:

@@ -92,11 +92,6 @@ class DFTL(StripingFTLBase):
             if lpn in self.cmt:
                 self.cmt.insert(lpn, ppn, dirty=False)
 
-    # ------------------------------------------------------------ reporting
-    def memory_report(self) -> dict[str, int]:
-        """CMT occupancy in bytes (8 bytes per cached entry)."""
-        return {"cmt_bytes": self.cmt.memory_entries() * 8}
-
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         state = super().state_dict()

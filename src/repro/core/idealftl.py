@@ -33,7 +33,3 @@ class IdealFTL(StripingFTLBase):
             return None, _OUT_BUFFER_HIT, 0.0
         self.stats.cmt_hits += 1
         return ppn, _OUT_CMT_HIT, 0.0
-
-    def memory_report(self) -> dict[str, int]:
-        """The full mapping table at 8 bytes per logical page."""
-        return {"mapping_table_bytes": self.geometry.num_logical_pages * 8}

@@ -216,14 +216,6 @@ class LeaFTL(StripingFTLBase):
         """Total learned segments across all translation pages."""
         return sum(table.segment_count() for table in self._tables.values())
 
-    def memory_report(self) -> dict[str, int]:
-        """Bytes used by the model cache and the write/training buffer."""
-        return {
-            "model_cache_bytes": self._cache_bytes,
-            "buffer_bytes": len(self._buffer) * 8,
-            "all_segments_bytes": sum(t.memory_bytes() for t in self._tables.values()),
-        }
-
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         state = super().state_dict()

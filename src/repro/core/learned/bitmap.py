@@ -11,8 +11,6 @@ model's bits in one fleet column (see
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 __all__ = ["Bitmap"]
@@ -44,9 +42,6 @@ class Bitmap:
             self._bits = bits
             self._popcount = int.from_bytes(bits, "little").bit_count()
 
-    def __len__(self) -> int:
-        return self._size
-
     def _check(self, index: int) -> None:
         if not 0 <= index < self._size:
             raise IndexError(f"bit index {index} out of range [0, {self._size})")
@@ -55,15 +50,6 @@ class Bitmap:
         """Return True when the bit at ``index`` is set."""
         self._check(index)
         return bool(self._bits[index >> 3] & (1 << (index & 7)))
-
-    def set(self, index: int) -> None:
-        """Set the bit at ``index``."""
-        self._check(index)
-        byte = index >> 3
-        mask = 1 << (index & 7)
-        if not self._bits[byte] & mask:
-            self._bits[byte] |= mask
-            self._popcount += 1
 
     def clear(self, index: int) -> None:
         """Clear the bit at ``index``.
@@ -110,15 +96,6 @@ class Bitmap:
         """Number of set bits (the 'length' of the model per Section III-E1)."""
         return self._popcount
 
-    def iter_set(self) -> Iterator[int]:
-        """Yield the indices of all set bits in increasing order."""
-        for index in range(self._size):
-            if self.test(index):
-                yield index
-
     def memory_bytes(self) -> int:
         """Bytes of DRAM consumed by the bitmap."""
         return len(self._bits)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bitmap(size={self._size}, set={self._popcount})"

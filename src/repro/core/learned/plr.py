@@ -45,14 +45,6 @@ class LinearPiece:
     length: int
     max_error: float
 
-    def predict(self, x: int) -> int:
-        """Predict the integer position of key ``x``."""
-        return int(round(self.slope * (x - self.x_start) + self.intercept))
-
-    def covers(self, x: int) -> bool:
-        """True if ``x`` falls inside the key range the piece was fitted over."""
-        return self.x_start <= x < self.x_start + self.length
-
 
 #: Points a piece grows through the scalar swing-filter step before the rest
 #: of the input is tested in NumPy windows.  LeaFTL's pieces are mostly 1-4

@@ -57,26 +57,9 @@ class LearnedSegment:
         """True when the segment predicted every training mapping exactly."""
         return self.max_error < 0.5
 
-    @property
-    def end_lpn(self) -> int:
-        """One past the last LPN covered by this segment."""
-        return self.start_lpn + self.length
-
-    def covers(self, lpn: int) -> bool:
-        """True if the LPN falls inside the segment's key range."""
-        return self.start_lpn <= lpn < self.end_lpn
-
     def predict(self, lpn: int) -> int:
         """Predict the (virtual) PPN of an LPN inside the segment."""
         return int(round(self.slope * (lpn - self.start_lpn) + self.intercept))
-
-    def overlaps(self, other: "LearnedSegment") -> bool:
-        """True when the two segments' LPN ranges intersect."""
-        return self.start_lpn < other.end_lpn and other.start_lpn < self.end_lpn
-
-    def memory_bytes(self) -> int:
-        """Bytes of DRAM consumed by this segment."""
-        return SEGMENT_BYTES
 
     @classmethod
     def from_piece(cls, piece: LinearPiece) -> "LearnedSegment":
@@ -216,14 +199,6 @@ class LogStructuredSegmentTable:
         return None
 
     # ------------------------------------------------------------ accounting
-    @property
-    def num_levels(self) -> int:
-        """Number of levels currently in use."""
-        return len(self._levels)
-
-    def segments(self) -> list[LearnedSegment]:
-        """All segments, newest level first."""
-        return [segment for level in self._levels for segment in level]
 
     def segment_count(self) -> int:
         """Total number of stored segments."""

@@ -595,62 +595,6 @@ class LearnedFTL(FTLBase):
         self.buffer.commit_stage(erase_stage)
         return blocks_erased
 
-    # ------------------------------------------------------ training via rewrite
-    def train_on_rewrite(self, tvpn: int) -> bool:
-        """Model training via the SSD rewrite path (Section III-E3).
-
-        Rewrite periodically re-programs data for retention reasons; LearnedFTL
-        piggybacks model training on it.  The FEMU prototype does not implement
-        rewrite, and neither does the simulator's data path, so this method only
-        retrains the model of one GTD entry from the current mappings — the same
-        computation GC training performs — and returns whether a model was built.
-        """
-        entry_lpns = self.directory.mapped_lpns_of_tvpn(tvpn)
-        if entry_lpns.size == 0:
-            return False
-        return self._train_entry(tvpn, entry_lpns).trained_points > 0
-
-    # ------------------------------------------------------------ recovery
-    def rebuild_models_from_flash(self) -> int:
-        """Rebuild every GTD-entry model by scanning valid flash pages.
-
-        Mirrors the paper's power-failure recovery discussion (Section III-B):
-        after GTD reconstruction the models can be re-derived from the mapping
-        information.  Returns the number of models rebuilt.
-        """
-        per_entry: dict[int, list[tuple[int, int]]] = {}
-        flash = self.flash
-        for ppn in range(self.geometry.num_physical_pages):
-            if flash.page_state_code(ppn) != PAGE_VALID or flash.page_is_translation(ppn):
-                continue
-            lpn = flash.page_lpn_raw(ppn)
-            if lpn < 0 or self.directory.lookup(lpn) != ppn:
-                continue
-            per_entry.setdefault(self.directory.tvpn_of(lpn), []).append((lpn, ppn))
-        rebuilt = 0
-        for tvpn, pairs in per_entry.items():
-            pairs.sort(key=lambda item: item[0])
-            lpns = [lpn for lpn, _ in pairs]
-            vppns = [self.codec.ppn_to_vppn(ppn) for _, ppn in pairs]
-            self.models[tvpn].train(lpns, vppns)
-            rebuilt += 1
-        return rebuilt
-
-    # ------------------------------------------------------------- reporting
-    def model_accuracy(self) -> float:
-        """Fraction of mapped LPNs whose bitmap bit is set (predictable share)."""
-        lpns = self.directory.mapped_lpns().tolist()
-        tvpn_of = self.directory.tvpn_of
-        predictable = sum(self.models[tvpn_of(lpn)].can_predict(lpn) for lpn in lpns)
-        return predictable / len(lpns) if lpns else 0.0
-
-    def memory_report(self) -> dict[str, int]:
-        """Bytes used by the CMT and by all in-place-update models."""
-        return {
-            "cmt_bytes": self.cmt.memory_entries() * 8,
-            "models_bytes": sum(model.memory_bytes() for model in self.models),
-        }
-
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         state = super().state_dict()

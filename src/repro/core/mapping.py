@@ -71,18 +71,6 @@ class MappingDirectory:
                 return ppn
         return None
 
-    def require(self, lpn: int) -> int:
-        """Return the current PPN of an LPN, raising if it was never written."""
-        if 0 <= lpn < self._size:
-            ppn = self._ppn[lpn]
-            if ppn != _UNMAPPED:
-                return ppn
-        raise MappingError(f"lpn {lpn} has no mapping")
-
-    def is_mapped(self, lpn: int) -> bool:
-        """True when the LPN has been written at least once."""
-        return 0 <= lpn < self._size and self._ppn[lpn] != _UNMAPPED
-
     def lookup_many(self, lpns: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lookup`: gather the PPNs of an LPN array.
 
@@ -101,10 +89,6 @@ class MappingDirectory:
 
     def __len__(self) -> int:
         return self._mapped_count
-
-    def mapped_lpns(self) -> np.ndarray:
-        """All mapped LPNs, as an increasing ``int64`` column."""
-        return np.flatnonzero(self._ppn_view != _UNMAPPED)
 
     # --------------------------------------------------------------- updates
     def update(self, lpn: int, ppn: int) -> int | None:
@@ -138,17 +122,6 @@ class MappingDirectory:
         old = column[lpns].copy()
         column[lpns] = ppns
         self._mapped_count += int(np.count_nonzero(old == _UNMAPPED))
-        return old
-
-    def remove(self, lpn: int) -> int | None:
-        """Drop the mapping of an LPN (trim); returns the previous PPN."""
-        if not 0 <= lpn < self._size:
-            return None
-        old = self._ppn[lpn]
-        if old == _UNMAPPED:
-            return None
-        self._ppn[lpn] = _UNMAPPED
-        self._mapped_count -= 1
         return old
 
     # ------------------------------------------------------ snapshot support
@@ -230,23 +203,6 @@ class TranslationPageStore:
         self._invalidate = flash.invalidate
         self.translation_reads = 0
         self.translation_writes = 0
-
-    # ------------------------------------------------------------- plumbing
-    def location_of(self, tvpn: int) -> int | None:
-        """Current flash PPN of a translation page (``None`` if never flushed)."""
-        return self._tp_ppn.get(tvpn)
-
-    def is_dirty(self, tvpn: int) -> bool:
-        """True when in-memory mappings of this translation page are newer than flash."""
-        return tvpn in self._tp_dirty
-
-    def mark_dirty(self, tvpn: int) -> None:
-        """Record that a mapping belonging to this translation page changed."""
-        self._tp_dirty.add(tvpn)
-
-    def dirty_tvpns(self) -> list[int]:
-        """All translation pages currently dirty."""
-        return sorted(self._tp_dirty)
 
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict[str, Any]:

@@ -98,11 +98,6 @@ class TPFTL(StripingFTLBase):
             if lpn in self.cmt:
                 self.cmt.insert(lpn, ppn, dirty=False)
 
-    # ------------------------------------------------------------ reporting
-    def memory_report(self) -> dict[str, int]:
-        """CMT occupancy in bytes (entries plus node overhead at 8 bytes/unit)."""
-        return {"cmt_bytes": self.cmt.memory_entries() * 8}
-
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         state = super().state_dict()

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import sys
 import threading
 import time
@@ -90,10 +89,6 @@ class FileQueue:
         """Publish one claimable task file."""
         return publish_json(self.tasks_dir / f"{task_id}.json", payload.to_wire())
 
-    def pending_ids(self) -> list[str]:
-        """Task ids currently claimable (sorted for deterministic stealing)."""
-        return sorted(path.stem for path in self.tasks_dir.glob("*.json"))
-
     # ----------------------------------------------------------------- claim
     def claim(self, worker_id: str) -> tuple[str, TaskPayload] | None:
         """Atomically claim one task, or ``None`` when nothing is claimable.
@@ -122,14 +117,6 @@ class FileQueue:
                     },
                 )
         return None
-
-    def claims(self) -> dict[str, list[str]]:
-        """Claim history: task id -> worker ids that ever claimed it."""
-        record: dict[str, list[str]] = {}
-        for path in sorted(self.claims_dir.glob("*.json")):
-            task_id, _, worker_id = path.stem.rpartition("@")
-            record.setdefault(task_id, []).append(worker_id)
-        return record
 
     # ------------------------------------------------------------- heartbeat
     def heartbeat(self, worker_id: str) -> None:

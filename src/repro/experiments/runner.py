@@ -20,7 +20,7 @@ import enum
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.report import format_table, rows_to_csv
 from repro.core.base import FTLConfig
@@ -179,13 +179,6 @@ class ExperimentResult:
             parts.append("")
             parts.extend(f"note: {note}" for note in self.notes)
         return "\n".join(parts)
-
-    def column(self, key: str, *, index: str | None = None) -> dict[str, Any]:
-        """Return {row-id: value} for one column, keyed by ``index`` (default: first column)."""
-        if not self.rows:
-            return {}
-        index_key = index or next(iter(self.rows[0]))
-        return {row[index_key]: row[key] for row in self.rows}
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-serializable representation (used by the orchestrator and cache)."""

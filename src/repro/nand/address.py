@@ -24,7 +24,6 @@ property-based tests in ``tests/test_address.py`` verify the round trips.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -84,22 +83,8 @@ class AddressCodec:
             + address.page
         )
 
-    def decode_ppn(self, ppn: int) -> FlashAddress:
-        """Decode a physical page number into its hierarchy fields."""
-        self.geometry.check_ppn(ppn)
-        g = self.geometry
-        page = ppn % g.pages_per_block
-        rest = ppn // g.pages_per_block
-        block = rest % g.blocks_per_plane
-        rest //= g.blocks_per_plane
-        plane = rest % g.planes_per_chip
-        rest //= g.planes_per_chip
-        chip = rest % g.chips_per_channel
-        channel = rest // g.chips_per_channel
-        return FlashAddress(channel=channel, chip=chip, plane=plane, block=block, page=page)
-
     def checked_ppns(self, ppns: "np.ndarray") -> "np.ndarray":
-        """``ppns`` as an int64 column, validated like :meth:`decode_ppn`.
+        """``ppns`` as an int64 column, validated like :meth:`chip_index`.
 
         The columnar entry points below and in the flash array gather with
         these page numbers; a negative one would silently wrap around, so the
@@ -195,14 +180,6 @@ class AddressCodec:
         # chip index is a single integer division.
         return ppn // self._ppn_chip_stride
 
-    def channel_index(self, ppn: int) -> int:
-        """Return the channel index owning ``ppn``."""
-        return self.decode_ppn(ppn).channel
-
-    def block_index(self, ppn: int) -> int:
-        """Return the flat erase-block index containing ``ppn``."""
-        return ppn // self._pages_per_block
-
     def block_of(self, address: FlashAddress) -> int:
         """Return the flat erase-block index of a decoded address."""
         return self.encode_ppn(address) // self._pages_per_block
@@ -213,23 +190,9 @@ class AddressCodec:
             self.geometry.check_block(block)
         return block * self._pages_per_block
 
-    def block_ppns(self, block: int) -> range:
-        """Return the range of PPNs belonging to the given flat block index."""
-        base = self.block_base_ppn(block)
-        return range(base, base + self._pages_per_block)
-
     def chip_of_block(self, block: int) -> int:
         """Return the flat chip index owning the given flat block index."""
         return self.chip_index(self.block_base_ppn(block))
-
-    def blocks_of_chip(self, chip: int) -> Iterable[int]:
-        """Yield the flat block indices located on the given flat chip index."""
-        g = self.geometry
-        if not 0 <= chip < g.num_chips:
-            raise GeometryError(f"chip {chip} out of range [0, {g.num_chips})")
-        blocks_per_chip = g.blocks_per_chip
-        first = chip * blocks_per_chip
-        return range(first, first + blocks_per_chip)
 
     # ------------------------------------------------------------- internals
     def _check_fields(self, address: FlashAddress) -> None:

@@ -107,9 +107,6 @@ class FlashArray:
         self.data_invalidation_epoch = 0
 
     # ------------------------------------------------------------ inspection
-    def block_of(self, ppn: int) -> int:
-        """Return the flat block index containing ``ppn``."""
-        return ppn // self._pages_per_block
 
     def valid_ppns_in_block(self, block: int) -> list[int]:
         """Return the PPNs of the valid pages in a block."""
@@ -119,11 +116,6 @@ class FlashArray:
         return [
             ppn for ppn in range(base, base + self._pages_per_block) if state[ppn] == PAGE_VALID
         ]
-
-    @property
-    def free_page_count(self) -> int:
-        """Total number of pages currently in the FREE state."""
-        return self._free_pages
 
     # ------------------------------------------------- raw columnar accessors
     def page_state_code(self, ppn: int) -> int:
@@ -136,10 +128,6 @@ class FlashArray:
         """LPN column value of a page (-1 when it holds none)."""
         return self._page_lpn[ppn]
 
-    def page_is_translation(self, ppn: int) -> bool:
-        """True when the page holds a translation page."""
-        return bool(self._page_translation[ppn])
-
     def is_valid(self, ppn: int) -> bool:
         """True when the page is in the VALID state."""
         if not 0 <= ppn < self._num_pages:
@@ -150,8 +138,8 @@ class FlashArray:
         """LPN held by each page of a PPN column, ``-1`` unless it is live data.
 
         One gather over the state, LPN and translation columns: the columnar
-        form of ``page_state_code(ppn) == PAGE_VALID and not
-        page_is_translation(ppn)`` followed by :meth:`page_lpn_raw`.
+        form of ``page_state_code(ppn) == PAGE_VALID`` on a data page followed by
+        :meth:`page_lpn_raw`.
         """
         ppns = self.codec.checked_ppns(ppns)
         live = (np.frombuffer(self._page_state, dtype=np.uint8)[ppns] == PAGE_VALID) & (
@@ -548,13 +536,3 @@ class FlashArray:
         newest = np.full(num_lpns, _NONE, dtype=np.int64)
         newest[live_lpns[winners]] = live[winners]
         return newest
-
-    def utilization(self) -> dict[str, int]:
-        """Return page counts by state (for reporting and tests)."""
-        valid = self._page_state.count(PAGE_VALID)
-        invalid = self._page_state.count(PAGE_INVALID)
-        return {
-            "free": self._num_pages - valid - invalid,
-            "valid": valid,
-            "invalid": invalid,
-        }

@@ -84,19 +84,9 @@ class SSDGeometry(Checked):
         return self.num_chips * self.planes_per_chip
 
     @cached_property
-    def blocks_per_chip(self) -> int:
-        """Number of erase blocks per chip (across all its planes)."""
-        return self.planes_per_chip * self.blocks_per_plane
-
-    @cached_property
     def num_blocks(self) -> int:
         """Total number of erase blocks in the device."""
         return self.num_planes * self.blocks_per_plane
-
-    @cached_property
-    def pages_per_chip(self) -> int:
-        """Number of physical pages per chip."""
-        return self.blocks_per_chip * self.pages_per_block
 
     @cached_property
     def num_physical_pages(self) -> int:

@@ -13,7 +13,7 @@ LearnedFTL (and can be disabled to reproduce Figure 18a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.nand.fields import Checked, NonNegativeFloat
 
@@ -60,26 +60,6 @@ class TimingModel(Checked):
     def femu_default(cls) -> "TimingModel":
         """The FEMU default latencies used throughout the paper."""
         return cls()
-
-    @classmethod
-    def fast(cls) -> "TimingModel":
-        """A low-latency NVMe-class device, useful for sensitivity studies."""
-        return cls(read_us=10.0, program_us=100.0, erase_us=1000.0)
-
-    def without_compute(self) -> "TimingModel":
-        """Return a copy with every controller-computation cost set to zero.
-
-        Used to reproduce Figure 18(a), which compares LearnedFTL with and
-        without the sorting/training overhead, and Figure 18(b)'s "ideal
-        LearnedFTL" that skips model predictions.
-        """
-        return replace(
-            self,
-            sort_us_per_entry=0.0,
-            train_us_per_entry=0.0,
-            predict_us=0.0,
-            bitmap_check_us=0.0,
-        )
 
     def latency_of(self, kind: str) -> float:
         """Return the latency of a flash command kind (``read``/``program``/``erase``)."""

@@ -44,8 +44,8 @@ places it after exactly those requests' reads.  The record order is thus the
 order of the simulation without a flush per event.  A translation read
 has one shape whichever execution path served it, so ``run(batch=N)``
 traces exactly like ``run()``.  Every reader (``len``,
-:meth:`~TraceRecorder.export`, :meth:`~TraceRecorder.write`,
-:meth:`~TraceRecorder.dropped_counts`) flushes the log first.
+:meth:`~TraceRecorder.export`, :meth:`~TraceRecorder.write`) flushes the log
+first.
 :meth:`~TraceRecorder.write` streams each run of translation reads through
 one ``%`` template, falling back to the JSON encoder for any value ``%r``
 would not print as JSON.
@@ -329,10 +329,6 @@ class TraceRecorder:
         self._read_ppn.fromlist([ops[slot + 2] for slot in slots])
 
     # --------------------------------------------------------------- export
-    def dropped_counts(self) -> dict[str, int]:
-        """Events dropped per name by the sampling cap (empty = nothing dropped)."""
-        self._sync()
-        return self._dropped_in_order()
 
     def _dropped_in_order(self) -> dict[str, int]:
         return {

@@ -226,10 +226,6 @@ class WindowedRecorder:
             window.write_latencies.frombytes(window_write_latencies)
 
     # -------------------------------------------------------------- series
-    def window_count(self) -> int:
-        """Number of touched (non-empty) windows."""
-        self._sync()
-        return len(self._windows)
 
     def series(self, stats: SimulationStats | None = None) -> dict[str, Any]:
         """Build the per-window time series as plain JSON-serializable columns.

@@ -73,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import warnings
 import zipfile
 from pathlib import Path
 from typing import Any
@@ -219,7 +220,10 @@ def _inflate(value: Any, archive: zipfile.ZipFile, columns: Any, path: Path) -> 
 def _read_column(archive: zipfile.ZipFile, key: Any, columns: Any, path: Path) -> np.ndarray:
     """Decompress, CRC-check, parse and decode the member behind one placeholder."""
     try:
-        with archive.open(f"{key}.npy") as member:
+        with archive.open(f"{key}.npy") as member, warnings.catch_warnings():
+            # A damaged header can parse with a warning (an invalid escape
+            # in a key) before it fails: the warning is damage too.
+            warnings.simplefilter("error")
             column = read_array(member, allow_pickle=False)
             # zipfile checks a member's CRC-32 only once it has been read to
             # its end, and read_array stops where the header's shape says.
@@ -232,7 +236,8 @@ def _read_column(archive: zipfile.ZipFile, key: Any, columns: Any, path: Path) -
         # The corruption boundary.  A damaged (or absent) member surfaces from
         # zipfile, zlib or NumPy's header parser as whatever each happens to
         # raise: BadZipFile, zlib.error, NotImplementedError, KeyError,
-        # tokenize.TokenError, ...; all of them mean "this image is unusable".
+        # tokenize.TokenError, DeprecationWarning, ...; all of them mean
+        # "this image is unusable".
         raise SnapshotError(
             f"cannot read column {key!r} of snapshot arrays at {path}: {exc!r}"
         ) from exc

@@ -31,7 +31,6 @@ observed variant of any loop.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
@@ -46,13 +45,13 @@ from repro.core.leaftl import LeaFTL
 from repro.core.learnedftl import LearnedFTL
 from repro.core.tpftl import TPFTL
 from repro.nand.errors import ConfigurationError
-from repro.nand.fields import Count, PositiveInt, as_int, check_value, one_of
+from repro.nand.fields import PositiveInt, as_int, check_value, one_of
 from repro.nand.geometry import SSDGeometry
 from repro.nand.timing import TimingModel
 from repro.obs.log import BLOCK_OP_SLOTS, BLOCK_ROW_SLOTS, ObservationLog
 from repro.obs.trace import NULL_TRACER
 from repro.obs.windows import WindowedRecorder
-from repro.ssd.energy import EnergyBreakdown, EnergyModel
+from repro.ssd.energy import EnergyModel
 from repro.ssd.engine import TimingEngine
 from repro.ssd.request import (
     OP_READ_CODE,
@@ -204,11 +203,6 @@ class RunResult:
         """Host throughput over the run in MB/s."""
         return self.stats.throughput_mb_s()
 
-    @property
-    def iops(self) -> float:
-        """Host requests per simulated second."""
-        return self.stats.iops()
-
 
 def _count_argument(name: str, value: Any) -> int:
     """``value`` as a positive Python int, or :class:`ConfigurationError`
@@ -236,10 +230,14 @@ class SSD:
       geometry and optional :class:`FTLConfig`/:class:`TimingModel`;
     * :meth:`run` / :meth:`replay` — closed-loop (fio psync) and open-loop
       (trace arrival timestamps) execution of a request stream;
-    * :meth:`fill_sequential` / :meth:`overwrite_random` — the
-      preconditioning primitives the paper's warm-up is built from;
-    * :meth:`save_state` / :meth:`restore` — bit-identical device
-      checkpoints (see :mod:`repro.snapshot`);
+      :meth:`submit` — one request;
+    * :meth:`fill_sequential` — the sequential preconditioning the paper's
+      warm-up starts from;
+    * :meth:`state_dict` / :meth:`load_state` / :meth:`restore` —
+      bit-identical device checkpoints (see :mod:`repro.snapshot`);
+    * :meth:`enable_observability` — windowed telemetry and event tracing;
+    * :meth:`reset_stats` — start a measured phase after warm-up;
+    * :meth:`verify` — check the mapping and flash invariants;
     * ``ssd.stats`` — the :class:`SimulationStats` every figure reads.
 
     Simulated time is microseconds; ``now_us`` advances to the completion of
@@ -556,31 +554,6 @@ class SSD:
         )
         return self.run(requests, threads=1)
 
-    def overwrite_random(
-        self, *, pages: int, io_pages: int = 1, seed: int = 7, threads: int = 1
-    ) -> RunResult:
-        """Randomly overwrite ``pages`` logical pages (steady-state conditioning).
-
-        ``io_pages`` must fit inside the logical space — otherwise every
-        generated request would spill past the end of the device — and
-        ``pages`` must be non-negative.
-        """
-        num_logical_pages = self.geometry.num_logical_pages
-        io_pages = _count_argument("io_pages", io_pages)
-        if io_pages > num_logical_pages:
-            raise ConfigurationError(
-                f"io_pages={io_pages} exceeds the logical space of "
-                f"{num_logical_pages} pages; every overwrite would run past the device end"
-            )
-        check_value("pages", pages, Count)
-        rng = random.Random(seed)
-        limit = num_logical_pages - io_pages
-        requests = (
-            HostRequest(OpType.WRITE, rng.randint(0, limit), io_pages)
-            for _ in range(pages // io_pages)
-        )
-        return self.run(requests, threads=threads)
-
     # ------------------------------------------------------------ snapshots
     def state_dict(self) -> dict[str, Any]:
         """Capture the complete device state (for :func:`repro.snapshot.save_snapshot`).
@@ -652,15 +625,9 @@ class SSD:
                 {"finish_time_us": self.stats.finish_time_us},
             )
 
-    def save_state(self, path: "str | Path") -> "Path":
-        """Checkpoint the device to a snapshot directory; returns the path."""
-        from repro.snapshot.serialization import save_snapshot
-
-        return save_snapshot(path, self.state_dict())
-
     @classmethod
     def restore(cls, path: "str | Path") -> "SSD":
-        """Rebuild a device bit-identically from a :meth:`save_state` snapshot.
+        """Rebuild a device bit-identically from a snapshot of its :meth:`state_dict`.
 
         The restored device uses the default energy model (the model is a set
         of stateless constants applied to the statistics after the fact, not
@@ -678,9 +645,6 @@ class SSD:
         return ssd
 
     # ------------------------------------------------------------- analysis
-    def energy(self) -> EnergyBreakdown:
-        """Energy consumed so far according to the device's energy model."""
-        return self.energy_model.evaluate(self.stats)
 
     def reset_stats(self) -> SimulationStats:
         """Start a fresh measurement interval (e.g. after warm-up).

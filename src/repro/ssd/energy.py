@@ -40,11 +40,6 @@ class EnergyBreakdown:
         """Total energy in microjoules."""
         return self.read_uj + self.program_uj + self.erase_uj + self.controller_uj
 
-    @property
-    def total_mj(self) -> float:
-        """Total energy in millijoules."""
-        return self.total_uj / 1000.0
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -74,7 +69,3 @@ class EnergyModel:
             erase_uj=erase_uj,
             controller_uj=controller_uj,
         )
-
-    def total_uj(self, stats: SimulationStats) -> float:
-        """Convenience wrapper returning only the total energy in microjoules."""
-        return self.evaluate(stats).total_uj

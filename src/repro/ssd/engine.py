@@ -61,29 +61,6 @@ class ChipTimeline:
         self._busy_until = [0.0] * num_chips
         self.busy_time = [0.0] * num_chips
 
-    @property
-    def num_chips(self) -> int:
-        """Number of chips tracked."""
-        return len(self._busy_until)
-
-    def occupy(self, chip: int, earliest_start: float, duration: float) -> tuple[float, float]:
-        """Schedule an operation on a chip; returns ``(start, finish)``."""
-        start = max(earliest_start, self._busy_until[chip])
-        finish = start + duration
-        self._busy_until[chip] = finish
-        self.busy_time[chip] += duration
-        return start, finish
-
-    def horizon(self) -> float:
-        """Latest busy-until over all chips."""
-        return max(self._busy_until)
-
-    def utilization(self, elapsed_us: float) -> float:
-        """Average fraction of time chips were busy over ``elapsed_us``."""
-        if elapsed_us <= 0.0:
-            return 0.0
-        return sum(self.busy_time) / (elapsed_us * self.num_chips)
-
     # ------------------------------------------------------ snapshot support
     def state_dict(self) -> dict:
         """Capture the per-chip busy-until horizon and accumulated busy time."""

@@ -94,11 +94,6 @@ class HostRequest:
         """Return the range of LPNs covered by this request."""
         return range(self.lpn, self.lpn + self.npages)
 
-    @property
-    def bytes(self) -> int:
-        """Request size in bytes assuming 4 KiB pages (for reporting only)."""
-        return self.npages * 4096
-
 
 #: Integer op codes used by the columnar request representation.
 OP_READ_CODE, OP_WRITE_CODE = 0, 1
@@ -148,20 +143,6 @@ class RequestBatch:
             raise ValueError(f"npages[{index}] is {int(self.npages[index])}; expected >= 1")
 
     # ------------------------------------------------------------- factories
-    @classmethod
-    def from_requests(cls, requests: Iterable[HostRequest]) -> "RequestBatch":
-        """Pack an iterable of :class:`HostRequest` into columns."""
-        materialized = list(requests)
-        n = len(materialized)
-        read_op = OpType.READ
-        ops = np.fromiter(
-            (OP_READ_CODE if r.op is read_op else OP_WRITE_CODE for r in materialized),
-            dtype=np.int8,
-            count=n,
-        )
-        lpns = np.fromiter((r.lpn for r in materialized), dtype=np.int64, count=n)
-        npages = np.fromiter((r.npages for r in materialized), dtype=np.int64, count=n)
-        return cls(ops, lpns, npages)
 
     @classmethod
     def reads(cls, lpns: "np.ndarray | Iterable[int]", npages: int = 1) -> "RequestBatch":
@@ -200,10 +181,6 @@ class RequestBatch:
             self.ops.tolist(), self.lpns.tolist(), self.npages.tolist()
         ):
             yield HostRequest(read_op if op == OP_READ_CODE else write_op, lpn, npages)
-
-    def __repr__(self) -> str:
-        reads = int(np.count_nonzero(self.ops == OP_READ_CODE))
-        return f"RequestBatch(n={len(self)}, reads={reads}, writes={len(self) - reads})"
 
 
 class CommandKind(enum.Enum):
@@ -399,14 +376,3 @@ class CommandBuffer:
         else:
             self.stages.append(stage)
         return True
-
-    # --------------------------------------------------------------- outcomes
-    def add_outcome(self, code: int) -> None:
-        """Record the integer-coded classification of one host page read."""
-        self.outcome_codes.append(code)
-
-    # -------------------------------------------------------------- reporting
-    @property
-    def command_count(self) -> int:
-        """Total commands encoded for the current request."""
-        return len(self.ops) // OP_STRIDE

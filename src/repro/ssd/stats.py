@@ -15,14 +15,11 @@ engine and the FTL.  Everything the paper's figures report is derived from it:
 Flash commands and read outcomes are bucketed from their **integer codes**
 (see :mod:`repro.ssd.request`) into flat count arrays that the hot paths —
 the timing engine's loops and the batched read planner — increment inline.
-The per-purpose ``Counter`` views (``flash_reads``/``flash_programs``/
-``flash_erases``/``read_outcomes``) are derived properties over those arrays.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -32,7 +29,6 @@ from repro.ssd.request import (
     NUM_COMMAND_CODES,
     NUM_PURPOSES,
     CommandKind,
-    CommandPurpose,
     ReadOutcome,
 )
 
@@ -245,41 +241,6 @@ class SimulationStats:
         for name in ("read_latencies_us", "write_latencies_us"):
             getattr(self, name)[:] = array("d", np.asarray(state[name], np.float64).tobytes())
         self.finish_time_us = float(state["finish_time_us"])
-
-    # --------------------------------------------------------- counter views
-    def _purpose_counter(self, kind: CommandKind) -> Counter:
-        base = kind.code * NUM_PURPOSES
-        counts = self.command_counts
-        return Counter(
-            {
-                purpose: counts[base + purpose.code]
-                for purpose in CommandPurpose
-                if counts[base + purpose.code]
-            }
-        )
-
-    @property
-    def flash_reads(self) -> Counter:
-        """NAND read commands by :class:`CommandPurpose` (derived view)."""
-        return self._purpose_counter(CommandKind.READ)
-
-    @property
-    def flash_programs(self) -> Counter:
-        """NAND program commands by :class:`CommandPurpose` (derived view)."""
-        return self._purpose_counter(CommandKind.PROGRAM)
-
-    @property
-    def flash_erases(self) -> Counter:
-        """NAND erase commands by :class:`CommandPurpose` (derived view)."""
-        return self._purpose_counter(CommandKind.ERASE)
-
-    @property
-    def read_outcomes(self) -> Counter:
-        """Host page reads by :class:`ReadOutcome` (derived view)."""
-        counts = self.outcome_counts
-        return Counter(
-            {outcome: counts[outcome.code] for outcome in ReadOutcome if counts[outcome.code]}
-        )
 
     # ------------------------------------------------------------- derived
     @property

@@ -358,29 +358,6 @@ class StudySpec:
             raise ConfigurationError("study spec: host 'threads' repeats a value")
         return tuple(threads)
 
-    # ----------------------------------------------------------- round-trip
-    def to_dict(self) -> dict[str, Any]:
-        """Render the spec back into the mapping format :meth:`from_dict` accepts."""
-        axes: dict[str, Any] = {"ftl": list(self.ftls)}
-        if self.config_axes:
-            axes["config"] = {knob: list(values) for knob, values in self.config_axes}
-        if self.geometries != (GeometryChoice(label="scale", base=None),):
-            base = self.geometries[0].base
-            axes["geometry"] = {
-                **({"base": base} if base else {}),
-                "overrides": [dict(choice.overrides) for choice in self.geometries],
-            }
-        axes["workload"] = [dict(entry) for _, entry in self.workloads]
-        if self.threads != (None,):
-            axes["host"] = {"threads": list(self.threads)}
-        return {
-            "name": self.name,
-            "description": self.description,
-            "warmup": self.warmup,
-            "metric": self.metric,
-            "axes": axes,
-        }
-
     # ------------------------------------------------------------ expansion
     def axis_values(self) -> dict[str, list[str]]:
         """Ordered value labels per axis (including unswept single-value axes)."""

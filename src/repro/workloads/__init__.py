@@ -7,8 +7,6 @@ from repro.workloads.spec import WORKLOAD_KINDS, WorkloadPlan, build_workload
 from repro.workloads.synthetic import (
     hotspot_stream,
     mixed_stream,
-    sequential_stream,
-    strided_reads,
     zipf_reads,
 )
 from repro.workloads.traces import (
@@ -58,8 +56,6 @@ __all__ = [
     "WorkloadPlan",
     "build_workload",
     "mixed_stream",
-    "sequential_stream",
-    "strided_reads",
     "zipf_reads",
     "hotspot_stream",
 ]

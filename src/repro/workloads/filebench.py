@@ -143,11 +143,6 @@ class FilebenchWorkload:
         return files
 
     @property
-    def file_count(self) -> int:
-        """Number of files actually laid out on this device."""
-        return len(self._files)
-
-    @property
     def threads(self) -> int:
         """The personality's thread count (Table I)."""
         return self.config.threads
@@ -185,11 +180,3 @@ class FilebenchWorkload:
             length = file.npages
             offset = 0
         yield HostRequest(OpType.WRITE, file.start_lpn + offset, length, None, index)
-
-    def describe(self) -> str:
-        """Human-readable description of the scaled workload."""
-        return (
-            f"filebench {self.config.name}: {self.file_count} files x "
-            f"{self.config.file_size_kb} KB, read fraction {self.config.read_fraction:.0%}, "
-            f"{self.config.threads} threads"
-        )

@@ -70,20 +70,11 @@ class FioJob(Checked):
     span_fraction: SpanFraction = 1.0
 
     # ------------------------------------------------------------- factories
-    @classmethod
-    def seqread(cls, num_requests: int, **kwargs: Any) -> "FioJob":
-        """Sequential read job."""
-        return cls(FioPattern.SEQ_READ, num_requests, **kwargs)
 
     @classmethod
     def randread(cls, num_requests: int, **kwargs: Any) -> "FioJob":
         """Random read job."""
         return cls(FioPattern.RAND_READ, num_requests, **kwargs)
-
-    @classmethod
-    def seqwrite(cls, num_requests: int, **kwargs: Any) -> "FioJob":
-        """Sequential write job."""
-        return cls(FioPattern.SEQ_WRITE, num_requests, **kwargs)
 
     @classmethod
     def randwrite(cls, num_requests: int, **kwargs: Any) -> "FioJob":
@@ -112,14 +103,6 @@ class FioJob(Checked):
             lpns = np.random.default_rng(self.seed).integers(0, limit, size=self.num_requests)
         for index, lpn in enumerate(lpns.tolist()):
             yield HostRequest(op, lpn, npages, None, index)
-
-    # ------------------------------------------------------------- reporting
-    def describe(self) -> str:
-        """Human-readable one-line description of the job."""
-        return (
-            f"fio {self.pattern.value}: {self.num_requests} requests x "
-            f"{self.io_pages} page(s), span {self.span_fraction:.0%}"
-        )
 
 
 def warmup_writes(

@@ -18,7 +18,7 @@ phases used in the paper.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.nand.errors import ConfigurationError
@@ -60,10 +60,6 @@ class ExtentAllocator:
             else:
                 merged.append((extent_start, extent_len))
         self._free = merged
-
-    def free_pages(self) -> int:
-        """Total free pages remaining."""
-        return sum(length for _, length in self._free)
 
 
 @dataclass

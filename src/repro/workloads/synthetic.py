@@ -2,8 +2,8 @@
 
 The fio/Filebench/RocksDB/trace generators cover the paper's workloads; this
 module adds small composable building blocks that are convenient when writing
-tests, examples and ablation studies: mixed read/write streams, strided
-patterns and locality-controlled streams.
+tests, examples and ablation studies: mixed read/write streams and
+locality-controlled streams.
 
 :func:`mixed_stream`, :func:`zipf_reads` and :func:`hotspot_stream` are the
 declarations of the ``mixed``, ``zipf`` and ``hotspot`` workload kinds: their
@@ -23,29 +23,9 @@ from repro.workloads.zipf import HotspotGenerator, ZipfGenerator
 
 __all__ = [
     "mixed_stream",
-    "strided_reads",
     "zipf_reads",
     "hotspot_stream",
-    "sequential_stream",
 ]
-
-
-def sequential_stream(
-    geometry: SSDGeometry,
-    *,
-    num_requests: int,
-    op: OpType = OpType.WRITE,
-    io_pages: int = 1,
-    start_lpn: int = 0,
-) -> Iterator[HostRequest]:
-    """Plain sequential stream wrapping around the logical space."""
-    span = geometry.num_logical_pages
-    lpn = start_lpn % span
-    for _ in range(num_requests):
-        if lpn + io_pages > span:
-            lpn = 0
-        yield HostRequest(op, lpn, io_pages)
-        lpn += io_pages
 
 
 def mixed_stream(
@@ -62,21 +42,6 @@ def mixed_stream(
     for _ in range(num_requests):
         op = OpType.READ if rng.random() < read_fraction else OpType.WRITE
         yield HostRequest(op, rng.randrange(limit), io_pages)
-
-
-def strided_reads(
-    geometry: SSDGeometry,
-    *,
-    num_requests: int,
-    stride_pages: int,
-    io_pages: int = 1,
-) -> Iterator[HostRequest]:
-    """Fixed-stride read stream (defeats prefetchers without being random)."""
-    span = geometry.num_logical_pages
-    lpn = 0
-    for _ in range(num_requests):
-        yield HostRequest(OpType.READ, lpn, io_pages)
-        lpn = (lpn + stride_pages) % max(1, span - io_pages)
 
 
 def zipf_reads(

@@ -5,13 +5,11 @@ most of the traffic.  The synthetic trace generators in
 :mod:`repro.workloads.traces` and the Filebench model use these helpers to give
 their request streams controllable locality.
 
-Both generators expose a scalar ``sample()`` and a batched ``sample_many()``.
-The batched path is what the experiment harnesses use: drawing a whole stream
-at once amortizes the NumPy call overhead that dominates per-draw sampling.
-``ZipfGenerator.sample_many`` is bit-identical to repeated ``sample()`` calls
-(same uniform stream, same search); ``HotspotGenerator.sample_many`` draws from
-a dedicated NumPy stream, so it is deterministic per seed but statistically —
-not bitwise — equivalent to the scalar path.
+Both generators expose a scalar ``sample()``; ``HotspotGenerator`` also has a
+batched ``sample_many()``, which the synthetic trace generators use: drawing a
+whole stream at once amortizes the NumPy call overhead that dominates per-draw
+sampling.  It draws from a dedicated NumPy stream, so it is deterministic per
+seed but statistically — not bitwise — equivalent to the scalar path.
 """
 
 from __future__ import annotations
@@ -53,16 +51,6 @@ class ZipfGenerator:
         u = self._rng.random()
         rank = int(np.searchsorted(self._cdf, u))
         return int(self._permutation[min(rank, self.n - 1)])
-
-    def sample_many(self, count: int) -> list[int]:
-        """Draw ``count`` values (bit-identical to ``count`` ``sample()`` calls)."""
-        if count <= 0:
-            return []
-        rng_random = self._rng.random
-        u = np.fromiter((rng_random() for _ in range(count)), dtype=np.float64, count=count)
-        ranks = np.searchsorted(self._cdf, u)
-        np.minimum(ranks, self.n - 1, out=ranks)
-        return self._permutation[ranks].tolist()
 
 
 class HotspotGenerator:

@@ -118,7 +118,7 @@ def warmed_ssd_factory(tiny_geometry):
     def factory(name: str, *, overwrite_pages: int = 600, **kwargs) -> SSD:
         ssd = make_ssd(name, tiny_geometry, **kwargs)
         ssd.fill_sequential(io_pages=16)
-        ssd.overwrite_random(pages=overwrite_pages, io_pages=4, seed=3)
+        ssd.run(random_writes(ssd.geometry, overwrite_pages // 4, seed=3, npages=4), threads=1)
         ssd.reset_stats()
         return ssd
 

@@ -71,12 +71,6 @@ class TestStripeMap:
         with pytest.raises(AllocationError):
             stripes.ppn_at(stripes.num_stripes, 0)
 
-    def test_stripe_of_block_round_trip(self, geometry):
-        stripes = StripeMap(geometry)
-        for stripe in range(stripes.num_stripes):
-            for block in stripes.blocks_of(stripe):
-                assert stripes.stripe_of_block(block) == stripe
-
     @pytest.mark.parametrize(
         "shape",
         [
@@ -91,13 +85,15 @@ class TestStripeMap:
         geometry = SSDGeometry(**shape)
         stripes = StripeMap(geometry)
         codec = stripes.codec
+        pages_per_channel = geometry.num_physical_pages // geometry.channels
         for stripe in range(stripes.num_stripes):
             run = stripes.ppn_run(stripe, 0, stripes.pages_per_stripe).tolist()
             assert run == [stripes.ppn_at(stripe, i) for i in range(stripes.pages_per_stripe)]
             for index, ppn in enumerate(run):
-                address = codec.decode_ppn(ppn)
-                assert address.block == stripe
-                assert address.channel == index % geometry.channels
+                # The PPN fields, most significant first: channel, chip,
+                # plane, block, page.
+                assert ppn // geometry.pages_per_block % geometry.blocks_per_plane == stripe
+                assert ppn // pages_per_channel == index % geometry.channels
                 assert codec.ppn_to_vppn(ppn) == stripe * stripes.pages_per_stripe + index
 
     def test_ppn_run_is_a_slice_of_the_stripe(self, geometry):
@@ -136,9 +132,9 @@ class TestTranslationPool:
         assert not pool.needs_gc()
         for _ in range(geometry.pages_per_block - 9):
             flash.program(pool.allocate(), lpn=None, is_translation=True, oob={"tvpn": 0})
-        assert pool.free_pages() == 9 and not pool.needs_gc()
+        assert pool._free_pages == 9 and not pool.needs_gc()
         flash.program(pool.allocate(), lpn=None, is_translation=True, oob={"tvpn": 0})
-        assert pool.free_pages() == 8 and pool.needs_gc()
+        assert pool._free_pages == 8 and pool.needs_gc()
 
     def test_free_page_count_follows_every_change(self, geometry, flash):
         """The kept count equals the active block's tail plus the free blocks
@@ -150,21 +146,21 @@ class TestTranslationPool:
             return tail + len(pool._free_blocks) * pages_per_block
 
         pool = TranslationPool(flash, blocks=[0, 1, 2])
-        assert pool.free_pages() == recount(pool) == 3 * pages_per_block
+        assert pool._free_pages == recount(pool) == 3 * pages_per_block
         for _ in range(2 * pages_per_block + 3):
             ppn = pool.allocate()
             flash.program(ppn, lpn=None, is_translation=True, oob={"tvpn": 0})
             flash.invalidate(ppn)
-            assert pool.free_pages() == recount(pool)
+            assert pool._free_pages == recount(pool)
         victim = pool.victim_block()
         flash.erase(victim)
         pool.release(victim)
-        assert pool.free_pages() == recount(pool) == 2 * pages_per_block - 3
+        assert pool._free_pages == recount(pool) == 2 * pages_per_block - 3
         restored = TranslationPool(flash, blocks=[0, 1, 2])
         restored.load_state(pool.state_dict())
-        assert restored.free_pages() == pool.free_pages()
+        assert restored._free_pages == pool._free_pages
         assert restored.allocate() == pool.allocate()
-        assert restored.free_pages() == pool.free_pages() == recount(pool)
+        assert restored._free_pages == pool._free_pages == recount(pool)
 
     def test_victim_and_release_cycle(self, geometry, flash):
         pool = TranslationPool(flash, blocks=[0, 1])
@@ -176,7 +172,7 @@ class TestTranslationPool:
         assert victim == 0
         flash.erase(victim)
         pool.release(victim)
-        assert pool.free_pages() >= geometry.pages_per_block
+        assert pool._free_pages >= geometry.pages_per_block
 
     def test_release_rejects_foreign_block(self, geometry, flash):
         pool = TranslationPool(flash, blocks=[0])
@@ -191,49 +187,54 @@ class TestTranslationPool:
 class TestStripingAllocator:
     def test_allocations_stripe_across_chips(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
-        ppns = allocator.allocate_data(geometry.num_chips)
+        ppns = [allocator.allocate_data_one() for _ in range(geometry.num_chips)]
         chips = [flash.codec.chip_index(ppn) for ppn in ppns]
         assert len(set(chips)) == geometry.num_chips
 
     def test_allocated_pages_are_programmable(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
-        for lpn, ppn in enumerate(allocator.allocate_data(40)):
+        for lpn in range(40):
+            ppn = allocator.allocate_data_one()
             flash.program(ppn, lpn=lpn)
 
     def test_never_allocates_translation_blocks(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
         reserved = set(allocator.translation_pool.blocks)
-        ppns = allocator.allocate_data(100)
-        assert all(flash.codec.block_index(ppn) not in reserved for ppn in ppns)
+        ppns = [allocator.allocate_data_one() for _ in range(100)]
+        assert all(ppn // geometry.pages_per_block not in reserved for ppn in ppns)
 
     def test_free_data_blocks_decreases(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
         before = allocator.free_data_blocks()
-        allocator.allocate_data(geometry.pages_per_block * 2)
+        for _ in range(geometry.pages_per_block * 2):
+            allocator.allocate_data_one()
         assert allocator.free_data_blocks() < before
 
     def test_out_of_space(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
         capacity = allocator.data_block_count * geometry.pages_per_block
-        allocator.allocate_data(capacity)
+        for _ in range(capacity):
+            allocator.allocate_data_one()
         with pytest.raises(OutOfSpaceError):
-            allocator.allocate_data(1)
+            allocator.allocate_data_one()
 
     def test_victim_block_prefers_fewest_valid(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
-        ppns = allocator.allocate_data(geometry.pages_per_block * geometry.num_chips)
+        count = geometry.pages_per_block * geometry.num_chips
+        ppns = [allocator.allocate_data_one() for _ in range(count)]
         for lpn, ppn in enumerate(ppns):
             flash.program(ppn, lpn=lpn)
         # Invalidate everything in the block holding the first ppn.
-        victim_block = flash.codec.block_index(ppns[0])
-        for ppn in flash.codec.block_ppns(victim_block):
+        victim_block = ppns[0] // geometry.pages_per_block
+        first = flash.codec.block_base_ppn(victim_block)
+        for ppn in range(first, first + geometry.pages_per_block):
             flash.invalidate(ppn)
         assert allocator.victim_block() == victim_block
 
     def test_release_block_returns_to_pool(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
-        ppns = allocator.allocate_data(geometry.pages_per_block)
-        block = flash.codec.block_index(ppns[0])
+        ppns = [allocator.allocate_data_one() for _ in range(geometry.pages_per_block)]
+        block = ppns[0] // geometry.pages_per_block
         for lpn, ppn in enumerate(ppns):
             flash.program(ppn, lpn=lpn)
             flash.invalidate(ppn)
@@ -245,7 +246,7 @@ class TestStripingAllocator:
     def test_allocate_translation_uses_pool(self, geometry, flash):
         allocator = StripingAllocator(geometry, flash)
         ppn = allocator.allocate_translation()
-        assert flash.codec.block_index(ppn) in set(allocator.translation_pool.blocks)
+        assert ppn // geometry.pages_per_block in set(allocator.translation_pool.blocks)
 
 
 class TestGroupAllocator:
@@ -254,12 +255,6 @@ class TestGroupAllocator:
         assert allocator.entries_per_group >= 1
         assert allocator.lpns_per_group == allocator.entries_per_group * geometry.mappings_per_translation_page
         assert allocator.num_groups * allocator.lpns_per_group >= geometry.num_logical_pages
-
-    def test_group_of_lpn_and_tvpn_consistent(self, geometry, flash):
-        allocator = GroupAllocator(geometry, flash)
-        for lpn in range(0, geometry.num_logical_pages, 37):
-            tvpn = lpn // geometry.mappings_per_translation_page
-            assert allocator.group_of_lpn(lpn) == allocator.group_of_tvpn(tvpn)
 
     def test_allocation_fills_stripe_in_vppn_order(self, geometry, flash):
         allocator = GroupAllocator(geometry, flash)
@@ -284,7 +279,7 @@ class TestGroupAllocator:
         allocator = GroupAllocator(geometry, flash)
         allocator.allocate_page(2)
         stripe = allocator.stripes_of_group(2)[0]
-        assert allocator.owner_of_stripe(stripe) == 2
+        assert allocator._stripe_owner.get(stripe) == 2
 
     def test_stripe_limit_triggers_borrowing_or_gc(self, geometry, flash):
         allocator = GroupAllocator(geometry, flash, group_stripe_limit=1)
@@ -483,7 +478,7 @@ class TestResidentGroups:
         written = []
         for lpn in rng.sample(range(geometry.num_logical_pages), 150):
             try:
-                ppn, _owner = allocator.allocate_page(allocator.group_of_lpn(lpn))
+                ppn, _owner = allocator.allocate_page(lpn // allocator.lpns_per_group)
             except (GroupGCNeeded, OutOfSpaceError):
                 break
             flash.program(ppn, lpn=lpn)
@@ -497,8 +492,8 @@ class TestResidentGroups:
             for stripe in stripes:
                 for block in allocator.stripe_map.blocks_of(stripe):
                     for ppn in flash.valid_ppns_in_block(block):
-                        if not flash.page_is_translation(ppn):
-                            expected.add(allocator.group_of_lpn(flash.page_lpn_raw(ppn)))
+                        if flash.page_tvpn(ppn) is None:
+                            expected.add(flash.page_lpn_raw(ppn) // allocator.lpns_per_group)
             assert allocator.groups_resident_in_stripes(stripes) == expected
 
 

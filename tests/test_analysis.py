@@ -7,12 +7,12 @@ import math
 import pytest
 
 from repro.analysis.compute import measure_compute_costs
-from repro.analysis.latency import normalize, speedup, tail_latency_row
-from repro.analysis.report import bar_chart, format_kv, format_table, rows_to_csv
+from repro.analysis.latency import normalize, tail_latency_row
+from repro.analysis.report import format_table, rows_to_csv
 from repro.ssd.stats import SimulationStats
 
 
-class TestNormalizeAndSpeedup:
+class TestNormalize:
     def test_normalize_baseline_is_one(self):
         values = {"a": 10.0, "b": 20.0}
         normalized = normalize(values, "a")
@@ -31,15 +31,6 @@ class TestNormalizeAndSpeedup:
         assert result["a"] == 1.0
         assert result["b"] == math.inf
         assert math.isnan(result["c"])
-
-    def test_speedup_lower_is_better(self):
-        result = speedup({"base": 100.0, "fast": 20.0}, "base", lower_is_better=True)
-        assert result["fast"] == pytest.approx(5.0)
-        assert result["base"] == pytest.approx(1.0)
-
-    def test_speedup_higher_is_better(self):
-        result = speedup({"base": 100.0, "fast": 200.0}, "base", lower_is_better=False)
-        assert result["fast"] == pytest.approx(2.0)
 
 
 class TestTailLatencyRow:
@@ -75,19 +66,6 @@ class TestReportRendering:
         assert lines[0] == "ftl,mb_s,hit"
         assert len(lines) == 3
         assert rows_to_csv([]) == ""
-
-    def test_format_kv(self):
-        text = format_kv({"alpha": 1, "beta": 2.5}, title="pairs")
-        assert "alpha" in text and "2.5" in text
-
-    def test_bar_chart_scales_to_peak(self):
-        text = bar_chart({"a": 1.0, "b": 2.0}, width=10)
-        lines = text.splitlines()
-        assert lines[1].count("#") == 10  # the peak gets the full width
-        assert 0 < lines[0].count("#") <= 5
-
-    def test_bar_chart_empty(self):
-        assert "(no data)" in bar_chart({})
 
 
 class TestComputeMeasurement:

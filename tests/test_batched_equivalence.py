@@ -140,7 +140,9 @@ def test_request_batch_source_matches_object_stream(ftl_name: str, pattern: str)
         job = FioJob.from_name(pattern, num_requests=800)
         source = job.requests(geometry)
         if columnar:
-            source = RequestBatch.from_requests(source)
+            lpns = [request.lpn for request in source]
+            columns = RequestBatch.reads if pattern == "randread" else RequestBatch.writes
+            source = columns(lpns)
         ssd.run(source, threads=4, batch=64)
         results.append(_fingerprint(ssd))
     assert results[0] == results[1]
@@ -158,7 +160,12 @@ def test_mixed_batch_source_matches_object_stream(ftl_name: str) -> None:
         ssd.fill_sequential(io_pages=16)
         source = mixed_stream(geometry, num_requests=800)
         if columnar:
-            source = RequestBatch.from_requests(source)
+            requests = list(source)
+            source = RequestBatch(
+                [OP_READ_CODE if r.op is OpType.READ else OP_WRITE_CODE for r in requests],
+                [r.lpn for r in requests],
+                [r.npages for r in requests],
+            )
         ssd.run(source, threads=4, batch=64)
         results.append(_fingerprint(ssd))
     assert results[0] == results[1]

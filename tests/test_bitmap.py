@@ -10,6 +10,21 @@ from hypothesis import strategies as st
 from repro.core.learned.bitmap import Bitmap
 
 
+def _bitmap(size: int, bits) -> Bitmap:
+    """A ``size``-bit bitmap with exactly ``bits`` set."""
+    flags = np.zeros(size, dtype=bool)
+    flags[sorted(bits)] = True
+    bitmap = Bitmap(size)
+    bitmap.assign(flags)
+    return bitmap
+
+
+def _set_bits(bitmap: Bitmap) -> set[int]:
+    """The set bits, read from the bitmap's bytes."""
+    flags = np.unpackbits(np.frombuffer(bitmap._bits, dtype=np.uint8), bitorder="little")
+    return set(np.flatnonzero(flags[: bitmap._size]).tolist())
+
+
 class TestBasics:
     def test_new_bitmap_is_all_clear(self):
         bitmap = Bitmap(64)
@@ -17,24 +32,16 @@ class TestBasics:
         assert not bitmap.test(0)
         assert not bitmap.test(63)
 
-    def test_set_and_test(self):
-        bitmap = Bitmap(16)
-        bitmap.set(5)
+    def test_assign_and_test(self):
+        bitmap = _bitmap(16, {5})
         assert bitmap.test(5)
         assert not bitmap.test(4)
 
     def test_clear(self):
-        bitmap = Bitmap(16)
-        bitmap.set(7)
+        bitmap = _bitmap(16, {7})
         bitmap.clear(7)
         assert not bitmap.test(7)
         assert bitmap.count() == 0
-
-    def test_set_is_idempotent(self):
-        bitmap = Bitmap(8)
-        bitmap.set(3)
-        bitmap.set(3)
-        assert bitmap.count() == 1
 
     def test_clear_is_idempotent(self):
         bitmap = Bitmap(8)
@@ -43,21 +50,10 @@ class TestBasics:
         assert bitmap.count() == 0
 
     def test_clear_all(self):
-        bitmap = Bitmap(32)
-        for index in range(0, 32, 2):
-            bitmap.set(index)
+        bitmap = _bitmap(32, range(0, 32, 2))
         bitmap.clear_all()
         assert bitmap.count() == 0
         assert not any(bitmap.test(index) for index in range(32))
-
-    def test_iter_set_in_order(self):
-        bitmap = Bitmap(20)
-        for index in (9, 2, 15):
-            bitmap.set(index)
-        assert list(bitmap.iter_set()) == [2, 9, 15]
-
-    def test_len(self):
-        assert len(Bitmap(12)) == 12
 
 
 class TestBounds:
@@ -70,8 +66,6 @@ class TestBounds:
         bitmap = Bitmap(16)
         with pytest.raises(IndexError):
             bitmap.test(index)
-        with pytest.raises(IndexError):
-            bitmap.set(index)
         with pytest.raises(IndexError):
             bitmap.clear(index)
 
@@ -89,28 +83,22 @@ class TestMemory:
 
 class TestProperty:
     @given(
-        operations=st.lists(
-            st.tuples(st.sampled_from(["set", "clear"]), st.integers(0, 127)),
-            max_size=200,
-        )
+        initial=st.sets(st.integers(0, 127)),
+        cleared=st.lists(st.integers(0, 127), max_size=200),
     )
     @settings(max_examples=60, deadline=None)
-    def test_count_matches_reference_set(self, operations):
-        bitmap = Bitmap(128)
-        reference: set[int] = set()
-        for op, index in operations:
-            if op == "set":
-                bitmap.set(index)
-                reference.add(index)
-            else:
-                bitmap.clear(index)
-                reference.discard(index)
-        assert bitmap.count() == len(reference)
-        assert set(bitmap.iter_set()) == reference
+    def test_count_matches_reference_set(self, initial, cleared):
+        bitmap = _bitmap(128, initial)
+        reference = set(initial)
+        for index in cleared:
+            bitmap.clear(index)
+            reference.discard(index)
+            assert bitmap.count() == len(reference)
+        assert _set_bits(bitmap) == reference
 
 
 class TestBulkOperations:
-    """``assign`` / ``clear_many`` against the per-bit operations, popcount included."""
+    """``assign`` / ``clear_many`` against the set bits and per-bit ``clear``, popcount included."""
 
     @given(
         first=st.sets(st.integers(0, 69)),
@@ -124,16 +112,14 @@ class TestBulkOperations:
             flags = np.zeros(70, dtype=bool)
             flags[sorted(bits)] = True
             bulk.assign(flags)
-            scalar.clear_all()
-            for index in bits:
-                scalar.set(index)
-            assert bulk._bits == scalar._bits and bulk.count() == scalar.count() == len(bits)
+            scalar.assign(flags)
+            assert _set_bits(bulk) == bits and bulk.count() == len(bits)
             bulk.clear_many(np.array(cleared, dtype=np.int64))
             for index in cleared:
                 scalar.clear(index)
             assert bulk._bits == scalar._bits
             assert bulk.count() == scalar.count() == len(bits - set(cleared))
-            assert set(bulk.iter_set()) == bits - set(cleared)
+            assert _set_bits(bulk) == bits - set(cleared)
 
     def test_assign_rejects_a_column_of_the_wrong_length(self):
         with pytest.raises(ValueError):
@@ -141,8 +127,7 @@ class TestBulkOperations:
 
     @pytest.mark.parametrize("index", [-1, 16])
     def test_clear_many_rejects_out_of_range_indices(self, index):
-        bitmap = Bitmap(16)
-        bitmap.set(3)
+        bitmap = _bitmap(16, {3})
         with pytest.raises(IndexError):
             bitmap.clear_many(np.array([3, index], dtype=np.int64))
         assert bitmap.test(3) and bitmap.count() == 1

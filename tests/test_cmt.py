@@ -12,6 +12,18 @@ from repro.nand.errors import ConfigurationError
 MAPPINGS_PER_PAGE = 64
 
 
+def _hit(cmt, lpn: int) -> int | None:
+    """A CMT hit as each design serves it: ``PageGroupedCMT.lookup``, or
+    DFTL's inlined ``_entries.get`` plus ``move_to_end`` on the entry-level
+    cache (``core/dftl.py``)."""
+    if isinstance(cmt, PageGroupedCMT):
+        return cmt.lookup(lpn)
+    ppn = cmt._entries.get(lpn)
+    if ppn is not None:
+        cmt._entries.move_to_end(lpn)
+    return ppn
+
+
 class TestEntryLevelCMT:
     def test_rejects_zero_capacity(self):
         with pytest.raises(ConfigurationError):
@@ -19,12 +31,12 @@ class TestEntryLevelCMT:
 
     def test_miss_returns_none(self):
         cmt = EntryLevelCMT(4, MAPPINGS_PER_PAGE)
-        assert cmt.lookup(1) is None
+        assert _hit(cmt, 1) is None
 
     def test_insert_then_hit(self):
         cmt = EntryLevelCMT(4, MAPPINGS_PER_PAGE)
         cmt.insert(1, 100)
-        assert cmt.lookup(1) == 100
+        assert _hit(cmt, 1) == 100
         assert 1 in cmt
 
     def test_update_existing_entry(self):
@@ -32,13 +44,13 @@ class TestEntryLevelCMT:
         cmt.insert(1, 100)
         evicted = cmt.insert(1, 200, dirty=True)
         assert evicted == []
-        assert cmt.lookup(1) == 200
+        assert _hit(cmt, 1) == 200
 
     def test_lru_eviction_order(self):
         cmt = EntryLevelCMT(2, MAPPINGS_PER_PAGE)
         cmt.insert(1, 10)
         cmt.insert(2, 20)
-        cmt.lookup(1)          # 2 becomes the LRU entry
+        _hit(cmt, 1)          # 2 becomes the LRU entry
         cmt.insert(3, 30)
         assert 2 not in cmt
         assert 1 in cmt and 3 in cmt
@@ -61,17 +73,7 @@ class TestEntryLevelCMT:
         cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
         for lpn in range(50):
             cmt.insert(lpn, lpn)
-        assert len(cmt) <= 8
-        assert cmt.memory_entries() <= cmt.hit_capacity()
-
-    def test_flush_all_cleans_dirty_entries(self):
-        cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
-        cmt.insert(1, 10, dirty=True)
-        cmt.insert(2, 20, dirty=False)
-        flushed = cmt.flush_all()
-        assert len(flushed) == 1
-        assert flushed[0].dirty_lpns == (1,)
-        assert cmt.flush_all() == []
+        assert len(cmt._entries) <= 8
 
 
 class TestPageGroupedCMT:
@@ -84,14 +86,14 @@ class TestPageGroupedCMT:
         cmt.insert(1, 100)
         assert cmt.lookup(1) == 100
         assert 1 in cmt
-        assert cmt.node_count() == 1
+        assert len(cmt._pages) == 1
 
     def test_entries_grouped_by_translation_page(self):
         cmt = PageGroupedCMT(32, MAPPINGS_PER_PAGE)
         cmt.insert(1, 10)
         cmt.insert(2, 20)
         cmt.insert(MAPPINGS_PER_PAGE + 1, 30)
-        assert cmt.node_count() == 2
+        assert len(cmt._pages) == 2
 
     def test_insert_many_batches(self):
         cmt = PageGroupedCMT(32, MAPPINGS_PER_PAGE)
@@ -137,20 +139,11 @@ class TestPageGroupedCMT:
             cmt.insert(lpn, lpn)
         assert 1 in cmt
 
-    def test_flush_all(self):
-        cmt = PageGroupedCMT(16, MAPPINGS_PER_PAGE)
-        cmt.insert(1, 10, dirty=True)
-        cmt.insert(MAPPINGS_PER_PAGE + 2, 20, dirty=True)
-        flushed = cmt.flush_all()
-        assert {page.tvpn for page in flushed} == {0, 1}
-        assert cmt.flush_all() == []
-
     def test_update_marks_dirty_sticky(self):
         cmt = PageGroupedCMT(16, MAPPINGS_PER_PAGE)
         cmt.insert(1, 10, dirty=True)
         cmt.insert(1, 20, dirty=False)
-        flushed = cmt.flush_all()
-        assert flushed and flushed[0].dirty_lpns == (1,)
+        assert _entries(cmt) == [(1, 20, True)]
 
     @given(
         lpns=st.lists(st.integers(0, 1023), min_size=1, max_size=300),
@@ -173,7 +166,7 @@ class TestPageGroupedCMT:
 
 class TestMembershipProbes:
     """``lpn in cmt`` is the read-only probe: it answers membership without
-    refreshing recency, unlike :meth:`lookup`."""
+    refreshing recency, unlike a hit."""
 
     def test_entry_level_membership_matches_inserts(self):
         cmt = EntryLevelCMT(8, MAPPINGS_PER_PAGE)
@@ -209,7 +202,7 @@ class TestMembershipProbes:
         cmt = cls(16, MAPPINGS_PER_PAGE)
         for lpn in (1, 2, MAPPINGS_PER_PAGE + 1):
             cmt.insert(lpn, lpn + 100)
-        assert cmt.lookup(1) == 101
+        assert _hit(cmt, 1) == 101
         assert _entries(cmt)[-1] == (1, 101, False)
 
     @pytest.mark.parametrize("cls", [EntryLevelCMT, PageGroupedCMT])
@@ -221,25 +214,27 @@ class TestMembershipProbes:
         for lpn in range(3 * MAPPINGS_PER_PAGE, 3 * MAPPINGS_PER_PAGE + 8):
             cmt.insert(lpn, lpn)
         assert 4 not in cmt
-        assert cmt.lookup(4) is None
-        assert len(cmt) == len(_entries(cmt))
+        assert _hit(cmt, 4) is None
+        assert 4 not in {lpn for lpn, _, _ in _entries(cmt)}
 
 
 class TestDirtyEntryCount:
+    @staticmethod
+    def _dirty_count(cmt) -> int:
+        return sum(dirty for _, _, dirty in _entries(cmt))
+
     def test_dirty_entry_count_tracks_inserts_and_evictions(self):
         cmt = EntryLevelCMT(2, MAPPINGS_PER_PAGE)
-        assert cmt.dirty_entry_count == 0
+        assert self._dirty_count(cmt) == 0
         cmt.insert(1, 10, dirty=False)
         cmt.insert(2, 20, dirty=True)
-        assert cmt.dirty_entry_count == 1
+        assert self._dirty_count(cmt) == 1
         cmt.insert(2, 21, dirty=True)  # already dirty: no double count
-        assert cmt.dirty_entry_count == 1
+        assert self._dirty_count(cmt) == 1
         cmt.insert(1, 11, dirty=True)  # clean entry dirtied in place
-        assert cmt.dirty_entry_count == 2
+        assert self._dirty_count(cmt) == 2
         cmt.insert(3, 30, dirty=False)  # evicts LRU entry 2 (dirty)
-        assert cmt.dirty_entry_count == 1
-        cmt.flush_all()
-        assert cmt.dirty_entry_count == 0
+        assert self._dirty_count(cmt) == 1
 
     def test_dirty_entry_count_survives_state_roundtrip(self):
         cmt = EntryLevelCMT(4, MAPPINGS_PER_PAGE)
@@ -247,7 +242,7 @@ class TestDirtyEntryCount:
         cmt.insert(2, 20, dirty=False)
         restored = EntryLevelCMT(4, MAPPINGS_PER_PAGE)
         restored.load_state(cmt.state_dict())
-        assert restored.dirty_entry_count == 1
+        assert _entries(restored) == _entries(cmt) == [(1, 10, True), (2, 20, False)]
 
 
 # --------------------------------------------------- the dirty counter is exact
@@ -258,7 +253,6 @@ _CMT_OPS = st.lists(
         st.tuples(st.just("insert_many"), st.lists(_LPNS, min_size=1, max_size=6), st.booleans()),
         st.tuples(st.just("load_node"), _LPNS, st.integers(1, 6)),
         st.tuples(st.just("lookup"), _LPNS),
-        st.tuples(st.just("flush_all")),
         st.tuples(st.just("state_round_trip")),
     ),
     min_size=1,
@@ -324,9 +318,7 @@ def _apply(cmt, op, serial: int):
             return cmt, [page for lpn, ppn in batch for page in cmt.insert(lpn, ppn)]
         return cmt, cmt.load_node(tvpn, batch)
     if op[0] == "lookup":
-        return cmt, cmt.lookup(op[1])
-    if op[0] == "flush_all":
-        return cmt, cmt.flush_all()
+        return cmt, _hit(cmt, op[1])
     restored = type(cmt)(cmt.capacity_entries, cmt.mappings_per_page)
     restored.load_state(cmt.state_dict())
     return restored, None
@@ -379,7 +371,7 @@ class TestDirtyCounterIsExact:
     """An eviction finds its write-back in the dirty sets without looking at
     a slot (and the batched planner tells a dirty node by membership), so
     the sets must name exactly the dirty cached mappings after any operation
-    sequence, ``dirty_entry_count`` must equal a recount, and every dirty
+    sequence (``_entries`` recounts them after every op), and every dirty
     mapping that leaves the cache must be reported.  The reference serves
     ``PageGroupedCMT.load_node`` through ``insert_many``, so the node-level
     load is pinned to the per-mapping path, its hand-off for a node that
@@ -409,9 +401,9 @@ class TestDirtyCounterIsExact:
                     assert len({id(returned) for returned in inserted}) == len(inserted)
                 entries = _entries(cmt)
                 _check_reports(before, entries, op, result)
-                assert cmt.dirty_entry_count == sum(dirty for _, _, dirty in entries)
                 assert entries == _entries(reference)
-                assert cmt.memory_entries() == reference.memory_entries()
+                if cls is PageGroupedCMT:
+                    assert cmt.memory_entries() == reference.memory_entries()
 
         check()
         if tested is _CountingHandOffs:
@@ -454,7 +446,7 @@ class TestCachedEntriesOnDevices:
         members = {lpn for lpn in range(ssd.geometry.num_logical_pages) if lpn in cmt}
         assert members
         assert members == {lpn for lpn, _, _ in _entries(cmt)}
-        assert len(members) == len(cmt)
+        assert len(members) == len(_entries(cmt))
 
     @pytest.mark.parametrize("ftl_name", CACHED_FTL_NAMES)
     def test_probing_leaves_the_cache_untouched(self, ftl_name, warmed_ssd_factory):

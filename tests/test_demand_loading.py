@@ -21,6 +21,7 @@ from repro import SSD, SSDGeometry
 from repro.core.base import FTLConfig
 from repro.core.cmt import LoadingPolicy, PageGroupedCMT
 from repro.ssd.request import HostRequest, OpType
+from tests.conftest import random_writes
 
 #: Same CMT budget for both designs; models never learn anything.
 MODELS_OFF = FTLConfig(
@@ -74,7 +75,7 @@ def test_learnedftl_without_models_is_tpftl_at_the_cmt(overwrite, max_pages, bat
         ssd = SSD.create(name, geometry, config=MODELS_OFF)
         ssd.fill_sequential(io_pages=128)
         if overwrite:
-            ssd.overwrite_random(pages=3000, seed=5)
+            ssd.run(random_writes(ssd.geometry, 3000, seed=5), threads=1)
         ssd.reset_stats()
         ssd.run(requests, batch=batch if name == "learnedftl" else None)
         assert ssd.stats.model_hits == 0

@@ -8,7 +8,7 @@ import pytest
 from repro.nand.errors import ConfigurationError
 from repro.ssd.device import FTL_REGISTRY, SSD, create_ftl
 from repro.ssd.request import HostRequest, OpType
-from tests.conftest import ALL_FTL_NAMES, random_reads
+from tests.conftest import ALL_FTL_NAMES, random_reads, random_writes
 
 
 class TestCreation:
@@ -41,7 +41,7 @@ class TestSubmitAndRun:
         result = ssd.run([HostRequest(op=OpType.WRITE, lpn=i) for i in range(20)], threads=2)
         assert result.requests == 20
         assert result.elapsed_us > 0
-        assert result.iops > 0
+        assert result.stats.iops() > 0
 
     def test_run_rejects_bad_thread_count(self, tiny_geometry):
         ssd = SSD.create("ideal", tiny_geometry)
@@ -208,13 +208,6 @@ class TestPreconditioningAndReset:
         ssd.fill_sequential(io_pages=8, fraction=0.5)
         assert len(ssd.ftl.directory) == pytest.approx(tiny_geometry.num_logical_pages // 2, abs=8)
 
-    def test_overwrite_random_counts_pages(self, tiny_geometry):
-        ssd = SSD.create("ideal", tiny_geometry)
-        ssd.fill_sequential(io_pages=8)
-        before = ssd.stats.host_write_pages
-        ssd.overwrite_random(pages=64, io_pages=2)
-        assert ssd.stats.host_write_pages - before == 64
-
     def test_reset_stats_preserves_ftl_state(self, tiny_geometry):
         ssd = SSD.create("dftl", tiny_geometry)
         ssd.fill_sequential(io_pages=8)
@@ -257,9 +250,9 @@ class TestPreconditioningAndReset:
 
     def test_energy_reflects_activity(self, tiny_geometry):
         ssd = SSD.create("ideal", tiny_geometry)
-        baseline = ssd.energy().total_uj
+        baseline = ssd.energy_model.evaluate(ssd.stats).total_uj
         ssd.fill_sequential(io_pages=8)
-        assert ssd.energy().total_uj > baseline
+        assert ssd.energy_model.evaluate(ssd.stats).total_uj > baseline
 
     def test_verify_passes_on_fresh_and_filled_device(self, tiny_geometry, ftl_name):
         ssd = SSD.create(ftl_name, tiny_geometry)
@@ -276,20 +269,20 @@ class TestPreconditioningAndReset:
             return ssd, ssd.ftl.flash, ssd.ftl.directory
 
         ssd, flash, directory = corrupted()
-        ppn = directory.require(9)
+        ppn = directory.lookup(9)
         flash.invalidate(ppn)
         with pytest.raises(AssertionError, match=f"lpn 9 maps to non-valid ppn {ppn}"):
             ssd.verify()
 
         ssd, flash, directory = corrupted()
-        other = directory.require(30)
+        other = directory.lookup(30)
         directory.update(12, other)
         directory.update(40, other)  # a later offender: the first one is reported
         with pytest.raises(AssertionError, match=f"lpn 12 maps to ppn {other} holding lpn 30"):
             ssd.verify()
 
         ssd, flash, directory = corrupted()
-        stale = directory.require(20)
+        stale = directory.lookup(20)
         newer = ssd.ftl.allocator.allocate_data_one()
         flash.program_data(newer, 20)  # a newer copy the mapping does not point at
         with pytest.raises(
@@ -320,41 +313,12 @@ class TestDegeneratePreconditioning:
             with pytest.raises(ConfigurationError, match="fraction"):
                 ssd.fill_sequential(io_pages=8, fraction=fraction)
 
-    def test_overwrite_rejects_nonpositive_io_pages(self, tiny_geometry):
-        ssd = SSD.create("ideal", tiny_geometry)
-        ssd.fill_sequential(io_pages=8)
-        with pytest.raises(ConfigurationError, match="io_pages"):
-            ssd.overwrite_random(pages=16, io_pages=0)
-
-    def test_overwrite_rejects_io_pages_beyond_logical_space(self, tiny_geometry):
-        ssd = SSD.create("ideal", tiny_geometry)
-        ssd.fill_sequential(io_pages=8)
-        with pytest.raises(ConfigurationError, match="exceeds the logical space"):
-            ssd.overwrite_random(pages=16, io_pages=tiny_geometry.num_logical_pages + 1)
-
-    def test_overwrite_rejects_negative_pages(self, tiny_geometry):
-        ssd = SSD.create("ideal", tiny_geometry)
-        ssd.fill_sequential(io_pages=8)
-        with pytest.raises(ConfigurationError, match="pages"):
-            ssd.overwrite_random(pages=-1)
-
-    def test_overwrite_accepts_full_span_io_pages(self, tiny_geometry):
-        # io_pages == logical size is the validation boundary: the request
-        # stream is legal (single start LPN 0).  pages=0 keeps the device
-        # untouched — actually *serving* such a request would need the whole
-        # logical span free at once, which over-provisioning cannot offer.
-        ssd = SSD.create("ideal", tiny_geometry)
-        ssd.fill_sequential(io_pages=8)
-        result = ssd.overwrite_random(pages=0, io_pages=tiny_geometry.num_logical_pages)
-        assert result.requests == 0
-
     def test_overwrite_with_large_io_pages_still_works(self, tiny_geometry):
         # A 32-page request (well past typical 1-8 page conditioning writes,
-        # but within the over-provisioning slack GC maintains) passes
-        # validation and produces in-bounds writes.
+        # but within the over-provisioning slack GC maintains) is served.
         ssd = SSD.create("ideal", tiny_geometry)
         ssd.fill_sequential(io_pages=8)
         before = ssd.stats.host_write_pages
-        ssd.overwrite_random(pages=64, io_pages=32)
+        ssd.run(random_writes(ssd.geometry, 2, seed=7, npages=32), threads=1)
         assert ssd.stats.host_write_pages - before == 64
         ssd.verify()

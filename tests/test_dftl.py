@@ -15,6 +15,7 @@ from repro.ssd.request import (
     HostRequest,
     OpType,
     ReadOutcome,
+    command_code,
 )
 from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 
@@ -28,14 +29,14 @@ class TestWritePath:
     def test_write_programs_one_page_per_lpn(self, ssd):
         buffer = ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=4))
         assert command_kinds(buffer)[CommandKind.PROGRAM] >= 4
-        assert ssd.ftl.directory.is_mapped(0)
-        assert ssd.ftl.directory.is_mapped(3)
+        assert ssd.ftl.directory.lookup(0) is not None
+        assert ssd.ftl.directory.lookup(3) is not None
 
     def test_overwrite_invalidates_old_copy(self, ssd):
         ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=5))
-        first = ssd.ftl.directory.require(5)
+        first = ssd.ftl.directory.lookup(5)
         ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=5))
-        second = ssd.ftl.directory.require(5)
+        second = ssd.ftl.directory.lookup(5)
         assert first != second
         assert ssd.ftl.flash.page_state_code(first) == PAGE_INVALID
         assert ssd.ftl.flash.page_state_code(second) == PAGE_VALID
@@ -46,7 +47,8 @@ class TestWritePath:
         # More dirty mappings than the 4-entry CMT can hold forces flushes.
         for lpn in range(0, 64, 3):
             ssd.submit(HostRequest(op=OpType.WRITE, lpn=lpn))
-        assert ssd.stats.flash_programs[CommandPurpose.TRANSLATION_WRITE] > 0
+        code = command_code(CommandKind.PROGRAM, CommandPurpose.TRANSLATION_WRITE)
+        assert ssd.stats.command_counts[code] > 0
         assert ssd.ftl.translation_store.translation_writes > 0
 
 
@@ -76,7 +78,7 @@ class TestReadPath:
 
     def test_random_reads_mostly_double_after_thrash(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
-        ssd.overwrite_random(pages=400, io_pages=1, seed=2)
+        ssd.run(random_writes(ssd.geometry, 400, seed=2), threads=1)
         ssd.reset_stats()
         ssd.run(random_reads(tiny_geometry, 400), threads=2)
         assert ssd.stats.double_read_fraction() > 0.5
@@ -84,7 +86,7 @@ class TestReadPath:
     def test_no_model_hits_ever(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
         ssd.run(random_reads(tiny_geometry, 100), threads=2)
-        assert ssd.stats.read_outcomes[ReadOutcome.MODEL_HIT] == 0
+        assert ssd.stats.outcome_counts[ReadOutcome.MODEL_HIT.code] == 0
 
 
 class TestGC:
@@ -97,8 +99,9 @@ class TestGC:
     def test_gc_reads_and_writes_accounted(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
         ssd.run(random_writes(tiny_geometry, 800, seed=5), threads=2)
-        assert ssd.stats.flash_reads[CommandPurpose.GC_READ] > 0
-        assert ssd.stats.flash_programs[CommandPurpose.GC_WRITE] > 0
+        counts = ssd.stats.command_counts
+        assert counts[command_code(CommandKind.READ, CommandPurpose.GC_READ)] > 0
+        assert counts[command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)] > 0
         assert ssd.stats.total_flash_erases > 0
 
     def test_write_amplification_above_one_under_random_writes(self, ssd, tiny_geometry):
@@ -112,9 +115,4 @@ class TestMemory:
     def test_cmt_capacity_respects_ratio(self, tiny_geometry):
         config = FTLConfig(cmt_ratio=0.03, min_cmt_entries=1)
         ftl = DFTL(tiny_geometry, config=config)
-        assert ftl.cmt.hit_capacity() == max(1, int(tiny_geometry.num_logical_pages * 0.03))
-
-    def test_memory_report_tracks_occupancy(self, ssd):
-        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=1))
-        report = ssd.ftl.memory_report()
-        assert report["cmt_bytes"] >= 8
+        assert ftl.cmt.capacity_entries == max(1, int(tiny_geometry.num_logical_pages * 0.03))

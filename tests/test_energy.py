@@ -41,19 +41,11 @@ class TestEnergyModel:
         breakdown = EnergyModel().evaluate(_stats(reads=1, compute_us=1000.0))
         assert breakdown.controller_uj < breakdown.read_uj
 
-    def test_total_mj_conversion(self):
-        breakdown = EnergyModel().evaluate(_stats(reads=1000))
-        assert breakdown.total_mj == pytest.approx(breakdown.total_uj / 1000.0)
-
-    def test_total_uj_helper(self):
-        model = EnergyModel()
-        stats = _stats(reads=2)
-        assert model.total_uj(stats) == pytest.approx(model.evaluate(stats).total_uj)
-
     def test_program_dominates_read_per_op(self):
         model = EnergyModel()
         assert model.program_energy_uj > model.read_energy_uj
 
     def test_fewer_reads_means_less_energy(self):
         model = EnergyModel()
-        assert model.total_uj(_stats(reads=100)) > model.total_uj(_stats(reads=50))
+        more, fewer = model.evaluate(_stats(reads=100)), model.evaluate(_stats(reads=50))
+        assert more.total_uj > fewer.total_uj

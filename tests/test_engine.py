@@ -19,29 +19,6 @@ def engine() -> TimingEngine:
 
 
 class TestChipTimeline:
-    def test_occupy_serializes_same_chip(self):
-        timeline = ChipTimeline(2)
-        start1, end1 = timeline.occupy(0, 0.0, 40.0)
-        start2, end2 = timeline.occupy(0, 0.0, 40.0)
-        assert (start1, end1) == (0.0, 40.0)
-        assert (start2, end2) == (40.0, 80.0)
-
-    def test_occupy_parallel_on_different_chips(self):
-        timeline = ChipTimeline(2)
-        _, end1 = timeline.occupy(0, 0.0, 40.0)
-        _, end2 = timeline.occupy(1, 0.0, 40.0)
-        assert end1 == end2 == 40.0
-
-    def test_occupy_respects_earliest_start(self):
-        timeline = ChipTimeline(1)
-        start, _ = timeline.occupy(0, 100.0, 10.0)
-        assert start == 100.0
-
-    def test_utilization(self):
-        timeline = ChipTimeline(2)
-        timeline.occupy(0, 0.0, 50.0)
-        assert timeline.utilization(100.0) == pytest.approx(0.25)
-
     def test_invalid_chip_count(self):
         with pytest.raises(ValueError):
             ChipTimeline(0)
@@ -100,13 +77,13 @@ class TestExecuteBuffer:
     def test_commands_counted_into_flat_buckets(self, engine):
         engine.execute_buffer(self._buffer([(CommandKind.READ, 0), (CommandKind.READ, 1)]), 0.0)
         assert engine.stats.total_flash_reads == 2
-        assert engine.stats.flash_reads[CommandPurpose.DATA_READ] == 2
+        assert engine.stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] == 2
 
     def test_outcomes_recorded(self, engine):
         buffer = self._buffer([(CommandKind.READ, 0)])
-        buffer.add_outcome(ReadOutcome.DOUBLE_READ.code)
+        buffer.outcome_codes.append(ReadOutcome.DOUBLE_READ.code)
         engine.execute_buffer(buffer, 0.0)
-        assert engine.stats.read_outcomes[ReadOutcome.DOUBLE_READ] == 1
+        assert engine.stats.outcome_counts[ReadOutcome.DOUBLE_READ.code] == 1
 
 
 _DATA = command_code(CommandKind.READ, CommandPurpose.DATA_READ)

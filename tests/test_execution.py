@@ -358,6 +358,11 @@ class TestProvenance:
 
 
 # ------------------------------------------------------------------ file queue
+def _names(directory) -> list[str]:
+    """The queue files in one of its directories, by task id (claims: ``id@worker``)."""
+    return sorted(path.stem for path in directory.glob("*.json"))
+
+
 class TestFileQueue:
     def _payload(self, index: int = 0) -> TaskPayload:
         return TaskPayload(
@@ -371,15 +376,15 @@ class TestFileQueue:
     def test_enqueue_claim_publish_roundtrip(self, tmp_path):
         queue = FileQueue(tmp_path).ensure()
         queue.enqueue("t-00000", self._payload())
-        assert queue.pending_ids() == ["t-00000"]
+        assert _names(queue.tasks_dir) == ["t-00000"]
         claimed = queue.claim("worker-a")
         assert claimed is not None
         task_id, payload = claimed
         assert task_id == "t-00000"
         assert payload == self._payload()
-        assert queue.pending_ids() == []
+        assert _names(queue.tasks_dir) == []
         assert queue.claim("worker-b") is None
-        assert queue.claims() == {"t-00000": ["worker-a"]}
+        assert _names(queue.claims_dir) == ["t-00000@worker-a"]
         queue.publish_result(task_id, {"label": payload.label, "result": {"rows": []}})
         assert queue.result(task_id)["result"] == {"rows": []}
         assert queue.result("t-99999") is None
@@ -398,10 +403,10 @@ class TestFileQueue:
         assert queue.reclaim_dead(dead_after_s=30.0) == ["t-00000"]
         # The dead worker's claim was atomically moved back to tasks/, so the
         # task is claimable again by exactly one new worker.
-        assert queue.pending_ids() == ["t-00000"]
-        assert queue.claims() == {}
+        assert _names(queue.tasks_dir) == ["t-00000"]
+        assert _names(queue.claims_dir) == []
         assert queue.claim("worker-b") is not None
-        assert queue.claims() == {"t-00000": ["worker-b"]}
+        assert _names(queue.claims_dir) == ["t-00000@worker-b"]
 
     def test_reclaim_skips_tasks_with_published_results(self, tmp_path):
         queue = FileQueue(tmp_path).ensure()
@@ -484,9 +489,8 @@ class TestFileQueue:
             "external-0",
             "external-1",
         }
-        claims = FileQueue(queue_dir).claims()
-        assert len(claims) == 8
-        assert all(len(claimants) == 1 for claimants in claims.values()), claims
+        claims = [name.rpartition("@")[0] for name in _names(FileQueue(queue_dir).claims_dir)]
+        assert sorted(set(claims)) == sorted(claims) and len(claims) == 8, claims
 
 
 # ------------------------------------------------------------------------ CLI

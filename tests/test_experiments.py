@@ -92,9 +92,6 @@ class TestExperimentResult:
     def test_csv(self):
         assert self._result().csv().splitlines()[0] == "ftl,value"
 
-    def test_column_extraction(self):
-        assert self._result().column("value") == {"a": 1.0, "b": 2.0}
-
 
 class TestFastExperiments:
     """Run the cheap experiments end-to-end at tiny scale."""

@@ -145,9 +145,8 @@ class TestEveryField:
         for name in ("small", "medium", "paper"):
             assert SSDGeometry.preset(name) == getattr(SSDGeometry, name)()
         assert TimingModel.femu_default() == TimingModel()
-        assert TimingModel.fast().without_compute().predict_us == 0.0
         assert FTLConfig().with_overrides() == FTLConfig()
-        _plan(config=FTLConfig(), timing=TimingModel.fast(), limit=0, metrics_window_us=1)
+        _plan(config=FTLConfig(), timing=TimingModel(read_us=10.0), limit=0, metrics_window_us=1)
 
     def test_bound_edges_are_admitted(self):
         SSDGeometry.small(op_ratio=0)

@@ -62,7 +62,7 @@ class TestProgram:
 
     def test_translation_flag_recorded(self, flash):
         flash.program(0, lpn=None, is_translation=True, oob={"tvpn": 5})
-        assert flash.page_is_translation(0)
+        assert flash.page_tvpn(0) is not None
         assert flash.page_tvpn(0) == 5
         assert flash.state_dict()["block_translation"][0] == 1
 
@@ -164,19 +164,14 @@ class TestQueries:
     def test_latest_version_missing(self, flash):
         assert flash.latest_version_of(99) is None
 
-    def test_utilization_counts(self, flash, geometry):
+    def test_page_state_counts(self, flash, geometry):
         flash.program(0, lpn=1)
         flash.program(1, lpn=2)
         flash.invalidate(1)
-        util = flash.utilization()
-        assert util["valid"] == 1
-        assert util["invalid"] == 1
-        assert util["free"] == geometry.num_physical_pages - 2
-
-    def test_free_page_count(self, flash, geometry):
-        assert flash.free_page_count == geometry.num_physical_pages
-        flash.program(0, lpn=1)
-        assert flash.free_page_count == geometry.num_physical_pages - 1
+        codes = [flash.page_state_code(ppn) for ppn in range(geometry.num_physical_pages)]
+        assert codes.count(PAGE_VALID) == 1
+        assert codes.count(PAGE_INVALID) == 1
+        assert codes.count(PAGE_FREE) == geometry.num_physical_pages - 2
 
 
 class TestColumnarQueries:
@@ -216,7 +211,7 @@ class TestColumnarQueries:
         ppns = np.arange(geometry.num_physical_pages, dtype=np.int64)
         expected = [
             flash.page_lpn_raw(ppn)
-            if flash.is_valid(ppn) and not flash.page_is_translation(ppn)
+            if flash.is_valid(ppn) and flash.page_tvpn(ppn) is None
             else -1
             for ppn in ppns.tolist()
         ]

@@ -20,13 +20,6 @@ class TestConstruction:
         assert geo.num_blocks == 48
         assert geo.num_physical_pages == 384
 
-    def test_blocks_per_chip(self):
-        geo = SSDGeometry(
-            channels=1, chips_per_channel=1, planes_per_chip=2, blocks_per_plane=5, pages_per_block=8
-        )
-        assert geo.blocks_per_chip == 10
-        assert geo.pages_per_chip == 80
-
     def test_physical_bytes(self):
         geo = SSDGeometry.small()
         assert geo.physical_bytes == geo.num_physical_pages * geo.page_size
@@ -72,7 +65,7 @@ class TestPresets:
     def test_paper_preset_matches_section_iv(self):
         geo = SSDGeometry.paper()
         assert geo.num_chips == 64
-        assert geo.blocks_per_chip == 256
+        assert geo.planes_per_chip * geo.blocks_per_plane == 256
         assert geo.pages_per_block == 512
         assert geo.page_size == 4096
         # 64 chips x 256 blocks x 512 pages x 4 KB = 32 GiB raw.

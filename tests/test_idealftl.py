@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.ssd.request import CommandKind, CommandPurpose, HostRequest, OpType, ReadOutcome
+from repro.ssd.request import (
+    CommandKind,
+    CommandPurpose,
+    HostRequest,
+    OpType,
+    ReadOutcome,
+    command_code,
+)
 from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 
 
@@ -30,7 +37,8 @@ class TestReads:
     def test_no_translation_reads_ever(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
         ssd.run(random_reads(tiny_geometry, 200), threads=1)
-        assert ssd.stats.flash_reads[CommandPurpose.TRANSLATION_READ] == 0
+        code = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+        assert ssd.stats.command_counts[code] == 0
 
     def test_unmapped_read_without_flash(self, ssd):
         buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=3))
@@ -42,7 +50,8 @@ class TestWritesAndGC:
     def test_no_translation_writes(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
         ssd.run(random_writes(tiny_geometry, 800, seed=3), threads=2)
-        assert ssd.stats.flash_programs[CommandPurpose.TRANSLATION_WRITE] == 0
+        code = command_code(CommandKind.PROGRAM, CommandPurpose.TRANSLATION_WRITE)
+        assert ssd.stats.command_counts[code] == 0
         assert ssd.stats.gc_count > 0
 
     def test_lowest_write_amplification_of_demand_designs(self, tiny_geometry):
@@ -58,6 +67,3 @@ class TestWritesAndGC:
     def test_integrity_after_gc(self, warmed_ssd_factory):
         ssd = warmed_ssd_factory("ideal")
         ssd.verify()
-
-    def test_memory_report_is_full_table(self, ssd, tiny_geometry):
-        assert ssd.ftl.memory_report()["mapping_table_bytes"] == tiny_geometry.num_logical_pages * 8

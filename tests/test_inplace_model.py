@@ -21,6 +21,12 @@ def model() -> InPlaceLinearModel:
     return InPlaceLinearModel(start_lpn=1024, span=512, max_pieces=8)
 
 
+
+def _set_bits(bitmap) -> list[int]:
+    """The set bits of a model bitmap, read from its bytes, ascending."""
+    flags = np.unpackbits(np.frombuffer(bitmap._bits, dtype=np.uint8), bitorder="little")
+    return np.flatnonzero(flags[: bitmap._size]).tolist()
+
 class TestConstruction:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -216,7 +222,7 @@ class TestColumnarTrainParity:
             piece = model._piece_for(lpn - start)
             if piece is not None and piece.predict(lpn - start) == vppn:
                 expected.add(lpn)
-        assert {start + offset for offset in model.bitmap.iter_set()} == expected
+        assert {start + offset for offset in _set_bits(model.bitmap)} == expected
         assert model.trained_length() == result.accurate_points == len(expected)
         assert result.trained_points == len(lpns)
         assert result.pieces_used == len(model.pieces)
@@ -255,7 +261,7 @@ class TestColumnarTrainParity:
     def test_sequential_update_sets_exactly_the_run(self, model):
         model.train([1500], [9])
         assert model.sequential_update(list(range(1030, 1158)), list(range(7000, 7128)))
-        assert sorted(model.bitmap.iter_set()) == list(range(6, 134))
+        assert _set_bits(model.bitmap) == list(range(6, 134))
         assert model.trained_length() == 128
         assert model.predict(1157) == 7127
         with pytest.raises(ValueError):
@@ -276,23 +282,22 @@ class TestFleetPacking:
         rng = np.random.default_rng(span)
         source_column, source = self._fleet(span)
         for index, model in enumerate(source):
-            # Per-bit set then clear, leaving gaps; model 0 stays empty and
-            # model 1 ends up full, so both extremes are in the fleet.
+            # Assigned, then cleared bit by bit, leaving gaps; model 0 stays
+            # empty and model 1 full, so both extremes are in the fleet.
             density = (0.0, 1.0)[index] if index < 2 else rng.uniform(0.1, 0.9)
-            for offset in np.flatnonzero(rng.random(span) < density).tolist():
-                model.bitmap.set(offset)
+            model.bitmap.assign(rng.random(span) < density)
             if index >= 2:
                 for offset in np.flatnonzero(rng.random(span) < 0.2).tolist():
                     model.bitmap.clear(offset)
         trained = source[2]
         trained.train([trained.start_lpn + i for i in range(6)], [40 + 2 * i for i in range(6)])
         column, restored = self._fleet(span)
-        restored[0].bitmap.set(0)  # stale state the restore must overwrite
+        restored[0].bitmap.assign(np.arange(span) == 0)  # stale state the restore must overwrite
         unpack_models(restored, column, pack_models(source, source_column))
         for before, after in zip(source, restored):
-            set_bits = list(before.bitmap.iter_set())
+            set_bits = _set_bits(before.bitmap)
             assert after.bitmap.count() == before.bitmap.count() == len(set_bits)
-            assert list(after.bitmap.iter_set()) == set_bits
+            assert _set_bits(after.bitmap) == set_bits
             assert after.pieces == before.pieces
         assert (restored[0].bitmap.count(), restored[1].bitmap.count()) == (0, span)
         # The packed bitmaps are the models' rows, joined; the restore wrote
@@ -316,7 +321,7 @@ class TestFleetPacking:
 
     def test_fleet_rows_are_views_of_one_column(self):
         column, models = model_fleet(3, 16)
-        models[1].bitmap.set(5)
+        models[1].bitmap.assign(np.arange(16) == 5)
         assert column == bytearray([0, 0, 0b100000, 0, 0, 0])
         column[5] = 0b11
         assert models[2].bitmap.test(8) and models[2].bitmap.test(9)

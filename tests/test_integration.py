@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,14 @@ from hypothesis import strategies as st
 from repro.nand.flash import PAGE_FREE
 from repro.nand.geometry import SSDGeometry
 from repro.ssd.device import SSD
-from repro.ssd.request import KIND_BY_CODE, OP_STRIDE, CommandKind, HostRequest, OpType
+from repro.ssd.request import (
+    KIND_BY_CODE,
+    OP_STRIDE,
+    CommandKind,
+    HostRequest,
+    OpType,
+    command_code,
+)
 from repro.workloads.fio import FioJob
 from tests.conftest import ALL_FTL_NAMES, make_ssd, random_reads, random_writes
 
@@ -43,7 +51,7 @@ class TestCorrectnessAcrossDesigns:
     def test_every_mapped_lpn_readable(self, tiny_geometry, ftl_name):
         ssd = make_ssd(ftl_name, tiny_geometry)
         ssd.fill_sequential(io_pages=8)
-        ssd.overwrite_random(pages=300, seed=34)
+        ssd.run(random_writes(ssd.geometry, 300, seed=34), threads=1)
         for lpn in range(0, tiny_geometry.num_logical_pages, 13):
             buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=lpn))
             assert len(buffer.outcome_codes) == 1
@@ -54,7 +62,8 @@ class TestCorrectnessAcrossDesigns:
         ssd.run(random_writes(tiny_geometry, 200, seed=35), threads=1)
         from repro.ssd.request import CommandPurpose
 
-        assert ssd.stats.flash_programs[CommandPurpose.DATA_WRITE] == ssd.stats.host_write_pages
+        data_writes = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
+        assert ssd.stats.command_counts[data_writes] == ssd.stats.host_write_pages
 
 
 class TestPaperOrderings:
@@ -81,7 +90,7 @@ class TestPaperOrderings:
         for name in ALL_FTL_NAMES:
             ssd = SSD.create(name, geometry)
             ssd.fill_sequential(io_pages=16)
-            ssd.overwrite_random(pages=600, io_pages=4, seed=41)
+            ssd.run(random_writes(ssd.geometry, 150, seed=41, npages=4), threads=1)
             ssd.reset_stats()
             ssd.run(FioJob.randread(600, seed=42).requests(geometry), threads=4)
             ssd.verify()
@@ -159,7 +168,7 @@ class TestDataEquivalenceProperty:
                 )
                 ssd.submit(request)
             ssd.verify()
-            mapped_sets[name] = set(ssd.ftl.directory.mapped_lpns())
+            mapped_sets[name] = set(np.flatnonzero(ssd.ftl.directory._ppn_view >= 0))
         reference = mapped_sets["ideal"]
         for name, mapped in mapped_sets.items():
             assert mapped == reference, f"{name} exposes a different logical state"
@@ -205,7 +214,7 @@ class TestFlashTotalsMatchTheEngine:
     def test_totals_after_fill_and_overwrites(self, ftl_name):
         ssd = make_ssd(ftl_name, SSDGeometry.small())
         ssd.fill_sequential()
-        ssd.overwrite_random(pages=6000)
+        ssd.run(random_writes(ssd.geometry, 6000, seed=7), threads=1)
         flash, stats = ssd.ftl.flash, ssd.stats
         assert stats.gc_events
         assert (flash.total_reads, flash.total_programs, flash.total_erases) == (
@@ -271,7 +280,7 @@ class TestGCFlashTime:
 
         setattr(ftl, collector, spy)
         events = len(ssd.stats.gc_events)
-        ssd.overwrite_random(pages=3000)
+        ssd.run(random_writes(ssd.geometry, 3000, seed=7), threads=1)
         recorded = [event.flash_time_us for event in ssd.stats.gc_events[events:]]
         assert recorded and kinds == set(CommandKind)
         assert recorded == encoded

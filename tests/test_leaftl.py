@@ -48,7 +48,7 @@ class TestWriteAndTraining:
             ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=start, npages=8))
         ssd.ftl.flush_buffer()
         segments = [
-            seg for table in ssd.ftl._tables.values() for seg in table.segments()
+            seg for table in ssd.ftl._tables.values() for level in table._levels for seg in level
         ]
         assert segments
         assert any(segment.is_accurate for segment in segments)
@@ -83,8 +83,8 @@ class TestReadPath:
         ssd.reset_stats()
         far_apart = [HostRequest(op=OpType.READ, lpn=lpn) for lpn in (0, 200, 10, 300, 50)]
         ssd.run(far_apart, threads=1)
-        outcomes = ssd.stats.read_outcomes
-        assert outcomes[ReadOutcome.DOUBLE_READ] + outcomes[ReadOutcome.TRIPLE_READ] > 0
+        outcomes = ssd.stats.outcome_counts
+        assert outcomes[ReadOutcome.DOUBLE_READ.code] + outcomes[ReadOutcome.TRIPLE_READ.code] > 0
 
     def test_random_writes_cause_double_or_triple_reads(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
@@ -102,7 +102,7 @@ class TestReadPath:
         ssd.ftl.flush_buffer()
         ssd.reset_stats()
         ssd.run(random_reads(tiny_geometry, 300, seed=14), threads=1)
-        assert ssd.stats.read_outcomes[ReadOutcome.TRIPLE_READ] > 0
+        assert ssd.stats.outcome_counts[ReadOutcome.TRIPLE_READ.code] > 0
 
     def test_unmapped_read_served_without_flash(self, ssd):
         buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=100))
@@ -114,7 +114,7 @@ class TestModelCache:
         ssd.fill_sequential(io_pages=8)
         ssd.ftl.flush_buffer()
         ssd.run(random_reads(tiny_geometry, 200, seed=3), threads=1)
-        assert ssd.ftl.memory_report()["model_cache_bytes"] <= ssd.ftl._cache_capacity_bytes * 2
+        assert ssd.ftl._cache_bytes <= ssd.ftl._cache_capacity_bytes * 2
 
     def test_buffer_capacity_scales_with_tiny_devices(self, tiny_geometry):
         ftl = LeaFTL(tiny_geometry)
@@ -143,7 +143,7 @@ class TestCorrectness:
             if name == "leaftl":
                 ssd.ftl.flush_buffer()
             ssd.reset_stats()
-            ssd.run(FioJob.seqread(300).requests(tiny_geometry), threads=2)
+            ssd.run(FioJob.from_name("seqread", 300).requests(tiny_geometry), threads=2)
             throughput[name] = ssd.stats.throughput_mb_s()
         assert throughput["leaftl"] >= throughput["dftl"] * 0.8
 
@@ -193,8 +193,8 @@ class TestPinnedDeepTables:
     def test_fingerprint_live_and_after_snapshot_round_trip(self, small_geometry, tmp_path):
         ssd = make_ssd("leaftl", small_geometry)
         ssd.fill_sequential(io_pages=32)
-        ssd.overwrite_random(pages=3000, io_pages=8, seed=11, threads=2)
-        assert max(table.num_levels for table in ssd.ftl._tables.values()) >= 4
+        ssd.run(random_writes(ssd.geometry, 375, seed=11, npages=8), threads=2)
+        assert max(len(table._levels) for table in ssd.ftl._tables.values()) >= 4
         # Block GC hands every relocated mapping to ``_after_gc_move``, which
         # puts it back into the training buffer.
         assert ssd.stats.gc_count > 0 and ssd.stats.gc_pages_moved > 0
@@ -212,7 +212,7 @@ class TestPinnedDeepTables:
         more = random_reads(small_geometry, 500, seed=7)
         ssd.run(more, threads=4)
         fresh.run(more, threads=4)
-        assert fresh.stats.read_outcomes == ssd.stats.read_outcomes
+        assert fresh.stats.outcome_counts == ssd.stats.outcome_counts
         assert fresh.stats.summary() == ssd.stats.summary()
         assert state_fingerprint(ssd.state_dict()) == self.FINGERPRINT_AFTER_MORE_READS
         assert state_fingerprint(fresh.state_dict()) == self.FINGERPRINT_AFTER_MORE_READS

@@ -21,6 +21,7 @@ from repro.ssd.request import (
     OpType,
     ReadOutcome,
     RequestBatch,
+    command_code,
 )
 from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
@@ -48,7 +49,7 @@ class TestSequentialInitialization:
         for lpn in range(16):
             vppn = model.predict(lpn)
             assert vppn is not None
-            assert ssd.ftl.codec.vppn_to_ppn(vppn) == ssd.ftl.directory.require(lpn)
+            assert ssd.ftl.codec.vppn_to_ppn(vppn) == ssd.ftl.directory.lookup(lpn)
 
     def test_shorter_run_does_not_replace_longer_model(self, ssd):
         ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=16))
@@ -66,13 +67,13 @@ class TestBitmapConsistency:
 
     def test_cleared_bit_falls_back_to_double_read(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=16)
-        ssd.overwrite_random(pages=200, seed=6)
+        ssd.run(random_writes(ssd.geometry, 200, seed=6), threads=1)
         ssd.reset_stats()
         ssd.run(random_reads(tiny_geometry, 300, seed=7), threads=1)
-        outcomes = ssd.stats.read_outcomes
+        outcomes = ssd.stats.outcome_counts
         # Both single (model/CMT) and double reads appear; never a wrong read.
-        assert outcomes[ReadOutcome.MODEL_HIT] > 0
-        assert outcomes[ReadOutcome.TRIPLE_READ] == 0
+        assert outcomes[ReadOutcome.MODEL_HIT.code] > 0
+        assert outcomes[ReadOutcome.TRIPLE_READ.code] == 0
         ssd.verify()
 
     def test_model_hits_never_mispredict(self, ssd, tiny_geometry):
@@ -125,7 +126,7 @@ class TestFleetBitColumn:
         ssd.run(random_writes(tiny_geometry, 800, seed=12), threads=1)
         assert ssd.stats.models_trained > trained  # group-GC retrains
         self._assert_views(ftl)
-        mapped = ftl.directory.mapped_lpns().tolist()
+        mapped = np.flatnonzero(ftl.directory._ppn_view >= 0).tolist()
         assert [self._column_bit(ftl, lpn) for lpn in mapped] == [
             ftl.models[lpn // ftl._mappings_per_page].can_predict(lpn) for lpn in mapped
         ]
@@ -152,7 +153,7 @@ class TestFleetBitColumn:
             ssd.fill_sequential(io_pages=16, fraction=0.5)
             ssd.run(RequestBatch.writes(writes), threads=1)
             self._assert_views(ftl)
-            mapped = ftl.directory.mapped_lpns().tolist()
+            mapped = np.flatnonzero(ftl.directory._ppn_view >= 0).tolist()
             assert [self._column_bit(ftl, lpn) for lpn in mapped] == [
                 ftl.models[lpn // ftl._mappings_per_page].can_predict(lpn) for lpn in mapped
             ]
@@ -191,7 +192,7 @@ class TestReadPath:
         for name in ("tpftl", "learnedftl"):
             ssd = make_ssd(name, tiny_geometry)
             ssd.fill_sequential(io_pages=16)
-            ssd.overwrite_random(pages=600, io_pages=4, seed=10)
+            ssd.run(random_writes(ssd.geometry, 150, seed=10, npages=4), threads=1)
             ssd.reset_stats()
             ssd.run(FioJob.randread(500, seed=11).requests(tiny_geometry), threads=4)
             throughput[name] = ssd.stats.throughput_mb_s()
@@ -213,14 +214,19 @@ class TestGroupGC:
     def test_gc_produces_high_model_accuracy(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=16)
         ssd.run(random_writes(tiny_geometry, 800, seed=13), threads=1)
-        # Right after heavy GC most mapped LPNs should be predictable again.
-        assert ssd.ftl.model_accuracy() > 0.3
+        # Right after heavy GC most mapped LPNs should be predictable again:
+        # their bits in the fleet bit column are set.
+        ftl = ssd.ftl
+        mapped = np.flatnonzero(ftl.directory._ppn_view >= 0)
+        bits = mapped + mapped // ftl._mappings_per_page * ftl._model_bit_pad
+        column = np.unpackbits(np.frombuffer(ftl._model_bits, dtype=np.uint8), bitorder="little")
+        assert column[bits].mean() > 0.3
 
     def test_gc_can_be_configured_off(self, tiny_geometry):
         config = FTLConfig(train_on_gc=False)
         ssd = make_ssd("learnedftl", tiny_geometry, config=config)
         ssd.fill_sequential(io_pages=1)  # single-page writes never sequential-init
-        ssd.overwrite_random(pages=600, seed=14)
+        ssd.run(random_writes(ssd.geometry, 600, seed=14), threads=1)
         assert ssd.stats.models_trained == 0
         ssd.verify()
 
@@ -262,7 +268,7 @@ class TestGroupGC:
         assert ssd.stats.models_trained > 0
         ssd.verify()
         ssd.run(random_reads(geometry, 2000, seed=22), threads=4)
-        assert ssd.stats.read_outcomes[ReadOutcome.MODEL_HIT] > 0
+        assert ssd.stats.outcome_counts[ReadOutcome.MODEL_HIT.code] > 0
 
 
 class TestGroupGCRetrainingPinned:
@@ -335,43 +341,19 @@ class TestGroupGCRetrainingPinned:
         assert ssd.stats.summary() == self.SUMMARY
 
 
-class TestRecoveryAndRewrite:
-    def test_rebuild_models_from_flash(self, ssd, tiny_geometry):
-        ssd.fill_sequential(io_pages=16)
-        ssd.overwrite_random(pages=200, seed=17)
-        # Simulate power loss: wipe all models, then rebuild from flash contents.
-        for model in ssd.ftl.models:
-            model.bitmap.clear_all()
-            model.pieces = []
-        rebuilt = ssd.ftl.rebuild_models_from_flash()
-        assert rebuilt > 0
-        assert ssd.ftl.model_accuracy() > 0.5
-        ssd.run(random_reads(tiny_geometry, 200, seed=18), threads=1)
-        ssd.verify()
-
-    def test_train_on_rewrite_single_entry(self, ssd):
-        ssd.ftl.encode(HostRequest(op=OpType.WRITE, lpn=0, npages=8))
-        ssd.ftl.models[0].bitmap.clear_all()
-        assert ssd.ftl.train_on_rewrite(0)
-        assert ssd.ftl.models[0].trained_length() > 0
-
-    def test_train_on_rewrite_empty_entry(self, ssd):
-        assert not ssd.ftl.train_on_rewrite(ssd.geometry.num_translation_pages - 1)
-
-
 class TestMemoryBudget:
     def test_total_model_memory_about_half_cmt(self, tiny_geometry):
         ftl = LearnedFTL(tiny_geometry)
-        report = ftl.memory_report()
         full_table_bytes = tiny_geometry.num_logical_pages * 8
-        assert report["models_bytes"] < full_table_bytes
+        assert sum(model.memory_bytes() for model in ftl.models) < full_table_bytes
         # Models plus the halved CMT stay within the other designs' 3% budget
         # (the comparison the paper uses to size the caches).
         assert ftl.cmt.capacity_entries <= FTLConfig().cmt_entries(tiny_geometry)
 
     def test_write_path_counts_host_programs(self, ssd):
         ssd.submit(HostRequest(op=OpType.WRITE, lpn=0, npages=4))
-        assert ssd.stats.flash_programs[CommandPurpose.DATA_WRITE] == 4
+        code = command_code(CommandKind.PROGRAM, CommandPurpose.DATA_WRITE)
+        assert ssd.stats.command_counts[code] == 4
 
 
 class TestEmergencyWriteBack:
@@ -456,7 +438,7 @@ class TestEmergencyWriteBack:
             [HostRequest(op=OpType.READ, lpn=lpn) for lpn in range(geometry.num_logical_pages)],
             threads=1,
         )
-        assert ssd.stats.read_outcomes[ReadOutcome.TRIPLE_READ] == 0
+        assert ssd.stats.outcome_counts[ReadOutcome.TRIPLE_READ.code] == 0
         assert state_fingerprint(ssd.state_dict()) == self.STATE_SHA
         assert ssd.stats.summary() == self.SUMMARY
 

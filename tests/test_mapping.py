@@ -41,28 +41,16 @@ def directory(geometry) -> MappingDirectory:
 class TestMappingDirectory:
     def test_lookup_unmapped(self, directory):
         assert directory.lookup(3) is None
-        assert not directory.is_mapped(3)
 
     def test_update_and_lookup(self, directory):
         assert directory.update(3, 77) is None
         assert directory.lookup(3) == 77
-        assert directory.is_mapped(3)
         assert len(directory) == 1
 
     def test_update_returns_previous(self, directory):
         directory.update(3, 77)
         assert directory.update(3, 99) == 77
         assert directory.lookup(3) == 99
-
-    def test_require_raises_for_unmapped(self, directory):
-        with pytest.raises(MappingError):
-            directory.require(5)
-
-    def test_remove(self, directory):
-        directory.update(1, 10)
-        assert directory.remove(1) == 10
-        assert directory.lookup(1) is None
-        assert directory.remove(1) is None
 
     def test_tvpn_of_uses_page_size(self, directory, geometry):
         per_page = geometry.mappings_per_translation_page
@@ -105,19 +93,18 @@ class TestTranslationPageStore:
     def test_flush_programs_translation_page(self, store, buffer):
         store.flush_into(buffer, buffer.new_stage(), 0)
         assert command_kinds(buffer) == {CommandKind.PROGRAM: 1}  # no previous copy
-        ppn = store.location_of(0)
-        assert store.flash.page_is_translation(ppn)
+        ppn = store._tp_ppn[0]
         assert store.flash.page_tvpn(ppn) == 0
 
     def test_second_flush_is_read_modify_write(self, store, buffer):
         store.flush_into(buffer, buffer.new_stage(), 0)
-        first_ppn = store.location_of(0)
+        first_ppn = store._tp_ppn[0]
         buffer.reset()
         store.flush_into(buffer, buffer.new_stage(), 0)
         kinds = [KIND_BY_CODE[code] for code in buffer.ops[::OP_STRIDE]]
         assert kinds == [CommandKind.READ, CommandKind.PROGRAM]
         assert store.flash.page_state_code(first_ppn) == PAGE_INVALID
-        assert store.location_of(0) != first_ppn
+        assert store._tp_ppn[0] != first_ppn
 
     def test_read_command_after_flush(self, store, buffer):
         store.flush_into(buffer, buffer.new_stage(), 0)
@@ -125,15 +112,12 @@ class TestTranslationPageStore:
         assert store.read_into(buffer, buffer.new_stage(), 0)
         code, _chip, ppn, _block = buffer.ops
         assert code == command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
-        assert ppn == store.location_of(0)
+        assert ppn == store._tp_ppn[0]
 
     def test_dirty_tracking(self, store, buffer):
-        assert not store.is_dirty(2)
-        store.mark_dirty(2)
-        assert store.is_dirty(2)
-        assert store.dirty_tvpns() == [2]
+        store._tp_dirty.add(2)
         store.flush_into(buffer, buffer.new_stage(), 2)
-        assert not store.is_dirty(2)
+        assert 2 not in store._tp_dirty
 
     def test_counters(self, store, buffer):
         store.flush_into(buffer, buffer.new_stage(), 0)
@@ -144,13 +128,13 @@ class TestTranslationPageStore:
 
     def test_relocate_moves_live_translation_page(self, store, buffer):
         store.flush_into(buffer, buffer.new_stage(), 3)
-        old_ppn = store.location_of(3)
+        old_ppn = store._tp_ppn[3]
         buffer.reset()
         new_ppn = store.relocate_into(buffer, buffer.new_stage(), old_ppn)
         code, _chip, ppn, _block = buffer.ops
         assert code == command_code(CommandKind.PROGRAM, CommandPurpose.GC_WRITE)
         assert ppn == new_ppn
-        assert store.location_of(3) == new_ppn
+        assert store._tp_ppn[3] == new_ppn
         assert store.flash.page_state_code(old_ppn) == PAGE_INVALID
         assert store.flash.page_tvpn(new_ppn) == 3
 

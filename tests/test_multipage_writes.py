@@ -34,6 +34,7 @@ from repro.core.allocation import GroupGCNeeded
 from repro.core.base import _MIN_COLUMN_WRITE, FTLConfig
 from repro.nand.errors import GeometryError
 from repro.replay import state_fingerprint
+from repro.snapshot import save_snapshot
 from repro.ssd.request import HostRequest, OpType
 from tests.conftest import ALL_FTL_NAMES
 
@@ -229,7 +230,7 @@ def test_save_and_restore_mid_stream_reproduces_the_fingerprint(ftl_name, tmp_pa
     ssd = _build("mixed", ftl_name)
     first, second = _mixed_phases(ssd.geometry)
     ssd.run(first, threads=2)
-    restored = SSD.restore(ssd.save_state(tmp_path / "image"))
+    restored = SSD.restore(save_snapshot(tmp_path / "image", ssd.state_dict()))
     assert state_fingerprint(restored.state_dict()) == state_fingerprint(ssd.state_dict())
     restored.run(second, threads=2)
     restored.verify()

@@ -139,9 +139,9 @@ class TestWindowConservation:
         assert series["num_windows"] >= 1
         assert sum(series["reads"]) == stats.host_read_requests
         assert sum(series["writes"]) == stats.host_write_requests
-        assert sum(series["flash_reads"]) == sum(stats.flash_reads.values())
-        assert sum(series["flash_programs"]) == sum(stats.flash_programs.values())
-        assert sum(series["flash_erases"]) == sum(stats.flash_erases.values())
+        assert sum(series["flash_reads"]) == stats.total_flash_reads
+        assert sum(series["flash_programs"]) == stats.total_flash_programs
+        assert sum(series["flash_erases"]) == stats.total_flash_erases
         assert sum(series["gc_count"]) == len(stats.gc_events)
         assert sum(series["gc_pages_moved"]) == stats.gc_pages_moved
         # Gap windows are emitted explicitly so the series plots directly.
@@ -195,7 +195,7 @@ class TestNonInterference:
         recording = {
             name for name in vars(TraceRecorder)
             if not name.startswith("_") and callable(getattr(TraceRecorder, name))
-        } - {"export", "write", "dropped_counts", "attach", "consume"}
+        } - {"export", "write", "attach", "consume"}
         assert recording == set(_TRACER_PROTOCOL)
         assert all(callable(getattr(NULL_TRACER, name)) for name in _TRACER_PROTOCOL)
         NULL_TRACER.instant("gc", 0.0, {"victim_block": 1})
@@ -356,11 +356,11 @@ class TestPersistence:
         recorder = ssd.enable_observability(window_us=WINDOW_US)
         ssd.fill_sequential(io_pages=16)
         ssd.run(_single_page_workload(tiny_geometry, count=200), threads=2)
-        assert recorder.window_count() > 0
+        assert recorder.series()["num_windows"] > 0
 
         ssd.reset_stats()
         assert ssd.recorder is recorder
-        assert recorder.window_count() == 0
+        assert recorder.series()["num_windows"] == 0
 
         # The post-reset interval restarts at window 0 and its totals must
         # match the fresh stats exactly (no warm-up leakage).
@@ -391,7 +391,6 @@ class TestWindowedRecorderUnit:
 
     def test_empty_recorder_series_and_totals(self):
         recorder = WindowedRecorder(WINDOW_US)
-        assert recorder.window_count() == 0
         series = recorder.series()
         assert series["num_windows"] == 0
         assert series["reads"] == []
@@ -426,7 +425,7 @@ class TestTraceRecorder:
             tracer.instant("translation_read", float(i))
         tracer.instant("gc", 0.0)
         assert len(tracer) == 4  # 3 admitted + 1 other name
-        assert tracer.dropped_counts() == {"translation_read": 7}
+        assert tracer.export()["otherData"]["dropped_events"] == {"translation_read": 7}
         assert tracer.export()["otherData"]["dropped_events"] == {"translation_read": 7}
 
     def test_write_produces_wellformed_chrome_trace(self, tmp_path):
@@ -518,7 +517,7 @@ class TestBlockTranslationReads:
         for issue, chip, ppn in ((5.0, 4, 19), (6.0, 5, 20)):
             reference.instant("translation_read", issue, {"chip": chip, "ppn": ppn})
         assert len(tracer) == 3
-        assert tracer.dropped_counts() == {"translation_read": 5}
+        assert tracer.export()["otherData"]["dropped_events"] == {"translation_read": 5}
         assert tracer.export() == reference.export()
         assert [event["args"]["ppn"] for event in tracer.export()["traceEvents"]] == [10, 13, 15]
 
@@ -547,7 +546,8 @@ class TestBlockTranslationReads:
         _log_step(log, 2.0, _ops((_TR, 0, 11)))  # the first drop: a translation read
         tracer.instant("cmt_evict", 2.5)
         tracer.instant("cmt_evict", 2.6)  # then a cmt_evict, while both are pending
-        assert list(tracer.dropped_counts()) == ["translation_read", "cmt_evict"]
+        dropped = tracer.export()["otherData"]["dropped_events"]
+        assert list(dropped) == ["translation_read", "cmt_evict"]
 
     @pytest.mark.parametrize(("ftl_name", "batch"), [("dftl", None), ("learnedftl", 64)])
     def test_cap_inside_a_block_on_a_real_run(self, ftl_name, batch):
@@ -573,7 +573,8 @@ class TestBlockTranslationReads:
         assert capped_series == series
         kept = _translation_read_events(tracer)
         assert kept == _translation_read_events(uncapped)[:cap]
-        assert len(kept) + tracer.dropped_counts()["translation_read"] == total
+        dropped = tracer.export()["otherData"]["dropped_events"]
+        assert len(kept) + dropped["translation_read"] == total
 
 
 def _translation_read_events(tracer: TraceRecorder) -> list[dict]:

@@ -13,19 +13,12 @@ from hypothesis import strategies as st
 
 from repro.core.learned import plr
 from repro.core.learned.plr import LinearPiece, fit_fixed_pieces, fit_greedy_plr
+from repro.core.learned.segment import LearnedSegment
 
 
-class TestLinearPiece:
-    def test_predict_rounds_to_nearest_int(self):
-        piece = LinearPiece(x_start=10, slope=1.5, intercept=100.0, length=5, max_error=0.0)
-        assert piece.predict(12) == 103
-
-    def test_covers(self):
-        piece = LinearPiece(x_start=10, slope=1.0, intercept=0.0, length=5, max_error=0.0)
-        assert piece.covers(10)
-        assert piece.covers(14)
-        assert not piece.covers(15)
-        assert not piece.covers(9)
+def _predict(piece: LinearPiece, x: int) -> int:
+    """What a fitted piece predicts for ``x``, through LeaFTL's segment."""
+    return LearnedSegment.from_piece(piece).predict(x)
 
 
 class TestGreedyPLR:
@@ -35,7 +28,7 @@ class TestGreedyPLR:
     def test_single_point(self):
         pieces = fit_greedy_plr([5], [100])
         assert len(pieces) == 1
-        assert pieces[0].predict(5) == 100
+        assert _predict(pieces[0], 5) == 100
 
     def test_perfectly_linear_data_one_piece(self):
         xs = list(range(100))
@@ -43,7 +36,7 @@ class TestGreedyPLR:
         pieces = fit_greedy_plr(xs, ys)
         assert len(pieces) == 1
         for x, y in zip(xs, ys):
-            assert pieces[0].predict(x) == y
+            assert _predict(pieces[0], x) == y
 
     def test_two_linear_runs_two_pieces(self):
         xs = list(range(0, 10)) + list(range(20, 30))
@@ -57,7 +50,7 @@ class TestGreedyPLR:
         pieces = fit_greedy_plr(xs, ys, gamma=0.5)
         assert len(pieces) == 1
         for x, y in zip(xs, ys):
-            assert abs(pieces[0].predict(x) - y) <= 1
+            assert abs(_predict(pieces[0], x) - y) <= 1
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -92,14 +85,14 @@ class TestGreedyPLR:
                 x += 1
         pieces = fit_greedy_plr(xs, ys, gamma=0.5)
         for x_val, y_val in zip(xs, ys):
-            piece = next(p for p in pieces if p.covers(x_val) or p.x_start <= x_val)
+            piece = next(p for p in pieces if p.x_start <= x_val)
             # Find the piece actually covering x (last piece whose start <= x).
             owner = None
             for candidate in pieces:
                 if candidate.x_start <= x_val:
                     owner = candidate
             assert owner is not None
-            assert abs(owner.predict(x_val) - y_val) <= 1
+            assert abs(_predict(owner, x_val) - y_val) <= 1
 
     @given(
         xs_ys=st.lists(
@@ -150,7 +143,7 @@ class TestFixedPieces:
         ys = [2 * x + 5 for x in xs]
         pieces = fit_fixed_pieces(xs, ys, max_pieces=1)
         assert len(pieces) == 1
-        assert pieces[0].predict(10) == pytest.approx(25, abs=1)
+        assert _predict(pieces[0], 10) == pytest.approx(25, abs=1)
 
 
 # ---------------------------------------------------------------- the oracle

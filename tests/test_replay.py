@@ -554,7 +554,8 @@ class TestManifestLayout:
 
     def test_default_config_given_timing(self):
         manifest = self._manifest(
-            ftl_name="dftl", timing=TimingModel.fast(), checkpoint_every_sim_s=0.5,
+            ftl_name="dftl", timing=TimingModel(read_us=10.0, program_us=100.0, erase_us=1000.0),
+            checkpoint_every_sim_s=0.5,
             preserve_timing=False, time_scale=0.01, max_errors=3, warmup="steady",
             overwrite_factor=0.5, warmup_threads=2, warmup_seed=3, keep_checkpoints=3,
         )

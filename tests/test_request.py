@@ -42,10 +42,6 @@ class TestHostRequest:
         req = HostRequest(op=OpType.WRITE, lpn=0)
         assert req.npages == 1
 
-    def test_bytes_reporting(self):
-        req = HostRequest(op=OpType.READ, lpn=0, npages=2)
-        assert req.bytes == 8192
-
     def test_issue_time_optional(self):
         assert HostRequest(op=OpType.READ, lpn=0).issue_time_us is None
         assert HostRequest(op=OpType.READ, lpn=0, issue_time_us=5.0).issue_time_us == 5.0
@@ -95,7 +91,7 @@ class TestCommandBuffer:
         stage = buffer.new_stage()
         assert buffer.commit_stage(stage, 3.0)
         assert buffer.stages == [[3.0]]
-        assert buffer.command_count == 0
+        assert buffer.ops == []
 
     def test_append_encodes_code_chip_ppn_block_slots(self):
         buffer = CommandBuffer()
@@ -105,7 +101,7 @@ class TestCommandBuffer:
         buffer.append(stage, read, 1, 42)
         buffer.append(stage, erase, 0, -1, 7)
         buffer.commit_stage(stage)
-        buffer.add_outcome(ReadOutcome.DOUBLE_READ.code)
+        buffer.outcome_codes.append(ReadOutcome.DOUBLE_READ.code)
         assert buffer.outcome_codes == [ReadOutcome.DOUBLE_READ.code]
         assert buffer.ops == [read, 1, 42, -1, erase, 0, -1, 7]
         assert buffer.stages == [[0.0, 0, 2 * OP_STRIDE]]
@@ -184,11 +180,11 @@ class TestCommandBuffer:
         stage = buffer.new_stage()
         buffer.append(stage, command_code(CommandKind.READ, CommandPurpose.DATA_READ), 0, 1)
         buffer.commit_stage(stage)
-        buffer.add_outcome(ReadOutcome.CMT_HIT.code)
+        buffer.outcome_codes.append(ReadOutcome.CMT_HIT.code)
         ops = buffer.ops
         assert buffer.reset() is buffer
         assert buffer.ops is ops
-        assert buffer.command_count == 0
+        assert ops == []
         assert buffer.outcome_codes == []
         assert buffer.stages == []
 
@@ -203,11 +199,15 @@ class TestRequestBatch:
             HostRequest(op=OpType.READ, lpn=0, npages=8),
         ]
 
-    def test_from_requests_round_trips(self):
-        from repro.ssd.request import RequestBatch
+    @staticmethod
+    def _batch():
+        from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, RequestBatch
 
+        return RequestBatch([OP_READ_CODE, OP_WRITE_CODE, OP_READ_CODE], [4, 9, 0], [1, 2, 8])
+
+    def test_columns_round_trip(self):
         source = self._requests()
-        batch = RequestBatch.from_requests(source)
+        batch = self._batch()
         assert len(batch) == 3
         assert list(batch) == source
         assert batch[1] == source[1]
@@ -230,10 +230,7 @@ class TestRequestBatch:
 
     def test_scalar_consumers_accept_a_batch(self):
         """A batch is a request iterable: the scalar run loop needs no changes."""
-        from repro.ssd.request import RequestBatch
-
-        batch = RequestBatch.from_requests(self._requests())
-        assert sum(r.npages for r in batch) == 11
+        assert sum(r.npages for r in self._batch()) == 11
 
 
 #: (layer, op, npages): a page count below one on both layers and both ops,

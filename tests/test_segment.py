@@ -30,24 +30,9 @@ class TestLearnedSegment:
         assert seg.predict(100) == 5000
         assert seg.predict(105) == 5005
 
-    def test_covers_range(self):
-        seg = _segment(100, 10, 0)
-        assert seg.covers(100) and seg.covers(109)
-        assert not seg.covers(110) and not seg.covers(99)
-
     def test_accuracy_flag(self):
         assert _segment(0, 4, 0).is_accurate
         assert not LearnedSegment(start_lpn=0, slope=1.0, length=4, intercept=0.0, max_error=2.0).is_accurate
-
-    def test_overlaps(self):
-        a = _segment(0, 10, 0)
-        b = _segment(5, 10, 0)
-        c = _segment(10, 5, 0)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_memory_bytes(self):
-        assert _segment(0, 4, 0).memory_bytes() == 16
 
 
 class TestBuildSegments:
@@ -93,13 +78,13 @@ class TestLSMT:
         table.insert(_segment(0, 10, 100))
         table.insert(_segment(0, 10, 900))
         assert table.lookup(5).predict(5) == 905
-        assert table.num_levels >= 2
+        assert len(table._levels) >= 2
 
     def test_non_overlapping_segments_share_level(self):
         table = LogStructuredSegmentTable()
         table.insert(_segment(0, 10, 100))
         table.insert(_segment(20, 10, 200))
-        assert table.num_levels == 1
+        assert len(table._levels) == 1
         assert table.lookup(25).predict(25) == 205
 
     def test_lookup_outside_any_segment(self):
@@ -185,7 +170,7 @@ class _LinearScanTable:
         displaced: list[LearnedSegment] = []
         kept: list[LearnedSegment] = []
         for existing in bucket:
-            if existing.overlaps(segment):
+            if existing.start_lpn < _end(segment) and segment.start_lpn < _end(existing):
                 displaced.append(existing)
             else:
                 kept.append(existing)
@@ -206,7 +191,7 @@ class _LinearScanTable:
                     removed += 1
                 else:
                     surviving.append(segment)
-                    covered.append((segment.start_lpn, segment.end_lpn))
+                    covered.append((segment.start_lpn, _end(segment)))
             new_levels.append(surviving)
         self._levels = [lvl for lvl in new_levels if lvl]
         return removed
@@ -215,7 +200,7 @@ class _LinearScanTable:
         for level in self._levels:
             starts = [s.start_lpn for s in level]
             index = bisect_right(starts, lpn) - 1
-            if index >= 0 and level[index].covers(lpn):
+            if index >= 0 and lpn < _end(level[index]):
                 return level[index]
         return None
 
@@ -226,9 +211,14 @@ class _LinearScanTable:
         return self.segment_count() * SEGMENT_BYTES
 
 
+def _end(segment: LearnedSegment) -> int:
+    """One past the segment's last LPN."""
+    return segment.start_lpn + segment.length
+
+
 def _fully_covered(segment: LearnedSegment, covered: list[tuple[int, int]]) -> bool:
     """True when every LPN of ``segment`` falls inside ``covered`` intervals."""
-    remaining = [(segment.start_lpn, segment.end_lpn)]
+    remaining = [(segment.start_lpn, _end(segment))]
     for lo, hi in covered:
         next_remaining: list[tuple[int, int]] = []
         for a, b in remaining:
@@ -365,7 +355,7 @@ def _disjoint_table(residents: int) -> LogStructuredSegmentTable:
     """``residents`` 4-LPN segments at a stride of 8: one level, gaps between."""
     table = LogStructuredSegmentTable()
     table.insert_many(_segment(8 * i, 4, 8 * i) for i in range(residents))
-    assert table.num_levels == 1 and table.segment_count() == residents
+    assert len(table._levels) == 1 and table.segment_count() == residents
     return table
 
 
@@ -386,7 +376,7 @@ class TestCallCountsDoNotGrowWithResidents:
             "insert_straddling": _python_calls(lambda: table.insert(_segment(middle + 10, 12, 3))),
             "lookup": _python_calls(lambda: table.lookup(middle + 1)),
         }
-        assert table.num_levels == 2 and table.segment_count() == residents + 3
+        assert len(table._levels) == 2 and table.segment_count() == residents + 3
         calls["compact"] = _python_calls(table.compact)
         assert table.segment_count() == residents + 1  # the two fully covered ones went
         return calls

@@ -18,13 +18,6 @@ class TestCounters:
         assert stats.total_flash_programs == 1
         assert stats.total_flash_erases == 1
 
-    def test_purpose_breakdown(self):
-        stats = SimulationStats()
-        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)] += 1
-        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += 1
-        assert stats.flash_reads[CommandPurpose.TRANSLATION_READ] == 1
-        assert stats.flash_reads[CommandPurpose.DATA_READ] == 1
-
 
 class TestRatios:
     def test_write_amplification(self):
@@ -107,7 +100,7 @@ class TestThroughputAndLatency:
         result = ssd.replay([])
         assert result.requests == 0 and result.elapsed_us == 0.0
         assert result.throughput_mb_s == 0.0
-        assert result.iops == 0.0
+        assert result.stats.iops() == 0.0
         summary = result.stats.summary()
         assert all(math.isfinite(value) for value in summary.values()), summary
 
@@ -118,7 +111,7 @@ class TestThroughputAndLatency:
         result = ssd.run([], threads=4)
         assert result.requests == 0
         assert result.throughput_mb_s == 0.0
-        assert result.iops == 0.0
+        assert result.stats.iops() == 0.0
 
     def test_iops(self):
         stats = SimulationStats()
@@ -173,25 +166,6 @@ class TestGCAndCompute:
             "utilization",
         ):
             assert key in summary
-
-
-class TestFlatAccounting:
-    """Commands and outcomes are bucketed from integer codes into flat count
-    arrays; the Counter views are derived from them."""
-
-    def test_counter_views_only_list_nonzero_purposes(self):
-        stats = SimulationStats()
-        stats.command_counts[command_code(CommandKind.READ, CommandPurpose.DATA_READ)] += 1
-        assert list(stats.flash_reads) == [CommandPurpose.DATA_READ]
-        assert stats.flash_reads[CommandPurpose.GC_READ] == 0  # Counter default
-        assert stats.flash_erases == {}
-
-    def test_outcome_counts_back_the_counter_view(self):
-        stats = SimulationStats()
-        stats.outcome_counts[ReadOutcome.MODEL_HIT.code] = 2
-        stats.outcome_counts[ReadOutcome.DOUBLE_READ.code] = 1
-        assert stats.read_outcomes[ReadOutcome.MODEL_HIT] == 2
-        assert stats.read_outcomes[ReadOutcome.DOUBLE_READ] == 1
 
 
 class TestUtilization:

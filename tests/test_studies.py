@@ -197,10 +197,6 @@ PINNED_PLANS = [
 
 
 class TestSpecValidation:
-    def test_round_trip_through_to_dict(self):
-        spec = StudySpec.from_dict(TINY_STUDY)
-        assert StudySpec.from_dict(spec.to_dict()) == spec
-
     def test_yaml_and_json_files_load_identically(self, tmp_path):
         yaml = pytest.importorskip("yaml")
         yaml_path = tmp_path / "study.yaml"

@@ -21,12 +21,6 @@ class TestDefaults:
         timing = TimingModel.femu_default()
         assert timing.sort_us_per_entry + timing.train_us_per_entry == pytest.approx(50.0)
 
-    def test_fast_profile_is_faster(self):
-        fast = TimingModel.fast()
-        default = TimingModel.femu_default()
-        assert fast.read_us < default.read_us
-        assert fast.program_us < default.program_us
-
 
 class TestLatencyOf:
     def test_latency_of_each_kind(self):
@@ -44,17 +38,3 @@ class TestLatencyOf:
     def test_latency_of_unknown_kind(self):
         with pytest.raises(ValueError):
             TimingModel.femu_default().latency_of("trim")
-
-
-class TestWithoutCompute:
-    def test_without_compute_zeroes_only_cpu_costs(self):
-        timing = TimingModel.femu_default().without_compute()
-        assert timing.sort_us_per_entry == 0.0
-        assert timing.train_us_per_entry == 0.0
-        assert timing.predict_us == 0.0
-        assert timing.read_us == 40.0
-
-    def test_without_compute_returns_new_instance(self):
-        timing = TimingModel.femu_default()
-        assert timing.without_compute() is not timing
-        assert timing.predict_us == pytest.approx(0.65)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.ssd.request import CommandKind, HostRequest, OpType, ReadOutcome
-from tests.conftest import command_kinds, make_ssd, random_reads
+from tests.conftest import command_kinds, make_ssd, random_reads, random_writes
 from repro.workloads.fio import FioJob
 
 
@@ -18,13 +18,13 @@ class TestPrefetching:
     def test_sequential_reads_hit_after_first_miss(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
         ssd.reset_stats()
-        job = FioJob.seqread(200)
+        job = FioJob.from_name("seqread", 200)
         ssd.run(job.requests(tiny_geometry), threads=1)
         assert ssd.stats.cmt_hit_ratio() > 0.6
 
     def test_random_reads_rarely_hit(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
-        ssd.overwrite_random(pages=300, seed=4)
+        ssd.run(random_writes(ssd.geometry, 300, seed=4), threads=1)
         ssd.reset_stats()
         ssd.run(random_reads(tiny_geometry, 300), threads=1)
         assert ssd.stats.cmt_hit_ratio() < 0.4
@@ -35,7 +35,7 @@ class TestPrefetching:
             ssd = make_ssd(name, tiny_geometry)
             ssd.fill_sequential(io_pages=8)
             ssd.reset_stats()
-            ssd.run(FioJob.seqread(300).requests(tiny_geometry), threads=1)
+            ssd.run(FioJob.from_name("seqread", 300).requests(tiny_geometry), threads=1)
             results[name] = ssd.stats.cmt_hit_ratio()
         assert results["tpftl"] > results["dftl"]
 
@@ -53,7 +53,7 @@ class TestPrefetching:
         ssd.fill_sequential(io_pages=8)
         # Drop the dirty bits left by the fill so the miss below does not also
         # trigger a dirty-eviction read-modify-write.
-        ssd.ftl.cmt.flush_all()
+        ssd.ftl.cmt._dirty.clear()
         ssd.reset_stats()
         buffer = ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=40))
         # One translation read plus one data read at most, despite prefetching.
@@ -79,6 +79,6 @@ class TestCorrectness:
 
     def test_gc_under_pressure_keeps_integrity(self, ssd, tiny_geometry):
         ssd.fill_sequential(io_pages=8)
-        ssd.overwrite_random(pages=900, io_pages=2, seed=9)
+        ssd.run(random_writes(ssd.geometry, 450, seed=9, npages=2), threads=1)
         assert ssd.stats.gc_count > 0
         ssd.verify()

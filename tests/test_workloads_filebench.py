@@ -48,7 +48,7 @@ class TestPresets:
 class TestLayout:
     def test_files_scaled_to_device(self, geometry):
         workload = FilebenchWorkload.preset("webserver", geometry)
-        assert 0 < workload.file_count < FILEBENCH_PRESETS["webserver"].file_count
+        assert 0 < len(workload._files) < FILEBENCH_PRESETS["webserver"].file_count
         assert workload.threads == 64
 
     def test_files_fit_in_logical_space(self, geometry):
@@ -70,7 +70,7 @@ class TestRequestStreams:
     def test_preconditioning_touches_every_file(self, geometry):
         workload = FilebenchWorkload.preset("varmail", geometry)
         requests = list(workload.preconditioning())
-        assert len(requests) == workload.file_count
+        assert len(requests) == len(workload._files)
         assert all(r.op is OpType.WRITE for r in requests)
 
     def test_requests_in_bounds(self, geometry):
@@ -95,7 +95,3 @@ class TestRequestStreams:
         a = [(r.op, r.lpn) for r in FilebenchWorkload.preset("varmail", geometry, seed=3).requests(200)]
         b = [(r.op, r.lpn) for r in FilebenchWorkload.preset("varmail", geometry, seed=3).requests(200)]
         assert a == b
-
-    def test_describe(self, geometry):
-        text = FilebenchWorkload.preset("webserver", geometry).describe()
-        assert "webserver" in text

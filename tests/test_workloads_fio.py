@@ -27,9 +27,9 @@ class TestFioPattern:
 
 class TestFioJob:
     def test_factories_set_pattern(self):
-        assert FioJob.seqread(10).pattern is FioPattern.SEQ_READ
+        assert FioJob.from_name("seqread", 10).pattern is FioPattern.SEQ_READ
         assert FioJob.randread(10).pattern is FioPattern.RAND_READ
-        assert FioJob.seqwrite(10).pattern is FioPattern.SEQ_WRITE
+        assert FioJob.from_name("seqwrite", 10).pattern is FioPattern.SEQ_WRITE
         assert FioJob.randwrite(10).pattern is FioPattern.RAND_WRITE
 
     def test_from_name(self):
@@ -46,20 +46,20 @@ class TestFioJob:
         with pytest.raises(ConfigurationError, match=r"^span_fraction must be finite and in \(0, 1\]"):
             FioJob.randread(5, span_fraction=1.5)
         with pytest.raises(ConfigurationError, match="^num_requests must be positive"):
-            FioJob.seqread(0)
+            FioJob.from_name("seqread", 0)
 
     def test_request_count(self, geometry):
         requests = list(FioJob.randread(123).requests(geometry))
         assert len(requests) == 123
 
     def test_sequential_requests_are_consecutive(self, geometry):
-        requests = list(FioJob.seqread(10, io_pages=4).requests(geometry))
+        requests = list(FioJob.from_name("seqread", 10, io_pages=4).requests(geometry))
         for first, second in zip(requests, requests[1:]):
             assert second.lpn == first.lpn + 4 or second.lpn == 0  # wrap allowed
 
     def test_sequential_wraps_at_span(self, geometry):
         count = geometry.num_logical_pages // 4 + 10
-        requests = list(FioJob.seqwrite(count, io_pages=4).requests(geometry))
+        requests = list(FioJob.from_name("seqwrite", count, io_pages=4).requests(geometry))
         assert all(req.lpn + req.npages <= geometry.num_logical_pages for req in requests)
 
     def test_random_requests_in_bounds(self, geometry):
@@ -77,15 +77,13 @@ class TestFioJob:
 
     def test_op_type_matches_pattern(self, geometry):
         assert all(r.op is OpType.READ for r in FioJob.randread(10).requests(geometry))
-        assert all(r.op is OpType.WRITE for r in FioJob.seqwrite(10).requests(geometry))
+        seqwrite = FioJob.from_name("seqwrite", 10)
+        assert all(r.op is OpType.WRITE for r in seqwrite.requests(geometry))
 
     def test_span_fraction_limits_footprint(self, geometry):
         job = FioJob(FioPattern.RAND_READ, 300, span_fraction=0.1)
         max_lpn = max(r.lpn for r in job.requests(geometry))
         assert max_lpn < geometry.num_logical_pages * 0.11
-
-    def test_describe_mentions_pattern(self):
-        assert "randread" in FioJob.randread(10).describe()
 
 
 class TestWarmupWrites:

@@ -24,9 +24,9 @@ class TestExtentAllocator:
         alloc = ExtentAllocator(100)
         start = alloc.allocate(10)
         assert start == 0
-        assert alloc.free_pages() == 90
+        assert alloc._free == [(10, 90)]
         alloc.free(start, 10)
-        assert alloc.free_pages() == 100
+        assert alloc._free == [(0, 100)]
 
     def test_adjacent_extents_coalesce(self):
         alloc = ExtentAllocator(100)
