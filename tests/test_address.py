@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -10,6 +12,26 @@ from hypothesis import strategies as st
 from repro.nand.address import AddressCodec, FlashAddress
 from repro.nand.errors import GeometryError
 from repro.nand.geometry import SSDGeometry
+
+
+#: PPN fields, most significant first.
+FIELDS = ("channel", "chip", "plane", "block", "page")
+
+
+def _limits(geometry: SSDGeometry) -> dict[str, int]:
+    return {
+        "channel": geometry.channels,
+        "chip": geometry.chips_per_channel,
+        "plane": geometry.planes_per_chip,
+        "block": geometry.blocks_per_plane,
+        "page": geometry.pages_per_block,
+    }
+
+
+def _all_addresses(geometry: SSDGeometry):
+    limits = _limits(geometry)
+    for fields in itertools.product(*(range(limits[name]) for name in FIELDS)):
+        yield FlashAddress(*fields)
 
 
 @pytest.fixture
@@ -55,6 +77,27 @@ class TestPPNCodec:
             codec.encode_ppn(FlashAddress(geometry.channels, 0, 0, 0, 0))
         with pytest.raises(GeometryError):
             codec.encode_ppn(FlashAddress(0, 0, 0, 0, geometry.pages_per_block))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("side", ["negative", "limit"])
+    def test_encode_names_the_out_of_range_field(self, codec, geometry, field, side):
+        bad = -1 if side == "negative" else _limits(geometry)[field]
+        address = FlashAddress(**{**dict.fromkeys(FIELDS, 0), field: bad})
+        with pytest.raises(GeometryError, match=f"{field} {bad} out of range"):
+            codec.encode_ppn(address)
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_field_step_spans_every_less_significant_field(self, codec, geometry, field):
+        """Figure 11's layout: one step in a field skips all the fields below it."""
+        limits = _limits(geometry)
+        below = FIELDS[FIELDS.index(field) + 1 :]
+        span = int(np.prod([limits[name] for name in below], dtype=np.int64))
+        one = FlashAddress(**{**dict.fromkeys(FIELDS, 0), field: 1})
+        assert codec.encode_ppn(one) == span
+
+    def test_encoding_is_a_bijection_onto_the_page_range(self, codec, geometry):
+        ppns = [codec.encode_ppn(address) for address in _all_addresses(geometry)]
+        assert sorted(ppns) == list(range(geometry.num_physical_pages))
 
 
 class TestVPPNCodec:
@@ -154,3 +197,27 @@ class TestFlatIndices:
     def test_chip_of_block_consistent_with_chip_index(self, codec, geometry):
         for block in range(geometry.num_blocks):
             assert codec.chip_of_block(block) == codec.chip_index(codec.block_base_ppn(block))
+
+    def test_chip_index_counts_chips_across_channels(self, codec, geometry):
+        assert codec.chip_index(codec.encode_ppn(FlashAddress(0, 2, 1, 3, 7))) == 2
+        first_of_channel_1 = codec.encode_ppn(FlashAddress(1, 0, 0, 0, 0))
+        assert codec.chip_index(first_of_channel_1) == geometry.chips_per_channel
+
+    def test_block_of_is_the_ppn_over_pages_per_block(self, codec, geometry):
+        for address in _all_addresses(geometry):
+            assert codec.block_of(address) == codec.encode_ppn(address) // geometry.pages_per_block
+
+    def test_block_base_ppns_are_one_block_apart(self, codec, geometry):
+        bases = [codec.block_base_ppn(block) for block in range(geometry.num_blocks)]
+        assert bases == list(range(0, geometry.num_physical_pages, geometry.pages_per_block))
+
+    def test_each_chip_owns_one_contiguous_run_of_blocks(self, codec, geometry):
+        chips = [codec.chip_of_block(block) for block in range(geometry.num_blocks)]
+        assert chips == sorted(chips)
+        per_chip = geometry.num_blocks // geometry.num_chips
+        assert all(chips.count(chip) == per_chip for chip in range(geometry.num_chips))
+
+    @pytest.mark.parametrize("side", ["negative", "limit"])
+    def test_block_base_ppn_rejects_blocks_outside_the_device(self, codec, geometry, side):
+        with pytest.raises(GeometryError):
+            codec.block_base_ppn(-1 if side == "negative" else geometry.num_blocks)

@@ -60,6 +60,35 @@ class TestReportRendering:
     def test_format_table_empty(self):
         assert "(no data)" in format_table([], title="x")
 
+    @pytest.mark.parametrize(
+        ("value", "cell"),
+        [
+            (0.0, "0"),
+            (12345.678, "12,345.7"),
+            (3.14159, "3.14"),
+            (0.0123456, "0.0123"),
+            (-2.5, "-2.5"),
+            (42, "42"),
+            ("dftl", "dftl"),
+        ],
+    )
+    def test_format_table_cell_formats(self, value, cell):
+        lines = format_table([{"v": value}]).splitlines()
+        assert lines[2].rstrip() == cell
+
+    def test_format_table_aligns_columns_to_the_widest_cell(self):
+        lines = format_table(self.ROWS).splitlines()
+        assert lines[0].split() == ["ftl", "mb_s", "hit"]
+        assert len({len(line) for line in lines}) == 1
+        assert lines[1].split() == ["-" * len("learnedftl"), "-" * len("mb_s"), "-" * len("0.9000")]
+
+    def test_format_table_leaves_a_missing_key_blank(self):
+        lines = format_table([{"a": 1, "b": 2}, {"a": 3}]).splitlines()
+        assert lines[3].rstrip() == "3"
+
+    def test_format_table_empty_without_title(self):
+        assert format_table([]) == "(no data)"
+
     def test_rows_to_csv_round_trip(self):
         text = rows_to_csv(self.ROWS)
         lines = text.strip().splitlines()

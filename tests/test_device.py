@@ -322,3 +322,28 @@ class TestDegeneratePreconditioning:
         ssd.run(random_writes(ssd.geometry, 2, seed=7, npages=32), threads=1)
         assert ssd.stats.host_write_pages - before == 64
         ssd.verify()
+
+
+class TestHostPageAccounting:
+    """Every FTL counts host requests and pages the same way, whatever it does below."""
+
+    @pytest.mark.parametrize("npages", [1, 4])
+    def test_writes_count_every_page(self, tiny_geometry, ftl_name, npages):
+        ssd = SSD.create(ftl_name, tiny_geometry)
+        ssd.fill_sequential(io_pages=8)
+        ssd.reset_stats()
+        ssd.run(random_writes(ssd.geometry, 40, seed=5, npages=npages), threads=2)
+        assert ssd.stats.host_write_requests == 40
+        assert ssd.stats.host_write_pages == 40 * npages
+        assert ssd.stats.write_amplification() >= 1.0
+        ssd.verify()
+
+    def test_reads_classify_every_page(self, tiny_geometry, ftl_name):
+        ssd = SSD.create(ftl_name, tiny_geometry)
+        ssd.fill_sequential(io_pages=8)
+        ssd.reset_stats()
+        ssd.run(random_reads(ssd.geometry, 30, seed=6, npages=3), threads=2)
+        assert ssd.stats.host_read_requests == 30
+        assert ssd.stats.host_read_pages == 90
+        assert sum(ssd.stats.outcome_counts) == 90
+

@@ -187,6 +187,23 @@ class TestReadPath:
         ssd.ftl.encode(HostRequest(op=OpType.READ, lpn=8))
         assert ssd.stats.predict_time_us == 0.0
 
+    def test_compute_charge_moves_time_not_flash_work(self, tiny_geometry):
+        """Turning the compute charge off (Fig. 18's baseline) leaves every flash
+        command and read outcome as it was and only shortens simulated time."""
+        runs = {}
+        for charge in (True, False):
+            ssd = make_ssd("learnedftl", tiny_geometry, config=FTLConfig(charge_compute=charge))
+            ssd.fill_sequential(io_pages=16)
+            ssd.run(random_writes(ssd.geometry, 150, seed=10, npages=4), threads=1)
+            ssd.run(random_reads(ssd.geometry, 300, seed=12), threads=4)
+            runs[charge] = ssd.stats
+        on, off = runs[True], runs[False]
+        assert on.gc_count > 0 and on.predictions > 0
+        assert off.command_counts == on.command_counts
+        assert off.outcome_counts == on.outcome_counts
+        assert off.predict_time_us == 0.0 < on.predict_time_us
+        assert off.finish_time_us < on.finish_time_us
+
     def test_randread_beats_tpftl_after_warmup(self, tiny_geometry):
         throughput = {}
         for name in ("tpftl", "learnedftl"):

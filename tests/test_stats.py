@@ -18,6 +18,17 @@ class TestCounters:
         assert stats.total_flash_programs == 1
         assert stats.total_flash_erases == 1
 
+    @pytest.mark.parametrize("purpose", list(CommandPurpose), ids=lambda p: p.value)
+    def test_totals_count_every_purpose(self, purpose):
+        """A command counts toward its kind's total whatever the FTL issued it for."""
+        stats = SimulationStats()
+        stats.command_counts[command_code(CommandKind.READ, purpose)] += 2
+        stats.command_counts[command_code(CommandKind.PROGRAM, purpose)] += 3
+        stats.command_counts[command_code(CommandKind.ERASE, purpose)] += 5
+        assert stats.total_flash_reads == 2
+        assert stats.total_flash_programs == 3
+        assert stats.total_flash_erases == 5
+
 
 class TestRatios:
     def test_write_amplification(self):

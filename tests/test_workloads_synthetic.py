@@ -70,6 +70,9 @@ class TestHotspotGenerator:
             HotspotGenerator(10, hot_probability=0.0)
 
 
+STREAMS = (mixed_stream, zipf_reads, hotspot_stream)
+
+
 class TestStreams:
     def test_mixed_stream_ratio(self, geometry):
         requests = list(mixed_stream(geometry, num_requests=2000, read_fraction=0.7))
@@ -82,6 +85,21 @@ class TestStreams:
     def test_hotspot_stream_bounds(self, geometry):
         for request in hotspot_stream(geometry, num_requests=500):
             assert 0 <= request.lpn < geometry.num_logical_pages
+
+    @pytest.mark.parametrize("stream", STREAMS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("io_pages", [1, 8])
+    def test_multi_page_requests_fit_the_logical_space(self, geometry, stream, io_pages):
+        requests = list(stream(geometry, num_requests=400, io_pages=io_pages))
+        assert all(r.npages == io_pages for r in requests)
+        assert all(0 <= r.lpn and r.lpn + r.npages <= geometry.num_logical_pages for r in requests)
+
+    @pytest.mark.parametrize("stream", STREAMS, ids=lambda f: f.__name__)
+    def test_stream_is_deterministic_per_seed(self, geometry, stream):
+        def draw(seed):
+            return [(r.op, r.lpn) for r in stream(geometry, num_requests=200, seed=seed)]
+
+        assert draw(3) == draw(3)
+        assert draw(3) != draw(4)
 
     @given(read_fraction=st.floats(0.0, 1.0))
     @settings(max_examples=20, deadline=None)
