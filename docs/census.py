@@ -65,10 +65,6 @@ KEPT: dict[str, str] = {
     "repro.core.base:FTLBase._translate_read": (
         "abstract hook of _encode_read; every design overrides it"
     ),
-    "repro.core.base:FTLBase.begin_read_run": (
-        "default no-planner hook of the batched loop (only LearnedFTL runs batched in CI); "
-        "ledger seam core.plan"
-    ),
     "repro.execution.base:ExecutorBackend.submit_all": "abstract: every backend overrides it",
     "repro.obs.trace:NullTraceRecorder.instant": (
         "no-op tracer interface; hook sites test `enabled` first"
@@ -93,16 +89,6 @@ KEPT: dict[str, str] = {
         "(tests/test_learnedftl.py::TestEmergencyWriteBack forces it)"
     ),
     "repro.core.allocation:StripeMap.ppn_at": "called by GroupAllocator._scatter_page",
-    "repro.core.batch:GroupedReadPlanner.skip": (
-        "the planner refusing a request mid-run; ledger seam core.plan"
-    ),
-    "repro.ssd.device:_iter_request_chunks.<locals>.request_at": (
-        "batched loop over a plain request iterable whose planner refuses a request"
-    ),
-    "repro.ssd.request:RequestBatch.__getitem__": (
-        "batched loop over a RequestBatch whose planner refuses a request"
-    ),
-    "repro.obs.log:ObservationLog.append_reads": "a batched LearnedFTL run with observability on",
     "repro.obs.trace:_event": (
         "trace events whose args are not plain JSON values; TraceRecorder.export"
     ),

@@ -352,14 +352,15 @@ class FTLBase(ABC):
         raise NotImplementedError
 
     def begin_read_run(self, lpns):
-        """Hook for the batched device loop (``SSD.run(..., batch=N)``).
+        """Hook for the device's closed loop (``SSD.run``).
 
-        Called with the int64 LPN column of a maximal run of single-page host
-        reads; returns a planner (see :mod:`repro.core.batch`) that serves the
-        run array-at-a-time with per-request scalar fallback, or ``None`` to
-        execute the whole run through the scalar :meth:`encode` path.  The
-        default keeps a design scalar; LearnedFTL, the one design the batched
-        kernel serves, overrides it.
+        Called with the int64 LPN column of each maximal run of single-page
+        host reads; returns a planner (see :mod:`repro.core.batch`) that
+        serves the run array-at-a-time with per-request fallback to the
+        request step, or ``None`` to serve the whole run through the request
+        step (:meth:`encode`).  The default plans nothing; LearnedFTL, the
+        one design with a planner, overrides it and plans only runs from a
+        measured break-even length on.
         """
         return None
 

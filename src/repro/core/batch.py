@@ -1,9 +1,10 @@
-"""Array-at-a-time read planner: the FTL layer of the batched kernel.
+"""Array-at-a-time read planner: the FTL layer of the closed loop's read kernel.
 
-The batched device loop (``SSD.run(..., batch=N)``) splits each request chunk
-into maximal runs of single-page reads and everything else, and asks the FTL
-for a *planner* over each read run
-(:meth:`repro.core.base.FTLBase.begin_read_run`).  Writes have no planner:
+The device's closed loop (``SSD.run``) splits each request chunk into
+maximal runs of single-page reads and everything else, and asks the FTL for
+a *planner* over each read run
+(:meth:`repro.core.base.FTLBase.begin_read_run`); LearnedFTL builds one for
+runs from a measured break-even length on.  Writes have no planner:
 each FTL states its write path once, in ``write``, and the device serves
 every write through the request step.  A planner front-loads the
 vectorizable work — NumPy gathers over the whole run — and then serves the
@@ -15,7 +16,7 @@ run incrementally through :meth:`take`:
   counter increments), and returns the per-request chip columns the timing
   engine needs;
 * the first request the predicate rejects is left untouched — the device
-  executes it through the ordinary scalar ``encode``/``execute_buffer`` pair,
+  executes it through the request step (``encode``/``execute_buffer``),
   calls :meth:`skip`, and resumes :meth:`take`.
 
 The cursor design matters: the expensive gathers happen once per run, not once
@@ -69,7 +70,7 @@ inconsistency, a page the scalar path would refuse to read, a cached PPN off
 the directory.  The fallback runs the full scalar machinery (including
 raising, where the scalar path raises) and the planner resumes after it.
 
-Every other design keeps the scalar path for every request
+Every other design serves every request through the request step
 (:meth:`~repro.core.base.FTLBase.begin_read_run` returns ``None``).
 """
 

@@ -12,7 +12,7 @@ append of what the step produced:
   block`` per command, in execution order);
 * its read-outcome codes (``CommandBuffer.outcome_codes``).
 
-The batched read kernel appends each call's ``(issues, latencies,
+The closed loop's read kernel appends each call's ``(issues, latencies,
 trans_chips, trans_ppns)`` columns to the same log, as the rows, commands and
 outcomes those reads stand for: an optional translation read on chip
 ``trans_chips[i]`` (its page is the next entry of ``trans_ppns``), then one

@@ -42,8 +42,8 @@ remembers how many translation reads precede it: an event recorded while
 requests are still pending in the log notes how many, and the next block
 places it after exactly those requests' reads.  The record order is thus the
 order of the simulation without a flush per event.  A translation read
-has one shape whichever execution path served it, so ``run(batch=N)``
-traces exactly like ``run()``.  Every reader (``len``,
+has one shape whether the request step or the read kernel served it, so a
+``run()`` traces alike whichever of its read runs were planned.  Every reader (``len``,
 :meth:`~TraceRecorder.export`, :meth:`~TraceRecorder.write`) flushes the log
 first.
 :meth:`~TraceRecorder.write` streams each run of translation reads through

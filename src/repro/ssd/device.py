@@ -21,7 +21,10 @@ Two host models are supported:
 
 Both are short loops that only choose issue times: the act itself — encode
 the request, time its flash work, record its latency, log what it produced
-— is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  With
+— is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  The
+closed loop pulls requests in chunks and hands each long enough run of
+single-page reads to the FTL's read planner instead, whose requests the
+engine's read-batch kernel times with the step's arithmetic.  With
 observability on, the step makes one append to an
 :class:`~repro.obs.log.ObservationLog`, and the windowed recorder and the
 tracer (:mod:`repro.obs`) consume that log a block at a time; there is no
@@ -104,90 +107,62 @@ def create_ftl(
     return cls(geometry, timing=timing, config=config, stats=stats)
 
 
-#: Run classes of the batched loop's segment splitter.
-_RUN_SCALAR, _RUN_READ = 0, 1
+#: A :class:`RequestBatch` op code's :class:`OpType` (``OP_READ_CODE`` is 0,
+#: ``OP_WRITE_CODE`` 1).
+_OP_TYPES = (OpType.READ, OpType.WRITE)
 
 
-def _segments(klass: "np.ndarray") -> Iterator[tuple[int, int, int]]:
-    """Split a run-class column into maximal constant runs.
+def _segments(reads: "np.ndarray") -> list[tuple[int, int, bool]]:
+    """Split a chunk's single-page-read mask into maximal runs.
 
-    Yields ``(start, end, klass)`` half-open runs in order; the batched loop
-    executes :data:`_RUN_READ` runs through the FTL's read planner and
-    :data:`_RUN_SCALAR` runs through the request step.
+    Returns ``(start, end, is_read)`` half-open runs in order: runs of
+    single-page reads, the shape a read planner serves, and runs of
+    everything else.
     """
-    n = klass.shape[0]
-    if n == 0:
-        return
-    changes = np.flatnonzero(klass[1:] != klass[:-1]) + 1
-    prev = 0
-    for index in changes.tolist():
-        yield prev, index, int(klass[prev])
-        prev = index
-    yield prev, n, int(klass[prev])
+    bounds = [0, *((reads[1:] != reads[:-1]).nonzero()[0] + 1).tolist(), len(reads)]
+    return list(zip(bounds, bounds[1:], reads[bounds[:-1]].tolist()))
 
 
 def _iter_request_chunks(
     requests: "Iterable[HostRequest] | RequestBatch", batch: int
-) -> Iterator[tuple["np.ndarray", "np.ndarray", Callable[[int], HostRequest]]]:
-    """Chunk a request stream into ``(lpns, klass, request_at)`` columns.
+) -> Iterator[tuple["np.ndarray", list[tuple[int, int, bool]], Callable[[slice], list]]]:
+    """Chunk a request stream into ``(lpns, segments, requests_of)``.
 
-    ``klass`` classifies each request for the segment splitter: single-page
-    reads (:data:`_RUN_READ`) are the planner-servable shape, everything else
-    is :data:`_RUN_SCALAR`.  ``request_at(i)`` materializes chunk-local
-    request ``i`` for the request step; for a :class:`RequestBatch` source it
-    converts the chunk's columns with one ``tolist`` per chunk on first use,
-    so writes and the planner-less designs pay list indexing per
-    request instead of NumPy scalar extraction.  A :class:`RequestBatch`
-    source is otherwise sliced zero-copy (its columns already exist); any
-    other iterable is buffered ``batch`` requests at a time, so generators
-    stream without being drained up front.
+    ``lpns`` is the chunk's int64 LPN column, ``segments`` its
+    :func:`_segments` split, and ``requests_of(slice)`` returns a slice of the
+    chunk as a list of :class:`HostRequest` for the request step.  A
+    :class:`RequestBatch` source is sliced zero-copy (its columns already
+    exist) and builds request objects only for the slices the step serves,
+    with one ``map`` per slice.  Any other iterable is buffered ``batch``
+    requests at a time, so a generator is pulled at most one chunk ahead of
+    execution and is never drained up front.
     """
     if isinstance(requests, RequestBatch):
-        lpns = requests.lpns
-        klass_all = np.where(
-            (requests.npages == 1) & (requests.ops == OP_READ_CODE),
-            np.int8(_RUN_READ),
-            np.int8(_RUN_SCALAR),
-        )
-        total = len(requests)
-        read_op, write_op = OpType.READ, OpType.WRITE
-        for chunk_start in range(0, total, batch):
-            chunk_end = chunk_start + batch
-            if chunk_end > total:
-                chunk_end = total
+        ops, lpns, npages = requests.ops, requests.lpns, requests.npages
+        reads = (npages == 1) & (ops == OP_READ_CODE)
+        op_type = _OP_TYPES.__getitem__
+        for chunk_start in range(0, len(requests), batch):
+            chunk = slice(chunk_start, chunk_start + batch)
+            chunk_ops, chunk_lpns, chunk_npages = ops[chunk], lpns[chunk], npages[chunk]
 
-            def request_at(
-                i: int, _start: int = chunk_start, _end: int = chunk_end, _cache: list = []
-            ) -> HostRequest:
-                if not _cache:
-                    _cache.append(requests.ops[_start:_end].tolist())
-                    _cache.append(requests.lpns[_start:_end].tolist())
-                    _cache.append(requests.npages[_start:_end].tolist())
-                return HostRequest(
-                    read_op if _cache[0][i] == OP_READ_CODE else write_op,
-                    _cache[1][i],
-                    _cache[2][i],
+            def requests_of(part: slice, _ops=chunk_ops, _lpns=chunk_lpns, _npages=chunk_npages):
+                return list(
+                    map(
+                        HostRequest,
+                        map(op_type, _ops[part].tolist()),
+                        _lpns[part].tolist(),
+                        _npages[part].tolist(),
+                    )
                 )
 
-            yield lpns[chunk_start:chunk_end], klass_all[chunk_start:chunk_end], request_at
+            yield chunk_lpns, _segments(reads[chunk]), requests_of
         return
     read_op = OpType.READ
     iterator = iter(requests)
-    while True:
-        chunk = list(islice(iterator, batch))
-        if not chunk:
-            return
-        n = len(chunk)
-        lpns = np.fromiter((request.lpn for request in chunk), np.int64, count=n)
-        klass = np.fromiter(
-            (
-                _RUN_READ if request.op is read_op and request.npages == 1 else _RUN_SCALAR
-                for request in chunk
-            ),
-            np.int8,
-            count=n,
-        )
-        yield lpns, klass, chunk.__getitem__
+    while chunk := list(islice(iterator, batch)):
+        lpns = np.array([request.lpn for request in chunk], dtype=np.int64)
+        reads = np.array([request.op is read_op and request.npages == 1 for request in chunk])
+        yield lpns, _segments(reads), chunk.__getitem__
 
 
 @dataclass
@@ -329,7 +304,7 @@ class SSD:
         """Serve one host request issued at ``issue``; returns its finish time.
 
         The one statement of encode → execute → record → log: every host
-        entry point (:meth:`submit`, both loops of :meth:`run`, :meth:`replay`)
+        entry point (:meth:`submit`, :meth:`run`, :meth:`replay`)
         picks an issue time from its own clock and calls this.  Callees are
         looked up per call because ``reset_stats`` and
         ``enable_observability`` replace them between calls.  With
@@ -377,69 +352,39 @@ class SSD:
         requests: "Iterable[HostRequest] | RequestBatch",
         *,
         threads: int = 1,
-        batch: int | None = None,
+        batch: int = 4096,
         progress: Callable[[int], None] | None = None,
     ) -> RunResult:
         """Closed-loop execution: ``threads`` psync workers share the request stream.
 
-        With ``batch=N`` (N > 1) the device runs the vectorized kernel:
-        requests are pulled ``N`` at a time, runs of single-page reads are
-        served array-at-a-time through the FTL's read planner
-        (:meth:`~repro.core.base.FTLBase.begin_read_run`) and everything else
-        — writes included — takes the request step one request at a time.
-        Results are bit-identical to ``batch=None``; passing the stream as a
-        :class:`RequestBatch` avoids materializing request objects on the
-        fast path entirely.
-        ``batch=1`` degenerates to one request per "run" — there is nothing to
-        vectorize — so it skips the packing machinery and runs the scalar loop
-        directly.
+        The one closed loop: requests are pulled ``batch`` at a time and each
+        chunk is split into maximal runs of single-page reads and runs of
+        everything else.  A read run is offered to the FTL's read planner
+        (:meth:`~repro.core.base.FTLBase.begin_read_run`), which serves it
+        array-at-a-time through the engine's read-batch kernel; LearnedFTL
+        plans a run only from a measured break-even length on.  Everything
+        else — writes, multi-page reads, short read runs, the designs with no
+        planner and each request a planner refuses — takes the request step
+        one request at a time.  Results are bit-identical whichever way a
+        request is served, so ``batch`` (a positive count) sets only the chunk
+        length: memory and how far ahead a generator is pulled.  Passing the
+        stream as a :class:`RequestBatch` avoids materializing request objects
+        for the requests a planner serves.
+
+        Each kernel call's ``(issues, latencies, trans_chips, trans_ppns)``
+        columns go to the observation log right after it, so the log holds
+        the same requests, commands and outcomes in the same order whichever
+        way they were served.  ``progress`` fires at every 10k-request mark,
+        immediately even when a planner step spans it.
         """
         threads = _count_argument("threads", threads)
-        if batch is not None:
-            batch = _count_argument("batch", batch)
+        batch = _count_argument("batch", batch)
         start = self._clock_us
         # Min-heap of bare free-time floats: the next request always goes to
         # the earliest-free thread.  psync threads are indistinguishable, so
         # the free-time multiset is the whole host state (no slot indices) and
-        # the engine's batch kernels can ``heapreplace`` it directly.
+        # the engine's batch kernel can ``heapreplace`` it directly.
         thread_free: list[float] = [start] * threads
-        if batch is not None and batch > 1:
-            completed = self._run_batched(requests, thread_free, batch, progress)
-        else:
-            completed = 0
-            step = self._step
-            heapreplace = heapq.heapreplace
-            for request in requests:
-                heapreplace(thread_free, step(request, thread_free[0]))
-                completed += 1
-                if progress is not None and completed % 10_000 == 0:
-                    progress(completed)
-        self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
-
-    def _run_batched(
-        self,
-        requests: "Iterable[HostRequest] | RequestBatch",
-        thread_free: list[float],
-        batch: int,
-        progress: Callable[[int], None] | None,
-    ) -> int:
-        """The chunk → segment → planner loop of ``run(..., batch=N)``.
-
-        Serves the stream against :meth:`run`'s thread heap and returns the
-        number of requests completed.  A read planner's ``take()`` is executed
-        by the engine's read-batch kernel; requests it refuses, and segments
-        no planner serves, go through :meth:`_step`.  Each kernel call's
-        ``(issues, latencies, trans_chips, trans_ppns)`` columns go to the
-        observation log right after it — before the next ``take()`` or
-        fallback — so the log holds the same requests, commands and outcomes
-        in the same order as the scalar loop's, and what is observed does not
-        depend on ``batch``.
-        Progress callbacks fire at the same 10k-request marks as the scalar
-        loop (a planner step spanning a mark emits it immediately, not at
-        chunk end).
-        """
         completed = 0
         step = self._step
         execute_read_batch = self.engine.execute_read_batch
@@ -447,11 +392,12 @@ class SSD:
         record_latencies = self.stats.record_latencies
         log = self._log
         heapreplace = heapq.heapreplace
-        for lpns, klass, request_at in _iter_request_chunks(requests, batch):
-            for seg_start, seg_end, kind in _segments(klass):
-                planner = begin_read_run(lpns[seg_start:seg_end]) if kind == _RUN_READ else None
+        for lpns, segments, requests_of in _iter_request_chunks(requests, batch):
+            for seg_start, seg_end, is_read in segments:
+                planner = begin_read_run(lpns[seg_start:seg_end]) if is_read else None
                 pos = seg_start
                 while pos < seg_end:
+                    stop = seg_end
                     if planner is not None:
                         k, data_chips, trans_chips, trans_ppns, computes = planner.take()
                         if k:
@@ -473,20 +419,21 @@ class SSD:
                             pos += k
                             if pos >= seg_end:
                                 break
-                    # Writes, multi-page reads, a design with no read planner
-                    # (every design but LearnedFTL), or the planner refused
-                    # the request at the cursor: the request step, then
-                    # resume batching after it.
-                    heapreplace(thread_free, step(request_at(pos), thread_free[0]))
-                    completed += 1
-                    if progress is not None and completed % 10_000 == 0:
-                        progress(completed)
-                    pos += 1
+                        # The planner refused the request at the cursor.
+                        stop = pos + 1
+                    for request in requests_of(slice(pos, stop)):
+                        heapreplace(thread_free, step(request, thread_free[0]))
+                        completed += 1
+                        if progress is not None and completed % 10_000 == 0:
+                            progress(completed)
                     if planner is not None:
                         planner.skip()
+                    pos = stop
                 # Free the run's columns before the next run gathers its own.
                 planner = None
-        return completed
+        self._clock_us = max(self._clock_us, max(thread_free))
+        self.stats.finish_time_us = self._clock_us
+        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
 
     def replay(
         self,

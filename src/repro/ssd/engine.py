@@ -17,7 +17,7 @@ directly: per command it reads one integer code and one chip index, looks the
 latency up in a code-indexed table and buckets the statistics with a single
 list increment — no command objects, no enum dispatch.
 
-The batched device loop's read-planner takes run through
+The closed loop's read-planner takes run through
 :meth:`TimingEngine.execute_read_batch`, a specialization of the buffer loop
 for the one-command-per-stage shapes read planners emit.  It returns
 per-request ``(issues, latencies)`` columns, which is everything the device's

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -102,16 +102,13 @@ OP_READ_CODE, OP_WRITE_CODE = 0, 1
 class RequestBatch:
     """Columnar batch of host requests (NumPy ``op``/``lpn``/``npages`` columns).
 
-    The batched execution kernel classifies and translates whole request
-    arrays at once, so workload generators materialize their streams into
-    this structure instead of one :class:`HostRequest` object per request.
-    ``ops`` holds :data:`OP_READ_CODE`/:data:`OP_WRITE_CODE` per request and
-    ``npages`` at least 1; the constructor refuses any other value with a
-    ``ValueError`` naming the first offending index.
-
-    The batch iterates (and indexes) as :class:`HostRequest` values, so every
-    scalar consumer — ``SSD.run`` without ``batch=``, tests, reports — accepts
-    a batch wherever it accepts a request iterable.
+    :meth:`repro.ssd.device.SSD.run` takes one wherever it takes a request
+    iterable: it splits the columns into read runs and everything else
+    without a request object, and builds :class:`HostRequest` values only
+    for the requests the request step serves.  ``ops`` holds
+    :data:`OP_READ_CODE`/:data:`OP_WRITE_CODE` per request and ``npages`` at
+    least 1; the constructor refuses any other value with a ``ValueError``
+    naming the first offending index.
     """
 
     __slots__ = ("ops", "lpns", "npages")
@@ -164,23 +161,8 @@ class RequestBatch:
             np.full(lpns.shape[0], npages, dtype=np.int64),
         )
 
-    # ----------------------------------------------------------- scalar view
     def __len__(self) -> int:
         return self.ops.shape[0]
-
-    def __getitem__(self, index: int) -> HostRequest:
-        return HostRequest(
-            OpType.READ if self.ops[index] == OP_READ_CODE else OpType.WRITE,
-            int(self.lpns[index]),
-            int(self.npages[index]),
-        )
-
-    def __iter__(self) -> Iterator[HostRequest]:
-        read_op, write_op = OpType.READ, OpType.WRITE
-        for op, lpn, npages in zip(
-            self.ops.tolist(), self.lpns.tolist(), self.npages.tolist()
-        ):
-            yield HostRequest(read_op if op == OP_READ_CODE else write_op, lpn, npages)
 
 
 class CommandKind(enum.Enum):

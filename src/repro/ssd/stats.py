@@ -141,8 +141,8 @@ class SimulationStats:
 
         The single bulk-capable accounting path of the latency populations:
         the closed-loop runner, the open-loop replayer and ``submit`` all call
-        this (or :meth:`record_latencies` for batches), so the scalar and
-        batched execution paths cannot drift in how latencies land.
+        this (or :meth:`record_latencies` for the read kernel), so the request
+        step and the read kernel cannot drift in how latencies land.
         """
         if is_read:
             self.read_latencies_us.append(latency_us)

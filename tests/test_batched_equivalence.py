@@ -1,12 +1,17 @@
-"""Batched-vs-scalar equivalence suite for the vectorized request kernel.
+"""Planner-vs-step equivalence suite for the closed loop's read kernel.
 
-``SSD.run(..., batch=N)`` is required to be *bit-identical* to the scalar
-loop: same statistics fingerprint, same per-request latency populations, same
-final clock and chip timelines — for every FTL design, any batch size and any
-thread count.  The workload here is deliberately hostile to the fast path: it
-mixes GC-triggering overwrites, a read storm that churns the CMT (hits,
-misses, evictions) and multi-page requests, so batches straddle every
-fallback boundary the planner draws.
+``SSD.run`` serves a read run through LearnedFTL's read planner or through
+the request step, and must be *bit-identical* either way: same statistics
+fingerprint, same per-request latency populations, same final clock and chip
+timelines — for every FTL design, any chunk length (``batch``) and any thread
+count.  The reference is ``batch=1``: every chunk is one request, a read run
+of one is below the planner's break-even, so every request takes the step.
+Tests that compare against it pin the break-even to 1
+(:func:`read_runs.plan_every_run`), so short runs are planned too and
+refusals land at every position.  The workload here is deliberately hostile
+to the fast path: it mixes GC-triggering overwrites, a read storm that
+churns the CMT (hits, misses, evictions) and multi-page requests, so chunks
+straddle every fallback boundary the planner draws.
 """
 
 from __future__ import annotations
@@ -19,7 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_workload import golden_geometry
+from read_runs import plan_every_run
 from repro import SSD, SSDGeometry
+from repro.core import learnedftl
+from repro.core.batch import GroupedReadPlanner
+from repro.nand.errors import ConfigurationError
 from repro.replay import state_fingerprint
 from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
 from repro.workloads.fio import FioJob
@@ -99,7 +108,7 @@ def _fingerprint(ssd: SSD) -> dict:
     }
 
 
-def _run(ftl_name: str, threads: int, batch: int | None) -> dict:
+def _run(ftl_name: str, threads: int, batch: int) -> dict:
     geometry = golden_geometry()
     ssd = SSD.create(ftl_name, geometry)
     ssd.fill_sequential(io_pages=16)
@@ -109,15 +118,15 @@ def _run(ftl_name: str, threads: int, batch: int | None) -> dict:
     return _fingerprint(ssd)
 
 
-#: Scalar references, memoized per (ftl, threads): 10 scalar runs serve all
-#: 40 batched comparisons.
+#: Scalar references (``batch=1``, the break-even unpinned), memoized per
+#: (ftl, threads): 10 scalar runs serve all 40 batched comparisons.
 _scalar_cache: dict[tuple[str, int], dict] = {}
 
 
 def _scalar_reference(ftl_name: str, threads: int) -> dict:
     key = (ftl_name, threads)
     if key not in _scalar_cache:
-        _scalar_cache[key] = _run(ftl_name, threads, None)
+        _scalar_cache[key] = _run(ftl_name, threads, 1)
     return _scalar_cache[key]
 
 
@@ -125,7 +134,9 @@ def _scalar_reference(ftl_name: str, threads: int) -> dict:
 @pytest.mark.parametrize("threads", (1, 4))
 @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
 def test_batched_matches_scalar(ftl_name: str, threads: int, batch: int) -> None:
-    assert _run(ftl_name, threads, batch) == _scalar_reference(ftl_name, threads)
+    reference = _scalar_reference(ftl_name, threads)
+    with plan_every_run():
+        assert _run(ftl_name, threads, batch) == reference
 
 
 @pytest.mark.parametrize("pattern", ("randread", "randwrite"))
@@ -172,8 +183,6 @@ def test_mixed_batch_source_matches_object_stream(ftl_name: str) -> None:
 
 
 def test_invalid_batch_rejected() -> None:
-    from repro.nand.errors import ConfigurationError
-
     ssd = SSD.create("ideal", golden_geometry())
     with pytest.raises(ConfigurationError):
         ssd.run([], batch=0)
@@ -181,26 +190,91 @@ def test_invalid_batch_rejected() -> None:
         ssd.run([], batch=16, threads=0)
 
 
+def test_batch_none_is_refused_by_name() -> None:
+    """``batch`` is the chunk length, not a path switch: ``None`` is refused."""
+    ssd = SSD.create("learnedftl", golden_geometry())
+    with pytest.raises(ConfigurationError, match="batch"):
+        ssd.run(RequestBatch.reads(np.arange(8, dtype=np.int64)), batch=None)
+
+
 def test_progress_marks_match_scalar() -> None:
-    """Batched mode fires progress at the same 10k-request marks as scalar.
+    """Planned runs fire progress at the same 10k-request marks as the step.
 
     The marks must be emitted inside the chunk loop — a single planner step
     spanning a mark still reports it — so a 25k-request run reports exactly
-    [10000, 20000] in both modes even with a batch size that never divides
+    [10000, 20000] either way, even with a chunk length that never divides
     10_000.
     """
     geometry = golden_geometry()
     lpns = np.arange(25_000, dtype=np.int64) % geometry.num_logical_pages
     marks = {}
-    for mode, batch in (("scalar", None), ("batched", 4096), ("batched_odd", 777)):
-        ssd = SSD.create("ideal", geometry)
+    for mode, batch in (("scalar", 1), ("batched", 4096), ("batched_odd", 777)):
+        ssd = SSD.create("learnedftl", geometry)
         ssd.fill_sequential(io_pages=16)
         seen: list[int] = []
-        ssd.run(RequestBatch.reads(lpns), threads=4, batch=batch, progress=seen.append)
+        with plan_every_run(mode != "scalar"):
+            ssd.run(RequestBatch.reads(lpns), threads=4, batch=batch, progress=seen.append)
         marks[mode] = seen
     assert marks["scalar"] == [10_000, 20_000]
     assert marks["batched"] == marks["scalar"]
     assert marks["batched_odd"] == marks["scalar"]
+
+
+class _CountedPlanner(GroupedReadPlanner):
+    """A :class:`GroupedReadPlanner` that records each run it is built for."""
+
+    built: list[int] = []
+
+    def __init__(self, ftl, lpns) -> None:
+        _CountedPlanner.built.append(len(lpns))
+        super().__init__(ftl, lpns)
+
+
+def test_read_runs_below_the_break_even_are_not_planned(monkeypatch) -> None:
+    """A read run one shorter than the break-even builds no planner and is
+    served by the step; a run of exactly the break-even builds one."""
+    monkeypatch.setattr(learnedftl, "GroupedReadPlanner", _CountedPlanner)
+    monkeypatch.setattr(_CountedPlanner, "built", [])
+    ssd = SSD.create("learnedftl", golden_geometry())
+    ssd.fill_sequential(io_pages=16)
+    minimum = learnedftl._MIN_READ_RUN
+    short = np.arange(minimum - 1, dtype=np.int64)
+    ssd.run(RequestBatch.reads(short), threads=2)
+    assert _CountedPlanner.built == []
+    assert ssd.stats.host_read_requests == minimum - 1
+    # A write ends the short run, the long one follows in the same chunk.
+    requests = RequestBatch(
+        np.r_[np.zeros(minimum - 1), OP_WRITE_CODE, np.zeros(minimum)].astype(np.int8),
+        np.arange(2 * minimum, dtype=np.int64),
+        np.ones(2 * minimum, dtype=np.int64),
+    )
+    ssd.run(requests, threads=2)
+    assert _CountedPlanner.built == [minimum]
+
+
+@pytest.mark.parametrize("batch", (1, 7, 64))
+def test_a_generator_is_pulled_at_most_one_chunk_ahead(batch: int) -> None:
+    """A generator source is buffered one chunk at a time: when request ``i``
+    is pulled, every request before its chunk has already been served."""
+    geometry = golden_geometry()
+    ssd = SSD.create("learnedftl", geometry)
+    ssd.fill_sequential(io_pages=16)
+    ssd.reset_stats()
+    stats = ssd.stats
+    served_at_pull: list[int] = []
+    rng = random.Random(SEED)
+
+    def source():
+        for _ in range(500):
+            served_at_pull.append(len(stats.read_latencies_us) + len(stats.write_latencies_us))
+            op = OpType.WRITE if rng.random() < 0.1 else OpType.READ
+            yield HostRequest(op=op, lpn=rng.randrange(geometry.num_logical_pages))
+
+    with plan_every_run():
+        assert ssd.run(source(), threads=2, batch=batch).requests == 500
+    assert [i - served for i, served in enumerate(served_at_pull)] == [
+        i % batch for i in range(500)
+    ]
 
 
 def _clean_warm_dftl():
@@ -278,7 +352,8 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     lookups_before = ftl.stats.model_lookups
     model_hits_before = ftl.stats.model_hits
 
-    planner = ftl.begin_read_run(run)
+    with plan_every_run():
+        planner = ftl.begin_read_run(run)
     k, data_chips, trans_chips, trans_ppns, computes = planner.take()
 
     assert k == 8
@@ -298,7 +373,8 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     assert ftl.stats.model_hits == model_hits_before
     # The run is now cached: a second take is all hits, with no translation
     # column at all (the engine's data-only branch).
-    k2, _, trans_chips2, trans_ppns2, _ = ftl.begin_read_run(run).take()
+    with plan_every_run():
+        k2, _, trans_chips2, trans_ppns2, _ = ftl.begin_read_run(run).take()
     assert (k2, trans_ppns2, trans_chips2) == (8, [], None)
 
 
@@ -313,7 +389,7 @@ def _pinned_workload(kind: str, geometry) -> RequestBatch:
     return RequestBatch(ops=ops, lpns=lpns, npages=np.ones(2000, dtype=np.int64))
 
 
-def _pinned_fingerprint(ftl_name: str, kind: str, batch: int | None) -> tuple:
+def _pinned_fingerprint(ftl_name: str, kind: str, batch: int) -> tuple:
     geometry = golden_geometry()
     ssd = SSD.create(ftl_name, geometry)
     ssd.fill_sequential(io_pages=16)
@@ -375,8 +451,10 @@ PINNED: dict[tuple[str, str], tuple] = {
 @pytest.mark.parametrize("ftl_name,kind", sorted(PINNED))
 def test_pinned_batched_fingerprints(ftl_name: str, kind: str) -> None:
     golden = tuple(PINNED[(ftl_name, kind)])
-    assert _pinned_fingerprint(ftl_name, kind, 64) == golden
-    assert _pinned_fingerprint(ftl_name, kind, None) == golden
+    with plan_every_run():
+        assert _pinned_fingerprint(ftl_name, kind, 64) == golden
+    assert _pinned_fingerprint(ftl_name, kind, 1) == golden
+    assert _pinned_fingerprint(ftl_name, kind, 4096) == golden
 
 
 #: One segment of a random interleaving: its op mix, length, share of
@@ -418,16 +496,17 @@ def test_random_interleavings_match_scalar(ftl_name, segments, batch, threads):
     """Batched == scalar after any interleaving of reads and writes.
 
     Segments of single- and multi-page reads and writes, long enough to reach
-    GC and CMT eviction, so read planners are built right after scalar writes
-    in the same chunk at random boundaries.
+    GC and CMT eviction, so read planners (of runs of any length) are built
+    right after scalar writes in the same chunk at random boundaries.
     """
     geometry = SSDGeometry.small()
     requests = _interleaving(geometry, segments)
     results = []
-    for mode in (None, batch):
+    for mode in (1, batch):
         ssd = SSD.create(ftl_name, geometry)
         ssd.fill_sequential()
-        ssd.run(requests, threads=threads, batch=mode)
+        with plan_every_run(mode > 1):
+            ssd.run(requests, threads=threads, batch=mode)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary(), ssd.now_us))
         ssd.verify()
     assert results[1] == results[0]
@@ -458,12 +537,12 @@ def test_planner_columns_hold_across_flushes_and_pool_gc() -> None:
         npages=np.ones(2200, dtype=np.int64),
     )
     results = []
-    for batch in (None, 4096):
+    for batch in (1, 4096):
         ssd = SSD.create("learnedftl", geometry, config=config)
         ssd.fill_sequential(io_pages=16)
         ftl = ssd.ftl
         events: list[tuple[str, int]] = []
-        if batch:
+        if batch > 1:
             begin, flush, collect = (
                 ftl.begin_read_run,
                 ftl._flush_translation_page,
@@ -537,6 +616,7 @@ def test_clear_bits_cost_no_model_call(monkeypatch) -> None:
     monkeypatch.setattr(InPlaceLinearModel, "predict_exact", spy_predict)
     monkeypatch.setattr(ftl.codec, "vppn_to_ppn", no_vppn_to_ppn)
     monkeypatch.setattr(ftl, "_vppn_to_ppn", no_vppn_to_ppn)
+    monkeypatch.setattr(learnedftl, "_MIN_READ_RUN", 1)
     translation_reads = ftl.translation_store.translation_reads
     planner = ftl.begin_read_run(stretch)
     served = 0
@@ -561,7 +641,8 @@ def test_cached_ppn_off_the_directory_is_refused() -> None:
     ssd.run(RequestBatch.writes(np.array([300, 301], dtype=np.int64)), threads=1)
     node = ftl.cmt._pages[300 // ftl._mappings_per_page]
     node[301] = node[301] + 1
-    k = ftl.begin_read_run(np.array([300, 301], dtype=np.int64)).take()[0]
+    with plan_every_run():
+        k = ftl.begin_read_run(np.array([300, 301], dtype=np.int64)).take()[0]
     assert k == 1
 
 
@@ -603,10 +684,12 @@ def test_load_refused_only_when_an_evicted_node_is_dirty(dirty_tvpn, served) -> 
     """
     ssd = _cmt_with_three_nodes(dirty_tvpn)
     assert not ssd.ftl.models[1].can_predict(70)
-    assert ssd.ftl.begin_read_run(np.array([70], dtype=np.int64)).take()[0] == served
+    with plan_every_run():
+        assert ssd.ftl.begin_read_run(np.array([70], dtype=np.int64)).take()[0] == served
     results = []
-    for batch in (None, 64):
+    for planned in (False, True):
         ssd = _cmt_with_three_nodes(dirty_tvpn)
-        ssd.run(RequestBatch.reads(np.array([70], dtype=np.int64)), threads=1, batch=batch)
+        with plan_every_run(planned):
+            ssd.run(RequestBatch.reads(np.array([70], dtype=np.int64)), threads=1)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
     assert results[0] == results[1]

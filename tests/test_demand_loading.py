@@ -4,7 +4,7 @@ TPFTL and LearnedFTL both own one; LearnedFTL's batched read planner calls the
 same policy, observing a read run as columns.  The pin here: with its models off (no sequential
 initialization, no training at GC) LearnedFTL *is* TPFTL at the CMT level —
 the same lookups, hits, outcomes, policy state and CMT occupancy for the same
-read stream, through the scalar loop and through the batched kernel.
+read stream, whether the request step (``batch=1``) or the read planner serves it.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _cmt_view(ssd: SSD) -> dict:
 @pytest.mark.parametrize("overwrite", [False, True], ids=["filled", "overwritten"])
 @pytest.mark.parametrize(
     ("max_pages", "batch"),
-    [(1, None), (1, 512), (7, None), (0, 512)],
+    [(1, 1), (1, 512), (7, 1), (0, 512)],
     ids=["uniform-scalar", "uniform-batched", "1-7-pages", "scans-batched"],
 )
 def test_learnedftl_without_models_is_tpftl_at_the_cmt(overwrite, max_pages, batch):
@@ -77,7 +77,7 @@ def test_learnedftl_without_models_is_tpftl_at_the_cmt(overwrite, max_pages, bat
         if overwrite:
             ssd.run(random_writes(ssd.geometry, 3000, seed=5), threads=1)
         ssd.reset_stats()
-        ssd.run(requests, batch=batch if name == "learnedftl" else None)
+        ssd.run(requests, batch=batch if name == "learnedftl" else 1)
         assert ssd.stats.model_hits == 0
         views[name] = _cmt_view(ssd)
     assert views["learnedftl"] == views["tpftl"]

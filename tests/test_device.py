@@ -87,13 +87,7 @@ class TestCountArguments:
 
     @pytest.mark.parametrize(
         ("argument", "value"),
-        # batch=None is the scalar loop, not a bad count.
-        [
-            (name, value)
-            for name in _COUNT_ARGUMENTS
-            for value in _NOT_COUNTS
-            if (name, value) != ("batch", None)
-        ],
+        [(name, value) for name in _COUNT_ARGUMENTS for value in _NOT_COUNTS],
         ids=repr,
     )
     def test_non_integers_are_refused_by_name(self, tiny_geometry, argument, value):

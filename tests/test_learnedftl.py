@@ -140,13 +140,13 @@ class TestFleetBitColumn:
     def test_padded_rows(self):
         """520-byte pages: 65 mappings per translation page, so each row of
         the column ends in 7 spare bits and the bit of LPN l is l + 7 * tvpn.
-        The scalar and batched reads find the same bits."""
+        The request step and the read planner find the same bits."""
         geometry = SSDGeometry.small(blocks_per_plane=12, pages_per_block=16, page_size=520)
         rng = np.random.default_rng(3)
         writes = rng.integers(0, geometry.num_logical_pages // 2, size=40)
         reads = rng.integers(0, geometry.num_logical_pages, size=1500)
         results = []
-        for batch in (None, 64):
+        for batch in (1, 64):
             ssd = make_ssd("learnedftl", geometry)
             ftl = ssd.ftl
             assert ftl._model_bit_pad == 7

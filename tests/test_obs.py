@@ -7,13 +7,14 @@ The invariants pinned here are the subsystem's whole contract:
 * **non-interference** — running the golden workload with telemetry *and*
   tracing enabled reproduces the pinned fingerprints bit-for-bit, and a run
   with observability disabled never feeds an observer;
-* **one step** — ``submit``, ``run``, ``run(batch=)`` and ``replay`` simulate
-  and observe a single request stream alike;
+* **one step** — ``submit``, ``run`` (whether a read run is planned or
+  stepped) and ``replay`` simulate and observe a single request stream alike;
 * **one log** — the block-at-a-time consumers reproduce the per-request
   attribution they replaced (kept here as the oracle) and the pinned digests
   of five observed runs;
-* **mode equivalence** — the scalar and batched kernels produce bit-identical
-  window series (including the float busy-time/utilization columns);
+* **mode equivalence** — the request step and the read planner's kernel
+  produce bit-identical window series (including the float
+  busy-time/utilization columns);
 * **persistence** — a snapshot/restore between two run calls reproduces the
   exact series of the same two calls without the interruption, and
   ``reset_stats`` realigns the recorder with the new measurement interval.
@@ -29,6 +30,7 @@ import numpy as np
 import pytest
 
 from golden_workload import golden_geometry, run_golden_workload
+from read_runs import plan_every_run
 from repro import SSD
 from repro.nand.errors import ConfigurationError
 from repro.obs.log import BLOCK_REQUESTS, ObservationLog
@@ -228,8 +230,9 @@ def _entry_point_workload(geometry) -> list[HostRequest]:
 
 
 class TestEntryPointsObserveAlike:
-    """``submit``, ``run``, ``run(batch=)`` and ``replay`` share one request step,
-    so a single stream through any of them is simulated *and observed* alike."""
+    """``submit``, ``run`` (planning every read run or none) and ``replay``
+    share one request step, so a single stream through any of them is
+    simulated *and observed* alike."""
 
     #: Low enough that the designs with many translation reads hit the cap.
     TRACE_CAP = 150
@@ -245,7 +248,8 @@ class TestEntryPointsObserveAlike:
         elif entry_point == "run":
             ssd.run(requests, threads=1)
         elif entry_point == "run_batched":
-            ssd.run(requests, threads=1, batch=7)
+            with plan_every_run():
+                ssd.run(requests, threads=1, batch=7)
         else:
             ssd.replay(requests, streams=1)
         return ssd, recorder.series(ssd.stats), tracer.export()
@@ -272,16 +276,17 @@ class TestEntryPointsObserveAlike:
 
 
 class TestModeEquivalence:
-    """Scalar and batched kernels must produce bit-identical window series."""
+    """The request step and the read kernel must produce bit-identical window series."""
 
     def test_scalar_and_batched_series_identical(self, ftl_name):
         def run(batch):
             ssd, recorder = _observed_device(ftl_name)
             ssd.fill_sequential(io_pages=16)
-            ssd.run(_single_page_workload(ssd.geometry), threads=2, batch=batch)
+            with plan_every_run(batch > 1):
+                ssd.run(_single_page_workload(ssd.geometry), threads=2, batch=batch)
             return recorder.series(ssd.stats)
 
-        scalar = run(None)
+        scalar = run(1)
         batched = run(64)
         assert scalar.keys() == batched.keys()
         for column in scalar:
@@ -441,11 +446,12 @@ class TestTraceRecorder:
         tracer = TraceRecorder()
         # Real traced runs: per-block GC (DFTL), then LearnedFTL's group GC,
         # evictions, and translation reads from the step and the planner.
-        for ftl_name, batch in (("dftl", None), ("learnedftl", 16)):
+        for ftl_name, batch in (("dftl", 1), ("learnedftl", 16)):
             ssd, _ = _observed_device(ftl_name, tracer=tracer)
             ssd.fill_sequential(io_pages=16)
-            for phase in _mixed_workload(ssd.geometry):
-                ssd.run(phase, threads=2, batch=batch)
+            with plan_every_run(batch > 1):
+                for phase in _mixed_workload(ssd.geometry):
+                    ssd.run(phase, threads=2, batch=batch)
         tracer.instant("marker", 1.0)
         tracer.instant("marker", 2.5, {"tvpn": 3})
         tracer.instant("marker", 3.0, {})
@@ -549,7 +555,7 @@ class TestBlockTranslationReads:
         dropped = tracer.export()["otherData"]["dropped_events"]
         assert list(dropped) == ["translation_read", "cmt_evict"]
 
-    @pytest.mark.parametrize(("ftl_name", "batch"), [("dftl", None), ("learnedftl", 64)])
+    @pytest.mark.parametrize(("ftl_name", "batch"), [("dftl", 1), ("learnedftl", 64)])
     def test_cap_inside_a_block_on_a_real_run(self, ftl_name, batch):
         def drive(cap):
             tracer = TraceRecorder(max_events_per_name=cap)
@@ -562,7 +568,8 @@ class TestBlockTranslationReads:
             ]
             # Multi-page reads give the step several translation reads per
             # request; the read storm gives the planner several per call.
-            ssd.run(storm + _entry_point_workload(ssd.geometry), threads=1, batch=batch)
+            with plan_every_run(batch > 1):
+                ssd.run(storm + _entry_point_workload(ssd.geometry), threads=1, batch=batch)
             return tracer, recorder.series(ssd.stats)
 
         uncapped, series = drive(10**9)
@@ -672,7 +679,8 @@ def _golden_run(case: str, tmp_path) -> tuple[str, str]:
             request.stream_id = rng.randrange(4)
         ssd.replay(requests, streams=4)
     else:
-        ssd.run(requests, threads=4, batch=512 if case == "batched" else None)
+        with plan_every_run(case == "batched"):
+            ssd.run(requests, threads=4, batch=512 if case == "batched" else 1)
     return _golden_digests(recorder, ssd.stats, tracer, tmp_path)
 
 
@@ -891,7 +899,8 @@ class TestPerRequestOracle:
                 request.stream_id = rng.randrange(3)
             ssd.replay(requests, streams=3)
         else:
-            ssd.run(requests, threads=3, batch=97 if mode == "batched" else None)
+            with plan_every_run(mode == "batched"):
+                ssd.run(requests, threads=3, batch=97 if mode == "batched" else 1)
         trace = ssd.tracer.export()
         assert recorder.series(ssd.stats) == oracle.series(ssd.stats)
         assert trace["traceEvents"] == oracle.events

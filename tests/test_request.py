@@ -209,9 +209,11 @@ class TestRequestBatch:
         source = self._requests()
         batch = self._batch()
         assert len(batch) == 3
-        assert list(batch) == source
-        assert batch[1] == source[1]
-        assert batch[-1] == source[-1]
+        assert batch.ops.tolist() == [
+            OP_READ_CODE if r.op is OpType.READ else OP_WRITE_CODE for r in source
+        ]
+        assert batch.lpns.tolist() == [r.lpn for r in source]
+        assert batch.npages.tolist() == [r.npages for r in source]
 
     def test_reads_factory(self):
         from repro.ssd.request import OP_READ_CODE, RequestBatch
@@ -220,7 +222,7 @@ class TestRequestBatch:
         assert len(batch) == 3
         assert (batch.ops == OP_READ_CODE).all()
         assert batch.npages.tolist() == [1, 1, 1]
-        assert all(r.op is OpType.READ and r.npages == 1 for r in batch)
+        assert batch.lpns.tolist() == [5, 6, 7]
 
     def test_mismatched_columns_rejected(self):
         from repro.ssd.request import RequestBatch
@@ -228,9 +230,17 @@ class TestRequestBatch:
         with pytest.raises(ValueError):
             RequestBatch([0, 0], [1, 2, 3], [1, 1, 1])
 
-    def test_scalar_consumers_accept_a_batch(self):
-        """A batch is a request iterable: the scalar run loop needs no changes."""
-        assert sum(r.npages for r in self._batch()) == 11
+    def test_scalar_consumers_accept_a_batch(self, tiny_geometry):
+        """``SSD.run`` takes a batch wherever it takes a request iterable:
+        the batch and the same request objects leave the same device."""
+        results = []
+        for source in (self._batch(), self._requests()):
+            ssd = SSD.create("learnedftl", tiny_geometry)
+            ssd.fill_sequential(io_pages=16)
+            result = ssd.run(source, threads=2)
+            results.append((result.requests, ssd.now_us, ssd.stats.summary()))
+        assert results[0] == results[1]
+        assert results[0][0] == 3 and results[0][2]["host_read_pages"] == 9
 
 
 #: (layer, op, npages): a page count below one on both layers and both ops,
