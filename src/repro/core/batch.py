@@ -1,37 +1,36 @@
 """Array-at-a-time read planner: the FTL layer of the closed loop's read kernel.
 
 The device's closed loop (``SSD.run``) splits each request chunk into
-maximal runs of single-page reads and everything else, and asks the FTL for
-a *planner* over each read run
-(:meth:`repro.core.base.FTLBase.begin_read_run`); LearnedFTL builds one for
-runs from a measured break-even length on.  Writes have no planner:
-each FTL states its write path once, in ``write``, and the device serves
-every write through the request step.  A planner front-loads the
-vectorizable work — NumPy gathers over the whole run — and then serves the
-run incrementally through :meth:`take`:
+maximal runs of single-page reads and everything else.  For a chunk that
+holds a read run it asks the FTL, once, for a *planner* over the whole chunk
+(:meth:`repro.core.base.FTLBase.begin_read_run`); LearnedFTL builds one.
+The planner front-loads the vectorizable work — NumPy gathers over the
+chunk's columns — and a read run is then a cursor range over those columns,
+served incrementally:
 
-* :meth:`take` consumes requests from the current cursor for as long as the
-  fast-path predicate holds, applying **exactly** the cache/statistics
-  mutations the scalar path would (same LRU moves in the same order, same
-  counter increments), and returns the per-request chip columns the timing
-  engine needs;
+* :meth:`take` consumes requests from the cursor up to the end of the run
+  for as long as the fast-path predicate holds, applying **exactly** the
+  cache/statistics mutations the scalar path would (same LRU moves in the
+  same order, same counter increments), and returns the per-request chip
+  columns the timing engine needs;
 * the first request the predicate rejects is left untouched — the device
   executes it through the request step (``encode``/``execute_buffer``),
-  calls :meth:`skip`, and resumes :meth:`take`.
+  calls :meth:`skip`, and resumes :meth:`take`;
+* every other run of the chunk (writes, multi-page reads) goes through the
+  request step, after which the device calls :meth:`refresh`.
 
-The cursor design matters: the expensive gathers happen once per run, not once
-per fallback, so a run that alternates fast and slow requests degrades to the
-scalar path's cost instead of quadratic re-planning.
+Writes have no planner: each FTL states its write path once, in ``write``.
+The gathers happen once per chunk, not once per run or per fallback, so a
+chunk of short read runs between writes pays the fixed NumPy cost once.
 
-Why the pre-gathered columns hold for the whole run: within a run every
-request is a single-page read, and a run never spans a write (writes end a
-run; the next read run gathers afresh).  A read served by :meth:`take` only
-moves CMT entries, loads clean mappings and counts; a refused read runs the
-scalar step, which may in addition write back the translation page of a
-dirty CMT eviction and collect a translation-pool block to make room for it.
-None of these touches the mapping directory, a model (its pieces or its
-bitmap bits) or a data page's state, so these columns are gathered once, at
-construction:
+Why the pre-gathered columns hold, and when they are refreshed.  A read
+served by :meth:`take` only moves CMT entries, loads clean mappings and
+counts; a refused read runs the scalar step, which may in addition write
+back the translation page of a dirty CMT eviction and collect a
+translation-pool block to make room for it.  A multi-page read does the
+same.  None of these touches the mapping directory, a model (its pieces or
+its bitmap bits) or a data page's state, so these columns, gathered at
+construction, hold across every read:
 
 * the **directory PPN** of every request, and whether that data page can be
   read (mapped and not ``PAGE_FREE``);
@@ -40,12 +39,24 @@ construction:
   cached PPN differs from it is refused);
 * its **model bit** and the **VPPN** a set bit's prediction must equal, as
   one column: the VPPN of its directory PPN where the bit (read from
-  LearnedFTL's fleet bit column) is set, ``-1`` where it is clear.  Model
-  bits change only on writes, group GC and sequential initialization, and
-  ``ppn_to_vppn`` is a bijection, so comparing VPPNs is comparing PPNs;
-* the loading policy's post-observation **depths**, because every request of
-  the run is observed exactly once, as one page, whether :meth:`take` or the
-  scalar fallback serves it.
+  LearnedFTL's fleet bit column) is set, ``-1`` where it is clear.
+  ``ppn_to_vppn`` is a bijection, so comparing VPPNs is comparing PPNs.
+
+Writes change them, and :meth:`refresh` re-reads only what a run of writes
+could have changed.  A single-page write that runs no group GC, trains no
+model and is too short for sequential initialization moves only its own
+LPN: to a freshly programmed page, with its model bit cleared.  So the later
+read positions of that LPN are patched in place.  A group GC (relocations,
+erases and the only retraining, seen as a new entry in the statistics' GC
+events) or a multi-page write (sequential initialization) can move any LPN
+or set any bit of its entries, so the rest of the chunk is gathered again.
+
+The loading policy's post-observation **depths** hold for the whole chunk
+without refresh: LearnedFTL observes every request exactly once, in order,
+with its ``(lpn, npages)``, whichever path serves it (the request step's
+``read``/``write`` observe it; :meth:`take` commits what it serves), so
+:meth:`~repro.core.cmt.LoadingPolicy.observe_run` over the chunk's LPN and
+page-count columns gives every request's depth up front.
 
 What a fallback *does* change — cache dicts, the CMT's dirty sets and size,
 translation-page locations and states — the planner re-reads live, per
@@ -55,8 +66,7 @@ LearnedFTL is the one design with a read planner,
 :class:`GroupedReadPlanner`: it serves CMT hits, model hits and double-read
 misses whose prefetch-load evicts no dirty node.  TPFTL's loading policy
 (:class:`~repro.core.cmt.LoadingPolicy`) states its rules once and the
-planner calls them: :meth:`~repro.core.cmt.LoadingPolicy.observe_run` gives
-the depth column up front, a miss builds its batch with
+planner calls them: a miss builds its batch with
 :meth:`~repro.core.cmt.LoadingPolicy.scan` and loads it with
 :meth:`~repro.core.cmt.PageGroupedCMT.load_node`, and each :meth:`take`
 commits its accepted requests' observations once
@@ -82,7 +92,7 @@ import numpy as np
 
 from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES
 from repro.nand.flash import PAGE_FREE
-from repro.ssd.request import ReadOutcome
+from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, ReadOutcome
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.learnedftl import LearnedFTL
@@ -95,39 +105,48 @@ _OUT_DOUBLE_READ = ReadOutcome.DOUBLE_READ.code
 
 
 class GroupedReadPlanner:
-    """LearnedFTL's read-run planner: CMT hits, model hits and double reads.
+    """LearnedFTL's read planner over one request chunk: CMT hits, model hits
+    and double reads.
 
     Over the two-level CMT, a CMT miss consults the group's in-place model
     exactly as the scalar ``_translate_read`` does, including the
     per-request compute charges.
 
-    The constructor gathers, for every request of the run, what no read and
-    no scalar fallback inside the run can change (see the module docstring):
-    its directory PPN (``-2`` where the data page is unmapped or free, which
-    the fast path refuses), that page's chip, and the VPPN a model hit must
-    predict (``-1`` where the model bit is clear).  It also takes every
-    request's post-observation prefetch depth from
-    :meth:`~repro.core.cmt.LoadingPolicy.observe_run`.  :meth:`take` then
-    only walks the CMT: a clear bit is a double read without a model call, a
-    set bit one ``predict_exact`` compared with the gathered VPPN.  A miss
-    whose load would evict a dirty node is refused before anything is
-    loaded; :meth:`take` then commits the observations of the requests it
+    The constructor gathers, for every request of the chunk, what no read
+    can change (see the module docstring): its directory PPN (``-2`` where
+    the data page is unmapped or free, which the fast path refuses), that
+    page's chip, and the VPPN a model hit must predict (``-1`` where the
+    model bit is clear); :meth:`refresh` re-reads what a run of writes
+    changed.  It also takes every request's post-observation prefetch depth
+    from :meth:`~repro.core.cmt.LoadingPolicy.observe_run`.  :meth:`take`
+    then only walks the CMT: a clear bit is a double read without a model
+    call, a set bit one ``predict_exact`` compared with the gathered VPPN.
+    A miss whose load would evict a dirty node is refused before anything
+    is loaded; :meth:`take` then commits the observations of the requests it
     accepted, leaving the refused one for the scalar fallback.
     """
 
     __slots__ = (
+        "_ftl",
         "_pages",
+        "_lpn_column",
+        "_tvpn_column",
         "_lpns",
         "_tvpns",
         "_ppns",
         "_chips",
         "_vppns",
-        "_n",
+        "_ops",
+        "_npages",
+        "_later_reads",
         "_pos",
         "_page_state",
         "_chip_stride",
+        "_dir_column",
         "_flash",
         "_stats",
+        "_gc_events",
+        "_sequential_init_pages",
         "_policy",
         "_depths",
         "_length_sums",
@@ -142,40 +161,44 @@ class GroupedReadPlanner:
         "_predict_us",
     )
 
-    def __init__(self, ftl: "LearnedFTL", lpns: np.ndarray) -> None:
+    def __init__(
+        self, ftl: "LearnedFTL", ops: np.ndarray, lpns: np.ndarray, npages: np.ndarray
+    ) -> None:
+        self._ftl = ftl
         flash = ftl.flash
-        chip_stride = flash._chip_stride
-        tvpns = lpns // ftl._mappings_per_page
+        stats = ftl.stats
+        self._lpn_column = lpns
+        self._tvpn_column = tvpns = lpns // ftl._mappings_per_page
         self._lpns = lpns.tolist()
         self._tvpns = tvpns.tolist()
-        # The directory, the data pages' states and the model bits hold for
-        # the whole run (module docstring), so every check on them is made here.
-        ppns = ftl.directory.lookup_many(lpns)
-        page_state = np.frombuffer(flash._page_state, dtype=np.uint8)
-        readable = ppns >= 0
-        readable[readable] = page_state[ppns[readable]] != PAGE_FREE
-        self._ppns = np.where(readable, ppns, -2).tolist()
-        self._chips = (ppns // chip_stride).tolist()
-        # One column for the model bit and the VPPN a set bit must predict:
-        # -1 where the bit is clear (or the page unreadable, refused first).
-        bits = lpns + tvpns * ftl._model_bit_pad
-        model_bits = np.frombuffer(ftl._model_bits, dtype=np.uint8)
-        predictable = readable & ((model_bits[bits >> 3] >> (bits & 7)) & 1 == 1)
-        vppns = np.full(len(lpns), -1, dtype=np.int64)
-        vppns[predictable] = ftl.codec.ppn_to_vppn_many(ppns[predictable])
-        self._vppns = vppns.tolist()
-        # Every request of the run is observed once, as one page, whether
-        # take() or the scalar fallback serves it, so the loading policy's
-        # post-observation columns are known up front.
+        self._ops = ops.tolist()
+        self._npages = npages.tolist()
+        self._chip_stride = flash._chip_stride
+        self._ppns: list[int] = []
+        self._chips: list[int] = []
+        self._vppns: list[int] = []
+        self._gather(0)
+        # The read positions of every LPN a single-page write of the chunk
+        # writes: the entries a write's refresh patches.
+        written = lpns[(ops == OP_WRITE_CODE) & (npages == 1)]
+        self._later_reads: dict[int, list[int]] = {}
+        if written.size:
+            reads = (ops == OP_READ_CODE) & (npages == 1)
+            for position in np.flatnonzero(reads & np.isin(lpns, written)).tolist():
+                self._later_reads.setdefault(self._lpns[position], []).append(position)
+        # LearnedFTL observes every request of the chunk once, in order, with
+        # its (lpn, npages), whichever path serves it, so the loading
+        # policy's post-observation columns are known up front.
         policy = self._policy = ftl.loading
-        self._depths, self._length_sums, self._streaks = policy.observe_run(lpns)
-        self._n = len(self._lpns)
+        self._depths, self._length_sums, self._streaks = policy.observe_run(lpns, npages)
         self._pos = 0
         self._pages = ftl._cmt_pages
         self._page_state = flash._page_state
-        self._chip_stride = chip_stride
+        self._dir_column = ftl._dir_column
         self._flash = flash
-        self._stats = ftl.stats
+        self._stats = stats
+        self._gc_events = len(stats.gc_events)
+        self._sequential_init_pages = ftl.config.sequential_init_min_pages
         cmt = ftl.cmt
         self._cmt = cmt
         self._capacity = cmt.capacity_entries
@@ -186,8 +209,62 @@ class GroupedReadPlanner:
         self._bitmap_check_us = ftl._bitmap_check_us
         self._predict_us = ftl._predict_us
 
-    def take(self):
-        """Process requests from the cursor while the fast-path predicate holds.
+    def _gather(self, start: int) -> None:
+        """(Re)read the directory, data-page, chip and model-bit columns of
+        the chunk's requests from position ``start`` on."""
+        ftl = self._ftl
+        lpns = self._lpn_column[start:]
+        tvpns = self._tvpn_column[start:]
+        ppns = ftl.directory.lookup_many(lpns)
+        page_state = np.frombuffer(ftl.flash._page_state, dtype=np.uint8)
+        readable = ppns >= 0
+        readable[readable] = page_state[ppns[readable]] != PAGE_FREE
+        # One column for the model bit and the VPPN a set bit must predict:
+        # -1 where the bit is clear (or the page unreadable, refused first).
+        bits = lpns[readable] + tvpns[readable] * ftl._model_bit_pad
+        model_bits = np.frombuffer(ftl._model_bits, dtype=np.uint8)
+        predictable = readable.copy()
+        predictable[readable] = (model_bits[bits >> 3] >> (bits & 7)) & 1 == 1
+        vppns = np.full(len(lpns), -1, dtype=np.int64)
+        vppns[predictable] = ftl.codec.ppn_to_vppn_many(ppns[predictable])
+        self._ppns[start:] = np.where(readable, ppns, -2).tolist()
+        self._chips[start:] = (ppns // self._chip_stride).tolist()
+        self._vppns[start:] = vppns.tolist()
+
+    def refresh(self, start: int, end: int) -> None:
+        """Move the cursor past requests ``start .. end - 1``, which the
+        device just served through the request step, and re-read what they
+        changed (see the module docstring)."""
+        self._pos = end
+        gc_events = len(self._stats.gc_events)
+        if gc_events != self._gc_events:
+            self._gc_events = gc_events
+            self._gather(end)
+            return
+        ops = self._ops
+        npages = self._npages
+        written = []
+        for i in range(start, end):
+            if ops[i] == OP_WRITE_CODE:
+                if npages[i] > 1 or npages[i] >= self._sequential_init_pages:
+                    self._gather(end)
+                    return
+                written.append(self._lpns[i])
+        later_reads = self._later_reads
+        column = self._dir_column
+        chip_stride = self._chip_stride
+        for lpn in written:
+            # Mapped to the page the write just programmed, its bit cleared.
+            ppn = column[lpn]
+            for position in later_reads.get(lpn, ()):
+                if position >= end:
+                    self._ppns[position] = ppn
+                    self._chips[position] = ppn // chip_stride
+                    self._vppns[position] = -1
+
+    def take(self, end: int):
+        """Process requests from the cursor, up to ``end`` (the end of its read
+        run), while the fast-path predicate holds.
 
         Returns ``(k, data_chips, trans_chips, trans_ppns, computes)``: ``k``
         requests were completed, ``data_chips[i]`` is request ``i``'s
@@ -198,7 +275,7 @@ class GroupedReadPlanner:
         compute column, or ``None`` when prediction time is not charged.
         """
         i = pos = self._pos
-        n = self._n
+        n = end
         if i >= n:
             return 0, [], None, [], None
         trans_chips: list[int] = []

@@ -385,9 +385,10 @@ class LoadingPolicy:
     depth quickly, random 4 KB reads stay at depth 2.
 
     LearnedFTL's batched read planner (:class:`repro.core.batch.GroupedReadPlanner`)
-    observes a run of single-page reads as columns: :meth:`observe_run` gives
-    every request's post-observation depth in one NumPy pass and
-    :meth:`commit_run` leaves what that many :meth:`observe` calls leave.  A
+    observes a request chunk as columns: :meth:`observe_run` gives every
+    request's post-observation depth in one NumPy pass, and
+    :meth:`commit_run` leaves what :meth:`observe` calls over a stretch of
+    the chunk's single-page reads leave.  A
     miss in either path builds its batch with :meth:`scan` and loads it with
     :meth:`PageGroupedCMT.load_node`.
     """
@@ -454,29 +455,32 @@ class LoadingPolicy:
         depth = int(round(self.length_sum / window * 2)) + 2 * self.streak
         return depth if depth < self.ceiling else self.ceiling
 
-    def observe_run(self, lpns: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-        """Columns of ``observe(lpn, 1)`` over a run of single-page reads.
+    def observe_run(
+        self, lpns: np.ndarray, npages: np.ndarray
+    ) -> tuple[list[int], list[int], list[int]]:
+        """Columns of ``observe(lpn, npages)`` over a run of requests.
 
         Returns ``(depths, length_sums, streaks)``: entry ``i`` is what
         :meth:`depth`, :attr:`length_sum` and :attr:`streak` read after the
         run's first ``i + 1`` requests are observed, one at a time, from the
         current state.  Nothing is changed; :meth:`commit_run` applies a
-        prefix.
+        stretch of single-page requests, :meth:`observe` any other request.
         """
         n = len(lpns)
-        index = np.arange(n, dtype=np.int64)
-        # Window: the kept tail of the current lengths plus min(i + 1, window) ones.
-        held = np.fromiter(self.lengths, dtype=np.int64, count=len(self.lengths))
-        tail_sums = np.concatenate(([0], np.cumsum(held[::-1])))
-        ones = np.minimum(index + 1, self.window)
-        kept = np.minimum(len(held), self.window - ones)
-        sums = tail_sums[kept] + ones
-        widths = kept + ones
+        # Window: the last ``window`` lengths of the held ones then the run's.
+        held = len(self.lengths)
+        lengths = np.concatenate((np.fromiter(self.lengths, np.int64, held), npages))
+        totals = np.concatenate(([0], np.cumsum(lengths)))
+        ends = np.arange(held + 1, held + n + 1, dtype=np.int64)
+        starts = np.maximum(ends - self.window, 0)
+        sums = totals[ends] - totals[starts]
+        widths = ends - starts
         # Streak: +1 (saturating) per request starting where the last one ended.
+        index = np.arange(n, dtype=np.int64)
         continues = np.empty(n, dtype=bool)
-        continues[1:] = lpns[1:] == lpns[:-1] + 1
+        continues[1:] = lpns[1:] == lpns[:-1] + npages[:-1]
         if n:
-            continues[0] = lpns[0] == self.last_end
+            continues[0] = self.last_end is not None and lpns[0] == self.last_end
         last_break = np.maximum.accumulate(np.where(continues, -1, index))
         streaks = index - last_break
         streaks[last_break < 0] += self.streak

@@ -64,21 +64,6 @@ _OUT_CMT_HIT = ReadOutcome.CMT_HIT.code
 _OUT_MODEL_HIT = ReadOutcome.MODEL_HIT.code
 _OUT_DOUBLE_READ = ReadOutcome.DOUBLE_READ.code
 
-#: Shortest run of single-page reads served through the read planner
-#: (:class:`~repro.core.batch.GroupedReadPlanner`) rather than request by
-#: request through the device's request step.  Below it the planner's fixed
-#: cost per run (~120 us of NumPy gathers) and per refusal outweighs the
-#: per-request Python it replaces.  Measured on a 2-core x86-64 VM (CPython
-#: 3.11.7, NumPy 2.4.6), ``SSDGeometry.medium()`` at 25 % OP, 8 threads:
-#: isolated runs of L reads that refuse nothing broke even near L = 24; on
-#: the 95 %-read hotspot stream, whose writes leave dirty CMT nodes the
-#: planner refuses to evict, planning runs of 32 or more ran at 61 k ops/s,
-#: 64 or more at 70 k and never planning at 66 k; at 99 % reads 64 or more
-#: ran at 73 k against 57 k (see docs/architecture.md, "The closed loop and
-#: its read kernel").  Both paths leave bit-identical device state.
-_MIN_READ_RUN = 64
-
-
 class LearnedFTL(FTLBase):
     """The paper's learning-based page-level FTL."""
 
@@ -166,13 +151,11 @@ class LearnedFTL(FTLBase):
         self.loading.observe(request.lpn, request.npages)
         self._encode_read(request)
 
-    def begin_read_run(self, lpns):
+    def begin_read_run(self, ops, lpns, npages):
         """Batch CMT hits, model hits and eviction-free double-read misses of
-        a run of at least :data:`_MIN_READ_RUN` reads; see
+        every read run of a chunk; see
         :class:`repro.core.batch.GroupedReadPlanner`."""
-        if len(lpns) < _MIN_READ_RUN:
-            return None
-        return GroupedReadPlanner(self, lpns)
+        return GroupedReadPlanner(self, ops, lpns, npages)
 
     def _translate_read(self, lpn: int, head_stage: list) -> tuple[int | None, int, float]:
         stats = self.stats

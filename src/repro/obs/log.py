@@ -22,7 +22,11 @@ therefore holds every request in the order the device served it, and a
 consumer sees the same translation reads whichever path served them.
 
 All three columns are flat Python lists that grow by C-level ``extend``
-calls.  Every :data:`BLOCK_REQUESTS` requests — or sooner, once
+calls, from the step and from the read kernel alike: a kernel call covers a
+read run, on ``hotspot_observed`` about 13 requests, too few to repay
+building NumPy columns per call (about 15 small arrays, ≈ 39 µs), so
+:meth:`ObservationLog.append_reads` extends the lists as the step does.
+Every :data:`BLOCK_REQUESTS` requests — or sooner, once
 :data:`BLOCK_OP_SLOTS` command slots are pending (a garbage-collecting write
 carries hundreds of commands) — :meth:`ObservationLog.flush` turns the lists
 into one :class:`Block` of NumPy columns and hands it to the consumers: the
@@ -47,6 +51,8 @@ larger ones mostly grow the pending lists.
 """
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -84,6 +90,12 @@ _CODE_DATA_READ = command_code(CommandKind.READ, CommandPurpose.DATA_READ)
 _CODE_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
 _HIT_CODE = ReadOutcome.CMT_HIT.code
 _MISS_CODE = ReadOutcome.DOUBLE_READ.code
+#: A kernel read's data-read command slots (only the code is read), its
+#: outcome list and its row's constant slots.
+_DATA_READ = (_CODE_DATA_READ, -1, -1, -1)
+_HIT = [_HIT_CODE]
+_ONES = repeat(1)
+_DATA_SLOTS = repeat(OP_STRIDE)
 
 
 class Block:
@@ -164,28 +176,27 @@ class ObservationLog:
         count = len(issues)
         if not count:
             return
+        rows = self.rows
+        ops = self.ops
+        outcomes = self.outcomes
         if trans_chips is None:
-            trans = np.full(count, -1, dtype=np.int64)
+            rows += chain.from_iterable(zip(issues, latencies, _ONES, _DATA_SLOTS, _ONES))
+            ops += _DATA_READ * count
+            outcomes += _HIT * count
         else:
-            trans = np.asarray(trans_chips, dtype=np.int64)
-        miss = trans >= 0
-        rows = np.empty((count, ROW_WIDTH), dtype=np.float64)
-        rows[:, 0] = issues
-        rows[:, 1] = latencies
-        rows[:, 2] = 1.0
-        rows[:, 3] = np.where(miss, 2 * OP_STRIDE, OP_STRIDE)
-        rows[:, 4] = 1.0
-        commands = np.full((count, 2, OP_STRIDE), -1, dtype=np.int64)
-        commands[:, 0, 0] = _CODE_TRANSLATION_READ
-        commands[:, 0, 1] = trans
-        commands[miss, 0, 2] = trans_ppns
-        commands[:, 1, 0] = _CODE_DATA_READ
-        keep = np.ones((count, 2), dtype=bool)
-        keep[:, 0] = miss
-        self.rows += rows.ravel().tolist()
-        self.ops += commands[keep].ravel().tolist()
-        self.outcomes += np.where(miss, _MISS_CODE, _HIT_CODE).tolist()
-        if len(self.rows) >= BLOCK_ROW_SLOTS or len(self.ops) >= BLOCK_OP_SLOTS:
+            slots = []
+            next_ppn = iter(trans_ppns).__next__
+            for chip in trans_chips:
+                if chip < 0:
+                    slots.append(OP_STRIDE)
+                    ops += _DATA_READ
+                    outcomes.append(_HIT_CODE)
+                else:
+                    slots.append(2 * OP_STRIDE)
+                    ops += (_CODE_TRANSLATION_READ, chip, next_ppn(), -1, *_DATA_READ)
+                    outcomes.append(_MISS_CODE)
+            rows += chain.from_iterable(zip(issues, latencies, _ONES, slots, _ONES))
+        if len(rows) >= BLOCK_ROW_SLOTS or len(ops) >= BLOCK_OP_SLOTS:
             self.flush()
 
     def flush(self) -> None:

@@ -22,8 +22,8 @@ Two host models are supported:
 Both are short loops that only choose issue times: the act itself — encode
 the request, time its flash work, record its latency, log what it produced
 — is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  The
-closed loop pulls requests in chunks and hands each long enough run of
-single-page reads to the FTL's read planner instead, whose requests the
+closed loop pulls requests in chunks and hands every run of single-page
+reads to the FTL's read planner instead (one per chunk), whose requests the
 engine's read-batch kernel times with the step's arithmetic.  With
 observability on, the step makes one append to an
 :class:`~repro.obs.log.ObservationLog`, and the windowed recorder and the
@@ -125,17 +125,18 @@ def _segments(reads: "np.ndarray") -> list[tuple[int, int, bool]]:
 
 def _iter_request_chunks(
     requests: "Iterable[HostRequest] | RequestBatch", batch: int
-) -> Iterator[tuple["np.ndarray", list[tuple[int, int, bool]], Callable[[slice], list]]]:
-    """Chunk a request stream into ``(lpns, segments, requests_of)``.
+) -> Iterator[tuple["np.ndarray", "np.ndarray", "np.ndarray", list, Callable[[slice], list]]]:
+    """Chunk a request stream into ``(ops, lpns, npages, segments, requests_of)``.
 
-    ``lpns`` is the chunk's int64 LPN column, ``segments`` its
-    :func:`_segments` split, and ``requests_of(slice)`` returns a slice of the
-    chunk as a list of :class:`HostRequest` for the request step.  A
-    :class:`RequestBatch` source is sliced zero-copy (its columns already
-    exist) and builds request objects only for the slices the step serves,
-    with one ``map`` per slice.  Any other iterable is buffered ``batch``
-    requests at a time, so a generator is pulled at most one chunk ahead of
-    execution and is never drained up front.
+    ``ops``, ``lpns`` and ``npages`` are the chunk's op-code (int8), LPN and
+    page-count (int64) columns, ``segments`` their :func:`_segments` split,
+    and ``requests_of(slice)`` returns a slice of the chunk as a list of
+    :class:`HostRequest` for the request step.  A :class:`RequestBatch`
+    source is sliced zero-copy (its columns already exist) and builds
+    request objects only for the slices the step serves, with one ``map``
+    per slice.  Any other iterable is buffered ``batch`` requests at a time,
+    so a generator is pulled at most one chunk ahead of execution and is
+    never drained up front.
     """
     if isinstance(requests, RequestBatch):
         ops, lpns, npages = requests.ops, requests.lpns, requests.npages
@@ -155,14 +156,16 @@ def _iter_request_chunks(
                     )
                 )
 
-            yield chunk_lpns, _segments(reads[chunk]), requests_of
+            yield chunk_ops, chunk_lpns, chunk_npages, _segments(reads[chunk]), requests_of
         return
-    read_op = OpType.READ
+    write_op = OpType.WRITE
     iterator = iter(requests)
     while chunk := list(islice(iterator, batch)):
+        ops = np.array([request.op is write_op for request in chunk], dtype=np.int8)
         lpns = np.array([request.lpn for request in chunk], dtype=np.int64)
-        reads = np.array([request.op is read_op and request.npages == 1 for request in chunk])
-        yield lpns, _segments(reads), chunk.__getitem__
+        npages = np.array([request.npages for request in chunk], dtype=np.int64)
+        reads = (npages == 1) & (ops == OP_READ_CODE)
+        yield ops, lpns, npages, _segments(reads), chunk.__getitem__
 
 
 @dataclass
@@ -359,17 +362,21 @@ class SSD:
 
         The one closed loop: requests are pulled ``batch`` at a time and each
         chunk is split into maximal runs of single-page reads and runs of
-        everything else.  A read run is offered to the FTL's read planner
-        (:meth:`~repro.core.base.FTLBase.begin_read_run`), which serves it
-        array-at-a-time through the engine's read-batch kernel; LearnedFTL
-        plans a run only from a measured break-even length on.  Everything
-        else — writes, multi-page reads, short read runs, the designs with no
-        planner and each request a planner refuses — takes the request step
-        one request at a time.  Results are bit-identical whichever way a
-        request is served, so ``batch`` (a positive count) sets only the chunk
-        length: memory and how far ahead a generator is pulled.  Passing the
-        stream as a :class:`RequestBatch` avoids materializing request objects
-        for the requests a planner serves.
+        everything else.  A chunk that holds a read run gets one read planner
+        from the FTL (:meth:`~repro.core.base.FTLBase.begin_read_run`), which
+        gathers its columns for the whole chunk once; every read run, however
+        short, is then a cursor range over them that the planner serves
+        array-at-a-time through the engine's read-batch kernel.  Everything
+        else — writes, multi-page reads, the designs with no planner and each
+        request a planner refuses — takes the request step one request at a
+        time; after each run of writes and multi-page reads the planner
+        re-reads what those requests changed (``refresh``: the written LPNs'
+        later reads, or the rest of the chunk after a group GC, retraining or
+        sequential initialization).  Results are bit-identical whichever way
+        a request is served, so ``batch`` (a positive count) sets only the
+        chunk length: memory and how far ahead a generator is pulled.  Passing
+        the stream as a :class:`RequestBatch` avoids materializing request
+        objects for the requests a planner serves.
 
         Each kernel call's ``(issues, latencies, trans_chips, trans_ppns)``
         columns go to the observation log right after it, so the log holds
@@ -392,14 +399,19 @@ class SSD:
         record_latencies = self.stats.record_latencies
         log = self._log
         heapreplace = heapq.heapreplace
-        for lpns, segments, requests_of in _iter_request_chunks(requests, batch):
+        for ops, lpns, npages, segments, requests_of in _iter_request_chunks(requests, batch):
+            # One planner per chunk that holds a read run (runs alternate, so
+            # any chunk of two or more does): its columns cover the whole
+            # chunk, and every read run is a cursor range over them.
+            planner = None
+            if len(segments) > 1 or segments[0][2]:
+                planner = begin_read_run(ops, lpns, npages)
             for seg_start, seg_end, is_read in segments:
-                planner = begin_read_run(lpns[seg_start:seg_end]) if is_read else None
                 pos = seg_start
                 while pos < seg_end:
                     stop = seg_end
-                    if planner is not None:
-                        k, data_chips, trans_chips, trans_ppns, computes = planner.take()
+                    if is_read and planner is not None:
+                        k, data_chips, trans_chips, trans_ppns, computes = planner.take(seg_end)
                         if k:
                             issues, latencies = execute_read_batch(
                                 data_chips,
@@ -427,10 +439,11 @@ class SSD:
                         if progress is not None and completed % 10_000 == 0:
                             progress(completed)
                     if planner is not None:
-                        planner.skip()
+                        if is_read:
+                            planner.skip()
+                        else:
+                            planner.refresh(pos, stop)
                     pos = stop
-                # Free the run's columns before the next run gathers its own.
-                planner = None
         self._clock_us = max(self._clock_us, max(thread_free))
         self.stats.finish_time_us = self._clock_us
         return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)

@@ -1,11 +1,10 @@
-"""Test helper: plan LearnedFTL read runs of any length.
+"""Test helpers: a step-only reference run, and a planner over a read run.
 
-``SSD.run`` hands a run of single-page reads to LearnedFTL's read planner
-only from ``repro.core.learnedftl._MIN_READ_RUN`` reads on; shorter runs take
-the request step.  Tests that cover the planner's refusals at every position
-pin that break-even to 1 inside :func:`plan_every_run`, and compare against a
-reference run outside it (``batch=1``: every read run is one request long,
-below any break-even above 1).
+``SSD.run`` hands every chunk that holds a single-page read to LearnedFTL's
+read planner, so every read run, however short, is planned.  Tests that
+compare the planner with the request step run their reference inside
+:func:`step_only`, where ``begin_read_run`` returns ``None`` and every
+request takes the step.
 """
 
 from __future__ import annotations
@@ -13,15 +12,27 @@ from __future__ import annotations
 import contextlib
 from typing import Iterator
 
+import numpy as np
 import pytest
 
-from repro.core import learnedftl
+from repro.core.base import FTLBase
+from repro.core.learnedftl import LearnedFTL
+from repro.ssd.request import OP_READ_CODE
 
 
 @contextlib.contextmanager
-def plan_every_run(enabled: bool = True) -> Iterator[None]:
-    """Pin the read-planner break-even to 1 for the block (a no-op when not ``enabled``)."""
+def step_only(enabled: bool = True) -> Iterator[None]:
+    """Serve every request through the request step inside the block (a
+    no-op when not ``enabled``)."""
     with pytest.MonkeyPatch.context() as patch:
         if enabled:
-            patch.setattr(learnedftl, "_MIN_READ_RUN", 1)
+            patch.setattr(LearnedFTL, "begin_read_run", FTLBase.begin_read_run)
         yield
+
+
+def read_planner(ftl, lpns):
+    """``ftl``'s planner over a chunk of single-page reads of ``lpns``."""
+    lpns = np.asarray(lpns, dtype=np.int64)
+    return ftl.begin_read_run(
+        np.full(len(lpns), OP_READ_CODE, dtype=np.int8), lpns, np.ones(len(lpns), dtype=np.int64)
+    )

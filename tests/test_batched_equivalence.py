@@ -4,11 +4,9 @@
 the request step, and must be *bit-identical* either way: same statistics
 fingerprint, same per-request latency populations, same final clock and chip
 timelines — for every FTL design, any chunk length (``batch``) and any thread
-count.  The reference is ``batch=1``: every chunk is one request, a read run
-of one is below the planner's break-even, so every request takes the step.
-Tests that compare against it pin the break-even to 1
-(:func:`read_runs.plan_every_run`), so short runs are planned too and
-refusals land at every position.  The workload here is deliberately hostile
+count.  Every read run is planned, however short, so refusals land at every
+position.  The reference runs inside :func:`read_runs.step_only`, where no
+planner is built and every request takes the step.  The workload here is deliberately hostile
 to the fast path: it mixes GC-triggering overwrites, a read storm that
 churns the CMT (hits, misses, evictions) and multi-page requests, so chunks
 straddle every fallback boundary the planner draws.
@@ -16,6 +14,7 @@ straddle every fallback boundary the planner draws.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import numpy as np
@@ -24,13 +23,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from golden_workload import golden_geometry
-from read_runs import plan_every_run
+from read_runs import read_planner, step_only
 from repro import SSD, SSDGeometry
-from repro.core import learnedftl
 from repro.core.batch import GroupedReadPlanner
 from repro.nand.errors import ConfigurationError
+from repro.obs.log import ObservationLog
 from repro.replay import state_fingerprint
-from repro.ssd.request import OP_READ_CODE, OP_WRITE_CODE, HostRequest, OpType, RequestBatch
+from repro.ssd.request import (
+    OP_READ_CODE,
+    OP_WRITE_CODE,
+    CommandKind,
+    CommandPurpose,
+    HostRequest,
+    OpType,
+    ReadOutcome,
+    RequestBatch,
+    command_code,
+)
 from repro.workloads.fio import FioJob
 
 ALL_FTL_NAMES = ("dftl", "tpftl", "leaftl", "learnedftl", "ideal")
@@ -118,15 +127,16 @@ def _run(ftl_name: str, threads: int, batch: int) -> dict:
     return _fingerprint(ssd)
 
 
-#: Scalar references (``batch=1``, the break-even unpinned), memoized per
-#: (ftl, threads): 10 scalar runs serve all 40 batched comparisons.
+#: Step-only references, memoized per (ftl, threads): 10 scalar runs serve
+#: all 40 batched comparisons.
 _scalar_cache: dict[tuple[str, int], dict] = {}
 
 
 def _scalar_reference(ftl_name: str, threads: int) -> dict:
     key = (ftl_name, threads)
     if key not in _scalar_cache:
-        _scalar_cache[key] = _run(ftl_name, threads, 1)
+        with step_only():
+            _scalar_cache[key] = _run(ftl_name, threads, 1)
     return _scalar_cache[key]
 
 
@@ -135,8 +145,7 @@ def _scalar_reference(ftl_name: str, threads: int) -> dict:
 @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
 def test_batched_matches_scalar(ftl_name: str, threads: int, batch: int) -> None:
     reference = _scalar_reference(ftl_name, threads)
-    with plan_every_run():
-        assert _run(ftl_name, threads, batch) == reference
+    assert _run(ftl_name, threads, batch) == reference
 
 
 @pytest.mark.parametrize("pattern", ("randread", "randwrite"))
@@ -212,7 +221,7 @@ def test_progress_marks_match_scalar() -> None:
         ssd = SSD.create("learnedftl", geometry)
         ssd.fill_sequential(io_pages=16)
         seen: list[int] = []
-        with plan_every_run(mode != "scalar"):
+        with step_only(mode == "scalar"):
             ssd.run(RequestBatch.reads(lpns), threads=4, batch=batch, progress=seen.append)
         marks[mode] = seen
     assert marks["scalar"] == [10_000, 20_000]
@@ -220,36 +229,53 @@ def test_progress_marks_match_scalar() -> None:
     assert marks["batched_odd"] == marks["scalar"]
 
 
-class _CountedPlanner(GroupedReadPlanner):
-    """A :class:`GroupedReadPlanner` that records each run it is built for."""
-
-    built: list[int] = []
-
-    def __init__(self, ftl, lpns) -> None:
-        _CountedPlanner.built.append(len(lpns))
-        super().__init__(ftl, lpns)
-
-
-def test_read_runs_below_the_break_even_are_not_planned(monkeypatch) -> None:
-    """A read run one shorter than the break-even builds no planner and is
-    served by the step; a run of exactly the break-even builds one."""
-    monkeypatch.setattr(learnedftl, "GroupedReadPlanner", _CountedPlanner)
-    monkeypatch.setattr(_CountedPlanner, "built", [])
+def test_a_one_read_run_is_planned() -> None:
+    """A read run of one request between writes is planned: the chunk's
+    planner serves it with one ``take``, and the step serves only the writes."""
     ssd = SSD.create("learnedftl", golden_geometry())
     ssd.fill_sequential(io_pages=16)
-    minimum = learnedftl._MIN_READ_RUN
-    short = np.arange(minimum - 1, dtype=np.int64)
-    ssd.run(RequestBatch.reads(short), threads=2)
-    assert _CountedPlanner.built == []
-    assert ssd.stats.host_read_requests == minimum - 1
-    # A write ends the short run, the long one follows in the same chunk.
-    requests = RequestBatch(
-        np.r_[np.zeros(minimum - 1), OP_WRITE_CODE, np.zeros(minimum)].astype(np.int8),
-        np.arange(2 * minimum, dtype=np.int64),
-        np.ones(2 * minimum, dtype=np.int64),
-    )
-    ssd.run(requests, threads=2)
-    assert _CountedPlanner.built == [minimum]
+    ssd.reset_stats()
+    ftl = ssd.ftl
+    takes: list[int] = []
+    begin = ftl.begin_read_run
+
+    class Tapped:
+        def __init__(self, planner):
+            self.planner = planner
+
+        def take(self, end):
+            taken = self.planner.take(end)
+            takes.append(taken[0])
+            return taken
+
+        def skip(self):
+            self.planner.skip()
+
+        def refresh(self, start, end):
+            self.planner.refresh(start, end)
+
+    ftl.begin_read_run = lambda *columns: Tapped(begin(*columns))
+    ops = np.array([OP_WRITE_CODE, OP_READ_CODE, OP_WRITE_CODE], dtype=np.int8)
+    ssd.run(RequestBatch(ops, [40, 41, 42], [1, 1, 1]), threads=2)
+    assert takes == [1]
+    assert ssd.stats.host_read_requests == 1
+    assert ssd.stats.host_write_requests == 2
+
+
+def test_out_of_range_reads_are_served_as_zero_fill() -> None:
+    """A read chunk holding LPNs outside the logical space (past its end and
+    negative) equals the step, which serves them as zero-fill: the planner
+    refuses them instead of gathering their model bits."""
+    results = []
+    for planned in (False, True):
+        ssd = SSD.create("learnedftl", golden_geometry())
+        ssd.fill_sequential(io_pages=16)
+        lpns = np.arange(100, dtype=np.int64)
+        lpns[[20, 50]] = ssd.geometry.num_logical_pages + 10_000, -3
+        with step_only(not planned):
+            ssd.run(RequestBatch.reads(lpns), threads=2)
+        results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("batch", (1, 7, 64))
@@ -270,8 +296,7 @@ def test_a_generator_is_pulled_at_most_one_chunk_ahead(batch: int) -> None:
             op = OpType.WRITE if rng.random() < 0.1 else OpType.READ
             yield HostRequest(op=op, lpn=rng.randrange(geometry.num_logical_pages))
 
-    with plan_every_run():
-        assert ssd.run(source(), threads=2, batch=batch).requests == 500
+    assert ssd.run(source(), threads=2, batch=batch).requests == 500
     assert [i - served for i, served in enumerate(served_at_pull)] == [
         i % batch for i in range(500)
     ]
@@ -299,7 +324,7 @@ def test_dftl_batched_run_serves_hits_and_misses_through_the_step():
     run = np.array([250, 10, 251, 20, 30], dtype=np.int64)
     resident = [lpn in ftl.cmt for lpn in run.tolist()]
     assert resident == [True, False, True, False, False]
-    assert ftl.begin_read_run(run) is None
+    assert ftl.begin_read_run(np.zeros(len(run), dtype=np.int8), run, np.ones_like(run)) is None
     hits_before = ftl.stats.cmt_hits
     trans_before = ftl.translation_store.translation_reads
     reads_before = ftl.flash.total_reads
@@ -352,9 +377,7 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     lookups_before = ftl.stats.model_lookups
     model_hits_before = ftl.stats.model_hits
 
-    with plan_every_run():
-        planner = ftl.begin_read_run(run)
-    k, data_chips, trans_chips, trans_ppns, computes = planner.take()
+    k, data_chips, trans_chips, trans_ppns, computes = read_planner(ftl, run).take(len(run))
 
     assert k == 8
     assert len(data_chips) == 8
@@ -373,8 +396,7 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     assert ftl.stats.model_hits == model_hits_before
     # The run is now cached: a second take is all hits, with no translation
     # column at all (the engine's data-only branch).
-    with plan_every_run():
-        k2, _, trans_chips2, trans_ppns2, _ = ftl.begin_read_run(run).take()
+    k2, _, trans_chips2, trans_ppns2, _ = read_planner(ftl, run).take(len(run))
     assert (k2, trans_ppns2, trans_chips2) == (8, [], None)
 
 
@@ -451,9 +473,10 @@ PINNED: dict[tuple[str, str], tuple] = {
 @pytest.mark.parametrize("ftl_name,kind", sorted(PINNED))
 def test_pinned_batched_fingerprints(ftl_name: str, kind: str) -> None:
     golden = tuple(PINNED[(ftl_name, kind)])
-    with plan_every_run():
-        assert _pinned_fingerprint(ftl_name, kind, 64) == golden
+    with step_only():
+        assert _pinned_fingerprint(ftl_name, kind, 1) == golden
     assert _pinned_fingerprint(ftl_name, kind, 1) == golden
+    assert _pinned_fingerprint(ftl_name, kind, 64) == golden
     assert _pinned_fingerprint(ftl_name, kind, 4096) == golden
 
 
@@ -505,11 +528,167 @@ def test_random_interleavings_match_scalar(ftl_name, segments, batch, threads):
     for mode in (1, batch):
         ssd = SSD.create(ftl_name, geometry)
         ssd.fill_sequential()
-        with plan_every_run(mode > 1):
+        with step_only(mode == 1):
             ssd.run(requests, threads=threads, batch=mode)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary(), ssd.now_us))
         ssd.verify()
     assert results[1] == results[0]
+
+
+def _refresh_workload(geometry) -> RequestBatch:
+    """Read runs of 1-30 requests, mostly on a hot range, each followed by
+    one or two requests of another shape: a single-page write to a hot LPN
+    (read again later in its chunk, after cold reads may have evicted it
+    from the CMT), a multi-page write (sequential initialization), a
+    multi-page read, or a single-page write anywhere (group GC and
+    retraining once the free space runs low)."""
+    rng = np.random.default_rng(11)
+    limit = geometry.num_logical_pages
+    ops, lpns, npages = [], [], []
+    while len(lpns) < 2400:
+        run = int(rng.integers(1, 31))
+        ops += [OP_READ_CODE] * run
+        hot = rng.random(run) < 0.7
+        lpns += np.where(hot, rng.integers(0, 160, size=run), rng.integers(0, limit, size=run)).tolist()
+        npages += [1] * run
+        for _ in range(int(rng.integers(1, 3))):
+            shape = int(rng.integers(0, 4))
+            pages = 1 if shape in (0, 3) else int(rng.integers(2, 9))
+            ops.append(OP_READ_CODE if shape == 2 else OP_WRITE_CODE)
+            lpns.append(int(rng.integers(0, 160 if shape == 0 else limit - pages)))
+            npages.append(pages)
+    return RequestBatch(ops, lpns, npages)
+
+
+class _StreamDigest:
+    """An observation-log consumer hashing the observed request stream.
+
+    One digest per column, each over the concatenation of every block's
+    column, so how the stream was cut into blocks does not show.  The
+    kernel logs a data read's command by its code alone and a read's
+    outcome by its class, so commands are hashed by code, plus a
+    translation read's chip and page (what the tracer reads), and outcomes
+    by class (what the windowed recorder reads).
+    """
+
+    def __init__(self) -> None:
+        self.columns = {name: hashlib.sha256() for name in ("rows", "codes", "translation", "outcomes")}
+
+    def attach(self, log) -> None:
+        pass
+
+    def consume(self, block) -> None:
+        commands = np.asarray(block.ops, dtype=np.int64).reshape(-1, 4)
+        translation = commands[commands[:, 0] == _TRANSLATION_READ][:, 1:3]
+        per_request = np.bincount(block.op_request, minlength=block.count)
+        outcomes = np.bincount(block.outcome_request, minlength=block.count)
+        for name, column in (
+            ("rows", np.stack([block.issue, block.latency, block.pages, per_request, outcomes])),
+            ("codes", block.codes),
+            ("translation", translation),
+            ("outcomes", block.outcomes > ReadOutcome.MODEL_HIT.code),
+        ):
+            self.columns[name].update(np.ascontiguousarray(column.T).tobytes())
+
+    def digests(self) -> dict[str, str]:
+        return {name: digest.hexdigest() for name, digest in self.columns.items()}
+
+
+_TRANSLATION_READ = command_code(CommandKind.READ, CommandPurpose.TRANSLATION_READ)
+
+
+def _refresh_run(batch: int) -> tuple:
+    from repro.core.base import FTLConfig
+
+    geometry = golden_geometry()
+    ssd = SSD.create("learnedftl", geometry, config=FTLConfig(learnedftl_cmt_ratio=0.05))
+    ssd.fill_sequential(io_pages=16, fraction=0.6)
+    sink = _StreamDigest()
+    ssd._log = ObservationLog(recorder=sink)
+    ssd.run(_refresh_workload(geometry), threads=3, batch=batch)
+    ssd._log.flush()
+    ssd.verify()
+    return state_fingerprint(ssd.state_dict()), ssd.stats.summary(), sink.digests()
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_chunk_columns_refresh_after_writes(monkeypatch, batch: int) -> None:
+    """Step-only == planned, with one planner per chunk across every kind of
+    segment that changes its columns.
+
+    The chunks hold single-page writes to LPNs read again later in the
+    chunk (patched in place), writes that run group GC and retraining and
+    multi-page writes (sequential initialization), both of which re-gather
+    the rest of the chunk, multi-page reads between read runs, and refused
+    reads whose step evicts a dirty node.
+    """
+    with step_only():
+        reference = _refresh_run(1)
+    kinds = dict.fromkeys(("gc", "retrained", "sequential", "patch", "dirty_refusal"), 0)
+    gather, refresh, take, skip = (
+        GroupedReadPlanner._gather,
+        GroupedReadPlanner.refresh,
+        GroupedReadPlanner.take,
+        GroupedReadPlanner.skip,
+    )
+    gathered: list[int] = []
+    refused: list[bool] = [False]
+    # Models trained when the planner last served a read.
+    trained = [0]
+
+    def spy_refresh(planner, start, end):
+        gc_events = planner._gc_events
+        gathered.clear()
+        refresh(planner, start, end)
+        if gathered:
+            if gc_events != planner._gc_events:
+                kinds["gc"] += 1
+                kinds["retrained"] += planner._stats.models_trained != trained[0]
+            else:
+                kinds["sequential"] += 1
+        elif any(
+            position >= end
+            for i in range(start, end)
+            if planner._ops[i] == OP_WRITE_CODE
+            for position in planner._later_reads.get(planner._lpns[i], ())
+        ):
+            kinds["patch"] += 1
+
+    def spy_take(planner, end):
+        result = take(planner, end)
+        refused[0] = planner._pos < end
+        trained[0] = planner._stats.models_trained
+        return result
+
+    def spy_skip(planner):
+        refused[0] = False
+        skip(planner)
+
+    def spy_flush(ftl_flush):
+        def flush(tvpn):
+            if refused[0]:
+                kinds["dirty_refusal"] += 1
+            return ftl_flush(tvpn)
+
+        return flush
+
+    monkeypatch.setattr(
+        GroupedReadPlanner, "_gather", lambda p, start: (gathered.append(start), gather(p, start))
+    )
+    monkeypatch.setattr(GroupedReadPlanner, "refresh", spy_refresh)
+    monkeypatch.setattr(GroupedReadPlanner, "take", spy_take)
+    monkeypatch.setattr(GroupedReadPlanner, "skip", spy_skip)
+    create = SSD.create
+
+    def create_spied(*args, **kwargs):
+        ssd = create(*args, **kwargs)
+        ssd.ftl._flush_translation_page = spy_flush(ssd.ftl._flush_translation_page)
+        return ssd
+
+    monkeypatch.setattr(SSD, "create", create_spied)
+    assert _refresh_run(batch) == reference
+    if batch > 1:
+        assert all(kinds.values()), kinds
 
 
 def test_planner_columns_hold_across_flushes_and_pool_gc() -> None:
@@ -521,7 +700,7 @@ def test_planner_columns_hold_across_flushes_and_pool_gc() -> None:
     follows refuses each load that would evict one.  The refused request's
     step flushes the node, and one flush finds the pool low and collects a
     block first.  The planner keeps serving the run from the columns it
-    gathered before either happened (model hits, CMT hits and double reads
+    gathered for the chunk before either happened (model hits, CMT hits and double reads
     included).
     """
     from repro.core.base import FTLConfig
@@ -554,30 +733,34 @@ def test_planner_columns_hold_across_flushes_and_pool_gc() -> None:
                     self.planner = planner
                     events.append(("begin", len(planner._lpns)))
 
-                def take(self):
-                    taken = self.planner.take()
+                def take(self, end):
+                    taken = self.planner.take(end)
                     events.append(("take", taken[0]))
                     return taken
 
                 def skip(self):
                     self.planner.skip()
 
-            ftl.begin_read_run = lambda lpns: Recorded(begin(lpns))
+                def refresh(self, start, end):
+                    self.planner.refresh(start, end)
+
+            ftl.begin_read_run = lambda *columns: Recorded(begin(*columns))
             ftl._flush_translation_page = lambda tvpn: (events.append(("flush", 1)), flush(tvpn))
             ftl._collect_translation_block_into = lambda stage: (
                 events.append(("pool_gc", 1)),
                 collect(stage),
             )
-        ssd.run(requests, threads=4, batch=batch)
+        with step_only(batch == 1):
+            ssd.run(requests, threads=4, batch=batch)
         ssd.verify()
         stats = ssd.stats
         results.append((state_fingerprint(ssd.state_dict()), stats.summary(), ssd.now_us))
     assert results[1] == results[0]
     assert stats.model_hits and stats.cmt_hits and ftl.translation_store.translation_reads
-    # The read run is the last planner; within it, requests were taken after
-    # a flush and after a pool GC.
+    # The chunk's planner is the last one; within its read run, requests
+    # were taken after a flush and after a pool GC.
     run = events[max(i for i, (kind, _) in enumerate(events) if kind == "begin") :]
-    assert run[0] == ("begin", 2000)
+    assert run[0] == ("begin", 2200)
     first_flush = run.index(("flush", 1))
     first_gc = run.index(("pool_gc", 1))
     assert sum(k for kind, k in run[max(first_flush, first_gc) :] if kind == "take") > 0
@@ -616,12 +799,11 @@ def test_clear_bits_cost_no_model_call(monkeypatch) -> None:
     monkeypatch.setattr(InPlaceLinearModel, "predict_exact", spy_predict)
     monkeypatch.setattr(ftl.codec, "vppn_to_ppn", no_vppn_to_ppn)
     monkeypatch.setattr(ftl, "_vppn_to_ppn", no_vppn_to_ppn)
-    monkeypatch.setattr(learnedftl, "_MIN_READ_RUN", 1)
     translation_reads = ftl.translation_store.translation_reads
-    planner = ftl.begin_read_run(stretch)
+    planner = read_planner(ftl, stretch)
     served = 0
     while served < len(stretch):
-        served += planner.take()[0]
+        served += planner.take(len(stretch))[0]
         if served < len(stretch):
             # A refused request would run the scalar step; none is expected.
             raise AssertionError(f"refused lpn {stretch[served]}")
@@ -641,8 +823,7 @@ def test_cached_ppn_off_the_directory_is_refused() -> None:
     ssd.run(RequestBatch.writes(np.array([300, 301], dtype=np.int64)), threads=1)
     node = ftl.cmt._pages[300 // ftl._mappings_per_page]
     node[301] = node[301] + 1
-    with plan_every_run():
-        k = ftl.begin_read_run(np.array([300, 301], dtype=np.int64)).take()[0]
+    k = read_planner(ftl, [300, 301]).take(2)[0]
     assert k == 1
 
 
@@ -684,12 +865,11 @@ def test_load_refused_only_when_an_evicted_node_is_dirty(dirty_tvpn, served) -> 
     """
     ssd = _cmt_with_three_nodes(dirty_tvpn)
     assert not ssd.ftl.models[1].can_predict(70)
-    with plan_every_run():
-        assert ssd.ftl.begin_read_run(np.array([70], dtype=np.int64)).take()[0] == served
+    assert read_planner(ssd.ftl, [70]).take(1)[0] == served
     results = []
     for planned in (False, True):
         ssd = _cmt_with_three_nodes(dirty_tvpn)
-        with plan_every_run(planned):
+        with step_only(not planned):
             ssd.run(RequestBatch.reads(np.array([70], dtype=np.int64)), threads=1)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
     assert results[0] == results[1]

@@ -14,7 +14,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import SSD, SSDGeometry
@@ -172,7 +172,7 @@ def test_observe_run_equals_one_observe_at_a_time(window, streak, last_end, stre
     stepwise = _policy(capacity)
     stepwise.load_state(state)
     at_once = _policy(capacity)
-    depths, sums, streaks = columnar.observe_run(lpns)
+    depths, sums, streaks = columnar.observe_run(lpns, np.ones_like(lpns))
     assert columnar.state_dict() == state
     for i, lpn in enumerate(lpns.tolist()):
         scalar.observe(lpn, 1)
@@ -185,3 +185,79 @@ def test_observe_run_equals_one_observe_at_a_time(window, streak, last_end, stre
         for committed in (stepwise, at_once):
             assert committed.state_dict() == scalar.state_dict()
             assert committed.length_sum == scalar.length_sum
+
+
+# --------------------------------------- a request chunk observed as columns
+#: One request of a chunk: its page count, whether it starts where the last
+#: request ended (else at a random LPN), and, for a single-page request,
+#: whether the planner serves it (``commit_run``) or the step does (``observe``).
+_CHUNK_REQUESTS = st.lists(
+    st.tuples(st.sampled_from([1, 1, 1, 2, 7, 128]), st.booleans(), st.booleans()),
+    min_size=1,
+    max_size=150,
+)
+
+
+@given(
+    window=_WINDOWS,
+    streak=st.integers(0, 64),
+    requests=_CHUNK_REQUESTS,
+    start=st.integers(0, 4000),
+    capacity=st.sampled_from([8, 1024]),
+)
+@example(  # the streak cap and the window's wrap, resumed after a refusal
+    window=[3] * 20,
+    streak=60,
+    requests=[(1, True, i % 40 != 39) for i in range(100)] + [(7, True, False)] * 3,
+    start=10,
+    capacity=1024,
+)
+@settings(max_examples=200, deadline=None)
+def test_observe_run_over_a_chunk_equals_observe_in_order(window, streak, requests, start, capacity):
+    """``observe_run``'s columns over a chunk of mixed page counts are the
+    states ``observe(lpn, npages)`` leaves request by request, and the live
+    state stays equal to them while stretches of single-page requests are
+    committed and the rest (a refused read, a write, a multi-page request)
+    are observed one at a time.
+
+    Covers a partly full window (``window`` holds 0 to 32 lengths), its wrap
+    past 32 entries, the streak cap (runs of continuing requests longer than
+    64) and a committed stretch resuming after an observed request.
+    """
+    rng = random.Random(len(requests) * 7919 + start)
+    lpns, npages, served = [], [], []
+    end = start
+    for pages, continues, planned in requests:
+        lpn = end if continues else rng.randrange(5000)
+        lpns.append(lpn)
+        npages.append(pages)
+        served.append(planned and pages == 1)
+        end = lpn + pages
+    state = {"recent_lengths": window, "last_lpn_end": start, "sequential_streak": streak}
+    scalar = _policy(capacity)
+    scalar.load_state(state)
+    columnar = _policy(capacity)
+    columnar.load_state(state)
+    depths, sums, streaks = columnar.observe_run(
+        np.array(lpns, dtype=np.int64), np.array(npages, dtype=np.int64)
+    )
+    assert columnar.state_dict() == state
+    pending = 0
+    for i, (lpn, pages) in enumerate(zip(lpns, npages)):
+        scalar.observe(lpn, pages)
+        assert (depths[i], sums[i], streaks[i]) == (
+            scalar.depth(), scalar.length_sum, scalar.streak
+        )
+        if served[i]:
+            pending += 1
+            continue
+        if pending:
+            columnar.commit_run(pending, sums[i - 1], streaks[i - 1], lpns[i - 1] + 1)
+            pending = 0
+        columnar.observe(lpn, pages)
+        assert columnar.state_dict() == scalar.state_dict()
+        assert columnar.length_sum == scalar.length_sum
+    if pending:
+        columnar.commit_run(pending, sums[-1], streaks[-1], lpns[-1] + 1)
+    assert columnar.state_dict() == scalar.state_dict()
+    assert columnar.length_sum == scalar.length_sum

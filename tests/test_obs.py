@@ -30,18 +30,27 @@ import numpy as np
 import pytest
 
 from golden_workload import golden_geometry, run_golden_workload
-from read_runs import plan_every_run
+from read_runs import step_only
 from repro import SSD
 from repro.nand.errors import ConfigurationError
-from repro.obs.log import BLOCK_REQUESTS, ObservationLog
+from repro.obs.log import (
+    BLOCK_OP_SLOTS,
+    BLOCK_REQUESTS,
+    BLOCK_ROW_SLOTS,
+    ROW_WIDTH,
+    Block,
+    ObservationLog,
+)
 from repro.obs.trace import NULL_TRACER, NullTraceRecorder, TraceRecorder
 from repro.obs.windows import WindowedRecorder
 from repro.replay import state_fingerprint
 from repro.ssd.request import (
+    OP_STRIDE,
     CommandKind,
     CommandPurpose,
     HostRequest,
     OpType,
+    ReadOutcome,
     command_code,
 )
 from test_kernel_equivalence import GOLDEN
@@ -248,8 +257,7 @@ class TestEntryPointsObserveAlike:
         elif entry_point == "run":
             ssd.run(requests, threads=1)
         elif entry_point == "run_batched":
-            with plan_every_run():
-                ssd.run(requests, threads=1, batch=7)
+            ssd.run(requests, threads=1, batch=7)
         else:
             ssd.replay(requests, streams=1)
         return ssd, recorder.series(ssd.stats), tracer.export()
@@ -282,7 +290,7 @@ class TestModeEquivalence:
         def run(batch):
             ssd, recorder = _observed_device(ftl_name)
             ssd.fill_sequential(io_pages=16)
-            with plan_every_run(batch > 1):
+            with step_only(batch == 1):
                 ssd.run(_single_page_workload(ssd.geometry), threads=2, batch=batch)
             return recorder.series(ssd.stats)
 
@@ -449,7 +457,7 @@ class TestTraceRecorder:
         for ftl_name, batch in (("dftl", 1), ("learnedftl", 16)):
             ssd, _ = _observed_device(ftl_name, tracer=tracer)
             ssd.fill_sequential(io_pages=16)
-            with plan_every_run(batch > 1):
+            with step_only(batch == 1):
                 for phase in _mixed_workload(ssd.geometry):
                     ssd.run(phase, threads=2, batch=batch)
         tracer.instant("marker", 1.0)
@@ -568,7 +576,7 @@ class TestBlockTranslationReads:
             ]
             # Multi-page reads give the step several translation reads per
             # request; the read storm gives the planner several per call.
-            with plan_every_run(batch > 1):
+            with step_only(batch == 1):
                 ssd.run(storm + _entry_point_workload(ssd.geometry), threads=1, batch=batch)
             return tracer, recorder.series(ssd.stats)
 
@@ -582,6 +590,100 @@ class TestBlockTranslationReads:
         assert kept == _translation_read_events(uncapped)[:cap]
         dropped = tracer.export()["otherData"]["dropped_events"]
         assert len(kept) + dropped["translation_read"] == total
+
+
+class _BlockSink:
+    """A log consumer that keeps every block it is handed."""
+
+    def __init__(self) -> None:
+        self.blocks: list = []
+
+    def attach(self, log) -> None:
+        pass
+
+    def consume(self, block) -> None:
+        self.blocks.append(block)
+
+
+def _numpy_append_reads(log, issues, latencies, trans_chips, trans_ppns) -> None:
+    """``ObservationLog.append_reads`` as NumPy columns: the reference form."""
+    count = len(issues)
+    if not count:
+        return
+    if trans_chips is None:
+        trans = np.full(count, -1, dtype=np.int64)
+    else:
+        trans = np.asarray(trans_chips, dtype=np.int64)
+    miss = trans >= 0
+    rows = np.empty((count, ROW_WIDTH), dtype=np.float64)
+    rows[:, 0] = issues
+    rows[:, 1] = latencies
+    rows[:, 2] = 1.0
+    rows[:, 3] = np.where(miss, 2 * OP_STRIDE, OP_STRIDE)
+    rows[:, 4] = 1.0
+    commands = np.full((count, 2, OP_STRIDE), -1, dtype=np.int64)
+    commands[:, 0, 0] = _TR
+    commands[:, 0, 1] = trans
+    commands[miss, 0, 2] = trans_ppns
+    commands[:, 1, 0] = _DATA
+    keep = np.ones((count, 2), dtype=bool)
+    keep[:, 0] = miss
+    log.rows += rows.ravel().tolist()
+    log.ops += commands[keep].ravel().tolist()
+    log.outcomes += np.where(miss, ReadOutcome.DOUBLE_READ.code, ReadOutcome.CMT_HIT.code).tolist()
+    if len(log.rows) >= BLOCK_ROW_SLOTS or len(log.ops) >= BLOCK_OP_SLOTS:
+        log.flush()
+
+
+def _block_columns(block) -> dict:
+    return {
+        name: (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+        for name in Block.__slots__
+        for value in (getattr(block, name),)
+    }
+
+
+class TestAppendReads:
+    """The kernel's list-based log append makes the blocks the NumPy form made."""
+
+    @pytest.mark.parametrize(
+        "takes",
+        [
+            # All hits: no translation column at all.
+            [(5, None)],
+            # Double reads, never-flushed loads and hits (-1) mixed.
+            [(6, [3, -1, 0, -1, -1, 2])],
+            # A take crossing BLOCK_ROW_SLOTS, then one into the next block.
+            [(BLOCK_REQUESTS - 4, None), (9, [1, -1, -1, 2, -1, 0, -1, -1, 3]), (3, None)],
+        ],
+        ids=["hits", "mixed", "crossing"],
+    )
+    def test_blocks_equal_the_numpy_form(self, takes):
+        rng = random.Random(SEED)
+        calls = []
+        issue = 0.0
+        for count, trans_chips in takes:
+            issues = [issue + 3.5 * i for i in range(count)]
+            issue = issues[-1] + 1.0
+            latencies = [rng.choice([40.0, 80.0, 81.25]) for _ in range(count)]
+            misses = sum(chip >= 0 for chip in trans_chips or ())
+            calls.append((issues, latencies, trans_chips, rng.sample(range(1000), misses)))
+        logs = []
+        for append in (ObservationLog.append_reads, _numpy_append_reads):
+            sink = _BlockSink()
+            log = ObservationLog(recorder=sink)
+            _log_step(log, 0.5, _ops((_TR, 1, 7), (_DATA, 0, 8)))
+            for call in calls:
+                append(log, *call)
+            logs.append((sink, log))
+        (sink, log), (reference_sink, reference) = logs
+        pending = (log.rows, log.ops, log.outcomes)
+        assert pending == (reference.rows, reference.ops, reference.outcomes)
+        log.flush()
+        reference.flush()
+        assert len(sink.blocks) == len(reference_sink.blocks) == (2 if len(takes) > 1 else 1)
+        for block, expected in zip(sink.blocks, reference_sink.blocks):
+            assert _block_columns(block) == _block_columns(expected)
 
 
 def _translation_read_events(tracer: TraceRecorder) -> list[dict]:
@@ -679,7 +781,7 @@ def _golden_run(case: str, tmp_path) -> tuple[str, str]:
             request.stream_id = rng.randrange(4)
         ssd.replay(requests, streams=4)
     else:
-        with plan_every_run(case == "batched"):
+        with step_only(case != "batched"):
             ssd.run(requests, threads=4, batch=512 if case == "batched" else 1)
     return _golden_digests(recorder, ssd.stats, tracer, tmp_path)
 
@@ -834,14 +936,17 @@ class _PlannerTap:
         self.planner = planner
         self.taken = taken
 
-    def take(self):
-        result = self.planner.take()
+    def take(self, end):
+        result = self.planner.take(end)
         if result[0]:
             self.taken.append(result[3])
         return result
 
     def skip(self) -> None:
         self.planner.skip()
+
+    def refresh(self, start, end) -> None:
+        self.planner.refresh(start, end)
 
 
 def _oracle_device(ftl_name: str, geometry, cap: int):
@@ -875,8 +980,8 @@ def _oracle_device(ftl_name: str, geometry, cap: int):
         oracle.fast_read(issues, latencies, trans_chips, taken.pop())
         return issues, latencies
 
-    def oracle_read_run(lpns):
-        planner = begin_read_run(lpns)
+    def oracle_read_run(ops, lpns, npages):
+        planner = begin_read_run(ops, lpns, npages)
         return None if planner is None else _PlannerTap(planner, taken)
 
     ssd._step = oracle_step
@@ -899,7 +1004,7 @@ class TestPerRequestOracle:
                 request.stream_id = rng.randrange(3)
             ssd.replay(requests, streams=3)
         else:
-            with plan_every_run(mode == "batched"):
+            with step_only(mode != "batched"):
                 ssd.run(requests, threads=3, batch=97 if mode == "batched" else 1)
         trace = ssd.tracer.export()
         assert recorder.series(ssd.stats) == oracle.series(ssd.stats)
