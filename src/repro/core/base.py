@@ -352,16 +352,16 @@ class FTLBase(ABC):
         raise NotImplementedError
 
     def begin_read_run(self, ops, lpns, npages):
-        """Hook for the device's closed loop (``SSD.run``).
+        """Hook for the device's host loop (``SSD.run`` and ``SSD.replay``).
 
-        Called once per request chunk that holds a single-page read, with
-        the chunk's op-code (int8), LPN and page-count (int64) columns.
-        Returns a planner (see :mod:`repro.core.batch`) that serves every
-        maximal run of single-page reads in the chunk array-at-a-time from
-        columns it gathers here, once, with per-request fallback to the
-        request step; the device reports each other run it serves through
-        the step (``planner.refresh``), so the planner re-reads only what
-        those requests changed.  ``None`` serves the whole chunk through the
+        Called once per request chunk that holds a read, with the chunk's
+        op-code (int8), LPN and page-count (int64) columns.  Returns a
+        planner (see :mod:`repro.core.batch`) that serves every maximal run
+        of reads (of any length) in the chunk array-at-a-time from columns
+        it gathers here, once, with per-request fallback to the request
+        step; the device reports each run of writes it serves through the
+        step (``planner.refresh``), so the planner re-reads only what those
+        requests changed.  ``None`` serves the whole chunk through the
         request step (:meth:`encode`).  The default plans nothing;
         LearnedFTL, the one design with a planner, overrides it.
         """

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -388,7 +388,7 @@ class LoadingPolicy:
     observes a request chunk as columns: :meth:`observe_run` gives every
     request's post-observation depth in one NumPy pass, and
     :meth:`commit_run` leaves what :meth:`observe` calls over a stretch of
-    the chunk's single-page reads leave.  A
+    the chunk's reads leave.  A
     miss in either path builds its batch with :meth:`scan` and loads it with
     :meth:`PageGroupedCMT.load_node`.
     """
@@ -464,7 +464,7 @@ class LoadingPolicy:
         :meth:`depth`, :attr:`length_sum` and :attr:`streak` read after the
         run's first ``i + 1`` requests are observed, one at a time, from the
         current state.  Nothing is changed; :meth:`commit_run` applies a
-        stretch of single-page requests, :meth:`observe` any other request.
+        stretch of requests the planner served, :meth:`observe` any other.
         """
         n = len(lpns)
         # Window: the last ``window`` lengths of the held ones then the run's.
@@ -489,13 +489,14 @@ class LoadingPolicy:
         np.minimum(depths, self.ceiling, out=depths)
         return depths.tolist(), sums.tolist(), streaks.tolist()
 
-    def commit_run(self, count: int, length_sum: int, streak: int, last_end: int) -> None:
-        """Leave what ``count`` calls of ``observe(lpn, 1)`` leave.
+    def commit_run(self, npages: Sequence[int], length_sum: int, streak: int, last_end: int) -> None:
+        """Leave what ``observe(lpn, npages[i])`` over a stretch of requests leaves.
 
-        ``length_sum`` and ``streak`` are the :meth:`observe_run` values of
-        the last of them, ``last_end`` its LPN plus one.
+        ``npages`` holds the stretch's page counts, in order; ``length_sum``
+        and ``streak`` are the :meth:`observe_run` values of its last
+        request, ``last_end`` that request's LPN plus its page count.
         """
-        self.lengths.extend(repeat(1, count))
+        self.lengths.extend(npages)
         self.length_sum = length_sum
         self.streak = streak
         self.last_end = last_end

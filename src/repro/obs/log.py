@@ -12,12 +12,13 @@ append of what the step produced:
   block`` per command, in execution order);
 * its read-outcome codes (``CommandBuffer.outcome_codes``).
 
-The closed loop's read kernel appends each call's ``(issues, latencies,
-trans_chips, trans_ppns)`` columns to the same log, as the rows, commands and
-outcomes those reads stand for: an optional translation read on chip
-``trans_chips[i]`` (its page is the next entry of ``trans_ppns``), then one
-data read; the outcome is a hit-class code exactly when no translation read
-was needed.  One log
+The host loop's read kernel appends each call's ``(issues, latencies,
+trans_chips, trans_ppns, npages)`` columns to the same log, as the rows,
+commands and outcomes those reads stand for: per page, an optional
+translation read on chip ``trans_chips[p]`` (its page is the next entry of
+``trans_ppns``), then one data read, in the order the step encodes them;
+a page's outcome is a hit-class code exactly when no translation read was
+needed.  One log
 therefore holds every request in the order the device served it, and a
 consumer sees the same translation reads whichever path served them.
 
@@ -52,7 +53,7 @@ larger ones mostly grow the pending lists.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -162,16 +163,24 @@ class ObservationLog:
         return len(self.rows) // ROW_WIDTH
 
     def append_reads(
-        self, issues: list, latencies: list, trans_chips: "list | None", trans_ppns: list
+        self,
+        issues: list,
+        latencies: list,
+        trans_chips: "list | None",
+        trans_ppns: list,
+        npages: "list | None" = None,
     ) -> None:
-        """Append one batched-kernel call of single-page reads (request order).
+        """Append one batched-kernel call of reads (request order).
 
-        Read ``i`` is logged as the commands the kernel charged for it — a
-        translation read on ``trans_chips[i]`` when that is ``>= 0`` (slot
-        order as the step encodes a double read; ``trans_ppns`` holds those
-        reads' pages in order), then the data read — and one hit- or
-        miss-class outcome code.  The data read is logged by its code alone
-        (its other slots hold ``-1``): no consumer reads them.
+        Request ``i`` covers the next ``npages[i]`` pages of the
+        ``trans_chips`` page column (one each when ``npages`` is ``None``)
+        and is logged as the commands the kernel charged for it, page by
+        page in the order the step encodes them: a translation read on the
+        page's translation chip when that is ``>= 0`` (``trans_ppns`` holds
+        those reads' pages in order), then the page's data read; and one
+        hit- or miss-class outcome code per page.  The data read is logged
+        by its code alone (its other slots hold ``-1``): no consumer reads
+        them.
         """
         count = len(issues)
         if not count:
@@ -180,9 +189,10 @@ class ObservationLog:
         ops = self.ops
         outcomes = self.outcomes
         if trans_chips is None:
-            rows += chain.from_iterable(zip(issues, latencies, _ONES, _DATA_SLOTS, _ONES))
-            ops += _DATA_READ * count
-            outcomes += _HIT * count
+            pages = count if npages is None else sum(npages)
+            ops += _DATA_READ * pages
+            outcomes += _HIT * pages
+            slots = _DATA_SLOTS if npages is None else [OP_STRIDE * n for n in npages]
         else:
             slots = []
             next_ppn = iter(trans_ppns).__next__
@@ -195,7 +205,12 @@ class ObservationLog:
                     slots.append(2 * OP_STRIDE)
                     ops += (_CODE_TRANSLATION_READ, chip, next_ppn(), -1, *_DATA_READ)
                     outcomes.append(_MISS_CODE)
-            rows += chain.from_iterable(zip(issues, latencies, _ONES, slots, _ONES))
+            if npages is not None:
+                # Per-page slot counts summed per request.
+                bounds = list(accumulate(npages, initial=0))
+                slots = [sum(slots[a:b]) for a, b in zip(bounds, bounds[1:])]
+        counts = _ONES if npages is None else npages
+        rows += chain.from_iterable(zip(issues, latencies, counts, slots, counts))
         if len(rows) >= BLOCK_ROW_SLOTS or len(ops) >= BLOCK_OP_SLOTS:
             self.flush()
 

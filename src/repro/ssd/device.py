@@ -11,24 +11,25 @@
     result = ssd.run(job.requests(ssd.geometry), threads=4)
     print(result.stats.summary())
 
-Two host models are supported:
+The device has one host loop, with two issue rules:
 
 * **closed loop** (``run``): N threads, each issuing its next request as soon
   as the previous one completes (fio's ``psync`` engine);
 * **open loop** (``replay``): requests carry arrival timestamps (trace replay);
-  a request is dispatched at ``max(arrival, previous completion of its
+  a request is issued at ``max(arrival, previous completion of its
   stream)``.
 
-Both are short loops that only choose issue times: the act itself — encode
-the request, time its flash work, record its latency, log what it produced
-— is written once, in ``SSD._step``, which :meth:`SSD.submit` shares.  The
-closed loop pulls requests in chunks and hands every run of single-page
-reads to the FTL's read planner instead (one per chunk), whose requests the
-engine's read-batch kernel times with the step's arithmetic.  With
-observability on, the step makes one append to an
-:class:`~repro.obs.log.ObservationLog`, and the windowed recorder and the
-tracer (:mod:`repro.obs`) consume that log a block at a time; there is no
-observed variant of any loop.
+The loop only chooses issue times: it pulls requests in chunks, splits each
+chunk into runs of reads (of any length) and runs of everything else, and
+hands every read run to the FTL's read planner (one per chunk), whose
+requests the engine's read-batch kernel times with the step's arithmetic
+under the same issue rule.  Everything else, and each read a planner
+refuses, takes the request step — encode the request, time its flash work,
+record its latency, log what it produced — written once, in ``SSD._step``,
+which :meth:`SSD.submit` shares.  With observability on, the step and the
+kernel append to an :class:`~repro.obs.log.ObservationLog`, and the windowed
+recorder and the tracer (:mod:`repro.obs`) consume that log a block at a
+time; there is no observed variant of the loop.
 """
 
 from __future__ import annotations
@@ -113,37 +114,68 @@ _OP_TYPES = (OpType.READ, OpType.WRITE)
 
 
 def _segments(reads: "np.ndarray") -> list[tuple[int, int, bool]]:
-    """Split a chunk's single-page-read mask into maximal runs.
+    """Split a chunk's read mask into maximal runs.
 
     Returns ``(start, end, is_read)`` half-open runs in order: runs of
-    single-page reads, the shape a read planner serves, and runs of
-    everything else.
+    reads, the shape a read planner serves, and runs of writes.
     """
     bounds = [0, *((reads[1:] != reads[:-1]).nonzero()[0] + 1).tolist(), len(reads)]
     return list(zip(bounds, bounds[1:], reads[bounds[:-1]].tolist()))
 
 
+#: Most read pages one chunk may cover: a read planner holds a few Python
+#: columns per page of its chunk, so this bounds its memory (about 1 MB)
+#: when long reads fill a chunk.  Without it, one 46 508-page chunk of the
+#: `figs_tiny` ledger workload raised its peak RSS by 6.6 MB (12 %).
+_CHUNK_READ_PAGES = 8_192
+
+
+def _read_pages_cut(ops: "np.ndarray", npages: "np.ndarray") -> int:
+    """How many leading requests of a chunk cover at most
+    :data:`_CHUNK_READ_PAGES` read pages (at least one)."""
+    # Ufunc and ndarray methods only: no Python-level NumPy wrapper runs
+    # per chunk (the ledger's py.calls_per_op counts them).
+    pages = np.add.accumulate(np.where(ops == OP_READ_CODE, npages, 0))
+    if pages[-1] <= _CHUNK_READ_PAGES:
+        return len(pages)
+    return max(1, int(pages.searchsorted(_CHUNK_READ_PAGES, side="right")))
+
+
 def _iter_request_chunks(
-    requests: "Iterable[HostRequest] | RequestBatch", batch: int
-) -> Iterator[tuple["np.ndarray", "np.ndarray", "np.ndarray", list, Callable[[slice], list]]]:
-    """Chunk a request stream into ``(ops, lpns, npages, segments, requests_of)``.
+    requests: "Iterable[HostRequest] | RequestBatch",
+    batch: int,
+    *,
+    origin: float | None = None,
+    streams: int = 1,
+) -> Iterator[tuple]:
+    """Chunk a request stream into ``(ops, lpns, npages, segments,
+    requests_of, arrivals, slots)``.
 
     ``ops``, ``lpns`` and ``npages`` are the chunk's op-code (int8), LPN and
-    page-count (int64) columns, ``segments`` their :func:`_segments` split,
+    page-count (int64) columns (``batch`` requests, fewer where their reads
+    would cover more than :data:`_CHUNK_READ_PAGES` pages), ``segments``
+    their :func:`_segments` split,
     and ``requests_of(slice)`` returns a slice of the chunk as a list of
-    :class:`HostRequest` for the request step.  A :class:`RequestBatch`
-    source is sliced zero-copy (its columns already exist) and builds
-    request objects only for the slices the step serves, with one ``map``
-    per slice.  Any other iterable is buffered ``batch`` requests at a time,
-    so a generator is pulled at most one chunk ahead of execution and is
-    never drained up front.
+    :class:`HostRequest` for the request step.  With an ``origin`` (the open
+    loop), ``arrivals[i]`` is request ``i``'s arrival, ``origin`` plus its
+    ``issue_time_us`` (0 when it has none), and ``slots[i]`` its stream,
+    ``stream_id % streams``.  A :class:`RequestBatch` source (closed loop
+    only) is sliced zero-copy (its columns already exist) and builds request
+    objects only for the slices the step serves, with one ``map`` per slice.
+    Any other iterable is buffered ``batch`` requests at a time, so a
+    generator is pulled at most one chunk ahead of execution and is never
+    drained up front.
     """
-    if isinstance(requests, RequestBatch):
+    if isinstance(requests, RequestBatch) and origin is None:
         ops, lpns, npages = requests.ops, requests.lpns, requests.npages
-        reads = (npages == 1) & (ops == OP_READ_CODE)
+        reads = ops == OP_READ_CODE
         op_type = _OP_TYPES.__getitem__
-        for chunk_start in range(0, len(requests), batch):
-            chunk = slice(chunk_start, chunk_start + batch)
+        start = 0
+        while start < len(requests):
+            stop = start + batch
+            stop = start + _read_pages_cut(ops[start:stop], npages[start:stop])
+            chunk = slice(start, stop)
+            start = stop
             chunk_ops, chunk_lpns, chunk_npages = ops[chunk], lpns[chunk], npages[chunk]
 
             def requests_of(part: slice, _ops=chunk_ops, _lpns=chunk_lpns, _npages=chunk_npages):
@@ -156,16 +188,24 @@ def _iter_request_chunks(
                     )
                 )
 
-            yield chunk_ops, chunk_lpns, chunk_npages, _segments(reads[chunk]), requests_of
+            yield chunk_ops, chunk_lpns, chunk_npages, _segments(reads[chunk]), requests_of, None, None
         return
     write_op = OpType.WRITE
     iterator = iter(requests)
-    while chunk := list(islice(iterator, batch)):
+    arrivals = slots = None
+    held: list = []
+    while chunk := held + list(islice(iterator, batch - len(held))):
         ops = np.array([request.op is write_op for request in chunk], dtype=np.int8)
         lpns = np.array([request.lpn for request in chunk], dtype=np.int64)
         npages = np.array([request.npages for request in chunk], dtype=np.int64)
-        reads = (npages == 1) & (ops == OP_READ_CODE)
-        yield ops, lpns, npages, _segments(reads), chunk.__getitem__
+        cut = _read_pages_cut(ops, npages)
+        held = chunk[cut:]
+        if held:
+            chunk, ops, lpns, npages = chunk[:cut], ops[:cut], lpns[:cut], npages[:cut]
+        if origin is not None:
+            arrivals = [origin + (request.issue_time_us or 0.0) for request in chunk]
+            slots = [request.stream_id % streams for request in chunk]
+        yield ops, lpns, npages, _segments(ops == OP_READ_CODE), chunk.__getitem__, arrivals, slots
 
 
 @dataclass
@@ -306,9 +346,9 @@ class SSD:
     def _step(self, request: HostRequest, issue: float) -> float:
         """Serve one host request issued at ``issue``; returns its finish time.
 
-        The one statement of encode → execute → record → log: every host
-        entry point (:meth:`submit`, :meth:`run`, :meth:`replay`)
-        picks an issue time from its own clock and calls this.  Callees are
+        The one statement of encode → execute → record → log:
+        :meth:`submit`, and the host loop for every request no read planner
+        serves, pick an issue time from their own clock and call this.  Callees are
         looked up per call because ``reset_stats`` and
         ``enable_observability`` replace them between calls.  With
         observability on, the step appends what it produced to the
@@ -360,29 +400,15 @@ class SSD:
     ) -> RunResult:
         """Closed-loop execution: ``threads`` psync workers share the request stream.
 
-        The one closed loop: requests are pulled ``batch`` at a time and each
-        chunk is split into maximal runs of single-page reads and runs of
-        everything else.  A chunk that holds a read run gets one read planner
-        from the FTL (:meth:`~repro.core.base.FTLBase.begin_read_run`), which
-        gathers its columns for the whole chunk once; every read run, however
-        short, is then a cursor range over them that the planner serves
-        array-at-a-time through the engine's read-batch kernel.  Everything
-        else — writes, multi-page reads, the designs with no planner and each
-        request a planner refuses — takes the request step one request at a
-        time; after each run of writes and multi-page reads the planner
-        re-reads what those requests changed (``refresh``: the written LPNs'
-        later reads, or the rest of the chunk after a group GC, retraining or
-        sequential initialization).  Results are bit-identical whichever way
+        The host loop (:meth:`_serve`) with the closed issue rule: each
+        request issues when the earliest-free thread frees up.  Requests are
+        pulled ``batch`` at a time; results are bit-identical whichever way
         a request is served, so ``batch`` (a positive count) sets only the
-        chunk length: memory and how far ahead a generator is pulled.  Passing
-        the stream as a :class:`RequestBatch` avoids materializing request
-        objects for the requests a planner serves.
-
-        Each kernel call's ``(issues, latencies, trans_chips, trans_ppns)``
-        columns go to the observation log right after it, so the log holds
-        the same requests, commands and outcomes in the same order whichever
-        way they were served.  ``progress`` fires at every 10k-request mark,
-        immediately even when a planner step spans it.
+        chunk length: memory and how far ahead a generator is pulled.
+        Passing the stream as a :class:`RequestBatch` avoids materializing
+        request objects for the requests a planner serves.  ``progress``
+        fires at every 10k-request mark, immediately even when a planner
+        step spans it.
         """
         threads = _count_argument("threads", threads)
         batch = _count_argument("batch", batch)
@@ -392,61 +418,7 @@ class SSD:
         # the free-time multiset is the whole host state (no slot indices) and
         # the engine's batch kernel can ``heapreplace`` it directly.
         thread_free: list[float] = [start] * threads
-        completed = 0
-        step = self._step
-        execute_read_batch = self.engine.execute_read_batch
-        begin_read_run = self.ftl.begin_read_run
-        record_latencies = self.stats.record_latencies
-        log = self._log
-        heapreplace = heapq.heapreplace
-        for ops, lpns, npages, segments, requests_of in _iter_request_chunks(requests, batch):
-            # One planner per chunk that holds a read run (runs alternate, so
-            # any chunk of two or more does): its columns cover the whole
-            # chunk, and every read run is a cursor range over them.
-            planner = None
-            if len(segments) > 1 or segments[0][2]:
-                planner = begin_read_run(ops, lpns, npages)
-            for seg_start, seg_end, is_read in segments:
-                pos = seg_start
-                while pos < seg_end:
-                    stop = seg_end
-                    if is_read and planner is not None:
-                        k, data_chips, trans_chips, trans_ppns, computes = planner.take(seg_end)
-                        if k:
-                            issues, latencies = execute_read_batch(
-                                data_chips,
-                                trans_chips,
-                                thread_free,
-                                trans_count=len(trans_ppns),
-                                computes=computes,
-                            )
-                            if log is not None:
-                                log.append_reads(issues, latencies, trans_chips, trans_ppns)
-                            record_latencies(True, latencies)
-                            if progress is not None:
-                                first_mark = completed - completed % 10_000 + 10_000
-                                for mark in range(first_mark, completed + k + 1, 10_000):
-                                    progress(mark)
-                            completed += k
-                            pos += k
-                            if pos >= seg_end:
-                                break
-                        # The planner refused the request at the cursor.
-                        stop = pos + 1
-                    for request in requests_of(slice(pos, stop)):
-                        heapreplace(thread_free, step(request, thread_free[0]))
-                        completed += 1
-                        if progress is not None and completed % 10_000 == 0:
-                            progress(completed)
-                    if planner is not None:
-                        if is_read:
-                            planner.skip()
-                        else:
-                            planner.refresh(pos, stop)
-                    pos = stop
-        self._clock_us = max(self._clock_us, max(thread_free))
-        self.stats.finish_time_us = self._clock_us
-        return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
+        return self._serve(_iter_request_chunks(requests, batch), start, thread_free, progress)
 
     def replay(
         self,
@@ -458,10 +430,12 @@ class SSD:
     ) -> RunResult:
         """Open-loop trace replay honouring per-request arrival timestamps.
 
-        A request is issued at ``max(arrival, previous completion of its
+        The host loop (:meth:`_serve`) with the open issue rule: a request
+        is issued at ``max(origin + arrival, previous completion of its
         stream)``; ``stream_id`` values beyond ``streams`` wrap around
         (``stream_id % streams``), so traces recorded with more jobs than the
-        replay is configured for still make progress.
+        replay is configured for still make progress.  Its reads are planned
+        exactly as :meth:`run`'s are.
 
         ``stream_free`` and ``origin_us`` exist for chunked streaming replay
         (``repro.replay``): passing the same ``stream_free`` list (mutated in
@@ -477,15 +451,102 @@ class SSD:
         origin = start if origin_us is None else origin_us
         if stream_free is None:
             stream_free = [origin] * streams
-        streams = len(stream_free)
+        chunks = _iter_request_chunks(requests, 4096, origin=origin, streams=len(stream_free))
+        return self._serve(chunks, start, stream_free)
+
+    def _serve(
+        self,
+        chunks: Iterator[tuple],
+        start: float,
+        host_free: list[float],
+        progress: Callable[[int], None] | None = None,
+    ) -> RunResult:
+        """The one host loop, from simulated time ``start``.
+
+        ``host_free`` is the host's state under its issue rule: the closed
+        loop's thread heap (a chunk's ``arrivals`` is ``None``: a request
+        issues at ``host_free[0]`` and the thread is re-queued at its
+        finish) or the open loop's per-stream free times (a request issues
+        at ``max(arrivals[i], host_free[slots[i]])`` and sets its stream's
+        entry to its finish).
+
+        Each chunk is split into maximal runs of reads and runs of writes.
+        A chunk that holds a read run gets one read planner from the FTL
+        (:meth:`~repro.core.base.FTLBase.begin_read_run`), which gathers its
+        columns for the whole chunk once; every read run, however short and
+        whatever its reads' lengths, is then a cursor range over them that
+        the planner serves array-at-a-time through the engine's read-batch
+        kernel.  Everything else — writes, the designs with no planner and
+        each read a planner refuses — takes the request step one request at
+        a time; after each run of writes the planner re-reads what those
+        requests changed (``refresh``).  Each kernel call's ``(issues,
+        latencies, trans_chips, trans_ppns, npages)`` columns go to the
+        observation log right after it, so the log holds the same requests,
+        commands and outcomes in the same order whichever way they were
+        served.
+        """
         completed = 0
         step = self._step
-        for request in requests:
-            slot = request.stream_id % streams
-            arrival = origin + (request.issue_time_us or 0.0)
-            stream_free[slot] = step(request, max(arrival, stream_free[slot]))
-            completed += 1
-        self._clock_us = max(self._clock_us, max(stream_free))
+        execute_read_batch = self.engine.execute_read_batch
+        begin_read_run = self.ftl.begin_read_run
+        record_latencies = self.stats.record_latencies
+        log = self._log
+        heapreplace = heapq.heapreplace
+        for ops, lpns, npages, segments, requests_of, arrivals, slots in chunks:
+            # One planner per chunk that holds a read run (runs alternate, so
+            # any chunk of two or more does): its columns cover the whole
+            # chunk, and every read run is a cursor range over them.
+            planner = None
+            if len(segments) > 1 or segments[0][2]:
+                planner = begin_read_run(ops, lpns, npages)
+            for seg_start, seg_end, is_read in segments:
+                pos = seg_start
+                while pos < seg_end:
+                    stop = seg_end
+                    if is_read and planner is not None:
+                        k, data_chips, trans_chips, trans_ppns, computes, pages = planner.take(seg_end)
+                        if k:
+                            issues, latencies = execute_read_batch(
+                                data_chips,
+                                trans_chips,
+                                host_free,
+                                trans_count=len(trans_ppns),
+                                computes=computes,
+                                npages=pages,
+                                arrivals=None if arrivals is None else arrivals[pos : pos + k],
+                                slots=None if slots is None else slots[pos : pos + k],
+                            )
+                            if log is not None:
+                                log.append_reads(issues, latencies, trans_chips, trans_ppns, pages)
+                            record_latencies(True, latencies)
+                            if progress is not None:
+                                first_mark = completed - completed % 10_000 + 10_000
+                                for mark in range(first_mark, completed + k + 1, 10_000):
+                                    progress(mark)
+                            completed += k
+                            pos += k
+                            if pos >= seg_end:
+                                break
+                        # The planner refused the request at the cursor.
+                        stop = pos + 1
+                    if arrivals is None:
+                        for request in requests_of(slice(pos, stop)):
+                            heapreplace(host_free, step(request, host_free[0]))
+                            completed += 1
+                            if progress is not None and completed % 10_000 == 0:
+                                progress(completed)
+                    else:
+                        for i, request in enumerate(requests_of(slice(pos, stop)), pos):
+                            slot = slots[i]
+                            host_free[slot] = step(request, max(arrivals[i], host_free[slot]))
+                            completed += 1
+                    if planner is not None:
+                        if is_read:
+                            planner.skip()
+                        else:
+                            planner.refresh(pos, stop)
+                    pos = stop
+        self._clock_us = max(self._clock_us, max(host_free))
         self.stats.finish_time_us = self._clock_us
         return RunResult(stats=self.stats, elapsed_us=self._clock_us - start, requests=completed)
 

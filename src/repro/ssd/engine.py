@@ -17,17 +17,19 @@ directly: per command it reads one integer code and one chip index, looks the
 latency up in a code-indexed table and buckets the statistics with a single
 list increment — no command objects, no enum dispatch.
 
-The closed loop's read-planner takes run through
-:meth:`TimingEngine.execute_read_batch`, a specialization of the buffer loop
-for the one-command-per-stage shapes read planners emit.  It returns
-per-request ``(issues, latencies)`` columns, which is everything the device's
-observers consume afterwards — the engine has no observed variants and never
-sees a recorder or a tracer.
+The read planner's takes run through :meth:`TimingEngine.execute_read_batch`,
+a specialization of the buffer loop for the shape a read of any length
+encodes: an optional head stage (compute charge plus translation reads),
+then one stage of data reads.  It returns per-request ``(issues,
+latencies)`` columns, which is everything the device's observers consume
+afterwards — the engine has no observed variants and never sees a recorder
+or a tracer.
 
-The host side is a closed-loop ("psync") thread model: each of the N threads
-issues its next request as soon as its previous one completes, exactly like
-``fio --ioengine=psync --numjobs=N``.  Open-loop (timestamped trace) replay is
-also supported: a request is issued at ``max(arrival, thread free)``.
+The host's issue rule is the device loop's, and the kernel applies either:
+the closed-loop ("psync") thread model, where each of the N threads issues
+its next request as soon as its previous one completes, exactly like
+``fio --ioengine=psync --numjobs=N``; or open-loop (timestamped trace)
+replay, where a request is issued at ``max(arrival, stream free)``.
 """
 
 from __future__ import annotations
@@ -169,34 +171,50 @@ class TimingEngine:
         self,
         data_chips: list,
         trans_chips: list | None,
-        thread_free: list,
+        host_free: list,
         *,
         trans_count: int = 0,
         computes: list | None = None,
+        npages: list | None = None,
+        arrivals: list | None = None,
+        slots: list | None = None,
     ) -> tuple[list, list]:
-        """Execute a planner's batch of single-page reads; returns their
-        ``(issues, latencies)`` columns in request order.
+        """Execute a planner's batch of reads; returns their ``(issues,
+        latencies)`` columns in request order.
 
-        ``thread_free`` is the closed-loop thread heap as **bare floats**
-        (psync threads are indistinguishable, so the free-time multiset is the
-        whole host state).  Request ``i`` issues at ``thread_free[0]`` (the earliest-free
-        thread), pays its controller compute charge (``computes[i]``, when the
-        planner supplies a compute column), then one translation read on
-        ``trans_chips[i]`` when that is ``>= 0``, then one data read on
-        ``data_chips[i]``, and the thread is re-queued at the data read's
-        finish.  The issue-time column is returned for the device's observers
-        (windowed recorder, tracer), which consume it after the call — the
-        kernel itself knows nothing of them.
+        The host's issue rule is the device loop's:
+
+        * **closed loop** (``arrivals`` is ``None``): ``host_free`` is the
+          thread heap as **bare floats** (psync threads are
+          indistinguishable, so the free-time multiset is the whole host
+          state).  Request ``i`` issues at ``host_free[0]`` (the
+          earliest-free thread), which is re-queued at its finish;
+        * **open loop**: ``host_free`` is the per-stream free-time list.
+          Request ``i`` issues at ``max(arrivals[i], host_free[slots[i]])``
+          and sets ``host_free[slots[i]]`` to its finish.
+
+        ``data_chips`` and ``trans_chips`` are page columns: request ``i``
+        covers the next ``npages[i]`` pages (one each when ``npages`` is
+        ``None``).  It pays its controller compute charge (``computes[i]``,
+        when the planner supplies a compute column), then, in one head stage,
+        one translation read on ``trans_chips[p]`` for each of its pages
+        ``p`` where that is ``>= 0``, then one data stage of its data reads
+        on ``data_chips[p]``.  The issue-time column is returned for the
+        device's observers (windowed recorder, tracer), which consume it
+        after the call — the kernel itself knows nothing of them.
 
         The arithmetic is a specialization of :meth:`execute_buffer` for the
-        three shapes planners emit — ``[data]``, ``[trans] -> [data]`` and
-        ``[compute (+ trans)] -> [data]`` — and is bit-identical to it: each
-        stage holds at most one command, so the stage finish IS the command
-        finish; a head stage carrying only compute time finishes at its
-        dispatch (``issue + compute``); and a zero compute charge adds exactly
-        ``0.0``, which is bitwise-neutral for the non-negative timestamps the
-        clock produces.  ``busy_time`` is accumulated per command (never as
-        ``count * duration``) to keep float association identical.
+        ``[compute (+ translation reads)] -> [data reads]`` shape
+        ``_encode_read`` emits, and is bit-identical to it: commands run in
+        the buffer's order (head stage, then data stage, page order in
+        each), a stage finishes at its latest command or at its dispatch, a
+        head stage carrying only compute time finishes at ``issue +
+        compute``, and a zero compute charge adds exactly ``0.0``, which is
+        bitwise-neutral for the non-negative timestamps the clock produces.
+        ``busy_time`` is accumulated per command (never as ``count *
+        duration``) to keep float association identical.  Closed-loop
+        batches of single-page reads, the random-read hot case, take two
+        loops of their own.
         """
         n = len(data_chips)
         counts = self._command_counts
@@ -211,21 +229,62 @@ class TimingEngine:
         append_issue = issues.append
         append_latency = latencies.append
         heapreplace = heapq.heapreplace
-        if trans_chips is None and computes is None:
+        trans_duration = self._duration_by_code[_CODE_TRANSLATION_READ]
+        if npages is not None or arrivals is not None:
+            page = 0
+            for i in range(len(npages) if npages is not None else n):
+                if arrivals is None:
+                    issue = host_free[0]
+                else:
+                    slot = slots[i]
+                    issue = host_free[slot]
+                    arrival = arrivals[i]
+                    if not issue > arrival:
+                        issue = arrival
+                append_issue(issue)
+                last = page + (1 if npages is None else npages[i])
+                cursor = issue if computes is None else issue + computes[i]
+                if trans_chips is not None:
+                    stage_finish = cursor
+                    for p in range(page, last):
+                        trans_chip = trans_chips[p]
+                        if trans_chip >= 0:
+                            busy = busy_until[trans_chip]
+                            finish = (busy if busy > cursor else cursor) + trans_duration
+                            busy_until[trans_chip] = finish
+                            busy_time[trans_chip] += trans_duration
+                            if finish > stage_finish:
+                                stage_finish = finish
+                    cursor = stage_finish
+                stage_finish = cursor
+                for p in range(page, last):
+                    chip = data_chips[p]
+                    busy = busy_until[chip]
+                    finish = (busy if busy > cursor else cursor) + data_duration
+                    busy_until[chip] = finish
+                    busy_time[chip] += data_duration
+                    if finish > stage_finish:
+                        stage_finish = finish
+                page = last
+                if arrivals is None:
+                    heapreplace(host_free, stage_finish)
+                else:
+                    host_free[slot] = stage_finish
+                append_latency(stage_finish - issue)
+        elif trans_chips is None and computes is None:
             for chip in data_chips:
-                issue = thread_free[0]
+                issue = host_free[0]
                 append_issue(issue)
                 busy = busy_until[chip]
                 start = busy if busy > issue else issue
                 finish = start + data_duration
                 busy_until[chip] = finish
                 busy_time[chip] += data_duration
-                heapreplace(thread_free, finish)
+                heapreplace(host_free, finish)
                 append_latency(finish - issue)
         else:
-            trans_duration = self._duration_by_code[_CODE_TRANSLATION_READ]
             for i in range(n):
-                issue = thread_free[0]
+                issue = host_free[0]
                 append_issue(issue)
                 cursor = issue if computes is None else issue + computes[i]
                 trans_chip = -1 if trans_chips is None else trans_chips[i]
@@ -240,6 +299,6 @@ class TimingEngine:
                 finish = start + data_duration
                 busy_until[chip] = finish
                 busy_time[chip] += data_duration
-                heapreplace(thread_free, finish)
+                heapreplace(host_free, finish)
                 append_latency(finish - issue)
         return issues, latencies

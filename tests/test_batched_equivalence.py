@@ -302,6 +302,48 @@ def test_a_generator_is_pulled_at_most_one_chunk_ahead(batch: int) -> None:
     ]
 
 
+@pytest.mark.parametrize("source", ("batch", "objects", "replay"))
+def test_chunks_cover_at_most_the_read_page_bound(monkeypatch, source: str) -> None:
+    """A chunk ends early once its reads would cover more than
+    ``_CHUNK_READ_PAGES`` pages (a planner holds columns per page), from
+    every kind of source; the run still equals the request step."""
+    import repro.ssd.device as device_module
+
+    monkeypatch.setattr(device_module, "_CHUNK_READ_PAGES", 64)
+    geometry = golden_geometry()
+    rng = np.random.default_rng(3)
+    ops = np.where(rng.random(600) < 0.1, OP_WRITE_CODE, OP_READ_CODE).astype(np.int8)
+    npages = rng.integers(1, 21, size=600)
+    lpns = rng.integers(0, geometry.num_logical_pages - npages)
+    objects = [
+        HostRequest(OpType.WRITE if op == OP_WRITE_CODE else OpType.READ, lpn, count)
+        for op, lpn, count in zip(ops.tolist(), lpns.tolist(), npages.tolist())
+    ]
+    covered: list[int] = []
+    results = []
+    for planned in (False, True):
+        ssd = SSD.create("learnedftl", geometry)
+        ssd.fill_sequential(io_pages=16)
+        if planned:
+            begin = ssd.ftl.begin_read_run
+
+            def spy(chunk_ops, chunk_lpns, chunk_npages):
+                covered.append(int(chunk_npages[chunk_ops == OP_READ_CODE].sum()))
+                return begin(chunk_ops, chunk_lpns, chunk_npages)
+
+            ssd.ftl.begin_read_run = spy
+        with step_only(not planned):
+            if source == "batch":
+                ssd.run(RequestBatch(ops, lpns, npages), threads=2, batch=500)
+            elif source == "objects":
+                ssd.run(objects, threads=2, batch=500)
+            else:
+                ssd.replay(objects, streams=2)
+        results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
+    assert results[0] == results[1]
+    assert len(covered) > 10 and max(covered) <= 64
+
+
 def _clean_warm_dftl():
     """A dftl device whose CMT holds only clean, read-inserted entries.
 
@@ -377,7 +419,7 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     lookups_before = ftl.stats.model_lookups
     model_hits_before = ftl.stats.model_hits
 
-    k, data_chips, trans_chips, trans_ppns, computes = read_planner(ftl, run).take(len(run))
+    k, data_chips, trans_chips, trans_ppns, computes, npages = read_planner(ftl, run).take(len(run))
 
     assert k == 8
     assert len(data_chips) == 8
@@ -396,7 +438,7 @@ def test_grouped_read_planner_batch_fills_translation_misses():
     assert ftl.stats.model_hits == model_hits_before
     # The run is now cached: a second take is all hits, with no translation
     # column at all (the engine's data-only branch).
-    k2, _, trans_chips2, trans_ppns2, _ = read_planner(ftl, run).take(len(run))
+    k2, _, trans_chips2, trans_ppns2, _, _ = read_planner(ftl, run).take(len(run))
     assert (k2, trans_ppns2, trans_chips2) == (8, [], None)
 
 
@@ -617,21 +659,22 @@ def test_chunk_columns_refresh_after_writes(monkeypatch, batch: int) -> None:
     segment that changes its columns.
 
     The chunks hold single-page writes to LPNs read again later in the
-    chunk (patched in place), writes that run group GC and retraining and
-    multi-page writes (sequential initialization), both of which re-gather
-    the rest of the chunk, multi-page reads between read runs, and refused
-    reads whose step evicts a dirty node.
+    chunk (patched in place), writes that run group GC and retraining
+    (which re-gather the rest of the chunk), multi-page writes (sequential
+    initialization: the later pages of the translation pages they cover are
+    re-read), multi-page reads among the read runs, and refused reads whose
+    step evicts a dirty node.
     """
     with step_only():
         reference = _refresh_run(1)
-    kinds = dict.fromkeys(("gc", "retrained", "sequential", "patch", "dirty_refusal"), 0)
+    kinds = dict.fromkeys(("gc", "retrained", "reread", "patch", "dirty_refusal"), 0)
     gather, refresh, take, skip = (
         GroupedReadPlanner._gather,
         GroupedReadPlanner.refresh,
         GroupedReadPlanner.take,
         GroupedReadPlanner.skip,
     )
-    gathered: list[int] = []
+    gathered: list = []
     refused: list[bool] = [False]
     # Models trained when the planner last served a read.
     trained = [0]
@@ -640,19 +683,19 @@ def test_chunk_columns_refresh_after_writes(monkeypatch, batch: int) -> None:
         gc_events = planner._gc_events
         gathered.clear()
         refresh(planner, start, end)
-        if gathered:
-            if gc_events != planner._gc_events:
-                kinds["gc"] += 1
-                kinds["retrained"] += planner._stats.models_trained != trained[0]
-            else:
-                kinds["sequential"] += 1
-        elif any(
-            position >= end
+        if gc_events != planner._gc_events:
+            kinds["gc"] += 1
+            kinds["retrained"] += planner._stats.models_trained != trained[0]
+            return
+        # A multi-page write re-reads the later pages of the translation
+        # pages it covers (an array of positions, never a slice).
+        kinds["reread"] += any(not isinstance(at, slice) for at in gathered)
+        kinds["patch"] += any(
+            position >= planner._starts[end]
             for i in range(start, end)
-            if planner._ops[i] == OP_WRITE_CODE
+            if planner._ops[i] == OP_WRITE_CODE and planner._npages[i] == 1
             for position in planner._later_reads.get(planner._lpns[i], ())
-        ):
-            kinds["patch"] += 1
+        )
 
     def spy_take(planner, end):
         result = take(planner, end)
@@ -673,7 +716,7 @@ def test_chunk_columns_refresh_after_writes(monkeypatch, batch: int) -> None:
         return flush
 
     monkeypatch.setattr(
-        GroupedReadPlanner, "_gather", lambda p, start: (gathered.append(start), gather(p, start))
+        GroupedReadPlanner, "_gather", lambda p, at: (gathered.append(at), gather(p, at))
     )
     monkeypatch.setattr(GroupedReadPlanner, "refresh", spy_refresh)
     monkeypatch.setattr(GroupedReadPlanner, "take", spy_take)
@@ -687,6 +730,163 @@ def test_chunk_columns_refresh_after_writes(monkeypatch, batch: int) -> None:
 
     monkeypatch.setattr(SSD, "create", create_spied)
     assert _refresh_run(batch) == reference
+    if batch > 1:
+        assert all(kinds.values()), kinds
+
+
+def _any_length_workload(geometry) -> list[HostRequest]:
+    """Read runs of 1-24 single- and multi-page reads, each followed by one
+    or two writes, with arrival times and four streams for the open loop.
+
+    The reads: single pages, mostly on a hot range; multi-page reads that
+    cross a translation-page boundary; multi-page reads anywhere, which find
+    unmapped pages above the device's 60 % fill; and reads reaching past the
+    logical space.  The writes: a single page on the hot range (patched in
+    place), a multi-page write on the hot range's translation pages (re-read
+    by translation page) or a single page anywhere (dirty CMT nodes, group
+    GC and retraining once the free space runs low).
+    """
+    rng = np.random.default_rng(23)
+    limit = geometry.num_logical_pages
+    per_page = geometry.mappings_per_translation_page
+    shapes = []
+    while len(shapes) < 2400:
+        for _ in range(int(rng.integers(1, 25))):
+            draw = rng.random()
+            if draw < 0.5:
+                shapes.append((OpType.READ, int(rng.integers(0, 3 * per_page)), 1))
+            elif draw < 0.58:
+                shapes.append((OpType.READ, int(rng.integers(0, limit)), 1))
+            elif draw < 0.8:
+                pages = int(rng.integers(2, 9))
+                boundary = int(rng.integers(1, limit // per_page)) * per_page
+                shapes.append((OpType.READ, boundary - int(rng.integers(1, pages)), pages))
+            elif draw < 0.97:
+                pages = int(rng.integers(2, 9))
+                shapes.append((OpType.READ, int(rng.integers(0, limit - pages)), pages))
+            else:
+                shapes.append((OpType.READ, limit - int(rng.integers(1, 4)), int(rng.integers(4, 7))))
+        for _ in range(int(rng.integers(1, 3))):
+            shape = int(rng.integers(0, 3))
+            if shape == 1:
+                pages = int(rng.integers(2, 9))
+                shapes.append((OpType.WRITE, int(rng.integers(0, 3 * per_page - pages)), pages))
+            else:
+                hot = 3 * per_page if shape == 0 else limit
+                shapes.append((OpType.WRITE, int(rng.integers(0, hot)), 1))
+    streams = rng.integers(0, 4, size=len(shapes)).tolist()
+    return [
+        HostRequest(op, lpn, pages, i * 30.0, stream)
+        for i, ((op, lpn, pages), stream) in enumerate(zip(shapes, streams))
+    ]
+
+
+#: The host loops ``_any_length_run`` drives: the closed loop, and the open
+#: loop with one or four streams, with and without the arrival times.
+_LOOPS = ("run", "replay-1", "replay-4", "replay-1-untimed", "replay-4-untimed")
+
+
+def _any_length_run(loop: str, batch: int) -> tuple:
+    from repro.core.base import FTLConfig
+
+    geometry = golden_geometry()
+    ssd = SSD.create("learnedftl", geometry, config=FTLConfig(learnedftl_cmt_ratio=0.05))
+    ssd.fill_sequential(io_pages=16, fraction=0.6)
+    ssd.reset_stats()
+    sink = _StreamDigest()
+    ssd._log = ObservationLog(recorder=sink)
+    requests = _any_length_workload(geometry)
+    if loop == "run":
+        ssd.run(requests, threads=3, batch=batch)
+    else:
+        if loop.endswith("untimed"):
+            requests = [HostRequest(r.op, r.lpn, r.npages, None, r.stream_id) for r in requests]
+        # Chunked as a streaming replay chunks: one call per ``batch``
+        # requests, sharing the stream free times and the arrival origin.
+        stream_free = [0.0] * int(loop.split("-")[1])
+        for start in range(0, len(requests), batch):
+            ssd.replay(requests[start : start + batch], stream_free=stream_free, origin_us=0.0)
+    ssd._log.flush()
+    ssd.verify()
+    return state_fingerprint(ssd.state_dict()), ssd.stats.summary(), ssd.now_us, sink.digests()
+
+
+_any_length_references: dict[str, tuple] = {}
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("loop", _LOOPS)
+def test_reads_of_any_length_match_the_step(monkeypatch, loop: str, batch: int) -> None:
+    """Step-only == planned for reads of any length, in both host loops.
+
+    The chunks hold multi-page reads served across a translation-page
+    boundary and in one take with single-page reads; multi-page reads
+    refused for a dirty eviction, for an unmapped page (zero-fill) and for
+    reaching past the logical space; and multi-page writes whose translation
+    pages are re-read for later reads in the chunk.
+    """
+    if loop not in _any_length_references:
+        with step_only():
+            _any_length_references[loop] = _any_length_run(loop, 1)
+    kinds = dict.fromkeys(
+        ("crossing", "mixed_take", "dirty_refusal", "unmapped", "past_end", "reread"), 0
+    )
+    gather, take, skip = GroupedReadPlanner._gather, GroupedReadPlanner.take, GroupedReadPlanner.skip
+    # The multi-page read the planner last refused, until the step serves it.
+    refused: list = [None]
+
+    def spy_take(planner, end):
+        pos = planner._pos
+        result = take(planner, end)
+        k, pages = result[0], result[5]
+        per_page = planner._mappings_per_page
+        lpns = planner._lpns
+        if pages is not None:
+            kinds["mixed_take"] += 1 in pages
+            kinds["crossing"] += sum(
+                lpn // per_page != (lpn + count - 1) // per_page
+                for lpn, count in zip(lpns[pos : pos + k], pages)
+            )
+        i = pos + k
+        refused[0] = None
+        if i < end and planner._npages[i] > 1:
+            refused[0] = i
+            first, last = planner._lpns[i], planner._lpns[i] + planner._npages[i]
+            if last > planner._ftl.geometry.num_logical_pages:
+                kinds["past_end"] += 1
+            elif -1 in planner._ftl.directory.lookup_many(np.arange(first, last)):
+                kinds["unmapped"] += 1
+        return result
+
+    def spy_skip(planner):
+        refused[0] = None
+        skip(planner)
+
+    def spy_gather(planner, at):
+        if not isinstance(at, slice):
+            kinds["reread"] += 1
+        gather(planner, at)
+
+    def spy_flush(ftl_flush):
+        def flush(tvpn):
+            if refused[0] is not None:
+                kinds["dirty_refusal"] += 1
+            return ftl_flush(tvpn)
+
+        return flush
+
+    monkeypatch.setattr(GroupedReadPlanner, "_gather", spy_gather)
+    monkeypatch.setattr(GroupedReadPlanner, "take", spy_take)
+    monkeypatch.setattr(GroupedReadPlanner, "skip", spy_skip)
+    create = SSD.create
+
+    def create_spied(*args, **kwargs):
+        ssd = create(*args, **kwargs)
+        ssd.ftl._flush_translation_page = spy_flush(ssd.ftl._flush_translation_page)
+        return ssd
+
+    monkeypatch.setattr(SSD, "create", create_spied)
+    assert _any_length_run(loop, batch) == _any_length_references[loop]
     if batch > 1:
         assert all(kinds.values()), kinds
 
@@ -871,5 +1071,35 @@ def test_load_refused_only_when_an_evicted_node_is_dirty(dirty_tvpn, served) -> 
         ssd = _cmt_with_three_nodes(dirty_tvpn)
         with step_only(not planned):
             ssd.run(RequestBatch.reads(np.array([70], dtype=np.int64)), threads=1)
+        results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dirty_tvpn,served", [(1, 0), (2, 0), (3, 0), (None, 1)])
+def test_multi_page_read_refused_when_its_eviction_prefix_holds_a_dirty_node(dirty_tvpn, served):
+    """A multi-page read is served only when every node its loads could
+    evict is clean, its own nodes included.
+
+    LPNs 62-65 cover tvpn 0 (uncached) and tvpn 1 (cached, least recently
+    used): at depth 2 each takes at most one load, 8 entries in all, which
+    overflows the full CMT by 8.  Loading tvpn 0 evicts tvpn 1, the
+    request's own node, and the bound walks the LRU nodes up to the ones
+    outside the request that cover the overflow (tvpn 2, then tvpn 3): a
+    dirty node anywhere in that prefix refuses the read.  Served or
+    refused, the run equals the request step.
+    """
+    ssd = _cmt_with_three_nodes(dirty_tvpn)
+    planner = ssd.ftl.begin_read_run(
+        np.array([OP_READ_CODE], dtype=np.int8),
+        np.array([62], dtype=np.int64),
+        np.array([4], dtype=np.int64),
+    )
+    assert planner._depths == [2]
+    assert planner.take(1)[0] == served
+    results = []
+    for planned in (False, True):
+        ssd = _cmt_with_three_nodes(dirty_tvpn)
+        with step_only(not planned):
+            ssd.run(RequestBatch.reads(np.array([62], dtype=np.int64), npages=4), threads=1)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
     assert results[0] == results[1]

@@ -179,9 +179,9 @@ def test_observe_run_equals_one_observe_at_a_time(window, streak, last_end, stre
         assert (depths[i], sums[i], streaks[i]) == (
             scalar.depth(), scalar.length_sum, scalar.streak
         )
-        stepwise.commit_run(1, sums[i], streaks[i], lpn + 1)
+        stepwise.commit_run([1], sums[i], streaks[i], lpn + 1)
         at_once.load_state(state)
-        at_once.commit_run(i + 1, sums[i], streaks[i], lpn + 1)
+        at_once.commit_run([1] * (i + 1), sums[i], streaks[i], lpn + 1)
         for committed in (stepwise, at_once):
             assert committed.state_dict() == scalar.state_dict()
             assert committed.length_sum == scalar.length_sum
@@ -189,8 +189,8 @@ def test_observe_run_equals_one_observe_at_a_time(window, streak, last_end, stre
 
 # --------------------------------------- a request chunk observed as columns
 #: One request of a chunk: its page count, whether it starts where the last
-#: request ended (else at a random LPN), and, for a single-page request,
-#: whether the planner serves it (``commit_run``) or the step does (``observe``).
+#: request ended (else at a random LPN), and whether the planner serves it
+#: (``commit_run``, with its real page count) or the step does (``observe``).
 _CHUNK_REQUESTS = st.lists(
     st.tuples(st.sampled_from([1, 1, 1, 2, 7, 128]), st.booleans(), st.booleans()),
     min_size=1,
@@ -212,13 +212,20 @@ _CHUNK_REQUESTS = st.lists(
     start=10,
     capacity=1024,
 )
+@example(  # committed stretches of mixed page counts wrapping the window
+    window=[1] * 32,
+    streak=0,
+    requests=[(pages, True, i % 9 != 8) for i, pages in enumerate([7, 1, 128, 2, 1] * 12)],
+    start=0,
+    capacity=8,
+)
 @settings(max_examples=200, deadline=None)
 def test_observe_run_over_a_chunk_equals_observe_in_order(window, streak, requests, start, capacity):
     """``observe_run``'s columns over a chunk of mixed page counts are the
     states ``observe(lpn, npages)`` leaves request by request, and the live
-    state stays equal to them while stretches of single-page requests are
-    committed and the rest (a refused read, a write, a multi-page request)
-    are observed one at a time.
+    state stays equal to them while stretches of requests of any length
+    are committed with their page counts and the rest (a refused read, a
+    write) are observed one at a time.
 
     Covers a partly full window (``window`` holds 0 to 32 lengths), its wrap
     past 32 entries, the streak cap (runs of continuing requests longer than
@@ -231,7 +238,7 @@ def test_observe_run_over_a_chunk_equals_observe_in_order(window, streak, reques
         lpn = end if continues else rng.randrange(5000)
         lpns.append(lpn)
         npages.append(pages)
-        served.append(planned and pages == 1)
+        served.append(planned)
         end = lpn + pages
     state = {"recent_lengths": window, "last_lpn_end": start, "sequential_streak": streak}
     scalar = _policy(capacity)
@@ -252,12 +259,14 @@ def test_observe_run_over_a_chunk_equals_observe_in_order(window, streak, reques
             pending += 1
             continue
         if pending:
-            columnar.commit_run(pending, sums[i - 1], streaks[i - 1], lpns[i - 1] + 1)
+            columnar.commit_run(
+                npages[i - pending : i], sums[i - 1], streaks[i - 1], lpns[i - 1] + npages[i - 1]
+            )
             pending = 0
         columnar.observe(lpn, pages)
         assert columnar.state_dict() == scalar.state_dict()
         assert columnar.length_sum == scalar.length_sum
     if pending:
-        columnar.commit_run(pending, sums[-1], streaks[-1], lpns[-1] + 1)
+        columnar.commit_run(npages[-pending:], sums[-1], streaks[-1], lpns[-1] + npages[-1])
     assert columnar.state_dict() == scalar.state_dict()
     assert columnar.length_sum == scalar.length_sum

@@ -168,3 +168,63 @@ class TestBatchKernelContract:
         )
         assert columns == expected
         assert self._state(engine, thread_free) == self._state(reference, reference_free)
+
+    @pytest.mark.parametrize("rule", ["closed", "open"])
+    @pytest.mark.parametrize("shape", ["data", "trans", "compute"])
+    def test_page_columns_and_open_loop_equal_buffer_loop(self, shape, rule):
+        """Multi-page requests (a head stage of translation reads, then a
+        data stage) and the open loop's issue rule, against the buffer loop
+        driven request by request."""
+        rng = random.Random(13)
+        npages = [rng.choice((1, 1, 2, 3, 8)) for _ in range(self.N)]
+        pages = sum(npages)
+        data_chips = [rng.randrange(self.NUM_CHIPS) for _ in range(pages)]
+        trans_chips = computes = None
+        if shape in ("trans", "compute"):
+            trans_chips = [
+                rng.randrange(self.NUM_CHIPS) if rng.random() < 0.4 else -1 for _ in range(pages)
+            ]
+        if shape == "compute":
+            computes = [rng.choice((0.0, 0.25, 1.5)) for _ in range(self.N)]
+        arrivals = slots = None
+        if rule == "open":
+            arrivals = [rng.choice((0.0, 30.0)) + 20.0 * i for i in range(self.N)]
+            slots = [rng.randrange(3) for _ in range(self.N)]
+
+        reference, host = self._engine(3)
+        buffer = CommandBuffer()
+        expected = ([], [])
+        page = 0
+        for i, count in enumerate(npages):
+            buffer.reset()
+            head = buffer.new_stage()
+            data = buffer.new_stage()
+            for p in range(page, page + count):
+                if trans_chips is not None and trans_chips[p] >= 0:
+                    buffer.append(head, _TRANS, trans_chips[p], 0)
+                buffer.append(data, _DATA, data_chips[p], 0)
+            page += count
+            buffer.commit_stage(head, computes[i] if computes else 0.0)
+            buffer.commit_stage(data)
+            issue = host[0] if arrivals is None else max(arrivals[i], host[slots[i]])
+            finish = reference.execute_buffer(buffer, issue)
+            if arrivals is None:
+                heapq.heapreplace(host, finish)
+            else:
+                host[slots[i]] = finish
+            expected[0].append(issue)
+            expected[1].append(finish - issue)
+
+        engine, host_free = self._engine(3)
+        columns = engine.execute_read_batch(
+            data_chips,
+            trans_chips,
+            host_free,
+            trans_count=sum(chip >= 0 for chip in trans_chips or ()),
+            computes=computes,
+            npages=npages,
+            arrivals=arrivals,
+            slots=slots,
+        )
+        assert columns == expected
+        assert self._state(engine, host_free) == self._state(reference, host)

@@ -51,6 +51,7 @@ from repro.ssd.request import (
     HostRequest,
     OpType,
     ReadOutcome,
+    RequestBatch,
     command_code,
 )
 from test_kernel_equivalence import GOLDEN
@@ -605,28 +606,33 @@ class _BlockSink:
         self.blocks.append(block)
 
 
-def _numpy_append_reads(log, issues, latencies, trans_chips, trans_ppns) -> None:
+def _numpy_append_reads(log, issues, latencies, trans_chips, trans_ppns, npages=None) -> None:
     """``ObservationLog.append_reads`` as NumPy columns: the reference form."""
     count = len(issues)
     if not count:
         return
+    counts = np.ones(count, dtype=np.int64) if npages is None else np.asarray(npages)
+    pages = int(counts.sum())
     if trans_chips is None:
-        trans = np.full(count, -1, dtype=np.int64)
+        trans = np.full(pages, -1, dtype=np.int64)
     else:
         trans = np.asarray(trans_chips, dtype=np.int64)
     miss = trans >= 0
+    owner = np.repeat(np.arange(count), counts)
     rows = np.empty((count, ROW_WIDTH), dtype=np.float64)
     rows[:, 0] = issues
     rows[:, 1] = latencies
-    rows[:, 2] = 1.0
-    rows[:, 3] = np.where(miss, 2 * OP_STRIDE, OP_STRIDE)
-    rows[:, 4] = 1.0
-    commands = np.full((count, 2, OP_STRIDE), -1, dtype=np.int64)
+    rows[:, 2] = counts
+    rows[:, 3] = np.bincount(owner, np.where(miss, 2 * OP_STRIDE, OP_STRIDE), minlength=count)
+    rows[:, 4] = counts
+    # Per page, in the step's order: its translation read (misses only),
+    # then its data read.
+    commands = np.full((pages, 2, OP_STRIDE), -1, dtype=np.int64)
     commands[:, 0, 0] = _TR
     commands[:, 0, 1] = trans
     commands[miss, 0, 2] = trans_ppns
     commands[:, 1, 0] = _DATA
-    keep = np.ones((count, 2), dtype=bool)
+    keep = np.ones((pages, 2), dtype=bool)
     keep[:, 0] = miss
     log.rows += rows.ravel().tolist()
     log.ops += commands[keep].ravel().tolist()
@@ -650,24 +656,31 @@ class TestAppendReads:
         "takes",
         [
             # All hits: no translation column at all.
-            [(5, None)],
+            [(5, None, None)],
             # Double reads, never-flushed loads and hits (-1) mixed.
-            [(6, [3, -1, 0, -1, -1, 2])],
+            [(6, [3, -1, 0, -1, -1, 2], None)],
             # A take crossing BLOCK_ROW_SLOTS, then one into the next block.
-            [(BLOCK_REQUESTS - 4, None), (9, [1, -1, -1, 2, -1, 0, -1, -1, 3]), (3, None)],
+            [
+                (BLOCK_REQUESTS - 4, None, None),
+                (9, [1, -1, -1, 2, -1, 0, -1, -1, 3], None),
+                (3, None, None),
+            ],
+            # Multi-page reads: a page column of 3 + 1 + 5 + 1 pages with
+            # misses in several pages of one request, then all-hit ones.
+            [(4, [2, -1, 0, -1, 3, -1, -1, 1, 2, -1], [3, 1, 5, 1]), (3, None, [2, 4, 1])],
         ],
-        ids=["hits", "mixed", "crossing"],
+        ids=["hits", "mixed", "crossing", "multi_page"],
     )
     def test_blocks_equal_the_numpy_form(self, takes):
         rng = random.Random(SEED)
         calls = []
         issue = 0.0
-        for count, trans_chips in takes:
+        for count, trans_chips, npages in takes:
             issues = [issue + 3.5 * i for i in range(count)]
             issue = issues[-1] + 1.0
             latencies = [rng.choice([40.0, 80.0, 81.25]) for _ in range(count)]
             misses = sum(chip >= 0 for chip in trans_chips or ())
-            calls.append((issues, latencies, trans_chips, rng.sample(range(1000), misses)))
+            calls.append((issues, latencies, trans_chips, rng.sample(range(1000), misses), npages))
         logs = []
         for append in (ObservationLog.append_reads, _numpy_append_reads):
             sink = _BlockSink()
@@ -681,9 +694,55 @@ class TestAppendReads:
         assert pending == (reference.rows, reference.ops, reference.outcomes)
         log.flush()
         reference.flush()
-        assert len(sink.blocks) == len(reference_sink.blocks) == (2 if len(takes) > 1 else 1)
+        crossing = sum(count for count, _, _ in takes) >= BLOCK_REQUESTS
+        assert len(sink.blocks) == len(reference_sink.blocks) == (2 if crossing else 1)
         for block, expected in zip(sink.blocks, reference_sink.blocks):
             assert _block_columns(block) == _block_columns(expected)
+
+    def test_multi_page_reads_log_what_the_step_logs(self):
+        """A planned multi-page read is logged as the step logs it: one row
+        with its page count, its translation and data reads interleaved page
+        by page in the step's order, one outcome per page."""
+        from repro import SSDGeometry
+
+        from repro.core.base import FTLConfig
+
+        rows = []
+        empty = np.zeros(0, dtype=np.int64)
+        for planned in (False, True):
+            # No sequential initialization: every model bit stays clear.
+            config = FTLConfig(sequential_init_min_pages=1 << 20)
+            ssd = SSD.create("learnedftl", SSDGeometry.small(), config=config)
+            ssd.fill_sequential(io_pages=16)
+            ftl = ssd.ftl
+            ftl.cmt.load_state(
+                {"node_tvpns": empty, "node_sizes": empty, "lpns": empty, "ppns": empty,
+                 "dirty": empty.astype(np.uint8), "size_entries": 0}
+            )
+            sink = _BlockSink()
+            ssd._log = ObservationLog(recorder=sink)
+            # Four pages of translation page 1 then four of page 2, whose
+            # pages the fill flushed, on an empty CMT: a translation read
+            # per load, CMT hits for the pages a load prefetched.
+            first = 2 * ftl._mappings_per_page - 4
+            stepped = []
+            step = ssd._step
+            ssd._step = lambda request, issue: (stepped.append(request), step(request, issue))[1]
+            with step_only(not planned):
+                ssd.run(RequestBatch.reads(np.array([first], dtype=np.int64), npages=8), threads=1)
+            assert len(stepped) == (0 if planned else 1)
+            ssd._log.flush()
+            (block,) = sink.blocks
+            commands = np.asarray(block.ops, dtype=np.int64).reshape(-1, OP_STRIDE)
+            rows.append((block.issue.tolist(), block.latency.tolist(), block.pages.tolist(),
+                         commands[:, 0].tolist(), commands[commands[:, 0] == _TR].tolist(),
+                         (block.outcomes > ReadOutcome.MODEL_HIT.code).tolist(),
+                         block.outcome_request.tolist()))
+            assert ssd.stats.host_read_requests == 1
+        assert rows[1] == rows[0]
+        issue, latency, pages, codes, translation, misses, owners = rows[1]
+        assert pages == [8] and owners == [0] * 8
+        assert codes[:3] == [_TR, _DATA, _DATA] and codes.count(_TR) == sum(misses) >= 2
 
 
 def _translation_read_events(tracer: TraceRecorder) -> list[dict]:
@@ -834,9 +893,11 @@ class _PerRequestObserver:
     """The per-request attribution the observation log replaced, kept as the oracle.
 
     After each request step it walks the request's command buffer; after each
-    batched-kernel call it walks the ``(issues, latencies, trans_chips)``
-    columns and the ``trans_ppns`` the planner's ``take()`` returned.  Windows are filled one request at a time (cached current window,
-    ``+=`` per command), and translation reads become trace events as they
+    batched-kernel call it walks the ``(issues, latencies)`` columns, the
+    ``trans_chips`` page column and the ``npages`` counts the kernel was
+    given, and the ``trans_ppns`` the planner's ``take()`` returned.
+    Windows are filled one request at a time (cached current window, ``+=``
+    per command), and translation reads become trace events as they
     happen, interleaved with the hook sites' events and capped per name.
     """
 
@@ -848,6 +909,8 @@ class _PerRequestObserver:
         self.events: list[dict] = []
         self.counts: dict[str, int] = {}
         self.dropped: dict[str, int] = {}
+        #: What the planner served: requests, multi-page ones, open-loop calls.
+        self.planned = dict.fromkeys(("requests", "multi_page", "open_loop"), 0)
 
     def _window(self, issue_us: float):
         from repro.obs.windows import _Window
@@ -887,23 +950,27 @@ class _PerRequestObserver:
             if code == _TR:
                 self._read(issue, {"chip": ops[slot + 1], "ppn": ops[slot + 2]})
 
-    def fast_read(self, issues: list, latencies: list, trans_chips, trans_ppns: list) -> None:
+    def fast_read(self, issues: list, latencies: list, trans_chips, trans_ppns: list, npages) -> None:
         ppns = iter(trans_ppns)
+        page = 0
         for i, (issue, latency) in enumerate(zip(issues, latencies)):
             window = self._window(issue)
+            count = 1 if npages is None else npages[i]
             window.reads += 1
-            window.read_pages += 1
+            window.read_pages += count
             window.read_latencies.append(latency)
-            trans_chip = -1 if trans_chips is None else trans_chips[i]
-            if trans_chip >= 0:
-                window.read_misses += 1
-                window.command_counts[_TR] += 1
-                window.busy_time_us += self.durations[_TR]
-                self._read(issue, {"chip": trans_chip, "ppn": next(ppns)})
-            else:
-                window.read_hits += 1
-            window.command_counts[_DATA] += 1
-            window.busy_time_us += self.durations[_DATA]
+            for p in range(page, page + count):
+                trans_chip = -1 if trans_chips is None else trans_chips[p]
+                if trans_chip >= 0:
+                    window.read_misses += 1
+                    window.command_counts[_TR] += 1
+                    window.busy_time_us += self.durations[_TR]
+                    self._read(issue, {"chip": trans_chip, "ppn": next(ppns)})
+                else:
+                    window.read_hits += 1
+                window.command_counts[_DATA] += 1
+                window.busy_time_us += self.durations[_DATA]
+            page += count
 
     def series(self, stats) -> dict:
         recorder = WindowedRecorder(self.window_us)
@@ -975,9 +1042,13 @@ def _oracle_device(ftl_name: str, geometry, cap: int):
                     ssd.ftl.buffer)
         return finish
 
-    def oracle_read_batch(data_chips, trans_chips, thread_free, **kwargs):
-        issues, latencies = execute_read_batch(data_chips, trans_chips, thread_free, **kwargs)
-        oracle.fast_read(issues, latencies, trans_chips, taken.pop())
+    def oracle_read_batch(data_chips, trans_chips, host_free, **kwargs):
+        issues, latencies = execute_read_batch(data_chips, trans_chips, host_free, **kwargs)
+        npages = kwargs.get("npages")
+        oracle.fast_read(issues, latencies, trans_chips, taken.pop(), npages)
+        oracle.planned["requests"] += len(issues)
+        oracle.planned["multi_page"] += sum(count > 1 for count in npages or ())
+        oracle.planned["open_loop"] += kwargs.get("arrivals") is not None
         return issues, latencies
 
     def oracle_read_run(ops, lpns, npages):
@@ -1012,6 +1083,12 @@ class TestPerRequestOracle:
         assert list(trace["otherData"]["dropped_events"].items()) == list(oracle.dropped.items())
         if ftl_name != "ideal":  # the one design without translation pages
             assert oracle.dropped.get("translation_read", 0) > 0
+        if ftl_name == "learnedftl":
+            # The planner served single- and multi-page reads under the
+            # entry point's own issue rule.
+            assert oracle.planned["requests"] > BLOCK_REQUESTS
+            assert oracle.planned["multi_page"] > 0
+            assert (oracle.planned["open_loop"] > 0) == (mode == "replay")
 
     @pytest.mark.parametrize(("ftl_name", "mode"), [("learnedftl", "batched"), ("dftl", "replay")])
     def test_tiny_blocks_match_the_oracle(self, monkeypatch, ftl_name, mode):
