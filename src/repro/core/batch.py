@@ -363,7 +363,6 @@ class GroupedReadPlanner:
         boundary = (tvpn + 1) * per_page
         node = pages_get(tvpn)
         tp_ppn = tp_get(tvpn)
-        predict = models[tvpn].predict_exact
         loads = count = clear = 0
         for position in range(first, last):
             if lpn == boundary:
@@ -374,9 +373,10 @@ class GroupedReadPlanner:
                 boundary += per_page
                 node = pages_get(tvpn)
                 tp_ppn = tp_get(tvpn)
-                predict = models[tvpn].predict_exact
             actual = ppns[position]
             if actual < 0:
+                # Unreadable, outside the logical space included: refused
+                # before its translation page's model is looked up.
                 return False
             if node is not None:
                 cached = node.get(lpn)
@@ -384,7 +384,7 @@ class GroupedReadPlanner:
                     return False
             expected = vppns[position]
             if expected >= 0:
-                if predict(lpn) != expected:
+                if models[tvpn].predict_exact(lpn) != expected:
                     return False
             else:
                 if tp_ppn is not None and not page_state[tp_ppn]:
@@ -472,9 +472,12 @@ class GroupedReadPlanner:
         multi = False
         p = first_page = int(self._starts[i])
         per_page = self._mappings_per_page
-        while i < n:
-            count = npages[i]
+        # Request i's first page is i + shift: a multi-page read adds its
+        # extra pages to shift.
+        shift = p - i
+        for i, count in zip(range(i, n), npages[i:n]):
             if count != 1:
+                p = i + shift
                 last = p + count
                 if not self._accepts(i, p, last):
                     break
@@ -523,14 +526,14 @@ class GroupedReadPlanner:
                     lpn += 1
                 if computes is not None:
                     append_compute(compute)
-                i += 1
+                shift += count - 1
                 continue
             lpn = lpns[i]
             tvpn = tvpns[i]
             node = pages_get(tvpn)
             cached = None if node is None else node.get(lpn)
             if cached is not None:
-                if cached != ppns[p]:
+                if cached != ppns[i + shift]:
                     # A cached PPN off the directory, or an unreadable page:
                     # the scalar step serves (or raises on) it.
                     break
@@ -542,12 +545,12 @@ class GroupedReadPlanner:
                     append_compute(0.0)
                 hits += 1
             else:
-                actual = ppns[p]
+                actual = ppns[i + shift]
                 if actual < 0:
                     # Unmapped LPN (the scalar path's zero-fill bookkeeping) or
                     # a PAGE_FREE data page (the scalar touch_read would raise).
                     break
-                expected = vppns[p]
+                expected = vppns[i + shift]
                 if expected >= 0:
                     if models[tvpn].predict_exact(lpn) != expected:
                         # Bitmap/model inconsistency: the scalar path raises.
@@ -601,8 +604,9 @@ class GroupedReadPlanner:
                         append_trans_ppn(tp_ppn)
                     if computes is not None:
                         append_compute(bitmap_check_us)
-            i += 1
-            p += 1
+        else:
+            i = n
+        p = i + shift
         k = i - pos
         self._pos = i
         misses = len(trans_ppns)

@@ -212,9 +212,17 @@ class TimingEngine:
         compute``, and a zero compute charge adds exactly ``0.0``, which is
         bitwise-neutral for the non-negative timestamps the clock produces.
         ``busy_time`` is accumulated per command (never as ``count *
-        duration``) to keep float association identical.  Closed-loop
-        batches of single-page reads, the random-read hot case, take two
-        loops of their own.
+        duration``) to keep float association identical.
+
+        Closed-loop batches of single-page reads, the random-read hot case,
+        take two loops of their own, which compute the same floats as the
+        general loop.  They are kept because they are faster: routing every
+        batch through the general loop cost the ledger's
+        ``randread_batched`` 11 % of its ``host_ops_per_s`` (median of 10
+        alternating pairs at seed 7, 469.2 k -> 415.6 k, 0 of 10 pairs
+        won; 2-core x86-64 VM, CPython 3.11), and a 4 096-read batch
+        0.24 -> 0.48 us per read without translation reads, 0.37 -> 0.74
+        us with them.
         """
         n = len(data_chips)
         counts = self._command_counts

@@ -265,15 +265,29 @@ def test_a_one_read_run_is_planned() -> None:
 def test_out_of_range_reads_are_served_as_zero_fill() -> None:
     """A read chunk holding LPNs outside the logical space (past its end and
     negative) equals the step, which serves them as zero-fill: the planner
-    refuses them instead of gathering their model bits."""
+    refuses them instead of gathering their model bits or looking up a
+    model past the last translation page.  The device is fully filled, so
+    the multi-page reads that start past the end or cross it are refused
+    for their out-of-range pages alone."""
     results = []
     for planned in (False, True):
         ssd = SSD.create("learnedftl", golden_geometry())
         ssd.fill_sequential(io_pages=16)
+        limit = ssd.geometry.num_logical_pages
+        assert ssd.ftl.directory.lookup_many(np.arange(limit)).min() >= 0
         lpns = np.arange(100, dtype=np.int64)
-        lpns[[20, 50]] = ssd.geometry.num_logical_pages + 10_000, -3
+        lpns[[20, 50]] = limit + 10_000, -3
+        npages = np.ones(100, dtype=np.int64)
+        # Multi-page reads: two pages past the end, one crossing the end
+        # (the last translation page into the one past it), one crossing
+        # from negative LPNs into the first page, one in range.
+        for at, (lpn, count) in zip(
+            (10, 30, 60, 70), ((limit + 10_000, 2), (limit - 2, 4), (-3, 4), (limit - 8, 8))
+        ):
+            lpns[at], npages[at] = lpn, count
+        ops = np.full(100, OP_READ_CODE, dtype=np.int8)
         with step_only(not planned):
-            ssd.run(RequestBatch.reads(lpns), threads=2)
+            ssd.run(RequestBatch(ops, lpns, npages), threads=2)
         results.append((state_fingerprint(ssd.state_dict()), ssd.stats.summary()))
     assert results[0] == results[1]
 
