@@ -495,9 +495,11 @@ class GroupedReadPlanner:
                         tvpn += 1
                         boundary += per_page
                         node = pages_get(tvpn)
-                    cached = None if node is None else node.get(lpn)
+                    # No page of an accepted read is refused, so a hit
+                    # moves its entry to the tail at once.
+                    cached = None if node is None else node.pop(lpn, None)
                     if cached is not None:
-                        node.move_to_end(lpn)
+                        node[lpn] = cached
                         pages_move(tvpn)
                         append_trans(-1)
                         hits += 1
@@ -538,7 +540,8 @@ class GroupedReadPlanner:
                     # the scalar step serves (or raises on) it.
                     break
                 # Scalar-equivalent PageGroupedCMT.lookup hit: entry then node LRU.
-                node.move_to_end(lpn)
+                del node[lpn]
+                node[lpn] = cached
                 pages_move(tvpn)
                 append_trans(-1)
                 if computes is not None:

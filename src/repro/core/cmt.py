@@ -10,7 +10,10 @@ Two CMT organizations are provided:
   grouped under their translation page, recency is tracked per translation
   page, and eviction writes back a whole translation page's dirty entries at
   once.  It also supports the prefetching that TPFTL's workload-adaptive
-  loading policy performs on a miss.
+  loading policy performs on a miss.  The node order is an ``OrderedDict``;
+  each node is a plain ``dict`` whose insertion order is its entry recency
+  order (a hit re-inserts its entry at the end), so the batch a miss loads
+  becomes the new node as it is.
 
 :class:`LoadingPolicy` is that loading policy, stated once: TPFTL and
 LearnedFTL each own one next to their :class:`PageGroupedCMT`, and
@@ -45,12 +48,14 @@ class CMTEntry:
     """One cached LPN -> PPN mapping.
 
     Documents the logical schema of a cache slot.  The caches below store a
-    slot as its bare PPN (``lpn -> ppn`` in an ``OrderedDict`` whose order is
-    the recency order) and keep the dirty bit out of the slot: the dirty LPNs
-    live in a set, one per translation page in :class:`PageGroupedCMT` and
-    one per cache in :class:`EntryLevelCMT`.  Slots are created and discarded
-    millions of times per simulated run, and an eviction then finds the LPNs
-    it must write back without looking at a slot.
+    slot as its bare PPN (``lpn -> ppn`` in a dict whose order is the
+    recency order: an ``OrderedDict`` in :class:`EntryLevelCMT`, a plain
+    ``dict`` per node in :class:`PageGroupedCMT`) and keep the dirty bit out
+    of the slot: the dirty LPNs live in a set, one per translation page in
+    :class:`PageGroupedCMT` and one per cache in :class:`EntryLevelCMT`.
+    Slots are created and discarded millions of times per simulated run, and
+    an eviction then finds the LPNs it must write back without looking at a
+    slot.
     """
 
     ppn: int
@@ -141,8 +146,10 @@ class PageGroupedCMT:
         self.capacity_entries = capacity_entries
         self.mappings_per_page = mappings_per_page
         # tvpn -> (lpn -> ppn); nodes and the entries of a node are each
-        # ordered least to most recently used.
-        self._pages: OrderedDict[int, OrderedDict[int, int]] = OrderedDict()
+        # ordered least to most recently used.  A node is a plain dict: an
+        # entry moves to the recency tail by ``node[lpn] = node.pop(lpn)``,
+        # and its LRU entry is ``next(iter(node))``.
+        self._pages: OrderedDict[int, dict[int, int]] = OrderedDict()
         # tvpn -> the node's dirty LPNs.  A node without dirty entries has no
         # key, so evicting a node finds its write-back with one pop, and the
         # batched read planner tells a dirty node by membership.
@@ -168,10 +175,10 @@ class PageGroupedCMT:
         node = self._pages.get(tvpn)
         if node is None:
             return None
-        ppn = node.get(lpn)
+        ppn = node.pop(lpn, None)
         if ppn is None:
             return None
-        node.move_to_end(lpn)
+        node[lpn] = ppn
         self._pages.move_to_end(tvpn)
         return ppn
 
@@ -189,16 +196,13 @@ class PageGroupedCMT:
         pages = self._pages
         node = pages.get(tvpn)
         if node is None:
-            node = pages[tvpn] = OrderedDict()
-            node[lpn] = ppn
+            pages[tvpn] = {lpn: ppn}
             self._size_entries += PAGE_NODE_OVERHEAD_ENTRIES + 1
         else:
-            if lpn in node:
-                node[lpn] = ppn
-                node.move_to_end(lpn)
-            else:
-                node[lpn] = ppn
+            # A cached entry leaves its place and is re-inserted at the tail.
+            if node.pop(lpn, None) is None:
                 self._size_entries += 1
+            node[lpn] = ppn
             pages.move_to_end(tvpn)
         if dirty:
             dirty_lpns = self._dirty.get(tvpn)
@@ -227,17 +231,13 @@ class PageGroupedCMT:
             if node is None:
                 # Fresh node: creating it already puts it at the recency tail,
                 # and the entry cannot pre-exist, so both the membership probe
-                # and the move_to_end are skipped.
-                node = pages[tvpn] = OrderedDict()
-                node[lpn] = ppn
+                # and the recency move are skipped.
+                pages[tvpn] = {lpn: ppn}
                 self._size_entries += PAGE_NODE_OVERHEAD_ENTRIES + 1
             else:
-                if lpn in node:
-                    node[lpn] = ppn
-                    node.move_to_end(lpn)
-                else:
-                    node[lpn] = ppn
+                if node.pop(lpn, None) is None:
                     self._size_entries += 1
+                node[lpn] = ppn
                 pages.move_to_end(tvpn)
             if dirty:
                 dirty_lpns = dirty_sets.get(tvpn)
@@ -249,34 +249,37 @@ class PageGroupedCMT:
                 evicted.extend(self._evict_until_fits(exclude_tvpn=tvpn, exclude_lpn=lpn))
         return evicted
 
-    def load_node(self, tvpn: int, mappings: list[tuple[int, int]]) -> list[EvictedPage]:
+    def load_node(self, tvpn: int, batch: dict[int, int]) -> list[EvictedPage]:
         """Load clean mappings of translation page ``tvpn`` in one step.
 
-        ``mappings`` is a miss load: the missed mapping plus its prefetched
-        neighbours, none of them cached.  It costs one node lookup, one
-        ``OrderedDict`` construction or ``update``, one recency move, one
-        capacity check after the whole batch and whole-node LRU eviction.  It
-        leaves the cache, and returns the dirty evictions, exactly as
-        ``insert_many(mappings, dirty=False)`` does: evicting after each
-        mapping and once after the batch remove the same LRU prefix of nodes,
-        and the loaded node is the most recently used in both.  Only when the
-        loaded node alone would exceed the capacity can the per-mapping entry
-        fallback differ, so that case is handed to :meth:`insert_many`.
+        ``batch`` is a miss load (``lpn -> ppn``, in load order, as
+        :meth:`LoadingPolicy.scan` builds it): the missed mapping plus its
+        prefetched neighbours, none of them cached.  The cache takes
+        ownership of it: an uncached page's new node *is* ``batch``, and a
+        cached node is extended with one ``update``.  A load costs one node
+        lookup, one recency move, one capacity check after the whole batch
+        and whole-node LRU eviction.  It leaves the cache, and returns the
+        dirty evictions, exactly as ``insert_many(batch.items(),
+        dirty=False)`` does: evicting after each mapping and once after the
+        batch remove the same LRU prefix of nodes, and the loaded node is the
+        most recently used in both.  Only when the loaded node alone would
+        exceed the capacity can the per-mapping entry fallback differ, so
+        that case is handed to :meth:`insert_many`.
         """
         pages = self._pages
         node = pages.get(tvpn)
         capacity = self.capacity_entries
+        grown = len(batch)
         if node is None:
-            grown = len(mappings) + PAGE_NODE_OVERHEAD_ENTRIES
+            grown += PAGE_NODE_OVERHEAD_ENTRIES
             if grown > capacity:
-                return self.insert_many(mappings, dirty=False)
-            pages[tvpn] = OrderedDict(mappings)
+                return self.insert_many(batch.items(), dirty=False)
+            pages[tvpn] = batch
         else:
-            grown = len(mappings)
             if len(node) + grown + PAGE_NODE_OVERHEAD_ENTRIES > capacity:
-                return self.insert_many(mappings, dirty=False)
+                return self.insert_many(batch.items(), dirty=False)
             pages.move_to_end(tvpn)
-            node.update(mappings)
+            node.update(batch)
         size = self._size_entries + grown
         evicted: list[EvictedPage] = []
         # The loaded node fits alone and is the most recently used, so the
@@ -319,7 +322,7 @@ class PageGroupedCMT:
             while self._size_entries > self.capacity_entries and len(node) > 1:
                 victim_lpn = next(iter(node))
                 if victim_lpn == exclude_lpn:
-                    node.move_to_end(victim_lpn)
+                    node[victim_lpn] = node.pop(victim_lpn)
                     victim_lpn = next(iter(node))
                     if victim_lpn == exclude_lpn:
                         break
@@ -365,7 +368,7 @@ class PageGroupedCMT:
         ppns = state["ppns"].tolist()
         index = 0
         for tvpn, size in zip(state["node_tvpns"].tolist(), state["node_sizes"].tolist()):
-            pages[tvpn] = OrderedDict(zip(lpns[index : index + size], ppns[index : index + size]))
+            pages[tvpn] = dict(zip(lpns[index : index + size], ppns[index : index + size]))
             index += size
         dirty_sets = self._dirty
         dirty_sets.clear()
@@ -501,14 +504,16 @@ class LoadingPolicy:
         self.streak = streak
         self.last_end = last_end
 
-    def scan(self, lpn: int, ppn: int, tvpn: int, depth: int, node: dict | None) -> list[tuple[int, int]]:
-        """The batch a miss on ``lpn`` (mapped to ``ppn``) loads.
+    def scan(self, lpn: int, ppn: int, tvpn: int, depth: int, node: dict | None) -> dict[int, int]:
+        """The batch a miss on ``lpn`` (mapped to ``ppn``) loads, as ``lpn -> ppn``.
 
         The missed mapping, then the mapped LPNs after ``lpn`` in its
         translation page ``tvpn``, up to ``depth`` LPNs in all, that ``node``
-        (the page's cached node, or ``None``) does not already hold.
+        (the page's cached node, or ``None``) does not already hold.  The
+        dict is in that order, so :meth:`PageGroupedCMT.load_node` can keep
+        it as the page's new node.
         """
-        batch = [(lpn, ppn)]
+        batch = {lpn: ppn}
         if depth > 1:
             stop = (tvpn + 1) * self._mappings_per_page
             if stop > self._num_logical_pages:
@@ -519,7 +524,7 @@ class LoadingPolicy:
             for neighbour in range(lpn + 1, stop):
                 neighbour_ppn = column[neighbour]
                 if neighbour_ppn != -1 and (node is None or neighbour not in node):
-                    batch.append((neighbour, neighbour_ppn))
+                    batch[neighbour] = neighbour_ppn
         return batch
 
     def load(self, lpn: int, ppn: int, tvpn: int) -> list[EvictedPage]:

@@ -167,9 +167,9 @@ class LearnedFTL(FTLBase):
         pages = self._cmt_pages
         node = pages.get(tvpn)
         if node is not None:
-            cached = node.get(lpn)
+            cached = node.pop(lpn, None)
             if cached is not None:
-                node.move_to_end(lpn)
+                node[lpn] = cached
                 pages.move_to_end(tvpn)
                 stats.cmt_hits += 1
                 return cached, _OUT_CMT_HIT, 0.0

@@ -422,6 +422,22 @@ class FlashArray:
         return reclaimed
 
     # ------------------------------------------------------ snapshot support
+    def _columns(self) -> tuple[tuple[str, Any, type], ...]:
+        """Each per-page and per-block column as ``(state key, column,
+        dtype)``, in :meth:`state_dict` order."""
+        return (
+            ("page_state", self._page_state, np.uint8),
+            ("page_lpn", self._page_lpn, np.int64),
+            ("page_version", self._page_version, np.int64),
+            ("page_translation", self._page_translation, np.uint8),
+            ("page_tvpn", self._page_tvpn, np.int64),
+            ("block_next", self._block_next, np.intc),
+            ("block_valid", self._block_valid, np.intc),
+            ("block_invalid", self._block_invalid, np.intc),
+            ("block_erase", self._block_erase, np.intc),
+            ("block_translation", self._block_translation, np.uint8),
+        )
+
     def state_dict(self) -> dict[str, Any]:
         """Capture every column and counter as NumPy buffers / scalars.
 
@@ -429,61 +445,38 @@ class FlashArray:
         practice they are small dicts like ``{"tvpn": n}`` or LeaFTL error
         intervals).
         """
-        return {
-            "page_state": np.frombuffer(bytes(self._page_state), dtype=np.uint8),
-            "page_lpn": np.frombuffer(self._page_lpn, dtype=np.int64).copy(),
-            "page_version": np.frombuffer(self._page_version, dtype=np.int64).copy(),
-            "page_translation": np.frombuffer(bytes(self._page_translation), dtype=np.uint8),
-            "page_tvpn": np.frombuffer(self._page_tvpn, dtype=np.int64).copy(),
-            "block_next": np.frombuffer(self._block_next, dtype=np.intc).copy(),
-            "block_valid": np.frombuffer(self._block_valid, dtype=np.intc).copy(),
-            "block_invalid": np.frombuffer(self._block_invalid, dtype=np.intc).copy(),
-            "block_erase": np.frombuffer(self._block_erase, dtype=np.intc).copy(),
-            "block_translation": np.frombuffer(bytes(self._block_translation), dtype=np.uint8),
-            "page_oob": json.dumps(
-                [[ppn, payload] for ppn, payload in self._page_oob.items()]
-            ),
-            "version_counter": self._version_counter,
-            "free_pages": self._free_pages,
-            "total_programs": self.total_programs,
-            "total_erases": self.total_erases,
-            "total_reads": self.total_reads,
-            "data_invalidation_epoch": self.data_invalidation_epoch,
+        state: dict[str, Any] = {
+            name: np.frombuffer(column, dtype=dtype).copy()
+            for name, column, dtype in self._columns()
         }
+        state.update(
+            page_oob=json.dumps([[ppn, payload] for ppn, payload in self._page_oob.items()]),
+            version_counter=self._version_counter,
+            free_pages=self._free_pages,
+            total_programs=self.total_programs,
+            total_erases=self.total_erases,
+            total_reads=self.total_reads,
+            data_invalidation_epoch=self.data_invalidation_epoch,
+        )
+        return state
 
     def load_state(self, state: dict[str, Any]) -> None:
         """Restore the columns captured by :meth:`state_dict` **in place**.
 
-        In-place slice assignment preserves the identity of every column, so
-        references FTLs hold into this array stay valid after a restore.
+        Every column's length is checked before anything is restored, and a
+        column is copied into its buffer through a NumPy view, so a restore
+        never resizes a column and references FTLs hold into this array stay
+        valid after it.
         """
-        if len(state["page_state"]) != self._num_pages:
-            raise FlashStateError(
-                f"snapshot covers {len(state['page_state'])} pages, "
-                f"device has {self._num_pages}"
-            )
-        self._page_state[:] = np.asarray(state["page_state"], dtype=np.uint8).tobytes()
-        self._page_lpn[:] = array("q", np.asarray(state["page_lpn"], dtype=np.int64).tobytes())
-        self._page_version[:] = array(
-            "q", np.asarray(state["page_version"], dtype=np.int64).tobytes()
-        )
-        self._page_translation[:] = np.asarray(
-            state["page_translation"], dtype=np.uint8
-        ).tobytes()
-        self._page_tvpn[:] = array("q", np.asarray(state["page_tvpn"], dtype=np.int64).tobytes())
-        self._block_next[:] = array("i", np.asarray(state["block_next"], dtype=np.intc).tobytes())
-        self._block_valid[:] = array(
-            "i", np.asarray(state["block_valid"], dtype=np.intc).tobytes()
-        )
-        self._block_invalid[:] = array(
-            "i", np.asarray(state["block_invalid"], dtype=np.intc).tobytes()
-        )
-        self._block_erase[:] = array(
-            "i", np.asarray(state["block_erase"], dtype=np.intc).tobytes()
-        )
-        self._block_translation[:] = np.asarray(
-            state["block_translation"], dtype=np.uint8
-        ).tobytes()
+        columns = self._columns()
+        for name, column, _ in columns:
+            if len(state[name]) != len(column):
+                raise FlashStateError(
+                    f"snapshot column {name!r} has {len(state[name])} entries, "
+                    f"the device's has {len(column)}"
+                )
+        for name, column, dtype in columns:
+            np.frombuffer(column, dtype=dtype)[:] = state[name]
         self._page_oob.clear()
         for ppn, payload in json.loads(state["page_oob"]):
             self._page_oob[ppn] = payload

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cmt import EntryLevelCMT, PageGroupedCMT
+from repro.core.cmt import PAGE_NODE_OVERHEAD_ENTRIES, EntryLevelCMT, EvictedPage, PageGroupedCMT
 from repro.nand.errors import ConfigurationError
 
 MAPPINGS_PER_PAGE = 64
@@ -265,9 +267,9 @@ def _by_hand_offs(cls):
     ``insert_many``: what they report and leave must equal the per-mapping path."""
 
     class Reference(cls):
-        def load_node(self, tvpn, mappings):
+        def load_node(self, tvpn, batch):
             """The per-mapping path the node-level load must equal."""
-            return self.insert_many(mappings, dirty=False)
+            return self.insert_many(batch.items(), dirty=False)
 
         if hasattr(cls, "insert_many"):
 
@@ -284,10 +286,10 @@ class _CountingHandOffs(PageGroupedCMT):
     hand_offs = 0
     _loading = False
 
-    def load_node(self, tvpn, mappings):
+    def load_node(self, tvpn, batch):
         self._loading = True
         try:
-            return super().load_node(tvpn, mappings)
+            return super().load_node(tvpn, batch)
         finally:
             self._loading = False
 
@@ -311,11 +313,11 @@ def _apply(cmt, op, serial: int):
         # page that the cache does not hold, loaded clean in one batch.
         tvpn = op[1] // MAPPINGS_PER_PAGE
         stop = min(op[1] + op[2], (tvpn + 1) * MAPPINGS_PER_PAGE)
-        batch = [(lpn, serial + lpn) for lpn in range(op[1], stop) if lpn not in cmt]
+        batch = {lpn: serial + lpn for lpn in range(op[1], stop) if lpn not in cmt}
         if not batch:
             return cmt, None
         if isinstance(cmt, EntryLevelCMT):
-            return cmt, [page for lpn, ppn in batch for page in cmt.insert(lpn, ppn)]
+            return cmt, [page for lpn, ppn in batch.items() for page in cmt.insert(lpn, ppn)]
         return cmt, cmt.load_node(tvpn, batch)
     if op[0] == "lookup":
         return cmt, _hit(cmt, op[1])
@@ -408,6 +410,169 @@ class TestDirtyCounterIsExact:
         check()
         if tested is _CountingHandOffs:
             assert _CountingHandOffs.hand_offs > 0
+
+
+# ------------------------------------- plain-dict nodes against an OrderedDict model
+class _OrderedDictModel:
+    """The two-level cache, one mapping at a time, in ``OrderedDict`` nodes.
+
+    Node order and the entry order inside a node run least to most recently
+    used.  An insert or hit moves its entry and its node to the tail.  Over
+    capacity, whole LRU nodes other than the written one are evicted; when
+    that one node alone is still too big, its LRU entries other than the
+    written one are.  A miss load is the per-mapping insert of its batch.
+    ``reached`` counts the cases a run went through.
+    """
+
+    reached: dict[str, int] = {}
+
+    def __init__(self, capacity: int, mappings_per_page: int) -> None:
+        self.capacity = capacity
+        self.per_page = mappings_per_page
+        self.pages: OrderedDict[int, OrderedDict[int, int]] = OrderedDict()
+        self.dirty: dict[int, set[int]] = {}
+        self.size = 0
+
+    def _count(self, case: str) -> None:
+        self.reached[case] = self.reached.get(case, 0) + 1
+
+    def lookup(self, lpn: int) -> int | None:
+        tvpn = lpn // self.per_page
+        node = self.pages.get(tvpn)
+        if node is None or lpn not in node:
+            return None
+        self._count("hit")
+        node.move_to_end(lpn)
+        self.pages.move_to_end(tvpn)
+        return node[lpn]
+
+    def insert(self, lpn: int, ppn: int, dirty: bool) -> list[EvictedPage]:
+        tvpn = lpn // self.per_page
+        if tvpn not in self.pages:
+            self.pages[tvpn] = OrderedDict()
+            self.size += PAGE_NODE_OVERHEAD_ENTRIES
+        node = self.pages[tvpn]
+        if lpn not in node:
+            self.size += 1
+        node[lpn] = ppn
+        node.move_to_end(lpn)
+        self.pages.move_to_end(tvpn)
+        if dirty:
+            self.dirty.setdefault(tvpn, set()).add(lpn)
+        return self._evict(tvpn, lpn)
+
+    def insert_many(self, mappings, dirty: bool) -> list[EvictedPage]:
+        return [page for lpn, ppn in mappings for page in self.insert(lpn, ppn, dirty)]
+
+    def load_node(self, tvpn: int, batch: dict[int, int]) -> list[EvictedPage]:
+        node = self.pages.get(tvpn)
+        alone = len(batch) + PAGE_NODE_OVERHEAD_ENTRIES + (0 if node is None else len(node))
+        if alone > self.capacity:
+            self._count("oversized load")
+        else:
+            self._count("fresh load" if node is None else "existing load")
+        return self.insert_many(batch.items(), False)
+
+    def _evict(self, kept_tvpn: int, kept_lpn: int) -> list[EvictedPage]:
+        evicted = []
+        while self.size > self.capacity and len(self.pages) > 1:
+            victim = next(tvpn for tvpn in self.pages if tvpn != kept_tvpn)
+            self.size -= len(self.pages.pop(victim)) + PAGE_NODE_OVERHEAD_ENTRIES
+            dirty = self.dirty.pop(victim, None)
+            if dirty:
+                evicted.append(EvictedPage(victim, tuple(sorted(dirty))))
+        if self.size > self.capacity:
+            self._count("entry fallback")
+            node = self.pages[kept_tvpn]
+            dirty = self.dirty.get(kept_tvpn, set())
+            flushed = []
+            while self.size > self.capacity and len(node) > 1:
+                victim = next(lpn for lpn in node if lpn != kept_lpn)
+                del node[victim]
+                self.size -= 1
+                if victim in dirty:
+                    dirty.remove(victim)
+                    flushed.append(victim)
+            if len(node) == 1 and self.size > self.capacity:
+                self._count("protected lpn kept")
+            if flushed:
+                if not dirty:
+                    del self.dirty[kept_tvpn]
+                evicted.append(EvictedPage(kept_tvpn, tuple(sorted(flushed))))
+        return evicted
+
+
+_MODEL_PER_PAGE = 8
+_MODEL_LPNS = st.integers(0, 4 * _MODEL_PER_PAGE - 1)
+_MODEL_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), _MODEL_LPNS, st.booleans()),
+        st.tuples(
+            st.just("insert_many"), st.lists(_MODEL_LPNS, min_size=1, max_size=6), st.booleans()
+        ),
+        st.tuples(st.just("load_node"), _MODEL_LPNS, st.integers(1, _MODEL_PER_PAGE)),
+        st.tuples(st.just("lookup"), _MODEL_LPNS),
+        st.tuples(st.just("state_round_trip")),
+    ),
+    min_size=1,
+    max_size=80,
+)
+
+
+class TestPlainDictNodesMatchTheOrderedDictModel:
+    """``PageGroupedCMT`` keeps each node as a plain dict whose insertion
+    order is the entry recency order, and takes a miss batch as the new
+    node.  Every op's result and the whole cache after it (node order, entry
+    order and PPNs inside each node, dirty sets, occupancy) must equal the
+    ``OrderedDict`` model's."""
+
+    def test_every_op_matches_the_model(self):
+        _OrderedDictModel.reached = {}
+
+        @given(ops=_MODEL_OPS, capacity=st.integers(1, 24))
+        @settings(max_examples=300, deadline=None)
+        def check(ops, capacity):
+            cmt = PageGroupedCMT(capacity, _MODEL_PER_PAGE)
+            model = _OrderedDictModel(capacity, _MODEL_PER_PAGE)
+            for serial, op in enumerate(ops):
+                ppn = 100 * serial
+                if op[0] == "insert":
+                    result = cmt.insert(op[1], ppn, dirty=op[2])
+                    expected = model.insert(op[1], ppn, op[2])
+                elif op[0] == "insert_many":
+                    mappings = [(lpn, ppn + i) for i, lpn in enumerate(op[1])]
+                    result = cmt.insert_many(mappings, dirty=op[2])
+                    expected = model.insert_many(mappings, op[2])
+                elif op[0] == "load_node":
+                    tvpn = op[1] // _MODEL_PER_PAGE
+                    stop = min(op[1] + op[2], (tvpn + 1) * _MODEL_PER_PAGE)
+                    batch = {lpn: ppn + lpn for lpn in range(op[1], stop) if lpn not in cmt}
+                    if not batch:
+                        continue
+                    expected = model.load_node(tvpn, dict(batch))
+                    result = cmt.load_node(tvpn, batch)
+                elif op[0] == "lookup":
+                    result, expected = cmt.lookup(op[1]), model.lookup(op[1])
+                else:
+                    restored = PageGroupedCMT(capacity, _MODEL_PER_PAGE)
+                    pages = restored._pages
+                    restored.load_state(cmt.state_dict())
+                    assert restored._pages is pages
+                    cmt, result, expected = restored, None, None
+                assert result == expected, op
+                assert list(cmt._pages) == list(model.pages)
+                assert [list(node.items()) for node in cmt._pages.values()] == [
+                    list(node.items()) for node in model.pages.values()
+                ]
+                assert all(type(node) is dict for node in cmt._pages.values())
+                assert cmt._dirty == model.dirty
+                assert cmt.memory_entries() == model.size
+
+        check()
+        cases = (
+            "hit", "fresh load", "existing load", "oversized load", "entry fallback", "protected lpn kept"
+        )
+        assert [case for case in cases if not _OrderedDictModel.reached.get(case)] == []
 
 
 #: The designs whose FTL keeps a :mod:`repro.core.cmt` cache.

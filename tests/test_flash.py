@@ -233,6 +233,65 @@ class TestColumnarQueries:
         assert flash.newest_copies(6).tolist() == [-1, -1, -1, -1, -1, 3]
 
 
+#: Every per-page and per-block column a flash state carries.
+STATE_COLUMNS = (
+    "page_state",
+    "page_lpn",
+    "page_version",
+    "page_translation",
+    "page_tvpn",
+    "block_next",
+    "block_valid",
+    "block_invalid",
+    "block_erase",
+    "block_translation",
+)
+
+
+class TestStateRestore:
+    """``load_state`` restores every column in place or refuses the state
+    before changing anything."""
+
+    def test_round_trip_keeps_every_column_object(self, flash):
+        TestColumnarQueries()._mixed(flash)
+        state = flash.state_dict()
+        restored = FlashArray(flash.geometry)
+        columns = [getattr(restored, "_" + name) for name in STATE_COLUMNS]
+        restored.load_state(state)
+        for name, column in zip(STATE_COLUMNS, columns):
+            assert getattr(restored, "_" + name) is column
+        for name, column in restored.state_dict().items():
+            np.testing.assert_array_equal(column, state[name])
+
+    @pytest.mark.parametrize("name", STATE_COLUMNS)
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_a_column_of_the_wrong_length_is_refused_before_any_restore(self, flash, name, change):
+        TestColumnarQueries()._mixed(flash)
+        state = flash.state_dict()
+        column = state[name]
+        state[name] = column[:-1] if change < 0 else np.append(column, column[:1])
+        target = FlashArray(flash.geometry)
+        before = target.state_dict()
+        with pytest.raises(FlashStateError, match=repr(name)):
+            target.load_state(state)
+        after = target.state_dict()
+        for key, value in before.items():
+            np.testing.assert_array_equal(after[key], value)
+
+    def test_a_halved_device_column_is_refused(self):
+        from repro.ssd.device import SSD
+
+        ssd = SSD.create("learnedftl", SSDGeometry.small())
+        ssd.fill_sequential(io_pages=16)
+        state = ssd.state_dict()
+        page_lpn = state["ftl"]["flash"]["page_lpn"]
+        state["ftl"]["flash"]["page_lpn"] = page_lpn[: len(page_lpn) // 2]
+        target = SSD.create("learnedftl", SSDGeometry.small())
+        with pytest.raises(FlashStateError, match="'page_lpn'"):
+            target.load_state(state)
+        assert len(target.ftl.flash._page_lpn) == SSDGeometry.small().num_physical_pages
+
+
 class TestLifecycleProperty:
     @given(ops=st.lists(st.integers(0, 2), min_size=1, max_size=60))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
