@@ -133,13 +133,16 @@ class MappingDirectory:
         }
 
     def load_state(self, state: dict[str, Any]) -> None:
-        """Restore the mapping column **in place** (FTLs cache references to it)."""
+        """Restore the mapping column **in place** (FTLs cache references to it).
+
+        The column is copied once, through its NumPy view.
+        """
         column = np.asarray(state["ppn"], dtype=np.int64)
         if len(column) != self._size:
             raise MappingError(
                 f"snapshot maps {len(column)} logical pages, directory has {self._size}"
             )
-        self._ppn[:] = array("q", column.tobytes())
+        self._ppn_view[:] = column
         self._mapped_count = int(state["mapped_count"])
 
     # ------------------------------------------------------- translation geo

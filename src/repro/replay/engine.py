@@ -30,6 +30,20 @@ the resumed run can publish that sequence number afresh.
 What is *not* checkpointed: event-tracer buffers (a resumed run's Chrome
 trace covers events since the resume) and wall-clock timings.  Everything
 that feeds simulated results is.
+
+**Threads.**  A :meth:`ReplaySession.run` call replays, captures, writes,
+publishes and prunes on its calling thread.  When the checkpoint it is
+writing is the one the call returns right after (a ``stop_after_checkpoints``
+pause, a ``stop_after_requests`` stop in the same chunk, or the final
+checkpoint), it also starts one worker thread that computes the result's
+:func:`state_fingerprint` of that checkpoint's device capture while the
+calling thread deflates the archive; both only read the capture, and the
+sha256 and zlib loops release the GIL, so the two overlap on a second core.
+The calling thread joins the worker before it returns, or re-raises a
+failed write, so a call never leaves a thread behind, and no checkpoint
+side effect (the temp-then-rename publication, the prune) is made off the
+calling thread or after the call ends.  A checkpoint the run continues past
+starts no thread.
 """
 
 from __future__ import annotations
@@ -38,6 +52,7 @@ import hashlib
 import json
 import shutil
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Annotated, Any, Callable
@@ -385,8 +400,16 @@ class ReplaySession:
         chunks: int,
         *,
         completed: bool,
-    ) -> dict[str, Any]:
-        """Publish checkpoint ``seq``; returns the device state it captured."""
+        returning: bool,
+    ) -> str | None:
+        """Publish checkpoint ``seq``.
+
+        With ``returning`` (the run returns right after this checkpoint), the
+        device capture is fingerprinted on a worker thread while this thread
+        writes it, and the digest is returned; otherwise ``None``.  The worker
+        is joined before this returns or raises.  A failed write removes its
+        temp directory.
+        """
         state = {
             "replay_state": {
                 "seq": seq,
@@ -403,13 +426,21 @@ class ReplaySession:
         final = self.checkpoints_dir / f"{_CHECKPOINT_PREFIX}{seq:06d}"
         temp = self.checkpoints_dir / f".{final.name}.tmp"
         shutil.rmtree(temp, ignore_errors=True)
-        save_snapshot(temp, state)
-        if not publish_dir(temp, final):
-            # Resume moves refused checkpoints aside, so nothing should be
-            # here; keeping the old copy would leave it shadowing this one.
-            raise ReplayError(f"cannot publish checkpoint {final}: the directory exists")
-        self._prune_checkpoints()
-        return state["device"]
+        # A pool per write, never one made at import: it starts its one
+        # thread only on submit, and leaving the block joins it.
+        with ThreadPoolExecutor(1, thread_name_prefix="replay-fingerprint") as pool:
+            digest = pool.submit(state_fingerprint, state["device"]) if returning else None
+            try:
+                save_snapshot(temp, state)
+            except BaseException:
+                shutil.rmtree(temp, ignore_errors=True)
+                raise
+            if not publish_dir(temp, final):
+                # Resume moves refused checkpoints aside, so nothing should be
+                # here; keeping the old copy would leave it shadowing this one.
+                raise ReplayError(f"cannot publish checkpoint {final}: the directory exists")
+            self._prune_checkpoints()
+        return None if digest is None else digest.result()
 
     def _prune_checkpoints(self) -> None:
         """Drop all but the newest ``keep_checkpoints`` checkpoint dirs."""
@@ -553,10 +584,10 @@ class ReplaySession:
         last_ckpt_clock_us = device.now_us
         checkpoints_written = 0
         finished = True
-        # The device state the newest checkpoint serialized, for as long as
-        # the device has not moved past it: a pause fingerprints this capture
-        # instead of building a second state_dict().
-        captured: dict[str, Any] | None = None
+        # The digest of the checkpoint this call returns right after, taken on
+        # a worker thread as the checkpoint is written; None while the device
+        # has moved past its newest checkpoint.
+        state_sha: str | None = None
 
         stream = RecordStream(
             plan.trace_path,
@@ -574,7 +605,6 @@ class ReplaySession:
                 time_scale=plan.time_scale,
             )
             for chunk in chunk_iter:
-                captured = None
                 device.replay(chunk, stream_free=stream_free, origin_us=origin_us)
                 requests_done += len(chunk)
                 chunks_done += 1
@@ -587,9 +617,14 @@ class ReplaySession:
                         device.now_us - last_ckpt_clock_us
                         >= plan.checkpoint_every_sim_s * 1e6
                     )
+                pausing = due and (
+                    stop_after_checkpoints is not None
+                    and checkpoints_written + 1 >= stop_after_checkpoints
+                )
+                aborting = stop_after_requests is not None and requests_done >= stop_after_requests
                 if due:
                     seq += 1
-                    captured = self._write_checkpoint(
+                    state_sha = self._write_checkpoint(
                         seq,
                         device,
                         cursor,
@@ -598,21 +633,19 @@ class ReplaySession:
                         requests_done,
                         chunks_done,
                         completed=False,
+                        returning=pausing or aborting,
                     )
                     checkpoints_written += 1
                     last_ckpt_requests = requests_done
                     last_ckpt_clock_us = device.now_us
                     self._progress(device, seq, requests_done, cursor)
-                    if (
-                        stop_after_checkpoints is not None
-                        and checkpoints_written >= stop_after_checkpoints
-                    ):
+                    if pausing:
                         finished = False
                         self._log(
                             f"pausing after checkpoint {seq} (stop_after_checkpoints)"
                         )
                         break
-                if stop_after_requests is not None and requests_done >= stop_after_requests:
+                if aborting:
                     finished = False
                     self._log(
                         f"aborting at {requests_done} requests without a checkpoint "
@@ -625,7 +658,7 @@ class ReplaySession:
         if finished:
             cursor = final_cursor
             seq += 1
-            captured = self._write_checkpoint(
+            state_sha = self._write_checkpoint(
                 seq,
                 device,
                 cursor,
@@ -634,6 +667,7 @@ class ReplaySession:
                 requests_done,
                 chunks_done,
                 completed=True,
+                returning=True,
             )
             checkpoints_written += 1
             self._log(
@@ -652,7 +686,7 @@ class ReplaySession:
             checkpoints_written=checkpoints_written,
             resumed_from=resumed_from,
             origin_us=origin_us,
-            device_state=captured,
+            state_sha=state_sha,
         )
 
     def _progress(self, device: SSD, seq: int, requests: int, cursor: TraceCursor) -> None:
@@ -680,13 +714,15 @@ class ReplaySession:
         checkpoints_written: int,
         resumed_from: int | None,
         origin_us: float,
-        device_state: dict[str, Any] | None = None,
+        state_sha: str | None = None,
     ) -> ReplayResult:
-        """Assemble the result; ``device_state`` is ``device.state_dict()`` if
-        the caller already holds it (the checkpoint it just wrote)."""
+        """Assemble the result; ``state_sha`` is the device's fingerprint if
+        the caller already holds it (of the checkpoint it just wrote)."""
         telemetry = None
         if device.recorder is not None:
             telemetry = device.recorder.series(device.stats)
+        if state_sha is None:
+            state_sha = state_fingerprint(device.state_dict())
         return ReplayResult(
             finished=finished,
             requests=requests,
@@ -697,9 +733,7 @@ class ReplaySession:
             resumed_from=resumed_from,
             sim_time_us=device.now_us - origin_us,
             summary=dict(device.stats.summary()),
-            state_sha=state_fingerprint(
-                device_state if device_state is not None else device.state_dict()
-            ),
+            state_sha=state_sha,
             telemetry=telemetry,
             device=device,
         )

@@ -239,7 +239,11 @@ class SimulationStats:
         self.predictions = int(state["predictions"])
         self.models_trained = int(state["models_trained"])
         for name in ("read_latencies_us", "write_latencies_us"):
-            getattr(self, name)[:] = array("d", np.asarray(state[name], np.float64).tobytes())
+            # The column object stays (a population changes length, so it is
+            # refilled, not copied into): one copy from the source's buffer.
+            column = getattr(self, name)
+            del column[:]
+            column.frombytes(np.ascontiguousarray(state[name], dtype=np.float64).view(np.uint8))
         self.finish_time_us = float(state["finish_time_us"])
 
     # ------------------------------------------------------------- derived

@@ -14,10 +14,13 @@ The invariants pinned here are the replay subsystem's whole contract:
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import random
 import shutil
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -709,6 +712,97 @@ class TestCrashResume:
         finished = session.run(resume=True)
         assert finished.finished
         assert finished.state_sha == state_fingerprint(finished.device.state_dict())
+
+    @pytest.fixture
+    def fingerprints(self, monkeypatch) -> list[str]:
+        """The name of each thread that fingerprints a state, in call order.
+
+        Each fingerprint is slowed down, so a worker thread still runs while
+        the checkpoint is written and would still be alive if ``run()``
+        returned without joining it.
+        """
+        import repro.replay.engine as engine
+
+        names: list[str] = []
+        fingerprint = engine.state_fingerprint
+
+        def slow_fingerprint(state):
+            names.append(threading.current_thread().name)
+            time.sleep(0.05)
+            return fingerprint(state)
+
+        monkeypatch.setattr(engine, "state_fingerprint", slow_fingerprint)
+        return names
+
+    @pytest.mark.parametrize(
+        "stop",
+        [{"stop_after_checkpoints": 1}, {}, {"stop_after_requests": CHECKPOINT_EVERY}],
+        ids=["pause", "final", "request-stop-at-a-checkpoint"],
+    )
+    def test_state_sha_is_the_checkpoint_the_call_published(
+        self, stop, trace_file, tmp_path, fingerprints
+    ):
+        # Each of these calls returns right after a checkpoint, so its digest
+        # comes from the one worker thread it starts; the checkpoints the run
+        # continues past start none.  The digest must be that of the device
+        # the published checkpoint restores to, and the worker must be gone
+        # when run() returns.
+        session = ReplaySession(make_plan(trace_file, "learnedftl"), tmp_path / "run")
+        threads = threading.active_count()
+        result = session.run(**stop)
+        assert threading.active_count() == threads
+        assert fingerprints == ["replay-fingerprint_0"]
+        assert result.finished == (not stop)
+        if "stop_after_requests" in stop:
+            assert (result.requests, result.checkpoints_written) == (CHECKPOINT_EVERY, 1)
+        elif not stop:
+            assert result.checkpoints_written > 1
+        newest = session.checkpoint_paths()[-1]
+        assert newest.name == f"ckpt-{result.checkpoints_written:06d}"
+        restored = SSD.create("learnedftl", golden_geometry())
+        restored.load_state(load_snapshot(newest)["device"])
+        assert result.state_sha == state_fingerprint(restored.state_dict())
+
+    @pytest.mark.parametrize(
+        "stop", [{"stop_after_checkpoints": 2}, {}], ids=["returning", "continuing"]
+    )
+    def test_a_failed_checkpoint_write_leaves_nothing_behind(
+        self, stop, trace_file, baseline, tmp_path, monkeypatch, fingerprints
+    ):
+        # Checkpoint 2 runs out of disk half-way through its archive: the run
+        # it pauses (a worker fingerprints it meanwhile) or continues past
+        # (no worker) raises that error, with no temp directory, no
+        # checkpoint 2 and no thread left, and resumes from checkpoint 1.
+        import repro.replay.engine as engine
+
+        save = engine.save_snapshot
+        saved: list[Path] = []
+        workers: list[bool] = []
+
+        def save_until_the_disk_fills(path, state):
+            saved.append(path)
+            if len(saved) == 1:
+                return save(path, state)
+            names = [thread.name for thread in threading.enumerate()]
+            workers.append(any(name.startswith("replay-fingerprint") for name in names))
+            path.mkdir(parents=True)
+            (path / "arrays.npz").write_bytes(b"PK half an archive")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(engine, "save_snapshot", save_until_the_disk_fills)
+        run_dir = tmp_path / "run"
+        threads = threading.enumerate()
+        with pytest.raises(OSError, match="No space left on device"):
+            ReplaySession(make_plan(trace_file), run_dir).run(**stop)
+        assert threading.enumerate() == threads
+        assert workers == [bool(stop)]
+        assert fingerprints == (["replay-fingerprint_0"] if stop else [])
+        assert [path.name for path in (run_dir / "checkpoints").iterdir()] == ["ckpt-000001"]
+        assert saved[-1] == run_dir / "checkpoints" / ".ckpt-000002.tmp"
+        monkeypatch.undo()
+        resumed = ReplaySession(make_plan(trace_file), run_dir).run(resume=True)
+        assert resumed.finished and resumed.resumed_from == 1
+        assert_identical(resumed, baseline("dftl"))
 
     def test_resume_without_checkpoints_restarts_with_warning(
         self, trace_file, baseline, tmp_path

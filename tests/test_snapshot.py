@@ -151,6 +151,42 @@ class TestResumeBitIdentical:
         second = save_snapshot(tmp_path / "second", SSD.restore(first).state_dict())
         _assert_state_equal(load_snapshot(first), load_snapshot(second))
 
+    @pytest.mark.parametrize("ftl_name", ALL_FTL_NAMES)
+    def test_restore_keeps_the_mapping_and_latency_columns(self, ftl_name, tmp_path):
+        # The mapping column is copied into through its view and each latency
+        # population is refilled, so the objects FTLs and readers hold stay
+        # valid whether the restore grows a population (a fresh target) or
+        # shrinks it (a target that has served more requests).
+        geometry = golden_geometry()
+        overwrites, reads, mix = _phase_requests(geometry)
+        source = SSD.create(ftl_name, geometry)
+        source.fill_sequential(io_pages=16)
+        source.run(overwrites, threads=2)
+        source.run(reads[:200], threads=4)
+        image = load_snapshot(save_snapshot(tmp_path / "image", source.state_dict()))
+        expected = state_fingerprint(source.state_dict())
+        busy = SSD.create(ftl_name, geometry)
+        busy.fill_sequential(io_pages=16)
+        busy.run(overwrites + reads + mix, threads=4)
+        targets = (SSD.create(ftl_name, geometry), busy)
+        for target in targets:
+            directory, stats = target.ftl.directory, target.stats
+            columns = (directory._ppn, stats.read_latencies_us, stats.write_latencies_us)
+            target.load_state(image)
+            assert target.ftl.directory is directory
+            restored = (directory._ppn, stats.read_latencies_us, stats.write_latencies_us)
+            for kept, column in zip(columns, restored):
+                assert column is kept
+            assert np.shares_memory(directory._ppn_view, np.frombuffer(directory._ppn, np.int64))
+            assert state_fingerprint(target.state_dict()) == expected
+        # Nothing is left exporting a population's buffer: the next requests
+        # append to it, and every target continues exactly as the source.
+        for device in (source, *targets):
+            device.run(mix, threads=4)
+        for target in targets:
+            assert _fingerprint(target) == _fingerprint(source)
+            assert state_fingerprint(target.state_dict()) == state_fingerprint(source.state_dict())
+
 
 class TestSnapshotFormat:
     def test_roundtrip_nested_structures(self, tmp_path):
